@@ -12,6 +12,7 @@ package svqact
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -84,8 +85,10 @@ func BenchmarkScanStatCriticalValue(b *testing.B) {
 	ps := []float64{1e-5, 1e-4, 1e-3, 1e-2, 0.05, 0.1}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		// Vary p slightly so the process-wide memo does not trivialise the
-		// benchmark.
+		// Vary p slightly so the process-wide memo only starts to hit after
+		// 6*97 distinct points: short runs time the search (three binomial
+		// tables + an O(k) closed form per bisection step), long runs the
+		// memo lookup.
 		p := ps[i%len(ps)] * (1 + float64(i%97)/1e4)
 		scanstat.CriticalValue(50, p, 20, 0.05)
 	}
@@ -97,6 +100,43 @@ func BenchmarkScanStatTail(b *testing.B) {
 		scanstat.Tail(4+i%4, 50, 0.02, 20)
 	}
 }
+
+// BenchmarkScanStatGridCold is the work behind svqbench's
+// scanstat.grid_cold_s: fresh default grids for the frame (w = 50) and shot
+// (w = 5) geometries, every bucket from p = 1e-7 to 1. The grid quantum
+// differs by a hair per iteration (counted across the testing package's
+// calibration runs, which each restart b.N's loop at 0), so bucket
+// probabilities never repeat, CriticalValue's process-wide memo never serves
+// one, and each iteration pays all 700 searches.
+func BenchmarkScanStatGridCold(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		gridColdIters++
+		for _, w := range []int{50, 5} {
+			grid := scanstat.NewCriticalValues(w, 20, 0.05, 0.02*(1+gridColdIters*1e-9))
+			for bucket := -350; bucket <= -1; bucket++ {
+				grid.AtBucket(bucket)
+			}
+		}
+	}
+}
+
+func BenchmarkScanStatQ3(b *testing.B) {
+	for _, k := range []int{5, 13, 21} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkFloat = scanstat.Q3(k, 50, 0.05)
+			}
+		})
+	}
+}
+
+var (
+	gridColdIters float64
+	// sinkFloat keeps the compiler from eliding a benchmarked pure call.
+	sinkFloat float64
+)
 
 func BenchmarkKernelTick(b *testing.B) {
 	est, err := kernel.NewEstimator(2500, 1e-4)

@@ -6,15 +6,27 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"svqact/internal/rank"
 	"svqact/internal/server"
+	"svqact/internal/sqlq"
+	"svqact/internal/store"
+	"svqact/internal/video"
 )
 
 // buildShardRepos splits the test world into n on-disk shard repositories
 // and returns their directories plus the monolith ground truth.
 func buildShardRepos(t *testing.T, n int) (dirs []string, mono *rank.Index) {
+	t.Helper()
+	return buildShardReposWith(t, n, func(*rank.Index) {})
+}
+
+// buildShardReposWith is buildShardRepos with a hook that may extend each
+// member's index (e.g. with vocabulary only that video holds) before it is
+// added to the source repository.
+func buildShardReposWith(t *testing.T, n int, extend func(*rank.Index)) (dirs []string, mono *rank.Index) {
 	t.Helper()
 	srcDir := t.TempDir()
 	src, err := rank.OpenRepository(srcDir)
@@ -22,7 +34,9 @@ func buildShardRepos(t *testing.T, n int) (dirs []string, mono *rank.Index) {
 		t.Fatal(err)
 	}
 	for i, m := range testMembers {
-		if err := src.Add(memberIndex(t, m, int64(100+i*17))); err != nil {
+		ix := memberIndex(t, m, int64(100+i*17))
+		extend(ix)
+		if err := src.Add(ix); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -173,5 +187,108 @@ func TestHTTPBackendKOverride(t *testing.T) {
 	}
 	if shallow.Shard != "s0" {
 		t.Fatalf("shard attribution = %q, want s0 (X-SVQ-Shard)", shallow.Shard)
+	}
+}
+
+// A ranked OR-group whose atoms are spread unevenly over the shards: the
+// action 'dancing' exists in one video only, so after a 3-way split two
+// shards never ingested it. Those shards must still answer the group from
+// the atom they do hold ('jumping'); treating the statement as "no
+// candidates here" — right for an AND — loses their sequences. Checked
+// through both shard surfaces (serve processes over HTTP, LocalBackend)
+// against the monolith's RVAQCNF.
+func TestShardedORGroupWithPartialVocabulary(t *testing.T) {
+	const sql = `SELECT MERGE(clipID) AS s, RANK(act, obj)
+FROM (PROCESS repo PRODUCE clipID, obj USING ObjectDetector, act USING ActionRecognizer)
+WHERE (act='jumping' OR act='dancing') AND obj.include('car')
+ORDER BY RANK(act, obj) LIMIT 8`
+	dirs, mono := buildShardReposWith(t, 3, func(ix *rank.Index) {
+		if ix.Name != "vid-i" {
+			return
+		}
+		// vid-i's candidate sequences are [2,4] [7,10] [13,14] [17,21];
+		// dancing dominates the second one.
+		var entries []store.Entry
+		for c := 7; c <= 10; c++ {
+			entries = append(entries, store.Entry{Clip: c, Score: 50 + float64(c)})
+		}
+		tbl, err := store.NewMemTable("dancing", entries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix.Actions["dancing"] = &rank.TypeIndex{Table: tbl,
+			Seqs: video.NewIntervalSet(video.Interval{Start: 7, End: 10})}
+	})
+
+	st, err := sqlq.Parse(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := st.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := rank.RVAQCNF(context.Background(), mono, plan.CNF, plan.K, rank.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []RankedSeq
+	perVideo := map[string]bool{}
+	for _, sr := range res.Sequences {
+		vid, local := mono.Resolve(sr.Seq.Start)
+		want = append(want, RankedSeq{Video: vid, StartClip: local, EndClip: local + sr.Seq.Len() - 1, Score: sr.Score()})
+		perVideo[vid] = true
+	}
+	if len(want) != 8 || want[0].Video != "vid-i" || len(perVideo) < 3 {
+		t.Fatalf("test world does not exercise the bug: monolith top-8 = %v", keys(want))
+	}
+
+	var httpSpecs, localSpecs []ShardSpec
+	holders := 0
+	for i, dir := range dirs {
+		name := fmt.Sprintf("s%d", i)
+		httpSpecs = append(httpSpecs, ShardSpec{Name: name,
+			Replicas: []Backend{NewHTTPBackend(name+"-r0", shardServer(t, dir, name).URL, nil)}})
+		repo, err := rank.OpenRepository(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer repo.Close()
+		merged, err := repo.Merged()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if merged.Actions["dancing"] != nil {
+			holders++
+		}
+		localSpecs = append(localSpecs, ShardSpec{Name: name,
+			Replicas: []Backend{NewLocalBackend(name+"-r0", 1, merged)}})
+	}
+	if holders != 1 {
+		t.Fatalf("%d shards hold 'dancing', want exactly 1", holders)
+	}
+	for surface, specs := range map[string][]ShardSpec{"http": httpSpecs, "local": localSpecs} {
+		c, err := New(specs, fastConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.TopK(context.Background(), sql)
+		if err != nil {
+			t.Fatalf("%s: %v", surface, err)
+		}
+		assertSameSeqs(t, got.Sequences, want)
+	}
+
+	// A monolith (no shard name) over the same files keeps rejecting the
+	// vocabulary it does not hold.
+	srv := server.New(server.Config{Scale: 0.05, Seed: 1, RepoDir: dirs[0]})
+	if err := srv.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	if _, err := NewHTTPBackend("mono", ts.URL, nil).Query(context.Background(), Request{SQL: sql}); err == nil ||
+		!strings.Contains(err.Error(), "not ingested") {
+		t.Fatalf("monolith over a partial vocabulary: err = %v, want a not-ingested rejection", err)
 	}
 }

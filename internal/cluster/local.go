@@ -120,7 +120,7 @@ func (b *LocalBackend) Query(ctx context.Context, req Request) (*Response, error
 	}
 	var res *rank.Result
 	if plan.Extended {
-		res, err = rank.RVAQCNF(ctx, cur.ix, plan.CNF, k, rank.Options{})
+		res, err = rank.RVAQCNFShard(ctx, cur.ix, plan.CNF, k, rank.Options{})
 	} else {
 		res, err = rank.RVAQ(ctx, cur.ix, plan.Query, k, rank.Options{})
 	}

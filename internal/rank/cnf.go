@@ -54,7 +54,13 @@ func (s cnfTableScorer) scoreTables(scores []float64) float64 {
 // expected cost to reject first, from each atom table's length and
 // sequence coverage) with the clause references remapped accordingly — no
 // caller may assume any fixed atom layout.
-func (ix *Index) cnfTables(q core.CNF, st *store.Stats) ([]store.Table, [][]int, []video.IntervalSet, *plan.Report, error) {
+//
+// An atom the index never ingested is an error, unless shard is set: an index
+// over one shard of a repository's videos holds only their vocabulary, and an
+// absent atom scores 0 on every clip here, so it drops out of its clause
+// (the clause maximum is unchanged) and only a clause with no atom left —
+// which no clip on this shard can satisfy — reports NotIngestedError.
+func (ix *Index) cnfTables(q core.CNF, st *store.Stats, shard bool) ([]store.Table, [][]int, []video.IntervalSet, *plan.Report, error) {
 	if err := q.Validate(); err != nil {
 		return nil, nil, nil, nil, err
 	}
@@ -77,6 +83,9 @@ func (ix *Index) cnfTables(q core.CNF, st *store.Stats) ([]store.Table, [][]int,
 					return nil, nil, nil, nil, fmt.Errorf("rank: relation atom %s is not supported offline", a)
 				}
 				if ti == nil {
+					if shard {
+						continue
+					}
 					return nil, nil, nil, nil, &NotIngestedError{Kind: "atom", Name: fmt.Sprint(a)}
 				}
 				i = len(tis)
@@ -89,6 +98,9 @@ func (ix *Index) cnfTables(q core.CNF, st *store.Stats) ([]store.Table, [][]int,
 				index[key] = i
 			}
 			clauses[ci] = append(clauses[ci], i)
+		}
+		if len(clauses[ci]) == 0 {
+			return nil, nil, nil, nil, &NotIngestedError{Kind: "atom", Name: fmt.Sprint(c.Atoms[0])}
 		}
 	}
 	pl := plan.New(nodes, plan.Options{})
@@ -116,7 +128,7 @@ func (ix *Index) cnfTables(q core.CNF, st *store.Stats) ([]store.Table, [][]int,
 // intersection.
 func (ix *Index) PqCNF(q core.CNF) (video.IntervalSet, error) {
 	var st store.Stats
-	_, clauses, seqs, _, err := ix.cnfTables(q, &st)
+	_, clauses, seqs, _, err := ix.cnfTables(q, &st, false)
 	if err != nil {
 		return video.IntervalSet{}, err
 	}
@@ -132,8 +144,23 @@ func (ix *Index) PqCNF(q core.CNF) (video.IntervalSet, error) {
 }
 
 // RVAQCNF answers a ranked CNF query with the RVAQ machinery over per-atom
-// tables. Like RVAQ it honours ctx between iterator rounds.
+// tables. Like RVAQ it honours ctx between iterator rounds. Every atom must
+// be ingested: an unknown name is a client error (NotIngestedError).
 func RVAQCNF(ctx context.Context, ix *Index, q core.CNF, k int, opts Options) (*Result, error) {
+	return rvaqCNF(ctx, ix, q, k, opts, false)
+}
+
+// RVAQCNFShard is RVAQCNF over an index that holds one shard of a
+// repository's videos and therefore only part of its vocabulary. An atom
+// this shard never ingested may live on another shard, so it is dropped from
+// its OR-group instead of failing the statement; NotIngestedError is
+// returned only when a whole clause is absent, which callers answer as "no
+// candidates on this shard".
+func RVAQCNFShard(ctx context.Context, ix *Index, q core.CNF, k int, opts Options) (*Result, error) {
+	return rvaqCNF(ctx, ix, q, k, opts, true)
+}
+
+func rvaqCNF(ctx context.Context, ix *Index, q core.CNF, k int, opts Options, shard bool) (*Result, error) {
 	opts = opts.withDefaults()
 	if err := opts.Scoring.Validate(); err != nil {
 		return nil, err
@@ -146,7 +173,7 @@ func RVAQCNF(ctx context.Context, ix *Index, q core.CNF, k int, opts Options) (*
 		name = "RVAQ-CNF-noSkip"
 	}
 	res := &Result{Algorithm: name, K: k}
-	tables, clauses, seqs, rep, err := ix.cnfTables(q, &res.Stats)
+	tables, clauses, seqs, rep, err := ix.cnfTables(q, &res.Stats, shard)
 	if err != nil {
 		return nil, err
 	}
@@ -175,7 +202,7 @@ func RVAQCNF(ctx context.Context, ix *Index, q core.CNF, k int, opts Options) (*
 // reference for RVAQCNF.
 func TruthTopKCNF(ix *Index, q core.CNF, k int, scoring Scoring) ([]SeqResult, error) {
 	var st store.Stats
-	tables, clauses, _, _, err := ix.cnfTables(q, &st)
+	tables, clauses, _, _, err := ix.cnfTables(q, &st, false)
 	if err != nil {
 		return nil, err
 	}

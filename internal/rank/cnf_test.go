@@ -2,7 +2,9 @@ package rank
 
 import (
 	"context"
+	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"svqact/internal/core"
@@ -155,6 +157,45 @@ func TestRVAQCNFErrors(t *testing.T) {
 	}}
 	if _, err := RVAQCNF(context.Background(), ix, unknown, 3, Options{}); err == nil {
 		t.Error("unknown atom should fail")
+	}
+}
+
+// TestRVAQCNFShardDropsAbsentAtoms pins the two vocabulary contracts side by
+// side: a monolith rejects an OR-group naming an atom it never ingested,
+// while a shard answers it exactly as if the absent atom were not written,
+// and still reports NotIngestedError once a whole clause is absent.
+func TestRVAQCNFShardDropsAbsentAtoms(t *testing.T) {
+	ix := cnfTestIndex(t)
+	ctx := context.Background()
+	withAbsent := core.CNF{Clauses: []core.Clause{
+		{Atoms: []core.Atom{core.ActionAtom("surfing"), core.ActionAtom("jumping")}},
+		{Atoms: []core.Atom{core.ObjectAtom("human"), core.ObjectAtom("kite")}},
+	}}
+	pruned := core.CNF{Clauses: []core.Clause{
+		{Atoms: []core.Atom{core.ActionAtom("jumping")}},
+		{Atoms: []core.Atom{core.ObjectAtom("human")}},
+	}}
+	var miss *NotIngestedError
+	if _, err := RVAQCNF(ctx, ix, withAbsent, 5, Options{}); !errors.As(err, &miss) {
+		t.Fatalf("monolith: err = %v, want NotIngestedError", err)
+	}
+	got, err := RVAQCNFShard(ctx, ix, withAbsent, 5, Options{})
+	if err != nil {
+		t.Fatalf("shard: %v", err)
+	}
+	want, err := RVAQCNF(ctx, ix, pruned, 5, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Sequences) == 0 || !reflect.DeepEqual(got.Sequences, want.Sequences) {
+		t.Errorf("shard answer %v, want the pruned query's %v", got.Sequences, want.Sequences)
+	}
+	absentClause := core.CNF{Clauses: []core.Clause{
+		{Atoms: []core.Atom{core.ActionAtom("jumping")}},
+		{Atoms: []core.Atom{core.ObjectAtom("kite"), core.ObjectAtom("surfboard")}},
+	}}
+	if _, err := RVAQCNFShard(ctx, ix, absentClause, 5, Options{}); !errors.As(err, &miss) {
+		t.Errorf("shard with a whole clause absent: err = %v, want NotIngestedError", err)
 	}
 }
 

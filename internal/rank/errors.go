@@ -6,7 +6,10 @@ import "fmt"
 // vocabulary. A monolithic index treats it as a client error (the predicate
 // is a typo — nothing was ever ingested under that name); a shard holding a
 // partial vocabulary treats it as "no candidates here" and answers empty,
-// since other shards of the same repository may hold the type.
+// since other shards of the same repository may hold the type. That is
+// right for a conjunct (RVAQ) and for a whole OR-group; a missing atom beside
+// an ingested one in its OR-group drops out of the group instead
+// (RVAQCNFShard).
 type NotIngestedError struct {
 	Kind string // "action", "object" or "atom"
 	Name string

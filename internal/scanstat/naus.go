@@ -6,6 +6,62 @@ import (
 	"sync"
 )
 
+// tables holds the binomial tables the constituents of Naus's approximation
+// read at one (w, p): the pmf b and cdf F of Binomial(w, p), and the cdfs F1
+// and F2 of Binomial(w-1, p) and Binomial(w-2, p), which the partial
+// expectations in Q3 reduce to (sum_{j<=m} j b(j) = w p F1(m-1)). One
+// critical-value search builds them once and evaluates Q1, Q2 and Q3 from
+// them at every k it visits.
+type tables struct {
+	b0, b1, b2 *Binom
+}
+
+func newTables(w int, p float64) tables {
+	// For w < 2 the F2 term of Q3 carries the factor w(w-1) = 0, so any
+	// table stands in for the undefined Binomial(w-2, p).
+	return tables{NewBinom(w, p), NewBinom(max(w-1, 0), p), NewBinom(max(w-2, 0), p)}
+}
+
+// q2 evaluates Q2 (see the exported function) for 0 <= k <= w from the
+// Binomial(w, p) table.
+func q2(b *Binom, k int) float64 {
+	g := 0.0
+	for r := 0; r <= k-2; r++ {
+		g += b.CDF(r)
+	}
+	f := b.CDF(k - 1)
+	return clampProb(f*f - b.PMF(k)*g)
+}
+
+// q3 evaluates Q3 (see the exported function) for 0 <= k <= w. It is capped
+// at s2 = q2(t.b0, k): three w-blocks cannot survive more often than two.
+func (t tables) q3(k int, s2 float64) float64 {
+	b, F, F1, F2 := t.b0.PMF, t.b0.CDF, t.b1.CDF, t.b2.CDF
+	w, kf, p := float64(t.b0.N()), float64(k), t.b0.P()
+	a1 := 2 * b(k) * F(k-1) * ((kf-1)*F(k-2) - w*p*F1(k-3))
+	a2 := 0.5 * b(k) * b(k) *
+		((kf-1)*(kf-2)*F(k-3) - 2*(kf-2)*w*p*F1(k-4) + w*(w-1)*p*p*F2(k-5))
+	a3, a4 := 0.0, 0.0
+	for r := 1; r <= k-1; r++ {
+		a3 += b(2*k-r) * F(r-1) * F(r-1)
+	}
+	for r := 2; r <= k-1; r++ {
+		a4 += b(2*k-r) * b(r) * (float64(r-1)*F(r-2) - w*p*F1(r-3))
+	}
+	f := F(k - 1)
+	return min(clampProb(f*f*f-a1+a2+a3-a4), s2)
+}
+
+// tail evaluates Tail (see the exported function) for 1 <= k <= w.
+func (t tables) tail(k int, L float64) float64 {
+	s2 := q2(t.b0, k)
+	if L <= 2 {
+		s1 := t.b0.CDF(k - 1) // Q1 = P(S_w(w) < k)
+		return clampProb(1 - extrapolate(s1, s2, L-1))
+	}
+	return clampProb(1 - extrapolate(s2, t.q3(k, s2), L-2))
+}
+
 // Q2 returns the exact probability that no window of w consecutive trials
 // among 2w Bernoulli(p) trials contains k or more successes:
 //
@@ -24,27 +80,23 @@ func Q2(k, w int, p float64) float64 {
 	if k > w {
 		return 1 // a w-window cannot hold more than w successes
 	}
-	b := NewBinom(w, p)
-	g := 0.0
-	for r := 0; r <= k-2; r++ {
-		g += b.CDF(r)
-	}
-	q := b.CDF(k-1)*b.CDF(k-1) - b.PMF(k)*g
-	return clampProb(q)
+	return q2(NewBinom(w, p), k)
 }
 
 // Q3 returns the exact probability that no window of w consecutive trials
-// among 3w Bernoulli(p) trials contains k or more successes. It runs an
-// O(w k^4) dynamic program over the three w-blocks.
+// among 3w Bernoulli(p) trials contains k or more successes, by Naus's
+// (1982) closed form, O(k) from the three binomial tables:
 //
-// Derivation: split trials into blocks B1 B2 B3 of w each. Window counts are
-// C_{y+1} = R1_y + V_y (windows crossing the B1/B2 boundary) and
-// C_{w+1+y} = R2_y + T_y (crossing B2/B3), for y = 0..w, where R1_y and R2_y
-// count block successes not yet passed by the window start, and V_y, T_y are
-// prefix counts of B2 and B3. R1 and R2 are Markov when conditioned on their
-// remaining counts (exchangeability of iid trials), and T has iid Bernoulli
-// increments, so the joint survival probability is a small DP over the state
-// (R1_y, V_y, R2_y, T_y) restricted to R1+V <= k-1 and R2+T <= k-1.
+//	Q3 = F(k-1)^3 - A1 + A2 + A3 - A4
+//	A1 = 2 b(k) F(k-1) [(k-1) F(k-2) - w p F1(k-3)]
+//	A2 = 1/2 b(k)^2 [(k-1)(k-2) F(k-3) - 2(k-2) w p F1(k-4) + w(w-1) p^2 F2(k-5)]
+//	A3 = sum_{r=1}^{k-1} b(2k-r) F(r-1)^2
+//	A4 = sum_{r=2}^{k-1} b(2k-r) b(r) [(r-1) F(r-2) - w p F1(r-3)]
+//
+// with b, F the Binomial(w, p) pmf and cdf and F1, F2 the cdfs of
+// Binomial(w-1, p) and Binomial(w-2, p); a cdf of a negative argument is 0
+// and a pmf above its trial count is 0. The result is clamped to [0, Q2].
+// The tests hold it to a three-block dynamic program and to enumeration.
 func Q3(k, w int, p float64) float64 {
 	if err := checkArgs(k, w, p); err != nil {
 		panic(err)
@@ -52,91 +104,8 @@ func Q3(k, w int, p float64) float64 {
 	if k > w {
 		return 1
 	}
-	prior := NewBinom(w, p)
-
-	// pairIdx enumerates pairs (a, b) with a+b <= k-1, a,b >= 0.
-	np := k * (k + 1) / 2
-	pairIdx := func(a, b int) int {
-		// Pairs ordered by a: for fixed a, b in [0, k-1-a].
-		// offset(a) = sum_{i<a} (k-i) = a*k - a(a-1)/2
-		return a*k - a*(a-1)/2 + b
-	}
-
-	// cur[i1*np+i2]: i1 indexes (r1, v), i2 indexes (r2, t).
-	cur := make([]float64, np*np)
-	next := make([]float64, np*np)
-
-	// y = 0: v = t = 0, r1 = N1 <= k-1, r2 = N2 <= k-1.
-	for r1 := 0; r1 <= k-1; r1++ {
-		for r2 := 0; r2 <= k-1; r2++ {
-			cur[pairIdx(r1, 0)*np+pairIdx(r2, 0)] = prior.PMF(r1) * prior.PMF(r2)
-		}
-	}
-
-	for y := 0; y < w; y++ {
-		m := float64(w - y) // trials remaining in each of B1, B2
-		for i := range next {
-			next[i] = 0
-		}
-		for r1 := 0; r1 <= k-1; r1++ {
-			for v := 0; v+r1 <= k-1; v++ {
-				i1 := pairIdx(r1, v)
-				for r2 := 0; r2 <= k-1; r2++ {
-					for t := 0; t+r2 <= k-1; t++ {
-						pr := cur[i1*np+pairIdx(r2, t)]
-						if pr == 0 {
-							continue
-						}
-						// Probability the leaving B1 trial is a success, given
-						// r1 successes remain among the m undecided trials.
-						a1 := float64(r1) / m
-						a2 := float64(r2) / m
-						for d1 := 0; d1 <= 1; d1++ { // B1 leave success?
-							p1 := a1
-							nr1 := r1 - 1
-							if d1 == 0 {
-								p1, nr1 = 1-a1, r1
-							}
-							if p1 == 0 {
-								continue
-							}
-							for d2 := 0; d2 <= 1; d2++ { // B2 leave success?
-								p2 := a2
-								nr2, nv := r2-1, v+1
-								if d2 == 0 {
-									p2, nr2, nv = 1-a2, r2, v
-								}
-								if p2 == 0 {
-									continue
-								}
-								for d3 := 0; d3 <= 1; d3++ { // B3 arrival success?
-									p3 := p
-									nt := t + 1
-									if d3 == 0 {
-										p3, nt = 1-p, t
-									}
-									if p3 == 0 {
-										continue
-									}
-									if nr1+nv > k-1 || nr2+nt > k-1 {
-										continue // a window reached k: path dies
-									}
-									next[pairIdx(nr1, nv)*np+pairIdx(nr2, nt)] += pr * p1 * p2 * p3
-								}
-							}
-						}
-					}
-				}
-			}
-		}
-		cur, next = next, cur
-	}
-
-	total := 0.0
-	for _, v := range cur {
-		total += v
-	}
-	return clampProb(total)
+	t := newTables(w, p)
+	return t.q3(k, q2(t.b0, k))
 }
 
 // Tail returns P(S_w(N) >= k | p, w, L) with N = L*w, the probability that
@@ -159,33 +128,7 @@ func Tail(k, w int, p, L float64) float64 {
 	if k <= 0 {
 		return 1
 	}
-	q1 := NewBinom(w, p).CDF(k - 1) // P(S_w(w) < k)
-	if L <= 2 {
-		q2 := Q2(k, w, p)
-		return clampProb(1 - extrapolate(q1, q2, L-1))
-	}
-	q2 := Q2(k, w, p)
-	q3 := q3For(k, w, p, q1, q2)
-	return clampProb(1 - extrapolate(q2, q3, L-2))
-}
-
-// q3ExactMaxK bounds the exact dynamic program: its state count grows as
-// k^4, so beyond this point Q3 is replaced by the classical product-type
-// estimate Q3 ~ Q2^2/Q1 (the same spacings-ratio argument the L>3
-// extrapolation rests on). Queries operate at small critical values — the
-// fallback only engages while an adaptive background estimate passes through
-// a high-probability regime, where precision is irrelevant because nothing
-// is significant anyway.
-const q3ExactMaxK = 25
-
-func q3For(k, w int, p, q1, q2 float64) float64 {
-	if k <= q3ExactMaxK {
-		return Q3(k, w, p)
-	}
-	if q1 <= 0 {
-		return 0
-	}
-	return clampProb(q2 * q2 / q1)
+	return newTables(w, p).tail(k, L)
 }
 
 // extrapolate computes qa * (qb/qa)^t in log space, treating a zero survival
@@ -239,10 +182,11 @@ func CriticalValue(w int, p, L, alpha float64) int {
 func criticalValueSearch(w int, p, L, alpha float64) int {
 	// Binary search over [1, w+1]; the virtual k = w+1 has tail 0 <= alpha,
 	// so the invariant Tail(hi) <= alpha < Tail(lo-1) always holds.
+	t := newTables(w, p)
 	lo, hi := 1, w+1
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if Tail(mid, w, p, L) <= alpha {
+		if t.tail(mid, L) <= alpha {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -349,8 +293,11 @@ func (c *CriticalValues) AtBucket(bucket int) int {
 	if ok {
 		return k
 	}
-	// Compute outside the lock: CriticalValue is itself memoized process-wide,
-	// so a racing duplicate costs one map lookup, not a second Naus search.
+	// Compute outside the lock. Two goroutines missing the same cold bucket
+	// both run the search: CriticalValue's process-wide memo is stored only
+	// after computing, so it does not single-flight them. The search is pure
+	// and costs tens of microseconds, so the duplicate stores the same value
+	// and is cheaper than holding the lock across it.
 	k = CriticalValue(c.w, math.Pow(10, float64(bucket)*c.grid), c.l, c.alpha)
 	c.mu.Lock()
 	c.cache[bucket] = k

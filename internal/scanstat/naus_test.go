@@ -43,6 +43,113 @@ func exactQ(k, w, N int, p float64) float64 {
 	return total
 }
 
+// q3DP computes P(S_w(3w) < k) by an O(w k^4) dynamic program over the three
+// w-blocks. It was the production Q3 until Naus's closed form replaced it and
+// stays, unchanged, as the referee that guards the closed form against
+// mis-transcription beyond the sizes exactQ can enumerate.
+//
+// Derivation: split trials into blocks B1 B2 B3 of w each. Window counts are
+// C_{y+1} = R1_y + V_y (windows crossing the B1/B2 boundary) and
+// C_{w+1+y} = R2_y + T_y (crossing B2/B3), for y = 0..w, where R1_y and R2_y
+// count block successes not yet passed by the window start, and V_y, T_y are
+// prefix counts of B2 and B3. R1 and R2 are Markov when conditioned on their
+// remaining counts (exchangeability of iid trials), and T has iid Bernoulli
+// increments, so the joint survival probability is a small DP over the state
+// (R1_y, V_y, R2_y, T_y) restricted to R1+V <= k-1 and R2+T <= k-1.
+func q3DP(k, w int, p float64) float64 {
+	if err := checkArgs(k, w, p); err != nil {
+		panic(err)
+	}
+	if k > w {
+		return 1
+	}
+	prior := NewBinom(w, p)
+
+	// pairIdx enumerates pairs (a, b) with a+b <= k-1, a,b >= 0.
+	np := k * (k + 1) / 2
+	pairIdx := func(a, b int) int {
+		// Pairs ordered by a: for fixed a, b in [0, k-1-a].
+		// offset(a) = sum_{i<a} (k-i) = a*k - a(a-1)/2
+		return a*k - a*(a-1)/2 + b
+	}
+
+	// cur[i1*np+i2]: i1 indexes (r1, v), i2 indexes (r2, t).
+	cur := make([]float64, np*np)
+	next := make([]float64, np*np)
+
+	// y = 0: v = t = 0, r1 = N1 <= k-1, r2 = N2 <= k-1.
+	for r1 := 0; r1 <= k-1; r1++ {
+		for r2 := 0; r2 <= k-1; r2++ {
+			cur[pairIdx(r1, 0)*np+pairIdx(r2, 0)] = prior.PMF(r1) * prior.PMF(r2)
+		}
+	}
+
+	for y := 0; y < w; y++ {
+		m := float64(w - y) // trials remaining in each of B1, B2
+		for i := range next {
+			next[i] = 0
+		}
+		for r1 := 0; r1 <= k-1; r1++ {
+			for v := 0; v+r1 <= k-1; v++ {
+				i1 := pairIdx(r1, v)
+				for r2 := 0; r2 <= k-1; r2++ {
+					for t := 0; t+r2 <= k-1; t++ {
+						pr := cur[i1*np+pairIdx(r2, t)]
+						if pr == 0 {
+							continue
+						}
+						// Probability the leaving B1 trial is a success, given
+						// r1 successes remain among the m undecided trials.
+						a1 := float64(r1) / m
+						a2 := float64(r2) / m
+						for d1 := 0; d1 <= 1; d1++ { // B1 leave success?
+							p1 := a1
+							nr1 := r1 - 1
+							if d1 == 0 {
+								p1, nr1 = 1-a1, r1
+							}
+							if p1 == 0 {
+								continue
+							}
+							for d2 := 0; d2 <= 1; d2++ { // B2 leave success?
+								p2 := a2
+								nr2, nv := r2-1, v+1
+								if d2 == 0 {
+									p2, nr2, nv = 1-a2, r2, v
+								}
+								if p2 == 0 {
+									continue
+								}
+								for d3 := 0; d3 <= 1; d3++ { // B3 arrival success?
+									p3 := p
+									nt := t + 1
+									if d3 == 0 {
+										p3, nt = 1-p, t
+									}
+									if p3 == 0 {
+										continue
+									}
+									if nr1+nv > k-1 || nr2+nt > k-1 {
+										continue // a window reached k: path dies
+									}
+									next[pairIdx(nr1, nv)*np+pairIdx(nr2, nt)] += pr * p1 * p2 * p3
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+		cur, next = next, cur
+	}
+
+	total := 0.0
+	for _, v := range cur {
+		total += v
+	}
+	return clampProb(total)
+}
+
 func TestBinomPMFSumsToOne(t *testing.T) {
 	for _, n := range []int{1, 5, 50, 200} {
 		for _, p := range []float64{0, 1e-6, 1e-3, 0.5, 0.97, 1} {
@@ -220,14 +327,21 @@ func TestTailMonteCarlo(t *testing.T) {
 }
 
 func TestTailMonotoneInK(t *testing.T) {
-	for _, p := range []float64{0.001, 0.05, 0.3} {
-		prev := 1.1
-		for k := 1; k <= 20; k++ {
-			got := Tail(k, 20, p, 15)
-			if got > prev+1e-12 {
-				t.Errorf("Tail not non-increasing at k=%d p=%g: %v > %v", k, p, got, prev)
+	// w = 100 walks k through the whole range the closed-form Q3 serves,
+	// far past where the dynamic program it replaced was ever run.
+	for _, c := range []struct {
+		w int
+		L float64
+	}{{20, 15}, {100, 20}} {
+		for _, p := range []float64{1e-6, 0.001, 0.05, 0.3, 0.79, 0.99} {
+			prev := 1.1
+			for k := 1; k <= c.w; k++ {
+				got := Tail(k, c.w, p, c.L)
+				if got > prev+1e-12 {
+					t.Errorf("Tail not non-increasing at k=%d w=%d p=%g: %v > %v", k, c.w, p, got, prev)
+				}
+				prev = got
 			}
-			prev = got
 		}
 	}
 }

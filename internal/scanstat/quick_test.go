@@ -73,9 +73,9 @@ func TestQuickCriticalValueIsMinimal(t *testing.T) {
 
 func TestQuickQ2Q3Consistency(t *testing.T) {
 	// Survival probabilities must nest: Q3 <= Q2 <= Q1 (more trials, more
-	// chances to exceed the quota). Restrict to the exact-Q3 regime.
+	// chances to exceed the quota).
 	f := func(pp params, kk uint8) bool {
-		k := 1 + int(kk)%min(pp.W, q3ExactMaxK)
+		k := 1 + int(kk)%pp.W
 		q1 := NewBinom(pp.W, pp.P).CDF(k - 1)
 		q2 := Q2(k, pp.W, pp.P)
 		q3 := Q3(k, pp.W, pp.P)

@@ -1126,7 +1126,13 @@ func (s *Server) execute(ctx context.Context, plan sqlq.Plan, algo string, kOver
 		}
 		var res *rank.Result
 		if plan.Extended {
-			res, err = rank.RVAQCNF(ctx, m, plan.CNF, plan.K, rank.Options{})
+			// Only a shard may drop an un-ingested atom from its OR-group;
+			// a monolith keeps rejecting unknown vocabulary.
+			topk := rank.RVAQCNF
+			if s.cfg.ShardName != "" {
+				topk = rank.RVAQCNFShard
+			}
+			res, err = topk(ctx, m, plan.CNF, plan.K, rank.Options{})
 			resp.Extended = true
 		} else {
 			res, err = rank.RVAQ(ctx, m, plan.Query, plan.K, rank.Options{})

@@ -10,16 +10,28 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> go vet ./..."
+# stage prints the wall seconds the previous stage took, then the header of
+# the next, so a CI log shows where the time goes.
+stage_name=""
+stage() {
+  if [ -n "$stage_name" ]; then
+    echo "<== ${stage_name}: $((SECONDS - stage_start))s"
+  fi
+  stage_name="$1"
+  stage_start=$SECONDS
+  echo "==> $1"
+}
+
+stage "go vet ./..."
 go vet ./...
 
-echo "==> go build ./..."
+stage "go build ./..."
 go build ./...
 
-echo "==> go test -race -shuffle=on ./..."
+stage "go test -race -shuffle=on ./..."
 go test -race -shuffle=on ./...
 
-echo "==> rolling-swap chaos property tests (-race, bounded schedules)"
+stage "rolling-swap chaos property tests (-race, bounded schedules)"
 # Concurrent query load through an in-flight rollout with injected reload
 # failures, throttles and a crashed replica: answers must match their
 # shards' reported generations, mixed merges must be flagged, and the
@@ -27,7 +39,7 @@ echo "==> rolling-swap chaos property tests (-race, bounded schedules)"
 # schedules are deterministic, so this is repeatable despite the chaos.
 go test -race -run 'TestRolloutChaos' -count=1 ./internal/cluster/
 
-echo "==> tier-invariance property suite (-race, -count=1)"
+stage "tier-invariance property suite (-race, -count=1)"
 # The cascade refactor's correctness contract: running the tiered detector
 # cascades — any tier mode, any predicate order, online or offline — must
 # be bit-identical to running the accurate models alone, and a too-small
@@ -37,39 +49,43 @@ echo "==> tier-invariance property suite (-race, -count=1)"
 go test -race -count=1 -run 'TierInvariance|InferenceBudget|OfflineIngestIdenticalUnderCascade|ReportUnderConcurrentTierObservation' \
   ./internal/core/ ./internal/rank/ ./internal/plan/
 
-echo "==> allocation bounds (no race: counts skip under the detector)"
+stage "allocation bounds (no race: counts skip under the detector)"
 # The pooled-scratch aliasing tests above ran under -race; the numeric
 # AllocsPerRun bounds skip there (instrumentation inflates counts), so run
 # them again without it to enforce the hot path's allocation budget.
 go test -run 'AllocsSteadyState' ./internal/core/ ./internal/rank/
 
-echo "==> sqlq fuzz smoke (-fuzztime=5s)"
+stage "fuzz smoke (-fuzztime=5s each)"
 # A short native-fuzzing burst over the lexer and parser (EXPLAIN included
-# via the seed corpus): catches panics and contract violations cheaply.
+# via the seed corpus) catches panics and contract violations cheaply; one
+# over scanstat searches for a (k, w, p) where the closed-form Q3 leaves the
+# dynamic program that referees it.
 go test -fuzz '^FuzzParse$' -fuzztime=5s ./internal/sqlq
 go test -fuzz '^FuzzLex$' -fuzztime=5s ./internal/sqlq
+go test -run '^$' -fuzz '^FuzzQ3ClosedMatchesDP$' -fuzztime=5s ./internal/scanstat
 
-echo "==> benchmark smoke (-benchtime=1x -benchmem)"
+stage "benchmark smoke (-benchtime=1x -benchmem)"
 # One iteration of every benchmark: catches bit-rot in the experiment and
 # microbenchmark harnesses without paying for real measurements. -benchmem
 # keeps allocs/op in the output so hot-path allocation creep is visible in
 # every CI log, not only when the AllocsPerRun bounds trip.
 go test -run '^$' -bench . -benchtime=1x -benchmem .
 
-echo "==> scaling report + regression gate (BENCH_scaling.json)"
+stage "scaling report + regression gate (BENCH_scaling.json)"
 # Appends a git-rev-stamped entry to the BENCH series and fails on a >25%
 # peak-throughput drop vs the latest prior entry with a matching config
 # (gomaxprocs, fleet size, frames/video, scale, seed); a config change
 # skips the comparison instead of comparing apples to oranges.
 go run ./cmd/experiments -scale 0.1 -bench-json BENCH_scaling.json -bench-gate 25 >/dev/null
 
-echo "==> ingest + svq fsck round trip"
+stage "ingest + svq fsck round trip"
 fscktmp=$(mktemp -d)
 trap 'rm -rf "$fscktmp"' EXIT
 go run ./cmd/ingest -dataset movies -scale 0.02 -out "$fscktmp/repo" >/dev/null
 go run ./cmd/svq fsck "$fscktmp/repo"
 
-echo "==> go run ./scripts/smoke"
+stage "go run ./scripts/smoke"
 go run ./scripts/smoke
 
+stage "done in ${SECONDS}s"
 echo "OK"
