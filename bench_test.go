@@ -191,6 +191,9 @@ func BenchmarkDetectorFrameScore(b *testing.B) {
 	}
 }
 
+// BenchmarkSVAQDClip times one clip of the engine's loop (ns/op is per
+// clip): a basic conjunction stepped through the streaming API, and an
+// OR-group through RunCNF, whose whole-video runs are counted clip by clip.
 func BenchmarkSVAQDClip(b *testing.B) {
 	v := benchVideo(b)
 	models := detect.NewModels(detect.NewObjectDetector(detect.MaskRCNN, 1), detect.NewActionRecognizer(detect.I3D, 1))
@@ -198,17 +201,31 @@ func BenchmarkSVAQDClip(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	q := core.Query{Objects: []string{"car"}, Action: "jumping"}
-	b.ResetTimer()
-	for i := 0; i < b.N; {
-		run, err := eng.NewRun(context.Background(), v, q)
-		if err != nil {
-			b.Fatal(err)
+	b.Run("conjunction", func(b *testing.B) {
+		q := core.Query{Objects: []string{"car"}, Action: "jumping"}
+		for i := 0; i < b.N; {
+			run, err := eng.NewRun(context.Background(), v, q)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for run.Step() && i < b.N {
+				i++
+			}
 		}
-		for run.Step() && i < b.N {
-			i++
+	})
+	b.Run("or-group", func(b *testing.B) {
+		q := core.CNF{Clauses: []core.Clause{
+			{Atoms: []core.Atom{core.ActionAtom("jumping"), core.ObjectAtom("car")}},
+			{Atoms: []core.Atom{core.ObjectAtom("human")}},
+		}}
+		for i := 0; i < b.N; {
+			res, err := eng.RunCNF(context.Background(), v, q)
+			if err != nil {
+				b.Fatal(err)
+			}
+			i += res.NumClips
 		}
-	}
+	})
 }
 
 func BenchmarkIngest(b *testing.B) {

@@ -71,6 +71,7 @@ import (
 	"svqact/internal/plan"
 	"svqact/internal/rank"
 	"svqact/internal/sqlq"
+	"svqact/internal/stmt"
 	"svqact/internal/synth"
 )
 
@@ -99,27 +100,28 @@ func main() {
 		budget  = flag.Duration("budget", 0, "per-query inference budget (simulated model time); 0 means unlimited. Online queries degrade gracefully past it")
 	)
 	flag.Parse()
-	if err := run(*query, *dataset, *scale, *seed, *algo, *p0, *repo, *cascade, *budget); err != nil {
+	if _, err := run(os.Stdout, *query, *dataset, *scale, *seed, *algo, *p0, *repo, *cascade, *budget); err != nil {
 		fmt.Fprintln(os.Stderr, "svq:", err)
 		os.Exit(1)
 	}
 }
 
-func run(query, dataset string, scale float64, seed int64, algo string, p0 float64, repoDir string, cascade bool, budget time.Duration) error {
+// run executes one statement and renders its answer on w.
+func run(w io.Writer, query, dataset string, scale float64, seed int64, algo string, p0 float64, repoDir string, cascade bool, budget time.Duration) (*stmt.Answer, error) {
 	if query == "" {
 		data, err := io.ReadAll(os.Stdin)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		query = string(data)
 	}
 	st, err := sqlq.Parse(query)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	plan, err := st.Plan()
 	if err != nil {
-		return err
+		return nil, err
 	}
 
 	var obj detect.ObjectDetector = detect.NewObjectDetector(detect.MaskRCNN, seed)
@@ -129,29 +131,83 @@ func run(query, dataset string, scale float64, seed int64, algo string, p0 float
 		act = detect.NewDistilledActionCascade(act, detect.DistilledI3D, seed)
 	}
 	models := detect.NewModels(obj, act)
+	var meter detect.Meter
+	env := stmt.Env{
+		Models: models,
+		Engine: core.DefaultConfig(),
+		Stream: func(name string) (detect.TruthVideo, error) {
+			return resolveSource(dataset, name, scale, seed)
+		},
+		Index: func(ctx context.Context, name string, stream detect.TruthVideo) (*rank.Index, error) {
+			fmt.Fprintf(w, "ingesting %s ...\n", name)
+			return rank.Ingest(ctx, stream, models, rank.PaperScoring(), rank.DefaultIngestConfig())
+		},
+	}
+	env.Engine.P0Object, env.Engine.P0Action = p0, p0
+	env.Engine.InferenceBudget = budget
+	env.Engine.Meter = &meter
 	if !plan.Online && repoDir != "" {
-		return runRepo(repoDir, plan.Query, plan.K, plan.Explain)
+		repo, err := rank.OpenRepository(repoDir)
+		if err != nil {
+			return nil, err
+		}
+		defer repo.Close()
+		fmt.Fprintf(w, "repository %s: %d videos\n", repoDir, len(repo.Videos()))
+		if env.Repo, err = repo.Merged(); err != nil {
+			return nil, err
+		}
 	}
-	stream, err := resolveSource(dataset, plan.Source, scale, seed)
+	start := time.Now()
+	ans, err := stmt.Execute(context.Background(), plan, algo, env)
 	if err != nil {
-		return err
+		return nil, err
 	}
+	printAnswer(w, plan, ans)
+	if plan.Online {
+		fmt.Fprintf(w, "engine time %v; inference: %d frames, %d shots (simulated %v)\n",
+			time.Since(start).Round(time.Millisecond),
+			meter.ObjectFrames(), meter.ActionShots(), meter.Cost(models).Round(time.Second))
+	} else {
+		fmt.Fprintf(w, "query time %v; %d random accesses, %d sorted accesses, %d clips scored\n",
+			time.Since(start).Round(time.Millisecond), ans.RandomAccesses, ans.SortedAccesses, ans.ClipsScored)
+	}
+	if plan.Explain {
+		fprintExplain(w, ans.Plan)
+	}
+	return ans, nil
+}
 
-	if !plan.Online {
-		return runOffline(stream, plan.Query, models, plan.K, plan.Explain)
-	}
+// printAnswer renders a statement's answer: the result sequences (ranked
+// ones with their scores, repository-backed ones by member video) and, for
+// an online statement, each predicate's final background and critical value.
+func printAnswer(w io.Writer, plan sqlq.Plan, ans *stmt.Answer) {
+	q := fmt.Sprint(plan.Query)
 	if plan.Extended {
-		return runExtended(stream, plan.CNF, models, algo, p0, plan.Explain)
+		q = plan.CNF.String()
 	}
-	return runOnline(stream, plan.Query, models, algo, p0, budget, plan.Explain)
+	if plan.Online {
+		fmt.Fprintf(w, "%s over %s: query %s, %d clips\n", ans.Mode, ans.Source, q, ans.NumClips)
+		fmt.Fprintf(w, "result sequences (%d):\n", len(ans.Sequences))
+	} else {
+		fmt.Fprintf(w, "%s top-%d for %s over %s (%d candidate sequences):\n", ans.Mode, ans.K, q, ans.Source, ans.Candidates)
+	}
+	for i, sq := range ans.Sequences {
+		if !plan.Online {
+			fmt.Fprintf(w, "  #%-2d score %10.2f", i+1, sq.Score)
+		}
+		if sq.Video != "" {
+			fmt.Fprintf(w, "  %s clips %d..%d\n", sq.Video, sq.StartClip, sq.EndClip)
+		} else {
+			fmt.Fprintf(w, "  clips %4d..%-4d  frames %6d..%-6d\n", sq.StartClip, sq.EndClip, sq.StartFrame, sq.EndFrame)
+		}
+	}
+	for _, ps := range ans.Predicates {
+		fmt.Fprintf(w, "predicate %-24s background=%.2e k_crit=%d positive clips=%d\n",
+			ps.Name, ps.Background, ps.Critical, ps.Clips.TotalLen())
+	}
 }
 
-// source is the minimal stream interface the command needs.
-type source interface {
-	detect.TruthVideo
-}
-
-func resolveSource(dataset, name string, scale float64, seed int64) (source, error) {
+func resolveSource(dataset, name string, scale float64, seed int64) (detect.TruthVideo, error) {
 	switch dataset {
 	case "youtube":
 		d := synth.YouTube(synth.Options{Scale: scale, Seed: seed})
@@ -178,14 +234,11 @@ func resolveSource(dataset, name string, scale float64, seed int64) (source, err
 	}
 }
 
-// printExplain renders a predicate-ordering plan report as the EXPLAIN
+// fprintExplain renders a predicate-ordering plan report as the EXPLAIN
 // block. Ordering is a cost decision only; EXPLAIN output never implies a
-// different result.
-func printExplain(rep *plan.Report) { fprintExplain(os.Stdout, rep) }
-
-// fprintExplain is printExplain against an arbitrary writer (testable). The
-// tier columns and the budget line appear only on tiered plans; a
-// single-tier plan renders byte-identically to the pre-cascade output.
+// different result. The tier columns and the budget line appear only on
+// tiered plans; a single-tier plan renders byte-identically to the
+// pre-cascade output.
 func fprintExplain(w io.Writer, rep *plan.Report) {
 	if rep == nil {
 		fmt.Fprintln(w, "EXPLAIN: no predicate plan available for this execution path")
@@ -236,91 +289,6 @@ func fprintExplain(w io.Writer, rep *plan.Report) {
 				t.Name, t.UnitCostMS, t.Units, t.Escalated, t.EscalationRate, t.SpentMS)
 		}
 	}
-}
-
-func runOnline(stream source, q core.Query, models detect.Models, algo string, p0 float64, budget time.Duration, explain bool) error {
-	cfg := core.DefaultConfig()
-	cfg.P0Object, cfg.P0Action = p0, p0
-	cfg.InferenceBudget = budget
-	var eng *core.Engine
-	var err error
-	switch algo {
-	case "svaq":
-		eng, err = core.NewSVAQ(models, cfg)
-	case "svaqd":
-		eng, err = core.NewSVAQD(models, cfg)
-	default:
-		return fmt.Errorf("unknown algorithm %q", algo)
-	}
-	if err != nil {
-		return err
-	}
-	var meter detect.Meter
-	eng.SetMeter(&meter)
-	start := time.Now()
-	res, err := eng.Run(context.Background(), stream, q)
-	if err != nil {
-		return err
-	}
-	g := stream.Geometry()
-	fmt.Printf("%s over %s: query %s, %d clips\n", eng.Mode(), stream.ID(), q, res.NumClips)
-	fmt.Printf("result sequences (%d):\n", res.Sequences.NumIntervals())
-	for _, iv := range res.Sequences.Intervals() {
-		fr := g.FrameRangeOfClips(iv)
-		fmt.Printf("  clips %4d..%-4d  frames %6d..%-6d\n", iv.Start, iv.End, fr.Start, fr.End)
-	}
-	for _, ps := range res.Predicates {
-		fmt.Printf("predicate %-16s background=%.2e k_crit=%d positive clips=%d\n",
-			ps.Name, ps.Background, ps.Critical, ps.Clips.TotalLen())
-	}
-	fmt.Printf("engine time %v; inference: %d frames, %d shots (simulated %v)\n",
-		time.Since(start).Round(time.Millisecond),
-		meter.ObjectFrames(), meter.ActionShots(), meter.Cost(models).Round(time.Second))
-	if explain {
-		printExplain(res.Plan)
-	}
-	return nil
-}
-
-func runExtended(stream source, q core.CNF, models detect.Models, algo string, p0 float64, explain bool) error {
-	cfg := core.DefaultConfig()
-	cfg.P0Object, cfg.P0Action = p0, p0
-	var eng *core.Engine
-	var err error
-	switch algo {
-	case "svaq":
-		eng, err = core.NewSVAQ(models, cfg)
-	case "svaqd":
-		eng, err = core.NewSVAQD(models, cfg)
-	default:
-		return fmt.Errorf("unknown algorithm %q", algo)
-	}
-	if err != nil {
-		return err
-	}
-	start := time.Now()
-	res, err := eng.RunCNF(context.Background(), stream, q)
-	if err != nil {
-		return err
-	}
-	g := stream.Geometry()
-	fmt.Printf("%s (extended) over %s: query %s, %d clips\n", eng.Mode(), stream.ID(), q, res.NumClips)
-	fmt.Printf("result sequences (%d):\n", res.Sequences.NumIntervals())
-	for _, iv := range res.Sequences.Intervals() {
-		fr := g.FrameRangeOfClips(iv)
-		fmt.Printf("  clips %4d..%-4d  frames %6d..%-6d\n", iv.Start, iv.End, fr.Start, fr.End)
-	}
-	for _, ps := range res.Atoms {
-		fmt.Printf("atom %-24s background=%.2e k_crit=%d positive clips=%d\n",
-			ps.Name, ps.Background, ps.Critical, ps.Clips.TotalLen())
-	}
-	fmt.Printf("engine time %v\n", time.Since(start).Round(time.Millisecond))
-	if explain {
-		// The streaming CNF evaluator schedules clause-at-a-time and does
-		// not (yet) run through the plan layer.
-		printExplain(nil)
-	}
-	return nil
 }
 
 // runFsck verifies one or more repository (or single-index) directories and
@@ -407,61 +375,4 @@ func fsckDir(dir string) ([]*rank.FsckReport, error) {
 		}
 	}
 	return rank.FsckRepository(dir)
-}
-
-// runRepo answers a ranked query from an already-ingested repository.
-func runRepo(dir string, q core.Query, k int, explain bool) error {
-	repo, err := rank.OpenRepository(dir)
-	if err != nil {
-		return err
-	}
-	defer repo.Close()
-	fmt.Printf("repository %s: %d videos\n", dir, len(repo.Videos()))
-	start := time.Now()
-	res, err := repo.TopK(context.Background(), q, k, rank.Options{})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("RVAQ top-%d for %s (%d candidate sequences):\n", k, q, res.Candidates)
-	for i, sr := range res.Sequences {
-		vid, local, err := repo.Resolve(sr.Seq.Start)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("  #%-2d score %10.2f  %s clips %d..%d\n",
-			i+1, sr.Score(), vid, local, local+sr.Seq.Len()-1)
-	}
-	fmt.Printf("query time %v; %d random accesses\n",
-		time.Since(start).Round(time.Millisecond), res.Stats.Random)
-	if explain {
-		printExplain(res.Plan)
-	}
-	return nil
-}
-
-func runOffline(stream source, q core.Query, models detect.Models, k int, explain bool) error {
-	fmt.Printf("ingesting %s ...\n", stream.ID())
-	ix, err := rank.Ingest(context.Background(), stream, models, rank.PaperScoring(), rank.DefaultIngestConfig())
-	if err != nil {
-		return err
-	}
-	start := time.Now()
-	res, err := rank.RVAQ(context.Background(), ix, q, k, rank.Options{})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("RVAQ top-%d for %s over %s (%d candidate sequences):\n",
-		k, q, stream.ID(), res.Candidates)
-	g := stream.Geometry()
-	for i, sr := range res.Sequences {
-		fr := g.FrameRangeOfClips(sr.Seq)
-		fmt.Printf("  #%-2d score %10.2f  clips %4d..%-4d  frames %6d..%-6d\n",
-			i+1, sr.Score(), sr.Seq.Start, sr.Seq.End, fr.Start, fr.End)
-	}
-	fmt.Printf("query time %v; %d random accesses, %d sorted accesses, %d clips scored\n",
-		time.Since(start).Round(time.Millisecond), res.Stats.Random, res.Stats.Sorted, res.ClipsScored)
-	if explain {
-		printExplain(res.Plan)
-	}
-	return nil
 }

@@ -77,7 +77,7 @@ func main() {
 			fmt.Printf("  clips %3d..%-3d  (%5.1fs .. %5.1fs)\n",
 				iv.Start, iv.End, float64(fr.Start)/v.Meta.FPS, float64(fr.End+1)/v.Meta.FPS)
 		}
-		for _, a := range res.Atoms {
+		for _, a := range res.Predicates {
 			fmt.Printf("  atom %-20s k_crit=%d positive clips=%d\n",
 				a.Name, a.Critical, a.Clips.TotalLen())
 		}

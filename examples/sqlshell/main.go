@@ -20,6 +20,7 @@ import (
 	"svqact/internal/detect"
 	"svqact/internal/rank"
 	"svqact/internal/sqlq"
+	"svqact/internal/stmt"
 	"svqact/internal/synth"
 )
 
@@ -44,10 +45,10 @@ func main() {
 			fmt.Print("...> ")
 			continue
 		}
-		stmt := strings.TrimSpace(buf.String())
+		text := strings.TrimSpace(buf.String())
 		buf.Reset()
-		if stmt != "" {
-			if err := execute(stmt, dataset, models); err != nil {
+		if text != "" {
+			if err := execute(text, dataset, models); err != nil {
 				fmt.Println("error:", err)
 			}
 		}
@@ -56,8 +57,8 @@ func main() {
 	fmt.Println()
 }
 
-func execute(stmt string, dataset *synth.Dataset, models detect.Models) error {
-	st, err := sqlq.Parse(stmt)
+func execute(text string, dataset *synth.Dataset, models detect.Models) error {
+	st, err := sqlq.Parse(text)
 	if err != nil {
 		return err
 	}
@@ -70,62 +71,40 @@ func execute(stmt string, dataset *synth.Dataset, models detect.Models) error {
 		return fmt.Errorf("unknown source %q (use q1..q12)", plan.Source)
 	}
 	var vids []*synth.Video
+	var tvs []detect.TruthVideo
 	for _, v := range dataset.Videos {
 		if !v.ActionPresence(spec.Action).Empty() {
-			vids = append(vids, v)
+			vids, tvs = append(vids, v), append(tvs, v)
 		}
 	}
-	stream, err := synth.NewConcat(plan.Source, vids)
+	env := stmt.Env{
+		Models: models,
+		Engine: core.DefaultConfig(),
+		Stream: func(name string) (detect.TruthVideo, error) { return synth.NewConcat(name, vids) },
+	}
+	if !plan.Online {
+		// Rank over the set's videos as a repository view, so every hit
+		// names its video.
+		fmt.Printf("ingesting %s for offline processing...\n", plan.Source)
+		env.Repo, err = rank.IngestAll(context.Background(), plan.Source, tvs, models, rank.PaperScoring(), rank.DefaultIngestConfig())
+		if err != nil {
+			return err
+		}
+	}
+	ans, err := stmt.Execute(context.Background(), plan, "svaqd", env)
 	if err != nil {
 		return err
 	}
-
 	if plan.Online {
-		eng, err := core.NewSVAQD(models, core.DefaultConfig())
-		if err != nil {
-			return err
-		}
-		if plan.Extended {
-			res, err := eng.RunCNF(context.Background(), stream, plan.CNF)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("extended query %s: %d result sequences over %d clips:\n",
-				plan.CNF, res.Sequences.NumIntervals(), res.NumClips)
-			for _, iv := range res.Sequences.Intervals() {
-				fmt.Printf("  clips %4d..%-4d\n", iv.Start, iv.End)
-			}
-			return nil
-		}
-		res, err := eng.Run(context.Background(), stream, plan.Query)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%d result sequences over %d clips:\n", res.Sequences.NumIntervals(), res.NumClips)
-		for _, iv := range res.Sequences.Intervals() {
-			fmt.Printf("  clips %4d..%-4d\n", iv.Start, iv.End)
+		fmt.Printf("%d result sequences over %d clips:\n", len(ans.Sequences), ans.NumClips)
+		for _, sq := range ans.Sequences {
+			fmt.Printf("  clips %4d..%-4d\n", sq.StartClip, sq.EndClip)
 		}
 		return nil
 	}
-
-	fmt.Printf("ingesting %s for offline processing...\n", plan.Source)
-	var tvs []detect.TruthVideo
-	for _, v := range vids {
-		tvs = append(tvs, v)
-	}
-	ix, err := rank.IngestAll(context.Background(), plan.Source, tvs, models, rank.PaperScoring(), rank.DefaultIngestConfig())
-	if err != nil {
-		return err
-	}
-	res, err := rank.RVAQ(context.Background(), ix, plan.Query, plan.K, rank.Options{})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("top-%d of %d candidates (%d random accesses):\n", plan.K, res.Candidates, res.Stats.Random)
-	for i, sr := range res.Sequences {
-		vid, local := ix.Resolve(sr.Seq.Start)
-		fmt.Printf("  #%d score %9.2f  %s clip %d (global %d..%d)\n",
-			i+1, sr.Score(), vid, local, sr.Seq.Start, sr.Seq.End)
+	fmt.Printf("top-%d of %d candidates (%d random accesses):\n", ans.K, ans.Candidates, ans.RandomAccesses)
+	for i, sq := range ans.Sequences {
+		fmt.Printf("  #%d score %9.2f  %s clips %d..%d\n", i+1, sq.Score, sq.Video, sq.StartClip, sq.EndClip)
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -43,11 +44,28 @@ type Engine struct {
 	mode   Mode
 	meter  *detect.Meter
 
-	// objTiers/actTiers describe the models' detector cascades (nil for
-	// single-tier models), cached once so the per-clip tier dispatch is a
-	// slice-length check rather than an interface assertion.
-	objTiers []detect.TierInfo
-	actTiers []detect.TierInfo
+	// obj and act describe the two models to the clip loop, resolved once so
+	// per-clip dispatch is a field read rather than an interface assertion.
+	obj, act detector
+}
+
+// detector is what the clip loop needs to know about one model: how to
+// price, threshold and invoke it.
+type detector struct {
+	label     string // detect.KindObject or detect.KindAction, for the meter
+	unitCost  time.Duration
+	threshold float64
+	// tiers describes the model's cascade and costs is the same in the
+	// planner's cost model; both are empty for single-tier models.
+	tiers []detect.TierInfo
+	costs []plan.TierCost
+	// fallible models score one unit per attempt under the retry policy;
+	// infallible ones score a clip's units as one batch; cascades (two or
+	// more tiers) run from the planner's entry tier with per-tier retry.
+	fallible bool
+	attempt  func(v detect.TruthVideo, name string, unit, attempt int) (float64, error)
+	batch    func(v detect.TruthVideo, name string, start int, scores []float64)
+	cascade  func(ctx context.Context, v detect.TruthVideo, name string, start, entry int, scores []float64, retry detect.RetryConfig, meter *detect.Meter, acc *detect.CascadeAccount) error
 }
 
 // NewSVAQ builds the static-background engine.
@@ -69,13 +87,40 @@ func newEngine(models detect.Models, cfg Config, mode Mode) (*Engine, error) {
 		return nil, fmt.Errorf("core: engine needs both an object detector and an action recogniser")
 	}
 	e := &Engine{models: models, cfg: cfg, mode: mode, meter: cfg.Meter}
-	if _, ok := models.Objects.(detect.CascadedObjectScorer); ok {
-		e.objTiers = detect.CascadeTierInfos(models.Objects)
+	e.obj = detector{
+		label: detect.KindObject, unitCost: models.Objects.UnitCost(), threshold: models.ObjThreshold,
+		attempt: models.ObjectScoreAttempt,
+		batch: func(v detect.TruthVideo, name string, start int, scores []float64) {
+			detect.FrameScoreBatch(models.Objects, v, name, start, scores)
+		},
 	}
-	if _, ok := models.Actions.(detect.CascadedActionScorer); ok {
-		e.actTiers = detect.CascadeTierInfos(models.Actions)
+	_, e.obj.fallible = models.Objects.(detect.FallibleObjectDetector)
+	if cs, ok := models.Objects.(detect.CascadedObjectScorer); ok {
+		e.obj.tiers, e.obj.cascade = detect.CascadeTierInfos(cs), cs.FrameScoreCascade
 	}
+	e.act = detector{
+		label: detect.KindAction, unitCost: models.Actions.UnitCost(), threshold: models.ActThreshold,
+		attempt: models.ActionScoreAttempt,
+		batch: func(v detect.TruthVideo, name string, start int, scores []float64) {
+			detect.ShotScoreBatch(models.Actions, v, name, start, scores)
+		},
+	}
+	_, e.act.fallible = models.Actions.(detect.FallibleActionRecognizer)
+	if cs, ok := models.Actions.(detect.CascadedActionScorer); ok {
+		e.act.tiers, e.act.cascade = detect.CascadeTierInfos(cs), cs.ShotScoreCascade
+	}
+	e.obj.costs, e.act.costs = TierCosts(e.obj.tiers), TierCosts(e.act.tiers)
 	return e, nil
+}
+
+// detector returns the model a predicate kind is scored with: the action
+// recogniser per shot, the object detector per frame — for objects and for
+// relations, which read the object detector's output.
+func (e *Engine) detector(kind PredicateKind) *detector {
+	if kind == ActionPredicate {
+		return &e.act
+	}
+	return &e.obj
 }
 
 // TierCosts converts cascade tier descriptions into the planner's tier cost
@@ -107,6 +152,9 @@ const (
 	ObjectPredicate PredicateKind = iota
 	// ActionPredicate is evaluated per shot.
 	ActionPredicate
+	// RelationPredicate is a spatial-relationship atom, evaluated per frame
+	// from pairs of detections (extended queries only).
+	RelationPredicate
 )
 
 // PredicateStats reports per-predicate diagnostics of a run.
@@ -133,7 +181,10 @@ type PredicateStats struct {
 
 // Result is the outcome of a run over one video.
 type Result struct {
+	// Query is the basic query of a Run; CNF the extended query of a RunCNF
+	// (the other is zero).
 	Query    Query
+	CNF      CNF
 	Mode     Mode
 	Geometry video.Geometry
 	// NumClips is the number of clips in the processed video; Processed
@@ -147,8 +198,9 @@ type Result struct {
 	// (their indicator is conservatively negative) — the degraded-but-alive
 	// outcome of the failure model.
 	Flagged video.IntervalSet
-	// Predicates holds per-predicate diagnostics, objects in query order
-	// followed by the action.
+	// Predicates holds per-predicate diagnostics: objects in query order
+	// followed by the action for a basic query, one entry per distinct atom
+	// in first-appearance order for an extended one.
 	Predicates []PredicateStats
 	// Plan reports the predicate evaluation plan the run used: the chosen
 	// order, the per-node cost model, re-plan count and short-circuit
@@ -196,26 +248,32 @@ func (e *Engine) Run(ctx context.Context, v detect.TruthVideo, q Query) (*Result
 }
 
 // runShared is Run with an optional externally owned planner — the fleet
-// path hands every per-video run one shared, warm-started cost model. As a
-// batch entry point it owns the run's pooled scratch: the scratch goes back
-// to the pool only after Result() has materialised everything the caller
-// sees, so nothing the caller holds aliases pooled memory.
+// path hands every per-video run one shared, warm-started cost model.
 func (e *Engine) runShared(ctx context.Context, v detect.TruthVideo, q Query, pl *plan.Planner) (*Result, error) {
 	run, err := e.newRun(ctx, v, q, pl)
 	if err != nil {
 		return nil, err
 	}
-	for run.Step() {
-	}
-	res, rerr := run.Result(), run.Err()
-	run.release()
-	return res, rerr
+	return run.finish()
 }
 
-// predState is the per-predicate evaluation state of a run.
+// finish steps the run to its end and returns its result. As the batch
+// entry points' tail it owns the run's pooled scratch: the scratch goes back
+// to the pool only after Result() has materialised everything the caller
+// sees, so nothing the caller holds aliases pooled memory.
+func (r *Run) finish() (*Result, error) {
+	for r.Step() {
+	}
+	res, err := r.Result(), r.Err()
+	r.release()
+	return res, err
+}
+
+// predState is the per-predicate evaluation state of a run: one per distinct
+// atom of the query, shared by every clause that mentions the atom.
 type predState struct {
-	name string
-	kind PredicateKind
+	atom Atom
+	name string // the atom rendered, as reports and spans show it
 
 	window int // occurrence units per clip (frames or shots)
 
@@ -267,19 +325,44 @@ type predState struct {
 
 // Run is an in-progress streaming evaluation over one video. It is not safe
 // for concurrent use.
+//
+// Every query is evaluated as a CNF: a conjunction of clauses, each a
+// disjunction of atoms (a basic query is the CNF of singleton clauses,
+// FromQuery). There is one predState — and one planner node — per distinct
+// atom; the clause tables say which clauses mention which atoms.
 type Run struct {
-	e     *Engine
-	ctx   context.Context
-	v     detect.TruthVideo
-	q     Query
-	geom  video.Geometry
-	preds []*predState // declared order: objects in query order, action last or first
+	e    *Engine
+	ctx  context.Context
+	v    detect.TruthVideo
+	q    Query
+	cnf  CNF
+	geom video.Geometry
+
+	// preds holds the distinct atoms in declared order: first appearance,
+	// which for a basic query is objects in query order then the action (the
+	// action first under ActionFirst).
+	preds []*predState
+
+	// The clause table over pooled buffers: clause c mentions the atoms
+	// clauseAtoms[clauseEnd[c]:clauseEnd[c+1]] (indices into preds;
+	// clauseEnd[0] is 0). clauseSat and clauseLeft, one entry per clause, are
+	// the per-clip state Step resets: whether the clause already holds, and
+	// how many of its atoms are still to run.
+	clauseEnd, clauseAtoms []int
+	clauseSat              []bool
+	clauseLeft             []int
 
 	// planner owns the evaluation order over preds (cheapest expected cost
 	// to reject first, re-planned as statistics drift; pinned to the
 	// declared order under NoShortCircuit/ActionFirst/DeclaredOrder). Fleet
 	// runs share one planner per query.
 	planner *plan.Planner
+
+	// everyClip samples every clip: all atoms run on all clips and all feed
+	// the estimators (Config.NoShortCircuit, and ingestion). budget is the
+	// run's inference budget (Config.InferenceBudget; ingestion has none).
+	everyClip bool
+	budget    time.Duration
 
 	numClips int
 	nextClip int
@@ -311,8 +394,8 @@ type Run struct {
 	started      time.Time
 	spansEmitted bool
 
-	// scratch is the pooled per-run state this Run's slices point into; nil
-	// only for zero-value Runs. See pool.go for the lifecycle.
+	// scratch is the pooled per-run state this Run's slices point into. See
+	// pool.go for the lifecycle.
 	scratch *runScratch
 }
 
@@ -325,11 +408,48 @@ func (e *Engine) NewRun(ctx context.Context, v detect.TruthVideo, q Query) (*Run
 }
 
 // newRun is NewRun with an optional shared planner (fleet warm start). A
-// nil or mismatched planner gets replaced by a fresh one for this run.
+// nil or mismatched planner gets replaced by a fresh one for this run. The
+// query is bound as FromQuery(q) would read — one singleton clause per
+// predicate — without materialising the CNF.
 func (e *Engine) newRun(ctx context.Context, v detect.TruthVideo, q Query, pl *plan.Planner) (*Run, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
+	r, err := e.bind(ctx, v, len(q.Objects)+1)
+	if err != nil {
+		return nil, err
+	}
+	r.q = q
+	e.declared(q, func(a Atom) {
+		if err == nil {
+			_, err = r.addClause(a)
+		}
+	})
+	if err != nil {
+		r.release()
+		return nil, err
+	}
+	r.start(pl)
+	return r, nil
+}
+
+// declared yields q's predicates in the engine's declared order: objects in
+// query order then the action, or the action first under ActionFirst.
+func (e *Engine) declared(q Query, yield func(Atom)) {
+	if e.cfg.ActionFirst {
+		yield(ActionAtom(q.Action))
+	}
+	for _, o := range q.Objects {
+		yield(ObjectAtom(o))
+	}
+	if !e.cfg.ActionFirst {
+		yield(ActionAtom(q.Action))
+	}
+}
+
+// bind acquires a pooled run over v with room for maxAtoms distinct atoms.
+// The caller adds the query's clauses (addClause) and then calls start.
+func (e *Engine) bind(ctx context.Context, v detect.TruthVideo, maxAtoms int) (*Run, error) {
 	g := v.Geometry()
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -337,85 +457,149 @@ func (e *Engine) newRun(ctx context.Context, v detect.TruthVideo, q Query, pl *p
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	cfg := e.cfg
 	r := acquireRun()
 	r.e = e
 	r.ctx = ctx
 	r.v = v
-	r.q = q
 	r.geom = g
 	r.numClips = g.NumClips(v.NumFrames())
+	r.everyClip = e.cfg.NoShortCircuit
+	r.budget = e.cfg.InferenceBudget
 	r.trace = obs.TraceFrom(ctx)
 	r.parent = obs.SpanFrom(ctx)
 	r.started = time.Now()
-
-	fpc, spc := g.FramesPerClip(), g.ShotsPerClip
-	numShots := g.NumShots(v.NumFrames())
-
-	slots := r.scratch.ensurePreds(len(q.Objects) + 1)
-	for i, o := range q.Objects {
-		if err := r.initPred(&slots[i], o, ObjectPredicate, fpc, cfg.P0Object, cfg.BandwidthFrames, v.NumFrames()); err != nil {
-			r.release()
-			return nil, err
-		}
-	}
-	act := &slots[len(slots)-1]
-	if err := r.initPred(act, q.Action, ActionPredicate, spc, cfg.P0Action, cfg.BandwidthShots, numShots); err != nil {
-		r.release()
-		return nil, err
-	}
-	r.preds = r.scratch.predPtrs[:0]
-	if cfg.ActionFirst {
-		r.preds = append(r.preds, act)
-	}
-	for i := range q.Objects {
-		r.preds = append(r.preds, &slots[i])
-	}
-	if !cfg.ActionFirst {
-		r.preds = append(r.preds, act)
-	}
-	r.seedCrits()
-	if pl == nil || pl.Len() != len(r.preds) {
-		pl = e.plannerForQuery(q, g)
-	}
-	r.planner = pl
+	r.scratch.ensurePreds(maxAtoms)
 	return r, nil
 }
 
-// plannerForQuery builds the predicate planner for one query at one video
-// geometry: one node per predicate in the declared order NewRun uses, with
-// the per-clip prior cost priced as the predicate's occurrence-unit window
-// times the detector's unit cost. The order is pinned to the declared one
-// under NoShortCircuit (every predicate runs anyway), ActionFirst (the
-// explicit ordering ablation) and DeclaredOrder (the planner opt-out).
+// addClause appends one clause — a disjunction of atoms — to the run's
+// query. Each distinct atom gets one predState, shared by every clause that
+// mentions it; fresh reports whether every atom of this clause was new.
+func (r *Run) addClause(atoms ...Atom) (fresh bool, err error) {
+	fresh = true
+	for _, a := range atoms {
+		i := 0
+		for i < len(r.preds) && !r.preds[i].atom.equal(a) {
+			i++
+		}
+		if i < len(r.preds) {
+			fresh = false
+		} else {
+			ps := &r.scratch.preds[i]
+			if err := r.initPred(ps, a); err != nil {
+				return false, err
+			}
+			r.preds = append(r.preds, ps)
+		}
+		r.clauseAtoms = append(r.clauseAtoms, i)
+	}
+	r.clauseEnd = append(r.clauseEnd, len(r.clauseAtoms))
+	return fresh, nil
+}
+
+// start finishes binding: it seeds the critical values, sizes the per-clip
+// clause state and attaches the planner.
+func (r *Run) start(pl *plan.Planner) {
+	r.seedCrits()
+	r.clauseSat = zeroed(r.clauseSat, len(r.clauseEnd)-1)
+	r.clauseLeft = grow(r.clauseLeft, len(r.clauseEnd)-1)
+	if pl == nil || pl.Len() != len(r.preds) {
+		nodes := make([]plan.Node, len(r.preds))
+		for i, ps := range r.preds {
+			nodes[i] = r.e.planNode(ps.atom, r.geom)
+		}
+		pl = r.e.newPlanner(nodes, r.everyClip)
+	}
+	r.planner = pl
+}
+
+// clause returns the atoms (indices into preds) of clause c.
+func (r *Run) clause(c int) []int {
+	return r.clauseAtoms[r.clauseEnd[c]:r.clauseEnd[c+1]]
+}
+
+// undecided reports whether some clause that mentions atom i does not hold
+// yet on the current clip — otherwise evaluating the atom cannot change the
+// clip's outcome (the OR short-circuit; a singleton clause is always
+// undecided until its own atom runs).
+func (r *Run) undecided(i int) bool {
+	for c, sat := range r.clauseSat {
+		if !sat && slices.Contains(r.clause(c), i) {
+			return true
+		}
+	}
+	return false
+}
+
+// settle folds atom i's indicator into the clip's clause state and reports
+// whether that rejects the clip: some clause has run out of atoms without
+// one holding (the AND short-circuit).
+func (r *Run) settle(i int, ind bool) (rejected bool) {
+	for c := range r.clauseSat {
+		if !slices.Contains(r.clause(c), i) {
+			continue
+		}
+		r.clauseLeft[c]--
+		if ind {
+			r.clauseSat[c] = true
+		} else if r.clauseLeft[c] == 0 && !r.clauseSat[c] {
+			rejected = true
+		}
+	}
+	return rejected
+}
+
+// plannerForQuery builds the shared predicate planner of a fleet: q's
+// predicates in declared order, priced at one video's geometry.
 func (e *Engine) plannerForQuery(q Query, g video.Geometry) *plan.Planner {
-	objCost := time.Duration(g.FramesPerClip()) * e.models.Objects.UnitCost()
-	actCost := time.Duration(g.ShotsPerClip) * e.models.Actions.UnitCost()
-	objTiers, actTiers := TierCosts(e.objTiers), TierCosts(e.actTiers)
 	nodes := make([]plan.Node, 0, len(q.Objects)+1)
-	for _, o := range q.Objects {
-		nodes = append(nodes, plan.Node{Name: o, PriorCost: objCost, Tiers: objTiers, Window: g.FramesPerClip()})
+	e.declared(q, func(a Atom) { nodes = append(nodes, e.planNode(a, g)) })
+	return e.newPlanner(nodes, e.cfg.NoShortCircuit)
+}
+
+// planNode describes one atom to the planner: its per-clip prior cost is
+// its occurrence-unit window times the detector's unit cost (a relation
+// scores every frame with the object detector), and object and action atoms
+// carry their model's cascade tiers.
+func (e *Engine) planNode(a Atom, g video.Geometry) plan.Node {
+	d := e.detector(a.Kind)
+	n := plan.Node{Name: a.String(), Window: g.FramesPerClip()}
+	if a.Kind == ActionPredicate {
+		n.Window = g.ShotsPerClip
 	}
-	act := plan.Node{Name: q.Action, PriorCost: actCost, Tiers: actTiers, Window: g.ShotsPerClip}
-	if e.cfg.ActionFirst {
-		nodes = append([]plan.Node{act}, nodes...)
-	} else {
-		nodes = append(nodes, act)
+	if a.Kind != RelationPredicate {
+		n.Tiers = d.costs
 	}
-	pinned := e.cfg.NoShortCircuit || e.cfg.ActionFirst || e.cfg.DeclaredOrder
+	n.PriorCost = time.Duration(n.Window) * d.unitCost
+	return n
+}
+
+// newPlanner builds a planner over nodes. The order is pinned to the
+// declared one when every atom runs on every clip anyway (everyClip), under
+// ActionFirst (the explicit ordering ablation) and under DeclaredOrder (the
+// planner opt-out).
+func (e *Engine) newPlanner(nodes []plan.Node, everyClip bool) *plan.Planner {
+	pinned := everyClip || e.cfg.ActionFirst || e.cfg.DeclaredOrder
 	return plan.New(nodes, plan.Options{Pinned: pinned, ReplanEvery: e.cfg.ReplanEvery})
 }
 
-// initPred (re)builds the evaluation state for one predicate in a pooled
-// slot: its static critical value and, in Dynamic mode, its kernel
-// estimator and critical-value cache. Slice capacities and a
+// initPred (re)builds the evaluation state for one atom in a pooled slot:
+// its static critical value and, in Dynamic mode, its kernel estimator and
+// critical-value cache. The action's occurrence unit is the shot; objects
+// and relations are scored per frame. Slice capacities and a
 // bandwidth-matching estimator already in the slot are reused. Dynamic
 // critical values are seeded afterwards, in one batch per grid, by
 // seedCrits.
-func (r *Run) initPred(ps *predState, name string, kind PredicateKind, w int, p0, bw float64, units int) error {
+func (r *Run) initPred(ps *predState, a Atom) error {
 	cfg := r.e.cfg
-	ps.name, ps.kind, ps.window = name, kind, w
-	ps.rawInd = resizeBools(ps.rawInd, units)
+	w, units := r.geom.FramesPerClip(), r.v.NumFrames()
+	p0, bw := cfg.P0Object, cfg.BandwidthFrames
+	if a.Kind == ActionPredicate {
+		w, units = r.geom.ShotsPerClip, r.geom.NumShots(r.v.NumFrames())
+		p0, bw = cfg.P0Action, cfg.BandwidthShots
+	}
+	ps.atom, ps.name, ps.window = a, a.String(), w
+	ps.rawInd = zeroed(ps.rawInd, units)
 	ps.clipInd = ps.clipInd[:0]
 	ps.recentPos, ps.recentSeen = 0, 0
 	ps.prev2, ps.prev1, ps.lagSeen = 0, 0, 0
@@ -423,9 +607,9 @@ func (r *Run) initPred(ps *predState, name string, kind PredicateKind, w int, p0
 	ps.evalTime, ps.units, ps.recomputes = 0, 0, 0
 	ps.tierUnits, ps.tierEscalated = ps.tierUnits[:0], ps.tierEscalated[:0]
 	ps.lastMode = plan.TierSingle
-	if tiers := r.tierInfos(kind); len(tiers) >= 2 {
-		ps.tierUnits = zeroInt64s(ps.tierUnits, len(tiers))
-		ps.tierEscalated = zeroInt64s(ps.tierEscalated, len(tiers))
+	if tiers := r.e.detector(a.Kind).tiers; len(tiers) >= 2 && a.Kind != RelationPredicate {
+		ps.tierUnits = zeroed(ps.tierUnits, len(tiers))
+		ps.tierEscalated = zeroed(ps.tierEscalated, len(tiers))
 	}
 	ps.hasBucket = false
 	ps.cache = nil
@@ -505,10 +689,17 @@ func (r *Run) Flagged() video.IntervalSet { return video.FromIndicator(r.flagged
 
 // Step processes the next clip of the stream; it returns false when the
 // stream is exhausted, the context has ended, or the run has degraded past
-// the failure budget (check Err). This is Algorithm 1/3's main loop body:
-// evaluate the clip indicator (Algorithm 2) and, in Dynamic mode, fold the
-// clip's observations into each evaluated predicate's background estimate
-// and refresh its critical value.
+// the failure budget (check Err). This is Algorithm 1/3's main loop body —
+// the only clip loop in the engine: evaluate the clip indicator (Algorithm
+// 2, generalised to CNF by footnotes 2-4) and, in Dynamic mode, fold the
+// clip's observations into each evaluated atom's background estimate and
+// refresh its critical value.
+//
+// A clip holds when every clause does, and a clause when any of its atoms'
+// indicators is positive. On an unsampled clip an atom is skipped as soon as
+// it cannot change the outcome: the clip is already rejected (a clause ran
+// out of atoms — all a basic query's singleton clauses can trigger), or
+// every clause mentioning the atom already holds (OR-groups only).
 //
 // A detector invocation that still fails after the configured retries does
 // not abort the run: the clip is flagged, its indicator forced negative, and
@@ -529,7 +720,7 @@ func (r *Run) Step() bool {
 	// the budget the remaining clips are skipped-and-flagged without
 	// touching a detector — graceful degradation, not an error, so the
 	// flagged clips stay out of the failure budget.
-	if r.e.cfg.InferenceBudget > 0 && r.budgetSpent >= r.e.cfg.InferenceBudget {
+	if r.budget > 0 && r.budgetSpent >= r.budget {
 		for _, ps := range r.preds {
 			ps.clipInd = append(ps.clipInd, false)
 		}
@@ -539,23 +730,27 @@ func (r *Run) Step() bool {
 		return true
 	}
 
-	// Every EstimatorSampleEvery-th clip all predicates are evaluated
+	// Every EstimatorSampleEvery-th clip all atoms are evaluated
 	// unconditionally; only these unbiased evaluations may feed background
 	// estimators and the planner's cost model (evaluations admitted by
-	// short-circuiting see a stream pre-filtered by the predicates that ran
+	// short-circuiting see a stream pre-filtered by the atoms that ran
 	// earlier — a biased sample under correlation).
-	sampled := r.e.cfg.NoShortCircuit || c < r.e.cfg.BootstrapClips ||
+	sampled := r.everyClip || c < r.e.cfg.BootstrapClips ||
 		c%r.e.cfg.EstimatorSampleEvery == 0
 
-	positive := true
+	clear(r.clauseSat)
+	for ci := range r.clauseLeft {
+		r.clauseLeft[ci] = len(r.clause(ci))
+	}
+	rejected := false
 	var clipErr error // detection failure flagging this clip
 	objectFramesCharged := false
 	modes := r.modesBuf()
 	for _, idx := range r.planner.AppendDecisions(r.orderBuf(), modes) {
 		ps := r.preds[idx]
-		if clipErr != nil || r.err != nil ||
-			(!positive && !r.e.cfg.NoShortCircuit && !sampled) {
-			if clipErr == nil && r.err == nil {
+		failed := clipErr != nil || r.err != nil
+		if failed || (!sampled && (rejected || !r.undecided(idx))) {
+			if !failed {
 				// Spared by short-circuit (not by a failure): credit the
 				// planner's savings ledger.
 				r.planner.Skip(idx)
@@ -566,11 +761,10 @@ func (r *Run) Step() bool {
 		count, cost, err := r.evaluate(ps, c, modes[idx], &objectFramesCharged)
 		r.budgetSpent += cost
 		if err != nil {
-			// Keep per-predicate indicator alignment, then decide whether
-			// this is an interruption (context ended during retries) or a
+			// Keep per-atom indicator alignment, then decide whether this
+			// is an interruption (context ended during retries) or a
 			// skip-and-flag detection failure.
 			ps.clipInd = append(ps.clipInd, false)
-			positive = false
 			if r.ctx.Err() != nil {
 				r.err = &InterruptedError{Processed: c, Total: r.numClips, Err: r.ctx.Err()}
 			} else {
@@ -589,19 +783,22 @@ func (r *Run) Step() bool {
 			if r.lastAcc != nil {
 				r.planner.ObserveTiers(idx, r.lastAcc.Units, r.lastAcc.Escalated)
 			}
-		}
-		if ps.est != nil && sampled {
-			r.learn(ps, count)
+			if ps.est != nil {
+				r.learn(ps, count)
+			}
 		}
 		ps.clipInd = append(ps.clipInd, ind)
-		if !ind {
-			positive = false
+		if r.settle(idx, ind) {
+			rejected = true
 		}
 	}
-	if sampled && clipErr == nil && r.err == nil {
+	healthy := clipErr == nil && r.err == nil
+	if sampled && healthy {
 		r.planner.EndClip()
 	}
-	r.clipInd = append(r.clipInd, positive)
+	// Every atom either ran or was skipped because it could not matter, so
+	// a healthy clip that no clause rejected satisfies them all.
+	r.clipInd = append(r.clipInd, healthy && !rejected)
 	r.flagged = append(r.flagged, clipErr != nil)
 	if clipErr != nil {
 		r.recordFlagged(clipErr)
@@ -694,24 +891,6 @@ func (r *Run) gateThreshold(ps *predState) (thr int, ready bool) {
 	return q + slack, true
 }
 
-// unitCost is the priced cost of one detector invocation for a predicate
-// kind (per frame for objects, per shot for the action).
-func (r *Run) unitCost(kind PredicateKind) time.Duration {
-	if kind == ActionPredicate {
-		return r.e.models.Actions.UnitCost()
-	}
-	return r.e.models.Objects.UnitCost()
-}
-
-// tierInfos returns the engine's cascade description for a predicate kind
-// (nil for single-tier models).
-func (r *Run) tierInfos(kind PredicateKind) []detect.TierInfo {
-	if kind == ActionPredicate {
-		return r.e.actTiers
-	}
-	return r.e.objTiers
-}
-
 // entryTier maps the planner's tier decision to the cascade entry index.
 func entryTier(mode plan.TierMode, tiers int) int {
 	if mode == plan.TierAccurate {
@@ -731,123 +910,91 @@ func entryTier(mode plan.TierMode, tiers int) int {
 // still reported so the budget ledger stays honest.
 func (r *Run) evaluate(ps *predState, clip int, mode plan.TierMode, objectFramesCharged *bool) (int, time.Duration, error) {
 	defer func(t0 time.Time) { ps.evalTime += time.Since(t0) }(time.Now())
-	count := 0
-	units0 := ps.units
 	r.lastAcc = nil
-	m := r.e.models
-	switch ps.kind {
-	case ObjectPredicate:
-		fr := r.geom.FrameRangeOfClip(clip)
-		if r.e.meter != nil && !*objectFramesCharged {
-			// One object-detector inference per frame covers every type, so
-			// a clip's frames are charged once no matter how many object
-			// predicates read them.
-			r.e.meter.AddObjectFrames(fr.Len())
-			*objectFramesCharged = true
+	kind, name := ps.atom.Kind, ps.atom.Name
+	d := r.e.detector(kind)
+	units := r.geom.FrameRangeOfClip(clip)
+	if kind == ActionPredicate {
+		units = r.geom.ShotRangeOfClip(clip)
+		if r.e.meter != nil {
+			r.e.meter.AddActionShots(units.Len())
 		}
-		if len(r.e.objTiers) >= 2 {
-			cs := m.Objects.(detect.CascadedObjectScorer)
-			acc := r.accountBuf(detect.KindObject)
-			acc.Reset(len(r.e.objTiers))
-			scores := r.scoreBuf(fr.Len())
-			err := cs.FrameScoreCascade(r.ctx, r.v, ps.name, fr.Start, entryTier(mode, len(r.e.objTiers)), scores, r.e.cfg.Retry, r.e.meter, acc)
-			count = r.settleCascade(ps, acc, mode, scores, fr.Start, m.ObjThreshold, detect.KindObject, err)
-			if err != nil {
-				return 0, acc.Cost, err
-			}
-			return count, acc.Cost, nil
-		}
-		if _, fallible := m.Objects.(detect.FallibleObjectDetector); !fallible {
-			// Infallible detectors cannot fail an attempt, so the whole
-			// clip scores as one batch into the pooled column — same scores
-			// and meter charges as the per-frame path, without its per-unit
-			// interface dispatch.
-			scores := r.scoreBuf(fr.Len())
-			detect.FrameScoreBatch(m.Objects, r.v, ps.name, fr.Start, scores)
-			r.recordAttempts(detect.KindObject, len(scores))
-			ps.units += len(scores)
-			for i, score := range scores {
-				if score >= m.ObjThreshold {
-					ps.rawInd[fr.Start+i] = true
-					count++
-				}
-			}
-			return count, time.Duration(len(scores)) * r.unitCost(ps.kind), nil
-		}
-		for f := fr.Start; f <= fr.End; f++ {
-			score, err := r.objectScore(ps.name, f)
-			if err != nil {
-				return 0, time.Duration(ps.units-units0) * r.unitCost(ps.kind), err
-			}
-			ps.units++
-			if score >= m.ObjThreshold {
+	} else if r.e.meter != nil && !*objectFramesCharged {
+		// One object-detector inference per frame covers every type, so a
+		// clip's frames are charged once no matter how many object and
+		// relation predicates read them.
+		r.e.meter.AddObjectFrames(units.Len())
+		*objectFramesCharged = true
+	}
+	if kind == RelationPredicate {
+		// Footnote 2: a binary per-frame output derived from the detections
+		// of the two operand types.
+		count := 0
+		for f := units.Start; f <= units.End; f++ {
+			if detect.RelationPositive(r.e.models.Objects, r.v, detect.Relation(name), ps.atom.Args[0], ps.atom.Args[1], f) {
 				ps.rawInd[f] = true
 				count++
 			}
 		}
-	case ActionPredicate:
-		sr := r.geom.ShotRangeOfClip(clip)
-		if r.e.meter != nil {
-			r.e.meter.AddActionShots(sr.Len())
+		ps.units += units.Len()
+		return count, time.Duration(units.Len()) * d.unitCost, nil
+	}
+	scores := r.scoreBuf(units.Len())
+	if len(d.tiers) >= 2 {
+		acc := r.accountBuf(d.label)
+		acc.Reset(len(d.tiers))
+		err := d.cascade(r.ctx, r.v, name, units.Start, entryTier(mode, len(d.tiers)), scores, r.e.cfg.Retry, r.e.meter, acc)
+		r.settleCascade(ps, d, acc, mode)
+		if err != nil {
+			return 0, acc.Cost, err
 		}
-		if len(r.e.actTiers) >= 2 {
-			cs := m.Actions.(detect.CascadedActionScorer)
-			acc := r.accountBuf(detect.KindAction)
-			acc.Reset(len(r.e.actTiers))
-			scores := r.scoreBuf(sr.Len())
-			err := cs.ShotScoreCascade(r.ctx, r.v, ps.name, sr.Start, entryTier(mode, len(r.e.actTiers)), scores, r.e.cfg.Retry, r.e.meter, acc)
-			count = r.settleCascade(ps, acc, mode, scores, sr.Start, m.ActThreshold, detect.KindAction, err)
-			if err != nil {
-				return 0, acc.Cost, err
-			}
-			return count, acc.Cost, nil
-		}
-		if _, fallible := m.Actions.(detect.FallibleActionRecognizer); !fallible {
-			scores := r.scoreBuf(sr.Len())
-			detect.ShotScoreBatch(m.Actions, r.v, ps.name, sr.Start, scores)
-			r.recordAttempts(detect.KindAction, len(scores))
-			ps.units += len(scores)
-			for i, score := range scores {
-				if score >= m.ActThreshold {
-					ps.rawInd[sr.Start+i] = true
-					count++
-				}
-			}
-			return count, time.Duration(len(scores)) * r.unitCost(ps.kind), nil
-		}
-		for s := sr.Start; s <= sr.End; s++ {
-			score, err := r.actionScore(ps.name, s)
-			if err != nil {
-				return 0, time.Duration(ps.units-units0) * r.unitCost(ps.kind), err
-			}
-			ps.units++
-			if score >= m.ActThreshold {
-				ps.rawInd[s] = true
-				count++
+		return thresholdUnits(ps, scores, units.Start, d.threshold), acc.Cost, nil
+	}
+	scored := len(scores)
+	var err error
+	if !d.fallible {
+		// Infallible detectors cannot fail an attempt, so the whole clip
+		// scores as one batch into the pooled column — same scores and meter
+		// charges as the per-unit path, without its per-unit dispatch.
+		d.batch(r.v, name, units.Start, scores)
+		r.recordAttempts(d.label, scored)
+	} else {
+		for i := range scores {
+			if scores[i], err = r.score(d, name, units.Start+i); err != nil {
+				scored = i
+				break
 			}
 		}
 	}
-	return count, time.Duration(ps.units-units0) * r.unitCost(ps.kind), nil
+	ps.units += scored
+	// A failed clip counts nothing, but the units scored before the failure
+	// keep their raw indicators.
+	count := thresholdUnits(ps, scores[:scored], units.Start, d.threshold)
+	if err != nil {
+		count = 0
+	}
+	return count, time.Duration(scored) * d.unitCost, err
+}
+
+// thresholdUnits marks the units from start whose score reaches the
+// threshold in the predicate's raw indicators and returns how many did.
+func thresholdUnits(ps *predState, scores []float64, start int, threshold float64) int {
+	count := 0
+	for i, score := range scores {
+		if score >= threshold {
+			ps.rawInd[start+i] = true
+			count++
+		}
+	}
+	return count
 }
 
 // settleCascade folds one cascade evaluation into the predicate's state and
-// the meter: thresholds the scores into raw indicators (on success),
-// accumulates the per-tier accounting, flushes the tier counters, and
-// leaves the account on lastAcc for the planner's escalation estimators.
-// Returns the positive count.
-func (r *Run) settleCascade(ps *predState, acc *detect.CascadeAccount, mode plan.TierMode, scores []float64, start int, threshold float64, kind string, err error) int {
-	count := 0
-	if err == nil {
-		for i, score := range scores {
-			if score >= threshold {
-				ps.rawInd[start+i] = true
-				count++
-			}
-		}
-	}
-	total := 0
+// the meter: accumulates the per-tier accounting, flushes the tier counters,
+// and leaves the account on lastAcc for the planner's escalation estimators.
+func (r *Run) settleCascade(ps *predState, d *detector, acc *detect.CascadeAccount, mode plan.TierMode) {
 	for t := range acc.Units {
-		total += int(acc.Units[t])
+		ps.units += int(acc.Units[t])
 		if t < len(ps.tierUnits) {
 			ps.tierUnits[t] += acc.Units[t]
 		}
@@ -855,49 +1002,21 @@ func (r *Run) settleCascade(ps *predState, acc *detect.CascadeAccount, mode plan
 			ps.tierEscalated[t] += acc.Escalated[t]
 		}
 	}
-	ps.units += total
 	ps.lastMode = mode
 	if r.e.meter != nil {
-		r.e.meter.RecordCascade(kind, r.tierInfos(ps.kind), acc)
+		r.e.meter.RecordCascade(d.label, d.tiers, acc)
 	}
 	r.lastAcc = acc
-	return count
 }
 
-// objectScore invokes the object detector on one frame, retrying transient
-// failures of fallible detectors with exponential backoff. Infallible
-// detectors take the direct path. Every attempt and fault is charged to the
-// meter.
-func (r *Run) objectScore(typ string, frame int) (float64, error) {
-	m := r.e.models
-	if _, ok := m.Objects.(detect.FallibleObjectDetector); !ok {
-		r.recordAttempt(detect.KindObject, 0)
-		return m.Objects.FrameScore(r.v, typ, frame), nil
-	}
+// score invokes a fallible detector on one unit, retrying transient failures
+// with exponential backoff. Every attempt and fault is charged to the meter.
+func (r *Run) score(d *detector, name string, unit int) (float64, error) {
 	var s float64
 	err := detect.Retry(r.ctx, r.e.cfg.Retry, func(attempt int) error {
-		r.recordAttempt(detect.KindObject, attempt)
+		r.recordAttempt(d.label, attempt)
 		var err error
-		s, err = m.ObjectScoreAttempt(r.v, typ, frame, attempt)
-		r.recordFault(err)
-		return err
-	})
-	return s, err
-}
-
-// actionScore invokes the action recogniser on one shot, retrying transient
-// failures of fallible recognisers.
-func (r *Run) actionScore(act string, shot int) (float64, error) {
-	m := r.e.models
-	if _, ok := m.Actions.(detect.FallibleActionRecognizer); !ok {
-		r.recordAttempt(detect.KindAction, 0)
-		return m.Actions.ShotScore(r.v, act, shot), nil
-	}
-	var s float64
-	err := detect.Retry(r.ctx, r.e.cfg.Retry, func(attempt int) error {
-		r.recordAttempt(detect.KindAction, attempt)
-		var err error
-		s, err = m.ActionScoreAttempt(r.v, act, shot, attempt)
+		s, err = d.attempt(r.v, name, unit, attempt)
 		r.recordFault(err)
 		return err
 	})
@@ -955,6 +1074,7 @@ func (r *Run) Sequences() video.IntervalSet { return video.FromIndicator(r.clipI
 func (r *Run) Result() *Result {
 	res := &Result{
 		Query:     r.q,
+		CNF:       r.cnf,
 		Mode:      r.e.mode,
 		Geometry:  r.geom,
 		NumClips:  r.numClips,
@@ -962,45 +1082,36 @@ func (r *Run) Result() *Result {
 		Sequences: r.Sequences(),
 		Flagged:   r.Flagged(),
 	}
-	// Report objects in query order then the action, regardless of the
-	// evaluation order used.
-	ordered := make([]*predState, 0, len(r.preds))
-	for _, name := range r.q.Objects {
-		for _, ps := range r.preds {
-			if ps.kind == ObjectPredicate && ps.name == name {
-				ordered = append(ordered, ps)
-			}
-		}
+	// Report in first-appearance order — for a basic query objects then the
+	// action, whatever order the planner (or ActionFirst) evaluated them in.
+	ordered := r.preds
+	if r.e.cfg.ActionFirst && r.q.Action != "" {
+		ordered = append(append([]*predState(nil), r.preds[1:]...), r.preds[0])
 	}
-	for _, ps := range r.preds {
-		if ps.kind == ActionPredicate {
-			ordered = append(ordered, ps)
-		}
-	}
-	for _, ps := range ordered {
-		st := PredicateStats{
+	res.Predicates = make([]PredicateStats, len(ordered))
+	for i, ps := range ordered {
+		res.Predicates[i] = PredicateStats{
 			Name:           ps.name,
-			Kind:           ps.kind,
+			Kind:           ps.atom.Kind,
 			Clips:          video.FromIndicator(ps.clipInd),
 			RawUnits:       video.FromIndicator(ps.rawInd),
 			Background:     r.background(ps),
 			Critical:       ps.crit,
 			EvaluatedClips: ps.evaluated,
 		}
-		res.Predicates = append(res.Predicates, st)
 	}
 	res.Plan = r.planner.Report()
 	res.InferenceCost = r.budgetSpent
 	res.BudgetSkipped = r.budgetSkipped
-	if res.Plan != nil && r.e.cfg.InferenceBudget > 0 {
+	if r.budget > 0 {
 		res.Plan.Budget = &plan.BudgetReport{
-			LimitMS:      float64(r.e.cfg.InferenceBudget) / 1e6,
+			LimitMS:      float64(r.budget) / 1e6,
 			SpentMS:      float64(r.budgetSpent) / 1e6,
 			SkippedClips: r.budgetSkipped,
-			Exhausted:    r.budgetSpent >= r.e.cfg.InferenceBudget,
+			Exhausted:    r.budgetSpent >= r.budget,
 		}
 	}
-	r.emitSpans("engine.run", ordered)
+	r.emitSpans(ordered, res.Plan)
 	return res
 }
 
@@ -1009,34 +1120,33 @@ func (r *Run) Result() *Result {
 // duration is the predicate's accumulated detector-evaluation time (the
 // paper's per-stage cost decomposition — short-circuit savings and SVAQD
 // recomputation are readable directly off the spans).
-func (r *Run) emitSpans(root string, preds []*predState) {
+func (r *Run) emitSpans(preds []*predState, rep *plan.Report) {
 	if r.trace == nil || r.spansEmitted {
 		return
 	}
 	r.spansEmitted = true
-	eng := r.trace.AddSpanUnder(r.parent, root, r.started, time.Since(r.started))
+	eng := r.trace.AddSpanUnder(r.parent, "engine.run", r.started, time.Since(r.started))
 	eng.SetAttr("mode", r.e.mode.String())
+	eng.SetAttr("clauses", len(r.clauseSat))
 	eng.SetAttr("clips_processed", r.nextClip)
 	eng.SetAttr("num_clips", r.numClips)
 	eng.SetAttr("flagged_clips", r.flaggedCount)
-	if r.e.cfg.InferenceBudget > 0 {
+	if r.budget > 0 {
 		eng.SetAttr("tier:budget_spent_ms", float64(r.budgetSpent)/1e6)
 		eng.SetAttr("tier:budget_skipped_clips", r.budgetSkipped)
 	}
-	if rep := r.planner.Report(); rep != nil {
-		sp := r.trace.AddSpanUnder(eng, "plan.order", r.started, 0)
-		sp.SetAttr("adaptive", rep.Adaptive)
-		if rep.Tiered {
-			sp.SetAttr("tiered", true)
-		}
-		sp.SetAttr("order", strings.Join(rep.Order, ","))
-		sp.SetAttr("replans", rep.Replans)
-		sp.SetAttr("skipped_evaluations", rep.SkippedEvaluations)
-		sp.SetAttr("saved_cost_ms", rep.SavedCostMS)
+	sp := r.trace.AddSpanUnder(eng, "plan.order", r.started, 0)
+	sp.SetAttr("adaptive", rep.Adaptive)
+	if rep.Tiered {
+		sp.SetAttr("tiered", true)
 	}
+	sp.SetAttr("order", strings.Join(rep.Order, ","))
+	sp.SetAttr("replans", rep.Replans)
+	sp.SetAttr("skipped_evaluations", rep.SkippedEvaluations)
+	sp.SetAttr("saved_cost_ms", rep.SavedCostMS)
 	for _, ps := range preds {
 		sp := r.trace.AddSpanUnder(eng, "predicate:"+ps.name, r.started, ps.evalTime)
-		sp.SetAttr("kind", ps.kind.label())
+		sp.SetAttr("kind", ps.atom.Kind.label())
 		sp.SetAttr("evaluated_clips", ps.evaluated)
 		sp.SetAttr("units_scored", ps.units)
 		sp.SetAttr("k_crit", ps.crit)
@@ -1061,8 +1171,8 @@ func (r *Run) background(ps *predState) float64 {
 	if ps.est != nil {
 		return ps.est.P()
 	}
-	if ps.kind == ObjectPredicate {
-		return r.e.cfg.P0Object
+	if ps.atom.Kind == ActionPredicate {
+		return r.e.cfg.P0Action
 	}
-	return r.e.cfg.P0Action
+	return r.e.cfg.P0Object
 }

@@ -3,13 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
-	"time"
 
 	"svqact/internal/detect"
-	"svqact/internal/obs"
-	"svqact/internal/plan"
-	"svqact/internal/video"
 )
 
 // The paper's footnotes 2-4 sketch how the engine generalises beyond "one
@@ -20,10 +17,8 @@ import (
 // indicator per clause per clip (footnote 4). This file implements that
 // extended model: a CNF of atoms, where every atom carries its own
 // scan-statistics indicator machinery and clauses OR the atom indicators.
-
-// RelationPredicate extends PredicateKind for spatial-relationship atoms
-// (evaluated per frame from pairs of detections).
-const RelationPredicate PredicateKind = 2
+// It is the query model of the engine's one clip loop (Run.Step); a basic
+// Query is the special case FromQuery spells out.
 
 // Atom is one primitive predicate of an extended query.
 type Atom struct {
@@ -91,10 +86,10 @@ func (a Atom) String() string {
 	return a.Name
 }
 
-// key identifies the atom for state sharing (two clauses mentioning the
-// same atom share one indicator).
-func (a Atom) key() string {
-	return fmt.Sprintf("%d/%s/%s", a.Kind, a.Name, strings.Join(a.Args, ","))
+// equal reports whether two atoms are the same predicate (two clauses
+// mentioning the same atom share one indicator).
+func (a Atom) equal(b Atom) bool {
+	return a.Kind == b.Kind && a.Name == b.Name && slices.Equal(a.Args, b.Args)
 }
 
 // Clause is a disjunction of atoms: it holds on a clip when any of its
@@ -167,228 +162,31 @@ func FromQuery(q Query) CNF {
 	return cnf
 }
 
-// ExtendedResult is the outcome of an extended-query run.
-type ExtendedResult struct {
-	Query    CNF
-	Mode     Mode
-	Geometry video.Geometry
-	NumClips int
-	// Sequences is the merged set of clips satisfying every clause.
-	Sequences video.IntervalSet
-	// Flagged is the set of clips skipped after detector retry exhaustion.
-	Flagged video.IntervalSet
-	// Atoms holds per-atom diagnostics in first-appearance order.
-	Atoms []PredicateStats
-}
-
-// Atom returns the stats for an atom by its rendered name, or nil.
-func (r *ExtendedResult) Atom(name string) *PredicateStats {
-	for i := range r.Atoms {
-		if r.Atoms[i].Name == name {
-			return &r.Atoms[i]
-		}
-	}
-	return nil
-}
-
-// FrameSequences converts the clip-level result sequences to frames.
-func (r *ExtendedResult) FrameSequences() video.IntervalSet {
-	ivs := make([]video.Interval, 0, r.Sequences.NumIntervals())
-	for _, iv := range r.Sequences.Intervals() {
-		ivs = append(ivs, r.Geometry.FrameRangeOfClips(iv))
-	}
-	return video.NewIntervalSet(ivs...)
-}
-
-// RunCNF evaluates an extended query over the whole video. Every atom gets
-// the engine's per-clip indicator machinery (static critical values for
-// SVAQ, adaptive for SVAQD); per clip, a clause holds when any of its atoms
-// does and the query holds when every clause does. Atoms are always
-// evaluated on every clip (no short-circuiting), so all estimator samples
-// are unbiased.
-//
-// Like Run, RunCNF honours ctx between clips (returning the partial result
-// plus an *InterruptedError) and flags clips whose detector invocations fail
-// after retries, aborting with a *DegradedError past the failure budget.
-func (e *Engine) RunCNF(ctx context.Context, v detect.TruthVideo, q CNF) (*ExtendedResult, error) {
+// RunCNF evaluates an extended query over the whole video — Run for a CNF.
+// Every distinct atom gets the engine's per-clip indicator machinery (static
+// critical values for SVAQ, adaptive for SVAQD) and one planner node; per
+// clip, a clause holds when any of its atoms does and the query holds when
+// every clause does. Planning, short-circuiting, the sampling schedule, the
+// inference budget and the failure model are Run's (see Step).
+func (e *Engine) RunCNF(ctx context.Context, v detect.TruthVideo, q CNF) (*Result, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	g := v.Geometry()
-	if err := g.Validate(); err != nil {
+	mentions := 0
+	for _, c := range q.Clauses {
+		mentions += len(c.Atoms)
+	}
+	r, err := e.bind(ctx, v, mentions)
+	if err != nil {
 		return nil, err
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	numClips := g.NumClips(v.NumFrames())
-	numShots := g.NumShots(v.NumFrames())
-	run := acquireRun()
-	run.e, run.ctx, run.v, run.geom, run.numClips = e, ctx, v, g, numClips
-	run.trace, run.parent, run.started = obs.TraceFrom(ctx), obs.SpanFrom(ctx), time.Now()
-	// The extended result is materialised fresh by video.FromIndicator, so
-	// the scratch can go back to the pool on every exit path.
-	defer run.release()
-
-	// One predState per distinct atom; clauses reference them by index. The
-	// pooled slots must be sized before any pointer into them is taken.
-	distinct := map[string]bool{}
+	r.cnf = q
 	for _, c := range q.Clauses {
-		for _, a := range c.Atoms {
-			distinct[a.key()] = true
+		if _, err := r.addClause(c.Atoms...); err != nil {
+			r.release()
+			return nil, err
 		}
 	}
-	slots := run.scratch.ensurePreds(len(distinct))
-	run.preds = run.scratch.predPtrs[:0]
-	type boundAtom struct {
-		atom Atom
-		ps   *predState
-	}
-	var atoms []boundAtom
-	index := map[string]int{}
-	clauseAtoms := make([][]int, len(q.Clauses))
-	for ci, c := range q.Clauses {
-		for _, a := range c.Atoms {
-			k := a.key()
-			i, ok := index[k]
-			if !ok {
-				w, units := g.FramesPerClip(), v.NumFrames()
-				p0, bw := e.cfg.P0Object, e.cfg.BandwidthFrames
-				if a.Kind == ActionPredicate {
-					w, units = g.ShotsPerClip, numShots
-					p0, bw = e.cfg.P0Action, e.cfg.BandwidthShots
-				}
-				ps := &slots[len(atoms)]
-				if err := run.initPred(ps, a.String(), a.Kind, w, p0, bw, units); err != nil {
-					return nil, err
-				}
-				run.preds = append(run.preds, ps)
-				i = len(atoms)
-				atoms = append(atoms, boundAtom{atom: a, ps: ps})
-				index[k] = i
-			}
-			clauseAtoms[ci] = append(clauseAtoms[ci], i)
-		}
-	}
-	run.seedCrits()
-
-	clipInd := make([]bool, 0, numClips)
-	var runErr error
-	for clip := 0; clip < numClips && runErr == nil; clip++ {
-		if cerr := ctx.Err(); cerr != nil {
-			runErr = &InterruptedError{Processed: clip, Total: numClips, Err: cerr}
-			break
-		}
-		chargedFrames := false
-		var clipErr error
-		for _, ba := range atoms {
-			if clipErr != nil || runErr != nil {
-				ba.ps.clipInd = append(ba.ps.clipInd, false)
-				continue
-			}
-			count, err := run.evaluateAtom(ba.atom, ba.ps, clip, &chargedFrames)
-			if err != nil {
-				ba.ps.clipInd = append(ba.ps.clipInd, false)
-				if ctx.Err() != nil {
-					runErr = &InterruptedError{Processed: clip, Total: numClips, Err: ctx.Err()}
-				} else {
-					clipErr = err
-				}
-				continue
-			}
-			ba.ps.evaluated++
-			ind := count >= ba.ps.crit
-			if ba.ps.est != nil {
-				run.learn(ba.ps, count)
-			}
-			ba.ps.clipInd = append(ba.ps.clipInd, ind)
-		}
-		sat := clipErr == nil && runErr == nil
-		if sat {
-			for _, refs := range clauseAtoms {
-				any := false
-				for _, i := range refs {
-					if atoms[i].ps.clipInd[clip] {
-						any = true
-						break
-					}
-				}
-				if !any {
-					sat = false
-					break
-				}
-			}
-		}
-		clipInd = append(clipInd, sat)
-		run.flagged = append(run.flagged, clipErr != nil)
-		if clipErr != nil {
-			run.recordFlagged(clipErr)
-			run.flaggedCount++
-			if float64(run.flaggedCount) > e.cfg.FailureBudget*float64(numClips) {
-				runErr = &DegradedError{
-					Flagged: run.flaggedCount, Processed: clip + 1, Total: numClips,
-					Budget: e.cfg.FailureBudget, Err: clipErr,
-				}
-			}
-		}
-	}
-
-	// On interruption or degradation the result covers the clips processed
-	// so far and accompanies the error.
-	res := &ExtendedResult{
-		Query:     q,
-		Mode:      e.mode,
-		Geometry:  g,
-		NumClips:  numClips,
-		Sequences: video.FromIndicator(clipInd),
-		Flagged:   run.Flagged(),
-	}
-	for _, ba := range atoms {
-		res.Atoms = append(res.Atoms, PredicateStats{
-			Name:           ba.ps.name,
-			Kind:           ba.ps.kind,
-			Clips:          video.FromIndicator(ba.ps.clipInd),
-			RawUnits:       video.FromIndicator(ba.ps.rawInd),
-			Background:     run.background(ba.ps),
-			Critical:       ba.ps.crit,
-			EvaluatedClips: ba.ps.evaluated,
-		})
-	}
-	run.nextClip = len(clipInd)
-	states := make([]*predState, len(atoms))
-	for i, ba := range atoms {
-		states[i] = ba.ps
-	}
-	run.emitSpans("engine.run_cnf", states)
-	return res, runErr
-}
-
-// evaluateAtom computes the atom's positive-unit count over one clip,
-// recording raw indicators and charging the meter. Detection failures
-// surface as errors (the caller flags the clip).
-func (r *Run) evaluateAtom(a Atom, ps *predState, clip int, chargedFrames *bool) (int, error) {
-	count := 0
-	switch a.Kind {
-	case ObjectPredicate, ActionPredicate:
-		// The CNF path has no adaptive planner; cascaded models run under
-		// the static tier choice priced from the calibrated priors.
-		mode := plan.StaticTierChoice(TierCosts(r.tierInfos(a.Kind)))
-		n, _, err := r.evaluate(ps, clip, mode, chargedFrames)
-		return n, err
-	case RelationPredicate:
-		defer func(t0 time.Time) { ps.evalTime += time.Since(t0) }(time.Now())
-		fr := r.geom.FrameRangeOfClip(clip)
-		if r.e.meter != nil && !*chargedFrames {
-			r.e.meter.AddObjectFrames(fr.Len())
-			*chargedFrames = true
-		}
-		for f := fr.Start; f <= fr.End; f++ {
-			ps.units++
-			if detect.RelationPositive(r.e.models.Objects, r.v, detect.Relation(a.Name), a.Args[0], a.Args[1], f) {
-				ps.rawInd[f] = true
-				count++
-			}
-		}
-	}
-	return count, nil
+	r.start(nil)
+	return r.finish()
 }

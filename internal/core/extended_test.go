@@ -11,9 +11,13 @@ import (
 )
 
 func extTestVideo(t *testing.T, seed int64) *synth.Video {
+	return extTestVideoFrames(t, seed, 60_000)
+}
+
+func extTestVideoFrames(t *testing.T, seed int64, frames int) *synth.Video {
 	t.Helper()
 	v, err := synth.Generate(synth.Script{
-		ID: "ext-test", Frames: 60_000, FPS: 10, Geometry: video.DefaultGeometry, Seed: seed,
+		ID: "ext-test", Frames: frames, FPS: 10, Geometry: video.DefaultGeometry, Seed: seed,
 		Actions: []synth.ActionSpec{
 			{Name: "jumping", MeanGapShots: 120, MeanDurShots: 30},
 			{Name: "dancing", MeanGapShots: 150, MeanDurShots: 25},
@@ -89,26 +93,32 @@ func TestCNFString(t *testing.T) {
 }
 
 func TestFromQueryEquivalence(t *testing.T) {
-	// The CNF lift of a basic query must produce the same sequences as the
-	// basic engine without short-circuiting.
+	// A basic query is the CNF of singleton clauses: Run and RunCNF over the
+	// lift are the same loop over the same clause table, so the whole result
+	// — sequences, diagnostics, plan report, spend — agrees in the default
+	// (short-circuiting, adaptively planned) configuration.
 	v := extTestVideo(t, 1)
-	q := Query{Objects: []string{"human"}, Action: "jumping"}
-	cfg := DefaultConfig()
-	cfg.NoShortCircuit = true
-	eng, err := NewSVAQD(noisyModels(3), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	basic, err := eng.Run(context.Background(), v, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ext, err := eng.RunCNF(context.Background(), v, FromQuery(q))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if basic.Sequences.String() != ext.Sequences.String() {
-		t.Errorf("CNF lift diverged:\nbasic %v\n  cnf %v", basic.Sequences, ext.Sequences)
+	q := Query{Objects: []string{"human", "car"}, Action: "jumping"}
+	for _, mk := range []func(detect.Models, Config) (*Engine, error){NewSVAQ, NewSVAQD} {
+		for _, models := range []detect.Models{noisyModels(3), cascadeModels(3)} {
+			eng, err := mk(models, DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			basic, err := eng.Run(context.Background(), v, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ext, err := eng.RunCNF(context.Background(), v, FromQuery(q))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The two results name their query in different fields.
+			basic.Query, ext.CNF = Query{}, CNF{}
+			if got, want := snapshotResult(ext), snapshotResult(basic); got != want {
+				t.Errorf("%v: CNF lift diverged:\nbasic %s\n  cnf %s", eng.Mode(), want, got)
+			}
+		}
 	}
 }
 
@@ -177,11 +187,15 @@ func TestMultipleActionsConjunction(t *testing.T) {
 		t.Errorf("two-action conjunction F1 = %.2f (%+v, truth %v)", c.F1(), c, truth)
 	}
 	// The conjunction must be a subset of each single-action query.
-	single, err := eng.RunCNF(context.Background(), v, CNF{Clauses: []Clause{{Atoms: []Atom{ActionAtom("jumping")}}, {Atoms: []Atom{ObjectAtom("human")}}}})
-	if err != nil {
-		t.Fatal(err)
+	for _, act := range []string{"jumping", "dancing"} {
+		single, err := eng.RunCNF(context.Background(), v, CNF{Clauses: []Clause{{Atoms: []Atom{ActionAtom(act)}}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if extra := res.Sequences.Subtract(single.Sequences); !extra.Empty() {
+			t.Errorf("conjunction holds on clips %v where %s alone does not", extra, act)
+		}
 	}
-	_ = single
 }
 
 func TestDisjunctionIsUnionLike(t *testing.T) {
@@ -231,7 +245,7 @@ func TestRelationAtomAgainstTruth(t *testing.T) {
 		t.Errorf("relation query clip F1 = %.2f (%+v), truth clips %d",
 			c.F1(), c, truth.TotalLen())
 	}
-	if rs := res.Atom("near(human,car)"); rs == nil {
+	if rs := res.Predicate("near(human,car)"); rs == nil {
 		t.Error("relation atom stats missing")
 	} else if rs.Kind != RelationPredicate {
 		t.Error("relation atom kind wrong")
@@ -239,27 +253,46 @@ func TestRelationAtomAgainstTruth(t *testing.T) {
 }
 
 func TestSharedAtomStateAcrossClauses(t *testing.T) {
-	// The same atom in two clauses must be evaluated once per clip.
+	// The same atom in two clauses shares one indicator: it is evaluated at
+	// most once per clip, and exactly once per clip when nothing may be
+	// skipped.
 	v := extTestVideo(t, 11)
 	q := CNF{Clauses: []Clause{
 		{Atoms: []Atom{ActionAtom("jumping"), ObjectAtom("car")}},
 		{Atoms: []Atom{ObjectAtom("car"), ObjectAtom("dog")}},
 	}}
-	eng, _ := NewSVAQD(noisyModels(4), DefaultConfig())
-	res, err := eng.RunCNF(context.Background(), v, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Atoms) != 3 {
-		t.Fatalf("want 3 distinct atoms, got %d", len(res.Atoms))
-	}
-	for _, a := range res.Atoms {
-		if a.EvaluatedClips != res.NumClips {
-			t.Errorf("atom %s evaluated %d times, want %d", a.Name, a.EvaluatedClips, res.NumClips)
+	frames := int64(v.NumFrames())
+	for _, noShortCircuit := range []bool{false, true} {
+		cfg := DefaultConfig()
+		cfg.NoShortCircuit = noShortCircuit
+		var meter detect.Meter
+		cfg.Meter = &meter
+		eng, _ := NewSVAQD(noisyModels(4), cfg)
+		res, err := eng.RunCNF(context.Background(), v, q)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if res.Atom("nope") != nil {
-		t.Error("unknown atom lookup should be nil")
+		if len(res.Predicates) != 3 {
+			t.Fatalf("want 3 distinct atoms, got %d", len(res.Predicates))
+		}
+		skipped := false
+		for _, a := range res.Predicates {
+			if a.EvaluatedClips > res.NumClips || (noShortCircuit && a.EvaluatedClips != res.NumClips) {
+				t.Errorf("noShortCircuit=%v: atom %s evaluated %d times over %d clips", noShortCircuit, a.Name, a.EvaluatedClips, res.NumClips)
+			}
+			skipped = skipped || a.EvaluatedClips < res.NumClips
+		}
+		if !noShortCircuit && !skipped {
+			t.Error("short-circuiting spared no atom a single clip")
+		}
+		// Two object atoms: the detector is invoked at most twice per frame
+		// however many clauses mention car.
+		if got := meter.Attempts(detect.KindObject); got > 2*frames || (noShortCircuit && got != 2*frames) {
+			t.Errorf("noShortCircuit=%v: %d object detector invocations over %d frames", noShortCircuit, got, frames)
+		}
+		if res.Predicate("nope") != nil {
+			t.Error("unknown atom lookup should be nil")
+		}
 	}
 }
 

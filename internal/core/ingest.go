@@ -5,17 +5,19 @@ import (
 	"fmt"
 
 	"svqact/internal/detect"
-	"svqact/internal/plan"
 	"svqact/internal/video"
 )
 
 // EvaluateTypes runs the engine's per-clip indicator machinery over each
 // given object and action type independently — the evaluation mode of the
 // offline ingestion phase (paper §4.2), which materialises one set of
-// "individual sequences" (maximal runs of positive clips) per type. No
-// conjunction or short-circuiting applies: every type is evaluated on every
-// clip, and in Dynamic mode every clip feeds the background estimators
-// (subject to the robust quantile gate).
+// "individual sequences" (maximal runs of positive clips) per type. It is
+// the engine's clip loop (Run.Step) over a query with every type as its own
+// clause, every clip sampled — so no conjunction or short-circuiting applies,
+// every type is evaluated on every clip, and in Dynamic mode every clip
+// feeds the background estimators (subject to the robust quantile gate) —
+// and no inference budget. The planner's order is pinned; it still prices
+// the tier decision of cascaded models.
 //
 // The returned maps give the positive-clip interval set per object type and
 // per action type.
@@ -26,100 +28,40 @@ import (
 // (indicator negative); past the failure budget the evaluation aborts with a
 // *DegradedError.
 func (e *Engine) EvaluateTypes(ctx context.Context, v detect.TruthVideo, objects, actions []string) (map[string]video.IntervalSet, map[string]video.IntervalSet, error) {
-	g := v.Geometry()
-	if err := g.Validate(); err != nil {
+	r, err := e.bind(ctx, v, len(objects)+len(actions))
+	if err != nil {
 		return nil, nil, err
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	cfg := e.cfg
-	numClips := g.NumClips(v.NumFrames())
-	numShots := g.NumShots(v.NumFrames())
-
-	run := acquireRun()
-	run.e, run.ctx, run.v, run.geom, run.numClips = e, ctx, v, g, numClips
 	// The returned maps are materialised fresh by video.FromIndicator, so
 	// the scratch can go back to the pool on every exit path.
-	defer run.release()
-	slots := run.scratch.ensurePreds(len(objects) + len(actions))
-	run.preds = run.scratch.predPtrs[:0]
-	seen := map[string]bool{}
-	for i, o := range objects {
-		if o == "" || seen["o/"+o] {
+	defer r.release()
+	r.everyClip, r.budget = true, 0
+	for _, o := range objects {
+		if fresh, err := r.addClause(ObjectAtom(o)); err != nil {
+			return nil, nil, err
+		} else if o == "" || !fresh {
 			return nil, nil, fmt.Errorf("core: empty or duplicate object type %q", o)
 		}
-		seen["o/"+o] = true
-		if err := run.initPred(&slots[i], o, ObjectPredicate, g.FramesPerClip(), cfg.P0Object, cfg.BandwidthFrames, v.NumFrames()); err != nil {
-			return nil, nil, err
-		}
-		run.preds = append(run.preds, &slots[i])
 	}
-	for i, a := range actions {
-		if a == "" || seen["a/"+a] {
+	for _, a := range actions {
+		if fresh, err := r.addClause(ActionAtom(a)); err != nil {
+			return nil, nil, err
+		} else if a == "" || !fresh {
 			return nil, nil, fmt.Errorf("core: empty or duplicate action type %q", a)
 		}
-		seen["a/"+a] = true
-		if err := run.initPred(&slots[len(objects)+i], a, ActionPredicate, g.ShotsPerClip, cfg.P0Action, cfg.BandwidthShots, numShots); err != nil {
-			return nil, nil, err
-		}
-		run.preds = append(run.preds, &slots[len(objects)+i])
 	}
-	run.seedCrits()
-
-	// Ingestion has no adaptive planner: cascaded models run under the
-	// static tier choice priced from the calibrated escalation priors (the
-	// same decision rank's offline planner makes).
-	objMode := plan.StaticTierChoice(TierCosts(e.objTiers))
-	actMode := plan.StaticTierChoice(TierCosts(e.actTiers))
-
-	for c := 0; c < numClips; c++ {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, nil, &InterruptedError{Processed: c, Total: numClips, Err: cerr}
-		}
-		objectFramesCharged := false
-		var clipErr error
-		for _, ps := range run.preds {
-			if clipErr != nil {
-				ps.clipInd = append(ps.clipInd, false)
-				continue
-			}
-			mode := objMode
-			if ps.kind == ActionPredicate {
-				mode = actMode
-			}
-			count, _, err := run.evaluate(ps, c, mode, &objectFramesCharged)
-			if err != nil {
-				ps.clipInd = append(ps.clipInd, false)
-				if ctx.Err() != nil {
-					return nil, nil, &InterruptedError{Processed: c, Total: numClips, Err: ctx.Err()}
-				}
-				clipErr = err
-				continue
-			}
-			ps.evaluated++
-			ind := count >= ps.crit
-			if ps.est != nil {
-				run.learn(ps, count)
-			}
-			ps.clipInd = append(ps.clipInd, ind)
-		}
-		if clipErr != nil {
-			run.flaggedCount++
-			if float64(run.flaggedCount) > cfg.FailureBudget*float64(numClips) {
-				return nil, nil, &DegradedError{
-					Flagged: run.flaggedCount, Processed: c + 1, Total: numClips,
-					Budget: cfg.FailureBudget, Err: clipErr,
-				}
-			}
-		}
+	r.start(nil)
+	for r.Step() {
+	}
+	if r.err != nil {
+		return nil, nil, r.err
 	}
 
 	objSeqs := make(map[string]video.IntervalSet, len(objects))
 	actSeqs := make(map[string]video.IntervalSet, len(actions))
-	for _, ps := range run.preds {
+	for _, ps := range r.preds {
 		set := video.FromIndicator(ps.clipInd)
-		if ps.kind == ObjectPredicate {
+		if ps.atom.Kind == ObjectPredicate {
 			objSeqs[ps.name] = set
 		} else {
 			actSeqs[ps.name] = set

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sort"
 	"testing"
 
 	"svqact/internal/detect"
@@ -29,12 +31,12 @@ func testVideoThreeObjects(seed int64, frames int) (*synth.Video, error) {
 }
 
 // permutations returns every ordering of xs (Heap's algorithm).
-func permutations(xs []string) [][]string {
-	var out [][]string
-	var rec func(k int, a []string)
-	rec = func(k int, a []string) {
+func permutations[T any](xs []T) [][]T {
+	var out [][]T
+	var rec func(k int, a []T)
+	rec = func(k int, a []T) {
 		if k == 1 {
-			out = append(out, append([]string(nil), a...))
+			out = append(out, append([]T(nil), a...))
 			return
 		}
 		for i := 0; i < k; i++ {
@@ -46,7 +48,7 @@ func permutations(xs []string) [][]string {
 			}
 		}
 	}
-	rec(len(xs), append([]string(nil), xs...))
+	rec(len(xs), append([]T(nil), xs...))
 	return out
 }
 
@@ -57,18 +59,104 @@ func permutations(xs []string) [][]string {
 func invariantSignature(t *testing.T, res *Result) string {
 	t.Helper()
 	s := fmt.Sprintf("seq=%v flagged=%v processed=%d", res.Sequences, res.Flagged, res.Processed)
-	// Predicates keyed by name so declared order drops out.
-	byName := map[string]string{}
-	for _, ps := range res.Predicates {
-		byName[ps.Name] = fmt.Sprintf("k=%d p=%v", ps.Critical, ps.Background)
-	}
-	for _, name := range []string{"car", "human", "jumping"} {
-		if sig, ok := byName[name]; ok {
-			s += fmt.Sprintf(" %s{%s}", name, sig)
-		}
+	// Predicates sorted by name so declared order drops out.
+	preds := append([]PredicateStats(nil), res.Predicates...)
+	sort.Slice(preds, func(i, j int) bool { return preds[i].Name < preds[j].Name })
+	for _, ps := range preds {
+		s += fmt.Sprintf(" %s{k=%d p=%v}", ps.Name, ps.Critical, ps.Background)
 	}
 	return s
 }
+
+// cnfOrderings returns q under every clause order × every atom order within
+// each clause — every declared (first-appearance) order the query can be
+// written in.
+func cnfOrderings(q CNF) []CNF {
+	var out []CNF
+	for _, clauses := range permutations(q.Clauses) {
+		qs := []CNF{{}}
+		for _, c := range clauses {
+			var next []CNF
+			for _, atoms := range permutations(c.Atoms) {
+				for _, prefix := range qs {
+					next = append(next, CNF{Clauses: append(slices.Clip(prefix.Clauses), Clause{Atoms: atoms})})
+				}
+			}
+			qs = next
+		}
+		out = append(out, qs...)
+	}
+	return out
+}
+
+// invariantCNFs are the extended shapes the invariance suites cover: an
+// OR-group, an atom shared by two clauses, and a relation.
+func invariantCNFs() map[string]CNF {
+	return map[string]CNF{
+		"or-group": {Clauses: []Clause{
+			{Atoms: []Atom{ActionAtom("jumping"), ActionAtom("dancing")}},
+			{Atoms: []Atom{ObjectAtom("human")}},
+		}},
+		"shared-atom": {Clauses: []Clause{
+			{Atoms: []Atom{ActionAtom("jumping"), ObjectAtom("car")}},
+			{Atoms: []Atom{ObjectAtom("car"), ObjectAtom("dog")}},
+		}},
+		"relation": {Clauses: []Clause{
+			{Atoms: []Atom{ActionAtom("jumping")}},
+			{Atoms: []Atom{RelationAtom(detect.Near, "human", "car")}},
+			{Atoms: []Atom{ObjectAtom("car")}},
+		}},
+	}
+}
+
+// checkCNFInvariance runs every ordering of every invariantCNF, adaptive and
+// pinned, under SVAQ and SVAQD over models(seed), and requires the signature
+// of the same engine over the accurate models in the written order.
+func checkCNFInvariance(t *testing.T, models func(int64) detect.Models) {
+	v := extTestVideoFrames(t, 23, 15_000)
+	for name, q := range invariantCNFs() {
+		for _, mk := range []struct {
+			name string
+			mk   func(detect.Models, Config) (*Engine, error)
+		}{{"SVAQ", NewSVAQ}, {"SVAQD", NewSVAQD}} {
+			ref, err := mk.mk(noisyModels(7), DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			refRes, err := ref.RunCNF(context.Background(), v, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if refRes.Sequences.Empty() {
+				t.Fatalf("%s: no result sequences; the suite would pin nothing", name)
+			}
+			want := invariantSignature(t, refRes)
+			for _, ordering := range cnfOrderings(q) {
+				for _, declared := range []bool{false, true} {
+					cfg := DefaultConfig()
+					cfg.DeclaredOrder = declared
+					e, err := mk.mk(models(7), cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := e.RunCNF(context.Background(), v, ordering)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := invariantSignature(t, res); got != want {
+						t.Errorf("%s %s written as %s declared=%v:\n got %s\nwant %s", name, mk.name, ordering, declared, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestOrderInvarianceCNF extends the contract to extended queries: clip
+// truth is an AND of ORs and nothing learns from a short-circuited clip, so
+// no way of writing the query — nor the planner's own order — can change
+// the result, the flagged set, or any atom's final k_crit and background.
+func TestOrderInvarianceCNF(t *testing.T) { checkCNFInvariance(t, noisyModels) }
 
 // TestOrderInvariance is the refactor's correctness contract: because clip
 // truth is a pure conjunction and every statistic that feeds back into

@@ -18,7 +18,7 @@ import (
 //
 // Lifecycle: newRun acquires; Run.release returns the scratch, reclaiming
 // any capacity the run's appends grew. Only the batch entry points
-// (runShared, EvaluateTypes) release — a Run handed out by the public
+// (Run.finish, EvaluateTypes) release — a Run handed out by the public
 // NewRun streaming API is owned by the caller and is simply garbage
 // collected, scratch and all, which is safe because the pool holds no
 // reference until Put.
@@ -33,6 +33,11 @@ type runScratch struct {
 	// estimator across reuse.
 	preds    []predState
 	predPtrs []*predState
+
+	// The run's clause table and per-clip clause state (see Run).
+	clauseEnd, clauseAtoms []int
+	clauseSat              []bool
+	clauseLeft             []int
 
 	clipInd []bool
 	flagged []bool
@@ -67,19 +72,21 @@ func acquireRun() *Run {
 	s := runPool.Get().(*runScratch)
 	r := &s.run
 	*r = Run{scratch: s}
+	r.preds = s.predPtrs[:0]
+	r.clauseEnd, r.clauseAtoms = append(s.clauseEnd[:0], 0), s.clauseAtoms[:0]
+	r.clauseSat, r.clauseLeft = s.clauseSat, s.clauseLeft
 	r.clipInd = s.clipInd[:0]
 	r.flagged = s.flagged[:0]
 	return r
 }
 
-// ensurePreds returns n reset predState slots. The backing array is sized
+// ensurePreds makes room for n predState slots. The backing array is sized
 // before any pointer into it is taken.
-func (s *runScratch) ensurePreds(n int) []predState {
+func (s *runScratch) ensurePreds(n int) {
 	if cap(s.preds) < n {
 		s.preds = make([]predState, n)
 	}
 	s.preds = s.preds[:n]
-	return s.preds
 }
 
 // release returns the run's scratch to the pool, reclaiming grown slice
@@ -94,101 +101,65 @@ func (r *Run) release() {
 	s.clipInd = r.clipInd[:0]
 	s.flagged = r.flagged[:0]
 	s.predPtrs = r.preds[:0]
+	s.clauseEnd, s.clauseAtoms = r.clauseEnd[:0], r.clauseAtoms[:0]
+	s.clauseSat, s.clauseLeft = r.clauseSat, r.clauseLeft
 	s.run = Run{}
 	runPool.Put(s)
 }
 
 // scoreBuf returns the scratch score column resized to n.
 func (r *Run) scoreBuf(n int) []float64 {
-	if r.scratch == nil {
-		return make([]float64, n)
-	}
-	if cap(r.scratch.scores) < n {
-		r.scratch.scores = make([]float64, n)
-	}
-	r.scratch.scores = r.scratch.scores[:n]
+	r.scratch.scores = grow(r.scratch.scores, n)
 	return r.scratch.scores
 }
 
 // critBuf returns the scratch critical-value column resized to n.
 func (r *Run) critBuf(n int) []int {
-	if r.scratch == nil {
-		return make([]int, n)
-	}
-	if cap(r.scratch.ks) < n {
-		r.scratch.ks = make([]int, n)
-	}
-	r.scratch.ks = r.scratch.ks[:n]
+	r.scratch.ks = grow(r.scratch.ks, n)
 	return r.scratch.ks
 }
 
 // sortBuf returns the scratch gate-sort buffer resized to n.
 func (r *Run) sortBuf(n int) []int {
-	if r.scratch == nil {
-		return make([]int, n)
-	}
-	if cap(r.scratch.gateSort) < n {
-		r.scratch.gateSort = make([]int, n)
-	}
-	r.scratch.gateSort = r.scratch.gateSort[:n]
+	r.scratch.gateSort = grow(r.scratch.gateSort, n)
 	return r.scratch.gateSort
 }
 
 // orderBuf returns the empty scratch buffer the planner's per-clip order is
 // appended into.
 func (r *Run) orderBuf() []int {
-	if r.scratch == nil {
-		return nil
-	}
-	if cap(r.scratch.planOrder) < len(r.preds) {
-		r.scratch.planOrder = make([]int, 0, len(r.preds))
-	}
+	r.scratch.planOrder = grow(r.scratch.planOrder, len(r.preds))
 	return r.scratch.planOrder[:0]
 }
 
 // modesBuf returns the scratch tier-decision column sized to the predicate
 // count; the planner fills it by declared index.
 func (r *Run) modesBuf() []plan.TierMode {
-	n := len(r.preds)
-	if r.scratch == nil {
-		return make([]plan.TierMode, n)
-	}
-	if cap(r.scratch.tierModes) < n {
-		r.scratch.tierModes = make([]plan.TierMode, n)
-	}
-	r.scratch.tierModes = r.scratch.tierModes[:n]
+	r.scratch.tierModes = grow(r.scratch.tierModes, len(r.preds))
 	return r.scratch.tierModes
 }
 
 // accountBuf returns the per-kind scratch cascade account.
 func (r *Run) accountBuf(kind string) *detect.CascadeAccount {
-	if r.scratch == nil {
-		return &detect.CascadeAccount{}
-	}
 	if kind == detect.KindAction {
 		return &r.scratch.actAcc
 	}
 	return &r.scratch.objAcc
 }
 
-// resizeBools returns b with length n and every element false, reusing the
-// backing array when it is large enough.
-func resizeBools(b []bool, n int) []bool {
-	if cap(b) < n {
-		return make([]bool, n)
+// grow returns s with length n (contents unspecified), reusing the backing
+// array when it is large enough.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	b = b[:n]
-	clear(b)
-	return b
+	return s[:n]
 }
 
-// zeroInt64s returns s with length n and every element zero, reusing the
+// zeroed returns s with length n and every element zero, reusing the
 // backing array when it is large enough.
-func zeroInt64s(s []int64, n int) []int64 {
-	if cap(s) < n {
-		return make([]int64, n)
-	}
-	s = s[:n]
+func zeroed[T any](s []T, n int) []T {
+	s = grow(s, n)
 	clear(s)
 	return s
 }

@@ -69,9 +69,10 @@ func TestPooledRunResultsUnaliased(t *testing.T) {
 }
 
 // TestRunAllocsSteadyState bounds the per-video allocation count of a warm
-// engine — the property the scratch pool exists to provide. The bound has
-// slack for noise but fails loudly if the hot path regresses to per-clip or
-// per-frame allocation.
+// engine — the property the scratch pool exists to provide — for a basic
+// conjunction and for an OR-group (the pool holds the clause table too). The
+// bound has slack for noise but fails loudly if the hot path regresses to
+// per-clip or per-frame allocation.
 func TestRunAllocsSteadyState(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -81,24 +82,35 @@ func TestRunAllocsSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := Query{Objects: []string{"human", "car"}, Action: "jumping"}
 	ctx := context.Background()
-	// Warm the pool, the critical-value grid and the planner.
-	for i := 0; i < 3; i++ {
-		if _, err := eng.Run(ctx, v, q); err != nil {
-			t.Fatal(err)
+	q := Query{Objects: []string{"human", "car"}, Action: "jumping"}
+	orGroup := CNF{Clauses: []Clause{
+		{Atoms: []Atom{ActionAtom("jumping"), ObjectAtom("car")}},
+		{Atoms: []Atom{ObjectAtom("human")}},
+	}}
+	for name, run := range map[string]func() (*Result, error){
+		"conjunction": func() (*Result, error) { return eng.Run(ctx, v, q) },
+		"or-group":    func() (*Result, error) { return eng.RunCNF(ctx, v, orGroup) },
+	} {
+		// Warm the pool, the critical-value grid and the planner.
+		for i := 0; i < 3; i++ {
+			if _, err := run(); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := eng.Run(ctx, v, q); err != nil {
-			t.Fatal(err)
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		// A 4000-frame video spans ~133 clips; the steady-state run should
+		// allocate far below one heap object per clip (result
+		// materialisation, spans and the plan report are the remaining
+		// allocators).
+		const maxAllocs = 120
+		t.Logf("%s: %.0f allocs/video", name, allocs)
+		if allocs > maxAllocs {
+			t.Errorf("steady-state %s allocates %.0f objects/video, want <= %d", name, allocs, maxAllocs)
 		}
-	})
-	// A 4000-frame video spans ~133 clips; the steady-state run should
-	// allocate far below one heap object per clip (result materialisation,
-	// spans and the plan report are the remaining allocators).
-	const maxAllocs = 120
-	if allocs > maxAllocs {
-		t.Errorf("steady-state Run allocates %.0f objects/video, want <= %d", allocs, maxAllocs)
 	}
 }

@@ -122,73 +122,90 @@ func TestTierInvarianceThreeObjects(t *testing.T) {
 	}
 }
 
+// TestTierInvarianceCNF: extended queries under the cascades, in every
+// written order, match the accurate models alone.
+func TestTierInvarianceCNF(t *testing.T) { checkCNFInvariance(t, cascadeModels) }
+
 // TestInferenceBudgetDegradesGracefully: a budget too small for the video
 // must not error — the run completes, clips past exhaustion are skipped and
 // flagged (outside the failure budget), and the plan carries an honest
-// budget block.
+// budget block. It holds for every query shape: there is one clip loop, so
+// OR-groups and relations are budgeted exactly like the basic conjunction.
 func TestInferenceBudgetDegradesGracefully(t *testing.T) {
 	v := testVideo(t, 22, 20_000)
-	cfg := DefaultConfig()
-	cfg.InferenceBudget = 500 * time.Millisecond
-	e, err := NewSVAQD(cascadeModels(9), cfg)
-	if err != nil {
-		t.Fatal(err)
+	shapes := []struct {
+		name string
+		run  func(*Engine) (*Result, error)
+	}{
+		{"conjunction", func(e *Engine) (*Result, error) {
+			return e.Run(context.Background(), v, Query{Objects: []string{"car", "human"}, Action: "jumping"})
+		}},
+		{"or-group", func(e *Engine) (*Result, error) {
+			return e.RunCNF(context.Background(), v, CNF{Clauses: []Clause{
+				{Atoms: []Atom{ActionAtom("jumping"), ObjectAtom("car")}},
+				{Atoms: []Atom{ObjectAtom("human")}},
+			}})
+		}},
+		{"relation", func(e *Engine) (*Result, error) {
+			return e.RunCNF(context.Background(), v, CNF{Clauses: []Clause{
+				{Atoms: []Atom{ActionAtom("jumping")}},
+				{Atoms: []Atom{RelationAtom(detect.Near, "human", "car")}},
+			}})
+		}},
 	}
-	res, err := e.Run(context.Background(), v, Query{Objects: []string{"car", "human"}, Action: "jumping"})
-	if err != nil {
-		t.Fatalf("budget exhaustion must degrade, not error: %v", err)
-	}
-	if res.BudgetSkipped == 0 {
-		t.Fatal("a 500ms budget on a 20k-frame video must skip clips")
-	}
-	if res.Processed != v.Geometry().NumClips(v.NumFrames()) {
-		t.Errorf("run must process the whole stream (skipping counts), got %d clips", res.Processed)
-	}
-	if int64(res.Flagged.TotalLen()) < res.BudgetSkipped {
-		t.Errorf("skipped clips must be flagged: %d flagged < %d skipped", res.Flagged.TotalLen(), res.BudgetSkipped)
-	}
-	if res.InferenceCost < cfg.InferenceBudget {
-		t.Errorf("spend %v below the budget %v yet clips were skipped", res.InferenceCost, cfg.InferenceBudget)
-	}
-	b := res.Plan.Budget
-	if b == nil {
-		t.Fatal("budgeted plan must carry a budget block")
-	}
-	if !b.Exhausted || b.SkippedClips != res.BudgetSkipped {
-		t.Errorf("budget block %+v inconsistent with result (skipped %d)", b, res.BudgetSkipped)
-	}
-	if b.LimitMS != 500 {
-		t.Errorf("budget limit %vms, want 500", b.LimitMS)
-	}
+	for _, shape := range shapes {
+		t.Run(shape.name, func(t *testing.T) {
+			run := func(budget time.Duration) *Result {
+				cfg := DefaultConfig()
+				cfg.InferenceBudget = budget
+				e, err := NewSVAQD(cascadeModels(9), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := shape.run(e)
+				if err != nil {
+					t.Fatalf("budget %v must degrade, not error: %v", budget, err)
+				}
+				return res
+			}
+			res := run(500 * time.Millisecond)
+			if res.BudgetSkipped == 0 {
+				t.Fatal("a 500ms budget on a 20k-frame video must skip clips")
+			}
+			if res.Processed != v.Geometry().NumClips(v.NumFrames()) {
+				t.Errorf("run must process the whole stream (skipping counts), got %d clips", res.Processed)
+			}
+			if int64(res.Flagged.TotalLen()) < res.BudgetSkipped {
+				t.Errorf("skipped clips must be flagged: %d flagged < %d skipped", res.Flagged.TotalLen(), res.BudgetSkipped)
+			}
+			if res.InferenceCost < 500*time.Millisecond {
+				t.Errorf("spend %v below the budget yet clips were skipped", res.InferenceCost)
+			}
+			b := res.Plan.Budget
+			if b == nil {
+				t.Fatal("budgeted plan must carry a budget block")
+			}
+			if !b.Exhausted || b.SkippedClips != res.BudgetSkipped {
+				t.Errorf("budget block %+v inconsistent with result (skipped %d)", b, res.BudgetSkipped)
+			}
+			if b.LimitMS != 500 {
+				t.Errorf("budget limit %vms, want 500", b.LimitMS)
+			}
 
-	// An ample budget must change nothing: no skips, not exhausted, and the
-	// results identical to the unbudgeted run.
-	cfg2 := DefaultConfig()
-	cfg2.InferenceBudget = time.Hour
-	e2, err := NewSVAQD(cascadeModels(9), cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2, err := e2.Run(context.Background(), v, Query{Objects: []string{"car", "human"}, Action: "jumping"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.BudgetSkipped != 0 || res2.Plan.Budget == nil || res2.Plan.Budget.Exhausted {
-		t.Errorf("ample budget must not skip or exhaust: %+v", res2.Plan.Budget)
-	}
-	free, err := NewSVAQD(cascadeModels(9), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	resFree, err := free.Run(context.Background(), v, Query{Objects: []string{"car", "human"}, Action: "jumping"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if invariantSignature(t, res2) != invariantSignature(t, resFree) {
-		t.Error("ample budget changed results vs unbudgeted run")
-	}
-	if resFree.Plan.Budget != nil {
-		t.Error("unbudgeted plan must omit the budget block")
+			// An ample budget must change nothing: no skips, not exhausted,
+			// and the results identical to the unbudgeted run.
+			ample, free := run(time.Hour), run(0)
+			if ample.BudgetSkipped != 0 || ample.Plan.Budget == nil || ample.Plan.Budget.Exhausted {
+				t.Errorf("ample budget must not skip or exhaust: %+v", ample.Plan.Budget)
+			}
+			if free.Plan.Budget != nil {
+				t.Error("unbudgeted plan must omit the budget block")
+			}
+			ample.Plan.Budget = nil
+			if snapshotResult(ample) != snapshotResult(free) {
+				t.Error("ample budget changed results vs unbudgeted run")
+			}
+		})
 	}
 }
 

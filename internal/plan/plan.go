@@ -514,8 +514,8 @@ type NodeReport struct {
 	Tiers []TierReport `json:"tiers,omitempty"`
 }
 
-// Report snapshots the planner. A nil planner reports nil, so execution
-// paths that never built a plan (the streaming CNF evaluator) stay valid.
+// Report snapshots the planner. A nil planner reports nil, so a caller
+// holding no plan stays valid.
 func (p *Planner) Report() *Report {
 	if p == nil {
 		return nil

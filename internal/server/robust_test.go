@@ -265,3 +265,20 @@ func TestHealthzCountersAndShape(t *testing.T) {
 		t.Errorf("uptime = %v", hz.UptimeSeconds)
 	}
 }
+
+// TestUnknownAlgorithmIsBadRequest: naming an algorithm the server does not
+// have is the client's mistake — 400 and outcome bad_request in the query
+// log line, not the 404 an unknown source earns.
+func TestUnknownAlgorithmIsBadRequest(t *testing.T) {
+	var logged strings.Builder
+	s := New(Config{Scale: 0.05, Seed: 42, Logger: slog.New(slog.NewTextHandler(&logged, nil))})
+	rr := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(
+		`{"sql": "SELECT MERGE(c) FROM (PROCESS q2 PRODUCE c) WHERE act='blowing_leaves'", "algo": "rvaq"}`)))
+	if rr.Code != http.StatusBadRequest {
+		t.Fatalf("status = %d, want 400: %s", rr.Code, rr.Body)
+	}
+	if out := logged.String(); !strings.Contains(out, "outcome=bad_request") || !strings.Contains(out, "status=400") {
+		t.Errorf("query log line lacks outcome=bad_request status=400: %q", out)
+	}
+}

@@ -31,8 +31,8 @@ import (
 	"svqact/internal/plan"
 	"svqact/internal/rank"
 	"svqact/internal/sqlq"
+	"svqact/internal/stmt"
 	"svqact/internal/synth"
-	"svqact/internal/video"
 )
 
 // Config parameterises a server instance.
@@ -429,21 +429,18 @@ func (s *Server) resolve(name string) (detect.TruthVideo, error) {
 	return stream, nil
 }
 
-// index lazily ingests a source for offline queries.
-func (s *Server) index(ctx context.Context, name string) (*rank.Index, error) {
+// index lazily ingests a resolved source for offline queries.
+func (s *Server) index(ctx context.Context, name string, stream detect.TruthVideo) (*rank.Index, error) {
 	s.mu.Lock()
 	if ix, ok := s.indexes[name]; ok {
 		s.mu.Unlock()
 		return ix, nil
 	}
 	s.mu.Unlock()
-	stream, err := s.resolve(name)
-	if err != nil {
-		return nil, err
-	}
 	icfg := rank.DefaultIngestConfig()
 	icfg.Core = s.engineConfig()
 	var ix *rank.Index
+	var err error
 	if c, ok := stream.(*synth.Concat); ok {
 		var tvs []detect.TruthVideo
 		for _, v := range c.Components() {
@@ -481,54 +478,17 @@ type QueryRequest struct {
 	BudgetMS float64 `json:"budget_ms,omitempty"`
 }
 
-// Sequence is one result sequence. Repository-backed answers resolve clips
-// to the member video and report member-local clip ids with no frame ranges
-// (the repository stores clip score tables, not video geometry). Ranked
-// answers additionally carry the score bounds (rank.Bounds): Lower == Upper
-// when Exact, and a scatter-gather coordinator merges shards on the bounds
-// rather than the point score.
-type Sequence struct {
-	StartClip  int     `json:"start_clip"`
-	EndClip    int     `json:"end_clip"`
-	StartFrame int     `json:"start_frame"`
-	EndFrame   int     `json:"end_frame"`
-	Score      float64 `json:"score,omitempty"`
-	Video      string  `json:"video,omitempty"`
-	Lower      float64 `json:"lower,omitempty"`
-	Upper      float64 `json:"upper,omitempty"`
-	Exact      bool    `json:"exact,omitempty"`
-}
+// Sequence is one result sequence of a response.
+type Sequence = stmt.Sequence
 
-// QueryResponse is the /query response body.
+// QueryResponse is the /query response body: the statement's answer plus
+// what the serving layer knows about the request.
 type QueryResponse struct {
 	// QueryID identifies the query across the response, the X-Query-ID
 	// header, the trace and the server log line.
-	QueryID    string     `json:"query_id,omitempty"`
-	Source     string     `json:"source"`
-	Mode       string     `json:"mode"` // SVAQ, SVAQD or RVAQ
-	Extended   bool       `json:"extended,omitempty"`
-	K          int        `json:"k,omitempty"`
-	Candidates int        `json:"candidates,omitempty"`
-	NumClips   int        `json:"num_clips"`
-	Sequences  []Sequence `json:"sequences"`
-	// FlaggedClips counts clips skipped after detector retry exhaustion
-	// (online modes with fault injection only).
-	FlaggedClips int   `json:"flagged_clips,omitempty"`
-	ElapsedMS    int64 `json:"elapsed_ms"`
-	// RandomAccesses counts offline table accesses (RVAQ only).
-	RandomAccesses int64 `json:"random_accesses,omitempty"`
-	// Truncated reports that ranked candidates beyond the returned top-k
-	// exist; ResidualUpper then bounds every omitted candidate's score —
-	// the coordinator's distributed Blo_K pruning signal.
-	Truncated     bool    `json:"truncated,omitempty"`
-	ResidualUpper float64 `json:"residual_upper,omitempty"`
-	// Generation is the repository generation that answered (repository-
-	// backed offline statements only).
-	Generation int `json:"generation,omitempty"`
-	// Plan reports the predicate-ordering plan the query executed with:
-	// adaptive or pinned, the chosen vs declared order, and per-predicate
-	// cost and selectivity statistics. Ordering never changes results.
-	Plan *plan.Report `json:"plan,omitempty"`
+	QueryID string `json:"query_id,omitempty"`
+	stmt.Answer
+	ElapsedMS int64 `json:"elapsed_ms"`
 	// Trace is the query's span tree: per-predicate evaluation, ranking
 	// traversal and ingestion stages with durations and attributes.
 	Trace *obs.TraceSnapshot `json:"trace,omitempty"`
@@ -837,15 +797,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	cfg := s.engineConfig()
-	var eng *core.Engine
-	switch req.Algo {
-	case "", "svaqd":
-		eng, err = core.NewSVAQD(s.models, cfg)
-	case "svaq":
-		eng, err = core.NewSVAQ(s.models, cfg)
-	default:
-		badRequest(fmt.Errorf("unknown algorithm %q", req.Algo))
+	eng, err := stmt.NewEngine(req.Algo, s.models, s.engineConfig())
+	if errors.Is(err, stmt.ErrUnknownAlgorithm) {
+		badRequest(err)
 		return
 	}
 	if err != nil {
@@ -913,13 +867,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			bv.NumClips = res.NumClips
 			bv.ProcessedClips = res.Processed
 			bv.FlaggedClips = res.Flagged.TotalLen()
-			for _, iv := range res.Sequences.Intervals() {
-				fr := res.Geometry.FrameRangeOfClips(iv)
-				bv.Sequences = append(bv.Sequences, Sequence{
-					StartClip: iv.Start, EndClip: iv.End,
-					StartFrame: fr.Start, EndFrame: fr.End,
-				})
-			}
+			bv.Sequences = stmt.ClipSequences(res.Sequences, res.Geometry)
 		}
 		resp.Videos = append(resp.Videos, bv)
 	}
@@ -1020,13 +968,16 @@ func queryOutcome(err error, status int) string {
 }
 
 // errorStatus maps execution errors to HTTP statuses: unknown sources are
-// 404, interrupted queries (deadline or disconnect) are 504 with partial
-// progress, degraded queries (failure budget exceeded) are 502, and
-// everything else is 500.
+// 404, unknown algorithms 400, interrupted queries (deadline or disconnect)
+// are 504 with partial progress, degraded queries (failure budget exceeded)
+// are 502, and everything else is 500.
 func errorStatus(err error) (int, errorResponse) {
 	var nf notFoundError
 	if errors.As(err, &nf) {
 		return http.StatusNotFound, errorResponse{Error: err.Error()}
+	}
+	if errors.Is(err, stmt.ErrUnknownAlgorithm) {
+		return http.StatusBadRequest, errorResponse{Error: err.Error()}
 	}
 	var ie *core.InterruptedError
 	if errors.As(err, &ie) {
@@ -1041,80 +992,35 @@ func errorStatus(err error) (int, errorResponse) {
 
 type notFoundError struct{ error }
 
+// execute answers one planned statement: it points stmt.Execute at this
+// server's streams, lazily ingested indexes or loaded repository, and folds
+// the answer's plan and table work into the serving metrics.
 func (s *Server) execute(ctx context.Context, plan sqlq.Plan, algo string, kOverride int, budgetMS float64) (*QueryResponse, error) {
 	start := time.Now()
 	if kOverride > 0 && !plan.Online {
 		plan.K = kOverride
 	}
-	resp := &QueryResponse{Source: plan.Source}
-	var stream detect.TruthVideo
-	var g video.Geometry
-	var err error
-	if plan.Online || s.cfg.RepoDir == "" {
-		// Repository-backed offline statements never touch the synthetic
-		// datasets, so their PROCESS source is not resolved against them.
-		stream, err = s.resolve(plan.Source)
-		if err != nil {
-			return nil, notFoundError{err}
-		}
-		g = stream.Geometry()
+	env := stmt.Env{
+		Models: s.models,
+		Engine: s.engineConfig(),
+		Stream: func(name string) (detect.TruthVideo, error) {
+			v, err := s.resolve(name)
+			if err != nil {
+				return nil, notFoundError{err}
+			}
+			return v, nil
+		},
+		Index: s.index,
 	}
-
-	if plan.Online {
-		cfg := s.engineConfig()
-		if budgetMS > 0 {
-			cfg.InferenceBudget = time.Duration(budgetMS * float64(time.Millisecond))
-		}
-		var eng *core.Engine
-		switch algo {
-		case "", "svaqd":
-			eng, err = core.NewSVAQD(s.models, cfg)
-		case "svaq":
-			eng, err = core.NewSVAQ(s.models, cfg)
-		default:
-			return nil, notFoundError{fmt.Errorf("unknown algorithm %q", algo)}
-		}
-		if err != nil {
-			return nil, err
-		}
-		resp.Mode = eng.Mode().String()
-		if plan.Extended {
-			res, err := eng.RunCNF(ctx, stream, plan.CNF)
-			if err != nil {
-				return nil, err
-			}
-			resp.Extended = true
-			resp.NumClips = res.NumClips
-			resp.FlaggedClips = res.Flagged.TotalLen()
-			for _, iv := range res.Sequences.Intervals() {
-				fr := g.FrameRangeOfClips(iv)
-				resp.Sequences = append(resp.Sequences, Sequence{
-					StartClip: iv.Start, EndClip: iv.End,
-					StartFrame: fr.Start, EndFrame: fr.End,
-				})
-			}
-		} else {
-			res, err := eng.Run(ctx, stream, plan.Query)
-			if err != nil {
-				return nil, err
-			}
-			resp.NumClips = res.NumClips
-			resp.FlaggedClips = res.Flagged.TotalLen()
-			resp.Plan = res.Plan
-			s.observePlan(res.Plan)
-			for _, iv := range res.Sequences.Intervals() {
-				fr := g.FrameRangeOfClips(iv)
-				resp.Sequences = append(resp.Sequences, Sequence{
-					StartClip: iv.Start, EndClip: iv.End,
-					StartFrame: fr.Start, EndFrame: fr.End,
-				})
-			}
-		}
-	} else if s.cfg.RepoDir != "" {
+	if budgetMS > 0 {
+		env.Engine.InferenceBudget = time.Duration(budgetMS * float64(time.Millisecond))
+	}
+	if !plan.Online && s.cfg.RepoDir != "" {
 		// Repository-backed: rank over the whole saved repository (the
 		// merged clip space spans every member; the PROCESS source names
-		// the repository view, not one synthetic stream). A reference on
-		// the handle keeps the generation's files open across a reload.
+		// the repository view, not one synthetic stream, and is never
+		// resolved against the datasets). A reference on the handle keeps
+		// the generation's files open across a reload.
 		h := s.acquireRepo()
 		if h == nil {
 			return nil, fmt.Errorf("repository %s is not loaded (last reload failed?)", s.cfg.RepoDir)
@@ -1124,105 +1030,19 @@ func (s *Server) execute(ctx context.Context, plan sqlq.Plan, algo string, kOver
 		if err != nil {
 			return nil, err
 		}
-		var res *rank.Result
-		if plan.Extended {
-			// Only a shard may drop an un-ingested atom from its OR-group;
-			// a monolith keeps rejecting unknown vocabulary.
-			topk := rank.RVAQCNF
-			if s.cfg.ShardName != "" {
-				topk = rank.RVAQCNFShard
-			}
-			res, err = topk(ctx, m, plan.CNF, plan.K, rank.Options{})
-			resp.Extended = true
-		} else {
-			res, err = rank.RVAQ(ctx, m, plan.Query, plan.K, rank.Options{})
-		}
-		if err != nil {
-			var miss *rank.NotIngestedError
-			if s.cfg.ShardName != "" && errors.As(err, &miss) {
-				// A shard holds only its own videos' vocabulary: a
-				// predicate type this shard never ingested means "no
-				// candidates here", not a client error — other shards
-				// of the repository may hold it. Record the empty top-k
-				// stage on the trace so the assembled cluster tree shows
-				// why this shard contributed nothing.
-				sp := obs.StartSpan(ctx, "rank.topk")
-				sp.SetAttr("candidates", 0)
-				sp.SetAttr("not_ingested", miss.Error())
-				sp.End()
-				resp.Mode = "RVAQ"
-				resp.K = plan.K
-				resp.NumClips = m.NumClips
-				resp.Generation = m.Generation
-				if resp.Generation == 0 {
-					resp.Generation = h.repo.MaxGeneration()
-				}
-				resp.ElapsedMS = time.Since(start).Milliseconds()
-				return resp, nil
-			}
-			return nil, err
-		}
-		s.rankSorted.Add(res.Stats.Sorted)
-		s.rankRandom.Add(res.Stats.Random)
-		resp.Plan = res.Plan
-		s.observePlan(res.Plan)
-		resp.Mode = res.Algorithm
-		resp.K = plan.K
-		resp.Candidates = res.Candidates
-		resp.NumClips = m.NumClips
-		resp.RandomAccesses = res.Stats.Random
-		resp.Truncated = res.Truncated
-		resp.ResidualUpper = res.ResidualUpper
-		resp.Generation = m.Generation
-		if resp.Generation == 0 {
-			resp.Generation = h.repo.MaxGeneration()
-		}
-		for _, sr := range res.Sequences {
-			vid, local := m.Resolve(sr.Seq.Start)
-			resp.Sequences = append(resp.Sequences, Sequence{
-				StartClip: local, EndClip: local + sr.Seq.Len() - 1,
-				Video: vid, Score: sr.Score(),
-				Lower: sr.Lower, Upper: sr.Upper, Exact: sr.Exact,
-			})
-		}
-	} else {
-		ix, err := s.index(ctx, plan.Source)
-		if err != nil {
-			return nil, err
-		}
-		var res *rank.Result
-		if plan.Extended {
-			res, err = rank.RVAQCNF(ctx, ix, plan.CNF, plan.K, rank.Options{})
-			resp.Extended = true
-		} else {
-			res, err = rank.RVAQ(ctx, ix, plan.Query, plan.K, rank.Options{})
-		}
-		if err != nil {
-			return nil, err
-		}
-		s.rankSorted.Add(res.Stats.Sorted)
-		s.rankRandom.Add(res.Stats.Random)
-		resp.Plan = res.Plan
-		s.observePlan(res.Plan)
-		resp.Mode = res.Algorithm
-		resp.K = plan.K
-		resp.Candidates = res.Candidates
-		resp.NumClips = ix.NumClips
-		resp.RandomAccesses = res.Stats.Random
-		resp.Truncated = res.Truncated
-		resp.ResidualUpper = res.ResidualUpper
-		for _, sr := range res.Sequences {
-			fr := g.FrameRangeOfClips(sr.Seq)
-			resp.Sequences = append(resp.Sequences, Sequence{
-				StartClip: sr.Seq.Start, EndClip: sr.Seq.End,
-				StartFrame: fr.Start, EndFrame: fr.End,
-				Score: sr.Score(),
-				Lower: sr.Lower, Upper: sr.Upper, Exact: sr.Exact,
-			})
+		env.Repo, env.Generation, env.Shard = m, m.Generation, s.cfg.ShardName != ""
+		if env.Generation == 0 {
+			env.Generation = h.repo.MaxGeneration()
 		}
 	}
-	resp.ElapsedMS = time.Since(start).Milliseconds()
-	return resp, nil
+	ans, err := stmt.Execute(ctx, plan, algo, env)
+	if err != nil {
+		return nil, err
+	}
+	s.rankSorted.Add(ans.SortedAccesses)
+	s.rankRandom.Add(ans.RandomAccesses)
+	s.observePlan(ans.Plan)
+	return &QueryResponse{Answer: *ans, ElapsedMS: time.Since(start).Milliseconds()}, nil
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -188,6 +188,8 @@ func TestQueryErrors(t *testing.T) {
 		{"parse error", `{"sql": "SELECT nothing"}`, http.StatusBadRequest},
 		{"plan error", `{"sql": "SELECT MERGE(c) FROM (PROCESS v PRODUCE c) WHERE obj.include('x')"}`, http.StatusBadRequest},
 		{"unknown source", `{"sql": "SELECT MERGE(c) FROM (PROCESS nope PRODUCE c) WHERE act='a'"}`, http.StatusNotFound},
+		// The same mistake /query/batch answers 400 for.
+		{"unknown algo", `{"sql": "SELECT MERGE(c) FROM (PROCESS q2 PRODUCE c) WHERE act='blowing_leaves'", "algo": "rvaq"}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		resp, err := http.Post(srv.URL+"/query", "application/json", strings.NewReader(c.body))

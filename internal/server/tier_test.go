@@ -156,6 +156,53 @@ func TestBudgetedQueryDegrades(t *testing.T) {
 	}
 }
 
+// TestBudgetedOrGroupDegrades: an OR-group runs through the same clip loop as
+// a basic conjunction, so budget_ms binds it too and its plan feeds the plan
+// metric families.
+func TestBudgetedOrGroupDegrades(t *testing.T) {
+	srv := httptest.NewServer(New(Config{Scale: 0.05, Seed: 42, Cascade: true}).Handler())
+	defer srv.Close()
+	const orGroup = `
+SELECT MERGE(clipID) AS s
+FROM (PROCESS q2 PRODUCE clipID, obj USING ObjectDetector, act USING ActionRecognizer)
+WHERE (act='blowing_leaves' OR act='mowing_lawn') AND obj.include('car')`
+	resp, body := post(t, srv.URL+"/query", QueryRequest{SQL: orGroup, BudgetMS: 200})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("budget exhaustion must degrade, got status %d: %s", resp.StatusCode, body)
+	}
+	var qr QueryResponse
+	if err := json.Unmarshal(body, &qr); err != nil {
+		t.Fatal(err)
+	}
+	if !qr.Extended || qr.Plan == nil || len(qr.Plan.Nodes) != 3 {
+		t.Fatalf("an OR-group answer must carry its three-atom plan: extended=%v plan=%+v", qr.Extended, qr.Plan)
+	}
+	b := qr.Plan.Budget
+	if b == nil || b.LimitMS != 200 || !b.Exhausted || b.SkippedClips == 0 {
+		t.Fatalf("budget block %+v: want limit 200, exhausted, skipped clips", b)
+	}
+	if qr.FlaggedClips == 0 {
+		t.Error("budget-skipped clips must surface in flagged_clips")
+	}
+	foundOrder := false
+	for _, sp := range qr.Trace.Spans {
+		foundOrder = foundOrder || sp.Name == "plan.order"
+	}
+	if !foundOrder {
+		t.Error("OR-group trace lacks the plan.order span")
+	}
+
+	text := metricsText(t, srv)
+	if v := metricValue(t, text, "svqact_plan_tier_budget_skipped_clips_total"); v != float64(b.SkippedClips) {
+		t.Errorf("budget skipped-clips counter = %v, want %d", v, b.SkippedClips)
+	}
+	for _, series := range []string{"svqact_plan_tier_budget_exhausted_total", "svqact_plan_queries_total", "svqact_plan_tier_queries_total"} {
+		if v := metricValue(t, text, series); v != 1 {
+			t.Errorf("%s = %v after one OR-group query, want 1", series, v)
+		}
+	}
+}
+
 // TestCascadeResultsMatchSingleTier: the recall-complete cascade server
 // returns exactly the sequences the plain server does on the same source —
 // the end-to-end identity the engine-level invariance tests promise.

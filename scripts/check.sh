@@ -28,32 +28,19 @@ go vet ./...
 stage "go build ./..."
 go build ./...
 
-stage "go test -race -shuffle=on ./..."
-go test -race -shuffle=on ./...
-
-stage "rolling-swap chaos property tests (-race, bounded schedules)"
-# Concurrent query load through an in-flight rollout with injected reload
-# failures, throttles and a crashed replica: answers must match their
-# shards' reported generations, mixed merges must be flagged, and the
-# rollout must complete or halt with the old generation serving. The fault
-# schedules are deterministic, so this is repeatable despite the chaos.
-go test -race -run 'TestRolloutChaos' -count=1 ./internal/cluster/
-
-stage "tier-invariance property suite (-race, -count=1)"
-# The cascade refactor's correctness contract: running the tiered detector
-# cascades — any tier mode, any predicate order, online or offline — must
-# be bit-identical to running the accurate models alone, and a too-small
-# inference budget must degrade (skip-and-flag) instead of erroring. The
-# full suite above already runs these, but a dedicated uncached pass keeps
-# the contract visible and immune to test caching.
-go test -race -count=1 -run 'TierInvariance|InferenceBudget|OfflineIngestIdenticalUnderCascade|ReportUnderConcurrentTierObservation' \
-  ./internal/core/ ./internal/rank/ ./internal/plan/
+stage "go test -race -shuffle=on -count=1 ./..."
+# -count=1 keeps every run uncached. This pass carries the correctness
+# contracts: the rolling-swap chaos property tests (TestRolloutChaos), the
+# order- and tier-invariance suites over basic and CNF queries, the
+# parent-commit goldens of the one clip loop, and the inference-budget
+# degradation tests.
+go test -race -shuffle=on -count=1 ./...
 
 stage "allocation bounds (no race: counts skip under the detector)"
 # The pooled-scratch aliasing tests above ran under -race; the numeric
 # AllocsPerRun bounds skip there (instrumentation inflates counts), so run
 # them again without it to enforce the hot path's allocation budget.
-go test -run 'AllocsSteadyState' ./internal/core/ ./internal/rank/
+go test -count=1 -run 'AllocsSteadyState' ./internal/core/ ./internal/rank/
 
 stage "fuzz smoke (-fuzztime=5s each)"
 # A short native-fuzzing burst over the lexer and parser (EXPLAIN included
