@@ -293,3 +293,125 @@ func BenchmarkRVAQCNFTopK(b *testing.B) {
 		}
 	}
 }
+
+// countingFS counts what the durable layer asks of the disk: barriers (file
+// fsyncs and directory syncs), file creations, and bytes written.
+type countingFS struct {
+	store.FS
+	syncs, creates, bytes int64
+}
+
+func (c *countingFS) Create(path string) (store.File, error) {
+	c.creates++
+	f, err := c.FS.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	return &countingFile{File: f, fs: c}, nil
+}
+
+func (c *countingFS) SyncDir(path string) error {
+	c.syncs++
+	return c.FS.SyncDir(path)
+}
+
+type countingFile struct {
+	store.File
+	fs *countingFS
+}
+
+func (f *countingFile) Write(p []byte) (int, error) {
+	n, err := f.File.Write(p)
+	f.fs.bytes += int64(n)
+	return n, err
+}
+
+func (f *countingFile) Sync() error {
+	f.fs.syncs++
+	return f.File.Sync()
+}
+
+// ingestedBenchMember ingests a short video with seven ingested types (five
+// objects, two actions — the mean of the served-query benchmark's world) and
+// about 54 clips: the unit Repository.Add persists.
+func ingestedBenchMember(b *testing.B) *rank.Index {
+	b.Helper()
+	v, err := synth.Generate(synth.Script{
+		ID: "member", Frames: 2_700, FPS: 10, Geometry: video.DefaultGeometry, Seed: 5,
+		Actions: []synth.ActionSpec{
+			{Name: "jumping", MeanGapShots: 40, MeanDurShots: 15},
+			{Name: "kissing", MeanGapShots: 60, MeanDurShots: 10},
+		},
+		Objects: []synth.ObjectSpec{
+			{Name: "human", MeanDurFrames: 300, CorrelatedWith: "jumping", CorrelationProb: 0.95},
+			{Name: "car", MeanGapFrames: 600, MeanDurFrames: 200},
+			{Name: "boat", MeanGapFrames: 800, MeanDurFrames: 150},
+			{Name: "dog", MeanGapFrames: 500, MeanDurFrames: 100},
+			{Name: "surfboard", MeanGapFrames: 900, MeanDurFrames: 120},
+		},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	models := detect.NewModels(detect.NewObjectDetector(detect.MaskRCNN, 1), detect.NewActionRecognizer(detect.I3D, 1))
+	ix, err := rank.Ingest(context.Background(), v, models, rank.PaperScoring(), rank.DefaultIngestConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if n := len(ix.Objects) + len(ix.Actions); n != 7 {
+		b.Fatalf("bench member has %d tables, want 7", n)
+	}
+	return ix
+}
+
+// BenchmarkRepositoryAdd times the ingest write path's unit of work: one
+// pre-ingested seven-table video persisted as a new member of a fresh
+// repository (save, commit, load back). Repository.Add writes through
+// store.OS, so the benchmark swaps a counting filesystem in under it for its
+// duration; syncs/op, creates/op and bytes/op are exact counts, ns/op is
+// mostly the device's fsync latency.
+func BenchmarkRepositoryAdd(b *testing.B) {
+	ix := ingestedBenchMember(b)
+	fs := &countingFS{FS: store.OS}
+	store.OS = fs
+	defer func() { store.OS = fs.FS }()
+	root := b.TempDir()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		repo, err := rank.OpenRepository(fmt.Sprintf("%s/repo-%d", root, i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := repo.Add(ix); err != nil {
+			b.Fatal(err)
+		}
+		if err := repo.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	n := float64(b.N)
+	b.ReportMetric(float64(fs.syncs)/n, "syncs/op")
+	b.ReportMetric(float64(fs.creates)/n, "creates/op")
+	b.ReportMetric(float64(fs.bytes)/n, "bytes/op")
+}
+
+// BenchmarkLoadIndex times opening and fully verifying one saved seven-table
+// member — the per-member cost of OpenRepository and of a hot reload.
+func BenchmarkLoadIndex(b *testing.B) {
+	dir := b.TempDir()
+	if err := rank.Save(dir, ingestedBenchMember(b)); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ix, err := rank.Load(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := ix.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -24,8 +24,9 @@
 //	svq -query "EXPLAIN SELECT MERGE(clipID) AS Sequence FROM (PROCESS q2 ...) WHERE ..."
 //
 // The fsck subcommand verifies a saved repository offline — commit records,
-// manifest checksums and invariants, table magic/checksums/sort order — and
-// exits non-zero if any member is corrupt:
+// manifest checksums and invariants, the sections of each generation's table
+// pack, table magic/checksums/sort order — and exits non-zero if any member
+// is corrupt:
 //
 //	svq fsck ./repo
 //
@@ -316,8 +317,8 @@ func runFsck(args []string) int {
 		}
 		for _, rep := range reports {
 			if !*quiet {
-				fmt.Printf("ok %-32s gen %d  %6d clips  %2d object types  %d action types\n",
-					rep.Dir, rep.Generation, rep.NumClips, rep.Objects, rep.Actions)
+				fmt.Printf("ok %-32s gen %d  %6d clips  %2d object types  %d action types  %7d pack bytes\n",
+					rep.Dir, rep.Generation, rep.NumClips, rep.Objects, rep.Actions, rep.PackBytes)
 			}
 			for _, w := range rep.Warnings {
 				fmt.Printf("warn %s: %s\n", rep.Dir, w)

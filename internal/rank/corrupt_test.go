@@ -2,7 +2,9 @@ package rank
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -75,14 +77,52 @@ func wantCorrupt(t *testing.T, dir, label string) {
 	}
 }
 
-// TestLoadRejectsEscapingFiles (satellite): manifest File entries must not
-// resolve outside the generation directory.
-func TestLoadRejectsEscapingFiles(t *testing.T) {
-	for _, evil := range []string{"../evil.tbl", "sub/evil.tbl", "..", ".", ""} {
-		dir := savedDir(t)
-		rewriteManifest(t, dir, func(m *manifest) { m.Objects[0].File = evil })
-		wantCorrupt(t, dir, fmt.Sprintf("file %q", evil))
+// TestLoadRejectsBadSections: off and len come from a file, so every way
+// they can fail to tile the pack is a CorruptError naming the manifest, found
+// before anything is sliced — never a panic, never a table cut from the
+// wrong bytes.
+func TestLoadRejectsBadSections(t *testing.T) {
+	// savedDir's manifest: objects car, human; actions jumping — sections
+	// 0, 1, 2 of the pack in that order.
+	cases := map[string]func(*manifest){
+		"negative offset": func(m *manifest) { m.Objects[0].Off = -1 },
+		"negative length": func(m *manifest) { m.Objects[1].Len = -m.Objects[1].Len },
+		// Off stays in the pack (it is > 0); off+len wraps negative.
+		"sum overflows": func(m *manifest) { m.Actions[0].Len = math.MaxInt64 },
+		"both huge":     func(m *manifest) { m.Actions[0].Off, m.Actions[0].Len = math.MaxInt64, math.MaxInt64 },
+		"past the end":  func(m *manifest) { m.Actions[0].Len++ },
+		"offset beyond": func(m *manifest) { m.Actions[0].Off = 1 << 40 },
+		"overlap":       func(m *manifest) { m.Objects[1].Off--; m.Objects[1].Len++ },
+		"same section twice": func(m *manifest) {
+			m.Objects[1].Off, m.Objects[1].Len = m.Objects[0].Off, m.Objects[0].Len
+		},
+		"gap between sections": func(m *manifest) { m.Objects[0].Len-- },
+		"gap at the start":     func(m *manifest) { m.Objects[0].Off++; m.Objects[0].Len-- },
+		"uncovered tail":       func(m *manifest) { m.Actions[0].Len-- },
+		"no sections at all":   func(m *manifest) { m.Objects, m.Actions = nil, nil },
+		"swapped section order": func(m *manifest) {
+			a, b := &m.Objects[0], &m.Objects[1]
+			a.Off, a.Len, b.Off, b.Len = b.Off, b.Len, a.Off, a.Len
+		},
 	}
+	for label, mutate := range cases {
+		dir := savedDir(t)
+		rewriteManifest(t, dir, mutate)
+		_, err := Load(dir)
+		var ce *CorruptError
+		if !errors.As(err, &ce) {
+			t.Fatalf("%s: err = %v, want CorruptError", label, err)
+		}
+		if filepath.Base(ce.Path) != manifestFile {
+			t.Errorf("%s: error blames %s, want the manifest: %v", label, ce.Path, err)
+		}
+	}
+
+	// Sections that tile the pack but on the wrong boundaries get past the
+	// manifest check and die in the table verifier.
+	dir := savedDir(t)
+	rewriteManifest(t, dir, func(m *manifest) { m.Objects[0].Len--; m.Objects[1].Off--; m.Objects[1].Len++ })
+	wantCorrupt(t, dir, "shifted boundary")
 }
 
 // TestLoadRejectsBadSequences (satellite): negative, reversed, and
@@ -105,11 +145,9 @@ func TestLoadRejectsBadSequences(t *testing.T) {
 func TestLoadRejectsStructuralDamage(t *testing.T) {
 	cases := map[string]func(*manifest){
 		"wrong format":   func(m *manifest) { m.Format = 1 },
+		"future format":  func(m *manifest) { m.Format = manifestFormat + 1 },
 		"negative clips": func(m *manifest) { m.NumClips = -4 },
 		"duplicate type": func(m *manifest) { m.Objects = append(m.Objects, m.Objects[0]) },
-		"duplicate file": func(m *manifest) {
-			m.Objects[1].File = m.Objects[0].File
-		},
 		"span out of range": func(m *manifest) {
 			m.Spans = []manifestSpan{{VideoID: "v", Start: 50, Clips: 20}}
 		},
@@ -148,12 +186,12 @@ func TestLoadRejectsTamperedFiles(t *testing.T) {
 	})
 	t.Run("table bit flip", func(t *testing.T) {
 		dir := savedDir(t)
-		flip(t, filepath.Join(liveGen(t, dir), "obj_0.tbl"), 100)
+		flip(t, filepath.Join(liveGen(t, dir), packFile), 100)
 		wantCorrupt(t, dir, "table flip")
 	})
 	t.Run("table truncated", func(t *testing.T) {
 		dir := savedDir(t)
-		path := filepath.Join(liveGen(t, dir), "act_0.tbl")
+		path := filepath.Join(liveGen(t, dir), packFile)
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -161,7 +199,14 @@ func TestLoadRejectsTamperedFiles(t *testing.T) {
 		if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		wantCorrupt(t, dir, "table truncation")
+		wantCorrupt(t, dir, "pack truncation")
+	})
+	t.Run("pack missing", func(t *testing.T) {
+		dir := savedDir(t)
+		if err := os.Remove(filepath.Join(liveGen(t, dir), packFile)); err != nil {
+			t.Fatal(err)
+		}
+		wantCorrupt(t, dir, "missing pack")
 	})
 	t.Run("malformed CURRENT", func(t *testing.T) {
 		dir := savedDir(t)
@@ -230,7 +275,7 @@ func TestFsck(t *testing.T) {
 	}
 
 	// Corrupting one member fails the check but still reports the other.
-	tblPath := filepath.Join(liveGen(t, filepath.Join(root, "beta")), "obj_0.tbl")
+	tblPath := filepath.Join(liveGen(t, filepath.Join(root, "beta")), packFile)
 	data, err := os.ReadFile(tblPath)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package rank
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -50,55 +51,52 @@ func TestSaveCrashAtEveryStep(t *testing.T) {
 	ix1 := buildIndex(t, 60, 7, []int{3, 4})
 	ix2 := buildIndex(t, 40, 9, []int{2, 5, 3}) // same member name, new content
 	var want1, want2 string
-	completed := false
-	for step := 1; step < 500 && !completed; step++ {
-		dir := t.TempDir()
-		if err := Save(dir, ix1); err != nil {
-			t.Fatal(err)
-		}
-		base, err := Load(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want1 == "" {
-			want1 = summarize(t, base)
-		}
-		base.Close()
-
-		ffs := store.NewFlakyFS(store.OS, store.FlakyOptions{FailAt: step, ShortWrite: step%2 == 0})
-		serr := SaveFS(ffs, dir, ix2)
-		if !ffs.Crashed() {
-			if serr != nil {
-				t.Fatalf("step %d: uncrashed save failed: %v", step, serr)
+	for _, short := range []bool{false, true} {
+		completed := false
+		for step := 1; step < 500 && !completed; step++ {
+			dir := t.TempDir()
+			if err := Save(dir, ix1); err != nil {
+				t.Fatal(err)
 			}
-			completed = true
-		}
-		// A crashed save may still report success when the crash hit only
-		// the best-effort GC after the commit point — in that case the new
-		// generation must be the one that loads.
-
-		got, lerr := Load(dir)
-		if lerr != nil {
-			// The protocol is stronger than the contract requires: the old
-			// generation stays committed until the CURRENT swap, so a load
-			// should never fail here — but if it ever does, it must be a
-			// typed CorruptError, not silently wrong data.
-			if !IsCorrupt(lerr) {
-				t.Fatalf("step %d: Load failed non-corrupt: %v", step, lerr)
+			base, err := Load(dir)
+			if err != nil {
+				t.Fatal(err)
 			}
-			continue
+			if want1 == "" {
+				want1 = summarize(t, base)
+			}
+			base.Close()
+
+			ffs := store.NewFlakyFS(store.OS, store.FlakyOptions{FailAt: step, ShortWrite: short})
+			serr := SaveFS(ffs, dir, ix2)
+			if !ffs.Crashed() {
+				if serr != nil {
+					t.Fatalf("step %d (short=%v): uncrashed save failed: %v", step, short, serr)
+				}
+				completed = true
+			}
+			// A crashed save may still report success when the crash hit only
+			// the best-effort GC after the commit point — in that case the new
+			// generation must be the one that loads.
+
+			// The old generation stays committed until the CURRENT swap, so
+			// the directory always loads: as the old index or the new one.
+			got, lerr := Load(dir)
+			if lerr != nil {
+				t.Fatalf("step %d (short=%v): Load after a crashed save: %v", step, short, lerr)
+			}
+			s := summarize(t, got)
+			got.Close()
+			if s != want1 && s != summarizeOnce(t, ix2, &want2) {
+				t.Fatalf("step %d (short=%v): loaded index is neither the old nor the new generation:\n%s", step, short, s)
+			}
+			if serr == nil && s != want2 {
+				t.Fatalf("step %d (short=%v): save reported success but the old generation loads", step, short)
+			}
 		}
-		s := summarize(t, got)
-		got.Close()
-		if s != want1 && s != summarizeOnce(t, ix2, &want2) {
-			t.Fatalf("step %d: loaded index is neither the old nor the new generation:\n%s", step, s)
+		if !completed {
+			t.Fatal("crash sweep never reached a completing save")
 		}
-		if serr == nil && s != want2 {
-			t.Fatalf("step %d: save reported success but the old generation loads", step)
-		}
-	}
-	if !completed {
-		t.Fatal("crash sweep never reached a completing save")
 	}
 }
 
@@ -126,32 +124,36 @@ func summarizeOnce(t *testing.T, ix *Index, cache *string) string {
 // partial index.
 func TestFirstSaveCrashNeverYieldsPartialIndex(t *testing.T) {
 	ix := buildIndex(t, 40, 3, []int{2, 3})
-	completed := false
-	for step := 1; step < 500 && !completed; step++ {
-		dir := t.TempDir()
-		ffs := store.NewFlakyFS(store.OS, store.FlakyOptions{FailAt: step})
-		serr := SaveFS(ffs, dir, ix)
-		if !ffs.Crashed() {
-			if serr != nil {
-				t.Fatalf("step %d: uncrashed save failed: %v", step, serr)
+	want := summarizeOnce(t, ix, new(string))
+	for _, short := range []bool{false, true} {
+		completed := false
+		for step := 1; step < 500 && !completed; step++ {
+			dir := filepath.Join(t.TempDir(), "member") // the save creates it
+			ffs := store.NewFlakyFS(store.OS, store.FlakyOptions{FailAt: step, ShortWrite: short})
+			serr := SaveFS(ffs, dir, ix)
+			if !ffs.Crashed() {
+				if serr != nil {
+					t.Fatalf("step %d (short=%v): uncrashed save failed: %v", step, short, serr)
+				}
+				completed = true
+				continue
 			}
-			completed = true
-			continue
-		}
-		got, lerr := Load(dir)
-		if lerr == nil {
+			got, lerr := Load(dir)
+			if lerr != nil {
+				continue // nothing committed
+			}
 			// Only acceptable if the commit actually landed before the
-			// crash (crash hit the GC phase after the CURRENT swap).
+			// crash (crash hit the directory sync or the GC after the
+			// CURRENT swap).
 			s := summarize(t, got)
 			got.Close()
-			want := summarizeOnce(t, ix, new(string))
 			if s != want {
-				t.Fatalf("step %d: loaded a partial index:\n%s", step, s)
+				t.Fatalf("step %d (short=%v): loaded a partial index:\n%s", step, short, s)
 			}
 		}
-	}
-	if !completed {
-		t.Fatal("crash sweep never reached a completing save")
+		if !completed {
+			t.Fatal("crash sweep never reached a completing save")
+		}
 	}
 }
 
@@ -170,23 +172,54 @@ func TestSaveDiskFullKeepsOldGeneration(t *testing.T) {
 	want := summarize(t, before)
 	before.Close()
 
-	ffs := store.NewFlakyFS(store.OS, store.FlakyOptions{ByteBudget: 200})
-	if err := SaveFS(ffs, dir, buildIndex(t, 80, 11, []int{4, 4})); err == nil {
-		t.Fatal("save succeeded on a full disk")
-	}
-	after, err := Load(dir)
-	if err != nil {
-		t.Fatalf("Load after ENOSPC: %v", err)
-	}
-	defer after.Close()
-	if got := summarize(t, after); got != want {
-		t.Fatalf("generation changed across a failed save:\n%s", got)
+	// The save writes the pack, then the manifest, then CURRENT; the budgets
+	// run out inside each of them.
+	ix2 := buildIndex(t, 80, 11, []int{4, 4})
+	total := savedBytes(t, ix2)
+	for _, budget := range []int{1, 200, total / 2, total - 40, total - 1} {
+		ffs := store.NewFlakyFS(store.OS, store.FlakyOptions{ByteBudget: budget})
+		if err := SaveFS(ffs, dir, ix2); !errors.Is(err, store.ErrNoSpace) {
+			t.Fatalf("budget %d of %d: err = %v, want ErrNoSpace", budget, total, err)
+		}
+		after, err := Load(dir)
+		if err != nil {
+			t.Fatalf("budget %d: Load after ENOSPC: %v", budget, err)
+		}
+		got := summarize(t, after)
+		after.Close()
+		if got != want {
+			t.Fatalf("budget %d: generation changed across a failed save:\n%s", budget, got)
+		}
 	}
 }
 
+// savedBytes is the number of bytes one save of ix writes.
+func savedBytes(t *testing.T, ix *Index) int {
+	t.Helper()
+	dir := t.TempDir()
+	if err := Save(dir, ix); err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	err := filepath.WalkDir(dir, func(p string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		fi, err := d.Info()
+		if err == nil {
+			total += int(fi.Size())
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return total
+}
+
 // TestSaveCollectsSupersededGenerations (satellite): re-saving a smaller
-// index into an existing directory leaves exactly one generation — no orphan
-// obj_*/act_* tables from the bigger previous save.
+// index into an existing directory leaves exactly one generation, holding
+// exactly its pack and manifest.
 func TestSaveCollectsSupersededGenerations(t *testing.T) {
 	dir := t.TempDir()
 	big := buildIndex(t, 80, 5, []int{3, 3, 3})
@@ -214,7 +247,7 @@ func TestSaveCollectsSupersededGenerations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]bool{"manifest.json": true, "obj_0.tbl": true, "act_0.tbl": true}
+	want := map[string]bool{manifestFile: true, packFile: true}
 	for _, e := range genEntries {
 		if !want[e.Name()] {
 			t.Errorf("orphan file %s in live generation", e.Name())

@@ -1,7 +1,6 @@
 package rank
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -20,18 +19,22 @@ type FsckReport struct {
 	// Objects and Actions count the verified type tables.
 	Objects int
 	Actions int
+	// PackBytes is the size of the generation's table pack, every byte of
+	// which belongs to one verified table.
+	PackBytes int64
 	// Warnings lists non-fatal findings: uncommitted generation
 	// directories, stray temp files, and files inside the live generation
-	// that the manifest does not reference. None of these can affect query
+	// other than its pack and manifest. None of these can affect query
 	// results (Load only reads what CURRENT commits), so they do not fail
 	// the check — the next successful save garbage-collects them.
 	Warnings []string
 }
 
 // Fsck verifies one saved index directory end to end: the CURRENT commit
-// record, the manifest checksum and invariants, and every table's magic,
-// checksums, and sort order — exactly the checks Load performs — plus a scan
-// for orphaned files that Load skips. Any integrity violation is returned as
+// record, the manifest checksum and invariants, the tiling of the pack by
+// the manifest's sections, and every table's magic, checksums, and sort
+// order — exactly the checks Load performs — plus a scan for orphaned files
+// that Load skips. Any integrity violation is returned as
 // a *CorruptError.
 func Fsck(dir string) (*FsckReport, error) {
 	ix, err := Load(dir)
@@ -45,6 +48,7 @@ func Fsck(dir string) (*FsckReport, error) {
 		NumClips:   ix.NumClips,
 		Objects:    len(ix.Objects),
 		Actions:    len(ix.Actions),
+		PackBytes:  ix.pack.Size(),
 	}
 
 	// The committed generation is sound; now look for debris around it.
@@ -61,22 +65,12 @@ func Fsck(dir string) (*FsckReport, error) {
 			rep.Warnings = append(rep.Warnings, fmt.Sprintf("stray temp file %s", e.Name()))
 		}
 	}
-	// Flag files inside the live generation that the manifest never
-	// references. Load already guaranteed the manifest parses and its file
-	// names are plain base names, so re-reading it here cannot fail in a
-	// way Load would not have caught.
-	referenced := map[string]bool{manifestFile: true}
-	if data, rerr := os.ReadFile(filepath.Join(dir, live, manifestFile)); rerr == nil {
-		var m manifest
-		if json.Unmarshal(data, &m) == nil {
-			for _, mt := range append(append([]manifestType(nil), m.Objects...), m.Actions...) {
-				referenced[mt.File] = true
-			}
-		}
-	}
+	// Flag files inside the live generation other than its pack and
+	// manifest. (Pack bytes that no section covers never get this far: the
+	// sections must tile the pack, so Load already failed on them.)
 	if genEntries, derr := os.ReadDir(filepath.Join(dir, live)); derr == nil {
 		for _, e := range genEntries {
-			if !referenced[e.Name()] {
+			if e.Name() != packFile && e.Name() != manifestFile {
 				rep.Warnings = append(rep.Warnings, fmt.Sprintf("unreferenced file %s in live generation %s", e.Name(), live))
 			}
 		}

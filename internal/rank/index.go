@@ -31,6 +31,11 @@ type Index struct {
 	// from (0 for in-memory indexes that never touched disk).
 	Generation int
 
+	// pack is the mapping of the saved generation's table pack that a
+	// loaded index's tables are cut from; Close releases it. nil for
+	// in-memory indexes.
+	pack *store.Pack
+
 	// spans maps global clip ranges back to the originating videos (only
 	// set on merged indexes; single-video indexes resolve to themselves).
 	spans []videoSpan

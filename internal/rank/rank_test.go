@@ -17,7 +17,7 @@ func iv(a, b int) video.Interval { return video.Interval{Start: a, End: b} }
 
 // buildIndex constructs a small in-memory index by hand with full control
 // over scores and individual sequences.
-func buildIndex(t *testing.T, numClips int, seed int64, seqLens []int) *Index {
+func buildIndex(t testing.TB, numClips int, seed int64, seqLens []int) *Index {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	ix := &Index{

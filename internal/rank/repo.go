@@ -13,25 +13,37 @@ import (
 	"svqact/internal/video"
 )
 
-// Disk layout of a saved repository index (format 2, crash-safe):
+// Disk layout of a saved repository index (manifest format 3, crash-safe):
 //
 //	dir/CURRENT              — commit pointer: "gen-NNNNNN crc32=XXXXXXXX\n"
 //	dir/gen-NNNNNN/
-//	    manifest.json        — name, clip space, video spans, type catalogue
-//	    obj_<i>.tbl          — clip score table of the i-th object type
-//	    act_<i>.tbl          — clip score table of the i-th action type
+//	    tables.pack          — every type's clip score table image (store
+//	                           format SVQTBL2, unchanged), back to back:
+//	                           object types in sorted order, then actions
+//	    manifest.json        — name, clip space, video spans, and per type
+//	                           its pack section {off, len} and sequences
 //
-// Every save materialises a fresh numbered generation directory: tables are
-// written (each one atomically, see store.WriteTableFS), the manifest is
-// written, the generation directory is fsynced, and only then does an atomic
-// rewrite of CURRENT commit the new generation. The CRC32-C of the manifest
-// bytes is recorded inside CURRENT, so the commit pointer vouches for the
-// manifest and the manifest (via table checksums) vouches for everything
-// else. A crash at any step leaves CURRENT pointing at the previous complete
+// A generation is two files and one barrier. Every save builds a fresh
+// numbered generation directory: the pack and the manifest are written
+// straight under their final names and each fsynced (store.WriteFileSync),
+// the generation directory is fsynced once, and only then does an atomic
+// rewrite of CURRENT (store.WriteFileAtomic: temp + fsync + rename + sync of
+// dir) commit the generation — five syncs, six when the save also had to
+// create dir, whose entry in its parent is then synced too. Files inside the
+// generation need no temp-and-rename of their own: nothing reads a
+// generation that CURRENT does not name, so a half-written pack is as
+// invisible as a half-written temp file would be. The rename that must be
+// atomic is the one that publishes — CURRENT's.
+//
+// The CRC32-C of the manifest bytes is recorded inside CURRENT, so the commit
+// pointer vouches for the manifest, the manifest's sections must tile the
+// pack exactly, and every section carries the table format's own checksums.
+// A crash at any step leaves CURRENT pointing at the previous complete
 // generation; the half-built directory is an uncommitted orphan that the
 // next successful save garbage-collects. Old generations are removed only
-// after the new one commits — open readers on a removed generation keep
-// working (the files stay alive until their descriptors close).
+// after the new one commits — an open Index keeps serving a removed
+// generation, because it owns one mapping of the pack (released by
+// Index.Close) and a mapping outlives its unlinked file.
 //
 // Individual sequences are small and live in the manifest.
 
@@ -45,9 +57,11 @@ func IsCorrupt(err error) bool { return store.IsCorrupt(err) }
 const (
 	currentFile  = "CURRENT"
 	manifestFile = "manifest.json"
+	packFile     = "tables.pack"
 	// manifestFormat is the version stamped into every manifest; Load
-	// rejects anything else.
-	manifestFormat = 2
+	// rejects anything else. 1 was the un-checksummed flat layout, 2 one
+	// file per table.
+	manifestFormat = 3
 )
 
 var genNameRe = regexp.MustCompile(`^gen-(\d{6})$`)
@@ -69,9 +83,12 @@ type manifestSpan struct {
 	Clips   int    `json:"clips"`
 }
 
+// manifestType locates one type's table image inside the pack: Len bytes at
+// offset Off.
 type manifestType struct {
 	Type string   `json:"type"`
-	File string   `json:"file"`
+	Off  int64    `json:"off"`
+	Len  int64    `json:"len"`
 	Seqs [][2]int `json:"seqs"`
 }
 
@@ -85,8 +102,61 @@ func Save(dir string, ix *Index) error {
 // SaveFS is Save against an injectable filesystem (crash tests drive it
 // through a store.FlakyFS).
 func SaveFS(fsys store.FS, dir string, ix *Index) error {
+	// Encode first: an index that cannot be saved touches nothing on disk.
+	m := manifest{Format: manifestFormat, Name: ix.Name, NumClips: ix.NumClips}
+	for _, s := range ix.spans {
+		m.Spans = append(m.Spans, manifestSpan{VideoID: s.videoID, Start: s.start, Clips: s.clips})
+	}
+	var pack []byte
+	dump := func(types []string, src map[string]*TypeIndex) ([]manifestType, error) {
+		var out []manifestType
+		for _, typ := range types {
+			ti := src[typ]
+			entries := make([]store.Entry, 0, ti.Table.Len())
+			for j := 0; j < ti.Table.Len(); j++ {
+				e, err := ti.Table.SortedAt(j)
+				if err != nil {
+					return nil, err
+				}
+				entries = append(entries, e)
+			}
+			off := len(pack)
+			var err error
+			if pack, err = store.AppendTable(pack, typ, entries); err != nil {
+				return nil, err
+			}
+			mt := manifestType{Type: typ, Off: int64(off), Len: int64(len(pack) - off)}
+			for _, iv := range ti.Seqs.Intervals() {
+				mt.Seqs = append(mt.Seqs, [2]int{iv.Start, iv.End})
+			}
+			out = append(out, mt)
+		}
+		return out, nil
+	}
+	var err error
+	if m.Objects, err = dump(ix.ObjectTypes(), ix.Objects); err != nil {
+		return err
+	}
+	if m.Actions, err = dump(ix.ActionTypes(), ix.Actions); err != nil {
+		return err
+	}
+	// Compact: indentation was two thirds of a manifest's bytes (every
+	// sequence bound on a line of its own); `jq .` restores it for a reader.
+	data, err := json.Marshal(m)
+	if err != nil {
+		return fmt.Errorf("rank: %w", err)
+	}
+
+	_, statErr := fsys.Stat(dir)
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("rank: %w", err)
+	}
+	if statErr != nil {
+		// The save created dir: make its entry in the parent durable, or a
+		// power loss could drop the whole index after its commit.
+		if err := fsys.SyncDir(filepath.Dir(dir)); err != nil {
+			return fmt.Errorf("rank: %w", err)
+		}
 	}
 	gen := maxGeneration(fsys, dir) + 1
 	genDir := filepath.Join(dir, genName(gen))
@@ -103,49 +173,13 @@ func SaveFS(fsys store.FS, dir string, ix *Index) error {
 	if err := fsys.MkdirAll(genDir, 0o755); err != nil {
 		return fmt.Errorf("rank: %w", err)
 	}
-
-	m := manifest{Format: manifestFormat, Name: ix.Name, NumClips: ix.NumClips}
-	for _, s := range ix.spans {
-		m.Spans = append(m.Spans, manifestSpan{VideoID: s.videoID, Start: s.start, Clips: s.clips})
-	}
-	dump := func(prefix string, types []string, src map[string]*TypeIndex) ([]manifestType, error) {
-		var out []manifestType
-		for i, typ := range types {
-			ti := src[typ]
-			file := fmt.Sprintf("%s_%d.tbl", prefix, i)
-			entries := make([]store.Entry, 0, ti.Table.Len())
-			for j := 0; j < ti.Table.Len(); j++ {
-				e, err := ti.Table.SortedAt(j)
-				if err != nil {
-					return nil, err
-				}
-				entries = append(entries, e)
-			}
-			if err := store.WriteTableFS(fsys, filepath.Join(genDir, file), typ, entries); err != nil {
-				return nil, err
-			}
-			mt := manifestType{Type: typ, File: file}
-			for _, iv := range ti.Seqs.Intervals() {
-				mt.Seqs = append(mt.Seqs, [2]int{iv.Start, iv.End})
-			}
-			out = append(out, mt)
-		}
-		return out, nil
-	}
-	var err error
-	if m.Objects, err = dump("obj", ix.ObjectTypes(), ix.Objects); err != nil {
+	if err := store.WriteFileSync(fsys, filepath.Join(genDir, packFile), pack); err != nil {
 		return err
 	}
-	if m.Actions, err = dump("act", ix.ActionTypes(), ix.Actions); err != nil {
+	if err := store.WriteFileSync(fsys, filepath.Join(genDir, manifestFile), data); err != nil {
 		return err
 	}
-	data, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return fmt.Errorf("rank: %w", err)
-	}
-	if err := store.WriteFileAtomic(fsys, filepath.Join(genDir, manifestFile), data); err != nil {
-		return err
-	}
+	// The one barrier: both names durable before CURRENT can name them.
 	if err := fsys.SyncDir(genDir); err != nil {
 		return fmt.Errorf("rank: %w", err)
 	}
@@ -229,9 +263,10 @@ func parseCurrent(dir string, raw []byte) (gen string, crc uint32, err error) {
 
 // Load opens the committed generation of a saved index. The whole generation
 // is verified — commit-record checksum over the manifest, manifest
-// invariants, and every table's checksums and sort order — and any violation
-// surfaces as a *CorruptError. Tables are opened file-backed (row reads hit
-// disk on demand); call Close on the returned index when done.
+// invariants (its sections must tile the pack exactly), and every table's
+// checksums and sort order — and any violation surfaces as a *CorruptError.
+// Tables are served from one read-only mapping of the pack, which the
+// returned index owns; call Close on it when done.
 func Load(dir string) (*Index, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, currentFile))
 	if err != nil {
@@ -247,21 +282,31 @@ func Load(dir string) (*Index, error) {
 		return nil, err
 	}
 	genDir := filepath.Join(dir, gen)
-	data, err := os.ReadFile(filepath.Join(genDir, manifestFile))
+	manifestPath := filepath.Join(genDir, manifestFile)
+	data, err := os.ReadFile(manifestPath)
 	if err != nil {
 		return nil, &CorruptError{Path: dir, Detail: fmt.Sprintf("CURRENT commits %s but its manifest is unreadable", gen), Err: err}
 	}
 	if got := store.Checksum(data); got != wantCRC {
-		return nil, &CorruptError{Path: filepath.Join(genDir, manifestFile), Detail: fmt.Sprintf("manifest checksum mismatch (committed %08x, computed %08x)", wantCRC, got)}
+		return nil, &CorruptError{Path: manifestPath, Detail: fmt.Sprintf("manifest checksum mismatch (committed %08x, computed %08x)", wantCRC, got)}
 	}
 	var m manifest
 	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, &CorruptError{Path: filepath.Join(genDir, manifestFile), Detail: "undecodable manifest", Err: err}
+		return nil, &CorruptError{Path: manifestPath, Detail: "undecodable manifest", Err: err}
 	}
-	if err := validateManifest(genDir, &m); err != nil {
-		return nil, err
+	// The format gates everything else: an older generation has no pack to
+	// open, and its manifest fields mean something different.
+	if m.Format != manifestFormat {
+		detail := fmt.Sprintf("unsupported manifest format %d (want %d)", m.Format, manifestFormat)
+		if m.Format > 0 && m.Format < manifestFormat {
+			detail = fmt.Sprintf("superseded repository layout (manifest format %d, want %d); re-ingest", m.Format, manifestFormat)
+		}
+		return nil, &CorruptError{Path: manifestPath, Detail: detail}
 	}
-
+	pack, err := store.OpenPack(filepath.Join(genDir, packFile))
+	if err != nil {
+		return nil, &CorruptError{Path: dir, Detail: fmt.Sprintf("CURRENT commits %s but its table pack is unreadable", gen), Err: err}
+	}
 	genNum, _ := strconv.Atoi(strings.TrimPrefix(gen, "gen-"))
 	ix := &Index{
 		Name:       m.Name,
@@ -269,24 +314,28 @@ func Load(dir string) (*Index, error) {
 		Generation: genNum,
 		Objects:    map[string]*TypeIndex{},
 		Actions:    map[string]*TypeIndex{},
+		pack:       pack,
+	}
+	// Nothing is sliced out of the pack until every offset is known good.
+	if err := validateManifest(manifestPath, &m, pack.Size()); err != nil {
+		ix.Close()
+		return nil, err
 	}
 	for _, s := range m.Spans {
 		ix.spans = append(ix.spans, videoSpan{videoID: s.VideoID, start: s.Start, clips: s.Clips})
 	}
+	packPath := filepath.Join(genDir, packFile)
 	load := func(types []manifestType, dst map[string]*TypeIndex) error {
 		for _, mt := range types {
-			path := filepath.Join(genDir, mt.File)
-			tbl, err := store.OpenDiskTable(path)
+			tbl, err := pack.Table(mt.Off, mt.Len)
 			if err != nil {
 				return err
 			}
 			if tbl.Name() != mt.Type {
-				tbl.Close()
-				return &CorruptError{Path: path, Detail: fmt.Sprintf("table is for type %q, manifest expects %q", tbl.Name(), mt.Type)}
+				return &CorruptError{Path: packPath, Detail: fmt.Sprintf("section at %d holds the table of type %q, manifest expects %q", mt.Off, tbl.Name(), mt.Type)}
 			}
 			if lo, hi, ok := tbl.ClipBounds(); ok && (lo < 0 || hi >= m.NumClips) {
-				tbl.Close()
-				return &CorruptError{Path: path, Detail: fmt.Sprintf("table scores clips [%d,%d] outside the clip space [0,%d)", lo, hi, m.NumClips)}
+				return &CorruptError{Path: packPath, Detail: fmt.Sprintf("table of type %q scores clips [%d,%d] outside the clip space [0,%d)", mt.Type, lo, hi, m.NumClips)}
 			}
 			ivs := make([]video.Interval, len(mt.Seqs))
 			for i, p := range mt.Seqs {
@@ -307,17 +356,17 @@ func Load(dir string) (*Index, error) {
 	return ix, nil
 }
 
-// validateManifest checks every invariant the query layer later relies on:
-// a supported format, a sane clip space, video spans inside it, table file
-// names that cannot escape the generation directory, no duplicate types or
-// files, and individual sequences that are well-formed intervals within the
-// clip space.
-func validateManifest(genDir string, m *manifest) error {
+// validateManifest checks every invariant the query layer later relies on: a
+// sane clip space, video spans inside it, no duplicate types, individual
+// sequences that are well-formed intervals within the clip space, and pack
+// sections that — in manifest order, objects then actions — tile the
+// packSize bytes of the pack exactly: none negative, none past the end (the
+// test is overflow-safe, off+len is never formed before it passes), none
+// overlapping, no byte uncovered. Offsets and lengths come from a file; they
+// are proven here before anything is sliced.
+func validateManifest(manifestPath string, m *manifest, packSize int64) error {
 	corrupt := func(format string, args ...any) error {
-		return &CorruptError{Path: filepath.Join(genDir, manifestFile), Detail: fmt.Sprintf(format, args...)}
-	}
-	if m.Format != manifestFormat {
-		return corrupt("unsupported manifest format %d (want %d)", m.Format, manifestFormat)
+		return &CorruptError{Path: manifestPath, Detail: fmt.Sprintf(format, args...)}
 	}
 	if m.NumClips < 0 {
 		return corrupt("negative clip space (%d clips)", m.NumClips)
@@ -336,7 +385,7 @@ func validateManifest(genDir string, m *manifest) error {
 		prevEnd = s.Start + s.Clips
 	}
 	seenType := map[string]bool{}
-	seenFile := map[string]bool{}
+	covered := int64(0) // the pack is tiled up to here
 	check := func(kind string, types []manifestType) error {
 		for _, mt := range types {
 			if mt.Type == "" {
@@ -347,16 +396,17 @@ func validateManifest(genDir string, m *manifest) error {
 				return corrupt("duplicate %s type %q", kind, mt.Type)
 			}
 			seenType[key] = true
-			// The file must be a plain name inside the generation
-			// directory — no separators, no "..", nothing that resolves
-			// elsewhere once joined.
-			if mt.File == "" || mt.File != filepath.Base(mt.File) || mt.File == "." || mt.File == ".." {
-				return corrupt("%s type %q references file %q outside the generation directory", kind, mt.Type, mt.File)
+			switch {
+			case mt.Off < 0 || mt.Len < 0:
+				return corrupt("%s type %q has a negative pack section (off %d, len %d)", kind, mt.Type, mt.Off, mt.Len)
+			case mt.Off > packSize || mt.Len > packSize-mt.Off:
+				return corrupt("%s type %q section (off %d, len %d) reaches outside the %d-byte pack", kind, mt.Type, mt.Off, mt.Len, packSize)
+			case mt.Off < covered:
+				return corrupt("%s type %q section at %d overlaps the previous section (which ends at %d)", kind, mt.Type, mt.Off, covered)
+			case mt.Off > covered:
+				return corrupt("pack bytes [%d,%d) before %s type %q are covered by no section", covered, mt.Off, kind, mt.Type)
 			}
-			if seenFile[mt.File] {
-				return corrupt("file %q referenced twice", mt.File)
-			}
-			seenFile[mt.File] = true
+			covered = mt.Off + mt.Len
 			for i, p := range mt.Seqs {
 				if p[0] < 0 || p[1] < p[0] || p[1] >= m.NumClips {
 					return corrupt("%s type %q sequence %d is [%d,%d], not a well-formed interval within the clip space [0,%d)", kind, mt.Type, i, p[0], p[1], m.NumClips)
@@ -368,11 +418,18 @@ func validateManifest(genDir string, m *manifest) error {
 	if err := check("object", m.Objects); err != nil {
 		return err
 	}
-	return check("action", m.Actions)
+	if err := check("action", m.Actions); err != nil {
+		return err
+	}
+	if covered != packSize {
+		return corrupt("pack bytes [%d,%d) are covered by no section", covered, packSize)
+	}
+	return nil
 }
 
-// Close releases any file-backed tables of the index. It is a no-op for
-// purely in-memory indexes.
+// Close releases the index's tables and the one pack mapping under them;
+// the tables must not be used afterwards. It is a no-op for purely in-memory
+// indexes and when repeated.
 func (ix *Index) Close() error {
 	var first error
 	for _, m := range []map[string]*TypeIndex{ix.Objects, ix.Actions} {
@@ -383,6 +440,12 @@ func (ix *Index) Close() error {
 				}
 			}
 		}
+	}
+	if ix.pack != nil {
+		if err := ix.pack.Close(); err != nil && first == nil {
+			first = err
+		}
+		ix.pack = nil
 	}
 	return first
 }

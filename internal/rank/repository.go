@@ -191,7 +191,7 @@ func (r *Repository) Resolve(clip int) (string, int, error) {
 	return v, local, nil
 }
 
-// Close releases every member's file handles.
+// Close releases every member's pack mapping.
 func (r *Repository) Close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()

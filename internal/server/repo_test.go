@@ -99,13 +99,13 @@ func TestRepoServingAndReload(t *testing.T) {
 	// must keep serving, and the corruption must be counted.
 	tblPath := ""
 	filepath.WalkDir(filepath.Join(dir, "beta"), func(p string, d os.DirEntry, err error) error {
-		if err == nil && !d.IsDir() && filepath.Ext(p) == ".tbl" && tblPath == "" {
+		if err == nil && !d.IsDir() && filepath.Base(p) == "tables.pack" && tblPath == "" {
 			tblPath = p
 		}
 		return nil
 	})
 	if tblPath == "" {
-		t.Fatal("no table file found")
+		t.Fatal("no table pack found")
 	}
 	orig, err := os.ReadFile(tblPath)
 	if err != nil {

@@ -1,17 +1,15 @@
 package store
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
-	"path/filepath"
 	"sort"
 )
 
-// Disk layout of a clip score table (format 2, checksummed):
+// Byte layout of a clip score table image (format 2, checksummed):
 //
 //	offset 0:  magic "SVQTBL2\n" (8 bytes)
 //	offset 8:  row count, uint64 little-endian
@@ -27,20 +25,31 @@ import (
 // binary search. Rows are written twice to trade disk (24 bytes per clip and
 // type, negligible) for strictly sequential reads on both access paths.
 //
-// Durability: WriteTable writes to path+".tmp", fsyncs, and renames into
-// place, so the file at path is always complete. OpenDiskTable verifies the
-// whole file — magic, header checksum, exact size, both region checksums,
-// the sort invariant of each region, and that the regions hold the same
-// rows — and returns a *CorruptError on any violation.
+// An image lives in one of two places, and the bytes are the same in both:
+// alone in a file (WriteTable / OpenDiskTable), or as one section of a pack —
+// the concatenation of a saved generation's images in one file (rank.SaveFS
+// appends them, OpenPack maps the file once and Pack.Table cuts a section
+// out). AppendTable is the only encoder and verifyView the only verifier:
+// magic, header checksum, exact size, both region checksums, the sort
+// invariant of each region, and that the regions hold the same rows; any
+// violation is a *CorruptError.
 //
-// Access: the open table holds a read-only view of the verified bytes
-// (mmap on unix, one heap buffer elsewhere — see mapFile) and decodes rows
-// in place, so SortedAt and ScoreOf are zero-copy, zero-syscall, and
-// allocation-free: rank's offline algorithms walk the sorted region without
-// ever materialising []Entry. The view is taken before verification, so
-// what was checksummed is exactly what is served, and it survives closing
-// and even unlinking the file; tables are immutable once renamed into
-// place, so the mapped bytes never change underneath a reader.
+// Durability: WriteTable builds the image in memory and hands it to
+// WriteFileAtomic (temp file + fsync + rename + directory sync), so the
+// file at path is always complete. A pack is written by its owner under
+// that owner's commit protocol (see rank/repo.go).
+//
+// Access: a DiskTable decodes rows in place from a read-only view of the
+// verified bytes (mmap on unix, one heap buffer elsewhere — see mapFile), so
+// SortedAt and ScoreOf are zero-copy, zero-syscall, and allocation-free:
+// rank's offline algorithms walk the sorted region without ever
+// materialising []Entry. The view is taken before verification, so what was
+// checksummed is exactly what is served, and it survives closing and even
+// unlinking the file; files are immutable once committed, so the mapped
+// bytes never change underneath a reader. Whoever mapped the file owns the
+// mapping: a table from OpenDiskTable unmaps in its own Close, a table cut
+// from a Pack only borrows the pack's view and must be closed before the
+// pack is.
 
 var (
 	diskMagicV1 = [8]byte{'S', 'V', 'Q', 'T', 'B', 'L', '1', '\n'}
@@ -53,28 +62,25 @@ const (
 	crcSize      = 4
 )
 
-// WriteTable writes a clip score table to path in the binary format above,
-// atomically (temp file + fsync + rename).
-func WriteTable(path, name string, entries []Entry) error {
-	return WriteTableFS(OS, path, name, entries)
-}
-
-// WriteTableFS is WriteTable against an injectable filesystem.
-func WriteTableFS(fsys FS, path, name string, entries []Entry) (err error) {
+// AppendTable appends the image of a clip score table, in the layout above,
+// to dst and returns the extended slice. Entries may come in any order; NaN
+// scores, negative or duplicate clip ids and over-long names are rejected
+// with dst returned unchanged.
+func AppendTable(dst []byte, name string, entries []Entry) ([]byte, error) {
 	if len(name) > math.MaxUint16 {
-		return fmt.Errorf("store: table name too long (%d bytes)", len(name))
+		return dst, fmt.Errorf("store: table name too long (%d bytes)", len(name))
 	}
 	byRank := append([]Entry(nil), entries...)
 	seen := make(map[int]bool, len(byRank))
 	for _, e := range byRank {
 		if e.Clip < 0 || e.Clip > math.MaxUint32 {
-			return fmt.Errorf("store: clip id %d out of range", e.Clip)
+			return dst, fmt.Errorf("store: clip id %d out of range", e.Clip)
 		}
 		if math.IsNaN(e.Score) {
-			return fmt.Errorf("store: NaN score for clip %d in table %q", e.Clip, name)
+			return dst, fmt.Errorf("store: NaN score for clip %d in table %q", e.Clip, name)
 		}
 		if seen[e.Clip] {
-			return fmt.Errorf("store: duplicate clip %d in table %q", e.Clip, name)
+			return dst, fmt.Errorf("store: duplicate clip %d in table %q", e.Clip, name)
 		}
 		seen[e.Clip] = true
 	}
@@ -87,76 +93,44 @@ func WriteTableFS(fsys FS, path, name string, entries []Entry) (err error) {
 	byClip := append([]Entry(nil), byRank...)
 	sort.Slice(byClip, func(i, j int) bool { return byClip[i].Clip < byClip[j].Clip })
 
-	tmp := path + ".tmp"
-	f, err := fsys.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	defer func() {
-		if err != nil {
-			if f != nil {
-				_ = f.Close()
-			}
-			_ = fsys.Remove(tmp)
-			err = fmt.Errorf("store: writing %s: %w", path, err)
-		}
-	}()
-
-	w := bufio.NewWriter(f)
-	hdr := make([]byte, 0, fixedHdrSize+len(name))
-	hdr = append(hdr, diskMagic[:]...)
-	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(byRank)))
-	hdr = binary.LittleEndian.AppendUint16(hdr, uint16(len(name)))
-	hdr = append(hdr, name...)
-	if _, err = w.Write(hdr); err != nil {
-		return err
-	}
-	if err = binary.Write(w, binary.LittleEndian, Checksum(hdr)); err != nil {
-		return err
-	}
-	writeRegion := func(rows []Entry) error {
-		crc := uint32(0)
-		var buf [rowSize]byte
+	start := len(dst)
+	dst = append(dst, diskMagic[:]...)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(byRank)))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(name)))
+	dst = append(dst, name...)
+	dst = binary.LittleEndian.AppendUint32(dst, Checksum(dst[start:]))
+	for _, rows := range [][]Entry{byRank, byClip} {
+		region := len(dst)
 		for _, e := range rows {
-			binary.LittleEndian.PutUint32(buf[0:4], uint32(e.Clip))
-			binary.LittleEndian.PutUint64(buf[4:12], math.Float64bits(e.Score))
-			crc = crc32.Update(crc, crcTable, buf[:])
-			if _, werr := w.Write(buf[:]); werr != nil {
-				return werr
-			}
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(e.Clip))
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(e.Score))
 		}
-		return binary.Write(w, binary.LittleEndian, crc)
+		dst = binary.LittleEndian.AppendUint32(dst, Checksum(dst[region:]))
 	}
-	if err = writeRegion(byRank); err != nil {
-		return err
-	}
-	if err = writeRegion(byClip); err != nil {
-		return err
-	}
-	if err = w.Flush(); err != nil {
-		return err
-	}
-	if err = f.Sync(); err != nil {
-		return err
-	}
-	if err = f.Close(); err != nil {
-		f = nil
-		return err
-	}
-	f = nil
-	if err = fsys.Rename(tmp, path); err != nil {
-		return err
-	}
-	return fsys.SyncDir(filepath.Dir(path))
+	return dst, nil
 }
 
-// DiskTable is a file-backed clip score table served from a read-only
-// zero-copy view of the verified file bytes. The whole file is verified
-// once at open; after that, row access decodes in place with no syscalls
-// and no allocation.
+// WriteTable writes a clip score table to path as one image, atomically
+// (temp file + fsync + rename).
+func WriteTable(path, name string, entries []Entry) error {
+	return WriteTableFS(OS, path, name, entries)
+}
+
+// WriteTableFS is WriteTable against an injectable filesystem.
+func WriteTableFS(fsys FS, path, name string, entries []Entry) error {
+	image, err := AppendTable(nil, name, entries)
+	if err != nil {
+		return err
+	}
+	return WriteFileAtomic(fsys, path, image)
+}
+
+// DiskTable is a clip score table served from a read-only zero-copy view of
+// a verified image. The whole image is verified once at open; after that,
+// row access decodes in place with no syscalls and no allocation.
 type DiskTable struct {
 	view      []byte
-	closeView func() error
+	closeView func() error // nil when the view is borrowed from a Pack
 	name      string
 	count     int
 	rankOff   int
@@ -169,35 +143,90 @@ type DiskTable struct {
 // Integrity violations — bad magic, checksum mismatches, truncation, broken
 // sort order, disagreeing regions — return a *CorruptError.
 func OpenDiskTable(path string) (*DiskTable, error) {
+	view, closeView, err := mapPath(path)
+	if err != nil {
+		return nil, err
+	}
+	t, err := verifyView(view, path)
+	if err != nil {
+		_ = closeView()
+		return nil, err
+	}
+	t.closeView = closeView
+	return t, nil
+}
+
+// mapPath maps the whole file at path (see mapFile) and returns the view
+// and the function that releases it.
+func mapPath(path string) ([]byte, func() error, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+		return nil, nil, fmt.Errorf("store: %w", err)
 	}
 	// The view outlives the descriptor on every platform, so the file can be
 	// closed as soon as the mapping (or heap read) is established.
 	defer f.Close()
-	return openVerify(f, path)
-}
-
-func openVerify(f *os.File, path string) (*DiskTable, error) {
-	corrupt := func(format string, args ...any) (*DiskTable, error) {
-		return nil, &CorruptError{Path: path, Detail: fmt.Sprintf(format, args...)}
-	}
 	fi, err := f.Stat()
 	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+		return nil, nil, fmt.Errorf("store: %w", err)
 	}
 	view, closeView, err := mapFile(f, fi.Size())
 	if err != nil {
-		return nil, fmt.Errorf("store: mapping %s: %w", path, err)
+		return nil, nil, fmt.Errorf("store: mapping %s: %w", path, err)
 	}
-	verified := false
-	defer func() {
-		if !verified {
-			_ = closeView()
-		}
-	}()
+	return view, closeView, nil
+}
 
+// Pack is a read-only mapping of a file holding table images back to back.
+// The pack owns the mapping; the tables cut from it borrow it.
+type Pack struct {
+	path      string
+	view      []byte
+	closeView func() error
+}
+
+// OpenPack maps the file at path. Nothing is verified yet: each section is
+// verified when Table cuts it out.
+func OpenPack(path string) (*Pack, error) {
+	view, closeView, err := mapPath(path)
+	if err != nil {
+		return nil, err
+	}
+	return &Pack{path: path, view: view, closeView: closeView}, nil
+}
+
+// Size returns the pack's length in bytes.
+func (p *Pack) Size() int64 { return int64(len(p.view)) }
+
+// Table verifies the n bytes at off as one table image, with every check
+// OpenDiskTable makes on a file, and returns the table served from them. A
+// section outside the pack is a *CorruptError like any other violation.
+func (p *Pack) Table(off, n int64) (*DiskTable, error) {
+	section := fmt.Sprintf("%s[%d:+%d]", p.path, off, n)
+	if off < 0 || n < 0 || off > p.Size() || n > p.Size()-off {
+		return nil, &CorruptError{Path: section, Detail: fmt.Sprintf("section outside the %d-byte pack", p.Size())}
+	}
+	return verifyView(p.view[off:off+n:off+n], section)
+}
+
+// Close releases the mapping; a second Close is a no-op. Every table cut
+// from the pack must be closed first.
+func (p *Pack) Close() error {
+	cv := p.closeView
+	if cv == nil {
+		return nil
+	}
+	p.closeView, p.view = nil, nil
+	return cv()
+}
+
+// verifyView checks that view is exactly one well-formed table image and
+// returns the table served from it; path only labels the errors. The table
+// does not own the view.
+func verifyView(view []byte, path string) (*DiskTable, error) {
+	corrupt := func(format string, args ...any) (*DiskTable, error) {
+		return nil, &CorruptError{Path: path, Detail: fmt.Sprintf(format, args...)}
+	}
 	if len(view) < fixedHdrSize {
 		return corrupt("truncated header (%d bytes)", len(view))
 	}
@@ -224,58 +253,44 @@ func openVerify(f *os.File, path string) (*DiskTable, error) {
 		return corrupt("header checksum mismatch (stored %08x, computed %08x)", got, hdrCRC)
 	}
 	wantSize := int64(headerLen) + 2*(int64(count)*rowSize+crcSize)
-	if fi.Size() != wantSize {
-		return corrupt("file is %d bytes, want %d for %d rows", fi.Size(), wantSize, count)
+	if int64(len(view)) != wantSize {
+		return corrupt("image is %d bytes, want %d for %d rows", len(view), wantSize, count)
 	}
 
 	t := &DiskTable{
-		view:      view,
-		closeView: closeView,
-		name:      string(view[fixedHdrSize : fixedHdrSize+nameLen]),
-		count:     count,
-		rankOff:   headerLen,
-		clipOff:   headerLen + count*rowSize + crcSize,
+		view:    view,
+		name:    string(view[fixedHdrSize : fixedHdrSize+nameLen]),
+		count:   count,
+		rankOff: headerLen,
+		clipOff: headerLen + count*rowSize + crcSize,
 	}
 
 	// checkRegion verifies one region's CRC (a single pass over its bytes)
-	// and per-row invariant, and folds the per-row checksums
-	// order-independently so the two regions can be proven to hold identical
-	// row sets.
-	checkRegion := func(region string, off int, check func(i, clip int, score float64) error) (uint32, error) {
+	// and per-row invariant.
+	checkRegion := func(region string, off int, check func(i, clip int, score float64) error) error {
 		rows := view[off : off+count*rowSize]
 		crc := crc32.Update(0, crcTable, rows)
 		if got := binary.LittleEndian.Uint32(view[off+count*rowSize : off+count*rowSize+crcSize]); got != crc {
-			return 0, &CorruptError{Path: path, Detail: fmt.Sprintf("%s region checksum mismatch (stored %08x, computed %08x)", region, got, crc)}
+			return &CorruptError{Path: path, Detail: fmt.Sprintf("%s region checksum mismatch (stored %08x, computed %08x)", region, got, crc)}
 		}
-		fold := uint32(0)
 		for i := 0; i < count; i++ {
 			row := rows[i*rowSize : (i+1)*rowSize]
-			fold ^= Checksum(row)
 			clip := int(binary.LittleEndian.Uint32(row[0:4]))
 			score := math.Float64frombits(binary.LittleEndian.Uint64(row[4:12]))
 			if math.IsNaN(score) {
-				return 0, &CorruptError{Path: path, Detail: fmt.Sprintf("NaN score at %s row %d", region, i)}
+				return &CorruptError{Path: path, Detail: fmt.Sprintf("NaN score at %s row %d", region, i)}
 			}
 			if err := check(i, clip, score); err != nil {
-				return 0, err
+				return err
 			}
 		}
-		return fold, nil
+		return nil
 	}
 
-	prevScore, prevClip := math.Inf(1), -1
-	rankFold, err := checkRegion("rank", t.rankOff, func(i, clip int, score float64) error {
-		if i > 0 && (score > prevScore || (score == prevScore && clip <= prevClip)) {
-			return &CorruptError{Path: path, Detail: fmt.Sprintf("rank region order violated at row %d", i)}
-		}
-		prevScore, prevClip = score, clip
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	prevClip = -1
-	clipFold, err := checkRegion("clip", t.clipOff, func(i, clip int, score float64) error {
+	// The clip region first: once it is known sorted, ScoreOf works, and the
+	// rank pass uses it to prove the two regions hold the same rows.
+	prevClip := -1
+	err := checkRegion("clip", t.clipOff, func(i, clip int, score float64) error {
 		if clip <= prevClip {
 			return &CorruptError{Path: path, Detail: fmt.Sprintf("clip region order violated at row %d", i)}
 		}
@@ -289,20 +304,34 @@ func openVerify(f *os.File, path string) (*DiskTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	if rankFold != clipFold {
-		return corrupt("rank and clip regions hold different rows")
+	// Rank rows are pairwise distinct (the order is strict) and as many as
+	// the clip rows, so each one having its exact twin in the clip region
+	// makes the two row sets equal.
+	prevScore := math.Inf(1)
+	err = checkRegion("rank", t.rankOff, func(i, clip int, score float64) error {
+		if i > 0 && (score > prevScore || (score == prevScore && clip <= prevClip)) {
+			return &CorruptError{Path: path, Detail: fmt.Sprintf("rank region order violated at row %d", i)}
+		}
+		prevScore, prevClip = score, clip
+		if s, ok, _ := t.ScoreOf(clip); !ok || math.Float64bits(s) != math.Float64bits(score) {
+			return &CorruptError{Path: path, Detail: fmt.Sprintf("rank row %d (clip %d) has no equal row in the clip region", i, clip)}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	verified = true
 	return t, nil
 }
 
-// Close releases the view. The table must not be used afterwards.
+// Close drops the view, and releases it when the table owns it. The table
+// must not be used afterwards; a second Close is a no-op.
 func (t *DiskTable) Close() error {
-	if t.closeView == nil {
-		return nil
-	}
 	cv := t.closeView
 	t.closeView, t.view = nil, nil
+	if cv == nil {
+		return nil
+	}
 	return cv()
 }
 

@@ -12,10 +12,12 @@ import (
 // Reads that only serve queries (DiskTable row access) stay on the real
 // filesystem: crash safety is a property of the write path.
 //
-// The contract every writer in this repository follows is write-to-temp →
-// Sync → Close → Rename → SyncDir: a file is either absent, the complete old
-// version, or the complete new version — never a partial write at its final
-// path.
+// The contract every writer in this repository follows is that a path a
+// reader can reach holds either nothing, the complete old version, or the
+// complete new version — never a partial write. WriteFileAtomic gives that
+// to a single file (write-to-temp → Sync → Close → Rename → SyncDir);
+// WriteFileSync is the cheaper half for files nothing can see until a later
+// atomic step publishes their directory.
 type FS interface {
 	// Create opens path for writing, truncating any existing file.
 	Create(path string) (File, error)
@@ -72,22 +74,20 @@ func (osFS) SyncDir(path string) error {
 	return err
 }
 
-// WriteFileAtomic writes data to path with full crash safety: the bytes go to
-// path+".tmp", are fsynced, and only then renamed over path, with the parent
-// directory fsynced to make the rename durable. A crash at any step leaves
-// either the old file or the new one at path, never a mixture.
-func WriteFileAtomic(fsys FS, path string, data []byte) (err error) {
-	tmp := path + ".tmp"
-	f, err := fsys.Create(tmp)
+// WriteFileSync writes data to a new file at path and fsyncs it: Create →
+// Write → Sync → Close, nothing else. The file's directory entry is not made
+// durable and a crash mid-way leaves a partial file at path, so it is only
+// for paths no reader can reach yet — files inside a directory that a later
+// atomic step commits (a generation before CURRENT names it, or the temp
+// file of WriteFileAtomic).
+func WriteFileSync(fsys FS, path string, data []byte) (err error) {
+	f, err := fsys.Create(path)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	defer func() {
 		if err != nil {
-			if f != nil {
-				_ = f.Close()
-			}
-			_ = fsys.Remove(tmp)
+			_ = f.Close() // a second Close after a failed one is harmless
 			err = fmt.Errorf("store: writing %s: %w", path, err)
 		}
 	}()
@@ -97,13 +97,25 @@ func WriteFileAtomic(fsys FS, path string, data []byte) (err error) {
 	if err = f.Sync(); err != nil {
 		return err
 	}
-	if err = f.Close(); err != nil {
-		f = nil
+	return f.Close()
+}
+
+// WriteFileAtomic writes data to path with full crash safety: the bytes go to
+// path+".tmp", are fsynced, and only then renamed over path, with the parent
+// directory fsynced to make the rename durable. A crash at any step leaves
+// either the old file or the new one at path, never a mixture.
+func WriteFileAtomic(fsys FS, path string, data []byte) error {
+	tmp := path + ".tmp"
+	if err := WriteFileSync(fsys, tmp, data); err != nil {
+		_ = fsys.Remove(tmp)
 		return err
 	}
-	f = nil
-	if err = fsys.Rename(tmp, path); err != nil {
-		return err
+	if err := fsys.Rename(tmp, path); err != nil {
+		_ = fsys.Remove(tmp)
+		return fmt.Errorf("store: writing %s: %w", path, err)
 	}
-	return fsys.SyncDir(filepath.Dir(path))
+	if err := fsys.SyncDir(filepath.Dir(path)); err != nil {
+		return fmt.Errorf("store: writing %s: %w", path, err)
+	}
+	return nil
 }

@@ -46,10 +46,15 @@ stage "fuzz smoke (-fuzztime=5s each)"
 # A short native-fuzzing burst over the lexer and parser (EXPLAIN included
 # via the seed corpus) catches panics and contract violations cheaply; one
 # over scanstat searches for a (k, w, p) where the closed-form Q3 leaves the
-# dynamic program that referees it.
+# dynamic program that referees it; two over the persisted formats.
 go test -fuzz '^FuzzParse$' -fuzztime=5s ./internal/sqlq
 go test -fuzz '^FuzzLex$' -fuzztime=5s ./internal/sqlq
 go test -run '^$' -fuzz '^FuzzQ3ClosedMatchesDP$' -fuzztime=5s ./internal/scanstat
+# Saved bytes cross the trust boundary in two places: the one table verifier
+# (an accepted image must re-encode to itself) and rank.Load over a fuzzed
+# commit record, manifest (untrusted pack offsets) and pack.
+go test -run '^$' -fuzz '^FuzzVerifyTable$' -fuzztime=5s ./internal/store
+go test -run '^$' -fuzz '^FuzzLoadGeneration$' -fuzztime=5s ./internal/rank
 
 stage "benchmark smoke (-benchtime=1x -benchmem)"
 # One iteration of every benchmark: catches bit-rot in the experiment and

@@ -517,16 +517,17 @@ poll:
 		return fmt.Errorf("fsck of recovered repository failed: %v\n%s", err, out)
 	}
 
-	// …and fsck must actually detect damage: flip one byte of one table.
+	// …and fsck must actually detect damage: flip one byte in the middle of
+	// one member's table pack, which lands inside some table's section.
 	var tbl string
 	filepath.WalkDir(repoDir, func(p string, d os.DirEntry, err error) error {
-		if err == nil && !d.IsDir() && strings.HasSuffix(p, ".tbl") && tbl == "" {
+		if err == nil && !d.IsDir() && filepath.Base(p) == "tables.pack" && tbl == "" {
 			tbl = p
 		}
 		return nil
 	})
 	if tbl == "" {
-		return fmt.Errorf("no table files in %s", repoDir)
+		return fmt.Errorf("no table pack in %s", repoDir)
 	}
 	orig, err := os.ReadFile(tbl)
 	if err != nil {
@@ -538,7 +539,7 @@ poll:
 		return err
 	}
 	if out, err := exec.Command(bins["svq"], "fsck", repoDir).CombinedOutput(); err == nil {
-		return fmt.Errorf("fsck accepted a bit-flipped table:\n%s", out)
+		return fmt.Errorf("fsck accepted a bit-flipped table pack:\n%s", out)
 	}
 	if err := os.WriteFile(tbl, orig, 0o644); err != nil {
 		return err
