@@ -191,6 +191,45 @@ func BenchmarkDetectorFrameScore(b *testing.B) {
 	}
 }
 
+// BenchmarkScoreClip times the one unit-scoring call every predicate
+// evaluation makes — a clip's frames through Scorer.Score into a reused
+// account — for a plain model (one batch call), a cascade (batch the cheap
+// tier, walk the escalations) and a fallible model (per-unit retry under
+// 20 % transient faults). The walker allocates nothing itself (detect's
+// TestScoreAllocsSteadyState); the cascade's allocs/op are the simulated
+// teacher listing the visible instances of each escalated frame, the
+// fallible model's are its error values.
+func BenchmarkScoreClip(b *testing.B) {
+	v := benchVideo(b)
+	teacher := detect.NewObjectDetector(detect.MaskRCNN, 1)
+	frames := v.Geometry().FramesPerClip()
+	clips := v.NumFrames() / frames
+	for _, c := range []struct {
+		name  string
+		model detect.ObjectDetector
+	}{
+		{"single", teacher},
+		{"cascade", detect.NewDistilledObjectCascade(teacher, detect.DistilledRCNN, 1)},
+		{"fallible", detect.InjectObjectFaults(teacher, detect.FaultConfig{TransientRate: 0.2, Seed: 1})},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			chain := detect.ObjectScorer(c.model)
+			var acc detect.Account
+			dst := make([]float64, frames)
+			retry := detect.RetryConfig{Attempts: 16} // no backoff: time the walk, not the sleeps
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				acc.Reset(len(chain.Tiers()))
+				if _, err := chain.Score(context.Background(), v, "car", i%clips*frames, 0, dst, retry, &acc); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*frames), "ns/unit")
+		})
+	}
+}
+
 // BenchmarkSVAQDClip times one clip of the engine's loop (ns/op is per
 // clip): a basic conjunction stepped through the streaming API, and an
 // OR-group through RunCNF, whose whole-video runs are counted clip by clip.

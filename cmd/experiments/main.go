@@ -5,7 +5,6 @@
 //	experiments                 # run everything at the default scale
 //	experiments -run fig2       # one experiment
 //	experiments -scale 1 -v     # paper-scale workload with progress logging
-//	experiments -bench-json BENCH_scaling.json   # machine-readable fleet-scaling report
 package main
 
 import (
@@ -13,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/exec"
 	"strings"
 	"time"
 
@@ -22,14 +20,12 @@ import (
 
 func main() {
 	var (
-		run       = flag.String("run", "", "comma-separated experiment ids (empty = all)")
-		scale     = flag.Float64("scale", 0.25, "dataset scale relative to the paper's video volumes")
-		seed      = flag.Int64("seed", 42, "dataset and model seed")
-		workers   = flag.Int("workers", 0, "videos ingested/evaluated concurrently (<= 0 = GOMAXPROCS)")
-		benchJSON = flag.String("bench-json", "", "append the machine-readable fleet-scaling report to this series file")
-		benchGate = flag.Float64("bench-gate", 0, "fail when peak throughput drops more than this percent vs the previous -bench-json entry (0 disables)")
-		verbose   = flag.Bool("v", false, "log progress to stderr")
-		list      = flag.Bool("list", false, "list experiment ids and exit")
+		run     = flag.String("run", "", "comma-separated experiment ids (empty = all)")
+		scale   = flag.Float64("scale", 0.25, "dataset scale relative to the paper's video volumes")
+		seed    = flag.Int64("seed", 42, "dataset and model seed")
+		workers = flag.Int("workers", 0, "videos ingested/evaluated concurrently (<= 0 = GOMAXPROCS)")
+		verbose = flag.Bool("v", false, "log progress to stderr")
+		list    = flag.Bool("list", false, "list experiment ids and exit")
 	)
 	flag.Parse()
 
@@ -45,11 +41,6 @@ func main() {
 		log = os.Stderr
 	}
 	w := bench.NewWorkspace(bench.Options{Scale: *scale, Seed: *seed, Workers: *workers, Log: log})
-
-	if *benchJSON != "" && *run == "" {
-		// -bench-json alone means "just produce the scaling report".
-		*run = "scaling"
-	}
 
 	var selected []bench.Experiment
 	if *run == "" {
@@ -79,36 +70,4 @@ func main() {
 			fmt.Println(t.Format())
 		}
 	}
-
-	if *benchJSON != "" {
-		rep, err := w.Scaling()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: scaling report: %v\n", err)
-			os.Exit(1)
-		}
-		series, err := bench.AppendScalingJSON(*benchJSON, rep, gitRev())
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("appended scaling report to %s (%d entries)\n", *benchJSON, len(series))
-		if *benchGate > 0 {
-			msg, err := bench.CheckScalingRegression(series, *benchGate)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("bench gate: %s\n", msg)
-		}
-	}
-}
-
-// gitRev stamps series entries with the current revision; experiments must
-// keep working outside a git checkout, so failures degrade to "unknown".
-func gitRev() string {
-	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
-	if err != nil {
-		return "unknown"
-	}
-	return strings.TrimSpace(string(out))
 }

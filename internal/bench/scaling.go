@@ -2,9 +2,7 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"time"
 
@@ -29,33 +27,30 @@ var scalingWorkers = []int{1, 2, 4, 8}
 // ScalingPoint is one worker-count measurement of the fleet-scaling
 // experiment.
 type ScalingPoint struct {
-	Workers         int     `json:"workers"`
-	ElapsedSeconds  float64 `json:"elapsed_seconds"`
-	VideosPerSecond float64 `json:"videos_per_second"`
-	SpeedupVsSerial float64 `json:"speedup_vs_serial"`
+	Workers         int
+	ElapsedSeconds  float64
+	VideosPerSecond float64
+	SpeedupVsSerial float64
 	// Per-video run latency percentiles, in seconds.
-	VideoLatencyP50 float64 `json:"video_latency_p50_seconds"`
-	VideoLatencyP90 float64 `json:"video_latency_p90_seconds"`
-	VideoLatencyP99 float64 `json:"video_latency_p99_seconds"`
+	VideoLatencyP50 float64
+	VideoLatencyP90 float64
+	VideoLatencyP99 float64
 	// Heap allocation per evaluated video (runtime.MemStats deltas over the
 	// whole point, divided by fleet size) — the -benchmem analogue for the
 	// fleet sweep.
-	AllocsPerVideo float64 `json:"allocs_per_video,omitempty"`
-	BytesPerVideo  float64 `json:"bytes_per_video,omitempty"`
+	AllocsPerVideo float64
+	BytesPerVideo  float64
 }
 
-// ScalingReport is the machine-readable output of the scaling experiment
-// (written to BENCH_scaling.json by cmd/experiments -bench-json).
+// ScalingReport is the outcome of the scaling experiment.
 type ScalingReport struct {
-	FleetSize      int     `json:"fleet_size"`
-	FramesPerVideo int     `json:"frames_per_video"`
-	GOMAXPROCS     int     `json:"gomaxprocs"`
+	FleetSize      int
+	FramesPerVideo int
+	GOMAXPROCS     int
 	// NumCPU records the cores the host actually exposes; together with
 	// GOMAXPROCS it makes a recorded sweep interpretable after the fact.
-	NumCPU int            `json:"num_cpu,omitempty"`
-	Scale  float64        `json:"scale"`
-	Seed   int64          `json:"seed"`
-	Points []ScalingPoint `json:"points"`
+	NumCPU int
+	Points []ScalingPoint
 }
 
 // scalingFleet generates the fleet: distinct scripts (one per seed) so the
@@ -108,8 +103,6 @@ func (w *Workspace) Scaling() (*ScalingReport, error) {
 		FramesPerVideo: vids[0].NumFrames(),
 		GOMAXPROCS:     runtime.GOMAXPROCS(0),
 		NumCPU:         numCPU,
-		Scale:          w.opts.Scale,
-		Seed:           w.opts.Seed,
 	}
 	// Warm the process-wide critical-value grid so the first measured point
 	// does not pay for the Naus searches the later points get for free.
@@ -171,8 +164,7 @@ func (w *Workspace) Scaling() (*ScalingReport, error) {
 	return rep, nil
 }
 
-// ScalingExperiment renders the scaling sweep as a table; the same data is
-// available machine-readably via Workspace.Scaling / WriteScalingJSON.
+// ScalingExperiment renders the scaling sweep as a table.
 func ScalingExperiment(w *Workspace) ([]Table, error) {
 	rep, err := w.Scaling()
 	if err != nil {
@@ -195,130 +187,4 @@ func ScalingExperiment(w *Workspace) ([]Table, error) {
 		)
 	}
 	return []Table{t}, nil
-}
-
-// WriteScalingJSON writes the report as indented JSON (BENCH_scaling.json).
-func WriteScalingJSON(path string, rep *ScalingReport) error {
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-// ScalingEntry is one run of the scaling experiment in the append-only
-// BENCH series: the report plus when and against which revision it ran.
-type ScalingEntry struct {
-	Timestamp string         `json:"timestamp"`
-	GitRev    string         `json:"git_rev,omitempty"`
-	Report    *ScalingReport `json:"report"`
-}
-
-// ReadScalingSeries decodes a BENCH series file. A legacy file holding a
-// single bare ScalingReport object (the pre-series format) is adopted as a
-// one-entry series with no timestamp, so old BENCH_scaling.json files keep
-// working as the baseline. A missing file is an empty series.
-func ReadScalingSeries(path string) ([]ScalingEntry, error) {
-	raw, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var series []ScalingEntry
-	if err := json.Unmarshal(raw, &series); err == nil {
-		return series, nil
-	}
-	var legacy ScalingReport
-	if err := json.Unmarshal(raw, &legacy); err != nil {
-		return nil, fmt.Errorf("bench: %s is neither a scaling series nor a legacy report: %w", path, err)
-	}
-	return []ScalingEntry{{Report: &legacy}}, nil
-}
-
-// AppendScalingJSON appends the report to the series at path and rewrites
-// the file, returning the full series including the new entry. The series
-// is append-only: prior entries are preserved byte-for-byte in meaning, so
-// the file doubles as a throughput history across revisions.
-func AppendScalingJSON(path string, rep *ScalingReport, gitRev string) ([]ScalingEntry, error) {
-	series, err := ReadScalingSeries(path)
-	if err != nil {
-		return nil, err
-	}
-	series = append(series, ScalingEntry{
-		Timestamp: time.Now().UTC().Format(time.RFC3339),
-		GitRev:    gitRev,
-		Report:    rep,
-	})
-	b, err := json.MarshalIndent(series, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
-		return nil, err
-	}
-	return series, nil
-}
-
-// bestThroughput is an entry's peak videos/s across its worker sweep — the
-// quantity the regression gate protects.
-func bestThroughput(e ScalingEntry) float64 {
-	var best float64
-	if e.Report == nil {
-		return 0
-	}
-	for _, p := range e.Report.Points {
-		if p.VideosPerSecond > best {
-			best = p.VideosPerSecond
-		}
-	}
-	return best
-}
-
-// comparableConfig reports whether two reports measured the same workload on
-// the same effective hardware — only then is a throughput comparison between
-// them meaningful. An entry recorded at a different GOMAXPROCS, fleet size,
-// video length, scale or seed is a different experiment, not a baseline.
-func comparableConfig(a, b *ScalingReport) bool {
-	return a != nil && b != nil &&
-		a.GOMAXPROCS == b.GOMAXPROCS &&
-		a.FleetSize == b.FleetSize &&
-		a.FramesPerVideo == b.FramesPerVideo &&
-		a.Scale == b.Scale &&
-		a.Seed == b.Seed
-}
-
-// CheckScalingRegression compares the newest series entry against the most
-// recent earlier entry with a comparable configuration and fails when peak
-// throughput dropped by more than maxDropPct percent. The returned message
-// says what was (or was not) compared; earlier revisions of this gate
-// compared the last two entries unconditionally, which turned every config
-// change — a different machine, scale or GOMAXPROCS — into a phantom
-// regression or a phantom speedup.
-func CheckScalingRegression(series []ScalingEntry, maxDropPct float64) (string, error) {
-	if len(series) < 2 {
-		return "first recorded run, no baseline to compare", nil
-	}
-	cur := series[len(series)-1]
-	var base *ScalingEntry
-	for i := len(series) - 2; i >= 0; i-- {
-		if comparableConfig(series[i].Report, cur.Report) {
-			base = &series[i]
-			break
-		}
-	}
-	if base == nil {
-		return "baseline skipped: config changed", nil
-	}
-	prev, curT := bestThroughput(*base), bestThroughput(cur)
-	if prev <= 0 {
-		return "baseline skipped: previous comparable run recorded no throughput", nil
-	}
-	drop := (prev - curT) / prev * 100
-	if drop > maxDropPct {
-		return "", fmt.Errorf("bench: scaling regression: peak throughput %.1f videos/s is %.1f%% below the comparable baseline's %.1f videos/s (limit %.0f%%)",
-			curT, drop, prev, maxDropPct)
-	}
-	return fmt.Sprintf("peak %.1f videos/s within %.0f%% of the comparable baseline's %.1f videos/s", curT, maxDropPct, prev), nil
 }

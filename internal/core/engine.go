@@ -50,22 +50,15 @@ type Engine struct {
 }
 
 // detector is what the clip loop needs to know about one model: how to
-// price, threshold and invoke it.
+// price, threshold and score with it.
 type detector struct {
 	label     string // detect.KindObject or detect.KindAction, for the meter
 	unitCost  time.Duration
 	threshold float64
-	// tiers describes the model's cascade and costs is the same in the
-	// planner's cost model; both are empty for single-tier models.
-	tiers []detect.TierInfo
+	// chain scores the model's units — a one-tier chain for a plain model.
+	// costs is the chain in the planner's cost model, empty for one tier.
+	chain *detect.Scorer
 	costs []plan.TierCost
-	// fallible models score one unit per attempt under the retry policy;
-	// infallible ones score a clip's units as one batch; cascades (two or
-	// more tiers) run from the planner's entry tier with per-tier retry.
-	fallible bool
-	attempt  func(v detect.TruthVideo, name string, unit, attempt int) (float64, error)
-	batch    func(v detect.TruthVideo, name string, start int, scores []float64)
-	cascade  func(ctx context.Context, v detect.TruthVideo, name string, start, entry int, scores []float64, retry detect.RetryConfig, meter *detect.Meter, acc *detect.CascadeAccount) error
 }
 
 // NewSVAQ builds the static-background engine.
@@ -89,27 +82,13 @@ func newEngine(models detect.Models, cfg Config, mode Mode) (*Engine, error) {
 	e := &Engine{models: models, cfg: cfg, mode: mode, meter: cfg.Meter}
 	e.obj = detector{
 		label: detect.KindObject, unitCost: models.Objects.UnitCost(), threshold: models.ObjThreshold,
-		attempt: models.ObjectScoreAttempt,
-		batch: func(v detect.TruthVideo, name string, start int, scores []float64) {
-			detect.FrameScoreBatch(models.Objects, v, name, start, scores)
-		},
-	}
-	_, e.obj.fallible = models.Objects.(detect.FallibleObjectDetector)
-	if cs, ok := models.Objects.(detect.CascadedObjectScorer); ok {
-		e.obj.tiers, e.obj.cascade = detect.CascadeTierInfos(cs), cs.FrameScoreCascade
+		chain: detect.ObjectScorer(models.Objects),
 	}
 	e.act = detector{
 		label: detect.KindAction, unitCost: models.Actions.UnitCost(), threshold: models.ActThreshold,
-		attempt: models.ActionScoreAttempt,
-		batch: func(v detect.TruthVideo, name string, start int, scores []float64) {
-			detect.ShotScoreBatch(models.Actions, v, name, start, scores)
-		},
+		chain: detect.ActionScorer(models.Actions),
 	}
-	_, e.act.fallible = models.Actions.(detect.FallibleActionRecognizer)
-	if cs, ok := models.Actions.(detect.CascadedActionScorer); ok {
-		e.act.tiers, e.act.cascade = detect.CascadeTierInfos(cs), cs.ShotScoreCascade
-	}
-	e.obj.costs, e.act.costs = TierCosts(e.obj.tiers), TierCosts(e.act.tiers)
+	e.obj.costs, e.act.costs = TierCosts(e.obj.chain.Tiers()), TierCosts(e.act.chain.Tiers())
 	return e, nil
 }
 
@@ -207,9 +186,9 @@ type Result struct {
 	// savings. Runs sharing a fleet-wide planner report the shared
 	// (fleet-cumulative) statistics.
 	Plan *plan.Report
-	// InferenceCost is the priced simulated inference time the run spent —
-	// for cascaded models the per-attempt tier spend, otherwise units scored
-	// times the detector's unit cost.
+	// InferenceCost is the priced simulated inference time the run spent:
+	// every model invocation attempt at its tier's unit cost (relations: the
+	// frames read times the object detector's unit cost).
 	InferenceCost time.Duration
 	// BudgetSkipped counts the clips skipped-and-flagged after the
 	// inference budget ran out (zero when no budget is configured).
@@ -380,10 +359,10 @@ type Run struct {
 	budgetSpent   time.Duration
 	budgetSkipped int64
 
-	// lastAcc points at the cascade account the most recent evaluate call
-	// filled (nil when the predicate's model is single-tier), so Step can
-	// feed the planner's escalation estimators without re-deriving it.
-	lastAcc *detect.CascadeAccount
+	// lastAcc points at the account the most recent evaluate call filled
+	// (nil when the predicate's model is single-tier), so Step can feed the
+	// planner's escalation estimators without re-deriving it.
+	lastAcc *detect.Account
 
 	// Observability: the trace carried by the run's context (nil when the
 	// caller attached none), the context's current span (the engine span's
@@ -607,9 +586,9 @@ func (r *Run) initPred(ps *predState, a Atom) error {
 	ps.evalTime, ps.units, ps.recomputes = 0, 0, 0
 	ps.tierUnits, ps.tierEscalated = ps.tierUnits[:0], ps.tierEscalated[:0]
 	ps.lastMode = plan.TierSingle
-	if tiers := r.e.detector(a.Kind).tiers; len(tiers) >= 2 && a.Kind != RelationPredicate {
-		ps.tierUnits = zeroed(ps.tierUnits, len(tiers))
-		ps.tierEscalated = zeroed(ps.tierEscalated, len(tiers))
+	if tiers := len(r.e.detector(a.Kind).chain.Tiers()); tiers >= 2 && a.Kind != RelationPredicate {
+		ps.tierUnits = zeroed(ps.tierUnits, tiers)
+		ps.tierEscalated = zeroed(ps.tierEscalated, tiers)
 	}
 	ps.hasBucket = false
 	ps.cache = nil
@@ -775,9 +754,8 @@ func (r *Run) Step() bool {
 		ps.evaluated++
 		ind := count >= ps.crit
 		if sampled {
-			// The observed cost is the evaluation's priced inference time —
-			// for cascades, the per-attempt tier spend; otherwise units
-			// scored × the detector's unit cost — the simulator's
+			// The observed cost is the evaluation's priced inference time,
+			// per attempt at each tier's unit cost — the simulator's
 			// equivalent of measured detector latency.
 			r.planner.Observe(idx, !ind, cost)
 			if r.lastAcc != nil {
@@ -902,12 +880,12 @@ func entryTier(mode plan.TierMode, tiers int) int {
 // evaluate runs the detector over the clip's occurrence units for one
 // predicate, records the raw indicators, charges the meter and the
 // predicate's evaluation-time accumulator, and returns the positive count
-// together with the evaluation's priced inference cost. Cascaded models
-// execute the planner's tier decision (mode) with per-tier retry and
-// accounting; the cost is then the per-attempt tier spend. A detector
-// invocation that fails after retries aborts the clip's evaluation with the
-// error (the caller flags the clip); the cost spent up to the failure is
-// still reported so the budget ledger stays honest.
+// together with the evaluation's priced inference cost: every model is priced
+// per attempt, so retries and the attempts spent on a unit that finally fails
+// are paid for. Cascaded models execute the planner's tier decision (mode). A
+// detector invocation that fails after retries aborts the clip's evaluation
+// with the error (the caller flags the clip); the cost spent up to the
+// failure is still reported so the budget ledger stays honest.
 func (r *Run) evaluate(ps *predState, clip int, mode plan.TierMode, objectFramesCharged *bool) (int, time.Duration, error) {
 	defer func(t0 time.Time) { ps.evalTime += time.Since(t0) }(time.Now())
 	r.lastAcc = nil
@@ -939,41 +917,35 @@ func (r *Run) evaluate(ps *predState, clip int, mode plan.TierMode, objectFrames
 		ps.units += units.Len()
 		return count, time.Duration(units.Len()) * d.unitCost, nil
 	}
-	scores := r.scoreBuf(units.Len())
-	if len(d.tiers) >= 2 {
-		acc := r.accountBuf(d.label)
-		acc.Reset(len(d.tiers))
-		err := d.cascade(r.ctx, r.v, name, units.Start, entryTier(mode, len(d.tiers)), scores, r.e.cfg.Retry, r.e.meter, acc)
-		r.settleCascade(ps, d, acc, mode)
-		if err != nil {
-			return 0, acc.Cost, err
-		}
-		return thresholdUnits(ps, scores, units.Start, d.threshold), acc.Cost, nil
+	// One scoring call for every model: a plain model is a one-tier chain,
+	// a cascade runs from the planner's entry tier. The account is the
+	// evaluation's whole ledger — its price, the planner's tier statistics
+	// and the meter's counters all come from it.
+	scores, tiers := r.scoreBuf(units.Len()), d.chain.Tiers()
+	acc := &r.scratch.acc
+	acc.Reset(len(tiers))
+	scored, err := d.chain.Score(r.ctx, r.v, name, units.Start, entryTier(mode, len(tiers)), scores, r.e.cfg.Retry, acc)
+	for _, u := range acc.Units {
+		ps.units += int(u)
 	}
-	scored := len(scores)
-	var err error
-	if !d.fallible {
-		// Infallible detectors cannot fail an attempt, so the whole clip
-		// scores as one batch into the pooled column — same scores and meter
-		// charges as the per-unit path, without its per-unit dispatch.
-		d.batch(r.v, name, units.Start, scores)
-		r.recordAttempts(d.label, scored)
-	} else {
-		for i := range scores {
-			if scores[i], err = r.score(d, name, units.Start+i); err != nil {
-				scored = i
-				break
-			}
+	if len(tiers) >= 2 {
+		for t := range tiers {
+			ps.tierUnits[t] += acc.Units[t]
+			ps.tierEscalated[t] += acc.Escalated[t]
 		}
+		ps.lastMode = mode
+		r.lastAcc = acc
 	}
-	ps.units += scored
+	if r.e.meter != nil {
+		r.e.meter.Record(d.label, tiers, acc)
+	}
 	// A failed clip counts nothing, but the units scored before the failure
 	// keep their raw indicators.
 	count := thresholdUnits(ps, scores[:scored], units.Start, d.threshold)
 	if err != nil {
 		count = 0
 	}
-	return count, time.Duration(scored) * d.unitCost, err
+	return count, acc.Cost, err
 }
 
 // thresholdUnits marks the units from start whose score reaches the
@@ -987,68 +959,6 @@ func thresholdUnits(ps *predState, scores []float64, start int, threshold float6
 		}
 	}
 	return count
-}
-
-// settleCascade folds one cascade evaluation into the predicate's state and
-// the meter: accumulates the per-tier accounting, flushes the tier counters,
-// and leaves the account on lastAcc for the planner's escalation estimators.
-func (r *Run) settleCascade(ps *predState, d *detector, acc *detect.CascadeAccount, mode plan.TierMode) {
-	for t := range acc.Units {
-		ps.units += int(acc.Units[t])
-		if t < len(ps.tierUnits) {
-			ps.tierUnits[t] += acc.Units[t]
-		}
-		if t < len(ps.tierEscalated) {
-			ps.tierEscalated[t] += acc.Escalated[t]
-		}
-	}
-	ps.lastMode = mode
-	if r.e.meter != nil {
-		r.e.meter.RecordCascade(d.label, d.tiers, acc)
-	}
-	r.lastAcc = acc
-}
-
-// score invokes a fallible detector on one unit, retrying transient failures
-// with exponential backoff. Every attempt and fault is charged to the meter.
-func (r *Run) score(d *detector, name string, unit int) (float64, error) {
-	var s float64
-	err := detect.Retry(r.ctx, r.e.cfg.Retry, func(attempt int) error {
-		r.recordAttempt(d.label, attempt)
-		var err error
-		s, err = d.attempt(r.v, name, unit, attempt)
-		r.recordFault(err)
-		return err
-	})
-	return s, err
-}
-
-// recordAttempt charges one invocation attempt to the meter, if any.
-func (r *Run) recordAttempt(kind string, attempt int) {
-	if m := r.e.meter; m != nil {
-		m.RecordAttempt(kind, attempt)
-	}
-}
-
-// recordAttempts charges n first-attempt invocations in one shot (the
-// batch-scoring path).
-func (r *Run) recordAttempts(kind string, n int) {
-	if m := r.e.meter; m != nil {
-		m.RecordAttempts(kind, n)
-	}
-}
-
-// recordFault charges one failed invocation attempt to the meter. Context
-// errors (the run being cancelled mid-retry) are not detector faults.
-func (r *Run) recordFault(err error) {
-	m := r.e.meter
-	if m == nil || err == nil {
-		return
-	}
-	var de *detect.DetectionError
-	if errors.As(err, &de) {
-		m.RecordFault(de.Kind, de.Transient)
-	}
 }
 
 // recordFlagged charges one skipped-and-flagged clip to the meter,

@@ -59,9 +59,9 @@ type runScratch struct {
 	planOrder []int
 	tierModes []plan.TierMode
 
-	// objAcc/actAcc are the per-kind cascade accounts evaluate resets and
-	// fills per clip — their per-tier slices are retained across runs.
-	objAcc, actAcc detect.CascadeAccount
+	// acc is the account evaluate resets and fills per evaluation — its
+	// per-tier slices are retained across runs.
+	acc detect.Account
 }
 
 var runPool = sync.Pool{New: func() any { return new(runScratch) }}
@@ -137,14 +137,6 @@ func (r *Run) orderBuf() []int {
 func (r *Run) modesBuf() []plan.TierMode {
 	r.scratch.tierModes = grow(r.scratch.tierModes, len(r.preds))
 	return r.scratch.tierModes
-}
-
-// accountBuf returns the per-kind scratch cascade account.
-func (r *Run) accountBuf(kind string) *detect.CascadeAccount {
-	if kind == detect.KindAction {
-		return &r.scratch.actAcc
-	}
-	return &r.scratch.objAcc
 }
 
 // grow returns s with length n (contents unspecified), reusing the backing

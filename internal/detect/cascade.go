@@ -6,18 +6,26 @@ import (
 	"time"
 )
 
-// Multi-tier detector cascades. Production video systems rarely run the
-// accurate model on every unit: a cheap proxy (a distilled or pruned student
-// of the accurate teacher) scores first, and only units whose proxy score
-// lands in an uncertainty band escalate to the expensive tier. The types
-// here wrap ordered detector tiers behind the ordinary ObjectDetector /
-// ActionRecognizer contracts, so every existing consumer keeps working,
-// while tier-aware callers (the engine's evaluate path, rank's ingest) use
-// the *Cascade methods to execute the planner's tier decisions with full
-// per-tier accounting.
+// Model chains. The engine sees every model as a black box that emits one
+// score per occurrence unit — a frame for objects, a shot for actions. A
+// chain is an ordered list of such models, cheapest first and most accurate
+// last, each with an escalation band: a unit is scored by the entry tier and
+// moves up only while its score is uncertain. Production video systems
+// rarely run the accurate model on every unit; a cheap proxy (a distilled or
+// pruned student of the accurate teacher) scores first and only the units it
+// cannot decide reach the expensive tier.
 //
-// Soundness. A cascade is never less sound than its most accurate tier
-// alone, by construction:
+// A plain model is a one-tier chain: its only tier is the last, so it
+// decides every unit and nothing escalates. That makes "score a run of units
+// with batching, retry and accounting" one function, Scorer.Score, whatever
+// the model: ObjectScorer and ActionScorer return the chain behind a model,
+// and the engine's clip evaluation and rank's action ingest both walk it.
+// ObjectCascade and ActionCascade bind a chain of two or more tiers to the
+// ordinary ObjectDetector / ActionRecognizer contracts, so consumers built
+// for a single model keep working.
+//
+// Soundness. A chain is never less sound than its most accurate tier alone,
+// by construction:
 //
 //   - a tier decides a unit only when its score falls outside its
 //     escalation band; anything in-band escalates to the next tier, and the
@@ -34,6 +42,14 @@ import (
 //     implies the teacher would also have scored 0. The cascade's scores,
 //     detections and events are bit-identical to running the accurate tier
 //     alone; only the cost differs.
+//
+// The plain ObjectDetector / ActionRecognizer methods of a cascade are
+// faultless, like every plain-method path; Score observes each tier's own
+// faults. rank's lazy ingest therefore builds a cascade's action table from
+// the same per-tier faulty walk as the individual sequences stored beside it
+// (a shot whose last tier fails contributes no score), while its object
+// tables aggregate per-instance detections — a different contract — through
+// the faultless events path.
 
 // Band is a tier's escalation band: a score in [Lo, Hi) is uncertain and
 // escalates to the next tier; a score outside the band decides the unit at
@@ -51,7 +67,7 @@ func (b Band) Escalates(s float64) bool { return s >= b.Lo && s < b.Hi }
 // band makes the cascade bit-identical to its accurate tier.
 func RecallBand() Band { return Band{Lo: 0.005, Hi: 2} }
 
-// TierInfo describes one cascade tier to the planner and the EXPLAIN
+// TierInfo describes one tier of a chain to the planner and the EXPLAIN
 // surfaces.
 type TierInfo struct {
 	// Name is the tier model's name.
@@ -82,12 +98,15 @@ type ActionTier struct {
 	PriorEscalate float64
 }
 
-// CascadeAccount accumulates per-tier accounting across FrameScoreCascade /
-// ShotScoreCascade calls: how many units each tier scored, how each was
-// resolved, and the simulated inference cost accrued (priced per attempt,
-// so retries are paid for). Callers reset it per clip and feed it to the
-// planner's escalation estimators and the meter's tier counters.
-type CascadeAccount struct {
+// Account is what one or more Score calls did: per tier, how many units
+// were scored and how each was resolved; in total, the invocation attempts
+// made, how they failed, and the simulated inference cost accrued (priced
+// per attempt, so retries and the attempts spent on a unit that finally
+// fails are paid for). It is the walker's only output besides the scores:
+// the engine resets one per evaluation, prices the evaluation from it, feeds
+// the planner's escalation estimators and flushes it to the meter once
+// (Meter.Record).
+type Account struct {
 	// Units counts units scored at each tier (indexed by tier position).
 	Units []int64
 	// Decided counts units resolved at each tier.
@@ -99,15 +118,21 @@ type CascadeAccount struct {
 	Fallthroughs []int64
 	// Cost is the simulated inference cost accrued, per attempt.
 	Cost time.Duration
+	// Attempts counts model invocations across all tiers; Retries the ones
+	// past a unit's first at a tier.
+	Attempts, Retries int64
+	// Transient and Permanent count failed attempts by IsTransient.
+	Transient, Permanent int64
 }
 
-// Reset zeroes the account for a cascade with the given number of tiers.
-func (a *CascadeAccount) Reset(tiers int) {
-	a.Units = zeroCounts(a.Units, tiers)
-	a.Decided = zeroCounts(a.Decided, tiers)
-	a.Escalated = zeroCounts(a.Escalated, tiers)
-	a.Fallthroughs = zeroCounts(a.Fallthroughs, tiers)
-	a.Cost = 0
+// Reset zeroes the account for a chain with the given number of tiers.
+func (a *Account) Reset(tiers int) {
+	*a = Account{
+		Units:        zeroCounts(a.Units, tiers),
+		Decided:      zeroCounts(a.Decided, tiers),
+		Escalated:    zeroCounts(a.Escalated, tiers),
+		Fallthroughs: zeroCounts(a.Fallthroughs, tiers),
+	}
 }
 
 func zeroCounts(s []int64, n int) []int64 {
@@ -115,46 +140,237 @@ func zeroCounts(s []int64, n int) []int64 {
 		return make([]int64, n)
 	}
 	s = s[:n]
-	for i := range s {
-		s[i] = 0
+	clear(s)
+	return s
+}
+
+// tier is one model of a chain with its occurrence unit erased: a frame
+// detector and a shot recogniser look the same to the walker.
+type tier struct {
+	TierInfo
+	band Band
+	// score is the model's plain method, which cannot fail.
+	score func(v TruthVideo, label string, unit int) float64
+	// attempt is set for fallible models only: one invocation that may fail,
+	// run under the retry policy.
+	attempt func(v TruthVideo, label string, unit, attempt int) (float64, error)
+	// batch is set for infallible models that score a run of units in one
+	// call; it fills the same scores as score, unit by unit.
+	batch func(v TruthVideo, label string, start int, dst []float64)
+}
+
+func objectTier(t ObjectTier) tier {
+	d := t.Detector
+	ti := tier{
+		TierInfo: TierInfo{Name: d.Name(), UnitCost: d.UnitCost(), PriorEscalate: t.PriorEscalate},
+		band:     t.Band, score: d.FrameScore,
+	}
+	if fd, ok := d.(FallibleObjectDetector); ok {
+		ti.attempt = fd.FrameScoreAttempt
+	} else if bs, ok := d.(BatchObjectScorer); ok {
+		ti.batch = bs.FrameScoreBatch
+	}
+	return ti
+}
+
+func actionTier(t ActionTier) tier {
+	r := t.Recognizer
+	ti := tier{
+		TierInfo: TierInfo{Name: r.Name(), UnitCost: r.UnitCost(), PriorEscalate: t.PriorEscalate},
+		band:     t.Band, score: r.ShotScore,
+	}
+	if fr, ok := r.(FallibleActionRecognizer); ok {
+		ti.attempt = fr.ShotScoreAttempt
+	} else if bs, ok := r.(BatchActionScorer); ok {
+		ti.batch = bs.ShotScoreBatch
+	}
+	return ti
+}
+
+// Scorer scores occurrence units with a chain of one or more tiers. It is
+// immutable and safe for concurrent use; all per-call state lives in the
+// caller's Account.
+type Scorer struct {
+	tiers []tier
+	infos []TierInfo
+}
+
+func newScorer(tiers ...tier) *Scorer {
+	tiers[len(tiers)-1].PriorEscalate = 0 // the last tier always decides
+	s := &Scorer{tiers: tiers, infos: make([]TierInfo, len(tiers))}
+	for i, t := range tiers {
+		s.infos[i] = t.TierInfo
 	}
 	return s
 }
 
-// CascadedObjectScorer is the tier-aware interface of an object cascade:
-// the engine uses it to execute the planner's tier decision (enter at tier
-// `from`) with per-tier retry, fallthrough and accounting.
-type CascadedObjectScorer interface {
-	ObjectDetector
-	// Tiers describes the cascade for planning and EXPLAIN.
-	Tiers() []TierInfo
-	// AccurateTier returns the last (most accurate) tier's detector.
-	AccurateTier() ObjectDetector
-	// FrameScoreCascade fills dst[i] with the cascade's score for frame
-	// start+i, entering at tier from (clamped to the tier range) and
-	// escalating as bands and failures dictate. retry is applied per tier —
-	// each model invocation gets its own attempt budget. meter (optional)
-	// receives attempt/fault accounting; acc (optional) accumulates tier
-	// accounting. The first unit whose last-tier invocation fails aborts
-	// with that error.
-	FrameScoreCascade(ctx context.Context, v TruthVideo, typ string, start, from int, dst []float64, retry RetryConfig, meter *Meter, acc *CascadeAccount) error
+// ObjectScorer returns the chain behind d: the cascade's own when d is an
+// ObjectCascade, a one-tier chain otherwise.
+func ObjectScorer(d ObjectDetector) *Scorer {
+	if c, ok := d.(*ObjectCascade); ok {
+		return c.chain
+	}
+	return newScorer(objectTier(ObjectTier{Detector: d}))
 }
 
-// CascadedActionScorer is the shot-level analogue of CascadedObjectScorer.
-type CascadedActionScorer interface {
-	ActionRecognizer
-	Tiers() []TierInfo
-	AccurateTier() ActionRecognizer
-	ShotScoreCascade(ctx context.Context, v TruthVideo, act string, start, from int, dst []float64, retry RetryConfig, meter *Meter, acc *CascadeAccount) error
+// ActionScorer returns the chain behind r, like ObjectScorer.
+func ActionScorer(r ActionRecognizer) *Scorer {
+	if c, ok := r.(*ActionCascade); ok {
+		return c.chain
+	}
+	return newScorer(actionTier(ActionTier{Recognizer: r}))
+}
+
+// Tiers describes the chain for planning and EXPLAIN, cheapest tier first.
+func (s *Scorer) Tiers() []TierInfo { return s.infos }
+
+// name renders a cascade's name from its tiers.
+func (s *Scorer) name() string {
+	names := make([]string, len(s.infos))
+	for i, ti := range s.infos {
+		names[i] = ti.Name
+	}
+	return "cascade(" + strings.Join(names, ">") + ")"
+}
+
+// Score fills dst[i] with the chain's score for unit start+i of the label
+// (an object type or an action), entering at tier from (clamped to the tier
+// range) and escalating as bands and failures dictate. An infallible entry
+// tier scores — and is charged for — the whole run in one batch call; every
+// fallible tier is invoked per unit under retry, each model with its own
+// attempt budget; a tier that still fails falls through to the next one. The
+// first unit whose last-tier invocation fails — or during which ctx ends —
+// stops the run with that error, and scored says how many units came before
+// it: dst[:scored] holds their final scores, the rest of dst is unspecified.
+// Everything the call did is added to acc, which must have been Reset for
+// this chain.
+func (s *Scorer) Score(ctx context.Context, v TruthVideo, label string, start, from int, dst []float64, retry RetryConfig, acc *Account) (scored int, err error) {
+	last := len(s.tiers) - 1
+	from = min(max(from, 0), last)
+	entry := &s.tiers[from]
+	batched := entry.batch != nil
+	if batched {
+		entry.batch(v, label, start, dst)
+		n := int64(len(dst))
+		acc.Units[from] += n
+		acc.Attempts += n
+		acc.Cost += time.Duration(n) * entry.UnitCost
+		if from == last { // the last tier decides every unit
+			acc.Decided[from] += n
+			return len(dst), nil
+		}
+	}
+	for i := range dst {
+		ti := from
+		if batched {
+			if !entry.band.Escalates(dst[i]) {
+				acc.Decided[from]++
+				continue
+			}
+			acc.Escalated[from]++
+			ti++
+		}
+		if dst[i], err = s.walk(ctx, v, label, start+i, ti, retry, acc); err != nil {
+			return i, err
+		}
+	}
+	return len(dst), nil
+}
+
+// walk scores one unit entering at tier ti, with per-tier retry and
+// conservative fallthrough.
+func (s *Scorer) walk(ctx context.Context, v TruthVideo, label string, unit, ti int, retry RetryConfig, acc *Account) (float64, error) {
+	for last := len(s.tiers) - 1; ; ti++ {
+		t := &s.tiers[ti]
+		var sc float64
+		var err error
+		attempts := int64(1)
+		if t.attempt == nil {
+			sc = t.score(v, label, unit)
+		} else {
+			attempts = 0
+			err = Retry(ctx, retry, func(attempt int) error {
+				attempts++
+				var aerr error
+				if sc, aerr = t.attempt(v, label, unit, attempt); aerr == nil {
+					return nil
+				}
+				if IsTransient(aerr) {
+					acc.Transient++
+				} else {
+					acc.Permanent++
+				}
+				return aerr
+			})
+		}
+		// A unit whose context ended before its first attempt was never
+		// invoked: it charges nothing.
+		if attempts > 0 {
+			acc.Units[ti]++
+			acc.Attempts += attempts
+			acc.Retries += attempts - 1
+			acc.Cost += time.Duration(attempts) * t.UnitCost
+		}
+		switch {
+		case err != nil && ctx.Err() != nil:
+			return 0, ctx.Err()
+		case err != nil && ti < last:
+			// Conservative fallthrough: a failed tier escalates instead of
+			// failing the unit, so the chain is never less sound than its
+			// accurate tier.
+			acc.Escalated[ti]++
+			acc.Fallthroughs[ti]++
+		case err != nil:
+			return 0, err
+		case ti < last && t.band.Escalates(sc):
+			acc.Escalated[ti]++
+		default:
+			acc.Decided[ti]++
+			return sc, nil
+		}
+	}
+}
+
+// decide walks the chain faultlessly from tier from and returns the tier
+// that decides the unit along with its score.
+func (s *Scorer) decide(v TruthVideo, label string, unit, from int) (int, float64) {
+	for i, last := from, len(s.tiers)-1; ; i++ {
+		sc := s.tiers[i].score(v, label, unit)
+		if i == last || !s.tiers[i].band.Escalates(sc) {
+			return i, sc
+		}
+	}
+}
+
+// scoreBatch is the faultless walk over a run of units: the entry tier
+// scores the whole run (in one batch call when it can), and only in-band
+// units walk the higher tiers.
+func (s *Scorer) scoreBatch(v TruthVideo, label string, start int, dst []float64) {
+	t0 := &s.tiers[0]
+	if t0.batch != nil {
+		t0.batch(v, label, start, dst)
+	} else {
+		for i := range dst {
+			dst[i] = t0.score(v, label, start+i)
+		}
+	}
+	if len(s.tiers) == 1 {
+		return
+	}
+	for i, sc := range dst {
+		if t0.band.Escalates(sc) {
+			_, dst[i] = s.decide(v, label, start+i, 1)
+		}
+	}
 }
 
 // ObjectCascade chains object detector tiers from cheapest to most
-// accurate. It implements ObjectDetector (plus the batch capabilities), so
-// any consumer built for a single detector runs the full cascade
-// transparently; tier-aware consumers use FrameScoreCascade.
+// accurate. It implements ObjectDetector (plus the batch and events
+// capabilities), so any consumer built for a single detector runs the full
+// cascade transparently and faultlessly; ObjectScorer returns its chain.
 type ObjectCascade struct {
+	chain *Scorer
 	tiers []ObjectTier
-	infos []TierInfo
 	name  string
 }
 
@@ -164,19 +380,12 @@ func NewObjectCascade(tiers ...ObjectTier) *ObjectCascade {
 	if len(tiers) < 2 {
 		panic("detect: object cascade needs at least two tiers")
 	}
-	c := &ObjectCascade{tiers: tiers}
-	names := make([]string, len(tiers))
-	c.infos = make([]TierInfo, len(tiers))
+	erased := make([]tier, len(tiers))
 	for i, t := range tiers {
-		names[i] = t.Detector.Name()
-		esc := t.PriorEscalate
-		if i == len(tiers)-1 {
-			esc = 0
-		}
-		c.infos[i] = TierInfo{Name: t.Detector.Name(), UnitCost: t.Detector.UnitCost(), PriorEscalate: esc}
+		erased[i] = objectTier(t)
 	}
-	c.name = "cascade(" + strings.Join(names, ">") + ")"
-	return c
+	chain := newScorer(erased...)
+	return &ObjectCascade{chain: chain, tiers: tiers, name: chain.name()}
 }
 
 // NewDistilledObjectCascade builds the standard two-tier cascade: a
@@ -197,172 +406,45 @@ func (c *ObjectCascade) Name() string { return c.name }
 // UnitCost implements ObjectDetector. It reports the accurate tier's unit
 // cost — the conservative price a consumer without tier awareness plans
 // with.
-func (c *ObjectCascade) UnitCost() time.Duration { return c.tiers[len(c.tiers)-1].Detector.UnitCost() }
+func (c *ObjectCascade) UnitCost() time.Duration { return c.AccurateTier().UnitCost() }
 
-// Tiers implements CascadedObjectScorer.
-func (c *ObjectCascade) Tiers() []TierInfo { return c.infos }
+// Tiers describes the cascade for planning and EXPLAIN.
+func (c *ObjectCascade) Tiers() []TierInfo { return c.chain.infos }
 
-// AccurateTier implements CascadedObjectScorer.
+// AccurateTier returns the last (most accurate) tier's detector.
 func (c *ObjectCascade) AccurateTier() ObjectDetector { return c.tiers[len(c.tiers)-1].Detector }
-
-// decidingTier walks the cascade faultlessly and returns the tier index
-// that decides the frame along with its score.
-func (c *ObjectCascade) decidingTier(v TruthVideo, typ string, frame int) (int, float64) {
-	last := len(c.tiers) - 1
-	for i, t := range c.tiers {
-		s := t.Detector.FrameScore(v, typ, frame)
-		if i == last || !t.Band.Escalates(s) {
-			return i, s
-		}
-	}
-	return last, 0 // unreachable
-}
 
 // FrameScore implements ObjectDetector: the deciding tier's score.
 func (c *ObjectCascade) FrameScore(v TruthVideo, typ string, frame int) float64 {
-	_, s := c.decidingTier(v, typ, frame)
+	_, s := c.chain.decide(v, typ, frame, 0)
 	return s
 }
 
 // FrameDetections implements ObjectDetector: the deciding tier's
 // detections.
 func (c *ObjectCascade) FrameDetections(v TruthVideo, typ string, frame int) []Detection {
-	i, _ := c.decidingTier(v, typ, frame)
+	i, _ := c.chain.decide(v, typ, frame, 0)
 	return c.tiers[i].Detector.FrameDetections(v, typ, frame)
 }
 
 // AppendFrameEvents implements ObjectEventAppender: the deciding tier's
 // events, appended columnar.
 func (c *ObjectCascade) AppendFrameEvents(v TruthVideo, typ string, frame int, ev *Events) {
-	i, _ := c.decidingTier(v, typ, frame)
+	i, _ := c.chain.decide(v, typ, frame, 0)
 	AppendFrameEvents(c.tiers[i].Detector, v, typ, frame, ev)
 }
 
-// FrameScoreBatch implements BatchObjectScorer: the cheap tier scores the
-// whole run in one batch call, and only in-band frames walk the higher
-// tiers. Faultless, like every plain-method path.
+// FrameScoreBatch implements BatchObjectScorer.
 func (c *ObjectCascade) FrameScoreBatch(v TruthVideo, typ string, start int, dst []float64) {
-	t0 := c.tiers[0]
-	FrameScoreBatch(t0.Detector, v, typ, start, dst)
-	if len(c.tiers) == 1 {
-		return
-	}
-	for i, s := range dst {
-		if t0.Band.Escalates(s) {
-			dst[i] = c.frameScoreFrom(v, typ, start+i, 1)
-		}
-	}
+	c.chain.scoreBatch(v, typ, start, dst)
 }
 
-// frameScoreFrom is the faultless scalar walk entering at tier from.
-func (c *ObjectCascade) frameScoreFrom(v TruthVideo, typ string, frame, from int) float64 {
-	last := len(c.tiers) - 1
-	for i := from; ; i++ {
-		s := c.tiers[i].Detector.FrameScore(v, typ, frame)
-		if i == last || !c.tiers[i].Band.Escalates(s) {
-			return s
-		}
-	}
-}
-
-// FrameScoreCascade implements CascadedObjectScorer.
-func (c *ObjectCascade) FrameScoreCascade(ctx context.Context, v TruthVideo, typ string, start, from int, dst []float64, retry RetryConfig, meter *Meter, acc *CascadeAccount) error {
-	last := len(c.tiers) - 1
-	if from < 0 {
-		from = 0
-	}
-	if from > last {
-		from = last
-	}
-	t := c.tiers[from]
-	_, fallible := t.Detector.(FallibleObjectDetector)
-	if bs, ok := t.Detector.(BatchObjectScorer); ok && !fallible {
-		// Columnar fast path: the entry tier cannot fault, so the whole run
-		// is scored in one batch call and only in-band units walk up.
-		bs.FrameScoreBatch(v, typ, start, dst)
-		chargeTier(acc, from, int64(len(dst)), int64(len(dst)), t.Detector.UnitCost())
-		if meter != nil {
-			meter.RecordAttempts(KindObject, len(dst))
-		}
-		for i, s := range dst {
-			if from < last && t.Band.Escalates(s) {
-				noteEscalate(acc, from, false)
-				s2, err := c.scoreFrom(ctx, v, typ, start+i, from+1, retry, meter, acc)
-				if err != nil {
-					return err
-				}
-				dst[i] = s2
-			} else {
-				noteDecide(acc, from)
-			}
-		}
-		return nil
-	}
-	for i := range dst {
-		s, err := c.scoreFrom(ctx, v, typ, start+i, from, retry, meter, acc)
-		if err != nil {
-			return err
-		}
-		dst[i] = s
-	}
-	return nil
-}
-
-// scoreFrom scores one frame entering at tier from, with per-tier retry and
-// conservative fallthrough.
-func (c *ObjectCascade) scoreFrom(ctx context.Context, v TruthVideo, typ string, frame, from int, retry RetryConfig, meter *Meter, acc *CascadeAccount) (float64, error) {
-	last := len(c.tiers) - 1
-	for ti := from; ; ti++ {
-		t := c.tiers[ti]
-		var s float64
-		var err error
-		attempts := int64(0)
-		if fd, ok := t.Detector.(FallibleObjectDetector); ok {
-			err = Retry(ctx, retry, func(attempt int) error {
-				attempts++
-				if meter != nil {
-					meter.RecordAttempt(KindObject, attempt)
-				}
-				var aerr error
-				s, aerr = fd.FrameScoreAttempt(v, typ, frame, attempt)
-				if aerr != nil && meter != nil {
-					meter.RecordFault(KindObject, IsTransient(aerr))
-				}
-				return aerr
-			})
-		} else {
-			attempts = 1
-			if meter != nil {
-				meter.RecordAttempt(KindObject, 0)
-			}
-			s = t.Detector.FrameScore(v, typ, frame)
-		}
-		chargeTier(acc, ti, 1, attempts, t.Detector.UnitCost())
-		switch {
-		case err != nil && ctx.Err() != nil:
-			return 0, ctx.Err()
-		case err != nil && ti < last:
-			// Conservative fallthrough: a failed tier escalates instead of
-			// failing the unit, so the cascade is never less sound than its
-			// accurate tier.
-			noteEscalate(acc, ti, true)
-		case err != nil:
-			return 0, err
-		case ti < last && t.Band.Escalates(s):
-			noteEscalate(acc, ti, false)
-		default:
-			noteDecide(acc, ti)
-			return s, nil
-		}
-	}
-}
-
-// ActionCascade chains action recogniser tiers cheapest first. See
-// ObjectCascade; the structure is identical with shots for units.
+// ActionCascade chains action recogniser tiers cheapest first, like
+// ObjectCascade.
 type ActionCascade struct {
-	tiers []ActionTier
-	infos []TierInfo
-	name  string
+	chain    *Scorer
+	accurate ActionRecognizer
+	name     string
 }
 
 // NewActionCascade chains tiers ordered cheapest first, most accurate last.
@@ -370,19 +452,12 @@ func NewActionCascade(tiers ...ActionTier) *ActionCascade {
 	if len(tiers) < 2 {
 		panic("detect: action cascade needs at least two tiers")
 	}
-	c := &ActionCascade{tiers: tiers}
-	names := make([]string, len(tiers))
-	c.infos = make([]TierInfo, len(tiers))
+	erased := make([]tier, len(tiers))
 	for i, t := range tiers {
-		names[i] = t.Recognizer.Name()
-		esc := t.PriorEscalate
-		if i == len(tiers)-1 {
-			esc = 0
-		}
-		c.infos[i] = TierInfo{Name: t.Recognizer.Name(), UnitCost: t.Recognizer.UnitCost(), PriorEscalate: esc}
+		erased[i] = actionTier(t)
 	}
-	c.name = "cascade(" + strings.Join(names, ">") + ")"
-	return c
+	chain := newScorer(erased...)
+	return &ActionCascade{chain: chain, accurate: tiers[len(tiers)-1].Recognizer, name: chain.name()}
 }
 
 // NewDistilledActionCascade builds the two-tier recall-complete cascade for
@@ -399,165 +474,21 @@ func NewDistilledActionCascade(teacher ActionRecognizer, prof Profile, seed int6
 func (c *ActionCascade) Name() string { return c.name }
 
 // UnitCost implements ActionRecognizer, reporting the accurate tier's cost.
-func (c *ActionCascade) UnitCost() time.Duration {
-	return c.tiers[len(c.tiers)-1].Recognizer.UnitCost()
-}
+func (c *ActionCascade) UnitCost() time.Duration { return c.accurate.UnitCost() }
 
-// Tiers implements CascadedActionScorer.
-func (c *ActionCascade) Tiers() []TierInfo { return c.infos }
+// Tiers describes the cascade for planning and EXPLAIN.
+func (c *ActionCascade) Tiers() []TierInfo { return c.chain.infos }
 
-// AccurateTier implements CascadedActionScorer.
-func (c *ActionCascade) AccurateTier() ActionRecognizer {
-	return c.tiers[len(c.tiers)-1].Recognizer
-}
+// AccurateTier returns the last (most accurate) tier's recogniser.
+func (c *ActionCascade) AccurateTier() ActionRecognizer { return c.accurate }
 
 // ShotScore implements ActionRecognizer: the deciding tier's score.
 func (c *ActionCascade) ShotScore(v TruthVideo, act string, shot int) float64 {
-	return c.shotScoreFrom(v, act, shot, 0)
+	_, s := c.chain.decide(v, act, shot, 0)
+	return s
 }
 
-func (c *ActionCascade) shotScoreFrom(v TruthVideo, act string, shot, from int) float64 {
-	last := len(c.tiers) - 1
-	for i := from; ; i++ {
-		s := c.tiers[i].Recognizer.ShotScore(v, act, shot)
-		if i == last || !c.tiers[i].Band.Escalates(s) {
-			return s
-		}
-	}
-}
-
-// ShotScoreBatch implements BatchActionScorer: batch the cheap tier, walk
-// escalations scalar.
+// ShotScoreBatch implements BatchActionScorer.
 func (c *ActionCascade) ShotScoreBatch(v TruthVideo, act string, start int, dst []float64) {
-	t0 := c.tiers[0]
-	ShotScoreBatch(t0.Recognizer, v, act, start, dst)
-	for i, s := range dst {
-		if t0.Band.Escalates(s) {
-			dst[i] = c.shotScoreFrom(v, act, start+i, 1)
-		}
-	}
-}
-
-// ShotScoreCascade implements CascadedActionScorer.
-func (c *ActionCascade) ShotScoreCascade(ctx context.Context, v TruthVideo, act string, start, from int, dst []float64, retry RetryConfig, meter *Meter, acc *CascadeAccount) error {
-	last := len(c.tiers) - 1
-	if from < 0 {
-		from = 0
-	}
-	if from > last {
-		from = last
-	}
-	t := c.tiers[from]
-	_, fallible := t.Recognizer.(FallibleActionRecognizer)
-	if bs, ok := t.Recognizer.(BatchActionScorer); ok && !fallible {
-		bs.ShotScoreBatch(v, act, start, dst)
-		chargeTier(acc, from, int64(len(dst)), int64(len(dst)), t.Recognizer.UnitCost())
-		if meter != nil {
-			meter.RecordAttempts(KindAction, len(dst))
-		}
-		for i, s := range dst {
-			if from < last && t.Band.Escalates(s) {
-				noteEscalate(acc, from, false)
-				s2, err := c.shotFrom(ctx, v, act, start+i, from+1, retry, meter, acc)
-				if err != nil {
-					return err
-				}
-				dst[i] = s2
-			} else {
-				noteDecide(acc, from)
-			}
-		}
-		return nil
-	}
-	for i := range dst {
-		s, err := c.shotFrom(ctx, v, act, start+i, from, retry, meter, acc)
-		if err != nil {
-			return err
-		}
-		dst[i] = s
-	}
-	return nil
-}
-
-func (c *ActionCascade) shotFrom(ctx context.Context, v TruthVideo, act string, shot, from int, retry RetryConfig, meter *Meter, acc *CascadeAccount) (float64, error) {
-	last := len(c.tiers) - 1
-	for ti := from; ; ti++ {
-		t := c.tiers[ti]
-		var s float64
-		var err error
-		attempts := int64(0)
-		if fr, ok := t.Recognizer.(FallibleActionRecognizer); ok {
-			err = Retry(ctx, retry, func(attempt int) error {
-				attempts++
-				if meter != nil {
-					meter.RecordAttempt(KindAction, attempt)
-				}
-				var aerr error
-				s, aerr = fr.ShotScoreAttempt(v, act, shot, attempt)
-				if aerr != nil && meter != nil {
-					meter.RecordFault(KindAction, IsTransient(aerr))
-				}
-				return aerr
-			})
-		} else {
-			attempts = 1
-			if meter != nil {
-				meter.RecordAttempt(KindAction, 0)
-			}
-			s = t.Recognizer.ShotScore(v, act, shot)
-		}
-		chargeTier(acc, ti, 1, attempts, t.Recognizer.UnitCost())
-		switch {
-		case err != nil && ctx.Err() != nil:
-			return 0, ctx.Err()
-		case err != nil && ti < last:
-			noteEscalate(acc, ti, true)
-		case err != nil:
-			return 0, err
-		case ti < last && t.Band.Escalates(s):
-			noteEscalate(acc, ti, false)
-		default:
-			noteDecide(acc, ti)
-			return s, nil
-		}
-	}
-}
-
-// chargeTier accrues scored units and per-attempt cost for a tier on the
-// account (attempts ≥ units when retries fired).
-func chargeTier(acc *CascadeAccount, tier int, units, attempts int64, unitCost time.Duration) {
-	if acc == nil {
-		return
-	}
-	if tier < len(acc.Units) {
-		acc.Units[tier] += units
-		acc.Cost += time.Duration(attempts) * unitCost
-	}
-}
-
-func noteEscalate(acc *CascadeAccount, tier int, fellthrough bool) {
-	if acc == nil || tier >= len(acc.Escalated) {
-		return
-	}
-	acc.Escalated[tier]++
-	if fellthrough {
-		acc.Fallthroughs[tier]++
-	}
-}
-
-func noteDecide(acc *CascadeAccount, tier int) {
-	if acc == nil || tier >= len(acc.Decided) {
-		return
-	}
-	acc.Decided[tier]++
-}
-
-// CascadeTierInfos returns d's tier descriptions when d is a cascade, nil
-// otherwise. It accepts any detector-shaped value so both object and action
-// models flow through one call site.
-func CascadeTierInfos(d any) []TierInfo {
-	if c, ok := d.(interface{ Tiers() []TierInfo }); ok {
-		return c.Tiers()
-	}
-	return nil
+	c.chain.scoreBatch(v, act, start, dst)
 }

@@ -7,14 +7,14 @@ import (
 	"time"
 )
 
-// The cascades must satisfy both the plain and the tier-aware contracts.
+// The cascades must satisfy the plain and the batch contracts.
 var (
-	_ CascadedObjectScorer = (*ObjectCascade)(nil)
-	_ CascadedActionScorer = (*ActionCascade)(nil)
-	_ BatchObjectScorer    = (*ObjectCascade)(nil)
-	_ BatchActionScorer    = (*ActionCascade)(nil)
-	_ BatchObjectScorer    = (*DistilledObjectDetector)(nil)
-	_ BatchActionScorer    = (*DistilledActionRecognizer)(nil)
+	_ ObjectDetector    = (*ObjectCascade)(nil)
+	_ ActionRecognizer  = (*ActionCascade)(nil)
+	_ BatchObjectScorer = (*ObjectCascade)(nil)
+	_ BatchActionScorer = (*ActionCascade)(nil)
+	_ BatchObjectScorer = (*DistilledObjectDetector)(nil)
+	_ BatchActionScorer = (*DistilledActionRecognizer)(nil)
 )
 
 // TestDistilledRecallComplete pins the property the cascade's soundness
@@ -103,11 +103,11 @@ func TestFrameScoreCascadeAccounting(t *testing.T) {
 	teacher := NewObjectDetector(MaskRCNN, 5)
 	casc := NewDistilledObjectCascade(teacher, DistilledRCNN, 5)
 	ctx := context.Background()
-	var acc CascadeAccount
+	var acc Account
 	acc.Reset(2)
 	n := 2000
 	dst := make([]float64, n)
-	if err := casc.FrameScoreCascade(ctx, v, "car", 0, 0, dst, DefaultRetryConfig(), nil, &acc); err != nil {
+	if _, err := ObjectScorer(casc).Score(ctx, v, "car", 0, 0, dst, DefaultRetryConfig(), &acc); err != nil {
 		t.Fatal(err)
 	}
 	for i, s := range dst {
@@ -138,7 +138,7 @@ func TestFrameScoreCascadeAccounting(t *testing.T) {
 
 	// Entering at the accurate tier skips tier 0 entirely.
 	acc.Reset(2)
-	if err := casc.FrameScoreCascade(ctx, v, "car", 0, 1, dst, DefaultRetryConfig(), nil, &acc); err != nil {
+	if _, err := ObjectScorer(casc).Score(ctx, v, "car", 0, 1, dst, DefaultRetryConfig(), &acc); err != nil {
 		t.Fatal(err)
 	}
 	if acc.Units[0] != 0 || acc.Units[1] != int64(n) {
@@ -180,12 +180,12 @@ func TestCascadeFallthroughOnTierFailure(t *testing.T) {
 		ObjectTier{Detector: teacher},
 	)
 	ctx := context.Background()
-	var acc CascadeAccount
+	var acc Account
 	acc.Reset(2)
 	n := 64
 	dst := make([]float64, n)
 	retry := RetryConfig{Attempts: 2}
-	if err := casc.FrameScoreCascade(ctx, v, "car", 0, 0, dst, retry, nil, &acc); err != nil {
+	if _, err := ObjectScorer(casc).Score(ctx, v, "car", 0, 0, dst, retry, &acc); err != nil {
 		t.Fatalf("dead entry tier must fall through, got error: %v", err)
 	}
 	for i, s := range dst {
@@ -210,7 +210,8 @@ func TestCascadeFallthroughOnTierFailure(t *testing.T) {
 		ObjectTier{Detector: failingObjectDetector{name: "dead-proxy"}, Band: RecallBand()},
 		ObjectTier{Detector: failingObjectDetector{name: "dead-teacher"}},
 	)
-	err := bad.FrameScoreCascade(ctx, v, "car", 0, 0, dst, retry, nil, nil)
+	acc.Reset(2)
+	_, err := ObjectScorer(bad).Score(ctx, v, "car", 0, 0, dst, retry, &acc)
 	var de *DetectionError
 	if !errors.As(err, &de) || de.Model != "dead-teacher" {
 		t.Fatalf("want dead-teacher DetectionError from last tier, got %v", err)
@@ -219,7 +220,7 @@ func TestCascadeFallthroughOnTierFailure(t *testing.T) {
 	// Context cancellation aborts instead of falling through.
 	cctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := casc.FrameScoreCascade(cctx, v, "car", 0, 0, dst, retry, nil, nil); !errors.Is(err, context.Canceled) {
+	if _, err := ObjectScorer(casc).Score(cctx, v, "car", 0, 0, dst, retry, &acc); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled ctx: want context.Canceled, got %v", err)
 	}
 }
@@ -236,12 +237,12 @@ func TestCascadePerTierFaults(t *testing.T) {
 		ObjectTier{Detector: flakyProxy, Band: RecallBand()},
 		ObjectTier{Detector: teacher},
 	)
-	var acc CascadeAccount
+	var acc Account
 	acc.Reset(2)
 	n := 1000
 	dst := make([]float64, n)
 	retry := RetryConfig{Attempts: 8}
-	if err := casc.FrameScoreCascade(context.Background(), v, "car", 0, 0, dst, retry, nil, &acc); err != nil {
+	if _, err := ObjectScorer(casc).Score(context.Background(), v, "car", 0, 0, dst, retry, &acc); err != nil {
 		t.Fatal(err)
 	}
 	for i, s := range dst {
@@ -298,8 +299,11 @@ func TestCascadeTierInfos(t *testing.T) {
 	if casc.UnitCost() != teacher.UnitCost() {
 		t.Errorf("cascade UnitCost %v, want accurate tier's %v", casc.UnitCost(), teacher.UnitCost())
 	}
-	if CascadeTierInfos(casc) == nil || CascadeTierInfos(teacher) != nil {
-		t.Error("CascadeTierInfos must detect cascades and only cascades")
+	if got := ObjectScorer(casc).Tiers(); len(got) != 2 || got[0] != infos[0] || got[1] != infos[1] {
+		t.Errorf("ObjectScorer(cascade) must return the cascade's own chain, got %v", got)
+	}
+	if got := ObjectScorer(teacher).Tiers(); len(got) != 1 || got[0].Name != teacher.Name() || got[0].UnitCost != teacher.UnitCost() {
+		t.Errorf("a plain model must be a one-tier chain of itself, got %v", got)
 	}
 }
 

@@ -101,25 +101,6 @@ func (m Models) ActionPositive(v TruthVideo, act string, shot int) bool {
 	return m.Actions.ShotScore(v, act, shot) >= m.ActThreshold
 }
 
-// ObjectScoreAttempt invokes the object detector for one attempt, surfacing
-// invocation failures when the detector is fallible. Infallible detectors
-// never fail.
-func (m Models) ObjectScoreAttempt(v TruthVideo, typ string, frame, attempt int) (float64, error) {
-	if fd, ok := m.Objects.(FallibleObjectDetector); ok {
-		return fd.FrameScoreAttempt(v, typ, frame, attempt)
-	}
-	return m.Objects.FrameScore(v, typ, frame), nil
-}
-
-// ActionScoreAttempt invokes the action recogniser for one attempt,
-// surfacing invocation failures when the recogniser is fallible.
-func (m Models) ActionScoreAttempt(v TruthVideo, act string, shot, attempt int) (float64, error) {
-	if fr, ok := m.Actions.(FallibleActionRecognizer); ok {
-		return fr.ShotScoreAttempt(v, act, shot, attempt)
-	}
-	return m.Actions.ShotScore(v, act, shot), nil
-}
-
 // FrameDetectionsAttempt invokes d for one attempt, surfacing invocation
 // failures when the detector is fallible.
 func FrameDetectionsAttempt(d ObjectDetector, v TruthVideo, typ string, frame, attempt int) ([]Detection, error) {

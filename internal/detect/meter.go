@@ -19,29 +19,17 @@ const (
 // and the serving metrics: the engine registers each occurrence unit it
 // actually runs a model on (object inference covers all types in one pass,
 // so a frame is charged once no matter how many query predicates read it),
-// every invocation attempt with its retry/fault outcome, and every clip
-// skipped-and-flagged after retry exhaustion. The meter prices the inference
-// total against the models' simulated unit costs.
+// flushes every evaluation's Account — invocation attempts with their
+// retry/fault outcomes, and the tier outcomes of a cascade — through Record,
+// and counts every clip skipped-and-flagged after retry exhaustion. The
+// meter prices the inference total against the models' simulated unit costs.
 //
 // Counters are obs instruments, so a server-lifetime meter exposes them
 // directly on /metrics via Register — the engine's charge sites are the only
 // accounting path. The zero value is ready to use.
 type Meter struct {
-	objectFrames obs.Counter
-	actionShots  obs.Counter
-
-	objAttempts obs.Counter
-	actAttempts obs.Counter
-	objRetries  obs.Counter
-	actRetries  obs.Counter
-
-	objTransient obs.Counter
-	actTransient obs.Counter
-	objPermanent obs.Counter
-	actPermanent obs.Counter
-
-	objFlagged obs.Counter
-	actFlagged obs.Counter
+	// kinds holds one counter block per detector kind, in kindNames order.
+	kinds [2]kindCounters
 
 	// Tier accounting is dynamic: cascade tiers are named models discovered
 	// at charge time, so their counters live in a map and attach lazily to
@@ -49,6 +37,19 @@ type Meter struct {
 	mu    sync.Mutex
 	reg   *obs.Registry
 	tiers map[string]*tierCounters
+}
+
+// kindNames are the kind label values, indexing Meter.kinds.
+var kindNames = [2]string{KindObject, KindAction}
+
+// kindCounters is one detector kind's block of the svqact_detect_* families.
+type kindCounters struct {
+	inferences obs.Counter
+	attempts   obs.Counter
+	retries    obs.Counter
+	transient  obs.Counter
+	permanent  obs.Counter
+	flagged    obs.Counter
 }
 
 // tierCounters is the per-(kind, tier) counter block of the
@@ -60,102 +61,72 @@ type tierCounters struct {
 	fellthrough obs.Counter
 }
 
+// kind returns the counter block of a detector kind.
+func (m *Meter) kind(kind string) *kindCounters {
+	if kind == KindAction {
+		return &m.kinds[1]
+	}
+	return &m.kinds[0]
+}
+
 // AddObjectFrames records n frames passed through the object detector.
-func (m *Meter) AddObjectFrames(n int) { m.objectFrames.Add(int64(n)) }
+func (m *Meter) AddObjectFrames(n int) { m.kinds[0].inferences.Add(int64(n)) }
 
 // AddActionShots records n shots passed through the action recogniser.
-func (m *Meter) AddActionShots(n int) { m.actionShots.Add(int64(n)) }
+func (m *Meter) AddActionShots(n int) { m.kinds[1].inferences.Add(int64(n)) }
 
 // ObjectFrames returns the number of object-detector inferences.
-func (m *Meter) ObjectFrames() int64 { return m.objectFrames.Value() }
+func (m *Meter) ObjectFrames() int64 { return m.kinds[0].inferences.Value() }
 
 // ActionShots returns the number of action-recogniser inferences.
-func (m *Meter) ActionShots() int64 { return m.actionShots.Value() }
+func (m *Meter) ActionShots() int64 { return m.kinds[1].inferences.Value() }
 
-// RecordAttempt records one model invocation attempt; attempts past the
-// first additionally count as retries.
-func (m *Meter) RecordAttempt(kind string, attempt int) {
-	a, r := &m.objAttempts, &m.objRetries
-	if kind == KindAction {
-		a, r = &m.actAttempts, &m.actRetries
+// Record flushes one evaluation's account: the attempts, retries and failed
+// attempts it made with a model of the kind and, for a chain of two or more
+// tiers, each tier's units and outcomes. A plain model is a one-tier chain
+// and has no tier series.
+func (m *Meter) Record(kind string, tiers []TierInfo, acc *Account) {
+	k := m.kind(kind)
+	k.attempts.Add(acc.Attempts)
+	k.retries.Add(acc.Retries)
+	k.transient.Add(acc.Transient)
+	k.permanent.Add(acc.Permanent)
+	if len(tiers) < 2 {
+		return
 	}
-	a.Inc()
-	if attempt > 0 {
-		r.Inc()
-	}
-}
-
-// RecordAttempts records n first-attempt invocations in one shot — the
-// batch-scoring path's equivalent of n RecordAttempt(kind, 0) calls.
-func (m *Meter) RecordAttempts(kind string, n int) {
-	a := &m.objAttempts
-	if kind == KindAction {
-		a = &m.actAttempts
-	}
-	a.Add(int64(n))
-}
-
-// RecordFault records one failed invocation attempt by outcome class.
-func (m *Meter) RecordFault(kind string, transient bool) {
-	switch {
-	case kind == KindAction && transient:
-		m.actTransient.Inc()
-	case kind == KindAction:
-		m.actPermanent.Inc()
-	case transient:
-		m.objTransient.Inc()
-	default:
-		m.objPermanent.Inc()
+	for i, ti := range tiers {
+		u, d, e, f := acc.Units[i], acc.Decided[i], acc.Escalated[i], acc.Fallthroughs[i]
+		if u == 0 && d == 0 && e == 0 && f == 0 {
+			continue
+		}
+		tc := m.tier(kind, ti.Name)
+		tc.units.Add(u)
+		tc.decided.Add(d)
+		tc.escalated.Add(e)
+		tc.fellthrough.Add(f)
 	}
 }
 
 // RecordFlagged records one clip skipped-and-flagged after retry exhaustion,
 // attributed to the detector kind whose invocation exhausted its retries.
-func (m *Meter) RecordFlagged(kind string) {
-	if kind == KindAction {
-		m.actFlagged.Inc()
-	} else {
-		m.objFlagged.Inc()
-	}
-}
+func (m *Meter) RecordFlagged(kind string) { m.kind(kind).flagged.Inc() }
 
 // Attempts returns the invocation attempts recorded for the kind.
-func (m *Meter) Attempts(kind string) int64 {
-	if kind == KindAction {
-		return m.actAttempts.Value()
-	}
-	return m.objAttempts.Value()
-}
+func (m *Meter) Attempts(kind string) int64 { return m.kind(kind).attempts.Value() }
 
 // Retries returns the re-attempts (attempt > 0) recorded for the kind.
-func (m *Meter) Retries(kind string) int64 {
-	if kind == KindAction {
-		return m.actRetries.Value()
-	}
-	return m.objRetries.Value()
-}
+func (m *Meter) Retries(kind string) int64 { return m.kind(kind).retries.Value() }
 
 // Faults returns the failed attempts of the given outcome class.
 func (m *Meter) Faults(kind string, transient bool) int64 {
-	switch {
-	case kind == KindAction && transient:
-		return m.actTransient.Value()
-	case kind == KindAction:
-		return m.actPermanent.Value()
-	case transient:
-		return m.objTransient.Value()
-	default:
-		return m.objPermanent.Value()
+	if transient {
+		return m.kind(kind).transient.Value()
 	}
+	return m.kind(kind).permanent.Value()
 }
 
 // Flagged returns the clips skipped-and-flagged for the kind.
-func (m *Meter) Flagged(kind string) int64 {
-	if kind == KindAction {
-		return m.actFlagged.Value()
-	}
-	return m.objFlagged.Value()
-}
+func (m *Meter) Flagged(kind string) int64 { return m.kind(kind).flagged.Value() }
 
 // tier returns the counter block for a (kind, tier) pair, creating it — and
 // attaching it to the registry when the meter is registered — on first use.
@@ -189,32 +160,6 @@ func attachTierCounters(r *obs.Registry, kind, name string, tc *tierCounters) {
 		&tc.escalated, kl, tl, obs.L("outcome", "escalated"))
 	r.AttachCounter("svqact_detect_tier_decisions_total", "",
 		&tc.fellthrough, kl, tl, obs.L("outcome", "fallthrough"))
-}
-
-// RecordTier adds one tier's accounting deltas: units scored at the tier
-// and how many of them were decided there, escalated past it, or fell
-// through on tier failure.
-func (m *Meter) RecordTier(kind, tier string, units, decided, escalated, fellthrough int64) {
-	tc := m.tier(kind, tier)
-	tc.units.Add(units)
-	tc.decided.Add(decided)
-	tc.escalated.Add(escalated)
-	tc.fellthrough.Add(fellthrough)
-}
-
-// RecordCascade flushes a cascade account against the cascade's tier
-// descriptions — one RecordTier per tier that saw traffic.
-func (m *Meter) RecordCascade(kind string, infos []TierInfo, acc *CascadeAccount) {
-	for i, ti := range infos {
-		if i >= len(acc.Units) {
-			break
-		}
-		u, d, e, f := acc.Units[i], acc.Decided[i], acc.Escalated[i], acc.Fallthroughs[i]
-		if u == 0 && d == 0 && e == 0 && f == 0 {
-			continue
-		}
-		m.RecordTier(kind, ti.Name, u, d, e, f)
-	}
 }
 
 // TierUnits returns the units scored at a tier.
@@ -251,13 +196,11 @@ func (m *Meter) Cost(models Models) time.Duration {
 // Reset zeroes every counter. Only meaningful for per-run meters; a meter
 // registered for scraping must stay monotone.
 func (m *Meter) Reset() {
-	for _, c := range []*obs.Counter{
-		&m.objectFrames, &m.actionShots,
-		&m.objAttempts, &m.actAttempts, &m.objRetries, &m.actRetries,
-		&m.objTransient, &m.actTransient, &m.objPermanent, &m.actPermanent,
-		&m.objFlagged, &m.actFlagged,
-	} {
-		c.Reset()
+	for i := range m.kinds {
+		k := &m.kinds[i]
+		for _, c := range []*obs.Counter{&k.inferences, &k.attempts, &k.retries, &k.transient, &k.permanent, &k.flagged} {
+			c.Reset()
+		}
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -281,34 +224,24 @@ func (m *Meter) Register(r *obs.Registry) {
 		attachTierCounters(r, k, t, tc)
 	}
 	m.mu.Unlock()
-	kind := func(k string) obs.Label { return obs.L("kind", k) }
-	r.AttachCounter("svqact_detect_inferences_total",
-		"Model inference units executed (frames for objects, shots for actions).",
-		&m.objectFrames, kind(KindObject))
-	r.AttachCounter("svqact_detect_inferences_total", "",
-		&m.actionShots, kind(KindAction))
-	r.AttachCounter("svqact_detect_attempts_total",
-		"Model invocation attempts, including retries.",
-		&m.objAttempts, kind(KindObject))
-	r.AttachCounter("svqact_detect_attempts_total", "",
-		&m.actAttempts, kind(KindAction))
-	r.AttachCounter("svqact_detect_retries_total",
-		"Model invocation re-attempts after a transient failure.",
-		&m.objRetries, kind(KindObject))
-	r.AttachCounter("svqact_detect_retries_total", "",
-		&m.actRetries, kind(KindAction))
-	r.AttachCounter("svqact_detect_faults_total",
-		"Failed model invocation attempts by outcome class.",
-		&m.objTransient, kind(KindObject), obs.L("outcome", "transient"))
-	r.AttachCounter("svqact_detect_faults_total", "",
-		&m.objPermanent, kind(KindObject), obs.L("outcome", "permanent"))
-	r.AttachCounter("svqact_detect_faults_total", "",
-		&m.actTransient, kind(KindAction), obs.L("outcome", "transient"))
-	r.AttachCounter("svqact_detect_faults_total", "",
-		&m.actPermanent, kind(KindAction), obs.L("outcome", "permanent"))
-	r.AttachCounter("svqact_detect_flagged_clips_total",
-		"Clips skipped-and-flagged after detector retry exhaustion.",
-		&m.objFlagged, kind(KindObject))
-	r.AttachCounter("svqact_detect_flagged_clips_total", "",
-		&m.actFlagged, kind(KindAction))
+	for i, name := range kindNames {
+		k, kl := &m.kinds[i], obs.L("kind", name)
+		r.AttachCounter("svqact_detect_inferences_total",
+			"Model inference units executed (frames for objects, shots for actions).",
+			&k.inferences, kl)
+		r.AttachCounter("svqact_detect_attempts_total",
+			"Model invocation attempts, including retries.",
+			&k.attempts, kl)
+		r.AttachCounter("svqact_detect_retries_total",
+			"Model invocation re-attempts after a transient failure.",
+			&k.retries, kl)
+		r.AttachCounter("svqact_detect_faults_total",
+			"Failed model invocation attempts by outcome class.",
+			&k.transient, kl, obs.L("outcome", "transient"))
+		r.AttachCounter("svqact_detect_faults_total", "",
+			&k.permanent, kl, obs.L("outcome", "permanent"))
+		r.AttachCounter("svqact_detect_flagged_clips_total",
+			"Clips skipped-and-flagged after detector retry exhaustion.",
+			&k.flagged, kl)
+	}
 }

@@ -1,0 +1,285 @@
+package detect
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"reflect"
+	"testing"
+	"time"
+
+	"svqact/internal/testenv"
+)
+
+// refTier is a tier as the reference sees it: one invocation that may fail.
+type refTier struct {
+	cost     time.Duration
+	band     Band
+	fallible bool
+	try      func(unit, attempt int) (float64, error)
+}
+
+// refScore is the per-unit reference Scorer.Score is checked against: loop
+// units, loop tiers, loop attempts. It shares no code with the walker — no
+// batch call, no Retry helper (the tests retry without backoff, so there is
+// no sleep to model).
+func refScore(ctx context.Context, tiers []refTier, start, from int, dst []float64, attempts int, acc *Account) (int, error) {
+	last := len(tiers) - 1
+	for i := range dst {
+	chain:
+		for ti := from; ; ti++ {
+			t := tiers[ti]
+			var s float64
+			var err error
+			tried := int64(0)
+			for a := 0; a < attempts && (!t.fallible || ctx.Err() == nil); a++ {
+				tried++
+				if s, err = t.try(start+i, a); err == nil {
+					break
+				}
+				var de *DetectionError
+				if errors.As(err, &de) && !de.Transient {
+					acc.Permanent++
+					break
+				}
+				acc.Transient++
+			}
+			if tried > 0 { // an attempt never made charges nothing
+				acc.Units[ti]++
+				acc.Attempts += tried
+				acc.Retries += tried - 1
+				acc.Cost += time.Duration(tried) * t.cost
+			}
+			switch {
+			case t.fallible && ctx.Err() != nil:
+				return i, ctx.Err()
+			case err != nil && ti == last:
+				return i, err
+			case err != nil:
+				acc.Escalated[ti]++
+				acc.Fallthroughs[ti]++
+			case ti < last && s >= t.band.Lo && s < t.band.Hi:
+				acc.Escalated[ti]++
+			default:
+				acc.Decided[ti]++
+				dst[i] = s
+				break chain
+			}
+		}
+	}
+	return len(dst), nil
+}
+
+// failingActionRecognizer is the shot-level failingObjectDetector.
+type failingActionRecognizer struct{ name string }
+
+func (r failingActionRecognizer) Name() string                              { return r.name }
+func (r failingActionRecognizer) UnitCost() time.Duration                   { return time.Millisecond }
+func (r failingActionRecognizer) ShotScore(TruthVideo, string, int) float64 { return 0 }
+func (r failingActionRecognizer) ShotScoreAttempt(v TruthVideo, act string, shot, attempt int) (float64, error) {
+	return 0, &DetectionError{Model: r.name, Unit: shot, Transient: true}
+}
+
+// scorerCase is one (models, kind) cell of the equivalence table: the
+// walker's chains and the same models as reference tiers, cheap then
+// accurate.
+type scorerCase struct {
+	name     string
+	label    string
+	one, two *Scorer
+	ref      []refTier
+}
+
+func objectCase(name string, v TruthVideo, cheap, accurate ObjectDetector) scorerCase {
+	ref := func(d ObjectDetector, band Band) refTier {
+		fd, fallible := d.(FallibleObjectDetector)
+		return refTier{cost: d.UnitCost(), band: band, fallible: fallible, try: func(unit, attempt int) (float64, error) {
+			if fallible {
+				return fd.FrameScoreAttempt(v, "car", unit, attempt)
+			}
+			return d.FrameScore(v, "car", unit), nil
+		}}
+	}
+	casc := NewObjectCascade(ObjectTier{Detector: cheap, Band: RecallBand()}, ObjectTier{Detector: accurate})
+	return scorerCase{
+		name: name + "/object", label: "car", one: ObjectScorer(accurate), two: ObjectScorer(casc),
+		ref: []refTier{ref(cheap, RecallBand()), ref(accurate, Band{})},
+	}
+}
+
+func actionCase(name string, v TruthVideo, cheap, accurate ActionRecognizer) scorerCase {
+	ref := func(r ActionRecognizer, band Band) refTier {
+		fr, fallible := r.(FallibleActionRecognizer)
+		return refTier{cost: r.UnitCost(), band: band, fallible: fallible, try: func(unit, attempt int) (float64, error) {
+			if fallible {
+				return fr.ShotScoreAttempt(v, "jumping", unit, attempt)
+			}
+			return r.ShotScore(v, "jumping", unit), nil
+		}}
+	}
+	casc := NewActionCascade(ActionTier{Recognizer: cheap, Band: RecallBand()}, ActionTier{Recognizer: accurate})
+	return scorerCase{
+		name: name + "/action", label: "jumping", one: ActionScorer(accurate), two: ActionScorer(casc),
+		ref: []refTier{ref(cheap, RecallBand()), ref(accurate, Band{})},
+	}
+}
+
+func scorerCases(v TruthVideo) []scorerCase {
+	var cases []scorerCase
+	add := func(name string, objProf, actProf Profile, fc *FaultConfig, deadCheap bool) {
+		obj, act := ObjectDetector(NewObjectDetector(objProf, 5)), ActionRecognizer(NewActionRecognizer(actProf, 5))
+		objCheap := ObjectDetector(NewDistilledObjectDetector(obj, DistilledRCNN, 5))
+		actCheap := ActionRecognizer(NewDistilledActionRecognizer(act, DistilledI3D, 5))
+		if fc != nil {
+			// Faults compose per tier, as the server builds its cascades.
+			obj, objCheap = InjectObjectFaults(obj, *fc), InjectObjectFaults(objCheap, *fc)
+			act, actCheap = InjectActionFaults(act, *fc), InjectActionFaults(actCheap, *fc)
+		}
+		if deadCheap {
+			objCheap = failingObjectDetector{name: "dead-proxy", transient: true}
+			actCheap = failingActionRecognizer{name: "dead-proxy"}
+		}
+		cases = append(cases, objectCase(name, v, objCheap, obj), actionCase(name, v, actCheap, act))
+	}
+	add("ideal", IdealObject, IdealAction, nil, false)
+	add("noisy", MaskRCNN, I3D, nil, false)
+	add("transient-faulty", MaskRCNN, I3D, &FaultConfig{TransientRate: 0.3, Seed: 21}, false)
+	add("permanent-faulty", MaskRCNN, I3D, &FaultConfig{PermanentRate: 0.02, Seed: 4}, false)
+	add("failing-cheap-tier", MaskRCNN, I3D, nil, true)
+	return cases
+}
+
+// lastTier projects a two-tier account that never touched tier 0 onto the
+// one-tier shape, for the field-for-field comparison.
+func lastTier(t *testing.T, a Account) Account {
+	t.Helper()
+	if a.Units[0]+a.Decided[0]+a.Escalated[0]+a.Fallthroughs[0] != 0 {
+		t.Fatalf("entered at the last tier but tier 0 was touched: %+v", a)
+	}
+	a.Units, a.Decided, a.Escalated, a.Fallthroughs = a.Units[1:], a.Decided[1:], a.Escalated[1:], a.Fallthroughs[1:]
+	return a
+}
+
+// TestScorerMatchesReference is the walker's contract: over every model
+// configuration, both unit kinds and every way into a chain, Score produces
+// the reference's scores, scored count, error and account — including the
+// stated corners: the unit that exhausts its retries counts in Units, the
+// scores before a failure survive it, and every failed attempt is classified
+// by IsTransient.
+func TestScorerMatchesReference(t *testing.T) {
+	v := testVideo(t, 41)
+	const run, runs, attempts = 40, 25, 3
+	retry := RetryConfig{Attempts: attempts}
+	ctx := context.Background()
+	failures, fallthroughs, retries := 0, int64(0), int64(0)
+	for _, c := range scorerCases(v) {
+		shapes := []struct {
+			name   string
+			chain  *Scorer
+			ref    []refTier
+			from   int
+			equals int // index of the shape whose account this one must equal, or -1
+		}{
+			{"one-tier", c.one, c.ref[1:], 0, -1},
+			{"two-tier@0", c.two, c.ref, 0, -1},
+			{"two-tier@last", c.two, c.ref, 1, 0},
+		}
+		for k := 0; k < runs; k++ {
+			start := k * run
+			var kept []Account
+			for _, sh := range shapes {
+				name := fmt.Sprintf("%s/%s/run%d", c.name, sh.name, k)
+				var got, want Account
+				got.Reset(len(sh.ref))
+				want.Reset(len(sh.ref))
+				gotDst, wantDst := make([]float64, run), make([]float64, run)
+				gotN, gotErr := sh.chain.Score(ctx, v, c.label, start, sh.from, gotDst, retry, &got)
+				wantN, wantErr := refScore(ctx, sh.ref, start, sh.from, wantDst, attempts, &want)
+				if gotN != wantN || !reflect.DeepEqual(gotErr, wantErr) {
+					t.Fatalf("%s: scored %d err %v, reference %d err %v", name, gotN, gotErr, wantN, wantErr)
+				}
+				if !reflect.DeepEqual(gotDst[:gotN], wantDst[:wantN]) {
+					t.Fatalf("%s: scores diverge from the reference", name)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: account\n got %+v\nwant %+v", name, got, want)
+				}
+				if sh.equals >= 0 && !reflect.DeepEqual(lastTier(t, got), kept[sh.equals]) {
+					t.Fatalf("%s: entered at the last tier\n got %+v\nwant the one-tier chain's %+v", name, lastTier(t, got), kept[sh.equals])
+				}
+				kept = append(kept, got)
+				if gotErr != nil {
+					failures++
+					if last := len(got.Units) - 1; got.Units[last] != got.Decided[last]+1 {
+						t.Fatalf("%s: the failing unit was invoked and must count in Units: %+v", name, got)
+					}
+				}
+				fallthroughs += got.Fallthroughs[0]
+				retries += got.Retries
+			}
+		}
+	}
+	// The table must actually reach the corners it claims to pin.
+	if failures == 0 || fallthroughs == 0 || retries == 0 {
+		t.Fatalf("table too tame: %d failed runs, %d fallthroughs, %d retries", failures, fallthroughs, retries)
+	}
+}
+
+// TestScorerCancelledContextChargesNothing: a unit whose context ended before
+// its first attempt was never invoked — no unit, no attempt, no cost and no
+// negative retry — on a fallible plain model and a fallible cascade alike.
+func TestScorerCancelledContextChargesNothing(t *testing.T) {
+	v := testVideo(t, 42)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, c := range scorerCases(v) {
+		if !c.ref[1].fallible || !c.ref[0].fallible {
+			continue
+		}
+		for _, chain := range []*Scorer{c.one, c.two} {
+			var got, zero Account
+			got.Reset(len(chain.Tiers()))
+			zero.Reset(len(chain.Tiers()))
+			n, err := chain.Score(ctx, v, c.label, 0, 0, make([]float64, 8), RetryConfig{Attempts: 3}, &got)
+			if n != 0 || !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s: scored %d err %v, want 0 and context.Canceled", c.name, n, err)
+			}
+			if !reflect.DeepEqual(got, zero) {
+				t.Errorf("%s: cancelled before the first attempt yet charged %+v", c.name, got)
+			}
+		}
+	}
+}
+
+// TestScoreAllocsSteadyState: the walker itself allocates nothing — not for a
+// plain model's batch call, not for a cascade's escalations. The label is a
+// type the video never shows, so the simulated models have no instance lists
+// to materialise and every allocation counted would be the walker's own; the
+// cheap tier's false positives still escalate.
+func TestScoreAllocsSteadyState(t *testing.T) {
+	if testenv.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	v := testVideo(t, 43)
+	teacher := NewObjectDetector(MaskRCNN, 5)
+	for name, chain := range map[string]*Scorer{
+		"single":  ObjectScorer(teacher),
+		"cascade": ObjectScorer(NewDistilledObjectCascade(teacher, DistilledRCNN, 5)),
+	} {
+		var acc Account
+		dst := make([]float64, 500)
+		score := func() {
+			acc.Reset(len(chain.Tiers()))
+			if _, err := chain.Score(context.Background(), v, "ghost", 0, 0, dst, RetryConfig{}, &acc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		score() // warm the models' overlay caches and the account's slices
+		if name == "cascade" && acc.Escalated[0] == 0 {
+			t.Fatal("no escalations: the cascade's walk was not exercised")
+		}
+		if allocs := testing.AllocsPerRun(20, score); allocs != 0 {
+			t.Errorf("%s: Score allocates %.0f objects per call, want 0", name, allocs)
+		}
+	}
+}

@@ -59,8 +59,8 @@ func (ts *TraceSnapshot) Find(name string) *SpanNode {
 // the span sits inside the trace's total duration. barWidth <= 0 picks a
 // default of 32 columns.
 //
-//	  0.000ms  12.400ms  cluster.topk                [##########]  k=3
-//	  0.210ms   6.100ms    cluster.shard:s0          [.#####....]  outcome=ok
+//	0.000ms  12.400ms  cluster.topk                [##########]  k=3
+//	0.210ms   6.100ms    cluster.shard:s0          [.#####....]  outcome=ok
 func WriteWaterfall(w io.Writer, ts *TraceSnapshot, barWidth int) {
 	if ts == nil {
 		fmt.Fprintln(w, "(no trace)")

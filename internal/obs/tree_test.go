@@ -183,13 +183,13 @@ func TestGraftSynthesizesIDs(t *testing.T) {
 
 func TestValidSpanRef(t *testing.T) {
 	for ref, want := range map[string]bool{
-		"s4":              true,
-		"s4/s2":           true,
-		"cluster.shard:a": true,
-		"a_b-c":           true,
-		"":                false,
-		"s4 s5":           false,
-		"s4\n":            false,
+		"s4":                     true,
+		"s4/s2":                  true,
+		"cluster.shard:a":        true,
+		"a_b-c":                  true,
+		"":                       false,
+		"s4 s5":                  false,
+		"s4\n":                   false,
 		strings.Repeat("a", 129): false,
 	} {
 		if got := ValidSpanRef(ref); got != want {

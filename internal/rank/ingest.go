@@ -82,14 +82,14 @@ func Ingest(ctx context.Context, v detect.TruthVideo, models detect.Models, scor
 	// happens before tracker wrapping so the tracker sees the chosen model.
 	det := models.Objects
 	objMode, actMode := plan.TierSingle, plan.TierSingle
-	if casc, ok := det.(detect.CascadedObjectScorer); ok {
+	if casc, ok := det.(*detect.ObjectCascade); ok {
 		objMode = plan.StaticTierChoice(core.TierCosts(casc.Tiers()))
 		if objMode == plan.TierAccurate {
 			det = casc.AccurateTier()
 		}
 	}
 	rec := models.Actions
-	if casc, ok := rec.(detect.CascadedActionScorer); ok {
+	if casc, ok := rec.(*detect.ActionCascade); ok {
 		actMode = plan.StaticTierChoice(core.TierCosts(casc.Tiers()))
 		if actMode == plan.TierAccurate {
 			rec = casc.AccurateTier()
@@ -118,16 +118,16 @@ func Ingest(ctx context.Context, v detect.TruthVideo, models detect.Models, scor
 
 	// Clip score tables: h aggregates every detection score of the type
 	// within the clip (per tracked instance and frame for objects, per shot
-	// for actions) — the paper's §5 instantiation of h. Infallible models
-	// take the columnar batch path — one reused Events buffer per clip, no
-	// per-frame retry closure or []Detection heap slice; the scores land in
-	// the same order, so the float accumulation is bit-identical. The
-	// per-attempt retry contract applies only to fallible models, which keep
-	// the scalar loop.
+	// for actions) — the paper's §5 instantiation of h. Object tables
+	// aggregate per-instance detections, which is not the one-score-per-unit
+	// contract of the chain walker: infallible detectors take the columnar
+	// events path — one reused Events buffer per clip, no per-frame retry
+	// closure or []Detection heap slice; the scores land in the same order,
+	// so the float accumulation is bit-identical — and fallible ones keep the
+	// scalar per-attempt loop. Action tables sum the shot scores of the same
+	// Score call the engine evaluates clips with.
 	_, objFallible := det.(detect.FallibleObjectDetector)
-	_, actFallible := rec.(detect.FallibleActionRecognizer)
 	var ev detect.Events
-	var shotScores []float64
 	for _, typ := range objTypes {
 		var entries []store.Entry
 		for c := 0; c < ix.NumClips; c++ {
@@ -173,6 +173,10 @@ func Ingest(ctx context.Context, v detect.TruthVideo, models detect.Models, scor
 		}
 		ix.Objects[typ] = &TypeIndex{Table: tbl, Seqs: objSeqs[typ]}
 	}
+	chain := detect.ActionScorer(rec)
+	var acc detect.Account // ingestion is not priced: filled and dropped
+	acc.Reset(len(chain.Tiers()))
+	var shotScores []float64
 	for _, typ := range actTypes {
 		var entries []store.Entry
 		for c := 0; c < ix.NumClips; c++ {
@@ -180,33 +184,22 @@ func Ingest(ctx context.Context, v detect.TruthVideo, models detect.Models, scor
 				return nil, &core.InterruptedError{Processed: c, Total: ix.NumClips, Err: cerr}
 			}
 			sr := g.ShotRangeOfClip(c)
+			if n := sr.Len(); cap(shotScores) < n {
+				shotScores = make([]float64, n)
+			}
 			sum := 0.0
-			if !actFallible {
-				n := sr.End - sr.Start + 1
-				if cap(shotScores) < n {
-					shotScores = make([]float64, n)
-				}
-				buf := shotScores[:n]
-				detect.ShotScoreBatch(rec, v, typ, sr.Start, buf)
-				for _, s := range buf {
+			for rest := shotScores[:sr.Len()]; len(rest) > 0; {
+				scored, err := chain.Score(ctx, v, typ, sr.End+1-len(rest), 0, rest, retry, &acc)
+				for _, s := range rest[:scored] {
 					sum += s
 				}
-			} else {
-				for s := sr.Start; s <= sr.End; s++ {
-					var score float64
-					err := detect.Retry(ctx, retry, func(attempt int) error {
-						var err error
-						score, err = models.ActionScoreAttempt(v, typ, s, attempt)
-						return err
-					})
-					if err != nil {
-						if ctx.Err() != nil {
-							return nil, &core.InterruptedError{Processed: c, Total: ix.NumClips, Err: ctx.Err()}
-						}
-						continue
-					}
-					sum += score
+				if err == nil {
+					break
 				}
+				if ctx.Err() != nil {
+					return nil, &core.InterruptedError{Processed: c, Total: ix.NumClips, Err: ctx.Err()}
+				}
+				rest = rest[scored+1:] // flagged by EvaluateTypes; score the rest
 			}
 			if sum > 0 {
 				entries = append(entries, store.Entry{Clip: c, Score: sum})

@@ -89,3 +89,68 @@ func TestOfflineIngestIdenticalUnderCascade(t *testing.T) {
 		}
 	}
 }
+
+// TestIngestActionTableUnderFaults: the action tables come from the chain
+// walker, which stops at a shot that still fails after retries; ingestion
+// resumes after it, so a clip's score is the sum over exactly the shots some
+// attempt scored — for a plain fallible recogniser and for a cascade whose
+// tiers fault independently (where the accurate tier alone can lose a shot).
+func TestIngestActionTableUnderFaults(t *testing.T) {
+	v := repoVideo(t, "rank-faulty", 9)
+	const seed, attempts = 19, 4
+	fc := detect.FaultConfig{TransientRate: 0.3, PermanentRate: 0.02, Seed: 3}
+	act := detect.InjectActionFaults(detect.NewActionRecognizer(detect.I3D, seed), fc)
+	cheap := detect.InjectActionFaults(detect.NewDistilledActionRecognizer(act, detect.DistilledI3D, seed), fc)
+	cfg := DefaultIngestConfig()
+	cfg.Core.Retry = detect.RetryConfig{Attempts: attempts} // zero BaseDelay: no backoff sleeps in-test
+	cfg.Core.FailureBudget = 1                              // flag, never degrade
+
+	// A shot contributes the accurate model's score iff one of its attempts
+	// succeeds (the recall-complete cheap tier never changes a score).
+	g := v.Geometry()
+	want := make([]float64, g.NumClips(v.NumFrames()))
+	lost := 0
+	for c := range want {
+		sr := g.ShotRangeOfClip(c)
+	shots:
+		for s := sr.Start; s <= sr.End; s++ {
+			for a := 0; a < attempts; a++ {
+				score, err := act.ShotScoreAttempt(v, "jumping", s, a)
+				if err == nil {
+					want[c] += score
+					continue shots
+				}
+				if !detect.IsTransient(err) {
+					break
+				}
+			}
+			lost++
+		}
+	}
+	if lost == 0 {
+		t.Fatal("no shot lost to faults: the resume-after-failure path was not exercised")
+	}
+
+	obj := detect.NewObjectDetector(detect.MaskRCNN, seed)
+	for name, rec := range map[string]detect.ActionRecognizer{
+		"plain": act,
+		"cascade": detect.NewActionCascade(
+			detect.ActionTier{Recognizer: cheap, Band: detect.RecallBand(), PriorEscalate: detect.DistilledI3D.EscalationPrior(detect.RecallBand())},
+			detect.ActionTier{Recognizer: act},
+		),
+	} {
+		ix, err := Ingest(context.Background(), v, detect.NewModels(obj, rec), PaperScoring(), cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for c, w := range want {
+			got, _, err := ix.Actions["jumping"].Table.ScoreOf(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != w {
+				t.Fatalf("%s: clip %d scores %v, want %v", name, c, got, w)
+			}
+		}
+	}
+}

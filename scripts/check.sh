@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Repo-wide verification: vet, build, the full test suite under the race
-# detector (including the store/rank crash-injection and corruption tests
+# Repo-wide verification: gofmt, vet, build, the full test suite under the
+# race detector (including the store/rank crash-injection and corruption tests
 # and the cluster coordinator's deterministic fault-schedule tests), an
 # ingest + `svq fsck` round trip, then the smoke test, which covers
 # durability (ingest -> SIGKILL -> resume -> fsck), observability against a
@@ -22,6 +22,15 @@ stage() {
   echo "==> $1"
 }
 
+stage "gofmt -l ."
+# Any file gofmt would rewrite fails the build before anything is compiled.
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+  echo "gofmt: these files need formatting:" >&2
+  echo "$unformatted" >&2
+  exit 1
+fi
+
 stage "go vet ./..."
 go vet ./...
 
@@ -40,7 +49,7 @@ stage "allocation bounds (no race: counts skip under the detector)"
 # The pooled-scratch aliasing tests above ran under -race; the numeric
 # AllocsPerRun bounds skip there (instrumentation inflates counts), so run
 # them again without it to enforce the hot path's allocation budget.
-go test -count=1 -run 'AllocsSteadyState' ./internal/core/ ./internal/rank/
+go test -count=1 -run 'AllocsSteadyState' ./internal/detect/ ./internal/core/ ./internal/rank/
 
 stage "fuzz smoke (-fuzztime=5s each)"
 # A short native-fuzzing burst over the lexer and parser (EXPLAIN included
@@ -62,13 +71,6 @@ stage "benchmark smoke (-benchtime=1x -benchmem)"
 # keeps allocs/op in the output so hot-path allocation creep is visible in
 # every CI log, not only when the AllocsPerRun bounds trip.
 go test -run '^$' -bench . -benchtime=1x -benchmem .
-
-stage "scaling report + regression gate (BENCH_scaling.json)"
-# Appends a git-rev-stamped entry to the BENCH series and fails on a >25%
-# peak-throughput drop vs the latest prior entry with a matching config
-# (gomaxprocs, fleet size, frames/video, scale, seed); a config change
-# skips the comparison instead of comparing apples to oranges.
-go run ./cmd/experiments -scale 0.1 -bench-json BENCH_scaling.json -bench-gate 25 >/dev/null
 
 stage "ingest + svq fsck round trip"
 fscktmp=$(mktemp -d)
