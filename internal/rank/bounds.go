@@ -43,8 +43,8 @@ func TopKLowerBound(bs []Bounds, k int) float64 {
 	return topKLowerBoundInto(bs, k, nil)
 }
 
-// topKLowerBoundInto is TopKLowerBound with a caller-owned sort column, so
-// the per-round pruning check of a long traversal reuses one buffer.
+// topKLowerBoundInto is TopKLowerBound with a caller-owned selection column,
+// so the per-round pruning check of a long traversal reuses one buffer.
 func topKLowerBoundInto(bs []Bounds, k int, los []float64) float64 {
 	if k <= 0 || len(bs) < k {
 		return math.Inf(-1)
@@ -53,8 +53,39 @@ func topKLowerBoundInto(bs []Bounds, k int, los []float64) float64 {
 	for _, b := range bs {
 		los = append(los, b.Lo)
 	}
-	slices.Sort(los)
-	return los[len(los)-k]
+	return kthLargest(los, k)
+}
+
+// kthLargest returns the k-th largest of xs (1 <= k <= len(xs)) by Hoare's
+// selection, reordering xs: linear in len(xs) where a sort is not, and a
+// long traversal asks after every returned clip.
+func kthLargest(xs []float64, k int) float64 {
+	target := len(xs) - k // the value's position in ascending order
+	for lo, hi := 0, len(xs)-1; lo < hi; {
+		pivot := xs[lo+(hi-lo)/2]
+		i, j := lo, hi
+		for i <= j {
+			for xs[i] < pivot {
+				i++
+			}
+			for xs[j] > pivot {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		// xs[lo..j] <= pivot <= xs[i..hi], and anything between equals it.
+		if j < target {
+			lo = i
+		}
+		if target < i {
+			hi = j
+		}
+	}
+	return xs[target]
 }
 
 // Separated reports whether the k best lower bounds dominate every other

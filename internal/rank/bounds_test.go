@@ -3,6 +3,8 @@ package rank
 import (
 	"context"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -29,6 +31,31 @@ func TestTopKLowerBound(t *testing.T) {
 	}
 	if got := TopKLowerBound(nil, 1); !math.IsInf(got, -1) {
 		t.Errorf("empty = %v, want -Inf", got)
+	}
+}
+
+// TestKthLargestMatchesSort holds the selection behind Blo_K to a full sort,
+// on columns with many repeated values (sequences at equal bounds are the
+// norm early in a traversal) and the infinities an unbounded top produces.
+func TestKthLargestMatchesSort(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 2000; trial++ {
+		xs := make([]float64, 1+r.Intn(60))
+		levels := 1 + r.Intn(8)
+		for i := range xs {
+			switch xs[i] = float64(r.Intn(levels)); r.Intn(20) {
+			case 0:
+				xs[i] = math.Inf(1)
+			case 1:
+				xs[i] = math.Inf(-1)
+			}
+		}
+		sorted := slices.Clone(xs)
+		slices.Sort(sorted)
+		k := 1 + r.Intn(len(xs))
+		if got, want := kthLargest(slices.Clone(xs), k), sorted[len(xs)-k]; got != want {
+			t.Fatalf("kthLargest(%v, %d) = %v, want %v", xs, k, got, want)
+		}
 	}
 }
 

@@ -144,8 +144,9 @@ func (ix *Index) PqCNF(q core.CNF) (video.IntervalSet, error) {
 }
 
 // RVAQCNF answers a ranked CNF query with the RVAQ machinery over per-atom
-// tables. Like RVAQ it honours ctx between iterator rounds. Every atom must
-// be ingested: an unknown name is a client error (NotIngestedError).
+// tables. Like RVAQ it looks at ctx before every returned clip and every
+// ctxCheckRounds sorted-access rounds in between. Every atom must be
+// ingested: an unknown name is a client error (NotIngestedError).
 func RVAQCNF(ctx context.Context, ix *Index, q core.CNF, k int, opts Options) (*Result, error) {
 	return rvaqCNF(ctx, ix, q, k, opts, false)
 }

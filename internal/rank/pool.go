@@ -2,72 +2,47 @@ package rank
 
 import "sync"
 
-// Per-query round-state pooling. A top-k traversal re-derives the same
-// scratch every sorted-access round — the Bounds vector over all candidate
-// sequences, the lower-bound sort column, the winner-order permutation, the
-// per-table score column of a random-access completion. topkScratch owns all
-// of it; a traversal acquires one scratch up front and returns it when the
-// query finishes, so steady-state rounds allocate nothing.
+// Per-query round-state pooling. A top-k traversal needs the same scratch
+// for every query and re-derives part of it after every returned clip — the
+// TBClip iterator's per-clip state and heaps, the candidate sequences'
+// bound bookkeeping, the Bounds vector over them, the lower-bound selection
+// column, the winner-order permutation. topkScratch owns all of it; a
+// traversal acquires one scratch up front and returns it when the query
+// finishes, so a warm query allocates none of it.
 //
 // The scratch holds no pointers into query results: winners are copied into
-// fresh slices before the traversal returns, and Bounds/score columns are
-// plain values recomputed every round.
+// fresh values before the traversal returns, and Bounds are plain values
+// recomputed every round.
 type topkScratch struct {
+	iter tbClip
+	// seqs is the bound bookkeeping of every candidate sequence.
+	seqs []seqState
 	// bounds is the per-round Bounds vector over every candidate sequence.
 	bounds []Bounds
-	// los is the lower-bound column topKLowerBoundInto sorts.
+	// los is the lower-bound column topKLowerBoundInto selects from.
 	los []float64
 	// order is the index permutation separatedInto sorts.
 	order []int
-	// scores is the per-table score column for random-access clip scoring.
-	scores []float64
 }
 
 var topkPool = sync.Pool{New: func() any { return new(topkScratch) }}
 
 func acquireTopk() *topkScratch { return topkPool.Get().(*topkScratch) }
 
-// release returns the scratch to the pool, keeping grown capacities.
+// release returns the scratch to the pool, keeping grown capacities but not
+// the query's tables.
 func (s *topkScratch) release() {
-	s.bounds = s.bounds[:0]
-	s.los = s.los[:0]
-	s.order = s.order[:0]
-	s.scores = s.scores[:0]
+	s.iter.tables, s.iter.scorer = nil, nil
 	topkPool.Put(s)
 }
 
-// boundsBuf returns the scratch Bounds vector resized to n.
-func (s *topkScratch) boundsBuf(n int) []Bounds {
-	if cap(s.bounds) < n {
-		s.bounds = make([]Bounds, n)
+// resized returns s with length n and every element zero, reusing its
+// capacity when that suffices.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	s.bounds = s.bounds[:n]
-	return s.bounds
-}
-
-// losBuf returns the scratch lower-bound column with capacity for n values
-// and zero length; topKLowerBoundInto appends into it without reallocating.
-func (s *topkScratch) losBuf(n int) []float64 {
-	if cap(s.los) < n {
-		s.los = make([]float64, 0, n)
-	}
-	return s.los[:0]
-}
-
-// orderBuf returns the scratch permutation with capacity for n values and
-// zero length; separatedInto appends into it without reallocating.
-func (s *topkScratch) orderBuf(n int) []int {
-	if cap(s.order) < n {
-		s.order = make([]int, 0, n)
-	}
-	return s.order[:0]
-}
-
-// scoreBuf returns the scratch per-table score column resized to n.
-func (s *topkScratch) scoreBuf(n int) []float64 {
-	if cap(s.scores) < n {
-		s.scores = make([]float64, n)
-	}
-	s.scores = s.scores[:n]
-	return s.scores
+	s = s[:n]
+	clear(s)
+	return s
 }

@@ -87,6 +87,7 @@ type seqState struct {
 	sum       float64 // f over processed clips
 	processed int
 	excluded  bool // conclusively outside the top-k
+	winner    bool // in the separated top-k set
 }
 
 func (s *seqState) remaining() int { return s.iv.Len() - s.processed }
@@ -98,9 +99,10 @@ func (s *seqState) remaining() int { return s.iv.Len() - s.processed }
 // until the top-k set separates; sequences proven irrelevant have their
 // remaining clips added to the skip set.
 //
-// The context is checked between iterator rounds, so a deadlined or
-// abandoned query stops touching the tables promptly; table read failures
-// surface as errors instead of panics.
+// The context is checked before every returned clip and every
+// ctxCheckRounds sorted-access rounds in between, so a deadlined or abandoned
+// query stops touching the tables within that many rounds; table read
+// failures surface as errors instead of panics.
 func RVAQ(ctx context.Context, ix *Index, q core.Query, k int, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	if err := opts.Scoring.Validate(); err != nil {
@@ -141,8 +143,10 @@ func topkRun(ctx context.Context, res *Result, tables []store.Table, scorer tabl
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	iter, err := newTBClip(tables, scorer, pq, opts.NoSkip)
-	if err != nil {
+	scratch := acquireTopk()
+	defer scratch.release()
+	iter := &scratch.iter
+	if err := iter.reset(tables, scorer, pq, opts.NoSkip); err != nil {
 		return err
 	}
 	span := obs.StartSpan(ctx, "rank.topk")
@@ -150,59 +154,58 @@ func topkRun(ctx context.Context, res *Result, tables []store.Table, scorer tabl
 		res.Rounds = iter.rounds
 		finishTopkSpan(span, res)
 	}()
-	scratch := acquireTopk()
-	defer scratch.release()
 
-	seqs := make([]*seqState, 0, pq.NumIntervals())
-	for _, iv := range pq.Intervals() {
-		seqs = append(seqs, &seqState{iv: iv})
+	n := pq.NumIntervals()
+	scratch.seqs = resized(scratch.seqs, n)
+	scratch.bounds = resized(scratch.bounds, n)
+	scratch.los = resized(scratch.los, n)
+	scratch.order = resized(scratch.order, n)
+	seqs, bs := scratch.seqs, scratch.bounds
+	for i, iv := range pq.Intervals() {
+		seqs[i].iv = iv
 	}
 	locate := func(clip int) *seqState {
 		i := sort.Search(len(seqs), func(i int) bool { return seqs[i].iv.End >= clip })
 		if i < len(seqs) && seqs[i].iv.Contains(clip) {
-			return seqs[i]
+			return &seqs[i]
 		}
 		return nil
 	}
 
 	f := opts.Scoring.Seq
 	sTop, sBtm := math.Inf(1), 0.0
-	upper := func(s *seqState) float64 {
-		if s.remaining() == 0 {
-			return s.sum
-		}
-		return f.Combine(s.sum, f.Repeat(sTop, s.remaining()))
-	}
-	lower := func(s *seqState) float64 {
-		if s.remaining() == 0 {
-			return s.sum
-		}
-		return f.Combine(s.sum, f.Repeat(sBtm, s.remaining()))
-	}
-
+	// boundsOf brackets a sequence's score: the processed clips' sum, plus
+	// every unprocessed clip at the last bottom score from below and at the
+	// last top score from above.
 	boundsOf := func(s *seqState) Bounds {
-		return Bounds{Seq: s.iv, Lo: lower(s), Up: upper(s), Exact: s.remaining() == 0}
+		rem := s.remaining()
+		if rem == 0 {
+			return Bounds{Seq: s.iv, Lo: s.sum, Up: s.sum, Exact: true}
+		}
+		return Bounds{Seq: s.iv, Lo: f.Combine(s.sum, f.Repeat(sBtm, rem)), Up: f.Combine(s.sum, f.Repeat(sTop, rem))}
 	}
-
+	// refresh rebuilds the bounds vector from the current extremes: once per
+	// returned clip, read by the hopeless drop and the Equation 15 check.
+	refresh := func() {
+		for i := range seqs {
+			bs[i] = boundsOf(&seqs[i])
+		}
+	}
 	// separated reports whether the k-th best lower bound dominates every
 	// other sequence's upper bound (paper Equation 15), returning the
 	// current winner set when it does. The bound comparison itself lives
 	// in rank.Separated so the cluster coordinator's merge applies the
 	// identical rule.
 	separated := func() ([]*seqState, bool) {
-		bs := scratch.boundsBuf(len(seqs))
-		for i, s := range seqs {
-			bs[i] = boundsOf(s)
-		}
-		idx, sep := separatedInto(bs, k, scratch.orderBuf(len(seqs)))
+		idx, sep := separatedInto(bs, k, scratch.order[:0])
 		if !sep {
 			return nil, false
 		}
-		// idx aliases the scratch permutation; copy winners out before the
-		// next round reuses it.
+		// idx aliases the scratch permutation; copy winners out.
 		winners := make([]*seqState, len(idx))
 		for i, j := range idx {
-			winners[i] = seqs[j]
+			winners[i] = &seqs[j]
+			seqs[j].winner = true
 		}
 		return winners, true
 	}
@@ -217,11 +220,11 @@ func topkRun(ctx context.Context, res *Result, tables []store.Table, scorer tabl
 
 	var winners []*seqState
 	for {
-		if cerr := ctx.Err(); cerr != nil {
-			return &core.InterruptedError{Processed: res.ClipsScored, Total: pq.TotalLen(), Err: cerr}
-		}
-		top, btm, hasTop, hasBtm, ok, err := iter.Next()
+		top, btm, hasTop, hasBtm, ok, err := iter.NextContext(ctx)
 		if err != nil {
+			if cerr := ctx.Err(); cerr != nil {
+				return &core.InterruptedError{Processed: res.ClipsScored, Total: pq.TotalLen(), Err: cerr}
+			}
 			return err
 		}
 		if !ok {
@@ -236,88 +239,98 @@ func topkRun(ctx context.Context, res *Result, tables []store.Table, scorer tabl
 			processClip(btm)
 		}
 
-		if winners == nil {
-			ws, sep := separated()
-			if !sep {
-				// Even before separation, sequences whose upper bound falls
-				// below the current k-th lower bound can never win: skip
-				// their remaining clips (Algorithm 4 lines 13-14).
-				if !opts.NoSkip {
-					dropHopeless(seqs, k, upper, lower, iter, scratch)
-				}
-				continue
+		refresh()
+		// Equation 15 needs every sequence outside the k best lower bounds
+		// to have Up <= Blo_K, so more than k sequences above Blo_K rule it
+		// out without ordering anything.
+		bloK := topKLowerBoundInto(bs, k, scratch.los[:0])
+		above := 0
+		for i := range bs {
+			if bs[i].Up > bloK {
+				above++
 			}
-			winners = ws
-			if opts.ApproxScores {
-				break
-			}
+		}
+		sep := false
+		if above <= k {
+			winners, sep = separated()
+		}
+		if !sep {
+			// Even before separation, sequences whose upper bound falls
+			// below the current k-th lower bound can never win: skip
+			// their remaining clips (Algorithm 4 lines 13-14).
 			if !opts.NoSkip {
-				// The top-k set is fixed; everything else is irrelevant
-				// (Algorithm 4 lines 19-20).
-				inWin := map[*seqState]bool{}
-				for _, w := range winners {
-					inWin[w] = true
-				}
-				for _, s := range seqs {
-					if !inWin[s] && !s.excluded {
+				for i := range seqs {
+					if s := &seqs[i]; !s.excluded && bs[i].Up < bloK {
 						s.excluded = true
 						iter.Skip(s.iv)
 					}
 				}
 			}
-			// The winners' exact scores no longer need the iterator's
-			// threshold machinery — fetch their remaining clips by direct
-			// random access.
-			for _, s := range winners {
-				for c := s.iv.Start; c <= s.iv.End; c++ {
-					if iter.processed[c] {
-						continue
-					}
-					score, ok := iter.candidates[c]
-					if !ok {
-						var err error
-						score, err = scoreClip(tables, scorer, c, scratch.scoreBuf(len(tables)))
-						if err != nil {
-							return err
-						}
-					}
-					iter.mark(c)
-					processClip(store.Entry{Clip: c, Score: score})
-				}
-			}
+			continue
+		}
+		if opts.ApproxScores {
 			break
 		}
+		if !opts.NoSkip {
+			// The top-k set is fixed; everything else is irrelevant
+			// (Algorithm 4 lines 19-20).
+			for i := range seqs {
+				if s := &seqs[i]; !s.winner && !s.excluded {
+					s.excluded = true
+					iter.Skip(s.iv)
+				}
+			}
+		}
+		// The winners' exact scores no longer need the iterator's
+		// threshold machinery — fetch their remaining clips by direct
+		// random access.
+		for _, s := range winners {
+			for c := s.iv.Start; c <= s.iv.End; c++ {
+				if iter.done(c) {
+					continue
+				}
+				score, ok := iter.candidate(c)
+				if !ok {
+					var err error
+					score, err = scoreClip(tables, scorer, c, iter.scoreCol)
+					if err != nil {
+						return err
+					}
+				}
+				iter.mark(c)
+				processClip(store.Entry{Clip: c, Score: score})
+			}
+		}
+		break
 	}
 
 	if winners == nil {
 		// The iterator drained before separation: all scores are exact, so
 		// rank directly.
+		refresh()
 		ws, _ := separated()
 		if ws == nil {
 			sort.Slice(seqs, func(i, j int) bool { return seqs[i].sum > seqs[j].sum })
-			if len(seqs) > k {
-				ws = seqs[:k]
-			} else {
-				ws = seqs
+			for i := 0; i < len(seqs) && i < k; i++ {
+				seqs[i].winner = true
+				ws = append(ws, &seqs[i])
 			}
 		}
 		winners = ws
 	}
 
-	inWinners := make(map[*seqState]bool, len(winners))
 	for _, w := range winners {
-		inWinners[w] = true
-		sr := SeqResult{Seq: w.iv, Lower: lower(w), Upper: upper(w), Exact: w.remaining() == 0}
-		res.Sequences = append(res.Sequences, sr)
+		b := boundsOf(w)
+		res.Sequences = append(res.Sequences, SeqResult{Seq: b.Seq, Lower: b.Lo, Upper: b.Up, Exact: b.Exact})
 	}
 	sort.Slice(res.Sequences, func(i, j int) bool { return res.Sequences[i].Score() > res.Sequences[j].Score() })
 	// The residual upper bound covers every candidate the top-k omits —
 	// what a coordinator needs to decide whether this shard could still
 	// contribute to a global top-k.
-	for _, s := range seqs {
-		if !inWinners[s] {
+	for i := range seqs {
+		if s := &seqs[i]; !s.winner {
 			res.Truncated = true
-			if up := upper(s); up > res.ResidualUpper {
+			if up := boundsOf(s).Up; up > res.ResidualUpper {
 				res.ResidualUpper = up
 			}
 		}
@@ -346,24 +359,4 @@ func sortSeqResults(rs []SeqResult) {
 		}
 		return rs[i].Seq.Start < rs[j].Seq.Start
 	})
-}
-
-// dropHopeless implements the early skip of Algorithm 4 (lines 13-14):
-// sequences whose upper bound is below the current k-th highest lower bound
-// cannot reach the top-k.
-func dropHopeless(seqs []*seqState, k int, upper, lower func(*seqState) float64, iter *tbClip, scratch *topkScratch) {
-	if len(seqs) <= k {
-		return
-	}
-	bs := scratch.boundsBuf(len(seqs))
-	for i, s := range seqs {
-		bs[i] = Bounds{Seq: s.iv, Lo: lower(s), Up: upper(s)}
-	}
-	bloK := topKLowerBoundInto(bs, k, scratch.losBuf(len(seqs)))
-	for _, s := range seqs {
-		if !s.excluded && upper(s) < bloK {
-			s.excluded = true
-			iter.Skip(s.iv)
-		}
-	}
 }

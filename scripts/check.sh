@@ -41,8 +41,9 @@ stage "go test -race -shuffle=on -count=1 ./..."
 # -count=1 keeps every run uncached. This pass carries the correctness
 # contracts: the rolling-swap chaos property tests (TestRolloutChaos), the
 # order- and tier-invariance suites over basic and CNF queries, the
-# parent-commit goldens of the one clip loop, and the inference-budget
-# degradation tests.
+# parent-commit goldens of the one clip loop and of the ranked top-k, the
+# TBClip iterator's differential test against its reference, and the
+# inference-budget degradation tests.
 go test -race -shuffle=on -count=1 ./...
 
 stage "allocation bounds (no race: counts skip under the detector)"
@@ -64,6 +65,9 @@ go test -run '^$' -fuzz '^FuzzQ3ClosedMatchesDP$' -fuzztime=5s ./internal/scanst
 # commit record, manifest (untrusted pack offsets) and pack.
 go test -run '^$' -fuzz '^FuzzVerifyTable$' -fuzztime=5s ./internal/store
 go test -run '^$' -fuzz '^FuzzLoadGeneration$' -fuzztime=5s ./internal/rank
+# The TBClip iterator against the map-based one it replaced (kept in
+# tbclip_ref_test.go as the referee): same yields, rounds and accesses.
+go test -run '^$' -fuzz '^FuzzTBClipMatchesReference$' -fuzztime=5s ./internal/rank
 
 stage "benchmark smoke (-benchtime=1x -benchmem)"
 # One iteration of every benchmark: catches bit-rot in the experiment and
