@@ -191,28 +191,70 @@ func BenchmarkDetectorFrameScore(b *testing.B) {
 	}
 }
 
+// onlineDeckScale is the dataset scale of the online deck's world: the
+// served benchmark's own (seed 42, as every svqbench run).
+const onlineDeckScale = 1.0
+
+var (
+	onlineOnce             sync.Once
+	onlineYT, onlineMovies *synth.Dataset
+)
+
+// onlineDatasets generates the served benchmark's world once.
+func onlineDatasets() (youtube, movies *synth.Dataset) {
+	onlineOnce.Do(func() {
+		opts := synth.Options{Scale: onlineDeckScale, Seed: 42}
+		onlineYT, onlineMovies = synth.YouTube(opts), synth.Movies(opts)
+	})
+	return onlineYT, onlineMovies
+}
+
+// youTubeSet resolves a YouTube query's source as the server does: the
+// concatenation of the set's videos in which its action occurs.
+func youTubeSet(b *testing.B, q synth.QuerySpec) detect.TruthVideo {
+	b.Helper()
+	yt, _ := onlineDatasets()
+	var vids []*synth.Video
+	for _, v := range yt.Videos {
+		if !v.ActionPresence(q.Action).Empty() {
+			vids = append(vids, v)
+		}
+	}
+	c, err := synth.NewConcat(q.Name, vids)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return c
+}
+
 // BenchmarkScoreClip times the one unit-scoring call every predicate
 // evaluation makes — a clip's frames through Scorer.Score into a reused
 // account — for a plain model (one batch call), a cascade (batch the cheap
 // tier, walk the escalations) and a fallible model (per-unit retry under
-// 20 % transient faults). The walker allocates nothing itself (detect's
-// TestScoreAllocsSteadyState); the cascade's allocs/op are the simulated
-// teacher listing the visible instances of each escalated frame, the
-// fallible model's are its error values.
+// 20 % transient faults), on a sparse type; then the plain model on the
+// ubiquitous, many-instance "person" of a movie and of a YouTube set's
+// concatenation (the streams the online workload scores). The walker
+// allocates nothing itself (detect's TestScoreAllocsSteadyState); the
+// fallible model's allocs/op are its error values.
 func BenchmarkScoreClip(b *testing.B) {
 	v := benchVideo(b)
 	teacher := detect.NewObjectDetector(detect.MaskRCNN, 1)
-	frames := v.Geometry().FramesPerClip()
-	clips := v.NumFrames() / frames
+	_, movies := onlineDatasets()
 	for _, c := range []struct {
-		name  string
-		model detect.ObjectDetector
+		name, label string
+		model       detect.ObjectDetector
+		video       detect.TruthVideo
 	}{
-		{"single", teacher},
-		{"cascade", detect.NewDistilledObjectCascade(teacher, detect.DistilledRCNN, 1)},
-		{"fallible", detect.InjectObjectFaults(teacher, detect.FaultConfig{TransientRate: 0.2, Seed: 1})},
+		{"single", "car", teacher, v},
+		{"cascade", "car", detect.NewDistilledObjectCascade(teacher, detect.DistilledRCNN, 1), v},
+		{"fallible", "car", detect.InjectObjectFaults(teacher, detect.FaultConfig{TransientRate: 0.2, Seed: 1}), v},
+		{"person", "person", teacher, movies.Videos[0]},
+		{"concat", "person", teacher, youTubeSet(b, synth.YouTubeQueries()[0])},
 	} {
 		b.Run(c.name, func(b *testing.B) {
+			v := c.video
+			frames := v.Geometry().FramesPerClip()
+			clips := v.NumFrames() / frames
 			chain := detect.ObjectScorer(c.model)
 			var acc detect.Account
 			dst := make([]float64, frames)
@@ -221,7 +263,7 @@ func BenchmarkScoreClip(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				acc.Reset(len(chain.Tiers()))
-				if _, err := chain.Score(context.Background(), v, "car", i%clips*frames, 0, dst, retry, &acc); err != nil {
+				if _, err := chain.Score(context.Background(), v, c.label, i%clips*frames, 0, dst, retry, &acc); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -265,6 +307,85 @@ func BenchmarkSVAQDClip(b *testing.B) {
 			i += res.NumClips
 		}
 	})
+}
+
+// BenchmarkOnlineDeck runs the statement shapes of the served benchmark's
+// online pool over its scale-1.0 world, each class one op: svaqd (every
+// YouTube set with no object, person, each object alone and with person,
+// and the pair), svaq (the set's action with all objects and alone, under
+// static critical values), cnf (the two OR-group shapes with person) and
+// movie (a movie's action with its object and with person). units/op is the
+// detector units scored per pass — the paper's cost, a constant of the
+// statements that an optimisation of the engine's CPU must leave in place.
+func BenchmarkOnlineDeck(b *testing.B) {
+	_, movies := onlineDatasets()
+	meter := &detect.Meter{}
+	cfg := core.DefaultConfig()
+	cfg.Meter = meter
+	models := detect.NewModels(detect.NewObjectDetector(detect.MaskRCNN, 42), detect.NewActionRecognizer(detect.I3D, 42))
+	svaqd, err := core.NewSVAQD(models, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	svaq, err := core.NewSVAQ(models, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	type statement func() (*core.Result, error)
+	basic := func(eng *core.Engine, v detect.TruthVideo, action string, objects ...string) statement {
+		q := core.Query{Objects: objects, Action: action}
+		return func() (*core.Result, error) { return eng.Run(context.Background(), v, q) }
+	}
+	decks := map[string][]statement{}
+	for _, q := range synth.YouTubeQueries() {
+		v := youTubeSet(b, q)
+		subsets := [][]string{nil, {"person"}}
+		for _, o := range q.Objects {
+			subsets = append(subsets, []string{o}, []string{o, "person"})
+		}
+		if len(q.Objects) >= 2 {
+			subsets = append(subsets, q.Objects[:2])
+		}
+		for _, objs := range subsets {
+			decks["svaqd"] = append(decks["svaqd"], basic(svaqd, v, q.Action, objs...))
+		}
+		decks["svaq"] = append(decks["svaq"], basic(svaq, v, q.Action, q.Objects...), basic(svaq, v, q.Action))
+		act, obj, person := core.ActionAtom(q.Action), core.ObjectAtom(q.Objects[0]), core.ObjectAtom("person")
+		for _, cnf := range []core.CNF{
+			{Clauses: []core.Clause{{Atoms: []core.Atom{act, obj}}, {Atoms: []core.Atom{person}}}},
+			{Clauses: []core.Clause{{Atoms: []core.Atom{act}}, {Atoms: []core.Atom{obj, person}}}},
+		} {
+			decks["cnf"] = append(decks["cnf"], func() (*core.Result, error) { return svaqd.RunCNF(context.Background(), v, cnf) })
+		}
+	}
+	for _, m := range synth.MovieQueries() {
+		v := movies.Video(m.Name)
+		decks["movie"] = append(decks["movie"], basic(svaqd, v, m.Action, m.Objects[0]), basic(svaqd, v, m.Action, "person"))
+	}
+	for _, class := range []string{"svaqd", "svaq", "cnf", "movie"} {
+		deck := decks[class]
+		b.Run(class, func(b *testing.B) {
+			for _, run := range deck { // warm: critical-value grids, scratch pools, overlays
+				if _, err := run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			units := func() int64 { return meter.ObjectFrames() + meter.ActionShots() }
+			before := units()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, run := range deck {
+					if _, err := run(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(units()-before)/float64(b.N), "units/op")
+			b.ReportMetric(float64(len(deck)), "statements/op")
+		})
+	}
 }
 
 func BenchmarkIngest(b *testing.B) {

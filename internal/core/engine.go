@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -268,12 +267,10 @@ type predState struct {
 	lastBucket int
 	hasBucket  bool
 
-	// recent is a ring of the latest unbiased clip counts; the quantile
-	// gate (Config.NullQuantile) derives an admission threshold from it,
-	// keeping the null-rate estimate robust to the events themselves.
-	recent     []int
-	recentPos  int
-	recentSeen int
+	// recent holds the latest unbiased clip counts; the quantile gate
+	// (Config.NullQuantile) derives an admission threshold from it, keeping
+	// the null-rate estimate robust to the events themselves.
+	recent countRing
 
 	// prev2/prev1 hold the last two unbiased counts so updates can be
 	// applied one clip late with both temporal neighbours known: a count
@@ -580,7 +577,6 @@ func (r *Run) initPred(ps *predState, a Atom) error {
 	ps.atom, ps.name, ps.window = a, a.String(), w
 	ps.rawInd = zeroed(ps.rawInd, units)
 	ps.clipInd = ps.clipInd[:0]
-	ps.recentPos, ps.recentSeen = 0, 0
 	ps.prev2, ps.prev1, ps.lagSeen = 0, 0, 0
 	ps.evaluated = 0
 	ps.evalTime, ps.units, ps.recomputes = 0, 0, 0
@@ -597,6 +593,8 @@ func (r *Run) initPred(ps *predState, a Atom) error {
 		ps.est = nil
 		return nil
 	}
+	// A clip count is the number of positive units among the clip's w.
+	ps.recent.reset(cfg.RobustWindowClips, w)
 	if ps.est != nil && ps.est.Bandwidth() == bw {
 		if err := ps.est.Reset(p0); err != nil {
 			return err
@@ -808,16 +806,7 @@ func (r *Run) Step() bool {
 // nothing is admitted and the prior holds.
 func (r *Run) learn(ps *predState, count int) {
 	thr, ready := r.gateThreshold(ps)
-
-	// Ring update (the threshold above was computed before this count). The
-	// ring's stale contents from a previous pooled run are never read:
-	// gateThreshold waits for recentSeen to cover the whole ring.
-	if len(ps.recent) != r.e.cfg.RobustWindowClips {
-		ps.recent = make([]int, r.e.cfg.RobustWindowClips)
-	}
-	ps.recent[ps.recentPos] = count
-	ps.recentPos = (ps.recentPos + 1) % len(ps.recent)
-	ps.recentSeen++
+	ps.recent.push(count) // after the threshold, which must not see this count
 
 	defer func() {
 		ps.prev2, ps.prev1 = ps.prev1, count
@@ -841,23 +830,15 @@ func (r *Run) learn(ps *predState, count int) {
 	}
 }
 
-// gateThreshold derives the admission threshold from the recent-count ring.
+// gateThreshold derives the admission threshold from the recent counts.
 // It is only ready once the ring is full: on a partially filled ring a
 // single event occurrence could dominate the quantile, poisoning the null
 // estimate with event counts that a short stream never forgets.
 func (r *Run) gateThreshold(ps *predState) (thr int, ready bool) {
-	if len(ps.recent) == 0 || ps.recentSeen < len(ps.recent) {
+	q, ready := ps.recent.quantile(r.e.cfg.NullQuantile)
+	if !ready {
 		return 0, false
 	}
-	n := len(ps.recent)
-	sorted := r.sortBuf(n)
-	copy(sorted, ps.recent[:n])
-	sort.Ints(sorted)
-	idx := int(r.e.cfg.NullQuantile * float64(n))
-	if idx >= n {
-		idx = n - 1
-	}
-	q := sorted[idx]
 	// Rate implied by the quantile (with a light quarter-count prior so a
 	// zero quantile still grants some slack), then ~2 sd of binomial slack.
 	// A heavier prior would inflate the implied rate so much on small
@@ -867,6 +848,54 @@ func (r *Run) gateThreshold(ps *predState) (thr int, ready bool) {
 	pt := (float64(q) + 0.25) / (w + 0.5)
 	slack := int(math.Ceil(2 * math.Sqrt(w*pt*(1-pt))))
 	return q + slack, true
+}
+
+// countRing is the quantile gate's memory: the latest clip counts in a
+// ring, and hist, their histogram by count (hist[c] is how many ring
+// entries equal c), kept in step with the ring. A clip count lies in
+// [0, window], so a quantile is a walk over at most window+1 bins — not a
+// copy and a sort of the ring once per clip per predicate.
+type countRing struct {
+	ring      []int
+	pos, seen int
+	hist      []int
+}
+
+// reset empties the gate for a ring of n counts, each in [0, maxCount],
+// reusing the slices' capacity. A pooled ring's stale entries are never
+// read: push overwrites a slot before evicting from it, and quantile waits
+// until every slot has been written.
+func (g *countRing) reset(n, maxCount int) {
+	g.ring = grow(g.ring, n)
+	g.hist = zeroed(g.hist, maxCount+1)
+	g.pos, g.seen = 0, 0
+}
+
+// push records one count, evicting the oldest once the ring is full.
+func (g *countRing) push(count int) {
+	if g.seen >= len(g.ring) {
+		g.hist[g.ring[g.pos]]--
+	}
+	g.ring[g.pos] = count
+	g.hist[count]++
+	g.pos = (g.pos + 1) % len(g.ring)
+	g.seen++
+}
+
+// quantile returns the q-quantile of the ring's counts — the element at
+// index ⌊q·n⌋ of the counts sorted ascending, the last one for q = 1 — and
+// whether the ring is full.
+func (g *countRing) quantile(q float64) (int, bool) {
+	n := len(g.ring)
+	if n == 0 || g.seen < n {
+		return 0, false
+	}
+	idx := min(int(q*float64(n)), n-1)
+	c := 0
+	for below := g.hist[0]; below <= idx; below += g.hist[c] {
+		c++
+	}
+	return c, true
 }
 
 // entryTier maps the planner's tier decision to the cascade entry index.
@@ -907,13 +936,9 @@ func (r *Run) evaluate(ps *predState, clip int, mode plan.TierMode, objectFrames
 	if kind == RelationPredicate {
 		// Footnote 2: a binary per-frame output derived from the detections
 		// of the two operand types.
-		count := 0
-		for f := units.Start; f <= units.End; f++ {
-			if detect.RelationPositive(r.e.models.Objects, r.v, detect.Relation(name), ps.atom.Args[0], ps.atom.Args[1], f) {
-				ps.rawInd[f] = true
-				count++
-			}
-		}
+		ev := &r.scratch.relEvents
+		count := detect.RelationPositives(r.e.models.Objects, r.v, detect.Relation(name), ps.atom.Args[0], ps.atom.Args[1],
+			units, &ev[0], &ev[1], ps.rawInd[units.Start:units.End+1])
 		ps.units += units.Len()
 		return count, time.Duration(units.Len()) * d.unitCost, nil
 	}

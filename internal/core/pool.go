@@ -9,12 +9,13 @@ import (
 
 // Per-run scratch pooling. A fleet run allocates the same per-video state —
 // the Run itself, one predState per predicate, the clip/flag indicator
-// slices, raw-unit indicators, the quantile-gate sort buffer, the batch
-// score column — once per video, thousands of times per sweep. runScratch
-// owns all of it; runs acquire a scratch from the pool, point their slices
-// into it, and return it after Result() has materialised everything the
-// caller sees (Result is alias-free by construction: interval sets are
-// built fresh by video.FromIndicator, plan reports by the planner).
+// slices, raw-unit indicators, the quantile gate's ring and histogram, the
+// batch score column — once per video, thousands of times per sweep.
+// runScratch owns all of it; runs acquire a scratch from the pool, point
+// their slices into it, and return it after Result() has materialised
+// everything the caller sees (Result is alias-free by construction:
+// interval sets are built fresh by video.FromIndicator, plan reports by the
+// planner).
 //
 // Lifecycle: newRun acquires; Run.release returns the scratch, reclaiming
 // any capacity the run's appends grew. Only the batch entry points
@@ -48,9 +49,9 @@ type runScratch struct {
 	scores []float64
 	ks     []int
 
-	// gateSort is the quantile gate's sort buffer (one per run: Step is
-	// single-goroutine).
-	gateSort []int
+	// relEvents are the two operand types' detection batches of a relation
+	// predicate's clip.
+	relEvents [2]detect.Events
 
 	// planOrder receives the planner's per-clip evaluation order (a copy —
 	// the planner itself may be shared fleet-wide and reorder concurrently);
@@ -117,12 +118,6 @@ func (r *Run) scoreBuf(n int) []float64 {
 func (r *Run) critBuf(n int) []int {
 	r.scratch.ks = grow(r.scratch.ks, n)
 	return r.scratch.ks
-}
-
-// sortBuf returns the scratch gate-sort buffer resized to n.
-func (r *Run) sortBuf(n int) []int {
-	r.scratch.gateSort = grow(r.scratch.gateSort, n)
-	return r.scratch.gateSort
 }
 
 // orderBuf returns the empty scratch buffer the planner's per-clip order is

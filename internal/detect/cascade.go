@@ -4,6 +4,8 @@ import (
 	"context"
 	"strings"
 	"time"
+
+	"svqact/internal/video"
 )
 
 // Model chains. The engine sees every model as a black box that emits one
@@ -427,11 +429,22 @@ func (c *ObjectCascade) FrameDetections(v TruthVideo, typ string, frame int) []D
 	return c.tiers[i].Detector.FrameDetections(v, typ, frame)
 }
 
-// AppendFrameEvents implements ObjectEventAppender: the deciding tier's
-// events, appended columnar.
-func (c *ObjectCascade) AppendFrameEvents(v TruthVideo, typ string, frame int, ev *Events) {
-	i, _ := c.chain.decide(v, typ, frame, 0)
-	AppendFrameEvents(c.tiers[i].Detector, v, typ, frame, ev)
+// AppendFrameEvents implements ObjectEventAppender: every frame's events
+// come from the tier that decides it, each run of consecutive frames
+// decided by one tier in one call to that tier.
+func (c *ObjectCascade) AppendFrameEvents(v TruthVideo, typ string, frames video.Interval, ev *Events) {
+	from, fromTier := frames.Start, -1
+	for f := frames.Start; f <= frames.End; f++ {
+		i, _ := c.chain.decide(v, typ, f, 0)
+		if i != fromTier && fromTier >= 0 {
+			AppendFrameEvents(c.tiers[fromTier].Detector, v, typ, video.Interval{Start: from, End: f - 1}, ev)
+			from = f
+		}
+		fromTier = i
+	}
+	if fromTier >= 0 {
+		AppendFrameEvents(c.tiers[fromTier].Detector, v, typ, video.Interval{Start: from, End: frames.End}, ev)
+	}
 }
 
 // FrameScoreBatch implements BatchObjectScorer.

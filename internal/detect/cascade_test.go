@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"svqact/internal/video"
 )
 
 // The cascades must satisfy the plain and the batch contracts.
@@ -71,9 +73,11 @@ func TestCascadeBitIdenticalToAccurate(t *testing.T) {
 				t.Fatalf("frame %d: detection %d differs: %+v vs %+v", f, i, cd[i], td[i])
 			}
 		}
-		casc.AppendFrameEvents(v, "car", f, &evC)
-		AppendFrameEvents(teacher, v, "car", f, &evT)
+		AppendFrameEvents(teacher, v, "car", video.Interval{Start: f, End: f}, &evT)
 	}
+	// The cascade's events over the whole video in one range, against the
+	// teacher's frame by frame.
+	casc.AppendFrameEvents(v, "car", video.Interval{Start: 0, End: v.NumFrames() - 1}, &evC)
 	if evC.Len() != evT.Len() {
 		t.Fatalf("event streams diverge: %d vs %d", evC.Len(), evT.Len())
 	}

@@ -31,11 +31,13 @@ type TruthVideo interface {
 	Geometry() video.Geometry
 	ObjectTypes() []string
 	ActionTypes() []string
-	// ObjectInstancesAt returns the track IDs of instances of the type
-	// visible on the frame.
-	ObjectInstancesAt(typ string, frame int) []int
-	// ObjectPresentAt reports whether any instance of the type is visible.
-	ObjectPresentAt(typ string, frame int) bool
+	// AppendTracks appends to dst the instances of the object type visible
+	// on any frame of frames, in appearance order, with track IDs in the
+	// video's ID space and Frames clipped to the part of the video the
+	// instance belongs to. The type is present on a frame exactly when some
+	// appended track's Frames contain it; a batch of units reads its
+	// instances and presence from one such window.
+	AppendTracks(typ string, frames video.Interval, dst []video.Track) []video.Track
 	// ActionAt reports whether the action occurs during the shot.
 	ActionAt(act string, shot int) bool
 }

@@ -162,8 +162,8 @@ func TestDetectionsCarryGroundTruthIDs(t *testing.T) {
 			continue
 		}
 		ids := map[int]bool{}
-		for _, id := range v.ObjectInstancesAt("car", f) {
-			ids[id] = true
+		for _, tr := range v.AppendTracks("car", video.Interval{Start: f, End: f}, nil) {
+			ids[tr.TrackID] = true
 		}
 		for _, det := range d.FrameDetections(v, "car", f) {
 			if det.TrackID < 0 {

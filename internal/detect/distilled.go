@@ -1,6 +1,11 @@
 package detect
 
-import "time"
+import (
+	"sync"
+	"time"
+
+	"svqact/internal/video"
+)
 
 // Recall-complete distilled proxies. A distilled student model compresses
 // an accurate teacher into a fraction of the inference cost; calibrated for
@@ -33,64 +38,71 @@ func (d *DistilledObjectDetector) Name() string { return d.core.prof.Name }
 // UnitCost implements ObjectDetector.
 func (d *DistilledObjectDetector) UnitCost() time.Duration { return d.core.prof.UnitCost }
 
-// FrameScore implements ObjectDetector: the teacher's score when the
-// teacher detects anything, otherwise the proxy's own false-positive draw.
+// FrameScore implements ObjectDetector: the one-frame batch.
 func (d *DistilledObjectDetector) FrameScore(v TruthVideo, typ string, frame int) float64 {
-	if s := d.teacher.FrameScore(v, typ, frame); s > 0 {
-		return s
-	}
-	if !v.ObjectPresentAt(typ, frame) {
-		if s, ok := d.core.falsePositive(v, typ, frame, v.NumFrames()); ok {
-			return s
-		}
-	}
-	return 0
+	var s [1]float64
+	d.FrameScoreBatch(v, typ, frame, s[:])
+	return s[0]
 }
 
-// FrameDetections implements ObjectDetector: the teacher's detections, plus
-// a phantom instance when only the proxy hallucinates.
+// FrameDetections implements ObjectDetector: the one-frame events batch.
 func (d *DistilledObjectDetector) FrameDetections(v TruthVideo, typ string, frame int) []Detection {
-	out := d.teacher.FrameDetections(v, typ, frame)
-	if len(out) == 0 && !v.ObjectPresentAt(typ, frame) {
-		if s, ok := d.core.falsePositive(v, typ, frame, v.NumFrames()); ok {
-			// Same stable phantom identity scheme as SimObjectDetector.
-			id := -1 - int(keyed(hashString(v.ID()), hashString(typ), uint64(frame/30))%1_000_000)
-			out = append(out, Detection{TrackID: id, Score: s})
-		}
-	}
-	return out
+	return frameDetections(d, v, typ, frame)
 }
 
-// FrameScoreBatch implements BatchObjectScorer: the teacher's batch path
-// with the proxy's false-positive overlay filled in over its zeros.
+// FrameScoreBatch implements BatchObjectScorer: the teacher's score where
+// the teacher detects anything, otherwise — on frames where the type is
+// absent — the proxy's own false-positive draw.
 func (d *DistilledObjectDetector) FrameScoreBatch(v TruthVideo, typ string, start int, dst []float64) {
+	if len(dst) == 0 {
+		return
+	}
 	FrameScoreBatch(d.teacher, v, typ, start, dst)
-	overlay := d.core.burstOverlay(v.ID(), typ, v.NumFrames())
+	w := window(v, typ, video.Interval{Start: start, End: start + len(dst) - 1})
+	defer trackScratch.Put(w)
+	var dr draws
+	dr.start(d.core, v, typ, v.NumFrames())
 	for i, s := range dst {
-		if s > 0 {
+		if s > 0 || presentIn(*w, start+i) {
 			continue
 		}
-		frame := start + i
-		if v.ObjectPresentAt(typ, frame) {
-			continue
-		}
-		if fs, ok := d.core.falsePositiveIn(overlay, v, typ, frame); ok {
+		if fs, ok := dr.falsePositive(start + i); ok {
 			dst[i] = fs
 		}
 	}
 }
 
-// AppendFrameEvents implements ObjectEventAppender.
-func (d *DistilledObjectDetector) AppendFrameEvents(v TruthVideo, typ string, frame int, ev *Events) {
-	n := ev.Len()
-	AppendFrameEvents(d.teacher, v, typ, frame, ev)
-	if ev.Len() == n && !v.ObjectPresentAt(typ, frame) {
-		if s, ok := d.core.falsePositive(v, typ, frame, v.NumFrames()); ok {
-			id := -1 - int(keyed(hashString(v.ID()), hashString(typ), uint64(frame/30))%1_000_000)
-			ev.Append(frame, int64(id), s)
+// AppendFrameEvents implements ObjectEventAppender: frame by frame, the
+// teacher's events, or a phantom instance where only the proxy
+// hallucinates.
+func (d *DistilledObjectDetector) AppendFrameEvents(v TruthVideo, typ string, frames video.Interval, ev *Events) {
+	if frames.End < frames.Start {
+		return
+	}
+	teacher := teacherScratch.Get().(*Events)
+	defer teacherScratch.Put(teacher)
+	teacher.Reset()
+	AppendFrameEvents(d.teacher, v, typ, frames, teacher)
+	w := window(v, typ, frames)
+	defer trackScratch.Put(w)
+	var dr draws
+	dr.start(d.core, v, typ, v.NumFrames())
+	k := 0 // the teacher's first event on or after frame
+	for frame := frames.Start; frame <= frames.End; frame++ {
+		if k < teacher.Len() && int(teacher.Units[k]) == frame {
+			for ; k < teacher.Len() && int(teacher.Units[k]) == frame; k++ {
+				ev.Append(frame, teacher.Tracks[k], teacher.Scores[k])
+			}
+		} else if !presentIn(*w, frame) {
+			if s, ok := dr.falsePositive(frame); ok {
+				ev.Append(frame, dr.phantomID(frame), s)
+			}
 		}
 	}
 }
+
+// teacherScratch pools the teacher's events of a proxy's events batch.
+var teacherScratch = sync.Pool{New: func() any { return new(Events) }}
 
 // DistilledActionRecognizer is the recall-complete cheap proxy of a teacher
 // action recogniser.
@@ -111,34 +123,25 @@ func (r *DistilledActionRecognizer) Name() string { return r.core.prof.Name }
 // UnitCost implements ActionRecognizer.
 func (r *DistilledActionRecognizer) UnitCost() time.Duration { return r.core.prof.UnitCost }
 
-// ShotScore implements ActionRecognizer.
+// ShotScore implements ActionRecognizer: the one-shot batch.
 func (r *DistilledActionRecognizer) ShotScore(v TruthVideo, act string, shot int) float64 {
-	if s := r.teacher.ShotScore(v, act, shot); s > 0 {
-		return s
-	}
-	if !v.ActionAt(act, shot) {
-		numShots := v.Geometry().NumShots(v.NumFrames())
-		if s, ok := r.core.falsePositive(v, act, shot, numShots); ok {
-			return s
-		}
-	}
-	return 0
+	var s [1]float64
+	r.ShotScoreBatch(v, act, shot, s[:])
+	return s[0]
 }
 
-// ShotScoreBatch implements BatchActionScorer.
+// ShotScoreBatch implements BatchActionScorer: the teacher's score where it
+// predicts the action, otherwise — on shots without the action — the
+// proxy's own false-positive draw.
 func (r *DistilledActionRecognizer) ShotScoreBatch(v TruthVideo, act string, start int, dst []float64) {
 	ShotScoreBatch(r.teacher, v, act, start, dst)
-	numShots := v.Geometry().NumShots(v.NumFrames())
-	overlay := r.core.burstOverlay(v.ID(), act, numShots)
+	var dr draws
+	dr.start(r.core, v, act, v.Geometry().NumShots(v.NumFrames()))
 	for i, s := range dst {
-		if s > 0 {
+		if s > 0 || v.ActionAt(act, start+i) {
 			continue
 		}
-		shot := start + i
-		if v.ActionAt(act, shot) {
-			continue
-		}
-		if fs, ok := r.core.falsePositiveIn(overlay, v, act, shot); ok {
+		if fs, ok := dr.falsePositive(start + i); ok {
 			dst[i] = fs
 		}
 	}

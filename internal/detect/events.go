@@ -1,5 +1,7 @@
 package detect
 
+import "svqact/internal/video"
+
 // Events is a struct-of-arrays batch of object detection events: three
 // parallel columns (unit, track, score) instead of per-event structs. The
 // hot paths — online evaluation over a clip, offline ingest over a whole
@@ -52,28 +54,25 @@ type BatchActionScorer interface {
 }
 
 // ObjectEventAppender is an optional ObjectDetector capability: append the
-// frame's detections to a columnar Events batch instead of materialising a
-// fresh []Detection.
+// detections on a run of frames to a columnar Events batch, in frame order,
+// instead of materialising a fresh []Detection per frame.
 type ObjectEventAppender interface {
-	AppendFrameEvents(v TruthVideo, typ string, frame int, ev *Events)
+	AppendFrameEvents(v TruthVideo, typ string, frames video.Interval, ev *Events)
 }
 
-// InstanceAppender is an optional TruthVideo capability: append the track
-// IDs visible on a frame to a caller-owned buffer instead of allocating a
-// fresh slice per frame. The per-frame instance query sits on the innermost
-// loop of both simulated scoring and ingest, so the allocation matters.
-type InstanceAppender interface {
-	AppendObjectInstancesAt(typ string, frame int, ids []int) []int
-}
-
-// AppendObjectInstancesAt appends the frame's visible track IDs of typ to
-// ids, using v's appender implementation when it has one and adapting
-// ObjectInstancesAt otherwise.
-func AppendObjectInstancesAt(v TruthVideo, typ string, frame int, ids []int) []int {
-	if a, ok := v.(InstanceAppender); ok {
-		return a.AppendObjectInstancesAt(typ, frame, ids)
+// frameDetections is FrameDetections as the one-frame case of a
+// detector's events path.
+func frameDetections(a ObjectEventAppender, v TruthVideo, typ string, frame int) []Detection {
+	var ev Events
+	a.AppendFrameEvents(v, typ, video.Interval{Start: frame, End: frame}, &ev)
+	if ev.Len() == 0 {
+		return nil
 	}
-	return append(ids, v.ObjectInstancesAt(typ, frame)...)
+	out := make([]Detection, ev.Len())
+	for i := range out {
+		out[i] = Detection{TrackID: int(ev.Tracks[i]), Score: ev.Scores[i]}
+	}
+	return out
 }
 
 // FrameScoreBatch fills dst[i] with d's score for frame start+i, using the
@@ -102,15 +101,17 @@ func ShotScoreBatch(r ActionRecognizer, v TruthVideo, act string, start int, dst
 	}
 }
 
-// AppendFrameEvents appends the frame's detections of typ to ev, using d's
-// columnar implementation when it has one and adapting FrameDetections
-// otherwise.
-func AppendFrameEvents(d ObjectDetector, v TruthVideo, typ string, frame int, ev *Events) {
+// AppendFrameEvents appends the detections of typ on frames to ev, using
+// d's columnar implementation when it has one and adapting FrameDetections
+// frame by frame otherwise.
+func AppendFrameEvents(d ObjectDetector, v TruthVideo, typ string, frames video.Interval, ev *Events) {
 	if a, ok := d.(ObjectEventAppender); ok {
-		a.AppendFrameEvents(v, typ, frame, ev)
+		a.AppendFrameEvents(v, typ, frames, ev)
 		return
 	}
-	for _, det := range d.FrameDetections(v, typ, frame) {
-		ev.Append(frame, int64(det.TrackID), det.Score)
+	for f := frames.Start; f <= frames.End; f++ {
+		for _, det := range d.FrameDetections(v, typ, f) {
+			ev.Append(f, int64(det.TrackID), det.Score)
+		}
 	}
 }

@@ -2,6 +2,8 @@ package detect
 
 import (
 	"testing"
+
+	"svqact/internal/video"
 )
 
 // The batch fast paths must be advertised by the simulated models and the
@@ -90,7 +92,7 @@ func TestAppendFrameEventsMatchesFrameDetections(t *testing.T) {
 				want = append(want, det)
 				wantFrames = append(wantFrames, f)
 			}
-			AppendFrameEvents(d, v, "human", f, &ev)
+			AppendFrameEvents(d, v, "human", video.Interval{Start: f, End: f}, &ev)
 		}
 		if ev.Len() != len(want) {
 			t.Fatalf("%s: %d events, want %d", name, ev.Len(), len(want))

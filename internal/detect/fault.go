@@ -1,7 +1,6 @@
 package detect
 
 import (
-	"errors"
 	"fmt"
 	"time"
 )
@@ -42,11 +41,42 @@ func (e *DetectionError) Error() string {
 // explicitly; unknown errors are treated as transient (the conservative
 // choice for a remote dependency).
 func IsTransient(err error) bool {
-	var de *DetectionError
-	if errors.As(err, &de) {
+	if de, ok := asDetectionError(err); ok {
 		return de.Transient
 	}
 	return err != nil
+}
+
+// asDetectionError is errors.As(err, &de) for de *DetectionError without
+// the heap-allocated target errors.As needs: it walks the same tree — the
+// error itself, then an As method, then Unwrap() error or, depth first,
+// Unwrap() []error. Only an error with an As method pays an allocation.
+func asDetectionError(err error) (*DetectionError, bool) {
+	for err != nil {
+		if de, ok := err.(*DetectionError); ok {
+			return de, true
+		}
+		if x, ok := err.(interface{ As(any) bool }); ok {
+			var de *DetectionError
+			if x.As(&de) {
+				return de, true
+			}
+		}
+		switch x := err.(type) {
+		case interface{ Unwrap() error }:
+			err = x.Unwrap()
+		case interface{ Unwrap() []error }:
+			for _, e := range x.Unwrap() {
+				if de, ok := asDetectionError(e); ok {
+					return de, true
+				}
+			}
+			return nil, false
+		default:
+			return nil, false
+		}
+	}
+	return nil, false
 }
 
 // FallibleObjectDetector is the optional fault-aware interface of an object

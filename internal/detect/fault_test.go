@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"svqact/internal/synth"
+	"svqact/internal/testenv"
 	"svqact/internal/video"
 )
 
@@ -219,5 +220,64 @@ func TestLatencySpikes(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed < 2*time.Millisecond {
 		t.Errorf("spike rate 1 should delay every call; elapsed %v", elapsed)
+	}
+}
+
+// asPermanent is an error that is not a *DetectionError but answers
+// errors.As for one, the hook errors.As honours besides unwrapping.
+type asPermanent struct{}
+
+func (asPermanent) Error() string { return "as-permanent" }
+func (asPermanent) As(target any) bool {
+	if de, ok := target.(**DetectionError); ok {
+		*de = &DetectionError{Model: "as"}
+		return true
+	}
+	return false
+}
+
+// TestIsTransientMatchesErrorsAs: the allocation-free walk classifies every
+// shape of error as errors.As does — bare, wrapped once or twice, joined
+// (depth first, the first match wins), through an As method, and foreign
+// errors (transient, as an unknown remote failure is).
+func TestIsTransientMatchesErrorsAs(t *testing.T) {
+	perm := &DetectionError{Model: "m", Transient: false}
+	trans := &DetectionError{Model: "m", Transient: true}
+	viaAs := func(err error) bool {
+		var de *DetectionError
+		if errors.As(err, &de) {
+			return de.Transient
+		}
+		return err != nil
+	}
+	for _, err := range []error{
+		nil, errors.New("foreign"), context.Canceled, perm, trans,
+		fmt.Errorf("tier: %w", perm), fmt.Errorf("outer: %w", fmt.Errorf("inner: %w", trans)),
+		errors.Join(errors.New("foreign"), perm), errors.Join(trans, perm), errors.Join(perm, trans),
+		fmt.Errorf("both: %w and %w", errors.New("x"), perm), fmt.Errorf("wrapped: %w", errors.Join(nil, trans)),
+		asPermanent{}, fmt.Errorf("wrapped: %w", asPermanent{}),
+	} {
+		if got, want := IsTransient(err), viaAs(err); got != want {
+			t.Errorf("IsTransient(%v) = %v, errors.As says %v", err, got, want)
+		}
+	}
+}
+
+// TestIsTransientAllocsSteadyState: classifying a failed attempt — which the
+// walker and Retry each do per failure — allocates nothing, on a wrapped and
+// on a joined *DetectionError.
+func TestIsTransientAllocsSteadyState(t *testing.T) {
+	if testenv.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	de := &DetectionError{Model: "m", Transient: true}
+	for _, err := range []error{fmt.Errorf("tier: %w", de), errors.Join(errors.New("x"), de)} {
+		if allocs := testing.AllocsPerRun(100, func() {
+			if !IsTransient(err) {
+				t.Fatal("lost the transient flag")
+			}
+		}); allocs != 0 {
+			t.Errorf("IsTransient(%v) allocates %.0f objects per call, want 0", err, allocs)
+		}
 	}
 }

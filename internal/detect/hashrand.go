@@ -23,14 +23,19 @@ func hashString(s string) uint64 {
 	return mix64(h)
 }
 
-// keyed folds parts into a single 64-bit hash.
+// keyed folds parts into a single 64-bit hash. It is a left fold, so
+// keyed(a, b, c) == fold(keyed(a, b), c): a prefix shared by many keys is
+// folded once and continued per key.
 func keyed(parts ...uint64) uint64 {
 	h := uint64(0x6a09e667f3bcc909)
 	for _, p := range parts {
-		h = mix64(h ^ p)
+		h = fold(h, p)
 	}
 	return h
 }
+
+// fold continues the hash h with one more part.
+func fold(h, p uint64) uint64 { return mix64(h ^ p) }
 
 // unitFloat maps a hash to a uniform float in [0, 1).
 func unitFloat(h uint64) float64 {

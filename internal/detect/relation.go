@@ -1,6 +1,10 @@
 package detect
 
-import "math"
+import (
+	"math"
+
+	"svqact/internal/video"
+)
 
 // Spatial relationships between objects (paper footnote 2): the engine
 // treats a relationship predicate as a binary per-frame output derived from
@@ -48,7 +52,12 @@ func ValidRelation(r Relation) bool {
 // instance on a frame. It is a pure function of (video, track, frame):
 // a per-instance anchor plus two slow incommensurate sinusoids.
 func PositionOf(videoID string, trackID, frame int) float64 {
-	h := keyed(hashString(videoID), uint64(int64(trackID)))
+	return positionAt(hashString(videoID), int64(trackID), frame)
+}
+
+// positionAt is PositionOf with the video ID already hashed.
+func positionAt(hv uint64, trackID int64, frame int) float64 {
+	h := keyed(hv, uint64(trackID))
 	anchor := unitFloat(h)
 	phase1 := 2 * math.Pi * unitFloat(mix64(h^0x1234))
 	phase2 := 2 * math.Pi * unitFloat(mix64(h^0x5678))
@@ -76,26 +85,13 @@ func (r Relation) holds(xa, xb float64) bool {
 	return false
 }
 
-// RelationPositive reports the detector-derived indicator of the relation
-// on a frame: some detected instance of type a and some detected instance
-// of type b satisfy it. Hallucinated detections (negative IDs) participate,
-// as they would in a real pipeline.
-func RelationPositive(det ObjectDetector, v TruthVideo, rel Relation, a, b string, frame int) bool {
-	da := det.FrameDetections(v, a, frame)
-	if len(da) == 0 {
-		return false
-	}
-	db := det.FrameDetections(v, b, frame)
-	if len(db) == 0 {
-		return false
-	}
-	for _, ia := range da {
-		xa := PositionOf(v.ID(), ia.TrackID, frame)
-		for _, ib := range db {
-			if ia.TrackID == ib.TrackID {
-				continue
-			}
-			if rel.holds(xa, PositionOf(v.ID(), ib.TrackID, frame)) {
+// holdsAmong reports whether some instance of ia and a different instance
+// of ib satisfy the relation on the frame; hv is the video ID's hash.
+func (r Relation) holdsAmong(hv uint64, frame int, ia, ib []int64) bool {
+	for _, ta := range ia {
+		xa := positionAt(hv, ta, frame)
+		for _, tb := range ib {
+			if ta != tb && r.holds(xa, positionAt(hv, tb, frame)) {
 				return true
 			}
 		}
@@ -103,27 +99,64 @@ func RelationPositive(det ObjectDetector, v TruthVideo, rel Relation, a, b strin
 	return false
 }
 
+// RelationPositive reports the detector-derived indicator of the relation
+// on a frame: some detected instance of type a and some detected instance
+// of type b satisfy it. Hallucinated detections (negative IDs) participate,
+// as they would in a real pipeline. It is the one-frame RelationPositives.
+func RelationPositive(det ObjectDetector, v TruthVideo, rel Relation, a, b string, frame int) bool {
+	var evA, evB Events
+	var hit [1]bool
+	return RelationPositives(det, v, rel, a, b, video.Interval{Start: frame, End: frame}, &evA, &evB, hit[:]) > 0
+}
+
+// RelationPositives marks dst[i] when the relation holds on frame
+// frames.Start+i, as RelationPositive decides it, and returns how many
+// frames it marked. Each operand type's detections over the whole run come
+// from one events batch; evA and evB are the caller's scratch.
+func RelationPositives(det ObjectDetector, v TruthVideo, rel Relation, a, b string, frames video.Interval, evA, evB *Events, dst []bool) int {
+	evA.Reset()
+	AppendFrameEvents(det, v, a, frames, evA)
+	if evA.Len() == 0 {
+		return 0
+	}
+	evB.Reset()
+	AppendFrameEvents(det, v, b, frames, evB)
+	hv := hashString(v.ID())
+	count := 0
+	// Both batches are in frame order: walk them frame by frame.
+	for i, j := 0, 0; i < evA.Len(); {
+		frame := evA.Units[i]
+		iEnd := i + 1
+		for iEnd < evA.Len() && evA.Units[iEnd] == frame {
+			iEnd++
+		}
+		for j < evB.Len() && evB.Units[j] < frame {
+			j++
+		}
+		jEnd := j
+		for jEnd < evB.Len() && evB.Units[jEnd] == frame {
+			jEnd++
+		}
+		if rel.holdsAmong(hv, int(frame), evA.Tracks[i:iEnd], evB.Tracks[j:jEnd]) {
+			dst[int(frame)-frames.Start] = true
+			count++
+		}
+		i, j = iEnd, jEnd
+	}
+	return count
+}
+
 // TrueRelationAt reports the ground-truth indicator of the relation on a
 // frame, from the true instances and the same trajectories.
 func TrueRelationAt(v TruthVideo, rel Relation, a, b string, frame int) bool {
-	ia := v.ObjectInstancesAt(a, frame)
-	if len(ia) == 0 {
-		return false
-	}
-	ib := v.ObjectInstancesAt(b, frame)
-	if len(ib) == 0 {
-		return false
-	}
-	for _, ta := range ia {
-		xa := PositionOf(v.ID(), ta, frame)
-		for _, tb := range ib {
-			if ta == tb {
-				continue
-			}
-			if rel.holds(xa, PositionOf(v.ID(), tb, frame)) {
-				return true
-			}
+	at := video.Interval{Start: frame, End: frame}
+	ids := func(typ string) []int64 {
+		var out []int64
+		for _, t := range v.AppendTracks(typ, at, nil) {
+			out = append(out, int64(t.TrackID))
 		}
+		return out
 	}
-	return false
+	ia := ids(a)
+	return len(ia) > 0 && rel.holdsAmong(hashString(v.ID()), frame, ia, ids(b))
 }

@@ -2,6 +2,7 @@ package detect
 
 import (
 	"math"
+	"sort"
 	"sync"
 	"time"
 
@@ -29,16 +30,36 @@ func newSimCore(prof Profile, seed int64) *simCore {
 	}
 }
 
-// idScratch pools the per-batch track-ID buffers of the simulated scoring
-// loops; detectors are shared across fleet workers, so the scratch cannot
-// live on the detector itself.
-var idScratch = sync.Pool{New: func() any { s := make([]int, 0, 16); return &s }}
+// trackScratch pools the per-batch track windows of the simulated models;
+// detectors are shared across fleet workers, so the scratch cannot live on
+// the detector itself.
+var trackScratch = sync.Pool{New: func() any { s := make([]video.Track, 0, 16); return &s }}
+
+// window lists the type's tracks visible in frames into pooled scratch;
+// the caller puts it back in trackScratch.
+func window(v TruthVideo, typ string, frames video.Interval) *[]video.Track {
+	w := trackScratch.Get().(*[]video.Track)
+	*w = v.AppendTracks(typ, frames, (*w)[:0])
+	return w
+}
+
+// presentIn reports whether some track of the window is visible on the
+// frame: presence is the union of the appearances, so this is exactly
+// "the type is present".
+func presentIn(w []video.Track, frame int) bool {
+	for _, t := range w {
+		if t.Frames.Contains(frame) {
+			return true
+		}
+	}
+	return false
+}
 
 // burstOverlay returns the false-positive burst intervals for a type in a
 // video, generating them on first use. Bursts are an alternating renewal
-// process drawn from a stream seeded by (model, video, type) only, so they
-// are identical on every pass over the video.
-func (c *simCore) burstOverlay(videoID, typ string, units int) video.IntervalSet {
+// process drawn from a stream seeded by (model, video, type) only — key is
+// the batch's draw key — so they are identical on every pass over the video.
+func (c *simCore) burstOverlay(videoID, typ string, key uint64, units int) video.IntervalSet {
 	if c.prof.FPBurstGap <= 0 || c.prof.FPBurstLen <= 0 {
 		return video.IntervalSet{}
 	}
@@ -52,7 +73,7 @@ func (c *simCore) burstOverlay(videoID, typ string, units int) video.IntervalSet
 		byType = make(map[string]video.IntervalSet)
 		c.overlays[videoID] = byType
 	}
-	state := keyed(c.seed, hashString(videoID), hashString(typ), 0xb02575)
+	state := fold(key, 0xb02575)
 	next := func() float64 {
 		state = mix64(state + 0x9e3779b97f4a7c15)
 		return unitFloat(state)
@@ -80,39 +101,79 @@ func (c *simCore) burstOverlay(videoID, typ string, units int) video.IntervalSet
 	return s
 }
 
-// falsePositive decides whether the model hallucinates the absent type on
-// the unit and, if so, returns the score.
-func (c *simCore) falsePositive(v TruthVideo, typ string, unit, units int) (float64, bool) {
-	return c.falsePositiveIn(c.burstOverlay(v.ID(), typ, units), v, typ, unit)
+// draws is one batch's view of a model's randomness for one (video, label).
+// keyed is a left fold, so every per-unit key keyed(seed, h(video),
+// h(label), unit, …) continues from key: the two string hashes, their three
+// folds and the overlay lookup (one lock, taken at the batch's first
+// false-positive draw) are paid once per batch, not once per unit. Units
+// must be drawn in ascending order — bursts is a cursor.
+type draws struct {
+	c              *simCore
+	videoID, label string
+	units          int // the video's length in the label's units
+	// key is keyed(seed, h(video), h(label)); hv and hl are the two hashes.
+	key, hv, hl uint64
+	// bursts are the overlay's intervals from the first that ends at or
+	// after the last unit drawn, once overlaid is set.
+	bursts   []video.Interval
+	overlaid bool
 }
 
-// falsePositiveIn is falsePositive with the burst overlay already in hand,
-// so batch callers fetch it (one lock) once per run instead of per unit.
-func (c *simCore) falsePositiveIn(overlay video.IntervalSet, v TruthVideo, typ string, unit int) (float64, bool) {
-	p := c.prof.FPIID
-	if overlay.Contains(unit) {
-		p = c.prof.FPWithinBurst
+// start begins a batch of c's draws over a label of a video units units
+// long. It sets the fields in place: a draws returned by value would be
+// copied on every one-unit call.
+func (d *draws) start(c *simCore, v TruthVideo, label string, units int) {
+	d.c, d.videoID, d.label, d.units = c, v.ID(), label, units
+	d.hv, d.hl = hashString(d.videoID), hashString(label)
+	d.key = keyed(c.seed, d.hv, d.hl)
+	d.bursts, d.overlaid = nil, false
+}
+
+// inBurst reports whether the unit lies in a false-positive burst.
+func (d *draws) inBurst(unit int) bool {
+	if !d.overlaid {
+		ivs := d.c.burstOverlay(d.videoID, d.label, d.key, d.units).Intervals()
+		d.bursts = ivs[sort.Search(len(ivs), func(i int) bool { return ivs[i].End >= unit }):]
+		d.overlaid = true
+	}
+	for len(d.bursts) > 0 && d.bursts[0].End < unit {
+		d.bursts = d.bursts[1:]
+	}
+	return len(d.bursts) > 0 && d.bursts[0].Start <= unit
+}
+
+// falsePositive decides whether the model hallucinates the absent label on
+// the unit and, if so, returns the score.
+func (d *draws) falsePositive(unit int) (float64, bool) {
+	p := d.c.prof.FPIID
+	if d.inBurst(unit) {
+		p = d.c.prof.FPWithinBurst
 	}
 	if p <= 0 {
 		return 0, false
 	}
-	h := keyed(c.seed, hashString(v.ID()), hashString(typ), uint64(unit), 0xfa15e)
+	h := fold(fold(d.key, uint64(unit)), 0xfa15e)
 	if unitFloat(h) >= p {
 		return 0, false
 	}
-	score := clampScore(c.prof.FPScoreMean + c.prof.FPScoreStd*gauss(mix64(h^0x5c0e)))
-	return score, true
+	return clampScore(d.c.prof.FPScoreMean + d.c.prof.FPScoreStd*gauss(mix64(h^0x5c0e))), true
 }
 
 // truePositive decides whether a truly present instance is detected and
 // scored. The extra key distinguishes instances sharing a frame.
-func (c *simCore) truePositive(v TruthVideo, typ string, unit int, extra uint64) (float64, bool) {
-	h := keyed(c.seed, hashString(v.ID()), hashString(typ), uint64(unit), extra, 0x7b0e)
-	if unitFloat(h) >= c.prof.TPR {
+func (d *draws) truePositive(unit int, extra uint64) (float64, bool) {
+	h := fold(fold(fold(d.key, uint64(unit)), extra), 0x7b0e)
+	if unitFloat(h) >= d.c.prof.TPR {
 		return 0, false
 	}
-	score := clampScore(c.prof.TPScoreMean + c.prof.TPScoreStd*gauss(mix64(h^0x3d09)))
-	return score, true
+	return clampScore(d.c.prof.TPScoreMean + d.c.prof.TPScoreStd*gauss(mix64(h^0x3d09))), true
+}
+
+// phantomID is a hallucination's identity: stable per ~3-second window so
+// the tracker-level aggregation sees one phantom instance rather than many,
+// and negative so it never collides with a ground-truth track.
+func (d *draws) phantomID(frame int) int64 {
+	return int64(-1 - int(keyed(d.hv, d.hl, uint64(frame/30))%1_000_000))
 }
 
 // SimObjectDetector is an ObjectDetector that samples detections from a
@@ -134,63 +195,43 @@ func (d *SimObjectDetector) Name() string { return d.core.prof.Name }
 // UnitCost implements ObjectDetector.
 func (d *SimObjectDetector) UnitCost() time.Duration { return d.core.prof.UnitCost }
 
-// FrameScore implements ObjectDetector.
+// FrameScore implements ObjectDetector: the one-frame batch.
 func (d *SimObjectDetector) FrameScore(v TruthVideo, typ string, frame int) float64 {
-	best := 0.0
-	for _, id := range v.ObjectInstancesAt(typ, frame) {
-		if s, ok := d.core.truePositive(v, typ, frame, uint64(id)); ok && s > best {
-			best = s
-		}
-	}
-	if best > 0 {
-		return best
-	}
-	if !v.ObjectPresentAt(typ, frame) {
-		if s, ok := d.core.falsePositive(v, typ, frame, v.NumFrames()); ok {
-			return s
-		}
-	}
-	return 0
+	var s [1]float64
+	d.FrameScoreBatch(v, typ, frame, s[:])
+	return s[0]
 }
 
-// FrameDetections implements ObjectDetector.
+// FrameDetections implements ObjectDetector: the one-frame events batch.
 func (d *SimObjectDetector) FrameDetections(v TruthVideo, typ string, frame int) []Detection {
-	var out []Detection
-	for _, id := range v.ObjectInstancesAt(typ, frame) {
-		if s, ok := d.core.truePositive(v, typ, frame, uint64(id)); ok {
-			out = append(out, Detection{TrackID: id, Score: s})
-		}
-	}
-	if len(out) == 0 && !v.ObjectPresentAt(typ, frame) {
-		if s, ok := d.core.falsePositive(v, typ, frame, v.NumFrames()); ok {
-			// Hallucinations get a stable negative identity per ~3-second
-			// window so the tracker-level aggregation sees them as one
-			// phantom instance rather than many.
-			id := -1 - int(keyed(hashString(v.ID()), hashString(typ), uint64(frame/30))%1_000_000)
-			out = append(out, Detection{TrackID: id, Score: s})
-		}
-	}
-	return out
+	return frameDetections(d, v, typ, frame)
 }
 
-// FrameScoreBatch implements BatchObjectScorer: identical draws to
-// FrameScore, with the frame count and burst overlay hoisted out of the
-// per-frame loop.
+// FrameScoreBatch implements BatchObjectScorer: a frame's score is the best
+// detected instance among the tracks visible on it, or the false-positive
+// draw when none is. The batch reads one track window and one draw key.
 func (d *SimObjectDetector) FrameScoreBatch(v TruthVideo, typ string, start int, dst []float64) {
-	overlay := d.core.burstOverlay(v.ID(), typ, v.NumFrames())
-	idsp := idScratch.Get().(*[]int)
-	defer idScratch.Put(idsp)
+	if len(dst) == 0 {
+		return
+	}
+	w := window(v, typ, video.Interval{Start: start, End: start + len(dst) - 1})
+	defer trackScratch.Put(w)
+	var dr draws
+	dr.start(d.core, v, typ, v.NumFrames())
 	for i := range dst {
 		frame := start + i
-		best := 0.0
-		*idsp = AppendObjectInstancesAt(v, typ, frame, (*idsp)[:0])
-		for _, id := range *idsp {
-			if s, ok := d.core.truePositive(v, typ, frame, uint64(id)); ok && s > best {
+		best, present := 0.0, false
+		for _, t := range *w {
+			if !t.Frames.Contains(frame) {
+				continue
+			}
+			present = true
+			if s, ok := dr.truePositive(frame, uint64(t.TrackID)); ok && s > best {
 				best = s
 			}
 		}
-		if best == 0 && !v.ObjectPresentAt(typ, frame) {
-			if s, ok := d.core.falsePositiveIn(overlay, v, typ, frame); ok {
+		if !present {
+			if s, ok := dr.falsePositive(frame); ok {
 				best = s
 			}
 		}
@@ -199,23 +240,31 @@ func (d *SimObjectDetector) FrameScoreBatch(v TruthVideo, typ string, start int,
 }
 
 // AppendFrameEvents implements ObjectEventAppender: the same draws as
-// FrameDetections, appended to the caller's columnar batch instead of a
-// fresh slice.
-func (d *SimObjectDetector) AppendFrameEvents(v TruthVideo, typ string, frame int, ev *Events) {
-	n := ev.Len()
-	idsp := idScratch.Get().(*[]int)
-	defer idScratch.Put(idsp)
-	*idsp = AppendObjectInstancesAt(v, typ, frame, (*idsp)[:0])
-	for _, id := range *idsp {
-		if s, ok := d.core.truePositive(v, typ, frame, uint64(id)); ok {
-			ev.Append(frame, int64(id), s)
-		}
+// FrameScoreBatch, every detection appended in frame order and, within a
+// frame, in track order.
+func (d *SimObjectDetector) AppendFrameEvents(v TruthVideo, typ string, frames video.Interval, ev *Events) {
+	if frames.End < frames.Start {
+		return
 	}
-	if ev.Len() == n && !v.ObjectPresentAt(typ, frame) {
-		if s, ok := d.core.falsePositive(v, typ, frame, v.NumFrames()); ok {
-			// Same stable phantom identity as FrameDetections.
-			id := -1 - int(keyed(hashString(v.ID()), hashString(typ), uint64(frame/30))%1_000_000)
-			ev.Append(frame, int64(id), s)
+	w := window(v, typ, frames)
+	defer trackScratch.Put(w)
+	var dr draws
+	dr.start(d.core, v, typ, v.NumFrames())
+	for frame := frames.Start; frame <= frames.End; frame++ {
+		present := false
+		for _, t := range *w {
+			if !t.Frames.Contains(frame) {
+				continue
+			}
+			present = true
+			if s, ok := dr.truePositive(frame, uint64(t.TrackID)); ok {
+				ev.Append(frame, int64(t.TrackID), s)
+			}
+		}
+		if !present {
+			if s, ok := dr.falsePositive(frame); ok {
+				ev.Append(frame, dr.phantomID(frame), s)
+			}
 		}
 	}
 }
@@ -237,38 +286,28 @@ func (r *SimActionRecognizer) Name() string { return r.core.prof.Name }
 // UnitCost implements ActionRecognizer.
 func (r *SimActionRecognizer) UnitCost() time.Duration { return r.core.prof.UnitCost }
 
-// ShotScore implements ActionRecognizer.
+// ShotScore implements ActionRecognizer: the one-shot batch.
 func (r *SimActionRecognizer) ShotScore(v TruthVideo, act string, shot int) float64 {
-	if v.ActionAt(act, shot) {
-		if s, ok := r.core.truePositive(v, act, shot, 0); ok {
-			return s
-		}
-		return 0
-	}
-	numShots := v.Geometry().NumShots(v.NumFrames())
-	if s, ok := r.core.falsePositive(v, act, shot, numShots); ok {
-		return s
-	}
-	return 0
+	var s [1]float64
+	r.ShotScoreBatch(v, act, shot, s[:])
+	return s[0]
 }
 
-// ShotScoreBatch implements BatchActionScorer: identical draws to
-// ShotScore, with the shot count and burst overlay hoisted out of the
-// per-shot loop.
+// ShotScoreBatch implements BatchActionScorer: a shot showing the action
+// takes the true-positive draw, any other the false-positive draw, all from
+// one draw key.
 func (r *SimActionRecognizer) ShotScoreBatch(v TruthVideo, act string, start int, dst []float64) {
-	numShots := v.Geometry().NumShots(v.NumFrames())
-	overlay := r.core.burstOverlay(v.ID(), act, numShots)
+	var dr draws
+	dr.start(r.core, v, act, v.Geometry().NumShots(v.NumFrames()))
 	for i := range dst {
 		shot := start + i
+		var s float64
+		var ok bool
 		if v.ActionAt(act, shot) {
-			s, ok := r.core.truePositive(v, act, shot, 0)
-			if !ok {
-				s = 0
-			}
-			dst[i] = s
-			continue
+			s, ok = dr.truePositive(shot, 0)
+		} else {
+			s, ok = dr.falsePositive(shot)
 		}
-		s, ok := r.core.falsePositiveIn(overlay, v, act, shot)
 		if !ok {
 			s = 0
 		}

@@ -1,6 +1,10 @@
 package detect
 
-import "time"
+import (
+	"time"
+
+	"svqact/internal/video"
+)
 
 // Tracker simulates an object tracker (the paper deploys CenterTrack): it
 // wraps an ObjectDetector and post-processes its per-frame detections into
@@ -43,38 +47,23 @@ func (t *Tracker) FrameScoreBatch(v TruthVideo, typ string, start int, dst []flo
 }
 
 // AppendFrameEvents implements ObjectEventAppender: the wrapped detector's
-// events are appended, then their identities remapped in place exactly as
-// FrameDetections would.
-func (t *Tracker) AppendFrameEvents(v TruthVideo, typ string, frame int, ev *Events) {
+// events are appended, then the true instances' identities remapped in
+// place to segment-local ones: stable within a segment, distinct across
+// segments and from all ground-truth IDs of other instances.
+func (t *Tracker) AppendFrameEvents(v TruthVideo, typ string, frames video.Interval, ev *Events) {
 	n := ev.Len()
-	AppendFrameEvents(t.det, v, typ, frame, ev)
+	AppendFrameEvents(t.det, v, typ, frames, ev)
 	if t.fragmentEvery <= 0 {
 		return
 	}
-	seg := int64(frame / t.fragmentEvery)
 	for i := n; i < ev.Len(); i++ {
 		if id := ev.Tracks[i]; id >= 0 {
-			ev.Tracks[i] = id*1_000_000 + seg + 1
+			ev.Tracks[i] = id*1_000_000 + int64(int(ev.Units[i])/t.fragmentEvery) + 1
 		}
 	}
 }
 
-// FrameDetections implements ObjectDetector, remapping track identities.
+// FrameDetections implements ObjectDetector: the one-frame events batch.
 func (t *Tracker) FrameDetections(v TruthVideo, typ string, frame int) []Detection {
-	dets := t.det.FrameDetections(v, typ, frame)
-	if t.fragmentEvery <= 0 {
-		return dets
-	}
-	out := make([]Detection, len(dets))
-	for i, d := range dets {
-		seg := frame / t.fragmentEvery
-		// Segment-local identity: stable within a segment, distinct across
-		// segments and from all ground-truth IDs of other instances.
-		id := d.TrackID
-		if id >= 0 {
-			id = id*1_000_000 + seg + 1
-		}
-		out[i] = Detection{TrackID: id, Score: d.Score}
-	}
-	return out
+	return frameDetections(t, v, typ, frame)
 }

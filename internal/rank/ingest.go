@@ -138,9 +138,7 @@ func Ingest(ctx context.Context, v detect.TruthVideo, models detect.Models, scor
 			sum := 0.0
 			if !objFallible {
 				ev.Reset()
-				for f := fr.Start; f <= fr.End; f++ {
-					detect.AppendFrameEvents(det, v, typ, f, &ev)
-				}
+				detect.AppendFrameEvents(det, v, typ, fr, &ev)
 				for _, s := range ev.Scores {
 					sum += s
 				}

@@ -91,31 +91,31 @@ func sortedNames(m map[string]bool) []string {
 	return out
 }
 
-// ObjectInstancesAt implements detect.TruthVideo.
-func (c *Concat) ObjectInstancesAt(typ string, frame int) []int {
-	ids := c.AppendObjectInstancesAt(typ, frame, nil)
-	if len(ids) == 0 {
-		return nil
+// AppendTracks implements detect.TruthVideo. Each component contributes its
+// tracks visible in its part of frames, with IDs moved into the component's
+// namespace and Frames moved to global frames and clamped to the
+// component's trimmed extent: an appearance that outlives the last whole
+// clip of its video must not cover the next video's first frames.
+func (c *Concat) AppendTracks(typ string, frames video.Interval, dst []video.Track) []video.Track {
+	first, _ := c.locate(max(frames.Start, 0))
+	for i := first; i < len(c.videos) && c.frameOff[i] <= frames.End; i++ {
+		off, end := c.frameOff[i], c.frames-1
+		if i+1 < len(c.videos) {
+			end = c.frameOff[i+1] - 1
+		}
+		part, ok := frames.Intersect(video.Interval{Start: off, End: end})
+		if !ok {
+			continue // a component too short for one whole clip
+		}
+		n := len(dst)
+		dst = c.videos[i].AppendTracks(typ, video.Interval{Start: part.Start - off, End: part.End - off}, dst)
+		for j := n; j < len(dst); j++ {
+			t := &dst[j]
+			t.TrackID += (i + 1) * trackStride
+			t.Frames = video.Interval{Start: t.Frames.Start + off, End: min(t.Frames.End+off, end)}
+		}
 	}
-	return ids
-}
-
-// AppendObjectInstancesAt implements detect.InstanceAppender, remapping the
-// segment-local track IDs into the concatenation's ID space in place.
-func (c *Concat) AppendObjectInstancesAt(typ string, frame int, ids []int) []int {
-	i, local := c.locate(frame)
-	n := len(ids)
-	ids = c.videos[i].AppendObjectInstancesAt(typ, local, ids)
-	for j := n; j < len(ids); j++ {
-		ids[j] += (i + 1) * trackStride
-	}
-	return ids
-}
-
-// ObjectPresentAt implements detect.TruthVideo.
-func (c *Concat) ObjectPresentAt(typ string, frame int) bool {
-	i, local := c.locate(frame)
-	return c.videos[i].ObjectPresentAt(typ, local)
+	return dst
 }
 
 // ActionAt implements detect.TruthVideo.

@@ -48,7 +48,7 @@ func TestConcatDelegatesTruth(t *testing.T) {
 	// Frame in the middle of the second video.
 	local := 777
 	global := vids[0].Meta.NumClips()*fpc + local
-	if c.ObjectPresentAt("car", global) != vids[1].ObjectPresentAt("car", local) {
+	if presentAt(c, "car", global) != vids[1].ObjectPresentAt("car", local) {
 		t.Error("presence mapping wrong")
 	}
 	wantShot := video.DefaultGeometry.ShotOfFrame(local)
@@ -56,15 +56,68 @@ func TestConcatDelegatesTruth(t *testing.T) {
 	if c.ActionAt("jumping", globalShot) != vids[1].ActionAt("jumping", wantShot) {
 		t.Error("action mapping wrong")
 	}
-	ids := c.ObjectInstancesAt("car", global)
-	local2 := vids[1].ObjectInstancesAt("car", local)
+	ids := c.AppendTracks("car", video.Interval{Start: global, End: global}, nil)
+	local2 := vids[1].AppendTracks("car", video.Interval{Start: local, End: local}, nil)
 	if len(ids) != len(local2) {
 		t.Fatalf("instance count mismatch")
 	}
 	for i := range ids {
-		if ids[i] != local2[i]+2*trackStride {
-			t.Errorf("track id %d not namespaced: %d vs %d", i, ids[i], local2[i])
+		if ids[i].TrackID != local2[i].TrackID+2*trackStride {
+			t.Errorf("track id %d not namespaced: %d vs %d", i, ids[i].TrackID, local2[i].TrackID)
 		}
+	}
+}
+
+// presentAt reports presence the way the detectors derive it: some track of
+// the one-frame window.
+func presentAt(v interface {
+	AppendTracks(string, video.Interval, []video.Track) []video.Track
+}, typ string, frame int) bool {
+	return len(v.AppendTracks(typ, video.Interval{Start: frame, End: frame}, nil)) > 0
+}
+
+// TestConcatTracksClampedToTrimmedExtent: a window's tracks carry global
+// frames inside their own component's whole clips, so an appearance that
+// outlives its video's last whole clip never shows in the next video, and
+// presence from the window equals the component's own presence on every
+// frame, seams included.
+func TestConcatTracksClampedToTrimmedExtent(t *testing.T) {
+	// Long, dense appearances and lengths that are not whole clips, so
+	// appearances run past the trimmed ends.
+	var vids []*Video
+	for i, frames := range []int{1017, 2049, 777} {
+		vids = append(vids, MustGenerate(Script{
+			ID: string(rune('a' + i)), Frames: frames, FPS: 10, Geometry: video.DefaultGeometry, Seed: int64(i),
+			Objects: []ObjectSpec{{Name: "car", MeanGapFrames: 60, MeanDurFrames: 400}},
+		}))
+	}
+	c, err := NewConcat("all", vids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	straddles := 0
+	off := 0
+	for _, v := range vids {
+		end := off + v.Meta.NumClips()*50 - 1
+		for _, a := range v.ObjectAppearances("car") {
+			if a.Frames.Start+off <= end && a.Frames.End+off > end {
+				straddles++
+			}
+		}
+		for f := off; f <= end; f++ {
+			if presentAt(c, "car", f) != v.ObjectPresentAt("car", f-off) {
+				t.Fatalf("frame %d: window presence disagrees with the component's", f)
+			}
+		}
+		for _, tr := range c.AppendTracks("car", video.Interval{Start: off, End: end}, nil) {
+			if tr.Frames.Start < off || tr.Frames.End > end {
+				t.Fatalf("track %+v leaves its component's extent [%d, %d]", tr, off, end)
+			}
+		}
+		off = end + 1
+	}
+	if straddles == 0 {
+		t.Fatal("no appearance straddles a trimmed end: the fixture does not exercise clamping")
 	}
 }
 
@@ -76,7 +129,7 @@ func TestConcatTruthSets(t *testing.T) {
 	// Spot-check consistency between global truth and per-video truth.
 	for f := 0; f < c.NumFrames(); f += 97 {
 		g := video.DefaultGeometry
-		want := c.ObjectPresentAt("car", f) && c.ActionAt("jumping", g.ShotOfFrame(f))
+		want := presentAt(c, "car", f) && c.ActionAt("jumping", g.ShotOfFrame(f))
 		if frames.Contains(f) != want {
 			t.Fatalf("frame %d truth mismatch", f)
 		}
@@ -115,7 +168,7 @@ func TestConcatUnionTypes(t *testing.T) {
 		t.Errorf("ActionTypes = %v", got)
 	}
 	// Absent types are simply never present.
-	if c.ObjectPresentAt("o2", 10) {
+	if presentAt(c, "o2", 10) {
 		t.Error("o2 cannot be present inside video x")
 	}
 }

@@ -26,9 +26,8 @@ func Generate(s Script) (*Video, error) {
 			FPS:       s.FPS,
 			Geometry:  s.Geometry,
 		},
-		objects:  make(map[string][]Appearance, len(s.Objects)),
-		presence: make(map[string]video.IntervalSet, len(s.Objects)),
-		actions:  make(map[string]video.IntervalSet, len(s.Actions)),
+		objects: make(map[string]objectTruth, len(s.Objects)),
+		actions: make(map[string]video.IntervalSet, len(s.Actions)),
 	}
 	numShots := s.Geometry.NumShots(s.Frames)
 
@@ -75,12 +74,7 @@ func Generate(s Script) (*Video, error) {
 		}
 
 		sort.Slice(apps, func(i, j int) bool { return apps[i].Frames.Start < apps[j].Frames.Start })
-		ivs := make([]video.Interval, len(apps))
-		for i, a := range apps {
-			ivs[i] = a.Frames
-		}
-		v.objects[o.Name] = apps
-		v.presence[o.Name] = video.NewIntervalSet(ivs...)
+		v.objects[o.Name] = newObjectTruth(apps)
 	}
 	return v, nil
 }

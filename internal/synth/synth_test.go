@@ -2,6 +2,7 @@ package synth
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"svqact/internal/video"
@@ -139,14 +140,28 @@ func TestCorrelatedObjectCoOccurs(t *testing.T) {
 	}
 }
 
+// TestInstancesAtMatchesPresence pins AppendTracks against a scan of every
+// appearance: a window holds exactly the appearances overlapping it, in
+// start order, and a one-frame window is non-empty exactly where the type
+// is present.
 func TestInstancesAtMatchesPresence(t *testing.T) {
 	v := MustGenerate(testScript(9))
 	for f := 0; f < v.NumFrames(); f += 37 {
 		for _, typ := range v.ObjectTypes() {
-			ids := v.ObjectInstancesAt(typ, f)
+			ids := v.AppendTracks(typ, video.Interval{Start: f, End: f}, nil)
 			if (len(ids) > 0) != v.ObjectPresentAt(typ, f) {
 				t.Fatalf("frame %d type %s: instances %v disagree with presence %v",
 					f, typ, ids, v.ObjectPresentAt(typ, f))
+			}
+			window := video.Interval{Start: f, End: f + f%97}
+			var want []Appearance
+			for _, a := range v.ObjectAppearances(typ) {
+				if a.Frames.Overlaps(window) {
+					want = append(want, a)
+				}
+			}
+			if got := v.AppendTracks(typ, window, nil); !slices.Equal(got, want) {
+				t.Fatalf("window %v type %s: tracks %v, want %v", window, typ, got, want)
 			}
 		}
 	}

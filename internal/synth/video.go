@@ -10,18 +10,40 @@ import (
 // Appearance is one tracked instance of an object type: a contiguous frame
 // interval during which the instance is visible, carrying the tracking ID
 // the simulated tracker reports for it.
-type Appearance struct {
-	TrackID int
-	Frames  video.Interval
-}
+type Appearance = video.Track
 
 // Video is a generated video: its metadata plus the scripted ground truth.
 type Video struct {
 	Meta video.Meta
 
-	objects  map[string][]Appearance      // per type, sorted by start frame
-	presence map[string]video.IntervalSet // per type, union of appearances (frames)
-	actions  map[string]video.IntervalSet // per action, occurrence shots
+	objects map[string]objectTruth
+	actions map[string]video.IntervalSet // per action, occurrence shots
+}
+
+// objectTruth is one object type's scripted ground truth.
+type objectTruth struct {
+	// apps are the type's appearances sorted by start frame; reach[i] is the
+	// largest end frame among apps[:i+1], so the appearances that can still
+	// be visible at a frame begin where reach first reaches it.
+	apps  []Appearance
+	reach []int
+	// presence is the union of the appearances' frames.
+	presence video.IntervalSet
+}
+
+// newObjectTruth indexes appearances sorted by start frame.
+func newObjectTruth(apps []Appearance) objectTruth {
+	t := objectTruth{apps: apps, reach: make([]int, len(apps))}
+	ivs := make([]video.Interval, len(apps))
+	for i, a := range apps {
+		ivs[i] = a.Frames
+		t.reach[i] = a.Frames.End
+		if i > 0 {
+			t.reach[i] = max(t.reach[i], t.reach[i-1])
+		}
+	}
+	t.presence = video.NewIntervalSet(ivs...)
+	return t
 }
 
 // ID returns the video identifier.
@@ -55,42 +77,38 @@ func (v *Video) ActionTypes() []string {
 
 // ObjectAppearances returns the tracked instances of an object type, sorted
 // by start frame. The caller must not mutate the slice.
-func (v *Video) ObjectAppearances(typ string) []Appearance { return v.objects[typ] }
+func (v *Video) ObjectAppearances(typ string) []Appearance { return v.objects[typ].apps }
 
 // ObjectPresence returns the frame intervals during which at least one
 // instance of the type is visible.
-func (v *Video) ObjectPresence(typ string) video.IntervalSet { return v.presence[typ] }
+func (v *Video) ObjectPresence(typ string) video.IntervalSet { return v.objects[typ].presence }
 
 // ActionPresence returns the shot intervals during which the action occurs.
 func (v *Video) ActionPresence(act string) video.IntervalSet { return v.actions[act] }
 
-// ObjectInstancesAt returns the tracking IDs of the type's instances visible
-// on the frame.
-func (v *Video) ObjectInstancesAt(typ string, frame int) []int {
-	return v.AppendObjectInstancesAt(typ, frame, nil)
-}
-
-// AppendObjectInstancesAt implements detect.InstanceAppender: the IDs are
-// appended to the caller's buffer, so per-frame scoring loops reuse one
-// allocation across a whole video.
-func (v *Video) AppendObjectInstancesAt(typ string, frame int, ids []int) []int {
-	apps := v.objects[typ]
-	// Appearances are sorted by start; all candidates start at or before the
-	// frame. Durations vary, so scan the prefix — appearance counts per type
-	// are small (tens to hundreds) and queries are typically sequential.
-	i := sort.Search(len(apps), func(i int) bool { return apps[i].Frames.Start > frame })
-	for j := 0; j < i; j++ {
-		if apps[j].Frames.Contains(frame) {
-			ids = append(ids, apps[j].TrackID)
+// AppendTracks implements detect.TruthVideo: it appends the type's
+// appearances visible on any frame of frames, in start-frame order. No
+// appearance before the first whose reach gets to frames.Start can be
+// visible, so one binary search finds where to start and the scan stops at
+// the first appearance starting after frames.End — one search per window,
+// not a scan per frame.
+func (v *Video) AppendTracks(typ string, frames video.Interval, dst []video.Track) []video.Track {
+	t := v.objects[typ]
+	for _, a := range t.apps[sort.SearchInts(t.reach, frames.Start):] {
+		if a.Frames.Start > frames.End {
+			break
+		}
+		if a.Frames.End >= frames.Start {
+			dst = append(dst, a)
 		}
 	}
-	return ids
+	return dst
 }
 
 // ObjectPresentAt reports whether any instance of the type is visible on the
 // frame.
 func (v *Video) ObjectPresentAt(typ string, frame int) bool {
-	return v.presence[typ].Contains(frame)
+	return v.objects[typ].presence.Contains(frame)
 }
 
 // ActionAt reports whether the action occurs during the shot.
@@ -115,7 +133,7 @@ func (v *Video) TruthFrames(q QuerySpec) video.IntervalSet {
 	}
 	acc := video.NewIntervalSet(actFrames...)
 	for _, o := range q.Objects {
-		acc = acc.IntersectSet(v.presence[o])
+		acc = acc.IntersectSet(v.objects[o].presence)
 	}
 	return acc.Clamp(video.Interval{Start: 0, End: v.Meta.NumFrames - 1})
 }

@@ -107,3 +107,10 @@ func (m Meta) NumClips() int { return m.Geometry.NumClips(m.NumFrames) }
 
 // NumShots returns the number of complete shots in the video.
 func (m Meta) NumShots() int { return m.Geometry.NumShots(m.NumFrames) }
+
+// Track is one tracked object instance: the identity a tracker reports for
+// it and the contiguous frame interval during which it is visible.
+type Track struct {
+	TrackID int
+	Frames  Interval
+}

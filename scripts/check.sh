@@ -42,8 +42,9 @@ stage "go test -race -shuffle=on -count=1 ./..."
 # contracts: the rolling-swap chaos property tests (TestRolloutChaos), the
 # order- and tier-invariance suites over basic and CNF queries, the
 # parent-commit goldens of the one clip loop and of the ranked top-k, the
-# TBClip iterator's differential test against its reference, and the
-# inference-budget degradation tests.
+# TBClip iterator's and the simulated models' batch draws' differential
+# tests against their references, the quantile gate's histogram against a
+# sort, and the inference-budget degradation tests.
 go test -race -shuffle=on -count=1 ./...
 
 stage "allocation bounds (no race: counts skip under the detector)"
@@ -68,6 +69,10 @@ go test -run '^$' -fuzz '^FuzzLoadGeneration$' -fuzztime=5s ./internal/rank
 # The TBClip iterator against the map-based one it replaced (kept in
 # tbclip_ref_test.go as the referee): same yields, rounds and accesses.
 go test -run '^$' -fuzz '^FuzzTBClipMatchesReference$' -fuzztime=5s ./internal/rank
+# The simulated models' batch draws (one draw key, one track window per
+# batch) against the per-unit draws they replaced (sim_ref_test.go): same
+# scores, events and accounts on fuzzed worlds and runs, seams included.
+go test -run '^$' -fuzz '^FuzzFrameScoreBatchMatchesReference$' -fuzztime=5s ./internal/detect
 
 stage "benchmark smoke (-benchtime=1x -benchmem)"
 # One iteration of every benchmark: catches bit-rot in the experiment and
