@@ -230,8 +230,9 @@ func youTubeSet(b *testing.B, q synth.QuerySpec) detect.TruthVideo {
 // BenchmarkScoreClip times the one unit-scoring call every predicate
 // evaluation makes — a clip's frames through Scorer.Score into a reused
 // account — for a plain model (one batch call), a cascade (batch the cheap
-// tier, walk the escalations) and a fallible model (per-unit retry under
-// 20 % transient faults), on a sparse type; then the plain model on the
+// tier, walk the escalations) and a fallible model (batches that stop at a
+// failed frame, retry it alone and resume, under 20 % transient faults), on
+// a sparse type; then the plain model on the
 // ubiquitous, many-instance "person" of a movie and of a YouTube set's
 // concatenation (the streams the online workload scores). The walker
 // allocates nothing itself (detect's TestScoreAllocsSteadyState); the
@@ -255,7 +256,7 @@ func BenchmarkScoreClip(b *testing.B) {
 			v := c.video
 			frames := v.Geometry().FramesPerClip()
 			clips := v.NumFrames() / frames
-			chain := detect.ObjectScorer(c.model)
+			chain := detect.ScorerOf(c.model)
 			var acc detect.Account
 			dst := make([]float64, frames)
 			retry := detect.RetryConfig{Attempts: 16} // no backoff: time the walk, not the sleeps

@@ -81,11 +81,11 @@ func newEngine(models detect.Models, cfg Config, mode Mode) (*Engine, error) {
 	e := &Engine{models: models, cfg: cfg, mode: mode, meter: cfg.Meter}
 	e.obj = detector{
 		label: detect.KindObject, unitCost: models.Objects.UnitCost(), threshold: models.ObjThreshold,
-		chain: detect.ObjectScorer(models.Objects),
+		chain: detect.ScorerOf(models.Objects),
 	}
 	e.act = detector{
 		label: detect.KindAction, unitCost: models.Actions.UnitCost(), threshold: models.ActThreshold,
-		chain: detect.ActionScorer(models.Actions),
+		chain: detect.ScorerOf(models.Actions),
 	}
 	e.obj.costs, e.act.costs = TierCosts(e.obj.chain.Tiers()), TierCosts(e.act.chain.Tiers())
 	return e, nil
@@ -933,21 +933,26 @@ func (r *Run) evaluate(ps *predState, clip int, mode plan.TierMode, objectFrames
 		r.e.meter.AddObjectFrames(units.Len())
 		*objectFramesCharged = true
 	}
+	acc := &r.scratch.acc
 	if kind == RelationPredicate {
 		// Footnote 2: a binary per-frame output derived from the detections
-		// of the two operand types.
+		// of the two operand types, read — and retried, and priced per
+		// attempt — like any object inference over the clip's frames.
 		ev := &r.scratch.relEvents
-		count := detect.RelationPositives(r.e.models.Objects, r.v, detect.Relation(name), ps.atom.Args[0], ps.atom.Args[1],
-			units, &ev[0], &ev[1], ps.rawInd[units.Start:units.End+1])
+		acc.Reset(1)
+		count, err := detect.RelationPositives(r.ctx, r.e.models.Objects, r.v, detect.Relation(name), ps.atom.Args[0], ps.atom.Args[1],
+			units, &ev[0], &ev[1], ps.rawInd[units.Start:units.End+1], r.e.cfg.Retry, acc)
 		ps.units += units.Len()
-		return count, time.Duration(units.Len()) * d.unitCost, nil
+		if r.e.meter != nil {
+			r.e.meter.Record(d.label, nil, acc)
+		}
+		return count, acc.Cost, err
 	}
 	// One scoring call for every model: a plain model is a one-tier chain,
 	// a cascade runs from the planner's entry tier. The account is the
 	// evaluation's whole ledger — its price, the planner's tier statistics
 	// and the meter's counters all come from it.
 	scores, tiers := r.scoreBuf(units.Len()), d.chain.Tiers()
-	acc := &r.scratch.acc
 	acc.Reset(len(tiers))
 	scored, err := d.chain.Score(r.ctx, r.v, name, units.Start, entryTier(mode, len(tiers)), scores, r.e.cfg.Retry, acc)
 	for _, u := range acc.Units {

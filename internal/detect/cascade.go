@@ -8,50 +8,30 @@ import (
 	"svqact/internal/video"
 )
 
-// Model chains. The engine sees every model as a black box that emits one
-// score per occurrence unit — a frame for objects, a shot for actions. A
-// chain is an ordered list of such models, cheapest first and most accurate
-// last, each with an escalation band: a unit is scored by the entry tier and
-// moves up only while its score is uncertain. Production video systems
-// rarely run the accurate model on every unit; a cheap proxy (a distilled or
-// pruned student of the accurate teacher) scores first and only the units it
-// cannot decide reach the expensive tier.
+// Model chains. A chain is an ordered list of models, cheapest first and
+// most accurate last, each with an escalation band: a unit is scored by the
+// entry tier and moves up only while its score is uncertain, so a cheap proxy
+// (a distilled student of the accurate teacher) decides most units and only
+// the rest reach the expensive tier. A plain model is a one-tier chain — its
+// only tier is the last, which decides every unit — so "score a run of units
+// with batching, retry and accounting" is one function, Scorer.Score,
+// whatever the model. Every tier honours the one Model contract, fault
+// decorators included, so a fault-injected run executes the same code as a
+// clean one. ObjectCascade and ActionCascade bind a chain back to that
+// contract: invoked as a model, a cascade walks its tiers at the attempt it
+// is given, with fallthrough and no retry of its own.
 //
-// A plain model is a one-tier chain: its only tier is the last, so it
-// decides every unit and nothing escalates. That makes "score a run of units
-// with batching, retry and accounting" one function, Scorer.Score, whatever
-// the model: ObjectScorer and ActionScorer return the chain behind a model,
-// and the engine's clip evaluation and rank's action ingest both walk it.
-// ObjectCascade and ActionCascade bind a chain of two or more tiers to the
-// ordinary ObjectDetector / ActionRecognizer contracts, so consumers built
-// for a single model keep working.
+// Soundness. A chain is never less sound than its most accurate tier alone:
 //
-// Soundness. A chain is never less sound than its most accurate tier alone,
-// by construction:
-//
-//   - a tier decides a unit only when its score falls outside its
-//     escalation band; anything in-band escalates to the next tier, and the
-//     last tier always decides;
-//   - a tier whose invocation fails (after its own per-model retry budget)
-//     falls through to the next tier instead of failing the unit — only the
-//     last tier's failure surfaces as an error;
-//   - the calibrated proxies built by NewDistilledObjectCascade /
-//     NewDistilledActionCascade are recall-complete: the proxy's score is
-//     ≥ the teacher's score on every unit (it sees everything the teacher
-//     sees, plus its own extra false positives). Under RecallBand — escalate
-//     on any nonzero score — the teacher therefore scores every unit the
-//     proxy does not silently reject, and a proxy rejection (score 0)
-//     implies the teacher would also have scored 0. The cascade's scores,
-//     detections and events are bit-identical to running the accurate tier
-//     alone; only the cost differs.
-//
-// The plain ObjectDetector / ActionRecognizer methods of a cascade are
-// faultless, like every plain-method path; Score observes each tier's own
-// faults. rank's lazy ingest therefore builds a cascade's action table from
-// the same per-tier faulty walk as the individual sequences stored beside it
-// (a shot whose last tier fails contributes no score), while its object
-// tables aggregate per-instance detections — a different contract — through
-// the faultless events path.
+//   - a tier decides a unit only when its score falls outside its band;
+//     anything in-band escalates, and the last tier always decides;
+//   - a tier whose invocation still fails after its own retry budget falls
+//     through to the next tier; only the last tier's failure is an error;
+//   - the distilled proxies are recall-complete: the proxy's score is ≥ the
+//     teacher's on every unit. Under RecallBand the teacher therefore scores
+//     every unit the proxy does not reject with score 0, where the teacher
+//     would score 0 too. The cascade's scores and events are bit-identical
+//     to its accurate tier's; only the cost differs.
 
 // Band is a tier's escalation band: a score in [Lo, Hi) is uncertain and
 // escalates to the next tier; a score outside the band decides the unit at
@@ -63,28 +43,28 @@ type Band struct {
 // Escalates reports whether a score is uncertain at this tier.
 func (b Band) Escalates(s float64) bool { return s >= b.Lo && s < b.Hi }
 
-// RecallBand escalates on any detection at all: simulated scores are either
-// 0 (nothing detected) or ≥ 0.01 (clampScore's floor), so Lo sits strictly
-// between and Hi above the score ceiling. With a recall-complete proxy this
-// band makes the cascade bit-identical to its accurate tier.
+// RecallBand escalates on any detection at all: simulated scores are 0 or
+// ≥ 0.01 (clampScore's floor), and Hi lies above the score ceiling.
 func RecallBand() Band { return Band{Lo: 0.005, Hi: 2} }
 
 // TierInfo describes one tier of a chain to the planner and the EXPLAIN
-// surfaces.
+// surfaces: its model's name and unit cost, and the prior probability a unit
+// scored at the tier escalates past it (always 0 for the last tier).
 type TierInfo struct {
-	// Name is the tier model's name.
-	Name string
-	// UnitCost is the tier's simulated inference latency per unit.
-	UnitCost time.Duration
-	// PriorEscalate is the prior probability a unit scored at this tier
-	// escalates past it, before any live observations. Always 0 for the
-	// last tier.
+	Name          string
+	UnitCost      time.Duration
 	PriorEscalate float64
+
+	band  Band  // ignored for the last tier
+	model Model // the tier's model, its occurrence unit erased
 }
 
-// ObjectTier is one tier of an object cascade. The detector may be wrapped
-// in a FaultyObjectDetector — fault decorators compose per tier, so each
-// model keeps its own fault realisation and its own retry budget.
+func newTier(m Model, band Band, prior float64) TierInfo {
+	return TierInfo{Name: m.Name(), UnitCost: m.UnitCost(), PriorEscalate: prior, band: band, model: m}
+}
+
+// ObjectTier is one tier of an object cascade. Fault decorators compose per
+// tier, so each model keeps its own fault realisation and retry budget.
 type ObjectTier struct {
 	Detector ObjectDetector
 	// Band is the tier's escalation band; ignored for the last tier.
@@ -100,31 +80,23 @@ type ActionTier struct {
 	PriorEscalate float64
 }
 
-// Account is what one or more Score calls did: per tier, how many units
-// were scored and how each was resolved; in total, the invocation attempts
-// made, how they failed, and the simulated inference cost accrued (priced
-// per attempt, so retries and the attempts spent on a unit that finally
-// fails are paid for). It is the walker's only output besides the scores:
-// the engine resets one per evaluation, prices the evaluation from it, feeds
-// the planner's escalation estimators and flushes it to the meter once
-// (Meter.Record).
+// Account is what one or more Score or ReadEvents calls did: per tier, how
+// many units were scored and how each was resolved; in total, the attempts
+// made, how they failed, and the simulated inference cost, priced per
+// attempt. The engine resets one per evaluation, prices the evaluation from
+// it, feeds the planner's escalation estimators and flushes it to the meter
+// once (Meter.Record).
 type Account struct {
-	// Units counts units scored at each tier (indexed by tier position).
-	Units []int64
-	// Decided counts units resolved at each tier.
-	Decided []int64
-	// Escalated counts units whose score landed in the tier's band.
-	Escalated []int64
-	// Fallthroughs counts units escalated because the tier's invocation
+	// Per tier position: units scored, units resolved, units escalated
+	// (in-band or failed), and units escalated because the tier still
 	// failed after its retry budget — the conservative failure path.
-	Fallthroughs []int64
+	Units, Decided, Escalated, Fallthroughs []int64
 	// Cost is the simulated inference cost accrued, per attempt.
 	Cost time.Duration
-	// Attempts counts model invocations across all tiers; Retries the ones
-	// past a unit's first at a tier.
-	Attempts, Retries int64
-	// Transient and Permanent count failed attempts by IsTransient.
-	Transient, Permanent int64
+	// Attempts counts invocations across all tiers; Retries the ones past a
+	// unit's first at a tier. Transient and Permanent classify failed
+	// attempts by IsTransient.
+	Attempts, Retries, Transient, Permanent int64
 }
 
 // Reset zeroes the account for a chain with the given number of tiers.
@@ -146,248 +118,211 @@ func zeroCounts(s []int64, n int) []int64 {
 	return s
 }
 
-// tier is one model of a chain with its occurrence unit erased: a frame
-// detector and a shot recogniser look the same to the walker.
-type tier struct {
-	TierInfo
-	band Band
-	// score is the model's plain method, which cannot fail.
-	score func(v TruthVideo, label string, unit int) float64
-	// attempt is set for fallible models only: one invocation that may fail,
-	// run under the retry policy.
-	attempt func(v TruthVideo, label string, unit, attempt int) (float64, error)
-	// batch is set for infallible models that score a run of units in one
-	// call; it fills the same scores as score, unit by unit.
-	batch func(v TruthVideo, label string, start int, dst []float64)
+// charge records units reached at tier ti and the attempts they took.
+func (a *Account) charge(ti int, units, attempts int64, unitCost time.Duration) {
+	a.Units[ti] += units
+	a.Attempts += attempts
+	a.Retries += attempts - units
+	a.Cost += time.Duration(attempts) * unitCost
 }
 
-func objectTier(t ObjectTier) tier {
-	d := t.Detector
-	ti := tier{
-		TierInfo: TierInfo{Name: d.Name(), UnitCost: d.UnitCost(), PriorEscalate: t.PriorEscalate},
-		band:     t.Band, score: d.FrameScore,
-	}
-	if fd, ok := d.(FallibleObjectDetector); ok {
-		ti.attempt = fd.FrameScoreAttempt
-	} else if bs, ok := d.(BatchObjectScorer); ok {
-		ti.batch = bs.FrameScoreBatch
-	}
-	return ti
+// retryAfter retries a unit whose attempt 0 failed with err0: try(attempt)
+// from attempt 1 under the retry policy, every failure classified in acc. It
+// returns the attempts made, the first included, and the last error (ctx's,
+// when it ended first).
+func retryAfter(ctx context.Context, retry RetryConfig, acc *Account, err0 error, try func(attempt int) error) (attempts int64, err error) {
+	attempts = 1
+	acc.fault(err0)
+	err = Retry(ctx, retry, func(a int) error {
+		if a == 0 {
+			return err0
+		}
+		attempts++
+		err := try(a)
+		acc.fault(err)
+		return err
+	})
+	return attempts, err
 }
 
-func actionTier(t ActionTier) tier {
-	r := t.Recognizer
-	ti := tier{
-		TierInfo: TierInfo{Name: r.Name(), UnitCost: r.UnitCost(), PriorEscalate: t.PriorEscalate},
-		band:     t.Band, score: r.ShotScore,
+// fault classifies one failed attempt; a nil error is no failure.
+func (a *Account) fault(err error) {
+	switch {
+	case err == nil:
+	case IsTransient(err):
+		a.Transient++
+	default:
+		a.Permanent++
 	}
-	if fr, ok := r.(FallibleActionRecognizer); ok {
-		ti.attempt = fr.ShotScoreAttempt
-	} else if bs, ok := r.(BatchActionScorer); ok {
-		ti.batch = bs.ShotScoreBatch
-	}
-	return ti
 }
 
 // Scorer scores occurrence units with a chain of one or more tiers. It is
 // immutable and safe for concurrent use; all per-call state lives in the
 // caller's Account.
 type Scorer struct {
-	tiers []tier
-	infos []TierInfo
+	tiers []TierInfo
 }
 
-func newScorer(tiers ...tier) *Scorer {
+func newScorer(tiers ...TierInfo) *Scorer {
 	tiers[len(tiers)-1].PriorEscalate = 0 // the last tier always decides
-	s := &Scorer{tiers: tiers, infos: make([]TierInfo, len(tiers))}
-	for i, t := range tiers {
-		s.infos[i] = t.TierInfo
-	}
-	return s
+	return &Scorer{tiers}
 }
 
-// ObjectScorer returns the chain behind d: the cascade's own when d is an
-// ObjectCascade, a one-tier chain otherwise.
-func ObjectScorer(d ObjectDetector) *Scorer {
-	if c, ok := d.(*ObjectCascade); ok {
+// ScorerOf returns the chain behind m: a cascade's own, a one-tier chain of
+// m otherwise.
+func ScorerOf(m Model) *Scorer {
+	switch c := m.(type) {
+	case *ObjectCascade:
+		return c.chain
+	case *ActionCascade:
 		return c.chain
 	}
-	return newScorer(objectTier(ObjectTier{Detector: d}))
-}
-
-// ActionScorer returns the chain behind r, like ObjectScorer.
-func ActionScorer(r ActionRecognizer) *Scorer {
-	if c, ok := r.(*ActionCascade); ok {
-		return c.chain
-	}
-	return newScorer(actionTier(ActionTier{Recognizer: r}))
+	return newScorer(newTier(m, Band{}, 0))
 }
 
 // Tiers describes the chain for planning and EXPLAIN, cheapest tier first.
-func (s *Scorer) Tiers() []TierInfo { return s.infos }
+func (s *Scorer) Tiers() []TierInfo { return s.tiers }
 
-// name renders a cascade's name from its tiers.
-func (s *Scorer) name() string {
-	names := make([]string, len(s.infos))
-	for i, ti := range s.infos {
-		names[i] = ti.Name
-	}
-	return "cascade(" + strings.Join(names, ">") + ")"
-}
-
-// Score fills dst[i] with the chain's score for unit start+i of the label
-// (an object type or an action), entering at tier from (clamped to the tier
-// range) and escalating as bands and failures dictate. An infallible entry
-// tier scores — and is charged for — the whole run in one batch call; every
-// fallible tier is invoked per unit under retry, each model with its own
-// attempt budget; a tier that still fails falls through to the next one. The
-// first unit whose last-tier invocation fails — or during which ctx ends —
-// stops the run with that error, and scored says how many units came before
-// it: dst[:scored] holds their final scores, the rest of dst is unspecified.
-// Everything the call did is added to acc, which must have been Reset for
-// this chain.
+// Score fills dst[i] with the chain's score for unit start+i of the label,
+// entering at tier from (clamped to the tier range). The entry tier scores
+// the run in one batch at attempt 0; a unit that fails there is retried
+// alone under retry, then the batch resumes after it at attempt 0. In-band
+// and failed units walk the higher tiers one by one, each tier with its own
+// attempt budget. ctx is consulted once before the batch and then only by
+// retries. The first unit whose last tier still fails — or whose retries ctx
+// ends — stops the run: scored says how many units came before it,
+// whose final scores are dst[:scored]. A unit is charged to acc when the walk
+// reaches it, exactly as if each unit were scored alone; acc must have been
+// Reset for this chain.
 func (s *Scorer) Score(ctx context.Context, v TruthVideo, label string, start, from int, dst []float64, retry RetryConfig, acc *Account) (scored int, err error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
 	last := len(s.tiers) - 1
 	from = min(max(from, 0), last)
-	entry := &s.tiers[from]
-	batched := entry.batch != nil
-	if batched {
-		entry.batch(v, label, start, dst)
-		n := int64(len(dst))
-		acc.Units[from] += n
-		acc.Attempts += n
-		acc.Cost += time.Duration(n) * entry.UnitCost
-		if from == last { // the last tier decides every unit
-			acc.Decided[from] += n
-			return len(dst), nil
-		}
-	}
-	for i := range dst {
-		ti := from
-		if batched {
-			if !entry.band.Escalates(dst[i]) {
-				acc.Decided[from]++
-				continue
+	t := &s.tiers[from]
+	for i := 0; i < len(dst); i++ {
+		n, err0 := t.model.Score(v, label, start+i, dst[i:], 0)
+		if from == last { // the last tier decides every unit it scored
+			acc.charge(from, int64(n), int64(n), t.UnitCost)
+			acc.Decided[from] += int64(n)
+			i += n
+		} else {
+			for end := i + n; i < end; i++ {
+				acc.charge(from, 1, 1, t.UnitCost)
+				if !t.band.Escalates(dst[i]) {
+					acc.Decided[from]++
+					continue
+				}
+				acc.Escalated[from]++
+				if err := s.walk(ctx, v, label, start+i, from+1, dst[i:i+1], nil, retry, acc); err != nil {
+					return i, err
+				}
 			}
-			acc.Escalated[from]++
-			ti++
 		}
-		if dst[i], err = s.walk(ctx, v, label, start+i, ti, retry, acc); err != nil {
+		if err0 == nil {
+			break
+		}
+		if err := s.walk(ctx, v, label, start+i, from, dst[i:i+1], err0, retry, acc); err != nil {
 			return i, err
 		}
 	}
 	return len(dst), nil
 }
 
-// walk scores one unit entering at tier ti, with per-tier retry and
-// conservative fallthrough.
-func (s *Scorer) walk(ctx context.Context, v TruthVideo, label string, unit, ti int, retry RetryConfig, acc *Account) (float64, error) {
-	for last := len(s.tiers) - 1; ; ti++ {
+// walk resolves one unit into one[0] from tier ti. A non-nil err0 is the
+// failure of tier ti's attempt 0, which the entry batch made.
+func (s *Scorer) walk(ctx context.Context, v TruthVideo, label string, unit, ti int, one []float64, err0 error, retry RetryConfig, acc *Account) error {
+	for last := len(s.tiers) - 1; ; ti, err0 = ti+1, nil {
 		t := &s.tiers[ti]
-		var sc float64
-		var err error
+		err := err0
+		if err == nil {
+			_, err = t.model.Score(v, label, unit, one, 0)
+		}
 		attempts := int64(1)
-		if t.attempt == nil {
-			sc = t.score(v, label, unit)
-		} else {
-			attempts = 0
-			err = Retry(ctx, retry, func(attempt int) error {
-				attempts++
-				var aerr error
-				if sc, aerr = t.attempt(v, label, unit, attempt); aerr == nil {
-					return nil
-				}
-				if IsTransient(aerr) {
-					acc.Transient++
-				} else {
-					acc.Permanent++
-				}
-				return aerr
+		if err != nil {
+			attempts, err = retryAfter(ctx, retry, acc, err, func(a int) error {
+				_, err := t.model.Score(v, label, unit, one, a)
+				return err
 			})
 		}
-		// A unit whose context ended before its first attempt was never
-		// invoked: it charges nothing.
-		if attempts > 0 {
-			acc.Units[ti]++
-			acc.Attempts += attempts
-			acc.Retries += attempts - 1
-			acc.Cost += time.Duration(attempts) * t.UnitCost
-		}
+		acc.charge(ti, 1, attempts, t.UnitCost)
 		switch {
 		case err != nil && ctx.Err() != nil:
-			return 0, ctx.Err()
+			return ctx.Err()
 		case err != nil && ti < last:
-			// Conservative fallthrough: a failed tier escalates instead of
-			// failing the unit, so the chain is never less sound than its
-			// accurate tier.
-			acc.Escalated[ti]++
+			acc.Escalated[ti]++ // conservative fallthrough
 			acc.Fallthroughs[ti]++
 		case err != nil:
-			return 0, err
-		case ti < last && t.band.Escalates(sc):
+			return err
+		case ti < last && t.band.Escalates(one[0]):
 			acc.Escalated[ti]++
 		default:
 			acc.Decided[ti]++
-			return sc, nil
+			return nil
 		}
 	}
 }
 
-// decide walks the chain faultlessly from tier from and returns the tier
-// that decides the unit along with its score.
-func (s *Scorer) decide(v TruthVideo, label string, unit, from int) (int, float64) {
-	for i, last := from, len(s.tiers)-1; ; i++ {
-		sc := s.tiers[i].score(v, label, unit)
-		if i == last || !s.tiers[i].band.Escalates(sc) {
-			return i, sc
+// decide walks one unit up the chain at one attempt, without retry: a
+// failed tier falls through, and a failed last tier fails the unit. It
+// returns the deciding tier, its score in one[0].
+func (s *Scorer) decide(v TruthVideo, label string, unit int, one []float64, attempt int) (int, error) {
+	for i, last := 0, len(s.tiers)-1; ; i++ {
+		_, err := s.tiers[i].model.Score(v, label, unit, one, attempt)
+		if err != nil && i == last || err == nil && (i == last || !s.tiers[i].band.Escalates(one[0])) {
+			return i, err
 		}
 	}
 }
 
-// scoreBatch is the faultless walk over a run of units: the entry tier
-// scores the whole run (in one batch call when it can), and only in-band
-// units walk the higher tiers.
-func (s *Scorer) scoreBatch(v TruthVideo, label string, start int, dst []float64) {
-	t0 := &s.tiers[0]
-	if t0.batch != nil {
-		t0.batch(v, label, start, dst)
-	} else {
-		for i := range dst {
-			dst[i] = t0.score(v, label, start+i)
+// cascade binds a chain of two or more tiers to the Model contract.
+type cascade struct{ chain *Scorer }
+
+func newCascade(tiers []TierInfo) cascade {
+	if len(tiers) < 2 {
+		panic("detect: a cascade needs at least two tiers") // one tier is just the model
+	}
+	return cascade{newScorer(tiers...)}
+}
+
+// Name renders the cascade's name from its tiers.
+func (c cascade) Name() string {
+	names := make([]string, len(c.chain.tiers))
+	for i, ti := range c.chain.tiers {
+		names[i] = ti.Name
+	}
+	return "cascade(" + strings.Join(names, ">") + ")"
+}
+
+// UnitCost is the accurate tier's: the conservative price to plan with.
+func (c cascade) UnitCost() time.Duration { return c.chain.tiers[len(c.chain.tiers)-1].UnitCost }
+
+// Score implements Model: every unit's deciding tier's score at the attempt.
+func (c cascade) Score(v TruthVideo, label string, start int, dst []float64, attempt int) (int, error) {
+	for i := range dst {
+		if _, err := c.chain.decide(v, label, start+i, dst[i:i+1], attempt); err != nil {
+			return i, err
 		}
 	}
-	if len(s.tiers) == 1 {
-		return
-	}
-	for i, sc := range dst {
-		if t0.band.Escalates(sc) {
-			_, dst[i] = s.decide(v, label, start+i, 1)
-		}
-	}
+	return len(dst), nil
 }
 
 // ObjectCascade chains object detector tiers from cheapest to most
-// accurate. It implements ObjectDetector (plus the batch and events
-// capabilities), so any consumer built for a single detector runs the full
-// cascade transparently and faultlessly; ObjectScorer returns its chain.
+// accurate; ScorerOf returns its chain.
 type ObjectCascade struct {
-	chain *Scorer
-	tiers []ObjectTier
-	name  string
+	cascade
+	detectors []ObjectDetector
 }
 
 // NewObjectCascade chains tiers ordered cheapest first, most accurate last.
 // Panics on fewer than two tiers — a one-tier cascade is just the detector.
 func NewObjectCascade(tiers ...ObjectTier) *ObjectCascade {
-	if len(tiers) < 2 {
-		panic("detect: object cascade needs at least two tiers")
-	}
-	erased := make([]tier, len(tiers))
+	erased, dets := make([]TierInfo, len(tiers)), make([]ObjectDetector, len(tiers))
 	for i, t := range tiers {
-		erased[i] = objectTier(t)
+		erased[i], dets[i] = newTier(t.Detector, t.Band, t.PriorEscalate), t.Detector
 	}
-	chain := newScorer(erased...)
-	return &ObjectCascade{chain: chain, tiers: tiers, name: chain.name()}
+	return &ObjectCascade{cascade: newCascade(erased), detectors: dets}
 }
 
 // NewDistilledObjectCascade builds the standard two-tier cascade: a
@@ -402,75 +337,37 @@ func NewDistilledObjectCascade(teacher ObjectDetector, prof Profile, seed int64)
 	)
 }
 
-// Name implements ObjectDetector.
-func (c *ObjectCascade) Name() string { return c.name }
-
-// UnitCost implements ObjectDetector. It reports the accurate tier's unit
-// cost — the conservative price a consumer without tier awareness plans
-// with.
-func (c *ObjectCascade) UnitCost() time.Duration { return c.AccurateTier().UnitCost() }
-
-// Tiers describes the cascade for planning and EXPLAIN.
-func (c *ObjectCascade) Tiers() []TierInfo { return c.chain.infos }
-
-// AccurateTier returns the last (most accurate) tier's detector.
-func (c *ObjectCascade) AccurateTier() ObjectDetector { return c.tiers[len(c.tiers)-1].Detector }
-
-// FrameScore implements ObjectDetector: the deciding tier's score.
-func (c *ObjectCascade) FrameScore(v TruthVideo, typ string, frame int) float64 {
-	_, s := c.chain.decide(v, typ, frame, 0)
-	return s
-}
-
-// FrameDetections implements ObjectDetector: the deciding tier's
-// detections.
-func (c *ObjectCascade) FrameDetections(v TruthVideo, typ string, frame int) []Detection {
-	i, _ := c.chain.decide(v, typ, frame, 0)
-	return c.tiers[i].Detector.FrameDetections(v, typ, frame)
-}
-
-// AppendFrameEvents implements ObjectEventAppender: every frame's events
-// come from the tier that decides it, each run of consecutive frames
-// decided by one tier in one call to that tier.
-func (c *ObjectCascade) AppendFrameEvents(v TruthVideo, typ string, frames video.Interval, ev *Events) {
-	from, fromTier := frames.Start, -1
+// Events implements ObjectDetector: every frame's events come from the tier
+// that decides it at the attempt.
+func (c *ObjectCascade) Events(v TruthVideo, typ string, frames video.Interval, ev *Events, attempt int) (int, error) {
+	var one [1]float64
 	for f := frames.Start; f <= frames.End; f++ {
-		i, _ := c.chain.decide(v, typ, f, 0)
-		if i != fromTier && fromTier >= 0 {
-			AppendFrameEvents(c.tiers[fromTier].Detector, v, typ, video.Interval{Start: from, End: f - 1}, ev)
-			from = f
+		i, err := c.chain.decide(v, typ, f, one[:], attempt)
+		if err == nil {
+			_, err = c.detectors[i].Events(v, typ, video.Interval{Start: f, End: f}, ev, attempt)
 		}
-		fromTier = i
+		if err != nil {
+			return f - frames.Start, err
+		}
 	}
-	if fromTier >= 0 {
-		AppendFrameEvents(c.tiers[fromTier].Detector, v, typ, video.Interval{Start: from, End: frames.End}, ev)
-	}
+	return frames.Len(), nil
 }
 
-// FrameScoreBatch implements BatchObjectScorer.
-func (c *ObjectCascade) FrameScoreBatch(v TruthVideo, typ string, start int, dst []float64) {
-	c.chain.scoreBatch(v, typ, start, dst)
+// FrameScore implements ObjectDetector.
+func (c *ObjectCascade) FrameScore(v TruthVideo, typ string, frame int) float64 {
+	return unitScore(c, v, typ, frame)
 }
 
-// ActionCascade chains action recogniser tiers cheapest first, like
-// ObjectCascade.
-type ActionCascade struct {
-	chain    *Scorer
-	accurate ActionRecognizer
-	name     string
-}
+// ActionCascade chains action recogniser tiers, like ObjectCascade.
+type ActionCascade struct{ cascade }
 
 // NewActionCascade chains tiers ordered cheapest first, most accurate last.
 func NewActionCascade(tiers ...ActionTier) *ActionCascade {
-	if len(tiers) < 2 {
-		panic("detect: action cascade needs at least two tiers")
-	}
-	erased := make([]tier, len(tiers))
+	erased := make([]TierInfo, len(tiers))
 	for i, t := range tiers {
-		erased[i] = actionTier(t)
+		erased[i] = newTier(t.Recognizer, t.Band, t.PriorEscalate)
 	}
-	chain := newScorer(erased...)
-	return &ActionCascade{chain: chain, accurate: tiers[len(tiers)-1].Recognizer, name: chain.name()}
+	return &ActionCascade{newCascade(erased)}
 }
 
 // NewDistilledActionCascade builds the two-tier recall-complete cascade for
@@ -481,27 +378,4 @@ func NewDistilledActionCascade(teacher ActionRecognizer, prof Profile, seed int6
 		ActionTier{Recognizer: proxy, Band: RecallBand(), PriorEscalate: prof.EscalationPrior(RecallBand())},
 		ActionTier{Recognizer: teacher},
 	)
-}
-
-// Name implements ActionRecognizer.
-func (c *ActionCascade) Name() string { return c.name }
-
-// UnitCost implements ActionRecognizer, reporting the accurate tier's cost.
-func (c *ActionCascade) UnitCost() time.Duration { return c.accurate.UnitCost() }
-
-// Tiers describes the cascade for planning and EXPLAIN.
-func (c *ActionCascade) Tiers() []TierInfo { return c.chain.infos }
-
-// AccurateTier returns the last (most accurate) tier's recogniser.
-func (c *ActionCascade) AccurateTier() ActionRecognizer { return c.accurate }
-
-// ShotScore implements ActionRecognizer: the deciding tier's score.
-func (c *ActionCascade) ShotScore(v TruthVideo, act string, shot int) float64 {
-	_, s := c.chain.decide(v, act, shot, 0)
-	return s
-}
-
-// ShotScoreBatch implements BatchActionScorer.
-func (c *ActionCascade) ShotScoreBatch(v TruthVideo, act string, start int, dst []float64) {
-	c.chain.scoreBatch(v, act, start, dst)
 }

@@ -9,16 +9,6 @@ import (
 	"svqact/internal/video"
 )
 
-// The cascades must satisfy the plain and the batch contracts.
-var (
-	_ ObjectDetector    = (*ObjectCascade)(nil)
-	_ ActionRecognizer  = (*ActionCascade)(nil)
-	_ BatchObjectScorer = (*ObjectCascade)(nil)
-	_ BatchActionScorer = (*ActionCascade)(nil)
-	_ BatchObjectScorer = (*DistilledObjectDetector)(nil)
-	_ BatchActionScorer = (*DistilledActionRecognizer)(nil)
-)
-
 // TestDistilledRecallComplete pins the property the cascade's soundness
 // argument rests on: the proxy's score equals the teacher's wherever the
 // teacher detects anything, and is ≥ 0 (its own false-positive draw)
@@ -41,8 +31,8 @@ func TestDistilledRecallComplete(t *testing.T) {
 	arp := NewDistilledActionRecognizer(art, DistilledI3D, 7)
 	numShots := v.Geometry().NumShots(v.NumFrames())
 	for s := 0; s < numShots; s++ {
-		ts := art.ShotScore(v, "jumping", s)
-		ps := arp.ShotScore(v, "jumping", s)
+		ts := unitScore(art, v, "jumping", s)
+		ps := unitScore(arp, v, "jumping", s)
 		if ps < ts {
 			t.Fatalf("shot %d: proxy score %v below teacher %v", s, ps, ts)
 		}
@@ -53,8 +43,8 @@ func TestDistilledRecallComplete(t *testing.T) {
 }
 
 // TestCascadeBitIdenticalToAccurate: under the recall band, the cascade's
-// plain-contract outputs (scores, detections, events) are bit-identical to
-// running the accurate tier alone.
+// outputs (scores, detections, events) are bit-identical to running the
+// accurate tier alone.
 func TestCascadeBitIdenticalToAccurate(t *testing.T) {
 	v := testVideo(t, 32)
 	teacher := NewObjectDetector(MaskRCNN, 9)
@@ -64,7 +54,7 @@ func TestCascadeBitIdenticalToAccurate(t *testing.T) {
 		if cs, ts := casc.FrameScore(v, "car", f), teacher.FrameScore(v, "car", f); cs != ts {
 			t.Fatalf("frame %d: cascade score %v != accurate %v", f, cs, ts)
 		}
-		cd, td := casc.FrameDetections(v, "car", f), teacher.FrameDetections(v, "car", f)
+		cd, td := frameDetections(casc, v, "car", f), frameDetections(teacher, v, "car", f)
 		if len(cd) != len(td) {
 			t.Fatalf("frame %d: %d cascade detections vs %d accurate", f, len(cd), len(td))
 		}
@@ -73,11 +63,11 @@ func TestCascadeBitIdenticalToAccurate(t *testing.T) {
 				t.Fatalf("frame %d: detection %d differs: %+v vs %+v", f, i, cd[i], td[i])
 			}
 		}
-		AppendFrameEvents(teacher, v, "car", video.Interval{Start: f, End: f}, &evT)
+		teacher.Events(v, "car", video.Interval{Start: f, End: f}, &evT, 0)
 	}
 	// The cascade's events over the whole video in one range, against the
 	// teacher's frame by frame.
-	casc.AppendFrameEvents(v, "car", video.Interval{Start: 0, End: v.NumFrames() - 1}, &evC)
+	casc.Events(v, "car", video.Interval{Start: 0, End: v.NumFrames() - 1}, &evC, 0)
 	if evC.Len() != evT.Len() {
 		t.Fatalf("event streams diverge: %d vs %d", evC.Len(), evT.Len())
 	}
@@ -91,7 +81,7 @@ func TestCascadeBitIdenticalToAccurate(t *testing.T) {
 	acasc := NewDistilledActionCascade(art, DistilledI3D, 9)
 	numShots := v.Geometry().NumShots(v.NumFrames())
 	for s := 0; s < numShots; s++ {
-		if cs, ts := acasc.ShotScore(v, "jumping", s), art.ShotScore(v, "jumping", s); cs != ts {
+		if cs, ts := unitScore(acasc, v, "jumping", s), unitScore(art, v, "jumping", s); cs != ts {
 			t.Fatalf("shot %d: cascade score %v != accurate %v", s, cs, ts)
 		}
 	}
@@ -111,7 +101,7 @@ func TestFrameScoreCascadeAccounting(t *testing.T) {
 	acc.Reset(2)
 	n := 2000
 	dst := make([]float64, n)
-	if _, err := ObjectScorer(casc).Score(ctx, v, "car", 0, 0, dst, DefaultRetryConfig(), &acc); err != nil {
+	if _, err := ScorerOf(casc).Score(ctx, v, "car", 0, 0, dst, DefaultRetryConfig(), &acc); err != nil {
 		t.Fatal(err)
 	}
 	for i, s := range dst {
@@ -131,7 +121,7 @@ func TestFrameScoreCascadeAccounting(t *testing.T) {
 	if acc.Escalated[0] == 0 || acc.Escalated[0] == int64(n) {
 		t.Errorf("escalations %d should be strictly between 0 and %d", acc.Escalated[0], n)
 	}
-	infos := casc.Tiers()
+	infos := ScorerOf(casc).Tiers()
 	want := time.Duration(acc.Units[0])*infos[0].UnitCost + time.Duration(acc.Units[1])*infos[1].UnitCost
 	if acc.Cost != want {
 		t.Errorf("cost %v, want %v (faultless run: attempts == units)", acc.Cost, want)
@@ -142,7 +132,7 @@ func TestFrameScoreCascadeAccounting(t *testing.T) {
 
 	// Entering at the accurate tier skips tier 0 entirely.
 	acc.Reset(2)
-	if _, err := ObjectScorer(casc).Score(ctx, v, "car", 0, 1, dst, DefaultRetryConfig(), &acc); err != nil {
+	if _, err := ScorerOf(casc).Score(ctx, v, "car", 0, 1, dst, DefaultRetryConfig(), &acc); err != nil {
 		t.Fatal(err)
 	}
 	if acc.Units[0] != 0 || acc.Units[1] != int64(n) {
@@ -162,15 +152,14 @@ type failingObjectDetector struct {
 	transient bool
 }
 
-func (d failingObjectDetector) Name() string                                        { return d.name }
-func (d failingObjectDetector) UnitCost() time.Duration                             { return time.Millisecond }
-func (d failingObjectDetector) FrameScore(TruthVideo, string, int) float64          { return 0 }
-func (d failingObjectDetector) FrameDetections(TruthVideo, string, int) []Detection { return nil }
-func (d failingObjectDetector) FrameScoreAttempt(v TruthVideo, typ string, frame, attempt int) (float64, error) {
-	return 0, &DetectionError{Model: d.name, Unit: frame, Transient: d.transient}
+func (d failingObjectDetector) Name() string                               { return d.name }
+func (d failingObjectDetector) UnitCost() time.Duration                    { return time.Millisecond }
+func (d failingObjectDetector) FrameScore(TruthVideo, string, int) float64 { return 0 }
+func (d failingObjectDetector) Score(_ TruthVideo, _ string, start int, _ []float64, _ int) (int, error) {
+	return 0, &DetectionError{Model: d.name, Unit: start, Transient: d.transient}
 }
-func (d failingObjectDetector) FrameDetectionsAttempt(v TruthVideo, typ string, frame, attempt int) ([]Detection, error) {
-	return nil, &DetectionError{Model: d.name, Unit: frame, Transient: d.transient}
+func (d failingObjectDetector) Events(_ TruthVideo, _ string, frames video.Interval, _ *Events, _ int) (int, error) {
+	return 0, &DetectionError{Model: d.name, Unit: frames.Start, Transient: d.transient}
 }
 
 // TestCascadeFallthroughOnTierFailure: a failed non-last tier escalates
@@ -189,7 +178,7 @@ func TestCascadeFallthroughOnTierFailure(t *testing.T) {
 	n := 64
 	dst := make([]float64, n)
 	retry := RetryConfig{Attempts: 2}
-	if _, err := ObjectScorer(casc).Score(ctx, v, "car", 0, 0, dst, retry, &acc); err != nil {
+	if _, err := ScorerOf(casc).Score(ctx, v, "car", 0, 0, dst, retry, &acc); err != nil {
 		t.Fatalf("dead entry tier must fall through, got error: %v", err)
 	}
 	for i, s := range dst {
@@ -215,7 +204,7 @@ func TestCascadeFallthroughOnTierFailure(t *testing.T) {
 		ObjectTier{Detector: failingObjectDetector{name: "dead-teacher"}},
 	)
 	acc.Reset(2)
-	_, err := ObjectScorer(bad).Score(ctx, v, "car", 0, 0, dst, retry, &acc)
+	_, err := ScorerOf(bad).Score(ctx, v, "car", 0, 0, dst, retry, &acc)
 	var de *DetectionError
 	if !errors.As(err, &de) || de.Model != "dead-teacher" {
 		t.Fatalf("want dead-teacher DetectionError from last tier, got %v", err)
@@ -224,7 +213,7 @@ func TestCascadeFallthroughOnTierFailure(t *testing.T) {
 	// Context cancellation aborts instead of falling through.
 	cctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ObjectScorer(casc).Score(cctx, v, "car", 0, 0, dst, retry, &acc); !errors.Is(err, context.Canceled) {
+	if _, err := ScorerOf(casc).Score(cctx, v, "car", 0, 0, dst, retry, &acc); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled ctx: want context.Canceled, got %v", err)
 	}
 }
@@ -246,7 +235,7 @@ func TestCascadePerTierFaults(t *testing.T) {
 	n := 1000
 	dst := make([]float64, n)
 	retry := RetryConfig{Attempts: 8}
-	if _, err := ObjectScorer(casc).Score(context.Background(), v, "car", 0, 0, dst, retry, &acc); err != nil {
+	if _, err := ScorerOf(casc).Score(context.Background(), v, "car", 0, 0, dst, retry, &acc); err != nil {
 		t.Fatal(err)
 	}
 	for i, s := range dst {
@@ -256,7 +245,7 @@ func TestCascadePerTierFaults(t *testing.T) {
 	}
 	// A 30% transient rate must have cost extra attempts on tier 0 (priced),
 	// but no unit may have fallen through with an 8-attempt budget.
-	infos := casc.Tiers()
+	infos := ScorerOf(casc).Tiers()
 	faultless := time.Duration(acc.Units[0])*infos[0].UnitCost + time.Duration(acc.Units[1])*infos[1].UnitCost
 	if acc.Cost <= faultless {
 		t.Errorf("cost %v should exceed faultless %v (retried attempts are priced)", acc.Cost, faultless)
@@ -287,7 +276,7 @@ func TestCascadeDeterminism(t *testing.T) {
 func TestCascadeTierInfos(t *testing.T) {
 	teacher := NewObjectDetector(MaskRCNN, 1)
 	casc := NewDistilledObjectCascade(teacher, DistilledRCNN, 1)
-	infos := casc.Tiers()
+	infos := ScorerOf(casc).Tiers()
 	if len(infos) != 2 {
 		t.Fatalf("want 2 tiers, got %d", len(infos))
 	}
@@ -303,12 +292,24 @@ func TestCascadeTierInfos(t *testing.T) {
 	if casc.UnitCost() != teacher.UnitCost() {
 		t.Errorf("cascade UnitCost %v, want accurate tier's %v", casc.UnitCost(), teacher.UnitCost())
 	}
-	if got := ObjectScorer(casc).Tiers(); len(got) != 2 || got[0] != infos[0] || got[1] != infos[1] {
-		t.Errorf("ObjectScorer(cascade) must return the cascade's own chain, got %v", got)
+	if ScorerOf(casc) != ScorerOf(casc) {
+		t.Error("ScorerOf(cascade) must return the cascade's own chain")
 	}
-	if got := ObjectScorer(teacher).Tiers(); len(got) != 1 || got[0].Name != teacher.Name() || got[0].UnitCost != teacher.UnitCost() {
+	if got := ScorerOf(teacher).Tiers(); len(got) != 1 || got[0].Name != teacher.Name() || got[0].UnitCost != teacher.UnitCost() {
 		t.Errorf("a plain model must be a one-tier chain of itself, got %v", got)
 	}
+}
+
+// EffectiveTPR is the probability a truly present unit yields a score ≥
+// threshold: the detection rate times the true-positive score tail.
+func (p Profile) EffectiveTPR(threshold float64) float64 {
+	return p.TPR * scoreTail(threshold, p.TPScoreMean, p.TPScoreStd)
+}
+
+// EffectiveFPR is the steady-state probability an absent unit yields a score
+// ≥ threshold: the hallucination rate times the false-positive score tail.
+func (p Profile) EffectiveFPR(threshold float64) float64 {
+	return p.fpUnitRate() * scoreTail(threshold, p.FPScoreMean, p.FPScoreStd)
 }
 
 // TestProfileCalibrationInvariants checks every calibrated profile is
@@ -377,7 +378,7 @@ func TestDistilledDeterminism(t *testing.T) {
 	// The batch path must agree bit-for-bit with the scalar path.
 	n := 4096
 	dst := make([]float64, n)
-	a.FrameScoreBatch(v, "car", 0, dst)
+	a.Score(v, "car", 0, dst, 0)
 	for i, s := range dst {
 		if want := b.FrameScore(v, "car", i); s != want {
 			t.Fatalf("frame %d: batch %v != scalar %v", i, s, want)

@@ -1,20 +1,15 @@
-// Package detect defines the detection-model abstractions the query engine
-// is built on, plus simulated implementations with calibrated noise
-// profiles.
+// Package detect defines the detection-model contract the query engine is
+// built on, plus simulated models with calibrated noise profiles.
 //
 // The paper's engine treats object detectors, action recognisers and
 // trackers as black boxes that emit scores per frame (objects) or per shot
-// (actions). The simulated models here reproduce that contract against the
-// scripted ground truth of a synthetic video: when a type is truly present
-// the model detects it with the profile's true-positive rate and a high
-// score; when absent it hallucinates detections both as independent per-unit
-// noise and as occasional bursts (a look-alike object in the scene), the
-// failure mode that makes thresholding alone insufficient and motivates the
-// paper's scan-statistics layer.
-//
-// All draws are pure functions of (video, model, type, unit), so repeated
-// evaluation — online streaming, offline ingestion, re-runs — observes
-// identical detections.
+// (actions). The simulated models reproduce that against the scripted ground
+// truth of a synthetic video: a present type is detected at the profile's
+// true-positive rate with a high score; an absent one is hallucinated both as
+// independent per-unit noise and in bursts (a look-alike object in the
+// scene), the failure mode that motivates the paper's scan statistics. All
+// draws are pure functions of (video, model, type, unit), so every pass over
+// a video observes identical detections.
 package detect
 
 import (
@@ -33,43 +28,52 @@ type TruthVideo interface {
 	ActionTypes() []string
 	// AppendTracks appends to dst the instances of the object type visible
 	// on any frame of frames, in appearance order, with track IDs in the
-	// video's ID space and Frames clipped to the part of the video the
-	// instance belongs to. The type is present on a frame exactly when some
-	// appended track's Frames contain it; a batch of units reads its
-	// instances and presence from one such window.
+	// video's ID space and Frames clipped to the instance's part of the
+	// video. The type is present on a frame iff some track contains it.
 	AppendTracks(typ string, frames video.Interval, dst []video.Track) []video.Track
 	// ActionAt reports whether the action occurs during the shot.
 	ActionAt(act string, shot int) bool
 }
 
-// Detection is one detected object instance on a frame. Ground-truth
-// instances carry their tracker ID; hallucinated detections carry negative
-// IDs so downstream aggregation still sees consistent per-instance identity.
-type Detection struct {
-	TrackID int
-	Score   float64
-}
-
-// ObjectDetector scores object types on frames.
-type ObjectDetector interface {
+// Model is the one contract every detection model implements — simulators,
+// distilled proxies, the tracker, fault decorators and cascades alike: score
+// a batch of occurrence units (frames for objects, shots for actions) at one
+// invocation attempt. Retrying is the caller's.
+type Model interface {
 	// Name identifies the model (for reports and deterministic seeding).
 	Name() string
-	// FrameScore returns the maximum detection score for the type on the
-	// frame, or 0 when nothing is detected — the paper's maxS.
-	FrameScore(v TruthVideo, typ string, frame int) float64
-	// FrameDetections returns every detection of the type on the frame.
-	FrameDetections(v TruthVideo, typ string, frame int) []Detection
-	// UnitCost is the simulated inference latency for one frame.
+	// UnitCost is the simulated inference latency for one unit.
 	UnitCost() time.Duration
+	// Score fills dst[i] with the label's score on unit start+i — an object
+	// type's best detection (the paper's maxS) or an action's class score,
+	// 0 when nothing is detected. It stops at the first unit whose
+	// invocation fails and returns how many units came before it with that
+	// unit's error. An infallible model always returns nil.
+	Score(v TruthVideo, label string, start int, dst []float64, attempt int) (scored int, err error)
 }
 
-// ActionRecognizer scores action types on shots.
-type ActionRecognizer interface {
-	Name() string
-	// ShotScore returns the classification score of the action on the shot,
-	// or 0 when the action is not predicted.
-	ShotScore(v TruthVideo, act string, shot int) float64
-	UnitCost() time.Duration
+// ObjectDetector is a Model over frames that also reports its individual
+// detections.
+type ObjectDetector interface {
+	Model
+	// Events appends every detection of the type on frames to ev, in frame
+	// order and, within a frame, in track order, stopping at the first
+	// frame whose invocation fails, as Score does.
+	Events(v TruthVideo, typ string, frames video.Interval, ev *Events, attempt int) (scored int, err error)
+	// FrameScore is the one-frame Score at attempt 0, 0 when it fails.
+	FrameScore(v TruthVideo, typ string, frame int) float64
+}
+
+// ActionRecognizer is a Model over shots.
+type ActionRecognizer = Model
+
+// unitScore is the one-unit Score at attempt 0, 0 when it fails.
+func unitScore(m Model, v TruthVideo, label string, unit int) float64 {
+	var s [1]float64
+	if _, err := m.Score(v, label, unit, s[:], 0); err != nil {
+		return 0
+	}
+	return s[0]
 }
 
 // Models bundles the detector pair a query runs with, plus the score
@@ -89,25 +93,4 @@ const DefaultThreshold = 0.5
 // thresholds.
 func NewModels(o ObjectDetector, a ActionRecognizer) Models {
 	return Models{Objects: o, Actions: a, ObjThreshold: DefaultThreshold, ActThreshold: DefaultThreshold}
-}
-
-// ObjectPositive reports the thresholded indicator 1_{o}(v) for the type on
-// the frame.
-func (m Models) ObjectPositive(v TruthVideo, typ string, frame int) bool {
-	return m.Objects.FrameScore(v, typ, frame) >= m.ObjThreshold
-}
-
-// ActionPositive reports the thresholded indicator 1_{a}(s) for the action
-// on the shot.
-func (m Models) ActionPositive(v TruthVideo, act string, shot int) bool {
-	return m.Actions.ShotScore(v, act, shot) >= m.ActThreshold
-}
-
-// FrameDetectionsAttempt invokes d for one attempt, surfacing invocation
-// failures when the detector is fallible.
-func FrameDetectionsAttempt(d ObjectDetector, v TruthVideo, typ string, frame, attempt int) ([]Detection, error) {
-	if fd, ok := d.(FallibleObjectDetector); ok {
-		return fd.FrameDetectionsAttempt(v, typ, frame, attempt)
-	}
-	return d.FrameDetections(v, typ, frame), nil
 }

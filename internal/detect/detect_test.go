@@ -12,7 +12,7 @@ import (
 // The simulated models must accept generated videos directly.
 var _ TruthVideo = (*synth.Video)(nil)
 
-func testVideo(t *testing.T, seed int64) *synth.Video {
+func testVideo(t testing.TB, seed int64) *synth.Video {
 	t.Helper()
 	v, err := synth.Generate(synth.Script{
 		ID:       "dv",
@@ -30,6 +30,29 @@ func testVideo(t *testing.T, seed int64) *synth.Video {
 		t.Fatal(err)
 	}
 	return v
+}
+
+// Detection is one detected object instance on a frame: the per-frame shape
+// the referees in sim_ref_test.go speak.
+type Detection struct {
+	TrackID int
+	Score   float64
+}
+
+// frameDetections is d's one-frame Events at attempt 0, as Detections.
+func frameDetections(d ObjectDetector, v TruthVideo, typ string, frame int) []Detection {
+	var ev Events
+	d.Events(v, typ, video.Interval{Start: frame, End: frame}, &ev, 0)
+	var out []Detection
+	for i := range ev.Scores {
+		out = append(out, Detection{TrackID: int(ev.Tracks[i]), Score: ev.Scores[i]})
+	}
+	return out
+}
+
+// positive is the thresholded indicator of a model's one-unit score.
+func positive(m Model, v TruthVideo, label string, unit int) bool {
+	return unitScore(m, v, label, unit) >= DefaultThreshold
 }
 
 func TestObjectDetectorDeterministic(t *testing.T) {
@@ -58,10 +81,9 @@ func TestObjectDetectorCalibration(t *testing.T) {
 	v := testVideo(t, 2)
 	for _, prof := range []Profile{MaskRCNN, YOLOv3} {
 		d := NewObjectDetector(prof, 3)
-		m := NewModels(d, nil)
 		var tp, present, fp, absent int
 		for f := 0; f < v.NumFrames(); f++ {
-			pos := m.ObjectPositive(v, "car", f)
+			pos := positive(d, v, "car", f)
 			if v.ObjectPresentAt("car", f) {
 				present++
 				if pos {
@@ -92,10 +114,10 @@ func TestMaskRCNNBeatsYOLO(t *testing.T) {
 	v := testVideo(t, 4)
 	rates := map[string][2]float64{}
 	for _, prof := range []Profile{MaskRCNN, YOLOv3} {
-		m := NewModels(NewObjectDetector(prof, 3), nil)
+		d := NewObjectDetector(prof, 3)
 		var tp, present, fp, absent int
 		for f := 0; f < v.NumFrames(); f++ {
-			pos := m.ObjectPositive(v, "car", f)
+			pos := positive(d, v, "car", f)
 			if v.ObjectPresentAt("car", f) {
 				present++
 				if pos {
@@ -122,13 +144,13 @@ func TestIdealModelsReproduceTruth(t *testing.T) {
 	v := testVideo(t, 5)
 	m := NewModels(NewObjectDetector(IdealObject, 0), NewActionRecognizer(IdealAction, 0))
 	for f := 0; f < v.NumFrames(); f += 17 {
-		if m.ObjectPositive(v, "car", f) != v.ObjectPresentAt("car", f) {
+		if positive(m.Objects, v, "car", f) != v.ObjectPresentAt("car", f) {
 			t.Fatalf("ideal object detector wrong at frame %d", f)
 		}
 	}
 	numShots := v.Geometry().NumShots(v.NumFrames())
 	for s := 0; s < numShots; s++ {
-		if m.ActionPositive(v, "jumping", s) != v.ActionAt("jumping", s) {
+		if positive(m.Actions, v, "jumping", s) != v.ActionAt("jumping", s) {
 			t.Fatalf("ideal action recogniser wrong at shot %d", s)
 		}
 	}
@@ -139,7 +161,7 @@ func TestFrameScoreConsistentWithDetections(t *testing.T) {
 	d := NewObjectDetector(YOLOv3, 9)
 	for f := 0; f < v.NumFrames(); f += 53 {
 		max := 0.0
-		for _, det := range d.FrameDetections(v, "car", f) {
+		for _, det := range frameDetections(d, v, "car", f) {
 			if det.Score <= 0 || det.Score > 1 {
 				t.Fatalf("frame %d: score %v out of (0,1]", f, det.Score)
 			}
@@ -165,7 +187,7 @@ func TestDetectionsCarryGroundTruthIDs(t *testing.T) {
 		for _, tr := range v.AppendTracks("car", video.Interval{Start: f, End: f}, nil) {
 			ids[tr.TrackID] = true
 		}
-		for _, det := range d.FrameDetections(v, "car", f) {
+		for _, det := range frameDetections(d, v, "car", f) {
 			if det.TrackID < 0 {
 				t.Fatalf("frame %d: true detection with negative id", f)
 			}
@@ -188,7 +210,7 @@ func TestFalsePositiveIdentitiesNegativeAndStable(t *testing.T) {
 		if v.ObjectPresentAt("car", f) {
 			continue
 		}
-		dets := d.FrameDetections(v, "car", f)
+		dets := frameDetections(d, v, "car", f)
 		for _, det := range dets {
 			if det.TrackID >= 0 {
 				t.Fatalf("frame %d: hallucination with non-negative id %d", f, det.TrackID)
@@ -203,11 +225,11 @@ func TestFalsePositiveIdentitiesNegativeAndStable(t *testing.T) {
 
 func TestActionRecognizerCalibration(t *testing.T) {
 	v := testVideo(t, 9)
-	m := NewModels(nil, NewActionRecognizer(I3D, 3))
+	r := NewActionRecognizer(I3D, 3)
 	numShots := v.Geometry().NumShots(v.NumFrames())
 	var tp, present, fp, absent int
 	for s := 0; s < numShots; s++ {
-		pos := m.ActionPositive(v, "jumping", s)
+		pos := positive(r, v, "jumping", s)
 		if v.ActionAt("jumping", s) {
 			present++
 			if pos {
@@ -237,14 +259,13 @@ func TestBurstsProduceRuns(t *testing.T) {
 	// unlikely under iid noise alone).
 	v := testVideo(t, 10)
 	d := NewObjectDetector(YOLOv3, 11)
-	m := NewModels(d, nil)
 	run, maxRun := 0, 0
 	for f := 0; f < v.NumFrames(); f++ {
 		if v.ObjectPresentAt("car", f) {
 			run = 0
 			continue
 		}
-		if m.ObjectPositive(v, "car", f) {
+		if positive(d, v, "car", f) {
 			run++
 			if run > maxRun {
 				maxRun = run
@@ -276,7 +297,7 @@ func TestTrackerFragmentsLongTracks(t *testing.T) {
 		t.Skip("no long appearance in this realisation")
 	}
 	idAt := func(f int) int {
-		for _, d := range tr.FrameDetections(v, "car", f) {
+		for _, d := range frameDetections(tr, v, "car", f) {
 			if d.TrackID/1_000_000 == long.TrackID {
 				return d.TrackID
 			}
@@ -311,8 +332,8 @@ func TestTrackerNoFragmentationPassThrough(t *testing.T) {
 	base := NewObjectDetector(MaskRCNN, 1)
 	tr := NewTracker(base, 0)
 	for f := 0; f < 3000; f += 7 {
-		a := base.FrameDetections(v, "car", f)
-		b := tr.FrameDetections(v, "car", f)
+		a := frameDetections(base, v, "car", f)
+		b := frameDetections(tr, v, "car", f)
 		if len(a) != len(b) {
 			t.Fatalf("frame %d: lengths differ", f)
 		}
@@ -342,10 +363,6 @@ func TestMeter(t *testing.T) {
 	}
 	if got := m.Cost(Models{}); got != 0 {
 		t.Errorf("Cost with nil models = %v", got)
-	}
-	m.Reset()
-	if m.ObjectFrames() != 0 || m.ActionShots() != 0 {
-		t.Error("Reset did not zero counters")
 	}
 }
 

@@ -3,18 +3,18 @@ package detect
 import (
 	"fmt"
 	"time"
+
+	"svqact/internal/video"
 )
 
-// Fault injection for the detection models. Real serving treats detectors as
-// remote, unreliable dependencies: invocations time out, backends restart,
-// individual inputs poison a model. The decorators here graft exactly that
-// failure surface onto any ObjectDetector/ActionRecognizer so the engine's
-// retry and skip-and-flag machinery can be exercised deterministically.
-//
-// Faults are pure functions of (seed, video, type, unit, attempt), like every
-// other draw in this package: a transient fault on attempt 0 may clear on
-// attempt 1, a permanent fault fails every attempt, and repeated runs observe
-// identical fault patterns — which is what makes degraded results testable.
+// Fault injection. Real serving treats detectors as remote, unreliable
+// dependencies: invocations time out, backends restart, inputs poison a
+// model. The decorators graft that failure surface onto any model so the
+// retry and skip-and-flag machinery can be exercised deterministically;
+// every invocation of a decorated model draws its faults. Faults are pure
+// functions of (seed, video, type, unit, attempt): a transient fault may
+// clear on the next attempt, a permanent one fails every attempt, and
+// repeated runs observe identical fault patterns.
 
 // DetectionError reports a failed model invocation.
 type DetectionError struct {
@@ -79,23 +79,6 @@ func asDetectionError(err error) (*DetectionError, bool) {
 	return nil, false
 }
 
-// FallibleObjectDetector is the optional fault-aware interface of an object
-// detector: the Attempt methods surface invocation failures and let the
-// caller distinguish retries (the plain ObjectDetector methods stay
-// infallible for callers that predate the failure model).
-type FallibleObjectDetector interface {
-	ObjectDetector
-	FrameScoreAttempt(v TruthVideo, typ string, frame, attempt int) (float64, error)
-	FrameDetectionsAttempt(v TruthVideo, typ string, frame, attempt int) ([]Detection, error)
-}
-
-// FallibleActionRecognizer is the fault-aware interface of an action
-// recogniser.
-type FallibleActionRecognizer interface {
-	ActionRecognizer
-	ShotScoreAttempt(v TruthVideo, act string, shot, attempt int) (float64, error)
-}
-
 // FaultConfig parameterises injected faults.
 type FaultConfig struct {
 	// TransientRate is the per-attempt probability of a transient failure;
@@ -104,8 +87,8 @@ type FaultConfig struct {
 	// PermanentRate is the per-unit probability that every attempt on the
 	// unit fails (a poisoned input or a dead shard).
 	PermanentRate float64
-	// SpikeRate and SpikeDelay inject latency spikes: with probability
-	// SpikeRate an invocation sleeps SpikeDelay before answering.
+	// SpikeRate and SpikeDelay inject latency spikes: each unit an
+	// invocation covers adds SpikeDelay with probability SpikeRate.
 	SpikeRate  float64
 	SpikeDelay time.Duration
 	// Seed makes the fault pattern deterministic; different seeds draw
@@ -125,103 +108,91 @@ func (c FaultConfig) Validate() error {
 
 // faultCore implements the fault draws shared by both decorators.
 type faultCore struct {
-	cfg  FaultConfig
-	seed uint64
+	cfg         FaultConfig
+	seed        uint64
+	model, kind string
 }
 
-func newFaultCore(cfg FaultConfig, kind string) faultCore {
-	return faultCore{cfg: cfg, seed: keyed(uint64(cfg.Seed), hashString("fault/"+kind))}
+func newFaultCore(cfg FaultConfig, model, kind string) faultCore {
+	return faultCore{cfg: cfg, seed: keyed(uint64(cfg.Seed), hashString("fault/"+kind)), model: model, kind: kind}
 }
 
-// fault decides the outcome of one attempt: a latency spike (slept here) and
-// possibly an error. The permanent draw depends only on the unit; the
-// transient draw is independent per attempt.
-func (c faultCore) fault(model, kind string, v TruthVideo, typ string, unit, attempt int) error {
-	h := keyed(c.seed, hashString(v.ID()), hashString(typ), uint64(unit))
-	if c.cfg.SpikeRate > 0 && c.cfg.SpikeDelay > 0 &&
-		unitFloat(keyed(h, uint64(attempt), 0x51a7e)) < c.cfg.SpikeRate {
-		time.Sleep(c.cfg.SpikeDelay)
+// draw draws the faults of n units from start at one attempt, in unit order
+// up to the first that fails, folding the video and label hashes into the
+// batch's key once. It sleeps a SpikeDelay per spiking unit invoked and
+// returns how many units precede the failure, how many spiked, and the
+// failure. The permanent draw depends only on the unit; the transient and
+// spike draws are independent per attempt.
+func (c faultCore) draw(v TruthVideo, label string, start, n, attempt int) (ok, spikes int, err error) {
+	key := keyed(c.seed, hashString(v.ID()), hashString(label))
+	for ; ok < n; ok++ {
+		unit := start + ok
+		h := fold(key, uint64(unit))
+		if c.cfg.SpikeRate > 0 && c.cfg.SpikeDelay > 0 && unitFloat(keyed(h, uint64(attempt), 0x51a7e)) < c.cfg.SpikeRate {
+			spikes++
+		}
+		permanent := c.cfg.PermanentRate > 0 && unitFloat(mix64(h^0xdead)) < c.cfg.PermanentRate
+		if permanent || c.cfg.TransientRate > 0 && unitFloat(keyed(h, uint64(attempt), 0xf1a9)) < c.cfg.TransientRate {
+			err = &DetectionError{Model: c.model, Kind: c.kind, Type: label, Unit: unit, Transient: !permanent}
+			break
+		}
 	}
-	if c.cfg.PermanentRate > 0 && unitFloat(mix64(h^0xdead)) < c.cfg.PermanentRate {
-		return &DetectionError{Model: model, Kind: kind, Type: typ, Unit: unit, Transient: false}
-	}
-	if c.cfg.TransientRate > 0 && unitFloat(keyed(h, uint64(attempt), 0xf1a9)) < c.cfg.TransientRate {
-		return &DetectionError{Model: model, Kind: kind, Type: typ, Unit: unit, Transient: true}
-	}
-	return nil
+	time.Sleep(time.Duration(spikes) * c.cfg.SpikeDelay)
+	return ok, spikes, err
 }
 
-// FaultyObjectDetector decorates an ObjectDetector with injected faults.
-// The plain ObjectDetector methods delegate untouched; only fault-aware
-// callers (the Attempt methods) observe failures.
+// score runs inner on the batch's units that precede its first fault.
+func (c faultCore) score(inner Model, v TruthVideo, label string, start int, dst []float64, attempt int) (int, error) {
+	ok, _, err := c.draw(v, label, start, len(dst), attempt)
+	if k, ierr := inner.Score(v, label, start, dst[:ok], attempt); ierr != nil {
+		return k, ierr
+	}
+	return ok, err
+}
+
+// FaultyObjectDetector decorates an ObjectDetector with injected faults on
+// every path: scores, events and FrameScore alike.
 type FaultyObjectDetector struct {
-	inner ObjectDetector
-	core  faultCore
+	ObjectDetector
+	core faultCore
 }
 
 // InjectObjectFaults wraps d with deterministic fault injection.
 func InjectObjectFaults(d ObjectDetector, cfg FaultConfig) *FaultyObjectDetector {
-	return &FaultyObjectDetector{inner: d, core: newFaultCore(cfg, "object")}
+	return &FaultyObjectDetector{ObjectDetector: d, core: newFaultCore(cfg, d.Name(), KindObject)}
 }
 
-// Name implements ObjectDetector.
-func (d *FaultyObjectDetector) Name() string { return d.inner.Name() }
+// Score implements Model.
+func (d *FaultyObjectDetector) Score(v TruthVideo, typ string, start int, dst []float64, attempt int) (int, error) {
+	return d.core.score(d.ObjectDetector, v, typ, start, dst, attempt)
+}
 
-// UnitCost implements ObjectDetector.
-func (d *FaultyObjectDetector) UnitCost() time.Duration { return d.inner.UnitCost() }
+// Events implements ObjectDetector.
+func (d *FaultyObjectDetector) Events(v TruthVideo, typ string, frames video.Interval, ev *Events, attempt int) (int, error) {
+	ok, _, err := d.core.draw(v, typ, frames.Start, frames.Len(), attempt)
+	if k, ierr := d.ObjectDetector.Events(v, typ, video.Interval{Start: frames.Start, End: frames.Start + ok - 1}, ev, attempt); ierr != nil {
+		return k, ierr
+	}
+	return ok, err
+}
 
-// FrameScore implements ObjectDetector, delegating without faults.
+// FrameScore implements ObjectDetector.
 func (d *FaultyObjectDetector) FrameScore(v TruthVideo, typ string, frame int) float64 {
-	return d.inner.FrameScore(v, typ, frame)
-}
-
-// FrameDetections implements ObjectDetector, delegating without faults.
-func (d *FaultyObjectDetector) FrameDetections(v TruthVideo, typ string, frame int) []Detection {
-	return d.inner.FrameDetections(v, typ, frame)
-}
-
-// FrameScoreAttempt implements FallibleObjectDetector.
-func (d *FaultyObjectDetector) FrameScoreAttempt(v TruthVideo, typ string, frame, attempt int) (float64, error) {
-	if err := d.core.fault(d.Name(), "object", v, typ, frame, attempt); err != nil {
-		return 0, err
-	}
-	return d.inner.FrameScore(v, typ, frame), nil
-}
-
-// FrameDetectionsAttempt implements FallibleObjectDetector.
-func (d *FaultyObjectDetector) FrameDetectionsAttempt(v TruthVideo, typ string, frame, attempt int) ([]Detection, error) {
-	if err := d.core.fault(d.Name(), "object", v, typ, frame, attempt); err != nil {
-		return nil, err
-	}
-	return d.inner.FrameDetections(v, typ, frame), nil
+	return unitScore(d, v, typ, frame)
 }
 
 // FaultyActionRecognizer decorates an ActionRecognizer with injected faults.
 type FaultyActionRecognizer struct {
-	inner ActionRecognizer
-	core  faultCore
+	ActionRecognizer
+	core faultCore
 }
 
 // InjectActionFaults wraps r with deterministic fault injection.
 func InjectActionFaults(r ActionRecognizer, cfg FaultConfig) *FaultyActionRecognizer {
-	return &FaultyActionRecognizer{inner: r, core: newFaultCore(cfg, "action")}
+	return &FaultyActionRecognizer{ActionRecognizer: r, core: newFaultCore(cfg, r.Name(), KindAction)}
 }
 
-// Name implements ActionRecognizer.
-func (r *FaultyActionRecognizer) Name() string { return r.inner.Name() }
-
-// UnitCost implements ActionRecognizer.
-func (r *FaultyActionRecognizer) UnitCost() time.Duration { return r.inner.UnitCost() }
-
-// ShotScore implements ActionRecognizer, delegating without faults.
-func (r *FaultyActionRecognizer) ShotScore(v TruthVideo, act string, shot int) float64 {
-	return r.inner.ShotScore(v, act, shot)
-}
-
-// ShotScoreAttempt implements FallibleActionRecognizer.
-func (r *FaultyActionRecognizer) ShotScoreAttempt(v TruthVideo, act string, shot, attempt int) (float64, error) {
-	if err := r.core.fault(r.Name(), "action", v, act, shot, attempt); err != nil {
-		return 0, err
-	}
-	return r.inner.ShotScore(v, act, shot), nil
+// Score implements Model.
+func (r *FaultyActionRecognizer) Score(v TruthVideo, act string, start int, dst []float64, attempt int) (int, error) {
+	return r.core.score(r.ActionRecognizer, v, act, start, dst, attempt)
 }

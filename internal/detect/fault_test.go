@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand/v2"
+	"reflect"
 	"testing"
 	"time"
 
@@ -11,6 +13,16 @@ import (
 	"svqact/internal/testenv"
 	"svqact/internal/video"
 )
+
+// attempter invokes a model one unit at a time.
+type attempter struct{ Model }
+
+// score is the model's one-unit Score at the attempt.
+func (m attempter) score(v TruthVideo, label string, unit, attempt int) (float64, error) {
+	var s [1]float64
+	_, err := m.Score(v, label, unit, s[:], attempt)
+	return s[0], err
+}
 
 func faultVideo(t *testing.T) *synth.Video {
 	t.Helper()
@@ -28,12 +40,12 @@ func faultVideo(t *testing.T) *synth.Video {
 func TestFaultDeterminism(t *testing.T) {
 	v := faultVideo(t)
 	cfg := FaultConfig{TransientRate: 0.3, PermanentRate: 0.05, Seed: 11}
-	a := InjectObjectFaults(NewObjectDetector(MaskRCNN, 1), cfg)
-	b := InjectObjectFaults(NewObjectDetector(MaskRCNN, 1), cfg)
+	a := attempter{InjectObjectFaults(NewObjectDetector(MaskRCNN, 1), cfg)}
+	b := attempter{InjectObjectFaults(NewObjectDetector(MaskRCNN, 1), cfg)}
 	for frame := 0; frame < 200; frame++ {
 		for attempt := 0; attempt < 3; attempt++ {
-			_, errA := a.FrameScoreAttempt(v, "car", frame, attempt)
-			_, errB := b.FrameScoreAttempt(v, "car", frame, attempt)
+			_, errA := a.score(v, "car", frame, attempt)
+			_, errB := b.score(v, "car", frame, attempt)
 			if (errA == nil) != (errB == nil) {
 				t.Fatalf("frame %d attempt %d: fault draws differ", frame, attempt)
 			}
@@ -46,12 +58,12 @@ func TestFaultDeterminism(t *testing.T) {
 
 func TestFaultPermanentPersistsTransientClears(t *testing.T) {
 	v := faultVideo(t)
-	d := InjectObjectFaults(NewObjectDetector(MaskRCNN, 1),
-		FaultConfig{TransientRate: 0.4, PermanentRate: 0.1, Seed: 3})
+	d := attempter{InjectObjectFaults(NewObjectDetector(MaskRCNN, 1),
+		FaultConfig{TransientRate: 0.4, PermanentRate: 0.1, Seed: 3})}
 	sawTransientClear := false
 	sawPermanent := false
 	for frame := 0; frame < 500; frame++ {
-		_, err0 := d.FrameScoreAttempt(v, "car", frame, 0)
+		_, err0 := d.score(v, "car", frame, 0)
 		if err0 == nil {
 			continue
 		}
@@ -63,7 +75,7 @@ func TestFaultPermanentPersistsTransientClears(t *testing.T) {
 			sawPermanent = true
 			// Every later attempt must fail identically.
 			for attempt := 1; attempt < 4; attempt++ {
-				if _, err := d.FrameScoreAttempt(v, "car", frame, attempt); err == nil || IsTransient(err) {
+				if _, err := d.score(v, "car", frame, attempt); err == nil || IsTransient(err) {
 					t.Fatalf("frame %d: permanent fault cleared on attempt %d (%v)", frame, attempt, err)
 				}
 			}
@@ -71,7 +83,7 @@ func TestFaultPermanentPersistsTransientClears(t *testing.T) {
 		}
 		// Transient: some retry within a generous budget must succeed.
 		for attempt := 1; attempt < 32; attempt++ {
-			if _, err := d.FrameScoreAttempt(v, "car", frame, attempt); err == nil {
+			if _, err := d.score(v, "car", frame, attempt); err == nil {
 				sawTransientClear = true
 				break
 			}
@@ -85,21 +97,31 @@ func TestFaultPermanentPersistsTransientClears(t *testing.T) {
 	}
 }
 
+// TestFaultyDecoratorsDelegatePlainMethods: a decorator adds faults and
+// nothing else — wherever its draw lets an invocation through, the score is
+// the wrapped model's, and its name and unit cost are the wrapped model's.
 func TestFaultyDecoratorsDelegatePlainMethods(t *testing.T) {
 	v := faultVideo(t)
 	inner := NewObjectDetector(MaskRCNN, 1)
-	d := InjectObjectFaults(inner, FaultConfig{TransientRate: 0.9, PermanentRate: 0.5, Seed: 3})
-	for frame := 0; frame < 50; frame++ {
-		if d.FrameScore(v, "car", frame) != inner.FrameScore(v, "car", frame) {
-			t.Fatalf("plain FrameScore diverges at %d", frame)
+	d := attempter{InjectObjectFaults(inner, FaultConfig{TransientRate: 0.5, PermanentRate: 0.2, Seed: 3})}
+	ra := NewActionRecognizer(I3D, 1)
+	fr := attempter{InjectActionFaults(ra, FaultConfig{TransientRate: 0.5, Seed: 3})}
+	passed := 0
+	for unit := 0; unit < 100; unit++ {
+		for attempt := 0; attempt < 3; attempt++ {
+			if s, err := d.score(v, "car", unit, attempt); err == nil {
+				passed++
+				if s != inner.FrameScore(v, "car", unit) {
+					t.Fatalf("frame %d attempt %d: score diverges from the inner model's", unit, attempt)
+				}
+			}
+			if s, err := fr.score(v, "jumping", unit, attempt); err == nil && s != unitScore(ra, v, "jumping", unit) {
+				t.Fatalf("shot %d attempt %d: score diverges from the inner model's", unit, attempt)
+			}
 		}
 	}
-	ra := NewActionRecognizer(I3D, 1)
-	fr := InjectActionFaults(ra, FaultConfig{TransientRate: 0.9, Seed: 3})
-	for shot := 0; shot < 50; shot++ {
-		if fr.ShotScore(v, "jumping", shot) != ra.ShotScore(v, "jumping", shot) {
-			t.Fatalf("plain ShotScore diverges at %d", shot)
-		}
+	if passed == 0 || passed == 300 {
+		t.Fatalf("%d of 300 invocations passed: the faults were not exercised", passed)
 	}
 	if d.Name() != inner.Name() || d.UnitCost() != inner.UnitCost() {
 		t.Error("object decorator must delegate metadata")
@@ -212,10 +234,10 @@ func TestBackoffCapsAndJitters(t *testing.T) {
 
 func TestLatencySpikes(t *testing.T) {
 	v := faultVideo(t)
-	d := InjectObjectFaults(NewObjectDetector(MaskRCNN, 1),
-		FaultConfig{SpikeRate: 1, SpikeDelay: 2 * time.Millisecond, Seed: 7})
+	d := attempter{InjectObjectFaults(NewObjectDetector(MaskRCNN, 1),
+		FaultConfig{SpikeRate: 1, SpikeDelay: 2 * time.Millisecond, Seed: 7})}
 	start := time.Now()
-	if _, err := d.FrameScoreAttempt(v, "car", 0, 0); err != nil {
+	if _, err := d.score(v, "car", 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed < 2*time.Millisecond {
@@ -279,5 +301,99 @@ func TestIsTransientAllocsSteadyState(t *testing.T) {
 		}); allocs != 0 {
 			t.Errorf("IsTransient(%v) allocates %.0f objects per call, want 0", err, allocs)
 		}
+	}
+}
+
+// refFault is the per-attempt fault draw the batch draw replaced, kept
+// verbatim (receiver aside) as its referee: every unit and attempt folds the
+// seed and both string hashes afresh and sleeps its own spike.
+func refFault(c faultCore, model, kind string, v TruthVideo, typ string, unit, attempt int) error {
+	h := keyed(c.seed, hashString(v.ID()), hashString(typ), uint64(unit))
+	if c.cfg.SpikeRate > 0 && c.cfg.SpikeDelay > 0 &&
+		unitFloat(keyed(h, uint64(attempt), 0x51a7e)) < c.cfg.SpikeRate {
+		time.Sleep(c.cfg.SpikeDelay)
+	}
+	if c.cfg.PermanentRate > 0 && unitFloat(mix64(h^0xdead)) < c.cfg.PermanentRate {
+		return &DetectionError{Model: model, Kind: kind, Type: typ, Unit: unit, Transient: false}
+	}
+	if c.cfg.TransientRate > 0 && unitFloat(keyed(h, uint64(attempt), 0xf1a9)) < c.cfg.TransientRate {
+		return &DetectionError{Model: model, Kind: kind, Type: typ, Unit: unit, Transient: true}
+	}
+	return nil
+}
+
+// TestFaultDrawMatchesReference: over seeds, rates (spikes with a tiny delay
+// included), random runs, both kinds and several attempts, a batch's draw
+// stops exactly where the per-unit reference first fails, with the
+// reference's error, and counts each invoked unit's spike once: a batch's
+// spikes are the sum of its invoked units' one-unit draws.
+func TestFaultDrawMatchesReference(t *testing.T) {
+	v := faultVideo(t)
+	r := rand.New(rand.NewPCG(7, 0xfa17))
+	failures, spikes := 0, 0
+	for seed := int64(0); seed < 3; seed++ {
+		for _, rates := range [][3]float64{{0.3, 0, 0}, {0, 0.05, 0}, {0.2, 0.02, 0.3}, {1, 0, 0}, {0, 1, 0.5}, {1e-12, 0, 0}} {
+			cfg := FaultConfig{TransientRate: rates[0], PermanentRate: rates[1], SpikeRate: rates[2], SpikeDelay: time.Nanosecond, Seed: seed}
+			for _, kind := range []string{KindObject, KindAction} {
+				c := newFaultCore(cfg, "m", kind)
+				for run := 0; run < 12; run++ {
+					start, n := r.IntN(v.NumFrames()), r.IntN(60)
+					for attempt := 0; attempt < 3; attempt++ {
+						where := fmt.Sprintf("seed %d rates %v %s units [%d,+%d) attempt %d", seed, rates, kind, start, n, attempt)
+						ok, got, err := c.draw(v, "car", start, n, attempt)
+						wantOK, wantErr := n, error(nil)
+						for u := start; u < start+n; u++ {
+							if e := refFault(c, "m", kind, v, "car", u, attempt); e != nil {
+								wantOK, wantErr = u-start, e
+								break
+							}
+						}
+						if ok != wantOK || !reflect.DeepEqual(err, wantErr) {
+							t.Fatalf("%s: draw = (%d, %v), reference (%d, %v)", where, ok, err, wantOK, wantErr)
+						}
+						invoked, want := min(ok+1, n), 0
+						for u := start; u < start+invoked; u++ {
+							_, s, _ := c.draw(v, "car", u, 1, attempt)
+							want += s
+						}
+						if got != want {
+							t.Fatalf("%s: %d spikes, the invoked units' own draws %d", where, got, want)
+						}
+						if err != nil {
+							failures++
+						}
+						spikes += got
+					}
+				}
+			}
+		}
+	}
+	if failures == 0 || spikes == 0 {
+		t.Fatalf("table too tame: %d failed draws, %d spikes", failures, spikes)
+	}
+}
+
+// TestFaultSpikesMatchReference: a unit's one-unit draw spikes exactly when
+// the reference sleeps on it, timed with a delay far above a draw's cost.
+func TestFaultSpikesMatchReference(t *testing.T) {
+	v := faultVideo(t)
+	const delay = 5 * time.Millisecond
+	c := newFaultCore(FaultConfig{SpikeRate: 0.3, SpikeDelay: delay, Seed: 4}, "m", KindObject)
+	spiked := 0
+	for unit := 0; unit < 12; unit++ {
+		for attempt := 0; attempt < 2; attempt++ {
+			t0 := time.Now()
+			refFault(c, "m", KindObject, v, "car", unit, attempt)
+			slept := time.Since(t0) >= delay
+			t0 = time.Now()
+			_, s, _ := c.draw(v, "car", unit, 1, attempt)
+			if (s == 1) != slept || s == 1 && time.Since(t0) < delay {
+				t.Fatalf("unit %d attempt %d: draw spikes %d, reference slept %v", unit, attempt, s, slept)
+			}
+			spiked += s
+		}
+	}
+	if spiked == 0 {
+		t.Fatal("no spike drawn")
 	}
 }

@@ -53,11 +53,8 @@ func gauss(h uint64) float64 {
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
-// Key64 folds parts into a single 64-bit hash. Exported for callers outside
-// detect that need the same reproducible per-unit randomness — e.g. the
-// cluster coordinator's retry backoff derives its jitter from
-// (query, shard, attempt) keys so failover schedules replay identically in
-// tests.
+// Key64 is keyed for callers outside detect that need the same reproducible
+// randomness, such as the cluster coordinator's replayable backoff jitter.
 func Key64(parts ...uint64) uint64 { return keyed(parts...) }
 
 // KeyString hashes a string into a 64-bit key suitable for Key64.

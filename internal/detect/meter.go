@@ -16,24 +16,18 @@ const (
 )
 
 // Meter accumulates inference accounting for the runtime analysis of §5.2
-// and the serving metrics: the engine registers each occurrence unit it
-// actually runs a model on (object inference covers all types in one pass,
-// so a frame is charged once no matter how many query predicates read it),
-// flushes every evaluation's Account — invocation attempts with their
-// retry/fault outcomes, and the tier outcomes of a cascade — through Record,
-// and counts every clip skipped-and-flagged after retry exhaustion. The
-// meter prices the inference total against the models' simulated unit costs.
-//
-// Counters are obs instruments, so a server-lifetime meter exposes them
-// directly on /metrics via Register — the engine's charge sites are the only
-// accounting path. The zero value is ready to use.
+// and the serving metrics: the units the engine runs a model on (one object
+// inference covers every type on a frame, so a frame is charged once),
+// every evaluation's Account flushed through Record, and every clip
+// skipped-and-flagged after retry exhaustion. Its counters are obs
+// instruments, so a server-lifetime meter serves them on /metrics via
+// Register. The zero value is ready to use.
 type Meter struct {
 	// kinds holds one counter block per detector kind, in kindNames order.
 	kinds [2]kindCounters
 
-	// Tier accounting is dynamic: cascade tiers are named models discovered
-	// at charge time, so their counters live in a map and attach lazily to
-	// the registry the meter was registered on.
+	// Cascade tiers are discovered at charge time, so their counters live in
+	// a map and attach lazily to the registry the meter was registered on.
 	mu    sync.Mutex
 	reg   *obs.Registry
 	tiers map[string]*tierCounters
@@ -52,8 +46,7 @@ type kindCounters struct {
 	flagged    obs.Counter
 }
 
-// tierCounters is the per-(kind, tier) counter block of the
-// svqact_detect_tier_* families.
+// tierCounters is one (kind, tier)'s block of svqact_detect_tier_* families.
 type tierCounters struct {
 	units       obs.Counter
 	decided     obs.Counter
@@ -81,10 +74,9 @@ func (m *Meter) ObjectFrames() int64 { return m.kinds[0].inferences.Value() }
 // ActionShots returns the number of action-recogniser inferences.
 func (m *Meter) ActionShots() int64 { return m.kinds[1].inferences.Value() }
 
-// Record flushes one evaluation's account: the attempts, retries and failed
-// attempts it made with a model of the kind and, for a chain of two or more
-// tiers, each tier's units and outcomes. A plain model is a one-tier chain
-// and has no tier series.
+// Record flushes one evaluation's account: its attempts, retries and failed
+// attempts with a model of the kind and, for a chain of two or more tiers,
+// each tier's units and outcomes.
 func (m *Meter) Record(kind string, tiers []TierInfo, acc *Account) {
 	k := m.kind(kind)
 	k.attempts.Add(acc.Attempts)
@@ -162,60 +154,19 @@ func attachTierCounters(r *obs.Registry, kind, name string, tc *tierCounters) {
 		&tc.fellthrough, kl, tl, obs.L("outcome", "fallthrough"))
 }
 
-// TierUnits returns the units scored at a tier.
-func (m *Meter) TierUnits(kind, tier string) int64 {
-	return m.tier(kind, tier).units.Value()
-}
-
-// TierOutcome returns a tier's count for one outcome: "decided",
-// "escalated" or "fallthrough".
-func (m *Meter) TierOutcome(kind, tier, outcome string) int64 {
-	tc := m.tier(kind, tier)
-	switch outcome {
-	case "escalated":
-		return tc.escalated.Value()
-	case "fallthrough":
-		return tc.fellthrough.Value()
-	default:
-		return tc.decided.Value()
-	}
-}
-
 // Cost prices the recorded inferences with the given models.
-func (m *Meter) Cost(models Models) time.Duration {
-	oc, ac := time.Duration(0), time.Duration(0)
+func (m *Meter) Cost(models Models) (cost time.Duration) {
 	if models.Objects != nil {
-		oc = models.Objects.UnitCost()
+		cost += time.Duration(m.ObjectFrames()) * models.Objects.UnitCost()
 	}
 	if models.Actions != nil {
-		ac = models.Actions.UnitCost()
+		cost += time.Duration(m.ActionShots()) * models.Actions.UnitCost()
 	}
-	return time.Duration(m.ObjectFrames())*oc + time.Duration(m.ActionShots())*ac
-}
-
-// Reset zeroes every counter. Only meaningful for per-run meters; a meter
-// registered for scraping must stay monotone.
-func (m *Meter) Reset() {
-	for i := range m.kinds {
-		k := &m.kinds[i]
-		for _, c := range []*obs.Counter{&k.inferences, &k.attempts, &k.retries, &k.transient, &k.permanent, &k.flagged} {
-			c.Reset()
-		}
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, tc := range m.tiers {
-		tc.units.Reset()
-		tc.decided.Reset()
-		tc.escalated.Reset()
-		tc.fellthrough.Reset()
-	}
+	return cost
 }
 
 // Register exposes the meter's counters on the registry as the
-// svqact_detect_* metric families, labelled by detector kind. The registry
-// serves the very counters the engine charges, so /metrics can never
-// disagree with the meter.
+// svqact_detect_* metric families, labelled by detector kind.
 func (m *Meter) Register(r *obs.Registry) {
 	m.mu.Lock()
 	m.reg = r

@@ -67,25 +67,9 @@ func (p Profile) fpUnitRate() float64 {
 	return (1-bf)*p.FPIID + bf*p.FPWithinBurst
 }
 
-// EffectiveTPR is the probability a truly present unit yields a score ≥
-// threshold: the detection rate times the true-positive score tail. This is
-// the per-tier indicator-level TPR the planner and the calibration tests
-// reason about.
-func (p Profile) EffectiveTPR(threshold float64) float64 {
-	return p.TPR * scoreTail(threshold, p.TPScoreMean, p.TPScoreStd)
-}
-
-// EffectiveFPR is the steady-state probability an absent unit yields a
-// score ≥ threshold: the hallucination rate times the false-positive score
-// tail.
-func (p Profile) EffectiveFPR(threshold float64) float64 {
-	return p.fpUnitRate() * scoreTail(threshold, p.FPScoreMean, p.FPScoreStd)
-}
-
-// presencePrior is the assumed fraction of units whose type is truly
-// present, used only to seed escalation priors before the planner observes
-// real traffic. The synthetic worlds are sparse; the live estimators take
-// over within a few clips either way.
+// presencePrior is the assumed fraction of units whose type is present, used
+// only to seed escalation priors; the live estimators take over within a few
+// clips.
 const presencePrior = 0.1
 
 // EscalationPrior estimates the probability a unit scored under this
@@ -106,78 +90,49 @@ func (p Profile) EscalationPrior(b Band) float64 {
 var (
 	// MaskRCNN models the paper's high-accuracy two-stage object detector.
 	MaskRCNN = Profile{
-		Name:        "maskrcnn",
-		TPR:         0.94,
-		TPScoreMean: 0.84, TPScoreStd: 0.10,
-		FPIID:      0.015,
-		FPBurstGap: 3000, FPBurstLen: 45, FPWithinBurst: 0.55,
-		FPScoreMean: 0.58, FPScoreStd: 0.10,
-		UnitCost: 45 * time.Millisecond,
+		Name: "maskrcnn", TPR: 0.94, TPScoreMean: 0.84, TPScoreStd: 0.10,
+		FPIID: 0.015, FPBurstGap: 3000, FPBurstLen: 45, FPWithinBurst: 0.55,
+		FPScoreMean: 0.58, FPScoreStd: 0.10, UnitCost: 45 * time.Millisecond,
 	}
 
 	// YOLOv3 models the faster, noisier one-stage detector.
 	YOLOv3 = Profile{
-		Name:        "yolov3",
-		TPR:         0.87,
-		TPScoreMean: 0.78, TPScoreStd: 0.12,
-		FPIID:      0.030,
-		FPBurstGap: 2000, FPBurstLen: 60, FPWithinBurst: 0.60,
-		FPScoreMean: 0.60, FPScoreStd: 0.11,
-		UnitCost: 18 * time.Millisecond,
+		Name: "yolov3", TPR: 0.87, TPScoreMean: 0.78, TPScoreStd: 0.12,
+		FPIID: 0.030, FPBurstGap: 2000, FPBurstLen: 60, FPWithinBurst: 0.60,
+		FPScoreMean: 0.60, FPScoreStd: 0.11, UnitCost: 18 * time.Millisecond,
 	}
 
 	// I3D models the two-stream inflated 3D ConvNet action recogniser; its
 	// occurrence unit is a shot.
 	I3D = Profile{
-		Name:        "i3d",
-		TPR:         0.90,
-		TPScoreMean: 0.80, TPScoreStd: 0.10,
-		FPIID:      0.012,
-		FPBurstGap: 500, FPBurstLen: 4, FPWithinBurst: 0.50,
-		FPScoreMean: 0.57, FPScoreStd: 0.10,
-		UnitCost: 90 * time.Millisecond,
+		Name: "i3d", TPR: 0.90, TPScoreMean: 0.80, TPScoreStd: 0.10,
+		FPIID: 0.012, FPBurstGap: 500, FPBurstLen: 4, FPWithinBurst: 0.50,
+		FPScoreMean: 0.57, FPScoreStd: 0.10, UnitCost: 90 * time.Millisecond,
 	}
 
 	// DistilledRCNN calibrates the recall-complete distilled student of
-	// Mask R-CNN used as the cheap tier of the default object cascade: 15×
-	// cheaper per frame, with the extra hallucination rate the distillation
-	// trades for never missing a teacher detection. The TPR/TPScore fields
-	// describe its indicator-level behaviour (teacher recall preserved,
-	// scores shifted down) for calibration checks and planner priors; the
-	// simulated proxy delegates true detections to its teacher, so only the
-	// FP fields and UnitCost drive draws.
+	// Mask R-CNN, the cheap tier of the default object cascade: 15× cheaper
+	// per frame, hallucinating more to never miss a teacher detection. The
+	// proxy delegates true detections to its teacher, so its TP fields only
+	// feed calibration checks and planner priors.
 	DistilledRCNN = Profile{
-		Name:        "distilled-rcnn",
-		TPR:         0.94,
-		TPScoreMean: 0.70, TPScoreStd: 0.14,
-		FPIID:      0.060,
-		FPBurstGap: 1200, FPBurstLen: 70, FPWithinBurst: 0.70,
-		FPScoreMean: 0.52, FPScoreStd: 0.12,
-		UnitCost: 3 * time.Millisecond,
+		Name: "distilled-rcnn", TPR: 0.94, TPScoreMean: 0.70, TPScoreStd: 0.14,
+		FPIID: 0.060, FPBurstGap: 1200, FPBurstLen: 70, FPWithinBurst: 0.70,
+		FPScoreMean: 0.52, FPScoreStd: 0.12, UnitCost: 3 * time.Millisecond,
 	}
 
 	// DistilledI3D calibrates the recall-complete distilled student of I3D
 	// used as the cheap tier of the default action cascade: 10× cheaper per
 	// shot.
 	DistilledI3D = Profile{
-		Name:        "distilled-i3d",
-		TPR:         0.90,
-		TPScoreMean: 0.68, TPScoreStd: 0.13,
-		FPIID:      0.050,
-		FPBurstGap: 350, FPBurstLen: 6, FPWithinBurst: 0.60,
-		FPScoreMean: 0.52, FPScoreStd: 0.12,
-		UnitCost: 9 * time.Millisecond,
+		Name: "distilled-i3d", TPR: 0.90, TPScoreMean: 0.68, TPScoreStd: 0.13,
+		FPIID: 0.050, FPBurstGap: 350, FPBurstLen: 6, FPWithinBurst: 0.60,
+		FPScoreMean: 0.52, FPScoreStd: 0.12, UnitCost: 9 * time.Millisecond,
 	}
 
 	// IdealObject reproduces object ground truth exactly (paper Table 4).
-	IdealObject = Profile{
-		Name: "ideal-object",
-		TPR:  1, TPScoreMean: 1, TPScoreStd: 0,
-	}
+	IdealObject = Profile{Name: "ideal-object", TPR: 1, TPScoreMean: 1}
 
 	// IdealAction reproduces action ground truth exactly.
-	IdealAction = Profile{
-		Name: "ideal-action",
-		TPR:  1, TPScoreMean: 1, TPScoreStd: 0,
-	}
+	IdealAction = Profile{Name: "ideal-action", TPR: 1, TPScoreMean: 1}
 )

@@ -1,22 +1,20 @@
 package detect
 
 import (
+	"context"
 	"math"
+	"time"
 
 	"svqact/internal/video"
 )
 
-// Spatial relationships between objects (paper footnote 2): the engine
-// treats a relationship predicate as a binary per-frame output derived from
-// the object detection outcomes — the relationship holds on a frame when
-// some detected instance pair satisfies the geometric condition.
-//
-// The synthetic world has no pixels, so instance geometry is itself
-// synthesised: every tracked instance follows a smooth, deterministic
-// horizontal trajectory derived from its identity (a per-instance base
-// position plus slow sinusoidal drift). Ground truth and detector both read
-// the same trajectory; the detector's errors come from missed or
-// hallucinated instances, exactly as for presence predicates.
+// Spatial relationships between objects (paper footnote 2): a relationship
+// predicate is a binary per-frame output derived from the object detections
+// — it holds on a frame when some detected instance pair satisfies the
+// geometric condition. The synthetic world has no pixels, so every tracked
+// instance follows a smooth, deterministic horizontal trajectory derived
+// from its identity; ground truth and detector read the same trajectory, and
+// the detector's errors are missed or hallucinated instances.
 
 // Relation names a geometric predicate over two object types.
 type Relation string
@@ -32,21 +30,13 @@ const (
 	Near Relation = "near"
 )
 
-// relationMargin is the minimal horizontal separation for LeftOf/RightOf,
-// in normalised image coordinates [0, 1].
-const relationMargin = 0.05
-
-// relationNearDist is the maximal separation for Near.
-const relationNearDist = 0.2
+// relationMargin is the minimal horizontal separation for LeftOf/RightOf
+// and relationNearDist the maximal one for Near, in normalised image
+// coordinates [0, 1].
+const relationMargin, relationNearDist = 0.05, 0.2
 
 // ValidRelation reports whether the name is a supported relation.
-func ValidRelation(r Relation) bool {
-	switch r {
-	case LeftOf, RightOf, Near:
-		return true
-	}
-	return false
-}
+func ValidRelation(r Relation) bool { return r == LeftOf || r == RightOf || r == Near }
 
 // PositionOf returns the horizontal centre (in [0, 1]) of a tracked
 // instance on a frame. It is a pure function of (video, track, frame):
@@ -102,48 +92,55 @@ func (r Relation) holdsAmong(hv uint64, frame int, ia, ib []int64) bool {
 // RelationPositive reports the detector-derived indicator of the relation
 // on a frame: some detected instance of type a and some detected instance
 // of type b satisfy it. Hallucinated detections (negative IDs) participate,
-// as they would in a real pipeline. It is the one-frame RelationPositives.
+// as they would in a real pipeline. It is the one-frame RelationPositives
+// without retry; a failed invocation reads as false.
 func RelationPositive(det ObjectDetector, v TruthVideo, rel Relation, a, b string, frame int) bool {
-	var evA, evB Events
-	var hit [1]bool
-	return RelationPositives(det, v, rel, a, b, video.Interval{Start: frame, End: frame}, &evA, &evB, hit[:]) > 0
+	var acc Account
+	acc.Reset(1)
+	n, _ := RelationPositives(context.Background(), det, v, rel, a, b, video.Interval{Start: frame, End: frame},
+		new(Events), new(Events), make([]bool, 1), RetryConfig{}, &acc)
+	return n > 0
 }
 
 // RelationPositives marks dst[i] when the relation holds on frame
-// frames.Start+i, as RelationPositive decides it, and returns how many
-// frames it marked. Each operand type's detections over the whole run come
-// from one events batch; evA and evB are the caller's scratch.
-func RelationPositives(det ObjectDetector, v TruthVideo, rel Relation, a, b string, frames video.Interval, evA, evB *Events, dst []bool) int {
+// frames.Start+i and returns how many frames it marked. Each operand's
+// detections come from one ReadEvents call, so the relation observes det's
+// faults and retries them; a frame that still fails fails the run, marking
+// nothing. evA and evB are the caller's scratch. One object inference covers
+// every type on a frame, so the operand reads share each frame's first
+// attempt: acc is charged one attempt per frame reached plus every retry.
+func RelationPositives(ctx context.Context, det ObjectDetector, v TruthVideo, rel Relation, a, b string, frames video.Interval, evA, evB *Events, dst []bool, retry RetryConfig, acc *Account) (int, error) {
 	evA.Reset()
-	AppendFrameEvents(det, v, a, frames, evA)
-	if evA.Len() == 0 {
-		return 0
+	if _, err := ReadEvents(ctx, det, v, a, frames, evA, retry, acc); err != nil || evA.Len() == 0 {
+		return 0, err
 	}
 	evB.Reset()
-	AppendFrameEvents(det, v, b, frames, evB)
-	hv := hashString(v.ID())
-	count := 0
+	reached := acc.Units[0]
+	_, err := ReadEvents(ctx, det, v, b, frames, evB, retry, acc)
+	shared := acc.Units[0] - reached // b's first attempts were a's
+	acc.Units[0] -= shared
+	acc.Attempts -= shared
+	acc.Cost -= time.Duration(shared) * det.UnitCost()
+	if err != nil {
+		return 0, err
+	}
+	hv, count := hashString(v.ID()), 0
 	// Both batches are in frame order: walk them frame by frame.
 	for i, j := 0, 0; i < evA.Len(); {
-		frame := evA.Units[i]
-		iEnd := i + 1
-		for iEnd < evA.Len() && evA.Units[iEnd] == frame {
-			iEnd++
+		frame, i0 := evA.Units[i], i
+		for ; i < evA.Len() && evA.Units[i] == frame; i++ {
 		}
-		for j < evB.Len() && evB.Units[j] < frame {
-			j++
+		for ; j < evB.Len() && evB.Units[j] < frame; j++ {
 		}
-		jEnd := j
-		for jEnd < evB.Len() && evB.Units[jEnd] == frame {
-			jEnd++
+		j0 := j
+		for ; j < evB.Len() && evB.Units[j] == frame; j++ {
 		}
-		if rel.holdsAmong(hv, int(frame), evA.Tracks[i:iEnd], evB.Tracks[j:jEnd]) {
+		if rel.holdsAmong(hv, int(frame), evA.Tracks[i0:i], evB.Tracks[j0:j]) {
 			dst[int(frame)-frames.Start] = true
 			count++
 		}
-		i, j = iEnd, jEnd
 	}
-	return count
+	return count, nil
 }
 
 // TrueRelationAt reports the ground-truth indicator of the relation on a

@@ -37,10 +37,9 @@ func (c RetryConfig) backoff(retry int) time.Duration {
 }
 
 // Retry invokes op with increasing attempt numbers until it succeeds, fails
-// permanently (IsTransient false), runs out of attempts, or ctx ends.
-// Between attempts it sleeps the jittered exponential backoff, honouring ctx
-// cancellation. The returned error is op's last error, or ctx.Err() when the
-// context ended first.
+// permanently (IsTransient false), runs out of attempts, or ctx ends — before
+// an attempt or during the jittered exponential backoff between attempts. It
+// returns op's last error, or ctx.Err() when the context ended first.
 func Retry(ctx context.Context, cfg RetryConfig, op func(attempt int) error) error {
 	attempts := cfg.Attempts
 	if attempts < 1 {

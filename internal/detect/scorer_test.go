@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -73,11 +74,21 @@ func refScore(ctx context.Context, tiers []refTier, start, from int, dst []float
 // failingActionRecognizer is the shot-level failingObjectDetector.
 type failingActionRecognizer struct{ name string }
 
-func (r failingActionRecognizer) Name() string                              { return r.name }
-func (r failingActionRecognizer) UnitCost() time.Duration                   { return time.Millisecond }
-func (r failingActionRecognizer) ShotScore(TruthVideo, string, int) float64 { return 0 }
-func (r failingActionRecognizer) ShotScoreAttempt(v TruthVideo, act string, shot, attempt int) (float64, error) {
-	return 0, &DetectionError{Model: r.name, Unit: shot, Transient: true}
+func (r failingActionRecognizer) Name() string            { return r.name }
+func (r failingActionRecognizer) UnitCost() time.Duration { return time.Millisecond }
+func (r failingActionRecognizer) Score(_ TruthVideo, _ string, start int, _ []float64, _ int) (int, error) {
+	return 0, &DetectionError{Model: r.name, Unit: start, Transient: true}
+}
+
+// refTierOf binds a model to the reference: one invocation is the model's
+// one-unit Score at the attempt. Every model may fail, so every tier is
+// fallible to the reference.
+func refTierOf(m Model, band Band, v TruthVideo, label string) refTier {
+	return refTier{cost: m.UnitCost(), band: band, fallible: true, try: func(unit, attempt int) (float64, error) {
+		var s [1]float64
+		_, err := m.Score(v, label, unit, s[:], attempt)
+		return s[0], err
+	}}
 }
 
 // scorerCase is one (models, kind) cell of the equivalence table: the
@@ -91,36 +102,18 @@ type scorerCase struct {
 }
 
 func objectCase(name string, v TruthVideo, cheap, accurate ObjectDetector) scorerCase {
-	ref := func(d ObjectDetector, band Band) refTier {
-		fd, fallible := d.(FallibleObjectDetector)
-		return refTier{cost: d.UnitCost(), band: band, fallible: fallible, try: func(unit, attempt int) (float64, error) {
-			if fallible {
-				return fd.FrameScoreAttempt(v, "car", unit, attempt)
-			}
-			return d.FrameScore(v, "car", unit), nil
-		}}
-	}
 	casc := NewObjectCascade(ObjectTier{Detector: cheap, Band: RecallBand()}, ObjectTier{Detector: accurate})
 	return scorerCase{
-		name: name + "/object", label: "car", one: ObjectScorer(accurate), two: ObjectScorer(casc),
-		ref: []refTier{ref(cheap, RecallBand()), ref(accurate, Band{})},
+		name: name + "/object", label: "car", one: ScorerOf(accurate), two: ScorerOf(casc),
+		ref: []refTier{refTierOf(cheap, RecallBand(), v, "car"), refTierOf(accurate, Band{}, v, "car")},
 	}
 }
 
 func actionCase(name string, v TruthVideo, cheap, accurate ActionRecognizer) scorerCase {
-	ref := func(r ActionRecognizer, band Band) refTier {
-		fr, fallible := r.(FallibleActionRecognizer)
-		return refTier{cost: r.UnitCost(), band: band, fallible: fallible, try: func(unit, attempt int) (float64, error) {
-			if fallible {
-				return fr.ShotScoreAttempt(v, "jumping", unit, attempt)
-			}
-			return r.ShotScore(v, "jumping", unit), nil
-		}}
-	}
 	casc := NewActionCascade(ActionTier{Recognizer: cheap, Band: RecallBand()}, ActionTier{Recognizer: accurate})
 	return scorerCase{
-		name: name + "/action", label: "jumping", one: ActionScorer(accurate), two: ActionScorer(casc),
-		ref: []refTier{ref(cheap, RecallBand()), ref(accurate, Band{})},
+		name: name + "/action", label: "jumping", one: ScorerOf(accurate), two: ScorerOf(casc),
+		ref: []refTier{refTierOf(cheap, RecallBand(), v, "jumping"), refTierOf(accurate, Band{}, v, "jumping")},
 	}
 }
 
@@ -252,10 +245,11 @@ func TestScorerCancelledContextChargesNothing(t *testing.T) {
 }
 
 // TestScoreAllocsSteadyState: the walker itself allocates nothing — not for a
-// plain model's batch call, not for a cascade's escalations. The label is a
-// type the video never shows, so the simulated models have no instance lists
-// to materialise and every allocation counted would be the walker's own; the
-// cheap tier's false positives still escalate.
+// plain model's batch call, not for a cascade's escalations, not for a fault
+// decorator whose draws never fail. The label is a type the video never
+// shows, so the simulated models have no instance lists to materialise and
+// every allocation counted would be the walker's own; the cheap tier's false
+// positives still escalate.
 func TestScoreAllocsSteadyState(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -263,8 +257,9 @@ func TestScoreAllocsSteadyState(t *testing.T) {
 	v := testVideo(t, 43)
 	teacher := NewObjectDetector(MaskRCNN, 5)
 	for name, chain := range map[string]*Scorer{
-		"single":  ObjectScorer(teacher),
-		"cascade": ObjectScorer(NewDistilledObjectCascade(teacher, DistilledRCNN, 5)),
+		"single":   ScorerOf(teacher),
+		"cascade":  ScorerOf(NewDistilledObjectCascade(teacher, DistilledRCNN, 5)),
+		"fallible": ScorerOf(InjectObjectFaults(teacher, FaultConfig{TransientRate: 1e-12, Seed: 5})),
 	} {
 		var acc Account
 		dst := make([]float64, 500)
@@ -282,4 +277,54 @@ func TestScoreAllocsSteadyState(t *testing.T) {
 			t.Errorf("%s: Score allocates %.0f objects per call, want 0", name, allocs)
 		}
 	}
+}
+
+// FuzzScorerMatchesReference fuzzes the walker against refScore: the fault
+// seed and rates of every tier, the run's start and length, the retry
+// budget, the entry tier, one tier or a cascade of two, objects or actions.
+func FuzzScorerMatchesReference(f *testing.F) {
+	v := testVideo(f, 41)
+	f.Add(int64(21), 0.3, 0.0, uint16(0), uint8(40), uint8(3), uint8(0), true, true)
+	f.Add(int64(4), 0.0, 0.02, uint16(900), uint8(200), uint8(2), uint8(1), true, false)
+	f.Add(int64(7), 1.0, 0.0, uint16(77), uint8(9), uint8(1), uint8(0), false, true)
+	f.Fuzz(func(t *testing.T, seed int64, transient, permanent float64, start uint16, length, attempts, from uint8, cascade, objects bool) {
+		rate := func(p float64) float64 {
+			if math.IsNaN(p) {
+				return 0
+			}
+			return min(1, math.Abs(p))
+		}
+		fc := FaultConfig{TransientRate: rate(transient), PermanentRate: rate(permanent), Seed: seed}
+		var c scorerCase
+		units := v.NumFrames()
+		if objects {
+			teacher := NewObjectDetector(MaskRCNN, 5)
+			c = objectCase("fuzz", v, InjectObjectFaults(NewDistilledObjectDetector(teacher, DistilledRCNN, 5), fc), InjectObjectFaults(teacher, fc))
+		} else {
+			teacher := NewActionRecognizer(I3D, 5)
+			c = actionCase("fuzz", v, InjectActionFaults(NewDistilledActionRecognizer(teacher, DistilledI3D, 5), fc), InjectActionFaults(teacher, fc))
+			units = v.Geometry().NumShots(v.NumFrames())
+		}
+		chain, ref := c.one, c.ref[1:]
+		if cascade {
+			chain, ref = c.two, c.ref
+		}
+		s := int(start) % units
+		n, entry, tries := min(int(length), units-s), int(from)%len(ref), 1+int(attempts)%5
+		var got, want Account
+		got.Reset(len(ref))
+		want.Reset(len(ref))
+		gotDst, wantDst := make([]float64, n), make([]float64, n)
+		gotN, gotErr := chain.Score(context.Background(), v, c.label, s, entry, gotDst, RetryConfig{Attempts: tries}, &got)
+		wantN, wantErr := refScore(context.Background(), ref, s, entry, wantDst, tries, &want)
+		if gotN != wantN || !reflect.DeepEqual(gotErr, wantErr) {
+			t.Fatalf("scored %d err %v, reference %d err %v", gotN, gotErr, wantN, wantErr)
+		}
+		if !reflect.DeepEqual(gotDst[:gotN], wantDst[:wantN]) {
+			t.Fatal("scores diverge from the reference")
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("account\n got %+v\nwant %+v", got, want)
+		}
+	})
 }

@@ -9,30 +9,28 @@ import (
 	"svqact/internal/video"
 )
 
-// simCore holds the machinery shared by the simulated object detector and
-// action recogniser: profile-driven sampling plus a lazily materialised,
-// deterministic false-positive burst overlay per (video, type).
+// simCore holds the machinery every simulated model shares: profile-driven
+// sampling plus a lazily materialised, deterministic false-positive burst
+// overlay per (video, label).
 type simCore struct {
-	prof Profile
-	seed uint64
-
-	mu sync.Mutex
-	// overlays is keyed video ID → type, two levels instead of a
-	// concatenated string so the per-batch lookup allocates nothing.
-	overlays map[string]map[string]video.IntervalSet
+	prof     Profile
+	seed     uint64
+	mu       sync.Mutex
+	overlays map[[2]string]video.IntervalSet // by (video ID, label)
 }
 
 func newSimCore(prof Profile, seed int64) *simCore {
-	return &simCore{
-		prof:     prof,
-		seed:     keyed(uint64(seed), hashString(prof.Name)),
-		overlays: make(map[string]map[string]video.IntervalSet),
-	}
+	return &simCore{prof: prof, seed: keyed(uint64(seed), hashString(prof.Name)), overlays: map[[2]string]video.IntervalSet{}}
 }
 
-// trackScratch pools the per-batch track windows of the simulated models;
-// detectors are shared across fleet workers, so the scratch cannot live on
-// the detector itself.
+// Name implements Model: the profile's name.
+func (c *simCore) Name() string { return c.prof.Name }
+
+// UnitCost implements Model: the profile's unit cost.
+func (c *simCore) UnitCost() time.Duration { return c.prof.UnitCost }
+
+// trackScratch pools the per-batch track windows; models are shared across
+// fleet workers, so the scratch cannot live on the model.
 var trackScratch = sync.Pool{New: func() any { s := make([]video.Track, 0, 16); return &s }}
 
 // window lists the type's tracks visible in frames into pooled scratch;
@@ -44,8 +42,7 @@ func window(v TruthVideo, typ string, frames video.Interval) *[]video.Track {
 }
 
 // presentIn reports whether some track of the window is visible on the
-// frame: presence is the union of the appearances, so this is exactly
-// "the type is present".
+// frame, which is exactly "the type is present".
 func presentIn(w []video.Track, frame int) bool {
 	for _, t := range w {
 		if t.Frames.Contains(frame) {
@@ -55,35 +52,23 @@ func presentIn(w []video.Track, frame int) bool {
 	return false
 }
 
-// burstOverlay returns the false-positive burst intervals for a type in a
+// burstOverlay returns the false-positive burst intervals for a label in a
 // video, generating them on first use. Bursts are an alternating renewal
-// process drawn from a stream seeded by (model, video, type) only — key is
+// process drawn from a stream seeded by (model, video, label) only — key is
 // the batch's draw key — so they are identical on every pass over the video.
-func (c *simCore) burstOverlay(videoID, typ string, key uint64, units int) video.IntervalSet {
+func (c *simCore) burstOverlay(videoID, label string, key uint64, units int) video.IntervalSet {
 	if c.prof.FPBurstGap <= 0 || c.prof.FPBurstLen <= 0 {
 		return video.IntervalSet{}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	byType := c.overlays[videoID]
-	if s, ok := byType[typ]; ok {
+	if s, ok := c.overlays[[2]string{videoID, label}]; ok {
 		return s
 	}
-	if byType == nil {
-		byType = make(map[string]video.IntervalSet)
-		c.overlays[videoID] = byType
-	}
 	state := fold(key, 0xb02575)
-	next := func() float64 {
+	exp := func(mean float64) float64 { // unitFloat < 1, so the log is finite
 		state = mix64(state + 0x9e3779b97f4a7c15)
-		return unitFloat(state)
-	}
-	exp := func(mean float64) float64 {
-		u := next()
-		if u >= 1 {
-			u = math.Nextafter(1, 0)
-		}
-		return -mean * math.Log(1-u)
+		return -mean * math.Log(1-unitFloat(state))
 	}
 	var ivs []video.Interval
 	pos := 0
@@ -97,7 +82,7 @@ func (c *simCore) burstOverlay(videoID, typ string, key uint64, units int) video
 		pos = end + 1
 	}
 	s := video.NewIntervalSet(ivs...)
-	byType[typ] = s
+	c.overlays[[2]string{videoID, label}] = s
 	return s
 }
 
@@ -120,8 +105,7 @@ type draws struct {
 }
 
 // start begins a batch of c's draws over a label of a video units units
-// long. It sets the fields in place: a draws returned by value would be
-// copied on every one-unit call.
+// long, in place: a returned draws would be copied on every one-unit call.
 func (d *draws) start(c *simCore, v TruthVideo, label string, units int) {
 	d.c, d.videoID, d.label, d.units = c, v.ID(), label, units
 	d.hv, d.hl = hashString(d.videoID), hashString(label)
@@ -142,31 +126,28 @@ func (d *draws) inBurst(unit int) bool {
 	return len(d.bursts) > 0 && d.bursts[0].Start <= unit
 }
 
-// falsePositive decides whether the model hallucinates the absent label on
-// the unit and, if so, returns the score.
-func (d *draws) falsePositive(unit int) (float64, bool) {
+// falsePositive is the model's score for the absent label on the unit: a
+// hallucination's score, or 0.
+func (d *draws) falsePositive(unit int) float64 {
 	p := d.c.prof.FPIID
 	if d.inBurst(unit) {
 		p = d.c.prof.FPWithinBurst
 	}
-	if p <= 0 {
-		return 0, false
-	}
 	h := fold(fold(d.key, uint64(unit)), 0xfa15e)
-	if unitFloat(h) >= p {
-		return 0, false
+	if p <= 0 || unitFloat(h) >= p {
+		return 0
 	}
-	return clampScore(d.c.prof.FPScoreMean + d.c.prof.FPScoreStd*gauss(mix64(h^0x5c0e))), true
+	return clampScore(d.c.prof.FPScoreMean + d.c.prof.FPScoreStd*gauss(mix64(h^0x5c0e)))
 }
 
-// truePositive decides whether a truly present instance is detected and
-// scored. The extra key distinguishes instances sharing a frame.
-func (d *draws) truePositive(unit int, extra uint64) (float64, bool) {
+// truePositive is the model's score for a truly present instance, 0 when it
+// misses it. The extra key distinguishes instances sharing a frame.
+func (d *draws) truePositive(unit int, extra uint64) float64 {
 	h := fold(fold(fold(d.key, uint64(unit)), extra), 0x7b0e)
 	if unitFloat(h) >= d.c.prof.TPR {
-		return 0, false
+		return 0
 	}
-	return clampScore(d.c.prof.TPScoreMean + d.c.prof.TPScoreStd*gauss(mix64(h^0x3d09))), true
+	return clampScore(d.c.prof.TPScoreMean + d.c.prof.TPScoreStd*gauss(mix64(h^0x3d09)))
 }
 
 // phantomID is a hallucination's identity: stable per ~3-second window so
@@ -176,141 +157,112 @@ func (d *draws) phantomID(frame int) int64 {
 	return int64(-1 - int(keyed(d.hv, d.hl, uint64(frame/30))%1_000_000))
 }
 
-// SimObjectDetector is an ObjectDetector that samples detections from a
-// noise profile against ground truth. Construct with NewObjectDetector.
+// frame appends one frame's detections to ev, drawn from the batch's track
+// window: a true-positive draw per track visible on it, or the
+// false-positive draw when none is.
+func (d *draws) frame(w []video.Track, frame int, ev *Events) {
+	present := false
+	for _, t := range w {
+		if !t.Frames.Contains(frame) {
+			continue
+		}
+		present = true
+		if s := d.truePositive(frame, uint64(t.TrackID)); s > 0 {
+			ev.Append(frame, int64(t.TrackID), s)
+		}
+	}
+	if s := 0.0; !present {
+		if s = d.falsePositive(frame); s > 0 {
+			ev.Append(frame, d.phantomID(frame), s)
+		}
+	}
+}
+
+// SimObjectDetector samples object detections from a noise profile against
+// ground truth. It never fails.
 type SimObjectDetector struct {
-	core *simCore
+	*simCore
 }
 
 // NewObjectDetector builds a simulated object detector from a profile. The
 // seed lets experiments draw independent noise realisations; the detections
 // for a fixed (profile, seed) are deterministic.
 func NewObjectDetector(prof Profile, seed int64) *SimObjectDetector {
-	return &SimObjectDetector{core: newSimCore(prof, seed)}
+	return &SimObjectDetector{newSimCore(prof, seed)}
 }
 
-// Name implements ObjectDetector.
-func (d *SimObjectDetector) Name() string { return d.core.prof.Name }
-
-// UnitCost implements ObjectDetector.
-func (d *SimObjectDetector) UnitCost() time.Duration { return d.core.prof.UnitCost }
-
-// FrameScore implements ObjectDetector: the one-frame batch.
+// FrameScore implements ObjectDetector.
 func (d *SimObjectDetector) FrameScore(v TruthVideo, typ string, frame int) float64 {
 	var s [1]float64
-	d.FrameScoreBatch(v, typ, frame, s[:])
+	d.Score(v, typ, frame, s[:], 0)
 	return s[0]
 }
 
-// FrameDetections implements ObjectDetector: the one-frame events batch.
-func (d *SimObjectDetector) FrameDetections(v TruthVideo, typ string, frame int) []Detection {
-	return frameDetections(d, v, typ, frame)
-}
-
-// FrameScoreBatch implements BatchObjectScorer: a frame's score is the best
-// detected instance among the tracks visible on it, or the false-positive
-// draw when none is. The batch reads one track window and one draw key.
-func (d *SimObjectDetector) FrameScoreBatch(v TruthVideo, typ string, start int, dst []float64) {
+// Score implements Model: each frame's best detection, 0 when there is
+// none — the draws of frame, in a loop of its own because it is the online
+// hot path. The batch reads one track window and one draw key.
+func (d *SimObjectDetector) Score(v TruthVideo, typ string, start int, dst []float64, _ int) (int, error) {
 	if len(dst) == 0 {
-		return
+		return 0, nil
 	}
 	w := window(v, typ, video.Interval{Start: start, End: start + len(dst) - 1})
 	defer trackScratch.Put(w)
 	var dr draws
-	dr.start(d.core, v, typ, v.NumFrames())
+	dr.start(d.simCore, v, typ, v.NumFrames())
 	for i := range dst {
-		frame := start + i
-		best, present := 0.0, false
+		frame, present := start+i, false
+		dst[i] = 0
 		for _, t := range *w {
-			if !t.Frames.Contains(frame) {
-				continue
-			}
-			present = true
-			if s, ok := dr.truePositive(frame, uint64(t.TrackID)); ok && s > best {
-				best = s
+			if t.Frames.Contains(frame) {
+				present = true
+				dst[i] = max(dst[i], dr.truePositive(frame, uint64(t.TrackID)))
 			}
 		}
 		if !present {
-			if s, ok := dr.falsePositive(frame); ok {
-				best = s
-			}
+			dst[i] = dr.falsePositive(frame)
 		}
-		dst[i] = best
 	}
+	return len(dst), nil
 }
 
-// AppendFrameEvents implements ObjectEventAppender: the same draws as
-// FrameScoreBatch, every detection appended in frame order and, within a
-// frame, in track order.
-func (d *SimObjectDetector) AppendFrameEvents(v TruthVideo, typ string, frames video.Interval, ev *Events) {
+// Events implements ObjectDetector: the same draws as Score, every
+// detection appended.
+func (d *SimObjectDetector) Events(v TruthVideo, typ string, frames video.Interval, ev *Events, _ int) (int, error) {
 	if frames.End < frames.Start {
-		return
+		return 0, nil
 	}
 	w := window(v, typ, frames)
 	defer trackScratch.Put(w)
 	var dr draws
-	dr.start(d.core, v, typ, v.NumFrames())
+	dr.start(d.simCore, v, typ, v.NumFrames())
 	for frame := frames.Start; frame <= frames.End; frame++ {
-		present := false
-		for _, t := range *w {
-			if !t.Frames.Contains(frame) {
-				continue
-			}
-			present = true
-			if s, ok := dr.truePositive(frame, uint64(t.TrackID)); ok {
-				ev.Append(frame, int64(t.TrackID), s)
-			}
-		}
-		if !present {
-			if s, ok := dr.falsePositive(frame); ok {
-				ev.Append(frame, dr.phantomID(frame), s)
-			}
-		}
+		dr.frame(*w, frame, ev)
 	}
+	return frames.Len(), nil
 }
 
-// SimActionRecognizer is an ActionRecognizer sampling per-shot
-// classifications from a noise profile.
+// SimActionRecognizer samples per-shot classifications from a noise
+// profile. It never fails.
 type SimActionRecognizer struct {
-	core *simCore
+	*simCore
 }
 
 // NewActionRecognizer builds a simulated action recogniser from a profile.
 func NewActionRecognizer(prof Profile, seed int64) *SimActionRecognizer {
-	return &SimActionRecognizer{core: newSimCore(prof, seed)}
+	return &SimActionRecognizer{newSimCore(prof, seed)}
 }
 
-// Name implements ActionRecognizer.
-func (r *SimActionRecognizer) Name() string { return r.core.prof.Name }
-
-// UnitCost implements ActionRecognizer.
-func (r *SimActionRecognizer) UnitCost() time.Duration { return r.core.prof.UnitCost }
-
-// ShotScore implements ActionRecognizer: the one-shot batch.
-func (r *SimActionRecognizer) ShotScore(v TruthVideo, act string, shot int) float64 {
-	var s [1]float64
-	r.ShotScoreBatch(v, act, shot, s[:])
-	return s[0]
-}
-
-// ShotScoreBatch implements BatchActionScorer: a shot showing the action
-// takes the true-positive draw, any other the false-positive draw, all from
-// one draw key.
-func (r *SimActionRecognizer) ShotScoreBatch(v TruthVideo, act string, start int, dst []float64) {
+// Score implements Model: a shot showing the action takes the true-positive
+// draw, any other the false-positive draw, all from one draw key.
+func (r *SimActionRecognizer) Score(v TruthVideo, act string, start int, dst []float64, _ int) (int, error) {
 	var dr draws
-	dr.start(r.core, v, act, v.Geometry().NumShots(v.NumFrames()))
+	dr.start(r.simCore, v, act, v.Geometry().NumShots(v.NumFrames()))
 	for i := range dst {
-		shot := start + i
-		var s float64
-		var ok bool
-		if v.ActionAt(act, shot) {
-			s, ok = dr.truePositive(shot, 0)
+		if shot := start + i; v.ActionAt(act, shot) {
+			dst[i] = dr.truePositive(shot, 0)
 		} else {
-			s, ok = dr.falsePositive(shot)
+			dst[i] = dr.falsePositive(shot)
 		}
-		if !ok {
-			s = 0
-		}
-		dst[i] = s
 	}
+	return len(dst), nil
 }

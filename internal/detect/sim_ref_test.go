@@ -421,15 +421,15 @@ func newDiffModels(seed int64) diffModels {
 	noisy := NewObjectDetector(YOLOv3, seed+1)
 	proxy := NewDistilledObjectDetector(teacher, DistilledRCNN, seed)
 	casc := NewObjectCascade(ObjectTier{Detector: proxy, Band: RecallBand()}, ObjectTier{Detector: teacher})
-	refTeacher := refSimObject{newRefCore(teacher.core)}
-	refNoisy := refSimObject{newRefCore(noisy.core)}
-	refProxy := refDistilledObject{refTeacher, newRefCore(proxy.core)}
+	refTeacher := refSimObject{newRefCore(teacher.simCore)}
+	refNoisy := refSimObject{newRefCore(noisy.simCore)}
+	refProxy := refDistilledObject{refTeacher, newRefCore(proxy.simCore)}
 	refCasc := refObjectCascade{refProxy, refTeacher}
 
 	act := NewActionRecognizer(I3D, seed)
 	actProxy := NewDistilledActionRecognizer(act, DistilledI3D, seed)
-	refAct := refSimAction{newRefCore(act.core)}
-	refActProxy := refDistilledAction{refAct, newRefCore(actProxy.core)}
+	refAct := refSimAction{newRefCore(act.simCore)}
+	refActProxy := refDistilledAction{refAct, newRefCore(actProxy.simCore)}
 	return diffModels{
 		objects: map[string]ObjectDetector{
 			"maskrcnn": teacher, "yolov3": noisy, "distilled": proxy, "cascade": casc,
@@ -480,9 +480,9 @@ func checkObjectRun(t testing.TB, name string, d ObjectDetector, ref refObject, 
 	t.Helper()
 	where := fmt.Sprintf("%s on %s %q frames %v", name, v.ID(), typ, run)
 	dst := make([]float64, run.Len())
-	FrameScoreBatch(d, v, typ, run.Start, dst)
+	d.Score(v, typ, run.Start, dst, 0)
 	var ev Events
-	AppendFrameEvents(d, v, typ, run, &ev)
+	d.Events(v, typ, run, &ev, 0)
 	k := 0
 	for i := range dst {
 		frame := run.Start + i
@@ -504,11 +504,11 @@ func checkObjectRun(t testing.TB, name string, d ObjectDetector, ref refObject, 
 		if got, want := d.FrameScore(v, typ, frame), ref.FrameScore(v, typ, frame); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("%s: FrameScore(%d) = %v, reference %v", where, frame, got, want)
 		}
-		if got, want := d.FrameDetections(v, typ, frame), ref.FrameDetections(v, typ, frame); fmt.Sprint(got) != fmt.Sprint(want) {
+		if got, want := frameDetections(d, v, typ, frame), ref.FrameDetections(v, typ, frame); fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("%s: FrameDetections(%d) = %v, reference %v", where, frame, got, want)
 		}
 	}
-	chain := ObjectScorer(d)
+	chain := ScorerOf(d)
 	infos := chain.Tiers()
 	tiers := []refTier{{cost: infos[0].UnitCost, try: func(u, _ int) (float64, error) { return ref.FrameScore(v, typ, u), nil }}}
 	if c, ok := ref.(refObjectCascade); ok {
@@ -574,10 +574,16 @@ func checkWindow(t testing.TB, v TruthVideo, run video.Interval) {
 func checkRelation(t testing.TB, d ObjectDetector, ref refObject, v TruthVideo, rel Relation, run video.Interval) {
 	t.Helper()
 	var evA, evB Events
+	var acc Account
 	for _, pair := range [][2]string{{"person", "car"}, {"human", "person"}} {
 		where := fmt.Sprintf("%s %s%v frames %v", v.ID(), rel, pair, run)
 		dst := make([]bool, run.Len())
-		count, want := RelationPositives(d, v, rel, pair[0], pair[1], run, &evA, &evB, dst), 0
+		acc.Reset(1)
+		count, err := RelationPositives(context.Background(), d, v, rel, pair[0], pair[1], run, &evA, &evB, dst, RetryConfig{}, &acc)
+		if err != nil || acc.Attempts != acc.Units[0] || acc.Units[0] != int64(run.Len()) {
+			t.Fatalf("%s: %v, account %+v: want every frame charged once", where, err, acc)
+		}
+		want := 0
 		for i, got := range dst {
 			f := run.Start + i
 			w := refRelationPositive(ref, v, rel, pair[0], pair[1], f)
@@ -661,16 +667,16 @@ func checkActionRun(t testing.TB, name string, a ActionRecognizer, ref refAction
 	t.Helper()
 	where := fmt.Sprintf("%s on %s shots %v", name, v.ID(), run)
 	dst := make([]float64, run.Len())
-	ShotScoreBatch(a, v, "jumping", run.Start, dst)
+	a.Score(v, "jumping", run.Start, dst, 0)
 	for i := range dst {
 		if want := ref.ShotScore(v, "jumping", run.Start+i); math.Float64bits(dst[i]) != math.Float64bits(want) {
 			t.Fatalf("%s: batch score of shot %d = %v, reference %v", where, run.Start+i, dst[i], want)
 		}
 	}
-	if got, want := a.ShotScore(v, "jumping", run.End), ref.ShotScore(v, "jumping", run.End); math.Float64bits(got) != math.Float64bits(want) {
+	if got, want := unitScore(a, v, "jumping", run.End), ref.ShotScore(v, "jumping", run.End); math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("%s: ShotScore(%d) = %v, reference %v", where, run.End, got, want)
 	}
-	chain := ActionScorer(a)
+	chain := ScorerOf(a)
 	infos := chain.Tiers()
 	tiers := []refTier{{cost: infos[0].UnitCost, try: func(u, _ int) (float64, error) { return ref.ShotScore(v, "jumping", u), nil }}}
 	if c, ok := ref.(refActionCascade); ok {

@@ -40,10 +40,10 @@ func DefaultIngestConfig() IngestConfig {
 //
 // The returned Index is in-memory; Save persists it for later Load.
 //
-// Ingestion honours ctx between clips, and retries transient failures of
-// fallible detection models with the configured backoff; a unit that still
-// fails after retries contributes no score (the engine-side individual
-// sequences independently flag such clips and enforce the failure budget).
+// Ingestion honours ctx between clips and retries failed model invocations
+// with the configured backoff; a unit that still fails after retries
+// contributes no score (the engine-side individual sequences independently
+// flag such clips and enforce the failure budget).
 func Ingest(ctx context.Context, v detect.TruthVideo, models detect.Models, scoring Scoring, cfg IngestConfig) (*Index, error) {
 	if err := scoring.Validate(); err != nil {
 		return nil, err
@@ -73,34 +73,22 @@ func Ingest(ctx context.Context, v detect.TruthVideo, models detect.Models, scor
 		return nil, err
 	}
 
-	// Offline tier choice: ingestion is a static plan, so cascaded models
-	// run under the tier mode priced once from the calibrated escalation
-	// priors. TierCascade keeps the cascade (its deciding-tier detections
-	// and scores are identical to the accurate tier's under a
-	// recall-complete cheap tier, so the score tables and top-k do not
-	// move); TierAccurate unwraps to the accurate tier directly. The choice
-	// happens before tracker wrapping so the tracker sees the chosen model.
+	// Offline tier choice: ingestion is a static plan, so a cascaded action
+	// recogniser is walked from the entry tier priced once from the
+	// calibrated escalation priors. TierCascade keeps the cascade (its scores
+	// are identical to the accurate tier's under a recall-complete cheap
+	// tier, so the score tables and top-k do not move); TierAccurate enters
+	// at the accurate tier. Object events are read through the detector as
+	// given — a cascade decides each frame itself — wrapped by the tracker.
+	chain := detect.ScorerOf(models.Actions)
+	from := 0
+	if mode := plan.StaticTierChoice(core.TierCosts(chain.Tiers())); mode != plan.TierSingle {
+		span.SetAttr("tier:actions", mode.String())
+		if mode == plan.TierAccurate {
+			from = len(chain.Tiers()) - 1
+		}
+	}
 	det := models.Objects
-	objMode, actMode := plan.TierSingle, plan.TierSingle
-	if casc, ok := det.(*detect.ObjectCascade); ok {
-		objMode = plan.StaticTierChoice(core.TierCosts(casc.Tiers()))
-		if objMode == plan.TierAccurate {
-			det = casc.AccurateTier()
-		}
-	}
-	rec := models.Actions
-	if casc, ok := rec.(*detect.ActionCascade); ok {
-		actMode = plan.StaticTierChoice(core.TierCosts(casc.Tiers()))
-		if actMode == plan.TierAccurate {
-			rec = casc.AccurateTier()
-		}
-	}
-	if objMode != plan.TierSingle {
-		span.SetAttr("tier:objects", objMode.String())
-	}
-	if actMode != plan.TierSingle {
-		span.SetAttr("tier:actions", actMode.String())
-	}
 	if cfg.Tracker != nil {
 		det = cfg.Tracker(det)
 	}
@@ -118,96 +106,71 @@ func Ingest(ctx context.Context, v detect.TruthVideo, models detect.Models, scor
 
 	// Clip score tables: h aggregates every detection score of the type
 	// within the clip (per tracked instance and frame for objects, per shot
-	// for actions) — the paper's §5 instantiation of h. Object tables
-	// aggregate per-instance detections, which is not the one-score-per-unit
-	// contract of the chain walker: infallible detectors take the columnar
-	// events path — one reused Events buffer per clip, no per-frame retry
-	// closure or []Detection heap slice; the scores land in the same order,
-	// so the float accumulation is bit-identical — and fallible ones keep the
-	// scalar per-attempt loop. Action tables sum the shot scores of the same
-	// Score call the engine evaluates clips with.
-	_, objFallible := det.(detect.FallibleObjectDetector)
-	var ev detect.Events
-	for _, typ := range objTypes {
-		var entries []store.Entry
-		for c := 0; c < ix.NumClips; c++ {
-			if cerr := ctx.Err(); cerr != nil {
-				return nil, &core.InterruptedError{Processed: c, Total: ix.NumClips, Err: cerr}
-			}
-			fr := g.FrameRangeOfClip(c)
-			sum := 0.0
-			if !objFallible {
-				ev.Reset()
-				detect.AppendFrameEvents(det, v, typ, fr, &ev)
-				for _, s := range ev.Scores {
-					sum += s
-				}
-			} else {
-				for f := fr.Start; f <= fr.End; f++ {
-					var dets []detect.Detection
-					err := detect.Retry(ctx, retry, func(attempt int) error {
-						var err error
-						dets, err = detect.FrameDetectionsAttempt(det, v, typ, f, attempt)
-						return err
-					})
-					if err != nil {
-						if ctx.Err() != nil {
-							return nil, &core.InterruptedError{Processed: c, Total: ix.NumClips, Err: ctx.Err()}
-						}
-						continue // flagged by EvaluateTypes; score the rest
-					}
-					for _, d := range dets {
-						sum += d.Score
-					}
-				}
-			}
-			if sum > 0 {
-				entries = append(entries, store.Entry{Clip: c, Score: sum})
-			}
-		}
-		tbl, err := store.NewMemTable(typ, entries)
-		if err != nil {
-			return nil, err
-		}
-		ix.Objects[typ] = &TypeIndex{Table: tbl, Seqs: objSeqs[typ]}
-	}
-	chain := detect.ActionScorer(rec)
+	// for actions) — the paper's §5 instantiation of h. Object tables sum the
+	// events of one retried detect.ReadEvents call per clip, action tables
+	// the shot scores of the same Score call the engine evaluates clips
+	// with. Both retry every model under the engine's policy; a unit that
+	// still fails contributes no score (EvaluateTypes flags its clip) and the
+	// rest of the clip is read after it. Scores are summed in unit order, so
+	// the float accumulation does not depend on where a read stopped.
 	var acc detect.Account // ingestion is not priced: filled and dropped
 	acc.Reset(len(chain.Tiers()))
+	var ev detect.Events
 	var shotScores []float64
-	for _, typ := range actTypes {
+	table := func(typ string, units func(c int) video.Interval, read func(r video.Interval, sum float64) (float64, int, error)) (*TypeIndex, error) {
 		var entries []store.Entry
 		for c := 0; c < ix.NumClips; c++ {
 			if cerr := ctx.Err(); cerr != nil {
 				return nil, &core.InterruptedError{Processed: c, Total: ix.NumClips, Err: cerr}
 			}
-			sr := g.ShotRangeOfClip(c)
-			if n := sr.Len(); cap(shotScores) < n {
-				shotScores = make([]float64, n)
-			}
 			sum := 0.0
-			for rest := shotScores[:sr.Len()]; len(rest) > 0; {
-				scored, err := chain.Score(ctx, v, typ, sr.End+1-len(rest), 0, rest, retry, &acc)
-				for _, s := range rest[:scored] {
-					sum += s
-				}
-				if err == nil {
+			for r := units(c); r.Start <= r.End; {
+				var n int
+				var err error
+				if sum, n, err = read(r, sum); err == nil {
 					break
 				}
 				if ctx.Err() != nil {
 					return nil, &core.InterruptedError{Processed: c, Total: ix.NumClips, Err: ctx.Err()}
 				}
-				rest = rest[scored+1:] // flagged by EvaluateTypes; score the rest
+				r.Start += n + 1
 			}
 			if sum > 0 {
 				entries = append(entries, store.Entry{Clip: c, Score: sum})
 			}
 		}
 		tbl, err := store.NewMemTable(typ, entries)
+		return &TypeIndex{Table: tbl}, err
+	}
+	for _, typ := range objTypes {
+		ti, err := table(typ, g.FrameRangeOfClip, func(r video.Interval, sum float64) (float64, int, error) {
+			ev.Reset()
+			n, err := detect.ReadEvents(ctx, det, v, typ, r, &ev, retry, &acc)
+			for _, s := range ev.Scores {
+				sum += s
+			}
+			return sum, n, err
+		})
 		if err != nil {
 			return nil, err
 		}
-		ix.Actions[typ] = &TypeIndex{Table: tbl, Seqs: actSeqs[typ]}
+		ti.Seqs = objSeqs[typ]
+		ix.Objects[typ] = ti
+	}
+	for _, typ := range actTypes {
+		ti, err := table(typ, g.ShotRangeOfClip, func(r video.Interval, sum float64) (float64, int, error) {
+			shotScores = resized(shotScores, r.Len())
+			n, err := chain.Score(ctx, v, typ, r.Start, from, shotScores, retry, &acc)
+			for _, s := range shotScores[:n] {
+				sum += s
+			}
+			return sum, n, err
+		})
+		if err != nil {
+			return nil, err
+		}
+		ti.Seqs = actSeqs[typ]
+		ix.Actions[typ] = ti
 	}
 	span.SetAttr("clips", ix.NumClips)
 	return ix, nil

@@ -115,9 +115,10 @@ func TestIngestActionTableUnderFaults(t *testing.T) {
 	shots:
 		for s := sr.Start; s <= sr.End; s++ {
 			for a := 0; a < attempts; a++ {
-				score, err := act.ShotScoreAttempt(v, "jumping", s, a)
+				score := make([]float64, 1)
+				_, err := act.Score(v, "jumping", s, score, a)
 				if err == nil {
-					want[c] += score
+					want[c] += score[0]
 					continue shots
 				}
 				if !detect.IsTransient(err) {

@@ -73,6 +73,10 @@ go test -run '^$' -fuzz '^FuzzTBClipMatchesReference$' -fuzztime=5s ./internal/r
 # batch) against the per-unit draws they replaced (sim_ref_test.go): same
 # scores, events and accounts on fuzzed worlds and runs, seams included.
 go test -run '^$' -fuzz '^FuzzFrameScoreBatchMatchesReference$' -fuzztime=5s ./internal/detect
+# The unit-scoring walker against the per-unit reference it replaced
+# (refScore): same scores, scored count, error and account under fuzzed
+# faults, runs, retry budgets, entry tiers and chains.
+go test -run '^$' -fuzz '^FuzzScorerMatchesReference$' -fuzztime=5s ./internal/detect
 
 stage "benchmark smoke (-benchtime=1x -benchmem)"
 # One iteration of every benchmark: catches bit-rot in the experiment and
