@@ -72,12 +72,11 @@ func BenchmarkOfflineAccuracy(b *testing.B)            { runExperiment(b, "accur
 
 // Ablation benchmarks (design choices called out in DESIGN.md).
 
-func BenchmarkAblationPredicateOrder(b *testing.B)  { runExperiment(b, "ablation-order") }
-func BenchmarkAblationShortCircuit(b *testing.B)    { runExperiment(b, "ablation-shortcircuit") }
-func BenchmarkAblationHorizon(b *testing.B)         { runExperiment(b, "ablation-horizon") }
-func BenchmarkDrift(b *testing.B)                   { runExperiment(b, "drift") }
-func BenchmarkExtendedQueries(b *testing.B)         { runExperiment(b, "extended") }
-func BenchmarkScaling_FleetThroughput(b *testing.B) { runExperiment(b, "scaling") }
+func BenchmarkAblationPredicateOrder(b *testing.B) { runExperiment(b, "ablation-order") }
+func BenchmarkAblationShortCircuit(b *testing.B)   { runExperiment(b, "ablation-shortcircuit") }
+func BenchmarkAblationHorizon(b *testing.B)        { runExperiment(b, "ablation-horizon") }
+func BenchmarkDrift(b *testing.B)                  { runExperiment(b, "drift") }
+func BenchmarkExtendedQueries(b *testing.B)        { runExperiment(b, "extended") }
 
 // Microbenchmarks of the engine's primitives.
 

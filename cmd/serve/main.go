@@ -1,8 +1,9 @@
 // Command serve runs the HTTP query API: POST statements of the SQL-like
-// dialect to /query and get result sequences as JSON. POST the same online
-// statements to /query/batch to evaluate the query-set source as a parallel
+// dialect to /query and get result sequences as JSON. POST any online
+// statement — a basic conjunction, an OR-group, several actions or a
+// relation — to /query/batch to evaluate the query-set source as a parallel
 // fleet, one result per component video (-workers bounds the per-batch
-// concurrency).
+// concurrency). Both routes execute through internal/stmt.
 //
 //	serve -addr :8080 -scale 0.25
 //	curl -s localhost:8080/sources

@@ -139,8 +139,6 @@ var Experiments = []Experiment{
 	{"ablation-planner", "Cost-based planner vs declared vs worst-case order", AblationPlanner},
 	{"ablation-shortcircuit", "Short-circuit inference savings", AblationShortCircuit},
 	{"ablation-horizon", "Significance horizon sweep", AblationHorizon},
-	{"latency", "Online query latency percentiles", LatencyProfile},
-	{"scaling", "Fleet throughput vs worker count (RunAll)", ScalingExperiment},
 	{"drift", "Non-stationary background (surveillance peaks)", DriftExperiment},
 	{"extended", "Extended queries: relations, multi-action, disjunction", ExtendedQueries},
 	{"ablation-cascade", "Tiered cascade vs cheap-only vs accurate-only (cost at equal F1)", AblationCascade},

@@ -324,7 +324,7 @@ func TestRemainingExperimentsSmoke(t *testing.T) {
 		t.Skip("workload experiment")
 	}
 	w := workspace(t)
-	for _, id := range []string{"table3", "table7", "accuracy", "ablation-order", "ablation-shortcircuit", "ablation-horizon", "latency"} {
+	for _, id := range []string{"table3", "table7", "accuracy", "ablation-order", "ablation-shortcircuit", "ablation-horizon"} {
 		e := Find(id)
 		if e == nil {
 			t.Fatalf("experiment %s missing", id)

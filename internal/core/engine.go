@@ -222,24 +222,18 @@ func (r *Result) Predicate(name string) *PredicateStats {
 // together with an *InterruptedError. A run whose flagged clips exceed the
 // failure budget likewise returns its partial result and a *DegradedError.
 func (e *Engine) Run(ctx context.Context, v detect.TruthVideo, q Query) (*Result, error) {
-	return e.runShared(ctx, v, q, nil)
+	return finish(e.newRun(ctx, v, q, nil))
 }
 
-// runShared is Run with an optional externally owned planner — the fleet
-// path hands every per-video run one shared, warm-started cost model.
-func (e *Engine) runShared(ctx context.Context, v detect.TruthVideo, q Query, pl *plan.Planner) (*Result, error) {
-	run, err := e.newRun(ctx, v, q, pl)
+// finish steps a freshly bound run to its end and returns its result (a
+// failed bind's error passes through). As the batch entry points' tail it
+// owns the run's pooled scratch: the scratch goes back to the pool only
+// after Result() has materialised everything the caller sees, so nothing the
+// caller holds aliases pooled memory.
+func finish(r *Run, err error) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return run.finish()
-}
-
-// finish steps the run to its end and returns its result. As the batch
-// entry points' tail it owns the run's pooled scratch: the scratch goes back
-// to the pool only after Result() has materialised everything the caller
-// sees, so nothing the caller holds aliases pooled memory.
-func (r *Run) finish() (*Result, error) {
 	for r.Step() {
 	}
 	res, err := r.Result(), r.Err()
@@ -386,7 +380,8 @@ func (e *Engine) NewRun(ctx context.Context, v detect.TruthVideo, q Query) (*Run
 // newRun is NewRun with an optional shared planner (fleet warm start). A
 // nil or mismatched planner gets replaced by a fresh one for this run. The
 // query is bound as FromQuery(q) would read — one singleton clause per
-// predicate — without materialising the CNF.
+// predicate, in the declared order: objects in query order then the action,
+// or the action first under ActionFirst — without materialising the CNF.
 func (e *Engine) newRun(ctx context.Context, v detect.TruthVideo, q Query, pl *plan.Planner) (*Run, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -396,31 +391,21 @@ func (e *Engine) newRun(ctx context.Context, v detect.TruthVideo, q Query, pl *p
 		return nil, err
 	}
 	r.q = q
-	e.declared(q, func(a Atom) {
-		if err == nil {
-			_, err = r.addClause(a)
-		}
-	})
+	if e.cfg.ActionFirst {
+		_, err = r.addClause(ActionAtom(q.Action))
+	}
+	for i := 0; err == nil && i < len(q.Objects); i++ {
+		_, err = r.addClause(ObjectAtom(q.Objects[i]))
+	}
+	if err == nil && !e.cfg.ActionFirst {
+		_, err = r.addClause(ActionAtom(q.Action))
+	}
 	if err != nil {
 		r.release()
 		return nil, err
 	}
 	r.start(pl)
 	return r, nil
-}
-
-// declared yields q's predicates in the engine's declared order: objects in
-// query order then the action, or the action first under ActionFirst.
-func (e *Engine) declared(q Query, yield func(Atom)) {
-	if e.cfg.ActionFirst {
-		yield(ActionAtom(q.Action))
-	}
-	for _, o := range q.Objects {
-		yield(ObjectAtom(o))
-	}
-	if !e.cfg.ActionFirst {
-		yield(ActionAtom(q.Action))
-	}
 }
 
 // bind acquires a pooled run over v with room for maxAtoms distinct atoms.
@@ -474,7 +459,10 @@ func (r *Run) addClause(atoms ...Atom) (fresh bool, err error) {
 }
 
 // start finishes binding: it seeds the critical values, sizes the per-clip
-// clause state and attaches the planner.
+// clause state and attaches the planner — without a usable shared one, a
+// fresh one (the only place planners are built) over the atoms priced at
+// this run's geometry, pinned to the declared order when every atom runs on
+// every clip anyway, under ActionFirst and under DeclaredOrder.
 func (r *Run) start(pl *plan.Planner) {
 	r.seedCrits()
 	r.clauseSat = zeroed(r.clauseSat, len(r.clauseEnd)-1)
@@ -484,7 +472,8 @@ func (r *Run) start(pl *plan.Planner) {
 		for i, ps := range r.preds {
 			nodes[i] = r.e.planNode(ps.atom, r.geom)
 		}
-		pl = r.e.newPlanner(nodes, r.everyClip)
+		pinned := r.everyClip || r.e.cfg.ActionFirst || r.e.cfg.DeclaredOrder
+		pl = plan.New(nodes, plan.Options{Pinned: pinned, ReplanEvery: r.e.cfg.ReplanEvery})
 	}
 	r.planner = pl
 }
@@ -525,14 +514,6 @@ func (r *Run) settle(i int, ind bool) (rejected bool) {
 	return rejected
 }
 
-// plannerForQuery builds the shared predicate planner of a fleet: q's
-// predicates in declared order, priced at one video's geometry.
-func (e *Engine) plannerForQuery(q Query, g video.Geometry) *plan.Planner {
-	nodes := make([]plan.Node, 0, len(q.Objects)+1)
-	e.declared(q, func(a Atom) { nodes = append(nodes, e.planNode(a, g)) })
-	return e.newPlanner(nodes, e.cfg.NoShortCircuit)
-}
-
 // planNode describes one atom to the planner: its per-clip prior cost is
 // its occurrence-unit window times the detector's unit cost (a relation
 // scores every frame with the object detector), and object and action atoms
@@ -548,15 +529,6 @@ func (e *Engine) planNode(a Atom, g video.Geometry) plan.Node {
 	}
 	n.PriorCost = time.Duration(n.Window) * d.unitCost
 	return n
-}
-
-// newPlanner builds a planner over nodes. The order is pinned to the
-// declared one when every atom runs on every clip anyway (everyClip), under
-// ActionFirst (the explicit ordering ablation) and under DeclaredOrder (the
-// planner opt-out).
-func (e *Engine) newPlanner(nodes []plan.Node, everyClip bool) *plan.Planner {
-	pinned := everyClip || e.cfg.ActionFirst || e.cfg.DeclaredOrder
-	return plan.New(nodes, plan.Options{Pinned: pinned, ReplanEvery: e.cfg.ReplanEvery})
 }
 
 // initPred (re)builds the evaluation state for one atom in a pooled slot:

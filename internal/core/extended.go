@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"svqact/internal/detect"
+	"svqact/internal/plan"
 )
 
 // The paper's footnotes 2-4 sketch how the engine generalises beyond "one
@@ -169,6 +170,12 @@ func FromQuery(q Query) CNF {
 // every clause does. Planning, short-circuiting, the sampling schedule, the
 // inference budget and the failure model are Run's (see Step).
 func (e *Engine) RunCNF(ctx context.Context, v detect.TruthVideo, q CNF) (*Result, error) {
+	return finish(e.newRunCNF(ctx, v, q, nil))
+}
+
+// newRunCNF is newRun for a CNF, bound one clause at a time: the binding
+// RunCNF and RunAllCNF share.
+func (e *Engine) newRunCNF(ctx context.Context, v detect.TruthVideo, q CNF, pl *plan.Planner) (*Run, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
@@ -187,6 +194,6 @@ func (e *Engine) RunCNF(ctx context.Context, v detect.TruthVideo, q CNF) (*Resul
 			return nil, err
 		}
 	}
-	r.start(nil)
-	return r.finish()
+	r.start(pl)
+	return r, nil
 }

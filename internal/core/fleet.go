@@ -89,7 +89,7 @@ type FleetResult struct {
 	Elapsed time.Duration
 
 	// Plan is the fleet-cumulative report of the shared predicate planner
-	// every run warm-started from (nil when the fleet had no videos).
+	// every run warm-started from (nil without a first video to bind).
 	Plan *plan.Report
 }
 
@@ -115,11 +115,11 @@ func (fr *FleetResult) add(vr VideoResult) {
 	}
 }
 
-// RunAll evaluates one query over a repository of videos on a bounded worker
-// pool — the fleet analogue of running the paper's per-video Algorithm 1/3
-// loop once per video. Per-video failures do not abort the fleet: degraded
-// and interrupted runs surface in their VideoResult (with partial results)
-// and in the aggregate counts.
+// RunAll evaluates one basic query over a repository of videos on a bounded
+// worker pool — the fleet analogue of running the paper's per-video
+// Algorithm 1/3 loop once per video. Per-video failures do not abort the
+// fleet: degraded and interrupted runs surface in their VideoResult (with
+// partial results) and in the aggregate counts.
 //
 // RunAll honours ctx: on cancellation it stops dispatching, lets in-flight
 // runs stop at their next clip boundary, and returns the partial FleetResult
@@ -136,8 +136,28 @@ func (fr *FleetResult) add(vr VideoResult) {
 // carries into every later video of the same query instead of being
 // re-learnt per video. Cost priors are taken at the first video's geometry.
 func (e *Engine) RunAll(ctx context.Context, videos []detect.TruthVideo, q Query, opts FleetOptions) (*FleetResult, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
+	return e.runAll(ctx, videos, opts, q.Validate(), func(ctx context.Context, v detect.TruthVideo, pl *plan.Planner) (*Run, error) {
+		return e.newRun(ctx, v, q, pl)
+	})
+}
+
+// RunAllCNF is RunAll for an extended query: every video runs RunCNF's
+// clause loop, and the shared planner, the shared grid and the inference
+// budget apply as they do to a basic query.
+func (e *Engine) RunAllCNF(ctx context.Context, videos []detect.TruthVideo, q CNF, opts FleetOptions) (*FleetResult, error) {
+	return e.runAll(ctx, videos, opts, q.Validate(), func(ctx context.Context, v detect.TruthVideo, pl *plan.Planner) (*Run, error) {
+		return e.newRunCNF(ctx, v, q, pl)
+	})
+}
+
+// binder binds one video's run of a fleet's statement to a shared planner.
+type binder func(ctx context.Context, v detect.TruthVideo, pl *plan.Planner) (*Run, error)
+
+// runAll is the fleet's one worker loop: invalid is the statement's
+// validation error, bind binds one video's run of it.
+func (e *Engine) runAll(ctx context.Context, videos []detect.TruthVideo, opts FleetOptions, invalid error, bind binder) (*FleetResult, error) {
+	if invalid != nil {
+		return nil, invalid
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -157,17 +177,23 @@ func (e *Engine) RunAll(ctx context.Context, videos []detect.TruthVideo, q Query
 		return fr, nil
 	}
 
-	shared := e.plannerForQuery(q, videos[0].Geometry())
-	fr.Plan = shared.Report()
+	// Workers pull indices from jobs; the engine's per-run span tree is
+	// suppressed (the fleet emits one span per video instead), while ctx
+	// cancellation still flows into every run.
+	runCtx := obs.WithoutTrace(ctx)
+
+	// Every run shares the planner a fresh run over the first video builds:
+	// Run.start prices each atom at that video's geometry.
+	var shared *plan.Planner
+	if r, err := bind(runCtx, videos[0], nil); err == nil {
+		shared = r.planner
+		r.release()
+	}
 
 	// The fleet's root span opens live so every per-video span parents
 	// under it in the assembled tree.
 	fleetSpan := obs.StartSpan(ctx, "fleet.run_all")
 
-	// Workers pull indices from jobs; the engine's per-run span tree is
-	// suppressed (the fleet emits one span per video instead), while ctx
-	// cancellation still flows into every run.
-	runCtx := obs.WithoutTrace(ctx)
 	jobs := make(chan int)
 	var mu sync.Mutex // guards fr aggregation
 	var wg sync.WaitGroup
@@ -188,7 +214,7 @@ func (e *Engine) RunAll(ctx context.Context, videos []detect.TruthVideo, q Query
 					vctx = obs.WithTrace(runCtx, vtrace)
 				}
 				t0 := time.Now()
-				res, err := e.runShared(vctx, v, q, shared)
+				res, err := finish(bind(vctx, v, shared))
 				vr := VideoResult{Index: i, ID: v.ID(), Result: res, Err: err, Elapsed: time.Since(t0), Trace: vtrace}
 				sp := trace.AddSpanUnder(fleetSpan, "fleet.video:"+vr.ID, t0, vr.Elapsed)
 				sp.SetAttr("outcome", vr.Outcome())
@@ -236,8 +262,10 @@ dispatch:
 
 	sp := fleetSpan
 	sp.SetAttr("mode", e.mode.String())
-	sp.SetAttr("plan_replans", fr.Plan.Replans)
-	sp.SetAttr("plan_skipped_evaluations", fr.Plan.SkippedEvaluations)
+	if fr.Plan != nil {
+		sp.SetAttr("plan_replans", fr.Plan.Replans)
+		sp.SetAttr("plan_skipped_evaluations", fr.Plan.SkippedEvaluations)
+	}
 	sp.SetAttr("videos", len(videos))
 	sp.SetAttr("workers", workers)
 	sp.SetAttr("ok", fr.OK)

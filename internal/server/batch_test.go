@@ -1,11 +1,19 @@
 package server
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
+
+	"svqact/internal/sqlq"
+	"svqact/internal/stmt"
 )
 
 // q5 is the largest query set at the test server's 0.05 scale (2 component
@@ -121,9 +129,6 @@ func TestBatchQueryErrors(t *testing.T) {
 		{"offline statement", BatchRequest{SQL: `
 SELECT MERGE(clipID) AS s FROM (PROCESS coffee_and_cigarettes PRODUCE clipID)
 WHERE act='drinking_coffee' LIMIT 3`, Algo: ""}, http.StatusBadRequest},
-		{"extended statement", BatchRequest{SQL: `
-SELECT MERGE(clipID) AS s FROM (PROCESS q2 PRODUCE clipID)
-WHERE (act='blowing_leaves' OR act='washing_dishes')`}, http.StatusBadRequest},
 		{"unknown algo", BatchRequest{SQL: batchSQL, Algo: "rvaq"}, http.StatusBadRequest},
 		{"unknown source", BatchRequest{SQL: `
 SELECT MERGE(clipID) AS s FROM (PROCESS nope PRODUCE clipID)
@@ -140,6 +145,119 @@ WHERE act='blowing_leaves'`}, http.StatusNotFound},
 		t.Errorf("GET status = %d", resp.StatusCode)
 	}
 	resp.Body.Close()
+}
+
+// TestBatchExtendedStatement: OR-groups and relations run as fleets too, and
+// every entry answers what RunCNF answers on that component video alone.
+func TestBatchExtendedStatement(t *testing.T) {
+	s := New(Config{Scale: 0.05, Seed: 42})
+	h := s.Handler()
+	eng, err := stmt.NewEngine("", s.models, s.engineConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sql := range []string{`
+SELECT MERGE(clipID) AS s FROM (PROCESS q2 PRODUCE clipID)
+WHERE (act='blowing_leaves' OR act='washing_dishes')`, `
+SELECT MERGE(clipID) AS s FROM (PROCESS q5 PRODUCE clipID)
+WHERE (act='volleyball' OR act='blowing_leaves') AND rel.near('person', 'tree')`,
+	} {
+		rr := postTo(h, "/query/batch", BatchRequest{SQL: sql, Workers: 2})
+		if rr.Code != http.StatusOK {
+			t.Fatalf("status = %d: %s", rr.Code, rr.Body)
+		}
+		var br BatchResponse
+		if err := json.Unmarshal(rr.Body.Bytes(), &br); err != nil {
+			t.Fatal(err)
+		}
+		st, err := sqlq.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := st.Plan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		vids, err := s.videos(plan.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if br.OK != len(vids) || len(br.Videos) != len(vids) || br.Plan == nil || br.TotalSequences == 0 {
+			t.Fatalf("%s: aggregate %+v for %d videos", plan.Source, br, len(vids))
+		}
+		for i, v := range vids {
+			res, err := eng.RunCNF(context.Background(), v, plan.CNF)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := stmt.ClipSequences(res.Sequences, v.Geometry())
+			if got := br.Videos[i]; got.ID != v.ID() || !reflect.DeepEqual(got.Sequences, want) {
+				t.Errorf("%s entry %d (%s): sequences %v, RunCNF on %s alone %v", plan.Source, i, got.ID, got.Sequences, v.ID(), want)
+			}
+		}
+	}
+}
+
+// TestBatchErrorsAreLoggedAndRetained: a batch that fails before its fleet
+// starts is answered like a failed /query — one query log line with its
+// status and outcome, and its trace retained under its query ID.
+func TestBatchErrorsAreLoggedAndRetained(t *testing.T) {
+	var logged strings.Builder
+	s := New(Config{Scale: 0.05, Seed: 42, Logger: slog.New(slog.NewJSONHandler(&logged, nil))})
+	h := s.Handler()
+	rr := postTo(h, "/query/batch", BatchRequest{SQL: `
+SELECT MERGE(clipID) AS s FROM (PROCESS nope PRODUCE clipID)
+WHERE act='blowing_leaves'`})
+	if rr.Code != http.StatusNotFound {
+		t.Fatalf("status = %d, want 404: %s", rr.Code, rr.Body)
+	}
+	qid := rr.Header().Get("X-Query-ID")
+	var lines int
+	for _, line := range strings.Split(strings.TrimSpace(logged.String()), "\n") {
+		var rec struct {
+			Msg     string `json:"msg"`
+			QueryID string `json:"query_id"`
+			Status  int    `json:"status"`
+			Outcome string `json:"outcome"`
+		}
+		if err := json.Unmarshal([]byte(line), &rec); err != nil || rec.Msg != "query" {
+			continue
+		}
+		lines++
+		if rec.QueryID != qid || rec.Status != http.StatusNotFound || rec.Outcome != "error" {
+			t.Errorf("query log line %s: want query_id %s, status 404, outcome error", line, qid)
+		}
+	}
+	if lines != 1 {
+		t.Errorf("%d query log lines, want 1:\n%s", lines, logged.String())
+	}
+	idx := httptest.NewRecorder()
+	h.ServeHTTP(idx, httptest.NewRequest(http.MethodGet, "/debug/traces", nil))
+	var traces struct {
+		Traces []struct {
+			ID string `json:"id"`
+		} `json:"traces"`
+	}
+	if err := json.Unmarshal(idx.Body.Bytes(), &traces); err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range traces.Traces {
+		if tr.ID == qid {
+			return
+		}
+	}
+	t.Errorf("/debug/traces does not list the failed batch %s: %s", qid, idx.Body)
+}
+
+// postTo POSTs body as JSON to path on h.
+func postTo(h http.Handler, path string, body any) *httptest.ResponseRecorder {
+	data, err := json.Marshal(body)
+	if err != nil {
+		panic(err)
+	}
+	rr := httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(data)))
+	return rr
 }
 
 // TestBatchFleetMetrics checks /metrics carries the fleet instruments after

@@ -395,7 +395,8 @@ func (s *Server) Sources() []string {
 	return out
 }
 
-// resolve maps a PROCESS source to a stream.
+// resolve maps a PROCESS source to a stream; a source it cannot resolve is
+// a notFoundError.
 func (s *Server) resolve(name string) (detect.TruthVideo, error) {
 	s.mu.Lock()
 	if v, ok := s.streams[name]; ok {
@@ -417,16 +418,37 @@ func (s *Server) resolve(name string) (detect.TruthVideo, error) {
 		}
 		c, err := synth.NewConcat(name, vids)
 		if err != nil {
-			return nil, err
+			return nil, notFoundError{err}
 		}
 		stream = c
 	} else {
-		return nil, fmt.Errorf("unknown source %q", name)
+		return nil, notFoundError{fmt.Errorf("unknown source %q", name)}
 	}
 	s.mu.Lock()
 	s.streams[name] = stream
 	s.mu.Unlock()
 	return stream, nil
+}
+
+// videos maps a PROCESS source to the videos a fleet evaluates: a query
+// set's component videos, or the one movie.
+func (s *Server) videos(name string) ([]detect.TruthVideo, error) {
+	stream, err := s.resolve(name)
+	if vids := components(stream); vids != nil || err != nil {
+		return vids, err
+	}
+	return []detect.TruthVideo{stream}, nil
+}
+
+// components lists a query set's component videos; nil for a single video.
+func components(stream detect.TruthVideo) []detect.TruthVideo {
+	var vids []detect.TruthVideo
+	if c, ok := stream.(*synth.Concat); ok {
+		for _, v := range c.Components() {
+			vids = append(vids, v)
+		}
+	}
+	return vids
 }
 
 // index lazily ingests a resolved source for offline queries.
@@ -441,11 +463,7 @@ func (s *Server) index(ctx context.Context, name string, stream detect.TruthVide
 	icfg.Core = s.engineConfig()
 	var ix *rank.Index
 	var err error
-	if c, ok := stream.(*synth.Concat); ok {
-		var tvs []detect.TruthVideo
-		for _, v := range c.Components() {
-			tvs = append(tvs, v)
-		}
+	if tvs := components(stream); tvs != nil {
 		ix, err = rank.IngestAllParallel(ctx, name, tvs, s.models, rank.PaperScoring(), icfg, 0)
 	} else {
 		ix, err = rank.Ingest(ctx, stream, s.models, rank.PaperScoring(), icfg)
@@ -723,129 +741,57 @@ func (s *Server) reject(w http.ResponseWriter, why string) {
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	trace := obs.TraceFrom(r.Context())
-	qid := trace.ID()
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST only", QueryID: qid})
-		return
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{Error: err.Error(), QueryID: qid})
-			return
-		}
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "invalid JSON: " + err.Error(), QueryID: qid})
+	plan, ok := s.decode(w, r, &req, &req.SQL)
+	if !ok {
 		return
 	}
-	st, err := sqlq.Parse(req.SQL)
-	if err == nil {
-		var plan sqlq.Plan
-		if plan, err = st.Plan(); err == nil {
-			s.runQuery(w, r, plan, req, qid, trace)
-			return
-		}
+	ctx, cancel := s.deadline(r)
+	defer cancel()
+	start := time.Now()
+	resp, err := s.execute(ctx, plan, req)
+	elapsed := time.Since(start)
+	s.latency.ObserveDuration(elapsed)
+	trace := obs.TraceFrom(ctx)
+	if err != nil {
+		s.fail(w, trace, req.SQL, err, elapsed)
+		return
 	}
-	s.logQuery(qid, req.SQL, err, http.StatusBadRequest, 0)
-	writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error(), QueryID: qid})
+	resp.QueryID, resp.ElapsedMS, resp.Trace = trace.ID(), elapsed.Milliseconds(), trace.Snapshot()
+	s.logQuery(resp.QueryID, req.SQL, nil, http.StatusOK, elapsed)
+	s.offerTrace(resp.Trace, req.SQL, "ok")
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // handleBatch executes one online statement over every video of the source
-// as a bounded-concurrency fleet (core.RunAll): per-video results stream into
-// the fleet aggregate, per-video outcomes feed the fleet metrics, and the
-// response carries the fleet trace with one span per video.
+// as a bounded-concurrency fleet (stmt.ExecuteFleet): per-video results
+// stream into the fleet aggregate, per-video outcomes feed the fleet
+// metrics, and the response carries the fleet trace with one span per video.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	trace := obs.TraceFrom(r.Context())
-	qid := trace.ID()
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST only", QueryID: qid})
-		return
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	var req BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{Error: err.Error(), QueryID: qid})
-			return
-		}
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "invalid JSON: " + err.Error(), QueryID: qid})
+	plan, ok := s.decode(w, r, &req, &req.SQL)
+	if !ok {
 		return
 	}
-	badRequest := func(err error) {
-		s.logQuery(qid, req.SQL, err, http.StatusBadRequest, 0)
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error(), QueryID: qid})
-	}
-	st, err := sqlq.Parse(req.SQL)
-	if err != nil {
-		badRequest(err)
-		return
-	}
-	plan, err := st.Plan()
-	if err != nil {
-		badRequest(err)
-		return
-	}
-	if !plan.Online {
-		badRequest(fmt.Errorf("batch evaluation requires an online (streaming) statement; offline top-k queries use /query"))
-		return
-	}
-	if plan.Extended {
-		badRequest(fmt.Errorf("batch evaluation supports the basic one-action conjunction only"))
-		return
-	}
-
-	eng, err := stmt.NewEngine(req.Algo, s.models, s.engineConfig())
-	if errors.Is(err, stmt.ErrUnknownAlgorithm) {
-		badRequest(err)
-		return
-	}
-	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error(), QueryID: qid})
-		return
-	}
-
-	stream, err := s.resolve(plan.Source)
-	if err != nil {
-		s.logQuery(qid, req.SQL, err, http.StatusNotFound, 0)
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: err.Error(), QueryID: qid})
-		return
-	}
-	var vids []detect.TruthVideo
-	if c, ok := stream.(*synth.Concat); ok {
-		for _, v := range c.Components() {
-			vids = append(vids, v)
-		}
-	} else {
-		vids = []detect.TruthVideo{stream}
-	}
-
 	workers := s.cfg.Workers
 	if req.Workers > 0 {
 		workers = req.Workers
 	}
-
-	ctx := r.Context()
-	if s.cfg.QueryTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.QueryTimeout)
-		defer cancel()
-	}
+	ctx, cancel := s.deadline(r)
+	defer cancel()
 	start := time.Now()
-	fr, fleetErr := eng.RunAll(ctx, vids, plan.Query, core.FleetOptions{Workers: workers, PerVideoTrace: true})
+	mode, fr, fleetErr := stmt.ExecuteFleet(ctx, plan, req.Algo, s.env(), core.FleetOptions{Workers: workers, PerVideoTrace: true})
 	elapsed := time.Since(start)
-	s.fleetLatency.ObserveDuration(elapsed)
+	trace := obs.TraceFrom(ctx)
 	if fr == nil {
-		// Validation failure before any dispatch (bad query shape).
-		badRequest(fleetErr)
+		s.fail(w, trace, req.SQL, fleetErr, elapsed)
 		return
 	}
+	s.fleetLatency.ObserveDuration(elapsed)
 	s.fleetBatches.Inc()
 
 	resp := &BatchResponse{
-		QueryID: qid, Source: plan.Source, Mode: eng.Mode().String(),
+		QueryID: trace.ID(), Source: plan.Source, Mode: mode.String(),
 		Workers: workers, NumVideos: len(fr.Videos),
 		OK: fr.OK, Degraded: fr.Degraded, Interrupted: fr.Interrupted,
 		Skipped: fr.Skipped, Failed: fr.Failed,
@@ -880,37 +826,61 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		resp.Error = fleetErr.Error()
 		status = http.StatusGatewayTimeout
 	}
-	s.logQuery(qid, req.SQL, fleetErr, status, elapsed)
+	s.logQuery(resp.QueryID, req.SQL, fleetErr, status, elapsed)
 	s.offerTrace(resp.Trace, req.SQL, queryOutcome(fleetErr, status))
 	writeJSON(w, status, resp)
 }
 
-// runQuery executes a planned statement, observing the latency histogram,
-// emitting the per-query log line, and attaching the trace to the response.
-func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, plan sqlq.Plan, req QueryRequest, qid string, trace *obs.Trace) {
-	ctx := r.Context()
-	if s.cfg.QueryTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.QueryTimeout)
-		defer cancel()
+// decode reads a POSTed request body into req and parses and plans the
+// statement at *sql — the one request decoder of /query and /query/batch.
+// When it returns false it has answered the request: 405, 413, or 400 for a
+// body that is not JSON or a statement that does not parse or plan.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, req any, sql *string) (sqlq.Plan, bool) {
+	qid := obs.TraceFrom(r.Context()).ID()
+	if r.Method != http.MethodPost {
+		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST only", QueryID: qid})
+		return sqlq.Plan{}, false
 	}
-	start := time.Now()
-	resp, err := s.execute(ctx, plan, req.Algo, req.K, req.BudgetMS)
-	elapsed := time.Since(start)
-	s.latency.ObserveDuration(elapsed)
+	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	if err := json.NewDecoder(r.Body).Decode(req); err != nil {
+		status, msg := http.StatusBadRequest, "invalid JSON: "+err.Error()
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status, msg = http.StatusRequestEntityTooLarge, err.Error()
+		}
+		writeJSON(w, status, errorResponse{Error: msg, QueryID: qid})
+		return sqlq.Plan{}, false
+	}
+	st, err := sqlq.Parse(*sql)
+	var plan sqlq.Plan
+	if err == nil {
+		plan, err = st.Plan()
+	}
 	if err != nil {
-		status, body := errorStatus(err)
-		body.QueryID = qid
-		s.logQuery(qid, req.SQL, err, status, elapsed)
-		s.offerTrace(trace.Snapshot(), req.SQL, queryOutcome(err, status))
-		writeJSON(w, status, body)
-		return
+		s.logQuery(qid, *sql, err, http.StatusBadRequest, 0)
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error(), QueryID: qid})
+		return sqlq.Plan{}, false
 	}
-	resp.QueryID = qid
-	resp.Trace = trace.Snapshot()
-	s.logQuery(qid, req.SQL, nil, http.StatusOK, elapsed)
-	s.offerTrace(resp.Trace, req.SQL, "ok")
-	writeJSON(w, http.StatusOK, resp)
+	return plan, true
+}
+
+// deadline is a query's execution context: the client's, bounded by
+// QueryTimeout when that is positive.
+func (s *Server) deadline(r *http.Request) (context.Context, context.CancelFunc) {
+	if s.cfg.QueryTimeout > 0 {
+		return context.WithTimeout(r.Context(), s.cfg.QueryTimeout)
+	}
+	return context.WithCancel(r.Context())
+}
+
+// fail answers a query that produced no result: errorStatus picks the
+// status, and the query log line and the retained trace store record it.
+func (s *Server) fail(w http.ResponseWriter, trace *obs.Trace, sql string, err error, elapsed time.Duration) {
+	status, body := errorStatus(err)
+	body.QueryID = trace.ID()
+	s.logQuery(body.QueryID, sql, err, status, elapsed)
+	s.offerTrace(trace.Snapshot(), sql, queryOutcome(err, status))
+	writeJSON(w, status, body)
 }
 
 // offerTrace hands a finished query's trace to the retained store and emits
@@ -930,14 +900,10 @@ func (s *Server) offerTrace(snap *obs.TraceSnapshot, sql, outcome string) {
 // logQuery emits the structured per-query log line: query ID, statement,
 // outcome class and degraded/interrupted status.
 func (s *Server) logQuery(qid, stmt string, err error, status int, elapsed time.Duration) {
-	var ie *core.InterruptedError
-	var de *core.DegradedError
-	interrupted := errors.As(err, &ie)
-	degraded := errors.As(err, &de)
 	outcome := queryOutcome(err, status)
 	attrs := []any{
 		"query_id", qid, "statement", stmt, "outcome", outcome,
-		"degraded", degraded, "interrupted", interrupted,
+		"degraded", outcome == "degraded", "interrupted", outcome == "interrupted",
 		"status", status, "elapsed_ms", elapsed.Milliseconds(),
 	}
 	if err != nil {
@@ -968,15 +934,17 @@ func queryOutcome(err error, status int) string {
 }
 
 // errorStatus maps execution errors to HTTP statuses: unknown sources are
-// 404, unknown algorithms 400, interrupted queries (deadline or disconnect)
-// are 504 with partial progress, degraded queries (failure budget exceeded)
-// are 502, and everything else is 500.
+// 404; unknown algorithms, ranked batches and ranked predicates the index
+// never ingested are 400; interrupted queries (deadline or disconnect) are
+// 504 with partial progress, degraded queries (failure budget exceeded) are
+// 502, and everything else is 500.
 func errorStatus(err error) (int, errorResponse) {
 	var nf notFoundError
 	if errors.As(err, &nf) {
 		return http.StatusNotFound, errorResponse{Error: err.Error()}
 	}
-	if errors.Is(err, stmt.ErrUnknownAlgorithm) {
+	var miss *rank.NotIngestedError
+	if errors.Is(err, stmt.ErrUnknownAlgorithm) || errors.Is(err, stmt.ErrNotOnline) || errors.As(err, &miss) {
 		return http.StatusBadRequest, errorResponse{Error: err.Error()}
 	}
 	var ie *core.InterruptedError
@@ -992,28 +960,22 @@ func errorStatus(err error) (int, errorResponse) {
 
 type notFoundError struct{ error }
 
+// env points stmt at this server's models, engine settings, sources and
+// lazily ingested indexes.
+func (s *Server) env() stmt.Env {
+	return stmt.Env{Models: s.models, Engine: s.engineConfig(), Stream: s.resolve, Videos: s.videos, Index: s.index}
+}
+
 // execute answers one planned statement: it points stmt.Execute at this
 // server's streams, lazily ingested indexes or loaded repository, and folds
 // the answer's plan and table work into the serving metrics.
-func (s *Server) execute(ctx context.Context, plan sqlq.Plan, algo string, kOverride int, budgetMS float64) (*QueryResponse, error) {
-	start := time.Now()
-	if kOverride > 0 && !plan.Online {
-		plan.K = kOverride
+func (s *Server) execute(ctx context.Context, plan sqlq.Plan, req QueryRequest) (*QueryResponse, error) {
+	if req.K > 0 && !plan.Online {
+		plan.K = req.K
 	}
-	env := stmt.Env{
-		Models: s.models,
-		Engine: s.engineConfig(),
-		Stream: func(name string) (detect.TruthVideo, error) {
-			v, err := s.resolve(name)
-			if err != nil {
-				return nil, notFoundError{err}
-			}
-			return v, nil
-		},
-		Index: s.index,
-	}
-	if budgetMS > 0 {
-		env.Engine.InferenceBudget = time.Duration(budgetMS * float64(time.Millisecond))
+	env := s.env()
+	if req.BudgetMS > 0 {
+		env.Engine.InferenceBudget = time.Duration(req.BudgetMS * float64(time.Millisecond))
 	}
 	if !plan.Online && s.cfg.RepoDir != "" {
 		// Repository-backed: rank over the whole saved repository (the
@@ -1035,14 +997,14 @@ func (s *Server) execute(ctx context.Context, plan sqlq.Plan, algo string, kOver
 			env.Generation = h.repo.MaxGeneration()
 		}
 	}
-	ans, err := stmt.Execute(ctx, plan, algo, env)
+	ans, err := stmt.Execute(ctx, plan, req.Algo, env)
 	if err != nil {
 		return nil, err
 	}
 	s.rankSorted.Add(ans.SortedAccesses)
 	s.rankRandom.Add(ans.RandomAccesses)
 	s.observePlan(ans.Plan)
-	return &QueryResponse{Answer: *ans, ElapsedMS: time.Since(start).Milliseconds()}, nil
+	return &QueryResponse{Answer: *ans}, nil
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

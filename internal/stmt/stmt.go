@@ -1,7 +1,7 @@
 // Package stmt executes one planned statement of the SQL-like dialect: the
 // single place that turns a sqlq.Plan into an engine run (SVAQ/SVAQD over a
-// stream) or a ranked top-k (RVAQ over an ad-hoc index or a saved
-// repository). cmd/serve renders the Answer as JSON, cmd/svq as text.
+// stream or a fleet of videos) or a ranked top-k (RVAQ over an ad-hoc index
+// or a saved repository). cmd/serve renders the Answer as JSON, cmd/svq as text.
 package stmt
 
 import (
@@ -28,6 +28,8 @@ type Env struct {
 	// Stream resolves a PROCESS source to its stream. Online statements run
 	// over it; ranked ones without a repository rank over its index.
 	Stream func(source string) (detect.TruthVideo, error)
+	// Videos resolves a PROCESS source to the videos of an ExecuteFleet.
+	Videos func(source string) ([]detect.TruthVideo, error)
 	// Index returns the ingested index of a resolved source (ranked
 	// statements without a repository).
 	Index func(ctx context.Context, source string, stream detect.TruthVideo) (*rank.Index, error)
@@ -103,6 +105,9 @@ type Answer struct {
 // does not know — the caller's mistake, not a failure of the run.
 var ErrUnknownAlgorithm = errors.New("unknown algorithm")
 
+// ErrNotOnline is ExecuteFleet's refusal of a ranked plan (one top-k per source).
+var ErrNotOnline = errors.New("batch evaluation requires an online (streaming) statement; offline top-k queries use /query")
+
 // NewEngine builds the online engine an algo names: "svaqd" (also the
 // default for "") or "svaq".
 func NewEngine(algo string, models detect.Models, cfg core.Config) (*core.Engine, error) {
@@ -161,6 +166,30 @@ func Execute(ctx context.Context, p sqlq.Plan, algo string, env Env) (*Answer, e
 	ans.Predicates = res.Predicates
 	ans.Sequences = ClipSequences(res.Sequences, g)
 	return ans, nil
+}
+
+// ExecuteFleet runs an online plan over every video of its source (RunAll
+// or RunAllCNF, as Execute picks Run or RunCNF) and returns the algo's
+// engine mode and the fleet result: partial after a *core.InterruptedError,
+// nil after any other error.
+func ExecuteFleet(ctx context.Context, p sqlq.Plan, algo string, env Env, opts core.FleetOptions) (core.Mode, *core.FleetResult, error) {
+	if !p.Online {
+		return 0, nil, ErrNotOnline
+	}
+	vids, err := env.Videos(p.Source)
+	if err != nil {
+		return 0, nil, err
+	}
+	eng, err := NewEngine(algo, env.Models, env.Engine)
+	if err != nil {
+		return 0, nil, err
+	}
+	if p.Extended {
+		fr, err := eng.RunAllCNF(ctx, vids, p.CNF, opts)
+		return eng.Mode(), fr, err
+	}
+	fr, err := eng.RunAll(ctx, vids, p.Query, opts)
+	return eng.Mode(), fr, err
 }
 
 // ClipSequences reports runs of clips in a stream's own clip and frame

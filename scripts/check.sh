@@ -66,6 +66,11 @@ go test -run '^$' -fuzz '^FuzzQ3ClosedMatchesDP$' -fuzztime=5s ./internal/scanst
 # commit record, manifest (untrusted pack offsets) and pack.
 go test -run '^$' -fuzz '^FuzzVerifyTable$' -fuzztime=5s ./internal/store
 go test -run '^$' -fuzz '^FuzzLoadGeneration$' -fuzztime=5s ./internal/rank
+# Request bodies cross it at /query and /query/batch: fuzzed bytes through the
+# whole handler stack must answer a documented status with a JSON body that
+# carries the request's query ID, and never panic.
+go test -run '^$' -fuzz '^FuzzQueryBody$' -fuzztime=5s ./internal/server
+go test -run '^$' -fuzz '^FuzzBatchBody$' -fuzztime=5s ./internal/server
 # The TBClip iterator against the map-based one it replaced (kept in
 # tbclip_ref_test.go as the referee): same yields, rounds and accesses.
 go test -run '^$' -fuzz '^FuzzTBClipMatchesReference$' -fuzztime=5s ./internal/rank
