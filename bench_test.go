@@ -233,41 +233,56 @@ func youTubeSet(b *testing.B, q synth.QuerySpec) detect.TruthVideo {
 // failed frame, retry it alone and resume, under 20 % transient faults), on
 // a sparse type; then the plain model on the
 // ubiquitous, many-instance "person" of a movie and of a YouTube set's
-// concatenation (the streams the online workload scores). The walker
-// allocates nothing itself (detect's TestScoreAllocsSteadyState); the
-// fallible model's allocs/op are its error values.
+// concatenation (the streams the online workload scores), and the action
+// recogniser over a clip's shots. Rows named @0.5 score at the default
+// threshold, as an online atom does, deciding each unit's side of it; the
+// others score in full. The walker allocates nothing itself (detect's
+// TestScoreAllocsSteadyState); the fallible model's allocs/op are its error
+// values.
 func BenchmarkScoreClip(b *testing.B) {
 	v := benchVideo(b)
 	teacher := detect.NewObjectDetector(detect.MaskRCNN, 1)
+	i3d := detect.NewActionRecognizer(detect.I3D, 1)
 	_, movies := onlineDatasets()
+	movie, concat := movies.Videos[0], youTubeSet(b, synth.YouTubeQueries()[0])
+	const tau = detect.DefaultThreshold
 	for _, c := range []struct {
 		name, label string
-		model       detect.ObjectDetector
+		model       detect.Model
 		video       detect.TruthVideo
+		tau         float64
+		shots       bool // the model scores shots, not frames
 	}{
-		{"single", "car", teacher, v},
-		{"cascade", "car", detect.NewDistilledObjectCascade(teacher, detect.DistilledRCNN, 1), v},
-		{"fallible", "car", detect.InjectObjectFaults(teacher, detect.FaultConfig{TransientRate: 0.2, Seed: 1}), v},
-		{"person", "person", teacher, movies.Videos[0]},
-		{"concat", "person", teacher, youTubeSet(b, synth.YouTubeQueries()[0])},
+		{"single", "car", teacher, v, 0, false},
+		{"single@0.5", "car", teacher, v, tau, false},
+		{"cascade", "car", detect.NewDistilledObjectCascade(teacher, detect.DistilledRCNN, 1), v, 0, false},
+		{"fallible", "car", detect.InjectObjectFaults(teacher, detect.FaultConfig{TransientRate: 0.2, Seed: 1}), v, 0, false},
+		{"person", "person", teacher, movie, 0, false},
+		{"person@0.5", "person", teacher, movie, tau, false},
+		{"concat", "person", teacher, concat, 0, false},
+		{"concat@0.5", "person", teacher, concat, tau, false},
+		{"shots", "jumping", i3d, v, 0, true},
+		{"shots@0.5", "jumping", i3d, v, tau, true},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			v := c.video
-			frames := v.Geometry().FramesPerClip()
-			clips := v.NumFrames() / frames
+			v, g := c.video, c.video.Geometry()
+			units, clips := g.FramesPerClip(), g.NumClips(v.NumFrames())
+			if c.shots {
+				units = g.ShotsPerClip
+			}
 			chain := detect.ScorerOf(c.model)
 			var acc detect.Account
-			dst := make([]float64, frames)
+			dst := make([]float64, units)
 			retry := detect.RetryConfig{Attempts: 16} // no backoff: time the walk, not the sleeps
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				acc.Reset(len(chain.Tiers()))
-				if _, err := chain.Score(context.Background(), v, c.label, i%clips*frames, 0, dst, retry, &acc); err != nil {
+				if _, err := chain.Score(context.Background(), v, c.label, i%clips*units, 0, dst, c.tau, retry, &acc); err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*frames), "ns/unit")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*units), "ns/unit")
 		})
 	}
 }

@@ -914,7 +914,7 @@ func (r *Run) evaluate(ps *predState, clip int, mode plan.TierMode, objectFrames
 		acc.Reset(1)
 		count, err := detect.RelationPositives(r.ctx, r.e.models.Objects, r.v, detect.Relation(name), ps.atom.Args[0], ps.atom.Args[1],
 			units, &ev[0], &ev[1], ps.rawInd[units.Start:units.End+1], r.e.cfg.Retry, acc)
-		ps.units += units.Len()
+		ps.units += int(acc.Units[0])
 		if r.e.meter != nil {
 			r.e.meter.Record(d.label, nil, acc)
 		}
@@ -923,10 +923,12 @@ func (r *Run) evaluate(ps *predState, clip int, mode plan.TierMode, objectFrames
 	// One scoring call for every model: a plain model is a one-tier chain,
 	// a cascade runs from the planner's entry tier. The account is the
 	// evaluation's whole ledger — its price, the planner's tier statistics
-	// and the meter's counters all come from it.
+	// and the meter's counters all come from it. Nothing here reads a score
+	// but thresholdUnits, so the deciding tier scores at the threshold and
+	// may return only the side of it each score falls on.
 	scores, tiers := r.scoreBuf(units.Len()), d.chain.Tiers()
 	acc.Reset(len(tiers))
-	scored, err := d.chain.Score(r.ctx, r.v, name, units.Start, entryTier(mode, len(tiers)), scores, r.e.cfg.Retry, acc)
+	scored, err := d.chain.Score(r.ctx, r.v, name, units.Start, entryTier(mode, len(tiers)), scores, d.threshold, r.e.cfg.Retry, acc)
 	for _, u := range acc.Units {
 		ps.units += int(u)
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"svqact/internal/detect"
+	"svqact/internal/obs"
 )
 
 // relationQuery is the relation statement the fault tests run.
@@ -15,8 +16,9 @@ var relationQuery = CNF{Clauses: []Clause{
 }}
 
 // relationRun evaluates relationQuery over the seed-21 video in the declared
-// order, with the object detector optionally fault-injected.
-func relationRun(t *testing.T, fc *detect.FaultConfig, cfg Config) (*Result, *detect.Meter) {
+// order, with the object detector optionally fault-injected. It also returns
+// the relation predicate span's units_scored.
+func relationRun(t *testing.T, fc *detect.FaultConfig, cfg Config) (*Result, *detect.Meter, int) {
 	t.Helper()
 	m := noisyModels(7)
 	if fc != nil {
@@ -24,11 +26,22 @@ func relationRun(t *testing.T, fc *detect.FaultConfig, cfg Config) (*Result, *de
 	}
 	cfg.DeclaredOrder = true
 	cfg.Meter = new(detect.Meter)
-	res, err := newTestEngine(t, m, cfg).RunCNF(context.Background(), testVideo(t, 21, 20_000), relationQuery)
+	trace := obs.NewTrace("relation-test")
+	ctx := obs.WithTrace(context.Background(), trace)
+	res, err := newTestEngine(t, m, cfg).RunCNF(ctx, testVideo(t, 21, 20_000), relationQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, cfg.Meter
+	name := "predicate:" + res.Predicates[1].Name
+	sp := trace.Snapshot().Find(name)
+	if sp == nil || res.Predicates[1].Kind != RelationPredicate {
+		t.Fatalf("no span %q for the relation atom", name)
+	}
+	units, ok := sp.Attrs["units_scored"].(int)
+	if !ok {
+		t.Fatalf("%s: units_scored %v is not an int", name, sp.Attrs["units_scored"])
+	}
+	return res, cfg.Meter, units
 }
 
 // TestRelationAtomFlagsPermanentObjectFaults: a relation atom reads its
@@ -40,7 +53,7 @@ func TestRelationAtomFlagsPermanentObjectFaults(t *testing.T) {
 	cfg.NoShortCircuit = true // every clip evaluates the relation
 	cfg.FailureBudget = 1     // flag, never degrade
 	cfg.Retry = detect.RetryConfig{Attempts: 3}
-	res, meter := relationRun(t, &detect.FaultConfig{PermanentRate: 1, Seed: 9}, cfg)
+	res, meter, _ := relationRun(t, &detect.FaultConfig{PermanentRate: 1, Seed: 9}, cfg)
 	clips := int64(res.NumClips)
 	if got := int64(res.Flagged.TotalLen()); got != clips {
 		t.Fatalf("%d of %d clips flagged, want every clip", got, clips)
@@ -68,8 +81,8 @@ func TestRelationAtomFlagsPermanentObjectFaults(t *testing.T) {
 func TestRelationAtomRetriesTransientObjectFaults(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Retry = detect.RetryConfig{Attempts: 12} // zero BaseDelay: no backoff sleeps in-test
-	clean, _ := relationRun(t, nil, cfg)
-	res, meter := relationRun(t, &detect.FaultConfig{TransientRate: 0.2, Seed: 99}, cfg)
+	clean, _, _ := relationRun(t, nil, cfg)
+	res, meter, _ := relationRun(t, &detect.FaultConfig{TransientRate: 0.2, Seed: 99}, cfg)
 	if !res.Flagged.Empty() {
 		t.Fatalf("flagged clips %v; 12 attempts should absorb every transient fault", res.Flagged)
 	}
@@ -82,5 +95,31 @@ func TestRelationAtomRetriesTransientObjectFaults(t *testing.T) {
 	}
 	if got, want := res.InferenceCost-clean.InferenceCost, time.Duration(retries)*noisyModels(7).Objects.UnitCost(); got != want {
 		t.Errorf("faulty run costs %v more than the clean run's %v, want retries × unit cost = %v", got, clean.InferenceCost, want)
+	}
+}
+
+// TestRelationAtomUnitsScoredCountsReachedFrames: a relation atom's
+// units_scored counts the frames its reads reached, as its account charged
+// them — one per clip when every clip fails on its first frame, and the
+// clean run's count when retries absorb every fault.
+func TestRelationAtomUnitsScoredCountsReachedFrames(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.NoShortCircuit = true // every clip evaluates the relation
+	cfg.FailureBudget = 1     // flag, never degrade
+	cfg.Retry = detect.RetryConfig{Attempts: 3}
+	res, _, units := relationRun(t, &detect.FaultConfig{PermanentRate: 1, Seed: 9}, cfg)
+	if units != res.NumClips {
+		t.Errorf("units_scored %d under permanent faults, want one frame per clip (%d)", units, res.NumClips)
+	}
+
+	cfg = DefaultConfig()
+	cfg.Retry = detect.RetryConfig{Attempts: 12}
+	_, _, clean := relationRun(t, nil, cfg)
+	res, _, units = relationRun(t, &detect.FaultConfig{TransientRate: 0.2, Seed: 99}, cfg)
+	if !res.Flagged.Empty() {
+		t.Fatalf("flagged clips %v; 12 attempts should absorb every transient fault", res.Flagged)
+	}
+	if units != clean || clean == 0 {
+		t.Errorf("units_scored %d under absorbed faults, want the clean run's %d", units, clean)
 	}
 }

@@ -19,7 +19,9 @@ import (
 // decorators included, so a fault-injected run executes the same code as a
 // clean one. ObjectCascade and ActionCascade bind a chain back to that
 // contract: invoked as a model, a cascade walks its tiers at the attempt it
-// is given, with fallthrough and no retry of its own.
+// is given, with fallthrough and no retry of its own. A threshold reaches
+// only the deciding (last) tier; the tiers below it score in full, because
+// their bands read the score.
 //
 // Soundness. A chain is never less sound than its most accurate tier alone:
 //
@@ -184,17 +186,18 @@ func ScorerOf(m Model) *Scorer {
 func (s *Scorer) Tiers() []TierInfo { return s.tiers }
 
 // Score fills dst[i] with the chain's score for unit start+i of the label,
-// entering at tier from (clamped to the tier range). The entry tier scores
-// the run in one batch at attempt 0; a unit that fails there is retried
-// alone under retry, then the batch resumes after it at attempt 0. In-band
-// and failed units walk the higher tiers one by one, each tier with its own
-// attempt budget. ctx is consulted once before the batch and then only by
-// retries. The first unit whose last tier still fails — or whose retries ctx
-// ends — stops the run: scored says how many units came before it,
-// whose final scores are dst[:scored]. A unit is charged to acc when the walk
-// reaches it, exactly as if each unit were scored alone; acc must have been
-// Reset for this chain.
-func (s *Scorer) Score(ctx context.Context, v TruthVideo, label string, start, from int, dst []float64, retry RetryConfig, acc *Account) (scored int, err error) {
+// entering at tier from (clamped to the tier range), at threshold tau as
+// Model.Score defines it. The entry tier scores the run in one batch at
+// attempt 0; a unit that fails there is retried alone under retry, then the
+// batch resumes after it at attempt 0. In-band and failed units walk the
+// higher tiers one by one, each tier with its own attempt budget. ctx is
+// consulted once before the batch and then only by retries. The first unit
+// whose last tier still fails — or whose retries ctx ends — stops the run:
+// scored says how many units came before it, whose final scores are
+// dst[:scored]. A unit is charged to acc when the walk reaches it, exactly
+// as if each unit were scored alone; acc must have been Reset for this
+// chain.
+func (s *Scorer) Score(ctx context.Context, v TruthVideo, label string, start, from int, dst []float64, tau float64, retry RetryConfig, acc *Account) (scored int, err error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
@@ -202,7 +205,7 @@ func (s *Scorer) Score(ctx context.Context, v TruthVideo, label string, start, f
 	from = min(max(from, 0), last)
 	t := &s.tiers[from]
 	for i := 0; i < len(dst); i++ {
-		n, err0 := t.model.Score(v, label, start+i, dst[i:], 0)
+		n, err0 := t.model.Score(v, label, start+i, dst[i:], s.tauAt(from, tau), 0)
 		if from == last { // the last tier decides every unit it scored
 			acc.charge(from, int64(n), int64(n), t.UnitCost)
 			acc.Decided[from] += int64(n)
@@ -215,7 +218,7 @@ func (s *Scorer) Score(ctx context.Context, v TruthVideo, label string, start, f
 					continue
 				}
 				acc.Escalated[from]++
-				if err := s.walk(ctx, v, label, start+i, from+1, dst[i:i+1], nil, retry, acc); err != nil {
+				if err := s.walk(ctx, v, label, start+i, from+1, dst[i:i+1], tau, nil, retry, acc); err != nil {
 					return i, err
 				}
 			}
@@ -223,26 +226,35 @@ func (s *Scorer) Score(ctx context.Context, v TruthVideo, label string, start, f
 		if err0 == nil {
 			break
 		}
-		if err := s.walk(ctx, v, label, start+i, from, dst[i:i+1], err0, retry, acc); err != nil {
+		if err := s.walk(ctx, v, label, start+i, from, dst[i:i+1], tau, err0, retry, acc); err != nil {
 			return i, err
 		}
 	}
 	return len(dst), nil
 }
 
+// tauAt is the threshold tier ti scores at: the chain's for the last tier,
+// which decides; 0 (full scores) below it, because a band reads the score.
+func (s *Scorer) tauAt(ti int, tau float64) float64 {
+	if ti < len(s.tiers)-1 {
+		return 0
+	}
+	return tau
+}
+
 // walk resolves one unit into one[0] from tier ti. A non-nil err0 is the
 // failure of tier ti's attempt 0, which the entry batch made.
-func (s *Scorer) walk(ctx context.Context, v TruthVideo, label string, unit, ti int, one []float64, err0 error, retry RetryConfig, acc *Account) error {
+func (s *Scorer) walk(ctx context.Context, v TruthVideo, label string, unit, ti int, one []float64, tau float64, err0 error, retry RetryConfig, acc *Account) error {
 	for last := len(s.tiers) - 1; ; ti, err0 = ti+1, nil {
-		t := &s.tiers[ti]
+		t, at := &s.tiers[ti], s.tauAt(ti, tau)
 		err := err0
 		if err == nil {
-			_, err = t.model.Score(v, label, unit, one, 0)
+			_, err = t.model.Score(v, label, unit, one, at, 0)
 		}
 		attempts := int64(1)
 		if err != nil {
 			attempts, err = retryAfter(ctx, retry, acc, err, func(a int) error {
-				_, err := t.model.Score(v, label, unit, one, a)
+				_, err := t.model.Score(v, label, unit, one, at, a)
 				return err
 			})
 		}
@@ -266,10 +278,10 @@ func (s *Scorer) walk(ctx context.Context, v TruthVideo, label string, unit, ti 
 
 // decide walks one unit up the chain at one attempt, without retry: a
 // failed tier falls through, and a failed last tier fails the unit. It
-// returns the deciding tier, its score in one[0].
-func (s *Scorer) decide(v TruthVideo, label string, unit int, one []float64, attempt int) (int, error) {
+// returns the deciding tier, its score at tau in one[0].
+func (s *Scorer) decide(v TruthVideo, label string, unit int, one []float64, tau float64, attempt int) (int, error) {
 	for i, last := 0, len(s.tiers)-1; ; i++ {
-		_, err := s.tiers[i].model.Score(v, label, unit, one, attempt)
+		_, err := s.tiers[i].model.Score(v, label, unit, one, s.tauAt(i, tau), attempt)
 		if err != nil && i == last || err == nil && (i == last || !s.tiers[i].band.Escalates(one[0])) {
 			return i, err
 		}
@@ -299,9 +311,9 @@ func (c cascade) Name() string {
 func (c cascade) UnitCost() time.Duration { return c.chain.tiers[len(c.chain.tiers)-1].UnitCost }
 
 // Score implements Model: every unit's deciding tier's score at the attempt.
-func (c cascade) Score(v TruthVideo, label string, start int, dst []float64, attempt int) (int, error) {
+func (c cascade) Score(v TruthVideo, label string, start int, dst []float64, tau float64, attempt int) (int, error) {
 	for i := range dst {
-		if _, err := c.chain.decide(v, label, start+i, dst[i:i+1], attempt); err != nil {
+		if _, err := c.chain.decide(v, label, start+i, dst[i:i+1], tau, attempt); err != nil {
 			return i, err
 		}
 	}
@@ -342,7 +354,7 @@ func NewDistilledObjectCascade(teacher ObjectDetector, prof Profile, seed int64)
 func (c *ObjectCascade) Events(v TruthVideo, typ string, frames video.Interval, ev *Events, attempt int) (int, error) {
 	var one [1]float64
 	for f := frames.Start; f <= frames.End; f++ {
-		i, err := c.chain.decide(v, typ, f, one[:], attempt)
+		i, err := c.chain.decide(v, typ, f, one[:], 0, attempt)
 		if err == nil {
 			_, err = c.detectors[i].Events(v, typ, video.Interval{Start: f, End: f}, ev, attempt)
 		}

@@ -101,7 +101,7 @@ func TestFrameScoreCascadeAccounting(t *testing.T) {
 	acc.Reset(2)
 	n := 2000
 	dst := make([]float64, n)
-	if _, err := ScorerOf(casc).Score(ctx, v, "car", 0, 0, dst, DefaultRetryConfig(), &acc); err != nil {
+	if _, err := ScorerOf(casc).Score(ctx, v, "car", 0, 0, dst, 0, DefaultRetryConfig(), &acc); err != nil {
 		t.Fatal(err)
 	}
 	for i, s := range dst {
@@ -132,7 +132,7 @@ func TestFrameScoreCascadeAccounting(t *testing.T) {
 
 	// Entering at the accurate tier skips tier 0 entirely.
 	acc.Reset(2)
-	if _, err := ScorerOf(casc).Score(ctx, v, "car", 0, 1, dst, DefaultRetryConfig(), &acc); err != nil {
+	if _, err := ScorerOf(casc).Score(ctx, v, "car", 0, 1, dst, 0, DefaultRetryConfig(), &acc); err != nil {
 		t.Fatal(err)
 	}
 	if acc.Units[0] != 0 || acc.Units[1] != int64(n) {
@@ -155,7 +155,7 @@ type failingObjectDetector struct {
 func (d failingObjectDetector) Name() string                               { return d.name }
 func (d failingObjectDetector) UnitCost() time.Duration                    { return time.Millisecond }
 func (d failingObjectDetector) FrameScore(TruthVideo, string, int) float64 { return 0 }
-func (d failingObjectDetector) Score(_ TruthVideo, _ string, start int, _ []float64, _ int) (int, error) {
+func (d failingObjectDetector) Score(_ TruthVideo, _ string, start int, _ []float64, _ float64, _ int) (int, error) {
 	return 0, &DetectionError{Model: d.name, Unit: start, Transient: d.transient}
 }
 func (d failingObjectDetector) Events(_ TruthVideo, _ string, frames video.Interval, _ *Events, _ int) (int, error) {
@@ -178,7 +178,7 @@ func TestCascadeFallthroughOnTierFailure(t *testing.T) {
 	n := 64
 	dst := make([]float64, n)
 	retry := RetryConfig{Attempts: 2}
-	if _, err := ScorerOf(casc).Score(ctx, v, "car", 0, 0, dst, retry, &acc); err != nil {
+	if _, err := ScorerOf(casc).Score(ctx, v, "car", 0, 0, dst, 0, retry, &acc); err != nil {
 		t.Fatalf("dead entry tier must fall through, got error: %v", err)
 	}
 	for i, s := range dst {
@@ -204,7 +204,7 @@ func TestCascadeFallthroughOnTierFailure(t *testing.T) {
 		ObjectTier{Detector: failingObjectDetector{name: "dead-teacher"}},
 	)
 	acc.Reset(2)
-	_, err := ScorerOf(bad).Score(ctx, v, "car", 0, 0, dst, retry, &acc)
+	_, err := ScorerOf(bad).Score(ctx, v, "car", 0, 0, dst, 0, retry, &acc)
 	var de *DetectionError
 	if !errors.As(err, &de) || de.Model != "dead-teacher" {
 		t.Fatalf("want dead-teacher DetectionError from last tier, got %v", err)
@@ -213,7 +213,7 @@ func TestCascadeFallthroughOnTierFailure(t *testing.T) {
 	// Context cancellation aborts instead of falling through.
 	cctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ScorerOf(casc).Score(cctx, v, "car", 0, 0, dst, retry, &acc); !errors.Is(err, context.Canceled) {
+	if _, err := ScorerOf(casc).Score(cctx, v, "car", 0, 0, dst, 0, retry, &acc); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled ctx: want context.Canceled, got %v", err)
 	}
 }
@@ -235,7 +235,7 @@ func TestCascadePerTierFaults(t *testing.T) {
 	n := 1000
 	dst := make([]float64, n)
 	retry := RetryConfig{Attempts: 8}
-	if _, err := ScorerOf(casc).Score(context.Background(), v, "car", 0, 0, dst, retry, &acc); err != nil {
+	if _, err := ScorerOf(casc).Score(context.Background(), v, "car", 0, 0, dst, 0, retry, &acc); err != nil {
 		t.Fatal(err)
 	}
 	for i, s := range dst {
@@ -378,7 +378,7 @@ func TestDistilledDeterminism(t *testing.T) {
 	// The batch path must agree bit-for-bit with the scalar path.
 	n := 4096
 	dst := make([]float64, n)
-	a.Score(v, "car", 0, dst, 0)
+	a.Score(v, "car", 0, dst, 0, 0)
 	for i, s := range dst {
 		if want := b.FrameScore(v, "car", i); s != want {
 			t.Fatalf("frame %d: batch %v != scalar %v", i, s, want)

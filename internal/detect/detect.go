@@ -38,7 +38,7 @@ type TruthVideo interface {
 // Model is the one contract every detection model implements — simulators,
 // distilled proxies, the tracker, fault decorators and cascades alike: score
 // a batch of occurrence units (frames for objects, shots for actions) at one
-// invocation attempt. Retrying is the caller's.
+// invocation attempt and threshold. Retrying is the caller's.
 type Model interface {
 	// Name identifies the model (for reports and deterministic seeding).
 	Name() string
@@ -49,7 +49,12 @@ type Model interface {
 	// 0 when nothing is detected. It stops at the first unit whose
 	// invocation fails and returns how many units came before it with that
 	// unit's error. An infallible model always returns nil.
-	Score(v TruthVideo, label string, start int, dst []float64, attempt int) (scored int, err error)
+	//
+	// tau ≤ 0 asks for the full scores. At tau > 0 only the side of tau is
+	// promised: dst[i] ≥ tau exactly when the full score is, and dst[i] is
+	// that score when the model drew it, any value on the same side when
+	// it decided the side without drawing.
+	Score(v TruthVideo, label string, start int, dst []float64, tau float64, attempt int) (scored int, err error)
 }
 
 // ObjectDetector is a Model over frames that also reports its individual
@@ -60,17 +65,17 @@ type ObjectDetector interface {
 	// order and, within a frame, in track order, stopping at the first
 	// frame whose invocation fails, as Score does.
 	Events(v TruthVideo, typ string, frames video.Interval, ev *Events, attempt int) (scored int, err error)
-	// FrameScore is the one-frame Score at attempt 0, 0 when it fails.
+	// FrameScore is the one-frame full Score at attempt 0, 0 when it fails.
 	FrameScore(v TruthVideo, typ string, frame int) float64
 }
 
 // ActionRecognizer is a Model over shots.
 type ActionRecognizer = Model
 
-// unitScore is the one-unit Score at attempt 0, 0 when it fails.
+// unitScore is the one-unit full Score at attempt 0, 0 when it fails.
 func unitScore(m Model, v TruthVideo, label string, unit int) float64 {
 	var s [1]float64
-	if _, err := m.Score(v, label, unit, s[:], 0); err != nil {
+	if _, err := m.Score(v, label, unit, s[:], 0, 0); err != nil {
 		return 0
 	}
 	return s[0]

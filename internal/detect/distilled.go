@@ -32,16 +32,17 @@ func (d *DistilledObjectDetector) FrameScore(v TruthVideo, typ string, frame int
 
 // Score implements Model: the teacher's score where the teacher detects
 // anything, otherwise — on frames where the type is absent — the proxy's
-// own false-positive draw.
-func (d *DistilledObjectDetector) Score(v TruthVideo, typ string, start int, dst []float64, attempt int) (int, error) {
-	n, err := d.teacher.Score(v, typ, start, dst, attempt)
+// own false-positive draw, decided at tau. The teacher scores in full: a
+// score it decided below tau would read as "detects nothing".
+func (d *DistilledObjectDetector) Score(v TruthVideo, typ string, start int, dst []float64, tau float64, attempt int) (int, error) {
+	n, err := d.teacher.Score(v, typ, start, dst, 0, attempt)
 	if n == 0 {
 		return 0, err
 	}
 	w := window(v, typ, video.Interval{Start: start, End: start + n - 1})
 	defer trackScratch.Put(w)
 	var dr draws
-	dr.start(d.simCore, v, typ, v.NumFrames())
+	dr.start(d.simCore, v, typ, v.NumFrames(), tau)
 	for i, s := range dst[:n] {
 		if s > 0 || presentIn(*w, start+i) {
 			continue
@@ -57,7 +58,7 @@ func (d *DistilledObjectDetector) Events(v TruthVideo, typ string, frames video.
 	w := window(v, typ, frames)
 	defer trackScratch.Put(w)
 	var dr draws
-	dr.start(d.simCore, v, typ, v.NumFrames())
+	dr.start(d.simCore, v, typ, v.NumFrames(), 0)
 	for f := frames.Start; f <= frames.End; f++ {
 		n := ev.Len()
 		if _, err := d.teacher.Events(v, typ, video.Interval{Start: f, End: f}, ev, attempt); err != nil {
@@ -88,11 +89,11 @@ func NewDistilledActionRecognizer(teacher ActionRecognizer, prof Profile, seed i
 
 // Score implements Model: the teacher's score where it predicts the action,
 // otherwise — on shots without the action — the proxy's own false-positive
-// draw.
-func (r *DistilledActionRecognizer) Score(v TruthVideo, act string, start int, dst []float64, attempt int) (int, error) {
-	n, err := r.teacher.Score(v, act, start, dst, attempt)
+// draw, decided at tau over the teacher's full scores.
+func (r *DistilledActionRecognizer) Score(v TruthVideo, act string, start int, dst []float64, tau float64, attempt int) (int, error) {
+	n, err := r.teacher.Score(v, act, start, dst, 0, attempt)
 	var dr draws
-	dr.start(r.simCore, v, act, v.Geometry().NumShots(v.NumFrames()))
+	dr.start(r.simCore, v, act, v.Geometry().NumShots(v.NumFrames()), tau)
 	for i, s := range dst[:n] {
 		if s > 0 || v.ActionAt(act, start+i) {
 			continue

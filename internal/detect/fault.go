@@ -141,10 +141,10 @@ func (c faultCore) draw(v TruthVideo, label string, start, n, attempt int) (ok, 
 	return ok, spikes, err
 }
 
-// score runs inner on the batch's units that precede its first fault.
-func (c faultCore) score(inner Model, v TruthVideo, label string, start int, dst []float64, attempt int) (int, error) {
+// score runs inner at tau on the batch's units that precede its first fault.
+func (c faultCore) score(inner Model, v TruthVideo, label string, start int, dst []float64, tau float64, attempt int) (int, error) {
 	ok, _, err := c.draw(v, label, start, len(dst), attempt)
-	if k, ierr := inner.Score(v, label, start, dst[:ok], attempt); ierr != nil {
+	if k, ierr := inner.Score(v, label, start, dst[:ok], tau, attempt); ierr != nil {
 		return k, ierr
 	}
 	return ok, err
@@ -163,8 +163,8 @@ func InjectObjectFaults(d ObjectDetector, cfg FaultConfig) *FaultyObjectDetector
 }
 
 // Score implements Model.
-func (d *FaultyObjectDetector) Score(v TruthVideo, typ string, start int, dst []float64, attempt int) (int, error) {
-	return d.core.score(d.ObjectDetector, v, typ, start, dst, attempt)
+func (d *FaultyObjectDetector) Score(v TruthVideo, typ string, start int, dst []float64, tau float64, attempt int) (int, error) {
+	return d.core.score(d.ObjectDetector, v, typ, start, dst, tau, attempt)
 }
 
 // Events implements ObjectDetector.
@@ -193,6 +193,6 @@ func InjectActionFaults(r ActionRecognizer, cfg FaultConfig) *FaultyActionRecogn
 }
 
 // Score implements Model.
-func (r *FaultyActionRecognizer) Score(v TruthVideo, act string, start int, dst []float64, attempt int) (int, error) {
-	return r.core.score(r.ActionRecognizer, v, act, start, dst, attempt)
+func (r *FaultyActionRecognizer) Score(v TruthVideo, act string, start int, dst []float64, tau float64, attempt int) (int, error) {
+	return r.core.score(r.ActionRecognizer, v, act, start, dst, tau, attempt)
 }

@@ -43,14 +43,54 @@ func unitFloat(h uint64) float64 {
 }
 
 // gauss maps a hash to a standard normal draw via Box-Muller on two derived
-// uniforms.
-func gauss(h uint64) float64 {
-	u1 := unitFloat(mix64(h ^ 0xa5a5a5a5a5a5a5a5))
+// uniforms: radius sqrt(−2 ln u1) with u1 = radiusUniform(h), angle 2π·u2.
+func gauss(h uint64) float64 { return boxMuller(h, radiusUniform(h)) }
+
+// boxMuller is gauss(h) given its u1, for a caller that tested u1 first.
+func boxMuller(h uint64, u1 float64) float64 {
 	u2 := unitFloat(mix64(h ^ 0x5a5a5a5a5a5a5a5a))
 	if u1 <= 0 {
 		u1 = math.SmallestNonzeroFloat64
 	}
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
+}
+
+// radiusUniform is gauss's u1. |gauss(h)| is at most the radius
+// sqrt(−2 ln u1), which is below r exactly when u1 > exp(−r²/2).
+func radiusUniform(h uint64) float64 { return unitFloat(mix64(h ^ 0xa5a5a5a5a5a5a5a5)) }
+
+// cutoff decides a clamped-normal score clampScore(mean + std·gauss(h))
+// against a threshold τ without drawing it: when radiusUniform(h) > u1 the
+// draw's radius cannot carry the score across τ, so the score is ≥ τ
+// exactly when above. A u1 of 1 decides nothing, since unitFloat < 1. The
+// zero cutoff is not yet computed (ready is false).
+type cutoff struct {
+	u1           float64
+	above, ready bool
+}
+
+// never is the cutoff of a full draw.
+var never = cutoff{u1: 1, ready: true}
+
+// newCutoff is the radius bound of a profile's score distribution at τ,
+// computed at most once per batch. With z = (τ − mean)/std, a draw whose
+// radius is below |z| lies on the side of τ the mean is on. The bound
+// shrinks |z| by a margin — 1e-9 of the distance to τ plus 1e-15 of the
+// operands' scale — that absorbs the rounding of the radius, of std·g, of
+// mean + std·g and of the exp below, so a decided draw's computed score lies
+// strictly on its side. There is no bound for std ≤ 0, for τ outside
+// (scoreFloor, 1] — only there is clampScore monotone across τ — or for a
+// radius under 1e-3, where exp's rounding near 1 outgrows the margin and the
+// bound would decide next to nothing.
+func newCutoff(mean, std, tau float64) cutoff {
+	if !(tau > scoreFloor && tau <= 1 && std > 0) {
+		return never
+	}
+	r := (math.Abs(tau-mean)*(1-1e-9) - 1e-15*(1+math.Abs(mean))) / std
+	if !(r >= 1e-3) {
+		return never
+	}
+	return cutoff{u1: math.Exp(-r * r / 2), above: mean > tau, ready: true}
 }
 
 // Key64 is keyed for callers outside detect that need the same reproducible
@@ -63,10 +103,13 @@ func KeyString(s string) uint64 { return hashString(s) }
 // Unit01 maps a 64-bit key to a uniform float in [0, 1).
 func Unit01(h uint64) float64 { return unitFloat(h) }
 
-// clampScore limits a sampled confidence to (0, 1].
+// scoreFloor is the least score a detection carries.
+const scoreFloor = 0.01
+
+// clampScore limits a sampled confidence to [scoreFloor, 1].
 func clampScore(s float64) float64 {
 	if s <= 0 {
-		return 0.01
+		return scoreFloor
 	}
 	if s > 1 {
 		return 1

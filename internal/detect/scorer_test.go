@@ -76,7 +76,7 @@ type failingActionRecognizer struct{ name string }
 
 func (r failingActionRecognizer) Name() string            { return r.name }
 func (r failingActionRecognizer) UnitCost() time.Duration { return time.Millisecond }
-func (r failingActionRecognizer) Score(_ TruthVideo, _ string, start int, _ []float64, _ int) (int, error) {
+func (r failingActionRecognizer) Score(_ TruthVideo, _ string, start int, _ []float64, _ float64, _ int) (int, error) {
 	return 0, &DetectionError{Model: r.name, Unit: start, Transient: true}
 }
 
@@ -86,7 +86,7 @@ func (r failingActionRecognizer) Score(_ TruthVideo, _ string, start int, _ []fl
 func refTierOf(m Model, band Band, v TruthVideo, label string) refTier {
 	return refTier{cost: m.UnitCost(), band: band, fallible: true, try: func(unit, attempt int) (float64, error) {
 		var s [1]float64
-		_, err := m.Score(v, label, unit, s[:], attempt)
+		_, err := m.Score(v, label, unit, s[:], 0, attempt)
 		return s[0], err
 	}}
 }
@@ -186,7 +186,7 @@ func TestScorerMatchesReference(t *testing.T) {
 				got.Reset(len(sh.ref))
 				want.Reset(len(sh.ref))
 				gotDst, wantDst := make([]float64, run), make([]float64, run)
-				gotN, gotErr := sh.chain.Score(ctx, v, c.label, start, sh.from, gotDst, retry, &got)
+				gotN, gotErr := sh.chain.Score(ctx, v, c.label, start, sh.from, gotDst, 0, retry, &got)
 				wantN, wantErr := refScore(ctx, sh.ref, start, sh.from, wantDst, attempts, &want)
 				if gotN != wantN || !reflect.DeepEqual(gotErr, wantErr) {
 					t.Fatalf("%s: scored %d err %v, reference %d err %v", name, gotN, gotErr, wantN, wantErr)
@@ -233,7 +233,7 @@ func TestScorerCancelledContextChargesNothing(t *testing.T) {
 			var got, zero Account
 			got.Reset(len(chain.Tiers()))
 			zero.Reset(len(chain.Tiers()))
-			n, err := chain.Score(ctx, v, c.label, 0, 0, make([]float64, 8), RetryConfig{Attempts: 3}, &got)
+			n, err := chain.Score(ctx, v, c.label, 0, 0, make([]float64, 8), 0, RetryConfig{Attempts: 3}, &got)
 			if n != 0 || !errors.Is(err, context.Canceled) {
 				t.Fatalf("%s: scored %d err %v, want 0 and context.Canceled", c.name, n, err)
 			}
@@ -249,32 +249,37 @@ func TestScorerCancelledContextChargesNothing(t *testing.T) {
 // decorator whose draws never fail. The label is a type the video never
 // shows, so the simulated models have no instance lists to materialise and
 // every allocation counted would be the walker's own; the cheap tier's false
-// positives still escalate.
+// positives still escalate. Deciding at a threshold allocates nothing either.
 func TestScoreAllocsSteadyState(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	v := testVideo(t, 43)
 	teacher := NewObjectDetector(MaskRCNN, 5)
-	for name, chain := range map[string]*Scorer{
-		"single":   ScorerOf(teacher),
-		"cascade":  ScorerOf(NewDistilledObjectCascade(teacher, DistilledRCNN, 5)),
-		"fallible": ScorerOf(InjectObjectFaults(teacher, FaultConfig{TransientRate: 1e-12, Seed: 5})),
+	for _, c := range []struct {
+		name  string
+		chain *Scorer
+		tau   float64
+	}{
+		{"single", ScorerOf(teacher), 0},
+		{"single@0.5", ScorerOf(teacher), DefaultThreshold},
+		{"cascade", ScorerOf(NewDistilledObjectCascade(teacher, DistilledRCNN, 5)), 0},
+		{"fallible", ScorerOf(InjectObjectFaults(teacher, FaultConfig{TransientRate: 1e-12, Seed: 5})), 0},
 	} {
 		var acc Account
 		dst := make([]float64, 500)
 		score := func() {
-			acc.Reset(len(chain.Tiers()))
-			if _, err := chain.Score(context.Background(), v, "ghost", 0, 0, dst, RetryConfig{}, &acc); err != nil {
+			acc.Reset(len(c.chain.Tiers()))
+			if _, err := c.chain.Score(context.Background(), v, "ghost", 0, 0, dst, c.tau, RetryConfig{}, &acc); err != nil {
 				t.Fatal(err)
 			}
 		}
 		score() // warm the models' overlay caches and the account's slices
-		if name == "cascade" && acc.Escalated[0] == 0 {
+		if c.name == "cascade" && acc.Escalated[0] == 0 {
 			t.Fatal("no escalations: the cascade's walk was not exercised")
 		}
 		if allocs := testing.AllocsPerRun(20, score); allocs != 0 {
-			t.Errorf("%s: Score allocates %.0f objects per call, want 0", name, allocs)
+			t.Errorf("%s: Score allocates %.0f objects per call, want 0", c.name, allocs)
 		}
 	}
 }
@@ -315,7 +320,7 @@ func FuzzScorerMatchesReference(f *testing.F) {
 		got.Reset(len(ref))
 		want.Reset(len(ref))
 		gotDst, wantDst := make([]float64, n), make([]float64, n)
-		gotN, gotErr := chain.Score(context.Background(), v, c.label, s, entry, gotDst, RetryConfig{Attempts: tries}, &got)
+		gotN, gotErr := chain.Score(context.Background(), v, c.label, s, entry, gotDst, 0, RetryConfig{Attempts: tries}, &got)
 		wantN, wantErr := refScore(context.Background(), ref, s, entry, wantDst, tries, &want)
 		if gotN != wantN || !reflect.DeepEqual(gotErr, wantErr) {
 			t.Fatalf("scored %d err %v, reference %d err %v", gotN, gotErr, wantN, wantErr)

@@ -102,15 +102,39 @@ type draws struct {
 	// after the last unit drawn, once overlaid is set.
 	bursts   []video.Interval
 	overlaid bool
+	// tau is the batch's threshold (≤ 0: full scores); tp and fp are the
+	// two score distributions' radius bounds at tau, computed at their first
+	// draw: a batch that draws none pays no exp.
+	tau    float64
+	tp, fp cutoff
 }
 
 // start begins a batch of c's draws over a label of a video units units
-// long, in place: a returned draws would be copied on every one-unit call.
-func (d *draws) start(c *simCore, v TruthVideo, label string, units int) {
+// long at threshold tau, in place: a returned draws would be copied on every
+// one-unit call.
+func (d *draws) start(c *simCore, v TruthVideo, label string, units int, tau float64) {
 	d.c, d.videoID, d.label, d.units = c, v.ID(), label, units
 	d.hv, d.hl = hashString(d.videoID), hashString(label)
 	d.key = keyed(c.seed, d.hv, d.hl)
 	d.bursts, d.overlaid = nil, false
+	d.tau, d.tp, d.fp = tau, cutoff{}, cutoff{}
+}
+
+// score is the clamped-normal score of the draw keyed h — or, when the
+// cutoff c of its distribution decides it, tau or 0 by the side of tau the
+// score falls on.
+func (d *draws) score(h uint64, mean, std float64, c *cutoff) float64 {
+	if !c.ready {
+		*c = newCutoff(mean, std, d.tau)
+	}
+	u1 := radiusUniform(h)
+	if u1 > c.u1 {
+		if c.above {
+			return d.tau
+		}
+		return 0
+	}
+	return clampScore(mean + std*boxMuller(h, u1))
 }
 
 // inBurst reports whether the unit lies in a false-positive burst.
@@ -137,7 +161,7 @@ func (d *draws) falsePositive(unit int) float64 {
 	if p <= 0 || unitFloat(h) >= p {
 		return 0
 	}
-	return clampScore(d.c.prof.FPScoreMean + d.c.prof.FPScoreStd*gauss(mix64(h^0x5c0e)))
+	return d.score(mix64(h^0x5c0e), d.c.prof.FPScoreMean, d.c.prof.FPScoreStd, &d.fp)
 }
 
 // truePositive is the model's score for a truly present instance, 0 when it
@@ -147,7 +171,7 @@ func (d *draws) truePositive(unit int, extra uint64) float64 {
 	if unitFloat(h) >= d.c.prof.TPR {
 		return 0
 	}
-	return clampScore(d.c.prof.TPScoreMean + d.c.prof.TPScoreStd*gauss(mix64(h^0x3d09)))
+	return d.score(mix64(h^0x3d09), d.c.prof.TPScoreMean, d.c.prof.TPScoreStd, &d.tp)
 }
 
 // phantomID is a hallucination's identity: stable per ~3-second window so
@@ -194,28 +218,33 @@ func NewObjectDetector(prof Profile, seed int64) *SimObjectDetector {
 // FrameScore implements ObjectDetector.
 func (d *SimObjectDetector) FrameScore(v TruthVideo, typ string, frame int) float64 {
 	var s [1]float64
-	d.Score(v, typ, frame, s[:], 0)
+	d.Score(v, typ, frame, s[:], 0, 0)
 	return s[0]
 }
 
 // Score implements Model: each frame's best detection, 0 when there is
 // none — the draws of frame, in a loop of its own because it is the online
-// hot path. The batch reads one track window and one draw key.
-func (d *SimObjectDetector) Score(v TruthVideo, typ string, start int, dst []float64, _ int) (int, error) {
+// hot path. The batch reads one track window and one draw key. At tau > 0 a
+// frame stops at its first track scoring ≥ tau: the max cannot fall back,
+// and draws are keyed, so the skipped ones change nothing else.
+func (d *SimObjectDetector) Score(v TruthVideo, typ string, start int, dst []float64, tau float64, _ int) (int, error) {
 	if len(dst) == 0 {
 		return 0, nil
 	}
 	w := window(v, typ, video.Interval{Start: start, End: start + len(dst) - 1})
 	defer trackScratch.Put(w)
 	var dr draws
-	dr.start(d.simCore, v, typ, v.NumFrames())
+	dr.start(d.simCore, v, typ, v.NumFrames(), tau)
 	for i := range dst {
 		frame, present := start+i, false
 		dst[i] = 0
 		for _, t := range *w {
-			if t.Frames.Contains(frame) {
-				present = true
-				dst[i] = max(dst[i], dr.truePositive(frame, uint64(t.TrackID)))
+			if !t.Frames.Contains(frame) {
+				continue
+			}
+			present = true
+			if dst[i] = max(dst[i], dr.truePositive(frame, uint64(t.TrackID))); tau > 0 && dst[i] >= tau {
+				break
 			}
 		}
 		if !present {
@@ -234,7 +263,7 @@ func (d *SimObjectDetector) Events(v TruthVideo, typ string, frames video.Interv
 	w := window(v, typ, frames)
 	defer trackScratch.Put(w)
 	var dr draws
-	dr.start(d.simCore, v, typ, v.NumFrames())
+	dr.start(d.simCore, v, typ, v.NumFrames(), 0)
 	for frame := frames.Start; frame <= frames.End; frame++ {
 		dr.frame(*w, frame, ev)
 	}
@@ -254,9 +283,9 @@ func NewActionRecognizer(prof Profile, seed int64) *SimActionRecognizer {
 
 // Score implements Model: a shot showing the action takes the true-positive
 // draw, any other the false-positive draw, all from one draw key.
-func (r *SimActionRecognizer) Score(v TruthVideo, act string, start int, dst []float64, _ int) (int, error) {
+func (r *SimActionRecognizer) Score(v TruthVideo, act string, start int, dst []float64, tau float64, _ int) (int, error) {
 	var dr draws
-	dr.start(r.simCore, v, act, v.Geometry().NumShots(v.NumFrames()))
+	dr.start(r.simCore, v, act, v.Geometry().NumShots(v.NumFrames()), tau)
 	for i := range dst {
 		if shot := start + i; v.ActionAt(act, shot) {
 			dst[i] = dr.truePositive(shot, 0)

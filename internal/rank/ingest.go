@@ -109,7 +109,8 @@ func Ingest(ctx context.Context, v detect.TruthVideo, models detect.Models, scor
 	// for actions) — the paper's §5 instantiation of h. Object tables sum the
 	// events of one retried detect.ReadEvents call per clip, action tables
 	// the shot scores of the same Score call the engine evaluates clips
-	// with. Both retry every model under the engine's policy; a unit that
+	// with, at threshold 0: a table sums the full scores, not their side of
+	// T_act. Both retry every model under the engine's policy; a unit that
 	// still fails contributes no score (EvaluateTypes flags its clip) and the
 	// rest of the clip is read after it. Scores are summed in unit order, so
 	// the float accumulation does not depend on where a read stopped.
@@ -160,7 +161,7 @@ func Ingest(ctx context.Context, v detect.TruthVideo, models detect.Models, scor
 	for _, typ := range actTypes {
 		ti, err := table(typ, g.ShotRangeOfClip, func(r video.Interval, sum float64) (float64, int, error) {
 			shotScores = resized(shotScores, r.Len())
-			n, err := chain.Score(ctx, v, typ, r.Start, from, shotScores, retry, &acc)
+			n, err := chain.Score(ctx, v, typ, r.Start, from, shotScores, 0, retry, &acc)
 			for _, s := range shotScores[:n] {
 				sum += s
 			}

@@ -1,9 +1,11 @@
 package video
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strings"
+	"unsafe"
 )
 
 // Interval is an inclusive range [Start, End] of unit indices (frames, shots
@@ -213,23 +215,31 @@ func (s IntervalSet) Clamp(bounds Interval) IntervalSet {
 
 // FromIndicator builds the canonical set of maximal runs where ind[i] is
 // true; index i corresponds to unit i. This is the paper's merge step
-// (Equation 4) applied to per-clip indicators.
+// (Equation 4) applied to per-clip indicators. Runs are found with memchr
+// (bytes.IndexByte) for the next 1, then the next 0, over a byte view.
 func FromIndicator(ind []bool) IntervalSet {
 	var out []Interval
-	start := -1
-	for i, b := range ind {
-		switch {
-		case b && start < 0:
-			start = i
-		case !b && start >= 0:
-			out = append(out, Interval{Start: start, End: i - 1})
-			start = -1
+	b := boolBytes(ind)
+	for i := 0; ; {
+		s := bytes.IndexByte(b[i:], 1)
+		if s < 0 {
+			break
 		}
-	}
-	if start >= 0 {
-		out = append(out, Interval{Start: start, End: len(ind) - 1})
+		s += i
+		e := bytes.IndexByte(b[s:], 0)
+		if e < 0 {
+			e = len(b) - s
+		}
+		i = s + e
+		out = append(out, Interval{Start: s, End: i - 1})
 	}
 	return IntervalSet{ivs: out}
+}
+
+// boolBytes views ind as bytes without copying: Go stores a bool as one
+// byte holding 0 or 1.
+func boolBytes(ind []bool) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(ind))), len(ind))
 }
 
 // Indicator renders the set as a boolean vector over [0, n).

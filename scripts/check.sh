@@ -82,6 +82,12 @@ go test -run '^$' -fuzz '^FuzzFrameScoreBatchMatchesReference$' -fuzztime=5s ./i
 # (refScore): same scores, scored count, error and account under fuzzed
 # faults, runs, retry budgets, entry tiers and chains.
 go test -run '^$' -fuzz '^FuzzScorerMatchesReference$' -fuzztime=5s ./internal/detect
+# Deciding at a threshold: a Score call at τ > 0 returns only the side of τ
+# each score falls on, which must be the per-unit referee's side (and its
+# bits at τ ≤ 0), over fuzzed worlds, runs, thresholds and edge profiles.
+go test -run '^$' -fuzz '^FuzzDecidedMatchesReference$' -fuzztime=5s ./internal/detect
+# The memchr run merge against the bool-by-bool loop it replaced.
+go test -run '^$' -fuzz '^FuzzFromIndicatorMatchesReference$' -fuzztime=5s ./internal/video
 
 stage "benchmark smoke (-benchtime=1x -benchmem)"
 # One iteration of every benchmark: catches bit-rot in the experiment and
