@@ -11,8 +11,11 @@
 package svqact
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -20,8 +23,11 @@ import (
 	"svqact/internal/core"
 	"svqact/internal/detect"
 	"svqact/internal/kernel"
+	"svqact/internal/obs"
 	"svqact/internal/rank"
 	"svqact/internal/scanstat"
+	"svqact/internal/sqlq"
+	"svqact/internal/stmt"
 	"svqact/internal/store"
 	"svqact/internal/synth"
 	"svqact/internal/video"
@@ -229,12 +235,13 @@ func youTubeSet(b *testing.B, q synth.QuerySpec) detect.TruthVideo {
 // BenchmarkScoreClip times the one unit-scoring call every predicate
 // evaluation makes — a clip's frames through Scorer.Score into a reused
 // account — for a plain model (one batch call), a cascade (batch the cheap
-// tier, walk the escalations) and a fallible model (batches that stop at a
-// failed frame, retry it alone and resume, under 20 % transient faults), on
-// a sparse type; then the plain model on the
-// ubiquitous, many-instance "person" of a movie and of a YouTube set's
-// concatenation (the streams the online workload scores), and the action
-// recogniser over a clip's shots. Rows named @0.5 score at the default
+// tier, then each run of frames it escalates in one batch at the teacher)
+// and a fallible model (batches that stop at a failed frame, retry it alone
+// and resume, under 20 % transient faults), on a sparse type; then the plain
+// model and the cascade on the ubiquitous, many-instance "person" of a movie,
+// where most frames escalate, the plain model on the "person" of a YouTube
+// set's concatenation (the streams the online workload scores), and the
+// action recogniser over a clip's shots. Rows named @0.5 score at the default
 // threshold, as an online atom does, deciding each unit's side of it; the
 // others score in full. The walker allocates nothing itself (detect's
 // TestScoreAllocsSteadyState); the fallible model's allocs/op are its error
@@ -243,6 +250,7 @@ func BenchmarkScoreClip(b *testing.B) {
 	v := benchVideo(b)
 	teacher := detect.NewObjectDetector(detect.MaskRCNN, 1)
 	i3d := detect.NewActionRecognizer(detect.I3D, 1)
+	cascade := detect.NewDistilledObjectCascade(teacher, detect.DistilledRCNN, 1)
 	_, movies := onlineDatasets()
 	movie, concat := movies.Videos[0], youTubeSet(b, synth.YouTubeQueries()[0])
 	const tau = detect.DefaultThreshold
@@ -255,10 +263,13 @@ func BenchmarkScoreClip(b *testing.B) {
 	}{
 		{"single", "car", teacher, v, 0, false},
 		{"single@0.5", "car", teacher, v, tau, false},
-		{"cascade", "car", detect.NewDistilledObjectCascade(teacher, detect.DistilledRCNN, 1), v, 0, false},
+		{"cascade", "car", cascade, v, 0, false},
+		{"cascade@0.5", "car", cascade, v, tau, false},
 		{"fallible", "car", detect.InjectObjectFaults(teacher, detect.FaultConfig{TransientRate: 0.2, Seed: 1}), v, 0, false},
 		{"person", "person", teacher, movie, 0, false},
 		{"person@0.5", "person", teacher, movie, tau, false},
+		{"cascade-person", "person", cascade, movie, 0, false},
+		{"cascade-person@0.5", "person", cascade, movie, tau, false},
 		{"concat", "person", teacher, concat, 0, false},
 		{"concat@0.5", "person", teacher, concat, tau, false},
 		{"shots", "jumping", i3d, v, 0, true},
@@ -401,6 +412,77 @@ func BenchmarkOnlineDeck(b *testing.B) {
 			b.ReportMetric(float64(len(deck)), "statements/op")
 		})
 	}
+}
+
+// BenchmarkFleetCascade runs one statement of the fleet workload's shape the
+// way /query/batch serves it with cascades: a YouTube set's action with its
+// first object and person, through stmt.ExecuteFleet over the set's videos
+// with two workers, each model a recall-complete distilled proxy gating the
+// accurate one. units/op is the detector units scored and escalations/op the
+// units the proxies passed up to their teachers — constants of the statement
+// that an optimisation of the walk must leave where they were.
+func BenchmarkFleetCascade(b *testing.B) {
+	yt, _ := onlineDatasets()
+	q := synth.YouTubeQueries()[0]
+	var vids []detect.TruthVideo
+	for _, v := range yt.Videos {
+		if !v.ActionPresence(q.Action).Empty() {
+			vids = append(vids, v)
+		}
+	}
+	obj, act := detect.NewObjectDetector(detect.MaskRCNN, 42), detect.NewActionRecognizer(detect.I3D, 42)
+	meter, reg := &detect.Meter{}, obs.NewRegistry()
+	meter.Register(reg)
+	cfg := core.DefaultConfig()
+	cfg.Meter = meter
+	env := stmt.Env{
+		Models: detect.NewModels(detect.NewDistilledObjectCascade(obj, detect.DistilledRCNN, 42), detect.NewDistilledActionCascade(act, detect.DistilledI3D, 42)),
+		Engine: cfg,
+		Videos: func(string) ([]detect.TruthVideo, error) { return vids, nil },
+	}
+	st, err := sqlq.Parse(fmt.Sprintf("SELECT MERGE(clipID) AS s FROM (PROCESS %s PRODUCE clipID, obj USING ObjectDetector, act USING ActionRecognizer) WHERE act='%s' AND obj.include('%s', 'person')", q.Name, q.Action, q.Objects[0]))
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := st.Plan()
+	if err != nil {
+		b.Fatal(err)
+	}
+	run := func() {
+		if _, fr, err := stmt.ExecuteFleet(context.Background(), p, "svaqd", env, core.FleetOptions{Workers: 2}); err != nil || fr.OK != len(vids) {
+			b.Fatalf("fleet: %v", err)
+		}
+	}
+	run() // warm: critical-value grids, scratch pools, overlays
+	units := func() float64 { return float64(meter.ObjectFrames() + meter.ActionShots()) }
+	u0, e0 := units(), escalations(b, reg)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	b.StopTimer()
+	b.ReportMetric((units()-u0)/float64(b.N), "units/op")
+	b.ReportMetric((escalations(b, reg)-e0)/float64(b.N), "escalations/op")
+}
+
+// escalations sums a registered meter's escalated units over every cascade
+// tier, as its registry exposes them.
+func escalations(b *testing.B, reg *obs.Registry) (n float64) {
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		b.Fatal(err)
+	}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if strings.HasPrefix(line, "svqact_detect_tier_decisions_total{") && strings.Contains(line, `outcome="escalated"`) {
+			v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+			if err != nil {
+				b.Fatal(err)
+			}
+			n += v
+		}
+	}
+	return n
 }
 
 func BenchmarkIngest(b *testing.B) {

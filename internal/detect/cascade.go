@@ -29,11 +29,19 @@ import (
 //     anything in-band escalates, and the last tier always decides;
 //   - a tier whose invocation still fails after its own retry budget falls
 //     through to the next tier; only the last tier's failure is an error;
-//   - the distilled proxies are recall-complete: the proxy's score is ≥ the
-//     teacher's on every unit. Under RecallBand the teacher therefore scores
-//     every unit the proxy does not reject with score 0, where the teacher
-//     would score 0 too. The cascade's scores and events are bit-identical
-//     to its accurate tier's; only the cost differs.
+//   - the distilled proxies are recall-complete: wherever the teacher
+//     detects anything the proxy scores exactly the teacher's score, and
+//     elsewhere its own hallucination or 0. Under RecallBand the proxy
+//     decides a unit only when it scores under Lo: a 0, where the teacher
+//     scores 0 too, or a detection in (0, Lo) — clampScore lifts a sample
+//     at or below 0 to scoreFloor but passes one in (0, scoreFloor)
+//     through. Where the teacher detected, that score is the teacher's own.
+//     Where it did not, it is the proxy's hallucination, which lies under
+//     every operating threshold ≥ Lo just as the teacher's 0 does. So the
+//     cascade's indicators at any threshold ≥ Lo are its accurate tier's,
+//     and so are its scores and events except on such a hallucination (with
+//     the shipped proxies' profiles, about 1.5e-6 of their hallucinations);
+//     only the cost differs.
 
 // Band is a tier's escalation band: a score in [Lo, Hi) is uncertain and
 // escalates to the next tier; a score outside the band decides the unit at
@@ -45,8 +53,10 @@ type Band struct {
 // Escalates reports whether a score is uncertain at this tier.
 func (b Band) Escalates(s float64) bool { return s >= b.Lo && s < b.Hi }
 
-// RecallBand escalates on any detection at all: simulated scores are 0 or
-// ≥ 0.01 (clampScore's floor), and Hi lies above the score ceiling.
+// RecallBand escalates every detection scoring at least Lo; Hi lies above
+// the score ceiling. A simulated detection can score under Lo — clampScore
+// passes samples in (0, scoreFloor) through — and is then decided by the
+// tier that scored it (see the soundness note above).
 func RecallBand() Band { return Band{Lo: 0.005, Hi: 2} }
 
 // TierInfo describes one tier of a chain to the planner and the EXPLAIN
@@ -187,50 +197,23 @@ func (s *Scorer) Tiers() []TierInfo { return s.tiers }
 
 // Score fills dst[i] with the chain's score for unit start+i of the label,
 // entering at tier from (clamped to the tier range), at threshold tau as
-// Model.Score defines it. The entry tier scores the run in one batch at
-// attempt 0; a unit that fails there is retried alone under retry, then the
-// batch resumes after it at attempt 0. In-band and failed units walk the
-// higher tiers one by one, each tier with its own attempt budget. ctx is
-// consulted once before the batch and then only by retries. The first unit
-// whose last tier still fails — or whose retries ctx ends — stops the run:
-// scored says how many units came before it, whose final scores are
-// dst[:scored]. A unit is charged to acc when the walk reaches it, exactly
-// as if each unit were scored alone; acc must have been Reset for this
-// chain.
+// Model.Score defines it. Every tier scores in batches at attempt 0: the
+// entry tier the whole run, a higher tier each maximal run of units the tier
+// below left in band. A unit that fails at attempt 0 is retried alone under
+// retry, climbs alone when it still fails (a fallthrough) or scores in band,
+// and the batch resumes after it at attempt 0. ctx is consulted once before
+// the entry batch and then only by retries. The first unit whose last tier
+// still fails — or whose retries ctx ends — stops the run: scored says how
+// many units came before it, whose final scores are dst[:scored]. A unit is
+// charged to acc at every tier the walk takes it through, and a unit after
+// the one that stopped it at none, exactly as if each unit were scored
+// alone; acc must have been Reset for this chain.
 func (s *Scorer) Score(ctx context.Context, v TruthVideo, label string, start, from int, dst []float64, tau float64, retry RetryConfig, acc *Account) (scored int, err error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	last := len(s.tiers) - 1
-	from = min(max(from, 0), last)
-	t := &s.tiers[from]
-	for i := 0; i < len(dst); i++ {
-		n, err0 := t.model.Score(v, label, start+i, dst[i:], s.tauAt(from, tau), 0)
-		if from == last { // the last tier decides every unit it scored
-			acc.charge(from, int64(n), int64(n), t.UnitCost)
-			acc.Decided[from] += int64(n)
-			i += n
-		} else {
-			for end := i + n; i < end; i++ {
-				acc.charge(from, 1, 1, t.UnitCost)
-				if !t.band.Escalates(dst[i]) {
-					acc.Decided[from]++
-					continue
-				}
-				acc.Escalated[from]++
-				if err := s.walk(ctx, v, label, start+i, from+1, dst[i:i+1], tau, nil, retry, acc); err != nil {
-					return i, err
-				}
-			}
-		}
-		if err0 == nil {
-			break
-		}
-		if err := s.walk(ctx, v, label, start+i, from, dst[i:i+1], tau, err0, retry, acc); err != nil {
-			return i, err
-		}
-	}
-	return len(dst), nil
+	w := walk{Scorer: s, ctx: ctx, v: v, label: label, tau: tau, retry: retry, acc: acc}
+	return w.score(min(max(from, 0), len(s.tiers)-1), start, dst)
 }
 
 // tauAt is the threshold tier ti scores at: the chain's for the last tier,
@@ -242,38 +225,104 @@ func (s *Scorer) tauAt(ti int, tau float64) float64 {
 	return tau
 }
 
-// walk resolves one unit into one[0] from tier ti. A non-nil err0 is the
-// failure of tier ti's attempt 0, which the entry batch made.
-func (s *Scorer) walk(ctx context.Context, v TruthVideo, label string, unit, ti int, one []float64, tau float64, err0 error, retry RetryConfig, acc *Account) error {
-	for last := len(s.tiers) - 1; ; ti, err0 = ti+1, nil {
-		t, at := &s.tiers[ti], s.tauAt(ti, tau)
-		err := err0
-		if err == nil {
-			_, err = t.model.Score(v, label, unit, one, at, 0)
+// walk is one Score call: its fixed arguments, shared by the recursion over
+// the tiers.
+type walk struct {
+	*Scorer
+	ctx   context.Context
+	v     TruthVideo
+	label string
+	tau   float64
+	retry RetryConfig
+	acc   *Account
+}
+
+// score resolves dst, units start onwards, from tier ti up. It returns how
+// many units came before the one that stopped the walk, which is charged at
+// every tier it reached.
+func (w *walk) score(ti, start int, dst []float64) (int, error) {
+	t, at, last := &w.tiers[ti], w.tauAt(ti, w.tau), len(w.tiers)-1
+	for i := 0; i < len(dst); i++ {
+		n, err0 := t.model.Score(w.v, w.label, start+i, dst[i:], at, 0)
+		if ti == last { // the last tier decides every unit it scored
+			w.acc.charge(ti, int64(n), int64(n), t.UnitCost)
+			w.acc.Decided[ti] += int64(n)
+		} else if k, err := w.escalate(ti, start+i, dst[i:i+n]); err != nil {
+			return i + k, err
 		}
-		attempts := int64(1)
-		if err != nil {
-			attempts, err = retryAfter(ctx, retry, acc, err, func(a int) error {
-				_, err := t.model.Score(v, label, unit, one, at, a)
-				return err
-			})
+		if i += n; err0 == nil {
+			break
 		}
-		acc.charge(ti, 1, attempts, t.UnitCost)
-		switch {
-		case err != nil && ctx.Err() != nil:
-			return ctx.Err()
-		case err != nil && ti < last:
-			acc.Escalated[ti]++ // conservative fallthrough
-			acc.Fallthroughs[ti]++
-		case err != nil:
-			return err
-		case ti < last && t.band.Escalates(one[0]):
-			acc.Escalated[ti]++
-		default:
-			acc.Decided[ti]++
-			return nil
+		if err := w.retryUnit(ti, start+i, dst[i:i+1], err0); err != nil {
+			return i, err
 		}
 	}
+	return len(dst), nil
+}
+
+// escalate charges units tier ti (not the last) scored into dst, in order:
+// a unit outside the band is decided at ti, and each maximal run of in-band
+// units is first resolved from tier ti+1 in one batch, then charged at ti as
+// far as that reached — all of it, or up to the unit that stopped the walk.
+func (w *walk) escalate(ti, start int, dst []float64) (int, error) {
+	t := &w.tiers[ti]
+	for i := 0; i < len(dst); {
+		a := i
+		for a < len(dst) && !t.band.Escalates(dst[a]) {
+			a++
+		}
+		b := a
+		for b < len(dst) && t.band.Escalates(dst[b]) {
+			b++
+		}
+		w.acc.charge(ti, int64(a-i), int64(a-i), t.UnitCost)
+		w.acc.Decided[ti] += int64(a - i)
+		if a == b {
+			break
+		}
+		k, err := w.score(ti+1, start+a, dst[a:b])
+		reached := int64(k)
+		if err != nil {
+			reached++
+		}
+		w.acc.charge(ti, reached, reached, t.UnitCost)
+		w.acc.Escalated[ti] += reached
+		if err != nil {
+			return a + k, err
+		}
+		i = b
+	}
+	return len(dst), nil
+}
+
+// retryUnit resolves one unit into one[0] whose attempt 0 at tier ti failed
+// with err0: it retries the unit alone there and, when the tier still fails
+// below the last (a conservative fallthrough) or scores it in band, resolves
+// it from tier ti+1.
+func (w *walk) retryUnit(ti, unit int, one []float64, err0 error) error {
+	t, at := &w.tiers[ti], w.tauAt(ti, w.tau)
+	attempts, err := retryAfter(w.ctx, w.retry, w.acc, err0, func(a int) error {
+		_, err := t.model.Score(w.v, w.label, unit, one, at, a)
+		return err
+	})
+	w.acc.charge(ti, 1, attempts, t.UnitCost)
+	last := len(w.tiers) - 1
+	switch {
+	case err != nil && w.ctx.Err() != nil:
+		return w.ctx.Err()
+	case err != nil && ti == last:
+		return err
+	case err != nil:
+		w.acc.Escalated[ti]++
+		w.acc.Fallthroughs[ti]++
+	case ti < last && t.band.Escalates(one[0]):
+		w.acc.Escalated[ti]++
+	default:
+		w.acc.Decided[ti]++
+		return nil
+	}
+	_, err = w.score(ti+1, unit, one)
+	return err
 }
 
 // decide walks one unit up the chain at one attempt, without retry: a

@@ -3,6 +3,8 @@ package detect
 import (
 	"context"
 	"errors"
+	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -383,5 +385,54 @@ func TestDistilledDeterminism(t *testing.T) {
 		if want := b.FrameScore(v, "car", i); s != want {
 			t.Fatalf("frame %d: batch %v != scalar %v", i, s, want)
 		}
+	}
+}
+
+// TestCascadeBelowRecallBand: a teacher whose detections often score in
+// (0, Lo) — clampScore passes samples in (0, scoreFloor) through — leaves
+// those units to the proxy, which decides them with the teacher's exact
+// score, so the cascade's scores and events are still the teacher's.
+func TestCascadeBelowRecallBand(t *testing.T) {
+	v := testVideo(t, 38)
+	faint := Profile{
+		Name: "faint", TPR: 0.9, TPScoreMean: 0.004, TPScoreStd: 0.004,
+		FPIID: 0.05, FPScoreMean: 0.004, FPScoreStd: 0.004, UnitCost: 45 * time.Millisecond,
+	}
+	teacher := NewObjectDetector(faint, 3)
+	casc := NewDistilledObjectCascade(teacher, DistilledRCNN, 3)
+	n := v.NumFrames()
+	want, got := make([]float64, n), make([]float64, n)
+	teacher.Score(v, "car", 0, want, 0, 0)
+	var acc Account
+	acc.Reset(2)
+	if _, err := ScorerOf(casc).Score(context.Background(), v, "car", 0, 0, got, 0, RetryConfig{}, &acc); err != nil {
+		t.Fatal(err)
+	}
+	below, detected := 0, int64(0)
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("frame %d: cascade %v, teacher %v", i, got[i], want[i])
+		}
+		if want[i] > 0 {
+			detected++
+			if want[i] < RecallBand().Lo {
+				below++
+			}
+		}
+	}
+	if below == 0 || acc.Units[1] >= detected {
+		t.Fatalf("%d teacher detections under Lo, %d of %d detections escalated: the corner is not exercised", below, acc.Units[1], detected)
+	}
+	casc.Score(v, "car", 0, got, 0, 0)
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("frame %d: cascade as a model %v, teacher %v", i, got[i], want[i])
+		}
+	}
+	var evC, evT Events
+	casc.Events(v, "car", video.Interval{Start: 0, End: n - 1}, &evC, 0)
+	teacher.Events(v, "car", video.Interval{Start: 0, End: n - 1}, &evT, 0)
+	if !reflect.DeepEqual(evC, evT) {
+		t.Fatal("the cascade's events differ from the teacher's")
 	}
 }

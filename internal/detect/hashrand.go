@@ -103,10 +103,13 @@ func KeyString(s string) uint64 { return hashString(s) }
 // Unit01 maps a 64-bit key to a uniform float in [0, 1).
 func Unit01(h uint64) float64 { return unitFloat(h) }
 
-// scoreFloor is the least score a detection carries.
+// scoreFloor is the score a sample at or below 0 is lifted to.
 const scoreFloor = 0.01
 
-// clampScore limits a sampled confidence to [scoreFloor, 1].
+// clampScore maps a sampled confidence into (0, 1]: a sample at or below 0
+// becomes scoreFloor, one above 1 becomes 1, and any other — including one
+// in (0, scoreFloor) — passes through unchanged. So clampScore(s) ≥ τ
+// exactly when s ≥ τ only for τ in (scoreFloor, 1].
 func clampScore(s float64) float64 {
 	if s <= 0 {
 		return scoreFloor

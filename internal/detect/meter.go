@@ -1,8 +1,8 @@
 package detect
 
 import (
-	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"svqact/internal/obs"
@@ -27,14 +27,24 @@ type Meter struct {
 	kinds [2]kindCounters
 
 	// Cascade tiers are discovered at charge time, so their counters live in
-	// a map and attach lazily to the registry the meter was registered on.
+	// one map per kind, by tier name, and attach lazily to the registry the
+	// meter was registered on. A map is never written once published: a new
+	// tier replaces it with a copy under mu, so a lookup takes no lock.
 	mu    sync.Mutex
 	reg   *obs.Registry
-	tiers map[string]*tierCounters
+	tiers [2]atomic.Pointer[map[string]*tierCounters]
 }
 
-// kindNames are the kind label values, indexing Meter.kinds.
+// kindNames are the kind label values, indexing Meter.kinds and Meter.tiers.
 var kindNames = [2]string{KindObject, KindAction}
+
+// kindIndex is a detector kind's index in kindNames.
+func kindIndex(kind string) int {
+	if kind == KindAction {
+		return 1
+	}
+	return 0
+}
 
 // kindCounters is one detector kind's block of the svqact_detect_* families.
 type kindCounters struct {
@@ -55,12 +65,7 @@ type tierCounters struct {
 }
 
 // kind returns the counter block of a detector kind.
-func (m *Meter) kind(kind string) *kindCounters {
-	if kind == KindAction {
-		return &m.kinds[1]
-	}
-	return &m.kinds[0]
-}
+func (m *Meter) kind(kind string) *kindCounters { return &m.kinds[kindIndex(kind)] }
 
 // AddObjectFrames records n frames passed through the object detector.
 func (m *Meter) AddObjectFrames(n int) { m.kinds[0].inferences.Add(int64(n)) }
@@ -78,7 +83,8 @@ func (m *Meter) ActionShots() int64 { return m.kinds[1].inferences.Value() }
 // attempts with a model of the kind and, for a chain of two or more tiers,
 // each tier's units and outcomes.
 func (m *Meter) Record(kind string, tiers []TierInfo, acc *Account) {
-	k := m.kind(kind)
+	ki := kindIndex(kind)
+	k := &m.kinds[ki]
 	k.attempts.Add(acc.Attempts)
 	k.retries.Add(acc.Retries)
 	k.transient.Add(acc.Transient)
@@ -91,7 +97,7 @@ func (m *Meter) Record(kind string, tiers []TierInfo, acc *Account) {
 		if u == 0 && d == 0 && e == 0 && f == 0 {
 			continue
 		}
-		tc := m.tier(kind, ti.Name)
+		tc := m.tier(ki, ti.Name)
 		tc.units.Add(u)
 		tc.decided.Add(d)
 		tc.escalated.Add(e)
@@ -120,22 +126,33 @@ func (m *Meter) Faults(kind string, transient bool) int64 {
 // Flagged returns the clips skipped-and-flagged for the kind.
 func (m *Meter) Flagged(kind string) int64 { return m.kind(kind).flagged.Value() }
 
-// tier returns the counter block for a (kind, tier) pair, creating it — and
-// attaching it to the registry when the meter is registered — on first use.
-func (m *Meter) tier(kind, name string) *tierCounters {
+// tier returns the counter block for a (kind index, tier name) pair: on a
+// hit one atomic load and a map probe; on first use it creates the block
+// and attaches it to the registry when the meter is registered.
+func (m *Meter) tier(ki int, name string) *tierCounters {
+	if p := m.tiers[ki].Load(); p != nil {
+		if tc, ok := (*p)[name]; ok {
+			return tc
+		}
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	key := kind + "/" + name
-	tc, ok := m.tiers[key]
-	if !ok {
-		if m.tiers == nil {
-			m.tiers = make(map[string]*tierCounters)
-		}
-		tc = &tierCounters{}
-		m.tiers[key] = tc
-		if m.reg != nil {
-			attachTierCounters(m.reg, kind, name, tc)
-		}
+	var old map[string]*tierCounters
+	if p := m.tiers[ki].Load(); p != nil {
+		old = *p
+	}
+	if tc, ok := old[name]; ok {
+		return tc
+	}
+	next := make(map[string]*tierCounters, len(old)+1)
+	for n, tc := range old {
+		next[n] = tc
+	}
+	tc := &tierCounters{}
+	next[name] = tc
+	m.tiers[ki].Store(&next)
+	if m.reg != nil {
+		attachTierCounters(m.reg, kindNames[ki], name, tc)
 	}
 	return tc
 }
@@ -170,9 +187,12 @@ func (m *Meter) Cost(models Models) (cost time.Duration) {
 func (m *Meter) Register(r *obs.Registry) {
 	m.mu.Lock()
 	m.reg = r
-	for key, tc := range m.tiers {
-		k, t, _ := strings.Cut(key, "/")
-		attachTierCounters(r, k, t, tc)
+	for ki := range m.tiers {
+		if p := m.tiers[ki].Load(); p != nil {
+			for name, tc := range *p {
+				attachTierCounters(r, kindNames[ki], name, tc)
+			}
+		}
 	}
 	m.mu.Unlock()
 	for i, name := range kindNames {

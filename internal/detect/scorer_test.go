@@ -92,28 +92,40 @@ func refTierOf(m Model, band Band, v TruthVideo, label string) refTier {
 }
 
 // scorerCase is one (models, kind) cell of the equivalence table: the
-// walker's chains and the same models as reference tiers, cheap then
-// accurate.
+// walker's chains and the same models as reference tiers — cheap, then
+// accurate, and the middle tier of the three-tier chain.
 type scorerCase struct {
-	name     string
-	label    string
-	one, two *Scorer
-	ref      []refTier
+	name            string
+	label           string
+	one, two, three *Scorer
+	ref             []refTier
+	mid             refTier
 }
 
-func objectCase(name string, v TruthVideo, cheap, accurate ObjectDetector) scorerCase {
+// ref3 is the three-tier chain's reference tiers.
+func (c scorerCase) ref3() []refTier { return []refTier{c.ref[0], c.mid, c.ref[1]} }
+
+// midBand is the middle tier's band in the three-tier chains: narrower than
+// RecallBand, so a run the entry tier escalates splits again.
+var midBand = Band{Lo: 0.3, Hi: 0.8}
+
+func objectCase(name string, v TruthVideo, cheap, mid, accurate ObjectDetector) scorerCase {
 	casc := NewObjectCascade(ObjectTier{Detector: cheap, Band: RecallBand()}, ObjectTier{Detector: accurate})
+	three := NewObjectCascade(ObjectTier{Detector: cheap, Band: RecallBand()}, ObjectTier{Detector: mid, Band: midBand}, ObjectTier{Detector: accurate})
 	return scorerCase{
-		name: name + "/object", label: "car", one: ScorerOf(accurate), two: ScorerOf(casc),
+		name: name + "/object", label: "car", one: ScorerOf(accurate), two: ScorerOf(casc), three: ScorerOf(three),
 		ref: []refTier{refTierOf(cheap, RecallBand(), v, "car"), refTierOf(accurate, Band{}, v, "car")},
+		mid: refTierOf(mid, midBand, v, "car"),
 	}
 }
 
-func actionCase(name string, v TruthVideo, cheap, accurate ActionRecognizer) scorerCase {
+func actionCase(name string, v TruthVideo, cheap, mid, accurate ActionRecognizer) scorerCase {
 	casc := NewActionCascade(ActionTier{Recognizer: cheap, Band: RecallBand()}, ActionTier{Recognizer: accurate})
+	three := NewActionCascade(ActionTier{Recognizer: cheap, Band: RecallBand()}, ActionTier{Recognizer: mid, Band: midBand}, ActionTier{Recognizer: accurate})
 	return scorerCase{
-		name: name + "/action", label: "jumping", one: ScorerOf(accurate), two: ScorerOf(casc),
+		name: name + "/action", label: "jumping", one: ScorerOf(accurate), two: ScorerOf(casc), three: ScorerOf(three),
 		ref: []refTier{refTierOf(cheap, RecallBand(), v, "jumping"), refTierOf(accurate, Band{}, v, "jumping")},
+		mid: refTierOf(mid, midBand, v, "jumping"),
 	}
 }
 
@@ -123,16 +135,17 @@ func scorerCases(v TruthVideo) []scorerCase {
 		obj, act := ObjectDetector(NewObjectDetector(objProf, 5)), ActionRecognizer(NewActionRecognizer(actProf, 5))
 		objCheap := ObjectDetector(NewDistilledObjectDetector(obj, DistilledRCNN, 5))
 		actCheap := ActionRecognizer(NewDistilledActionRecognizer(act, DistilledI3D, 5))
+		objMid, actMid := ObjectDetector(NewObjectDetector(YOLOv3, 6)), ActionRecognizer(NewActionRecognizer(I3D, 6))
 		if fc != nil {
 			// Faults compose per tier, as the server builds its cascades.
-			obj, objCheap = InjectObjectFaults(obj, *fc), InjectObjectFaults(objCheap, *fc)
-			act, actCheap = InjectActionFaults(act, *fc), InjectActionFaults(actCheap, *fc)
+			obj, objCheap, objMid = InjectObjectFaults(obj, *fc), InjectObjectFaults(objCheap, *fc), InjectObjectFaults(objMid, *fc)
+			act, actCheap, actMid = InjectActionFaults(act, *fc), InjectActionFaults(actCheap, *fc), InjectActionFaults(actMid, *fc)
 		}
 		if deadCheap {
 			objCheap = failingObjectDetector{name: "dead-proxy", transient: true}
 			actCheap = failingActionRecognizer{name: "dead-proxy"}
 		}
-		cases = append(cases, objectCase(name, v, objCheap, obj), actionCase(name, v, actCheap, act))
+		cases = append(cases, objectCase(name, v, objCheap, objMid, obj), actionCase(name, v, actCheap, actMid, act))
 	}
 	add("ideal", IdealObject, IdealAction, nil, false)
 	add("noisy", MaskRCNN, I3D, nil, false)
@@ -142,29 +155,45 @@ func scorerCases(v TruthVideo) []scorerCase {
 	return cases
 }
 
-// lastTier projects a two-tier account that never touched tier 0 onto the
-// one-tier shape, for the field-for-field comparison.
+// lastTier projects an account that never touched a tier below the last
+// onto the one-tier shape, for the field-for-field comparison.
 func lastTier(t *testing.T, a Account) Account {
 	t.Helper()
-	if a.Units[0]+a.Decided[0]+a.Escalated[0]+a.Fallthroughs[0] != 0 {
-		t.Fatalf("entered at the last tier but tier 0 was touched: %+v", a)
+	last := len(a.Units) - 1
+	for i := range last {
+		if a.Units[i]+a.Decided[i]+a.Escalated[i]+a.Fallthroughs[i] != 0 {
+			t.Fatalf("entered at the last tier but tier %d was touched: %+v", i, a)
+		}
 	}
-	a.Units, a.Decided, a.Escalated, a.Fallthroughs = a.Units[1:], a.Decided[1:], a.Escalated[1:], a.Fallthroughs[1:]
+	a.Units, a.Decided, a.Escalated, a.Fallthroughs = a.Units[last:], a.Decided[last:], a.Escalated[last:], a.Fallthroughs[last:]
 	return a
 }
 
+// checkSides compares a walk's scores with the reference's: bit for bit at
+// τ ≤ 0, by the side of τ otherwise.
+func checkSides(t testing.TB, where string, got, want []float64, tau float64) {
+	t.Helper()
+	for i := range got {
+		if !sameSide(got[i], want[i], tau) {
+			t.Fatalf("%s at τ=%v: unit %d scored %v, reference %v", where, tau, i, got[i], want[i])
+		}
+	}
+}
+
 // TestScorerMatchesReference is the walker's contract: over every model
-// configuration, both unit kinds and every way into a chain, Score produces
-// the reference's scores, scored count, error and account — including the
-// stated corners: the unit that exhausts its retries counts in Units, the
-// scores before a failure survive it, and every failed attempt is classified
-// by IsTransient.
+// configuration, both unit kinds, chains of one, two and three tiers, every
+// way into a chain and thresholds 0 and 0.5 on the last tier, Score produces
+// the reference's scores (at 0.5 their sides), scored count, error and
+// account — including the stated corners: the unit that exhausts its
+// retries counts in Units, the scores before a failure survive it, and every
+// failed attempt is classified by IsTransient. The three-tier chain's middle
+// band splits the runs the entry tier escalates, so the walk recurses twice.
 func TestScorerMatchesReference(t *testing.T) {
 	v := testVideo(t, 41)
 	const run, runs, attempts = 40, 25, 3
 	retry := RetryConfig{Attempts: attempts}
 	ctx := context.Background()
-	failures, fallthroughs, retries := 0, int64(0), int64(0)
+	failures, fallthroughs, retries, deep := 0, int64(0), int64(0), int64(0)
 	for _, c := range scorerCases(v) {
 		shapes := []struct {
 			name   string
@@ -176,45 +205,51 @@ func TestScorerMatchesReference(t *testing.T) {
 			{"one-tier", c.one, c.ref[1:], 0, -1},
 			{"two-tier@0", c.two, c.ref, 0, -1},
 			{"two-tier@last", c.two, c.ref, 1, 0},
+			{"three-tier@0", c.three, c.ref3(), 0, -1},
+			{"three-tier@1", c.three, c.ref3(), 1, -1},
+			{"three-tier@last", c.three, c.ref3(), 2, 0},
 		}
 		for k := 0; k < runs; k++ {
 			start := k * run
-			var kept []Account
-			for _, sh := range shapes {
-				name := fmt.Sprintf("%s/%s/run%d", c.name, sh.name, k)
-				var got, want Account
-				got.Reset(len(sh.ref))
-				want.Reset(len(sh.ref))
-				gotDst, wantDst := make([]float64, run), make([]float64, run)
-				gotN, gotErr := sh.chain.Score(ctx, v, c.label, start, sh.from, gotDst, 0, retry, &got)
-				wantN, wantErr := refScore(ctx, sh.ref, start, sh.from, wantDst, attempts, &want)
-				if gotN != wantN || !reflect.DeepEqual(gotErr, wantErr) {
-					t.Fatalf("%s: scored %d err %v, reference %d err %v", name, gotN, gotErr, wantN, wantErr)
-				}
-				if !reflect.DeepEqual(gotDst[:gotN], wantDst[:wantN]) {
-					t.Fatalf("%s: scores diverge from the reference", name)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: account\n got %+v\nwant %+v", name, got, want)
-				}
-				if sh.equals >= 0 && !reflect.DeepEqual(lastTier(t, got), kept[sh.equals]) {
-					t.Fatalf("%s: entered at the last tier\n got %+v\nwant the one-tier chain's %+v", name, lastTier(t, got), kept[sh.equals])
-				}
-				kept = append(kept, got)
-				if gotErr != nil {
-					failures++
-					if last := len(got.Units) - 1; got.Units[last] != got.Decided[last]+1 {
-						t.Fatalf("%s: the failing unit was invoked and must count in Units: %+v", name, got)
+			for _, tau := range []float64{0, DefaultThreshold} {
+				var kept []Account
+				for _, sh := range shapes {
+					name := fmt.Sprintf("%s/%s/run%d", c.name, sh.name, k)
+					var got, want Account
+					got.Reset(len(sh.ref))
+					want.Reset(len(sh.ref))
+					gotDst, wantDst := make([]float64, run), make([]float64, run)
+					gotN, gotErr := sh.chain.Score(ctx, v, c.label, start, sh.from, gotDst, tau, retry, &got)
+					wantN, wantErr := refScore(ctx, sh.ref, start, sh.from, wantDst, attempts, &want)
+					if gotN != wantN || !reflect.DeepEqual(gotErr, wantErr) {
+						t.Fatalf("%s at τ=%v: scored %d err %v, reference %d err %v", name, tau, gotN, gotErr, wantN, wantErr)
+					}
+					checkSides(t, name, gotDst[:gotN], wantDst[:wantN], tau)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s at τ=%v: account\n got %+v\nwant %+v", name, tau, got, want)
+					}
+					if sh.equals >= 0 && !reflect.DeepEqual(lastTier(t, got), kept[sh.equals]) {
+						t.Fatalf("%s at τ=%v: entered at the last tier\n got %+v\nwant the one-tier chain's %+v", name, tau, lastTier(t, got), kept[sh.equals])
+					}
+					kept = append(kept, got)
+					if gotErr != nil {
+						failures++
+						if last := len(got.Units) - 1; got.Units[last] != got.Decided[last]+1 {
+							t.Fatalf("%s: the failing unit was invoked and must count in Units: %+v", name, got)
+						}
+					}
+					fallthroughs += got.Fallthroughs[0]
+					retries += got.Retries
+					if len(sh.ref) == 3 && sh.from == 0 {
+						deep += got.Escalated[1]
 					}
 				}
-				fallthroughs += got.Fallthroughs[0]
-				retries += got.Retries
 			}
 		}
 	}
 	// The table must actually reach the corners it claims to pin.
-	if failures == 0 || fallthroughs == 0 || retries == 0 {
-		t.Fatalf("table too tame: %d failed runs, %d fallthroughs, %d retries", failures, fallthroughs, retries)
+	if failures == 0 || fallthroughs == 0 || retries == 0 || deep == 0 {
+		t.Fatalf("table too tame: %d failed runs, %d fallthroughs, %d retries, %d units escalated twice", failures, fallthroughs, retries, deep)
 	}
 }
 
@@ -245,7 +280,8 @@ func TestScorerCancelledContextChargesNothing(t *testing.T) {
 }
 
 // TestScoreAllocsSteadyState: the walker itself allocates nothing — not for a
-// plain model's batch call, not for a cascade's escalations, not for a fault
+// plain model's batch call, not for a cascade's escalated runs (at any
+// threshold), not for a fault
 // decorator whose draws never fail. The label is a type the video never
 // shows, so the simulated models have no instance lists to materialise and
 // every allocation counted would be the walker's own; the cheap tier's false
@@ -264,6 +300,7 @@ func TestScoreAllocsSteadyState(t *testing.T) {
 		{"single", ScorerOf(teacher), 0},
 		{"single@0.5", ScorerOf(teacher), DefaultThreshold},
 		{"cascade", ScorerOf(NewDistilledObjectCascade(teacher, DistilledRCNN, 5)), 0},
+		{"cascade@0.5", ScorerOf(NewDistilledObjectCascade(teacher, DistilledRCNN, 5)), DefaultThreshold},
 		{"fallible", ScorerOf(InjectObjectFaults(teacher, FaultConfig{TransientRate: 1e-12, Seed: 5})), 0},
 	} {
 		var acc Account
@@ -275,7 +312,7 @@ func TestScoreAllocsSteadyState(t *testing.T) {
 			}
 		}
 		score() // warm the models' overlay caches and the account's slices
-		if c.name == "cascade" && acc.Escalated[0] == 0 {
+		if len(c.chain.Tiers()) > 1 && acc.Escalated[0] == 0 {
 			t.Fatal("no escalations: the cascade's walk was not exercised")
 		}
 		if allocs := testing.AllocsPerRun(20, score); allocs != 0 {
@@ -286,50 +323,176 @@ func TestScoreAllocsSteadyState(t *testing.T) {
 
 // FuzzScorerMatchesReference fuzzes the walker against refScore: the fault
 // seed and rates of every tier, the run's start and length, the retry
-// budget, the entry tier, one tier or a cascade of two, objects or actions.
+// budget, the entry tier, a chain of one, two or three tiers, objects or
+// actions, and the last tier's threshold (compared by side above 0).
 func FuzzScorerMatchesReference(f *testing.F) {
 	v := testVideo(f, 41)
-	f.Add(int64(21), 0.3, 0.0, uint16(0), uint8(40), uint8(3), uint8(0), true, true)
-	f.Add(int64(4), 0.0, 0.02, uint16(900), uint8(200), uint8(2), uint8(1), true, false)
-	f.Add(int64(7), 1.0, 0.0, uint16(77), uint8(9), uint8(1), uint8(0), false, true)
-	f.Fuzz(func(t *testing.T, seed int64, transient, permanent float64, start uint16, length, attempts, from uint8, cascade, objects bool) {
+	f.Add(int64(21), 0.3, 0.0, uint16(0), uint8(40), uint8(3), uint8(0), uint8(1), true, 0.0)
+	f.Add(int64(4), 0.0, 0.02, uint16(900), uint8(200), uint8(2), uint8(1), uint8(1), false, 0.0)
+	f.Add(int64(7), 1.0, 0.0, uint16(77), uint8(9), uint8(1), uint8(0), uint8(0), true, 0.0)
+	f.Add(int64(9), 0.1, 0.01, uint16(1200), uint8(250), uint8(3), uint8(0), uint8(2), true, DefaultThreshold)
+	f.Fuzz(func(t *testing.T, seed int64, transient, permanent float64, start uint16, length, attempts, from, tiers uint8, objects bool, tau float64) {
 		rate := func(p float64) float64 {
 			if math.IsNaN(p) {
 				return 0
 			}
 			return min(1, math.Abs(p))
 		}
+		if math.IsNaN(tau) || math.IsInf(tau, 0) {
+			tau = 0
+		}
+		tau = math.Mod(tau, 1.5)
 		fc := FaultConfig{TransientRate: rate(transient), PermanentRate: rate(permanent), Seed: seed}
 		var c scorerCase
 		units := v.NumFrames()
 		if objects {
 			teacher := NewObjectDetector(MaskRCNN, 5)
-			c = objectCase("fuzz", v, InjectObjectFaults(NewDistilledObjectDetector(teacher, DistilledRCNN, 5), fc), InjectObjectFaults(teacher, fc))
+			c = objectCase("fuzz", v, InjectObjectFaults(NewDistilledObjectDetector(teacher, DistilledRCNN, 5), fc),
+				InjectObjectFaults(NewObjectDetector(YOLOv3, 6), fc), InjectObjectFaults(teacher, fc))
 		} else {
 			teacher := NewActionRecognizer(I3D, 5)
-			c = actionCase("fuzz", v, InjectActionFaults(NewDistilledActionRecognizer(teacher, DistilledI3D, 5), fc), InjectActionFaults(teacher, fc))
+			c = actionCase("fuzz", v, InjectActionFaults(NewDistilledActionRecognizer(teacher, DistilledI3D, 5), fc),
+				InjectActionFaults(NewActionRecognizer(I3D, 6), fc), InjectActionFaults(teacher, fc))
 			units = v.Geometry().NumShots(v.NumFrames())
 		}
-		chain, ref := c.one, c.ref[1:]
-		if cascade {
-			chain, ref = c.two, c.ref
-		}
+		chain, ref := []*Scorer{c.one, c.two, c.three}[tiers%3], [][]refTier{c.ref[1:], c.ref, c.ref3()}[tiers%3]
 		s := int(start) % units
 		n, entry, tries := min(int(length), units-s), int(from)%len(ref), 1+int(attempts)%5
 		var got, want Account
 		got.Reset(len(ref))
 		want.Reset(len(ref))
 		gotDst, wantDst := make([]float64, n), make([]float64, n)
-		gotN, gotErr := chain.Score(context.Background(), v, c.label, s, entry, gotDst, 0, RetryConfig{Attempts: tries}, &got)
+		gotN, gotErr := chain.Score(context.Background(), v, c.label, s, entry, gotDst, tau, RetryConfig{Attempts: tries}, &got)
 		wantN, wantErr := refScore(context.Background(), ref, s, entry, wantDst, tries, &want)
 		if gotN != wantN || !reflect.DeepEqual(gotErr, wantErr) {
 			t.Fatalf("scored %d err %v, reference %d err %v", gotN, gotErr, wantN, wantErr)
 		}
-		if !reflect.DeepEqual(gotDst[:gotN], wantDst[:wantN]) {
-			t.Fatal("scores diverge from the reference")
-		}
+		checkSides(t, "fuzz", gotDst[:gotN], wantDst[:wantN], tau)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("account\n got %+v\nwant %+v", got, want)
 		}
 	})
+}
+
+// scriptModel scores unit u as score(u) and fails every attempt on a unit
+// for which fail(u) holds, permanently.
+type scriptModel struct {
+	name  string
+	score func(unit int) float64
+	fail  func(unit int) bool
+}
+
+func (m scriptModel) Name() string            { return m.name }
+func (m scriptModel) UnitCost() time.Duration { return time.Millisecond }
+func (m scriptModel) Score(_ TruthVideo, _ string, start int, dst []float64, _ float64, _ int) (int, error) {
+	for i := range dst {
+		if m.fail(start + i) {
+			return i, &DetectionError{Model: m.name, Unit: start + i}
+		}
+		dst[i] = m.score(start + i)
+	}
+	return len(dst), nil
+}
+
+// TestScorerStopsMidRun: a permanent last-tier failure inside a run of
+// escalated units stops the walk there, in a two-tier chain and — one level
+// deeper — in a three-tier chain: the scored count, error and account are the
+// reference's, and no unit after the failing one is charged at any tier.
+func TestScorerStopsMidRun(t *testing.T) {
+	v := testVideo(t, 46)
+	never := func(int) bool { return false }
+	// The entry tier leaves units 5–9, 15–19, … in band and decides the rest.
+	entry := scriptModel{"entry", func(u int) float64 { return float64(u / 5 % 2) }, never}
+	// The middle tier decides odd units and leaves even ones in band.
+	mid := scriptModel{"mid", func(u int) float64 { return []float64{0.5, 0.9}[u%2] }, never}
+	for _, c := range []struct {
+		name   string
+		models []Model
+		bands  []Band
+		failAt int
+	}{
+		{"two-tier", []Model{entry}, []Band{{Lo: 0.5, Hi: 2}}, 17},
+		{"three-tier", []Model{entry, mid}, []Band{{Lo: 0.5, Hi: 2}, midBand}, 18},
+	} {
+		failAt := c.failAt
+		last := scriptModel{"last", func(u int) float64 { return 0.75 }, func(u int) bool { return u == failAt }}
+		var tiers []TierInfo
+		var ref []refTier
+		for i, m := range append(c.models, last) {
+			band := Band{}
+			if i < len(c.bands) {
+				band = c.bands[i]
+			}
+			tiers, ref = append(tiers, newTier(m, band, 0)), append(ref, refTierOf(m, band, v, "car"))
+		}
+		chain := newScorer(tiers...)
+		var got, want Account
+		got.Reset(len(tiers))
+		want.Reset(len(tiers))
+		gotDst, wantDst := make([]float64, 40), make([]float64, 40)
+		gotN, gotErr := chain.Score(context.Background(), v, "car", 0, 0, gotDst, 0, RetryConfig{Attempts: 3}, &got)
+		wantN, wantErr := refScore(context.Background(), ref, 0, 0, wantDst, 3, &want)
+		if gotN != failAt || wantN != failAt || !reflect.DeepEqual(gotErr, wantErr) {
+			t.Fatalf("%s: scored %d (%v), reference %d (%v), want %d", c.name, gotN, gotErr, wantN, wantErr, failAt)
+		}
+		if !reflect.DeepEqual(gotDst[:gotN], wantDst[:wantN]) {
+			t.Fatalf("%s: scores diverge from the reference", c.name)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: account\n got %+v\nwant %+v", c.name, got, want)
+		}
+		if got.Units[0] != int64(failAt+1) {
+			t.Fatalf("%s: %d units charged at the entry tier, want the %d up to the failing one", c.name, got.Units[0], failAt+1)
+		}
+	}
+}
+
+// countingModel counts a model's Score invocations.
+type countingModel struct {
+	Model
+	calls int
+}
+
+func (m *countingModel) Score(v TruthVideo, label string, start int, dst []float64, tau float64, attempt int) (int, error) {
+	m.calls++
+	return m.Model.Score(v, label, start, dst, tau, attempt)
+}
+
+// TestCascadeEscalatesRuns: the walker escalates a run of in-band units in
+// one batch, not unit by unit. On clips where a car is present throughout,
+// the proxy passes nearly every frame up, yet the teacher is invoked fewer
+// times than there are escalated frames.
+func TestCascadeEscalatesRuns(t *testing.T) {
+	v := testVideo(t, 33)
+	teacher := NewObjectDetector(MaskRCNN, 5)
+	counted := &countingModel{Model: teacher}
+	chain := newScorer(newTier(NewDistilledObjectDetector(teacher, DistilledRCNN, 5), RecallBand(), 0), newTier(counted, Band{}, 0))
+	clips := 0
+	for _, app := range v.ObjectAppearances("car") {
+		if app.Frames.Len() < 50 {
+			continue
+		}
+		clips++
+		var acc Account
+		acc.Reset(2)
+		dst := make([]float64, 50)
+		counted.calls = 0
+		if _, err := chain.Score(context.Background(), v, "car", app.Frames.Start, 0, dst, DefaultThreshold, RetryConfig{}, &acc); err != nil {
+			t.Fatal(err)
+		}
+		if acc.Escalated[0] < 10 {
+			t.Fatalf("clip at %d: only %d frames escalated", app.Frames.Start, acc.Escalated[0])
+		}
+		if int64(counted.calls) >= acc.Escalated[0] {
+			t.Errorf("clip at %d: the teacher was invoked %d times for %d escalated frames", app.Frames.Start, counted.calls, acc.Escalated[0])
+		}
+		for i, s := range dst {
+			if want := teacher.FrameScore(v, "car", app.Frames.Start+i); !sameSide(s, want, DefaultThreshold) {
+				t.Fatalf("clip at %d frame %d: %v, teacher %v", app.Frames.Start, i, s, want)
+			}
+		}
+	}
+	if clips == 0 {
+		t.Fatal("no car appearance spans a clip")
+	}
 }

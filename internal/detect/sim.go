@@ -4,23 +4,38 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"svqact/internal/video"
 )
 
 // simCore holds the machinery every simulated model shares: profile-driven
-// sampling plus a lazily materialised, deterministic false-positive burst
-// overlay per (video, label).
+// sampling plus a deterministic false-positive burst overlay per (video,
+// label), materialised on use and kept in a bounded cache.
 type simCore struct {
-	prof     Profile
-	seed     uint64
-	mu       sync.Mutex
-	overlays map[[2]string]video.IntervalSet // by (video ID, label)
+	prof Profile
+	seed uint64
+	// overlays is a direct-mapped, lock-free cache of burst overlays indexed
+	// by the batch's draw key. An overlay is a pure function of its key and
+	// length, so a slot that was overwritten only costs a recomputation,
+	// never a different draw.
+	overlays [overlaySlots]atomic.Pointer[overlay]
+}
+
+// overlaySlots is the size of a model's overlay cache: 8 KB of pointers.
+const overlaySlots = 1024
+
+// overlay is one cached burst overlay and the (video, label) it belongs to.
+type overlay struct {
+	key            uint64
+	units          int
+	videoID, label string
+	bursts         video.IntervalSet
 }
 
 func newSimCore(prof Profile, seed int64) *simCore {
-	return &simCore{prof: prof, seed: keyed(uint64(seed), hashString(prof.Name)), overlays: map[[2]string]video.IntervalSet{}}
+	return &simCore{prof: prof, seed: keyed(uint64(seed), hashString(prof.Name))}
 }
 
 // Name implements Model: the profile's name.
@@ -53,17 +68,18 @@ func presentIn(w []video.Track, frame int) bool {
 }
 
 // burstOverlay returns the false-positive burst intervals for a label in a
-// video, generating them on first use. Bursts are an alternating renewal
-// process drawn from a stream seeded by (model, video, label) only — key is
-// the batch's draw key — so they are identical on every pass over the video.
+// video units long, from the cache or generated. Bursts are an alternating
+// renewal process drawn from a stream seeded by (model, video, label) only —
+// key is the batch's draw key — so they are identical on every pass over the
+// video. A hit is one atomic load and a compare; a miss generates the
+// overlay and replaces the slot's.
 func (c *simCore) burstOverlay(videoID, label string, key uint64, units int) video.IntervalSet {
 	if c.prof.FPBurstGap <= 0 || c.prof.FPBurstLen <= 0 {
 		return video.IntervalSet{}
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if s, ok := c.overlays[[2]string{videoID, label}]; ok {
-		return s
+	slot := &c.overlays[key%overlaySlots]
+	if o := slot.Load(); o != nil && o.key == key && o.units == units && o.videoID == videoID && o.label == label {
+		return o.bursts
 	}
 	state := fold(key, 0xb02575)
 	exp := func(mean float64) float64 { // unitFloat < 1, so the log is finite
@@ -82,16 +98,16 @@ func (c *simCore) burstOverlay(videoID, label string, key uint64, units int) vid
 		pos = end + 1
 	}
 	s := video.NewIntervalSet(ivs...)
-	c.overlays[[2]string{videoID, label}] = s
+	slot.Store(&overlay{key: key, units: units, videoID: videoID, label: label, bursts: s})
 	return s
 }
 
 // draws is one batch's view of a model's randomness for one (video, label).
 // keyed is a left fold, so every per-unit key keyed(seed, h(video),
 // h(label), unit, …) continues from key: the two string hashes, their three
-// folds and the overlay lookup (one lock, taken at the batch's first
-// false-positive draw) are paid once per batch, not once per unit. Units
-// must be drawn in ascending order — bursts is a cursor.
+// folds and the overlay lookup (at the batch's first false-positive draw)
+// are paid once per batch, not once per unit. Units must be drawn in
+// ascending order — bursts is a cursor.
 type draws struct {
 	c              *simCore
 	videoID, label string
