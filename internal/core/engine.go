@@ -46,6 +46,11 @@ type Engine struct {
 	// obj and act describe the two models to the clip loop, resolved once so
 	// per-clip dispatch is a field read rather than an interface assertion.
 	obj, act detector
+
+	// evaluated, when set, sees every evaluation's charge as a run adds it
+	// to its ledger: the inference units and the account. The tests charge
+	// a meter per evaluation through it, to check the ledger's one flush.
+	evaluated func(kind PredicateKind, inferences int, acc *detect.Account)
 }
 
 // detector is what the clip loop needs to know about one model: how to
@@ -119,7 +124,8 @@ func TierCosts(infos []detect.TierInfo) []plan.TierCost {
 func (e *Engine) Mode() Mode { return e.mode }
 
 // SetMeter attaches an inference meter; subsequent runs charge their model
-// invocations to it.
+// invocations to it, once per run: from Result, and from the batch entry
+// points' release of a run, whatever its outcome.
 func (e *Engine) SetMeter(m *detect.Meter) { e.meter = m }
 
 // PredicateKind distinguishes object and action predicates in diagnostics.
@@ -372,7 +378,8 @@ type Run struct {
 // NewRun prepares a streaming evaluation of q over v. Critical values are
 // initialised from the configured background probabilities; in Dynamic mode
 // each predicate also gets a kernel estimator. The context is checked before
-// every clip; a nil ctx means context.Background.
+// every clip; a nil ctx means context.Background. The run charges the
+// engine's meter with what it has spent whenever Result is called.
 func (e *Engine) NewRun(ctx context.Context, v detect.TruthVideo, q Query) (*Run, error) {
 	return e.newRun(ctx, v, q, nil)
 }
@@ -430,6 +437,7 @@ func (e *Engine) bind(ctx context.Context, v detect.TruthVideo, maxAtoms int) (*
 	r.parent = obs.SpanFrom(ctx)
 	r.started = time.Now()
 	r.scratch.ensurePreds(maxAtoms)
+	r.resetLedger()
 	return r, nil
 }
 
@@ -879,7 +887,7 @@ func entryTier(mode plan.TierMode, tiers int) int {
 }
 
 // evaluate runs the detector over the clip's occurrence units for one
-// predicate, records the raw indicators, charges the meter and the
+// predicate, records the raw indicators, charges the run's ledger and the
 // predicate's evaluation-time accumulator, and returns the positive count
 // together with the evaluation's priced inference cost: every model is priced
 // per attempt, so retries and the attempts spent on a unit that finally fails
@@ -892,17 +900,15 @@ func (r *Run) evaluate(ps *predState, clip int, mode plan.TierMode, objectFrames
 	r.lastAcc = nil
 	kind, name := ps.atom.Kind, ps.atom.Name
 	d := r.e.detector(kind)
-	units := r.geom.FrameRangeOfClip(clip)
+	units, inferences := r.geom.FrameRangeOfClip(clip), 0
 	if kind == ActionPredicate {
 		units = r.geom.ShotRangeOfClip(clip)
-		if r.e.meter != nil {
-			r.e.meter.AddActionShots(units.Len())
-		}
-	} else if r.e.meter != nil && !*objectFramesCharged {
+		inferences = units.Len()
+	} else if !*objectFramesCharged {
 		// One object-detector inference per frame covers every type, so a
 		// clip's frames are charged once no matter how many object and
 		// relation predicates read them.
-		r.e.meter.AddObjectFrames(units.Len())
+		inferences = units.Len()
 		*objectFramesCharged = true
 	}
 	acc := &r.scratch.acc
@@ -915,9 +921,7 @@ func (r *Run) evaluate(ps *predState, clip int, mode plan.TierMode, objectFrames
 		count, err := detect.RelationPositives(r.ctx, r.e.models.Objects, r.v, detect.Relation(name), ps.atom.Args[0], ps.atom.Args[1],
 			units, &ev[0], &ev[1], ps.rawInd[units.Start:units.End+1], r.e.cfg.Retry, acc)
 		ps.units += int(acc.Units[0])
-		if r.e.meter != nil {
-			r.e.meter.Record(d.label, nil, acc)
-		}
+		r.charge(kind, inferences, acc)
 		return count, acc.Cost, err
 	}
 	// One scoring call for every model: a plain model is a one-tier chain,
@@ -940,9 +944,7 @@ func (r *Run) evaluate(ps *predState, clip int, mode plan.TierMode, objectFrames
 		ps.lastMode = mode
 		r.lastAcc = acc
 	}
-	if r.e.meter != nil {
-		r.e.meter.Record(d.label, tiers, acc)
-	}
+	r.charge(kind, inferences, acc)
 	// A failed clip counts nothing, but the units scored before the failure
 	// keep their raw indicators.
 	count := thresholdUnits(ps, scores[:scored], units.Start, d.threshold)
@@ -965,6 +967,51 @@ func thresholdUnits(ps *predState, scores []float64, start int, threshold float6
 	return count
 }
 
+// charge adds one evaluation's inference units (frames for objects and
+// relations, shots for actions) and account to the run's ledger.
+func (r *Run) charge(kind PredicateKind, inferences int, acc *detect.Account) {
+	if r.e.evaluated != nil {
+		r.e.evaluated(kind, inferences, acc)
+	}
+	if r.e.meter == nil {
+		return
+	}
+	s := r.scratch
+	if kind == ActionPredicate {
+		s.shots += inferences
+	} else {
+		s.frames += inferences
+	}
+	s.ledger[kind].Add(acc)
+}
+
+// flush hands the run's ledger to the engine's meter — one Record per
+// chain — and empties it, so flushing again adds only what was charged
+// since. Result and release both flush: a batch run charges the meter on
+// every exit, a streaming one at each Result.
+func (r *Run) flush() {
+	m, s := r.e.meter, r.scratch
+	if m == nil {
+		return
+	}
+	m.AddObjectFrames(s.frames)
+	m.AddActionShots(s.shots)
+	m.Record(detect.KindObject, r.e.obj.chain.Tiers(), &s.ledger[ObjectPredicate])
+	m.Record(detect.KindAction, r.e.act.chain.Tiers(), &s.ledger[ActionPredicate])
+	m.Record(detect.KindObject, nil, &s.ledger[RelationPredicate]) // relations read the object detector
+	r.resetLedger()
+}
+
+// resetLedger empties the run's ledger, each account shaped for its chain: a
+// relation's reads are one tier.
+func (r *Run) resetLedger() {
+	s := r.scratch
+	s.frames, s.shots = 0, 0
+	s.ledger[ObjectPredicate].Reset(len(r.e.obj.chain.Tiers()))
+	s.ledger[ActionPredicate].Reset(len(r.e.act.chain.Tiers()))
+	s.ledger[RelationPredicate].Reset(1)
+}
+
 // recordFlagged charges one skipped-and-flagged clip to the meter,
 // attributed to the detector kind whose retries were exhausted.
 func (r *Run) recordFlagged(clipErr error) {
@@ -984,8 +1031,9 @@ func (r *Run) recordFlagged(clipErr error) {
 func (r *Run) Sequences() video.IntervalSet { return video.FromIndicator(r.clipInd) }
 
 // Result finalises the run. It may be called at any point; the result covers
-// the clips processed so far.
+// the clips processed so far, and the meter is charged with what they cost.
 func (r *Run) Result() *Result {
+	r.flush()
 	res := &Result{
 		Query:     r.q,
 		CNF:       r.cnf,

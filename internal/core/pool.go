@@ -63,6 +63,13 @@ type runScratch struct {
 	// acc is the account evaluate resets and fills per evaluation — its
 	// per-tier slices are retained across runs.
 	acc detect.Account
+
+	// The run's ledger, which Run.flush hands to the meter: the object
+	// frames and action shots charged, and the summed accounts of the object
+	// chain's, the action chain's and the relations' evaluations, indexed by
+	// PredicateKind.
+	frames, shots int
+	ledger        [3]detect.Account
 }
 
 var runPool = sync.Pool{New: func() any { return new(runScratch) }}
@@ -92,13 +99,15 @@ func (s *runScratch) ensurePreds(n int) {
 
 // release returns the run's scratch to the pool, reclaiming grown slice
 // capacity and dropping every caller-owned reference (context, video,
-// planner, query) so the pool pins nothing between runs. The Run must not
-// be used afterwards.
+// planner, query) so the pool pins nothing between runs. It flushes what
+// the run charged since its last Result first. The Run must not be used
+// afterwards.
 func (r *Run) release() {
 	s := r.scratch
 	if s == nil {
 		return
 	}
+	r.flush()
 	s.clipInd = r.clipInd[:0]
 	s.flagged = r.flagged[:0]
 	s.predPtrs = r.preds[:0]

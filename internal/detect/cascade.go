@@ -19,9 +19,11 @@ import (
 // decorators included, so a fault-injected run executes the same code as a
 // clean one. ObjectCascade and ActionCascade bind a chain back to that
 // contract: invoked as a model, a cascade walks its tiers at the attempt it
-// is given, with fallthrough and no retry of its own. A threshold reaches
-// only the deciding (last) tier; the tiers below it score in full, because
-// their bands read the score.
+// is given, with fallthrough and no retry of its own. The deciding (last)
+// tier scores at the chain's threshold. A tier below it whose band is
+// [Lo, above 1), with Lo at or under the threshold, scores at Lo: it learns
+// only which side of its escalation edge a unit falls on. Every other tier
+// scores in full, because its band reads the score (Scorer.tauAt).
 //
 // Soundness. A chain is never less sound than its most accurate tier alone:
 //
@@ -96,8 +98,8 @@ type ActionTier struct {
 // many units were scored and how each was resolved; in total, the attempts
 // made, how they failed, and the simulated inference cost, priced per
 // attempt. The engine resets one per evaluation, prices the evaluation from
-// it, feeds the planner's escalation estimators and flushes it to the meter
-// once (Meter.Record).
+// it, feeds the planner's escalation estimators and adds it to the run's
+// ledger (Add), which the run flushes to the meter once (Meter.Record).
 type Account struct {
 	// Per tier position: units scored, units resolved, units escalated
 	// (in-band or failed), and units escalated because the tier still
@@ -128,6 +130,21 @@ func zeroCounts(s []int64, n int) []int64 {
 	s = s[:n]
 	clear(s)
 	return s
+}
+
+// Add adds b's counts to a's; a must have been Reset for b's chain.
+func (a *Account) Add(b *Account) {
+	for i := range b.Units {
+		a.Units[i] += b.Units[i]
+		a.Decided[i] += b.Decided[i]
+		a.Escalated[i] += b.Escalated[i]
+		a.Fallthroughs[i] += b.Fallthroughs[i]
+	}
+	a.Cost += b.Cost
+	a.Attempts += b.Attempts
+	a.Retries += b.Retries
+	a.Transient += b.Transient
+	a.Permanent += b.Permanent
 }
 
 // charge records units reached at tier ti and the attempts they took.
@@ -197,17 +214,19 @@ func (s *Scorer) Tiers() []TierInfo { return s.tiers }
 
 // Score fills dst[i] with the chain's score for unit start+i of the label,
 // entering at tier from (clamped to the tier range), at threshold tau as
-// Model.Score defines it. Every tier scores in batches at attempt 0: the
-// entry tier the whole run, a higher tier each maximal run of units the tier
-// below left in band. A unit that fails at attempt 0 is retried alone under
-// retry, climbs alone when it still fails (a fallthrough) or scores in band,
-// and the batch resumes after it at attempt 0. ctx is consulted once before
-// the entry batch and then only by retries. The first unit whose last tier
-// still fails — or whose retries ctx ends — stops the run: scored says how
-// many units came before it, whose final scores are dst[:scored]. A unit is
-// charged to acc at every tier the walk takes it through, and a unit after
-// the one that stopped it at none, exactly as if each unit were scored
-// alone; acc must have been Reset for this chain.
+// Model.Score defines it: the deciding tier scores at tau, a tier below it
+// at its band's edge or in full (tauAt), so the escalation set and the
+// account are those of full scores. Every tier scores in batches at attempt
+// 0: the entry tier the whole run, a higher tier each maximal run of units
+// the tier below left in band. A unit that fails at attempt 0 is retried
+// alone under retry, climbs alone when it still fails (a fallthrough) or
+// scores in band, and the batch resumes after it at attempt 0. ctx is
+// consulted once before the entry batch and then only by retries. The first
+// unit whose last tier still fails — or whose retries ctx ends — stops the
+// run: scored says how many units came before it, whose final scores are
+// dst[:scored]. A unit is charged to acc at every tier the walk takes it
+// through, and a unit after the one that stopped it at none, exactly as if
+// each unit were scored alone; acc must have been Reset for this chain.
 func (s *Scorer) Score(ctx context.Context, v TruthVideo, label string, start, from int, dst []float64, tau float64, retry RetryConfig, acc *Account) (scored int, err error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
@@ -216,13 +235,20 @@ func (s *Scorer) Score(ctx context.Context, v TruthVideo, label string, start, f
 	return w.score(min(max(from, 0), len(s.tiers)-1), start, dst)
 }
 
-// tauAt is the threshold tier ti scores at: the chain's for the last tier,
-// which decides; 0 (full scores) below it, because a band reads the score.
+// tauAt is the threshold tier ti scores at. The last tier decides, at the
+// chain's tau. A tier below it scores at its band's Lo when 0 < Lo ≤ tau and
+// Hi lies above the score ceiling of 1 (as RecallBand's does): its band then
+// reads only whether a score reaches Lo. A unit on the upper side escalates
+// to be rescored, and one below Lo is below tau too, so it keeps its side.
+// Any other tier scores in full (0), because its band reads the score.
 func (s *Scorer) tauAt(ti int, tau float64) float64 {
-	if ti < len(s.tiers)-1 {
-		return 0
+	if ti == len(s.tiers)-1 {
+		return tau
 	}
-	return tau
+	if b := s.tiers[ti].band; b.Lo > 0 && b.Lo <= tau && b.Hi > 1 {
+		return b.Lo
+	}
+	return 0
 }
 
 // walk is one Score call: its fixed arguments, shared by the recursion over

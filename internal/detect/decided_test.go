@@ -16,8 +16,9 @@ import (
 // of τ each score falls on, so the referee of a Score call at τ is the
 // per-unit reference score's side: score ≥ τ exactly when the reference's is.
 // At τ ≤ 0 the call must return the reference's bits. The chain walker gives
-// τ to the deciding tier only, so every lower tier's band sees the full
-// score and the account is the reference's at any τ.
+// τ to the deciding tier and, at τ ≥ the recall band's edge, the edge to the
+// proxy tier below it, so every lower tier's band sees the side of its edge
+// the full score falls on and the account is the reference's at any τ.
 
 // decidedTaus are the thresholds every check runs at: full scores, the clamp
 // floor and the least threshold above it, the default, the greatest below 1,
@@ -291,6 +292,62 @@ func TestDecidedMatchesReference(t *testing.T) {
 	}
 }
 
+// TestDecidedBelowBandEdge is the decided table's row for a threshold under
+// the recall band's edge (τ = 0.003 < Lo): the cascades' proxy tier gets 0,
+// so the cascades decide every unit's side with the reference's account,
+// and a unit the proxy decides keeps the proxy's full score, bit for bit.
+func TestDecidedBelowBandEdge(t *testing.T) {
+	const tau = 0.003
+	if tau >= RecallBand().Lo {
+		t.Fatal("τ must lie under the band's edge")
+	}
+	for seed := uint64(0); seed < 2; seed++ {
+		r := rand.New(rand.NewPCG(seed, 0xed6e))
+		_, cat := diffWorld(seed)
+		m := newDiffModels(int64(seed))
+		n, shots := cat.NumFrames(), cat.Geometry().NumShots(cat.NumFrames())
+		for _, run := range diffRuns(r, n, nil) {
+			for _, typ := range []string{"person", "car", "human"} {
+				for _, name := range []string{"cascade", "tracked-cascade"} {
+					checkDecidedObject(t, name, m.objects[name], m.refObjs[name], cat, typ, run, []float64{tau})
+				}
+				ref := m.refObjs["cascade"].(refObjectCascade)
+				checkProxyDecidedInFull(t, "cascade on "+typ, m.objects["cascade"], cat, typ, run, tau, func(f int) (float64, float64) {
+					return ref.cheap.FrameScore(cat, typ, f), ref.FrameScore(cat, typ, f)
+				})
+			}
+		}
+		for _, run := range diffRuns(r, shots, nil) {
+			checkDecidedAction(t, "cascade", m.actions["cascade"], m.refActs["cascade"], cat, run, []float64{tau})
+			ref := m.refActs["cascade"].(refActionCascade)
+			checkProxyDecidedInFull(t, "action cascade", m.actions["cascade"], cat, "jumping", run, tau, func(s int) (float64, float64) {
+				return ref.cheap.ShotScore(cat, "jumping", s), ref.ShotScore(cat, "jumping", s)
+			})
+		}
+	}
+}
+
+// checkProxyDecidedInFull scores a run with a cascade's chain at tau and
+// compares, on every unit its proxy decides by the reference (ref's cheap
+// score outside the band), the chain's score with ref's final one bit for
+// bit.
+func checkProxyDecidedInFull(t *testing.T, where string, m Model, v TruthVideo, label string, run video.Interval, tau float64, ref func(unit int) (cheap, final float64)) {
+	t.Helper()
+	chain := ScorerOf(m)
+	var acc Account
+	acc.Reset(len(chain.Tiers()))
+	dst := make([]float64, run.Len())
+	if _, err := chain.Score(context.Background(), v, label, run.Start, 0, dst, tau, RetryConfig{Attempts: 1}, &acc); err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range dst {
+		cheap, final := ref(run.Start + i)
+		if !RecallBand().Escalates(cheap) && math.Float64bits(s) != math.Float64bits(final) {
+			t.Fatalf("%s at τ=%v: unit %d decided by the proxy scored %v, reference %v", where, tau, run.Start+i, s, final)
+		}
+	}
+}
+
 // checkFaultyDecided runs one scorerCase's one- and two-tier chains against
 // the case's fallible reference tiers under a retry budget.
 func checkFaultyDecided(t testing.TB, where string, c scorerCase, v TruthVideo, run video.Interval, taus []float64) {
@@ -349,16 +406,21 @@ func FuzzDecidedMatchesReference(f *testing.F) {
 }
 
 // TestCutoffKeepsItsSide checks the radius bound's margin where draws are
-// too rare to find it: for thresholds from the clamp floor to above the
-// ceiling, means a few spreads from τ or anywhere around the clamp range,
-// and spreads from 1e-13 to 10, the least u1 the bound decides, at the
-// extreme angles cos = ±1, yields a computed score — the same float
-// operations gauss and draws.score perform — on the side the bound claims.
+// too rare to find it: for thresholds from the least float above 0 through
+// the band edge and the clamp floor to above the ceiling, means a few
+// spreads from τ or anywhere around the clamp range, and spreads from 1e-13
+// to 10, the least u1 the bound decides, at the extreme angles cos = ±1,
+// yields a computed score — the same float operations gauss and draws.score
+// perform — on the side the bound claims. On (0, scoreFloor], where a
+// clamped negative reaches τ, the bound never claims "below".
 func TestCutoffKeepsItsSide(t *testing.T) {
 	r := rand.New(rand.NewPCG(3, 0xc0ff))
-	decided := 0
+	decided, floorAbove := 0, 0
 	for trial := 0; trial < 200_000; trial++ {
-		tau := []float64{scoreFloor, math.Nextafter(scoreFloor, 1), DefaultThreshold, math.Nextafter(1, 0), 1, 1.25, r.Float64()}[trial%7]
+		tau := []float64{
+			math.SmallestNonzeroFloat64, RecallBand().Lo, scoreFloor * r.Float64(), scoreFloor,
+			math.Nextafter(scoreFloor, 1), DefaultThreshold, math.Nextafter(1, 0), 1, 1.25, r.Float64(),
+		}[trial%10]
 		std := math.Pow(10, -13+14*r.Float64())
 		mean := tau + std*(r.Float64()-0.5)*12
 		if trial%3 == 0 {
@@ -369,6 +431,12 @@ func TestCutoffKeepsItsSide(t *testing.T) {
 			continue
 		}
 		decided++
+		if tau <= scoreFloor {
+			if !c.above {
+				t.Fatalf("τ=%v mean=%v std=%v: the bound claims below at or under the clamp floor", tau, mean, std)
+			}
+			floorAbove++
+		}
 		u1 := math.Nextafter(c.u1, 1)
 		radius := math.Sqrt(-2 * math.Log(u1))
 		for _, cos := range []float64{1, -1} {
@@ -378,7 +446,7 @@ func TestCutoffKeepsItsSide(t *testing.T) {
 			}
 		}
 	}
-	if decided < 100_000 {
-		t.Fatalf("only %d of 200000 bounds decide anything: the table misses the bound", decided)
+	if decided < 100_000 || floorAbove < 30_000 {
+		t.Fatalf("only %d of 200000 bounds decide anything, %d at or under the floor: the table misses the bound", decided, floorAbove)
 	}
 }

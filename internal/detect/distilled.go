@@ -11,6 +11,18 @@ import "svqact/internal/video"
 // property cascade.go's soundness argument rests on. It invokes its teacher
 // at its own attempt, so it fails wherever the teacher does.
 
+// teacherTau is the threshold a proxy scoring at tau passes its teacher. A
+// teacher's 0 must keep meaning "detects nothing", so the teacher may decide
+// only the upper side of its threshold: at tau in (0, scoreFloor] the
+// simulated models' radius bound decides nothing below (newCutoff), and
+// above it the teacher scores in full (0).
+func teacherTau(tau float64) float64 {
+	if tau > scoreFloor {
+		return 0
+	}
+	return tau
+}
+
 // DistilledObjectDetector is a recall-complete cheap proxy of a teacher
 // object detector.
 type DistilledObjectDetector struct {
@@ -32,10 +44,9 @@ func (d *DistilledObjectDetector) FrameScore(v TruthVideo, typ string, frame int
 
 // Score implements Model: the teacher's score where the teacher detects
 // anything, otherwise — on frames where the type is absent — the proxy's
-// own false-positive draw, decided at tau. The teacher scores in full: a
-// score it decided below tau would read as "detects nothing".
+// own false-positive draw, decided at tau. The teacher scores at teacherTau.
 func (d *DistilledObjectDetector) Score(v TruthVideo, typ string, start int, dst []float64, tau float64, attempt int) (int, error) {
-	n, err := d.teacher.Score(v, typ, start, dst, 0, attempt)
+	n, err := d.teacher.Score(v, typ, start, dst, teacherTau(tau), attempt)
 	if n == 0 {
 		return 0, err
 	}
@@ -89,9 +100,9 @@ func NewDistilledActionRecognizer(teacher ActionRecognizer, prof Profile, seed i
 
 // Score implements Model: the teacher's score where it predicts the action,
 // otherwise — on shots without the action — the proxy's own false-positive
-// draw, decided at tau over the teacher's full scores.
+// draw, decided at tau; the teacher scores at teacherTau.
 func (r *DistilledActionRecognizer) Score(v TruthVideo, act string, start int, dst []float64, tau float64, attempt int) (int, error) {
-	n, err := r.teacher.Score(v, act, start, dst, 0, attempt)
+	n, err := r.teacher.Score(v, act, start, dst, teacherTau(tau), attempt)
 	var dr draws
 	dr.start(r.simCore, v, act, v.Geometry().NumShots(v.NumFrames()), tau)
 	for i, s := range dst[:n] {

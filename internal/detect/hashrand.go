@@ -78,12 +78,15 @@ var never = cutoff{u1: 1, ready: true}
 // shrinks |z| by a margin — 1e-9 of the distance to τ plus 1e-15 of the
 // operands' scale — that absorbs the rounding of the radius, of std·g, of
 // mean + std·g and of the exp below, so a decided draw's computed score lies
-// strictly on its side. There is no bound for std ≤ 0, for τ outside
-// (scoreFloor, 1] — only there is clampScore monotone across τ — or for a
-// radius under 1e-3, where exp's rounding near 1 outgrows the margin and the
-// bound would decide next to nothing.
+// strictly on its side. On (scoreFloor, 1] clampScore is monotone across τ,
+// so the bound decides both sides. On (0, scoreFloor] it decides only above:
+// a sample x ≥ τ > 0 clamps to at least τ, but a clamped negative lifts to
+// scoreFloor ≥ τ, so no draw is certain to fall below τ. There is no bound
+// for std ≤ 0, for τ outside (0, 1], or for a radius under 1e-3, where exp's
+// rounding near 1 outgrows the margin and the bound would decide next to
+// nothing.
 func newCutoff(mean, std, tau float64) cutoff {
-	if !(tau > scoreFloor && tau <= 1 && std > 0) {
+	if !(tau > 0 && tau <= 1 && std > 0) || tau <= scoreFloor && mean <= tau {
 		return never
 	}
 	r := (math.Abs(tau-mean)*(1-1e-9) - 1e-15*(1+math.Abs(mean))) / std
@@ -109,7 +112,8 @@ const scoreFloor = 0.01
 // clampScore maps a sampled confidence into (0, 1]: a sample at or below 0
 // becomes scoreFloor, one above 1 becomes 1, and any other — including one
 // in (0, scoreFloor) — passes through unchanged. So clampScore(s) ≥ τ
-// exactly when s ≥ τ only for τ in (scoreFloor, 1].
+// exactly when s ≥ τ only for τ in (scoreFloor, 1]; for τ in (0, scoreFloor]
+// only s ≥ τ implies it.
 func clampScore(s float64) float64 {
 	if s <= 0 {
 		return scoreFloor

@@ -17,11 +17,11 @@ const (
 
 // Meter accumulates inference accounting for the runtime analysis of §5.2
 // and the serving metrics: the units the engine runs a model on (one object
-// inference covers every type on a frame, so a frame is charged once),
-// every evaluation's Account flushed through Record, and every clip
-// skipped-and-flagged after retry exhaustion. Its counters are obs
-// instruments, so a server-lifetime meter serves them on /metrics via
-// Register. The zero value is ready to use.
+// inference covers every type on a frame, so a frame is charged once), the
+// Accounts of a run's evaluations, summed per model and flushed through
+// Record once per run, and every clip skipped-and-flagged after retry
+// exhaustion. Its counters are obs instruments, so a server-lifetime meter
+// serves them on /metrics via Register. The zero value is ready to use.
 type Meter struct {
 	// kinds holds one counter block per detector kind, in kindNames order.
 	kinds [2]kindCounters
@@ -79,9 +79,9 @@ func (m *Meter) ObjectFrames() int64 { return m.kinds[0].inferences.Value() }
 // ActionShots returns the number of action-recogniser inferences.
 func (m *Meter) ActionShots() int64 { return m.kinds[1].inferences.Value() }
 
-// Record flushes one evaluation's account: its attempts, retries and failed
-// attempts with a model of the kind and, for a chain of two or more tiers,
-// each tier's units and outcomes.
+// Record flushes an account — one evaluation's, or a run's sum of them: its
+// attempts, retries and failed attempts with a model of the kind and, for a
+// chain of two or more tiers, each tier's units and outcomes.
 func (m *Meter) Record(kind string, tiers []TierInfo, acc *Account) {
 	ki := kindIndex(kind)
 	k := &m.kinds[ki]

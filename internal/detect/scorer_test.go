@@ -458,6 +458,82 @@ func (m *countingModel) Score(v TruthVideo, label string, start int, dst []float
 	return m.Model.Score(v, label, start, dst, tau, attempt)
 }
 
+// tauRecorder records every threshold its model is scored at.
+type tauRecorder struct {
+	Model
+	taus []float64
+}
+
+func (m *tauRecorder) Score(v TruthVideo, label string, start int, dst []float64, tau float64, attempt int) (int, error) {
+	m.taus = append(m.taus, tau)
+	return m.Model.Score(v, label, start, dst, tau, attempt)
+}
+
+// TestTierThresholds pins the threshold each tier of a chain is scored at,
+// through the walker and through decide: a tier below the last whose band
+// is [Lo, above 1) gets Lo when the atom's τ ≥ Lo, and 0 at τ = 0, at τ
+// under Lo and for any other band (midBand, or one ending at the ceiling);
+// the last tier gets the atom's τ. Every tier leaves every unit in band, so
+// each is reached.
+func TestTierThresholds(t *testing.T) {
+	v := testVideo(t, 47)
+	never := func(int) bool { return false }
+	lo := RecallBand().Lo
+	ceiling := Band{Lo: lo, Hi: 1}
+	for _, c := range []struct {
+		name  string
+		bands []Band // of the tiers below the last
+		tau   float64
+		want  []float64 // per tier, the last included
+	}{
+		{"recall@0", []Band{RecallBand()}, 0, []float64{0, 0}},
+		{"recall@below-Lo", []Band{RecallBand()}, 0.003, []float64{0, 0.003}},
+		{"recall@Lo", []Band{RecallBand()}, lo, []float64{lo, lo}},
+		{"recall@0.5", []Band{RecallBand()}, DefaultThreshold, []float64{lo, DefaultThreshold}},
+		{"recall@1.25", []Band{RecallBand()}, 1.25, []float64{lo, 1.25}},
+		{"ceiling-band@0.5", []Band{ceiling}, DefaultThreshold, []float64{0, DefaultThreshold}},
+		{"three-tier@0", []Band{RecallBand(), midBand}, 0, []float64{0, 0, 0}},
+		{"three-tier@below-Lo", []Band{RecallBand(), midBand}, 0.003, []float64{0, 0, 0.003}},
+		{"three-tier@0.5", []Band{RecallBand(), midBand}, DefaultThreshold, []float64{lo, 0, DefaultThreshold}},
+	} {
+		var recs []*tauRecorder
+		var tiers []TierInfo
+		for i := 0; i <= len(c.bands); i++ {
+			band := Band{}
+			if i < len(c.bands) {
+				band = c.bands[i]
+			}
+			rec := &tauRecorder{Model: scriptModel{fmt.Sprint("tier", i), func(int) float64 { return 0.5 }, never}}
+			recs, tiers = append(recs, rec), append(tiers, newTier(rec, band, 0))
+		}
+		chain := newScorer(tiers...)
+		check := func(path string) {
+			t.Helper()
+			for i, rec := range recs {
+				if len(rec.taus) == 0 {
+					t.Fatalf("%s via %s: tier %d never scored", c.name, path, i)
+				}
+				for _, tau := range rec.taus {
+					if tau != c.want[i] {
+						t.Fatalf("%s via %s: tier %d scored at τ=%v, want %v", c.name, path, i, tau, c.want[i])
+					}
+				}
+				rec.taus = rec.taus[:0]
+			}
+		}
+		var acc Account
+		acc.Reset(len(tiers))
+		if _, err := chain.Score(context.Background(), v, "car", 0, 0, make([]float64, 8), c.tau, RetryConfig{}, &acc); err != nil {
+			t.Fatal(err)
+		}
+		check("the walker")
+		if _, err := (cascade{chain}).Score(v, "car", 0, make([]float64, 8), c.tau, 0); err != nil {
+			t.Fatal(err)
+		}
+		check("decide")
+	}
+}
+
 // TestCascadeEscalatesRuns: the walker escalates a run of in-band units in
 // one batch, not unit by unit. On clips where a car is present throughout,
 // the proxy passes nearly every frame up, yet the teacher is invoked fewer
