@@ -21,19 +21,16 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
-	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"svqact/internal/cluster"
+	"svqact/internal/httpd"
 	"svqact/internal/obs"
 )
 
@@ -113,22 +110,13 @@ func main() {
 		os.Exit(2)
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
-	defer stop()
 	if *health > 0 {
-		stopHealth := c.StartHealthChecks(ctx, *health)
+		stopHealth := c.StartHealthChecks(context.Background(), *health)
 		defer stopHealth()
 	}
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "coordinator:", err)
-		os.Exit(1)
-	}
-	logger.Info("svq-act cluster coordinator listening",
-		"addr", ln.Addr().String(), "shards", len(shards))
-
 	hs := &http.Server{
+		Addr:              *addr,
 		Handler:           c.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       15 * time.Second,
@@ -137,25 +125,8 @@ func main() {
 		WriteTimeout: 8**qTimeout + 10*time.Second,
 		IdleTimeout:  60 * time.Second,
 	}
-	done := make(chan error, 1)
-	go func() { done <- hs.Serve(ln) }()
-
-	select {
-	case err := <-done:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintln(os.Stderr, "coordinator:", err)
-			os.Exit(1)
-		}
-	case <-ctx.Done():
-		stop()
-		logger.Info("shutting down: draining in-flight scatters")
-		sctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := hs.Shutdown(sctx); err != nil {
-			logger.Error("drain incomplete", "error", err.Error())
-			_ = hs.Close()
-			os.Exit(1)
-		}
-		logger.Info("shutdown complete")
+	if err := httpd.Serve(context.Background(), "svq-act cluster coordinator", hs, 30*time.Second, logger); err != nil {
+		fmt.Fprintln(os.Stderr, "coordinator:", err)
+		os.Exit(1)
 	}
 }

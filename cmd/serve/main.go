@@ -12,20 +12,19 @@
 //	   WHERE act='"'"'blowing_leaves'"'"' AND obj.include('"'"'car'"'"')"}'
 //
 // The process installs the hardened serving stack: listener-level timeouts,
-// per-query deadlines and admission control (see internal/server), and a
+// per-query deadlines (see internal/server), admission control and a
 // graceful SIGTERM/SIGINT shutdown that drains in-flight queries before
-// exiting. Operational state is observable at /healthz (admission JSON),
-// /metrics (Prometheus text format) and, with -pprof, /debug/pprof/.
-// Logs are structured JSON lines on stderr (log/slog).
+// exiting (internal/httpd, shared with cmd/coordinator). Operational state
+// is observable at /healthz (admission JSON), /metrics (Prometheus text
+// format) and, with -pprof, /debug/pprof/. Logs are structured JSON lines
+// on stderr (log/slog).
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
-	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -34,6 +33,7 @@ import (
 	"time"
 
 	"svqact/internal/detect"
+	"svqact/internal/httpd"
 	"svqact/internal/obs"
 	"svqact/internal/server"
 )
@@ -141,15 +141,8 @@ func main() {
 		logger.Info("pprof enabled", "path", "/debug/pprof/")
 	}
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "serve:", err)
-		os.Exit(1)
-	}
-	logger.Info("svq-act query server listening",
-		"addr", ln.Addr().String(), "scale", *scale)
-
 	hs := &http.Server{
+		Addr:              *addr,
 		Handler:           handler,
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       15 * time.Second,
@@ -157,28 +150,8 @@ func main() {
 		WriteTimeout: *timeout + *wait + 10*time.Second,
 		IdleTimeout:  60 * time.Second,
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
-	defer stop()
-	done := make(chan error, 1)
-	go func() { done <- hs.Serve(ln) }()
-
-	select {
-	case err := <-done:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintln(os.Stderr, "serve:", err)
-			os.Exit(1)
-		}
-	case <-ctx.Done():
-		stop()
-		logger.Info("shutting down: draining in-flight queries", "max_wait", drain.String())
-		sctx, cancel := context.WithTimeout(context.Background(), *drain)
-		defer cancel()
-		if err := hs.Shutdown(sctx); err != nil {
-			logger.Error("drain incomplete", "error", err.Error())
-			_ = hs.Close()
-			os.Exit(1)
-		}
-		logger.Info("shutdown complete")
+	if err := httpd.Serve(context.Background(), "svq-act query server", hs, *drain, logger); err != nil {
+		fmt.Fprintln(os.Stderr, "serve:", err)
+		os.Exit(1)
 	}
 }

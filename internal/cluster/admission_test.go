@@ -12,15 +12,8 @@ import (
 	"testing"
 	"time"
 
-	"svqact/internal/obs"
+	"svqact/internal/httpd"
 )
-
-func testGate(maxC, depth int, wait time.Duration, pressure func() time.Duration) *admissionGate {
-	if pressure == nil {
-		pressure = func() time.Duration { return 0 }
-	}
-	return newAdmissionGate(obs.NewRegistry(), maxC, depth, wait, pressure)
-}
 
 func mustOverload(t *testing.T, err error, reason string) *OverloadError {
 	t.Helper()
@@ -35,136 +28,6 @@ func mustOverload(t *testing.T, err error, reason string) *OverloadError {
 		t.Fatalf("OverloadError without a RetryAfter: %v", err)
 	}
 	return over
-}
-
-func TestAdmissionFastPathAndRelease(t *testing.T) {
-	g := testGate(1, -1, 50*time.Millisecond, nil)
-	release, err := g.acquire(context.Background())
-	if err != nil {
-		t.Fatalf("first acquire: %v", err)
-	}
-	release()
-	release, err = g.acquire(context.Background())
-	if err != nil {
-		t.Fatalf("acquire after release: %v", err)
-	}
-	release()
-	if got := g.admitted.Value(); got != 2 {
-		t.Fatalf("admitted = %d, want 2", got)
-	}
-	if got := g.inflight.Value(); got != 0 {
-		t.Fatalf("inflight = %d after release, want 0", got)
-	}
-}
-
-func TestAdmissionQueueFullSheds(t *testing.T) {
-	g := testGate(1, -1, 50*time.Millisecond, nil)
-	release, err := g.acquire(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer release()
-	_, err = g.acquire(context.Background())
-	over := mustOverload(t, err, "queue_full")
-	if over.RetryAfter != 50*time.Millisecond {
-		t.Fatalf("RetryAfter = %v, want the queue wait", over.RetryAfter)
-	}
-	if got := g.rejected["queue_full"].Value(); got != 1 {
-		t.Fatalf("rejected{queue_full} = %d, want 1", got)
-	}
-}
-
-func TestAdmissionQueueAdmitsWhenSlotFrees(t *testing.T) {
-	g := testGate(1, 1, 5*time.Second, nil)
-	release, err := g.acquire(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make(chan error, 1)
-	go func() {
-		r2, err := g.acquire(context.Background())
-		if err == nil {
-			r2()
-		}
-		got <- err
-	}()
-	// Wait for the second request to be queued, then confirm a third is
-	// shed (queue depth 1) before freeing the slot.
-	deadline := time.Now().Add(2 * time.Second)
-	for g.waiting.Value() != 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("second acquire never queued")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	_, err = g.acquire(context.Background())
-	mustOverload(t, err, "queue_full")
-	release()
-	if err := <-got; err != nil {
-		t.Fatalf("queued acquire: %v", err)
-	}
-}
-
-func TestAdmissionSaturatedAfterQueueWait(t *testing.T) {
-	g := testGate(1, 1, 20*time.Millisecond, nil)
-	release, err := g.acquire(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer release()
-	start := time.Now()
-	_, err = g.acquire(context.Background())
-	mustOverload(t, err, "saturated")
-	if elapsed := time.Since(start); elapsed < 15*time.Millisecond {
-		t.Fatalf("saturated shed after %v, want >= the queue wait", elapsed)
-	}
-}
-
-func TestAdmissionDeadlineAware(t *testing.T) {
-	g := testGate(1, 1, 10*time.Second, nil)
-	release, err := g.acquire(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer release()
-
-	// A deadline shorter than the queue wait bounds the queue time: the
-	// request is shed as "deadline" instead of sitting out 10s.
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err = g.acquire(ctx)
-	mustOverload(t, err, "deadline")
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("deadline shed took %v; the full queue wait was not skipped", elapsed)
-	}
-
-	// An already-expired deadline is shed immediately.
-	expired, cancel2 := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
-	defer cancel2()
-	_, err = g.acquire(expired)
-	mustOverload(t, err, "deadline")
-}
-
-func TestAdmissionBackpressureSheds(t *testing.T) {
-	window := 700 * time.Millisecond
-	g := testGate(1, 4, 5*time.Second, func() time.Duration { return window })
-	release, err := g.acquire(context.Background())
-	if err != nil {
-		t.Fatalf("pressure must not shed while a slot is free: %v", err)
-	}
-	_, err = g.acquire(context.Background())
-	over := mustOverload(t, err, "backpressure")
-	if over.RetryAfter != window {
-		t.Fatalf("RetryAfter = %v, want the pressure window %v", over.RetryAfter, window)
-	}
-	release()
-	// Slot free again: pressure alone never sheds.
-	release, err = g.acquire(context.Background())
-	if err != nil {
-		t.Fatalf("free-slot acquire under pressure: %v", err)
-	}
-	release()
 }
 
 func TestShardPressureRaisedBy429(t *testing.T) {
@@ -249,7 +112,7 @@ func overloadedCoordinator(t *testing.T) (c *Coordinator, unblock func(), served
 		_, _ = c.TopK(context.Background(), rankedSQL)
 	}()
 	deadline := time.Now().Add(2 * time.Second)
-	for c.admission.inflight.Value() != 1 {
+	for c.Admission().Inflight != 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("slot-holder query never started")
 		}
@@ -310,7 +173,7 @@ func TestHandlerOverload429(t *testing.T) {
 	}
 	defer hresp.Body.Close()
 	var health struct {
-		Admission AdmissionHealth `json:"admission"`
+		Admission httpd.AdmissionHealth `json:"admission"`
 	}
 	if err := json.NewDecoder(hresp.Body).Decode(&health); err != nil {
 		t.Fatal(err)

@@ -22,7 +22,11 @@
 //     gracefully: the response still carries the merged top-k of the
 //     surviving shards plus a shards {ok, degraded, failed} partition
 //     (mirroring the fleet's per-video outcome partition) and a typed
-//     *DegradedError instead of a hard failure.
+//     *DegradedError instead of a hard failure;
+//   - the admission gate and HTTP request front are internal/httpd's,
+//     shared with cmd/serve: excess load is shed with 429 + Retry-After
+//     before any shard is touched (and while a shard pushes back), request
+//     bodies are size-limited, and handler panics answer JSON 500s.
 package cluster
 
 import (
@@ -31,6 +35,7 @@ import (
 	"strings"
 	"time"
 
+	"svqact/internal/httpd"
 	"svqact/internal/obs"
 	"svqact/internal/rank"
 	"svqact/internal/video"
@@ -205,22 +210,9 @@ type BadRequestError struct{ Msg string }
 func (e *BadRequestError) Error() string { return e.Msg }
 
 // OverloadError reports a query shed by the coordinator's admission gate
-// before any shard work was done: the concurrency limit is saturated and
-// the request could not (or, given its deadline, must not) wait out the
-// admission queue. Clients should retry after RetryAfter — the HTTP layer
-// maps it to 429 + Retry-After, the same contract internal/server speaks.
-type OverloadError struct {
-	// Reason: "queue_full" (admission queue at capacity), "saturated"
-	// (queued the full wait without a slot freeing), "deadline" (the
-	// request's deadline cannot survive the queue), or "backpressure"
-	// (a shard is telling the cluster to slow down and no slot is free).
-	Reason     string
-	RetryAfter time.Duration
-}
-
-func (e *OverloadError) Error() string {
-	return fmt.Sprintf("cluster: coordinator overloaded (%s); retry in %s", e.Reason, e.RetryAfter)
-}
+// before any shard work was done; the HTTP layer maps it to 429 +
+// Retry-After, the same contract cmd/serve speaks.
+type OverloadError = httpd.OverloadError
 
 // Reloader is the optional rollout surface of a Backend: triggering a
 // repository generation swap on the replica and reading the generation it

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"svqact/internal/detect"
+	"svqact/internal/httpd"
 	"svqact/internal/obs"
 	"svqact/internal/rank"
 	"svqact/internal/sqlq"
@@ -179,7 +180,8 @@ type Coordinator struct {
 	log    *slog.Logger
 	traces *obs.TraceStore
 
-	admission *admissionGate
+	admission *httpd.Gate
+	panics    *obs.Counter
 
 	// rollout state: at most one rolling generation swap runs at a time.
 	rolloutMu     sync.Mutex
@@ -241,7 +243,8 @@ func New(shards []ShardSpec, cfg Config) (*Coordinator, error) {
 		"1 while a rolling generation swap is in progress.")
 	c.scatterHist = reg.Histogram("svqact_cluster_scatter_seconds",
 		"Whole scatter-gather latency (all rounds).", latencyBounds)
-	c.admission = newAdmissionGate(reg, cfg.MaxConcurrent, cfg.QueueDepth, cfg.QueueWait, c.pressure)
+	c.admission = httpd.NewGate(reg, "svqact_cluster_admission", cfg.MaxConcurrent, cfg.QueueDepth, cfg.QueueWait, c.pressure)
+	c.panics = httpd.Panics(reg)
 	replicas := 0
 	for _, spec := range shards {
 		if spec.Name == "" || len(spec.Replicas) == 0 {
@@ -384,11 +387,10 @@ func (c *Coordinator) TopK(ctx context.Context, sql string) (*TopKResult, error)
 	// Admission: bounded concurrency with a short, deadline-aware queue.
 	// Shed requests never touch a shard — the typed *OverloadError maps to
 	// 429 + Retry-After at the HTTP layer.
-	release, aerr := c.admission.acquire(ctx)
-	if aerr != nil {
-		return nil, aerr
+	if err := c.admission.Acquire(ctx); err != nil {
+		return nil, err
 	}
-	defer release()
+	defer c.admission.Release()
 
 	ctx, cancel := context.WithTimeout(ctx, c.cfg.QueryTimeout)
 	defer cancel()
@@ -932,8 +934,8 @@ func (c *Coordinator) Status() []ShardStatus {
 }
 
 // Admission snapshots the admission gate for the health endpoint.
-func (c *Coordinator) Admission() AdmissionHealth {
-	return c.admission.health()
+func (c *Coordinator) Admission() httpd.AdmissionHealth {
+	return c.admission.Health()
 }
 
 // ProbeAll health-checks every replica once, feeding results into the

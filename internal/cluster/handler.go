@@ -6,22 +6,25 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"regexp"
 	"strconv"
 	"strings"
 	"time"
 
+	"svqact/internal/httpd"
 	"svqact/internal/obs"
 )
 
-// HTTP front of the coordinator. The surface mirrors the single-process
-// server where the contract overlaps (POST /query, GET /healthz, GET
-// /metrics, X-Query-ID correlation) and adds the cluster-only pieces:
-// POST /query/batch takes a list of ranked statements, and every answer
-// carries the shards {ok, degraded, failed} partition so clients can tell
-// a complete answer from a gracefully degraded one without parsing errors.
+// HTTP front of the coordinator. Where the contract overlaps cmd/serve's
+// (POST /query, GET /healthz, GET /metrics, X-Query-ID correlation, 429
+// shedding, body limits, panic recovery) it goes through the same
+// internal/httpd front; the cluster-only pieces are that POST /query/batch
+// takes a list of ranked statements, and that every answer carries the
+// shards {ok, degraded, failed} partition so clients can tell a complete
+// answer from a gracefully degraded one without parsing errors.
 
-var clusterQueryIDRe = regexp.MustCompile(`^[0-9a-f]{16}$`)
+// maxBodyBytes bounds a /query or /query/batch request body, as cmd/serve's
+// default does.
+const maxBodyBytes = 1 << 20
 
 // QueryAnswer is the coordinator's /query response body (and one entry of
 // a /query/batch response).
@@ -55,13 +58,9 @@ type BatchAnswer struct {
 	Trace     *obs.TraceSnapshot `json:"trace,omitempty"`
 }
 
-type clusterError struct {
-	Error string `json:"error"`
-}
-
-// Handler returns the coordinator's HTTP mux: POST /query, POST
+// Handler returns the coordinator's HTTP handler: POST /query, POST
 // /query/batch, GET /healthz, GET /shards, GET|POST /rollout, GET
-// /metrics.
+// /metrics, all under the panic-recovery middleware.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/query", c.handleQuery)
@@ -72,55 +71,17 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.Handle("/metrics", c.cfg.Registry.Handler())
 	mux.Handle("/debug/traces", c.traces.Handler())
 	mux.Handle("/debug/traces/", c.traces.Handler())
-	return mux
-}
-
-// admit mints (or adopts) the query ID and builds the request trace,
-// recording the caller's span (X-SVQ-Parent-Span) when one was sent — a
-// coordinator can itself sit behind another scatter tier.
-func (c *Coordinator) admit(r *http.Request) (string, *obs.Trace) {
-	qid := r.Header.Get("X-Query-ID")
-	if !clusterQueryIDRe.MatchString(qid) {
-		qid = obs.NewQueryID()
-	}
-	trace := obs.NewTrace(qid)
-	if ps := r.Header.Get("X-SVQ-Parent-Span"); obs.ValidSpanRef(ps) {
-		trace.SetRemoteParent(ps)
-	}
-	return qid, trace
-}
-
-// offerTrace hands a finished query's trace to the retained store and emits
-// the one-line slow/degraded-query log record when it is kept for cause
-// (anything but routine sampling).
-func (c *Coordinator) offerTrace(snap *obs.TraceSnapshot, sql, outcome string) {
-	if snap == nil {
-		return
-	}
-	reason, retained := c.traces.Offer(snap, obs.TraceMeta{SQL: sql, Outcome: outcome})
-	if retained && reason != "sampled" {
-		c.log.Warn("trace retained", "trace_id", snap.QueryID, "reason", reason,
-			"outcome", outcome, "duration_ms", snap.DurationMS, "sql_digest", obs.SQLDigest(sql))
-	}
-}
-
-func clusterWriteJSON(w http.ResponseWriter, status int, qid string, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	if qid != "" {
-		w.Header().Set("X-Query-ID", qid)
-	}
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(body)
+	return httpd.Recover(c.log, c.panics, mux)
 }
 
 // runOne scatter-gathers one statement inside the given trace context and
 // folds the outcome into a QueryAnswer. Fatal (bad-request) errors come
 // back as the second return.
-func (c *Coordinator) runOne(r *http.Request, trace *obs.Trace, qid, sql string) (QueryAnswer, error) {
+func (c *Coordinator) runOne(r *http.Request, trace *obs.Trace, sql string) (QueryAnswer, error) {
 	start := time.Now()
 	ctx := obs.WithTrace(r.Context(), trace)
 	res, err := c.TopK(ctx, sql)
-	ans := QueryAnswer{QueryID: qid, TopKResult: res, ElapsedMS: time.Since(start).Milliseconds()}
+	ans := QueryAnswer{QueryID: trace.ID(), TopKResult: res, ElapsedMS: time.Since(start).Milliseconds()}
 	if res != nil && res.Degraded() {
 		ans.Degraded = true
 	}
@@ -137,26 +98,23 @@ func (c *Coordinator) runOne(r *http.Request, trace *obs.Trace, qid, sql string)
 }
 
 func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		clusterWriteJSON(w, http.StatusMethodNotAllowed, "", clusterError{Error: "POST only"})
-		return
-	}
 	var req struct {
 		SQL string `json:"sql"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.SQL == "" {
-		clusterWriteJSON(w, http.StatusBadRequest, "", clusterError{Error: "body must be {\"sql\": \"...\"}"})
+	if !httpd.DecodeBody(w, r, maxBodyBytes, &req) {
 		return
 	}
-	qid, trace := c.admit(r)
-	ans, err := c.runOne(r, trace, qid, req.SQL)
+	if req.SQL == "" {
+		httpd.WriteJSON(w, http.StatusBadRequest, httpd.ErrorBody{Error: "body must be {\"sql\": \"...\"}"})
+		return
+	}
+	trace := httpd.Mint(w, r)
+	ans, err := c.runOne(r, trace, req.SQL)
 	if err != nil {
 		var over *OverloadError
 		if errors.As(err, &over) {
-			// Same contract as internal/server: 429 + Retry-After in
-			// seconds. No trace is offered — a shed request did no work.
-			w.Header().Set("Retry-After", retryAfterSeconds(over.RetryAfter))
-			clusterWriteJSON(w, http.StatusTooManyRequests, qid, clusterError{Error: err.Error()})
+			// No trace is offered — a shed request did no work.
+			httpd.Shed(w, over)
 			return
 		}
 		status := http.StatusInternalServerError
@@ -164,8 +122,8 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if errors.As(err, &bad) {
 			status = http.StatusBadRequest
 		}
-		c.offerTrace(trace.Snapshot(), req.SQL, "error")
-		clusterWriteJSON(w, status, qid, clusterError{Error: err.Error()})
+		httpd.OfferTrace(c.traces, c.log, trace.Snapshot(), req.SQL, "error")
+		httpd.WriteJSON(w, status, httpd.ErrorBody{Error: err.Error()})
 		return
 	}
 	ans.Trace = trace.Snapshot()
@@ -179,37 +137,36 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusServiceUnavailable
 		outcome = "failed"
 	}
-	c.offerTrace(ans.Trace, req.SQL, outcome)
-	clusterWriteJSON(w, status, qid, ans)
+	httpd.OfferTrace(c.traces, c.log, ans.Trace, req.SQL, outcome)
+	httpd.WriteJSON(w, status, ans)
 }
 
 func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		clusterWriteJSON(w, http.StatusMethodNotAllowed, "", clusterError{Error: "POST only"})
-		return
-	}
 	var req struct {
 		Queries []string `json:"queries"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || len(req.Queries) == 0 {
-		clusterWriteJSON(w, http.StatusBadRequest, "", clusterError{Error: "body must be {\"queries\": [\"...\", ...]}"})
+	if !httpd.DecodeBody(w, r, maxBodyBytes, &req) {
+		return
+	}
+	if len(req.Queries) == 0 {
+		httpd.WriteJSON(w, http.StatusBadRequest, httpd.ErrorBody{Error: "body must be {\"queries\": [\"...\", ...]}"})
 		return
 	}
 	if len(req.Queries) > 256 {
-		clusterWriteJSON(w, http.StatusBadRequest, "", clusterError{Error: "at most 256 queries per batch"})
+		httpd.WriteJSON(w, http.StatusBadRequest, httpd.ErrorBody{Error: "at most 256 queries per batch"})
 		return
 	}
-	qid, trace := c.admit(r)
+	trace := httpd.Mint(w, r)
 	start := time.Now()
-	out := BatchAnswer{QueryID: qid}
+	out := BatchAnswer{QueryID: trace.ID()}
 	// Entries run sequentially: batch statements share the replica
 	// breakers and fault schedules, and a deterministic call order is
 	// what makes kill/failover tests (and incident reconstructions from
 	// the trace) replayable.
 	shed := 0
-	var maxRetryAfter time.Duration
+	var longest *OverloadError
 	for _, sql := range req.Queries {
-		ans, err := c.runOne(r, trace, qid, sql)
+		ans, err := c.runOne(r, trace, sql)
 		ans.SQL = sql
 		if err != nil {
 			var over *OverloadError
@@ -218,9 +175,9 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 				// Retry-After contract; the rest of the batch still ran.
 				ans.Shed = true
 				ans.Error = err.Error()
-				ans.RetryAfterSeconds = ceilSeconds(over.RetryAfter)
-				if over.RetryAfter > maxRetryAfter {
-					maxRetryAfter = over.RetryAfter
+				ans.RetryAfterSeconds = over.RetryAfterSeconds()
+				if longest == nil || over.RetryAfter > longest.RetryAfter {
+					longest = over
 				}
 				shed++
 				out.Entries = append(out.Entries, ans)
@@ -249,41 +206,26 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if shed > 0 {
 		// Any shed entry sets the batch-level Retry-After; a fully shed
 		// batch is itself a 429 (no entry did any work).
-		w.Header().Set("Retry-After", retryAfterSeconds(maxRetryAfter))
+		w.Header().Set("Retry-After", strconv.Itoa(longest.RetryAfterSeconds()))
 		if shed == len(out.Entries) {
 			status = http.StatusTooManyRequests
 		}
 	}
-	c.offerTrace(out.Trace, strings.Join(req.Queries, "; "), outcome)
-	clusterWriteJSON(w, status, qid, out)
-}
-
-// ceilSeconds rounds a retry hint up to whole seconds, minimum 1 — the
-// Retry-After header granularity internal/server also speaks.
-func ceilSeconds(d time.Duration) int {
-	secs := int((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
-}
-
-func retryAfterSeconds(d time.Duration) string {
-	return strconv.Itoa(ceilSeconds(d))
+	httpd.OfferTrace(c.traces, c.log, out.Trace, strings.Join(req.Queries, "; "), outcome)
+	httpd.WriteJSON(w, status, out)
 }
 
 // clusterHealth is the /healthz body.
 type clusterHealth struct {
-	Status   string        `json:"status"`
-	Shards   []ShardStatus `json:"shards"`
-	Replicas int           `json:"replicas"`
-	// Admission mirrors internal/server's admission-control block.
-	Admission AdmissionHealth `json:"admission"`
+	Status    string                `json:"status"`
+	Shards    []ShardStatus         `json:"shards"`
+	Replicas  int                   `json:"replicas"`
+	Admission httpd.AdmissionHealth `json:"admission"`
 }
 
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		clusterWriteJSON(w, http.StatusMethodNotAllowed, "", clusterError{Error: "GET only"})
+		httpd.WriteJSON(w, http.StatusMethodNotAllowed, httpd.ErrorBody{Error: "GET only"})
 		return
 	}
 	st := c.Status()
@@ -306,7 +248,7 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if !healthy {
 		body.Status = "degraded"
 	}
-	clusterWriteJSON(w, status, "", body)
+	httpd.WriteJSON(w, status, body)
 }
 
 // handleRollout serves the rolling generation swap: GET reports progress,
@@ -321,7 +263,7 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleRollout(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
-		clusterWriteJSON(w, http.StatusOK, "", c.RolloutStatus())
+		httpd.WriteJSON(w, http.StatusOK, c.RolloutStatus())
 	case http.MethodPost:
 		var req struct {
 			CanarySQL      string `json:"canary_sql"`
@@ -331,7 +273,7 @@ func (c *Coordinator) handleRollout(w http.ResponseWriter, r *http.Request) {
 		}
 		// An empty body is a default rollout, not an error.
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-			clusterWriteJSON(w, http.StatusBadRequest, "", clusterError{Error: "malformed rollout body: " + err.Error()})
+			httpd.WriteJSON(w, http.StatusBadRequest, httpd.ErrorBody{Error: "malformed rollout body: " + err.Error()})
 			return
 		}
 		cfg := RolloutConfig{
@@ -343,21 +285,21 @@ func (c *Coordinator) handleRollout(w http.ResponseWriter, r *http.Request) {
 		// The rollout outlives this request: it runs on the background
 		// context, not r.Context().
 		if err := c.StartRollout(context.Background(), cfg); err != nil {
-			clusterWriteJSON(w, http.StatusConflict, "", clusterError{Error: err.Error()})
+			httpd.WriteJSON(w, http.StatusConflict, httpd.ErrorBody{Error: err.Error()})
 			return
 		}
-		clusterWriteJSON(w, http.StatusAccepted, "", c.RolloutStatus())
+		httpd.WriteJSON(w, http.StatusAccepted, c.RolloutStatus())
 	default:
-		clusterWriteJSON(w, http.StatusMethodNotAllowed, "", clusterError{Error: "GET or POST only"})
+		httpd.WriteJSON(w, http.StatusMethodNotAllowed, httpd.ErrorBody{Error: "GET or POST only"})
 	}
 }
 
 func (c *Coordinator) handleShards(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		clusterWriteJSON(w, http.StatusMethodNotAllowed, "", clusterError{Error: "GET only"})
+		httpd.WriteJSON(w, http.StatusMethodNotAllowed, httpd.ErrorBody{Error: "GET only"})
 		return
 	}
-	clusterWriteJSON(w, http.StatusOK, "", struct {
+	httpd.WriteJSON(w, http.StatusOK, struct {
 		Shards []ShardStatus `json:"shards"`
 	}{Shards: c.Status()})
 }

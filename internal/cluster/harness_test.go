@@ -37,7 +37,7 @@ ORDER BY RANK(act, obj) LIMIT %d`, k)
 
 // memberIndex hand-builds one member's index: candidate sequences at
 // seed-dependent positions, scores deterministic per (name, seed).
-func memberIndex(t *testing.T, name string, seed int64) *rank.Index {
+func memberIndex(t testing.TB, name string, seed int64) *rank.Index {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	const numClips = 40
@@ -80,7 +80,7 @@ func memberIndex(t *testing.T, name string, seed int64) *rank.Index {
 
 // buildWorld returns the members' indexes partitioned into n shard
 // indexes (hash placement, same as SplitRepository) plus the monolith.
-func buildWorld(t *testing.T, n int) (shardIxs []*rank.Index, mono *rank.Index) {
+func buildWorld(t testing.TB, n int) (shardIxs []*rank.Index, mono *rank.Index) {
 	t.Helper()
 	return buildWorldSeeded(t, n, 100)
 }
@@ -88,7 +88,7 @@ func buildWorld(t *testing.T, n int) (shardIxs []*rank.Index, mono *rank.Index) 
 // buildWorldSeeded is buildWorld with a controllable base seed: different
 // bases give the same membership and shard placement but different scores
 // — two generations of "the same" repository, for rollout tests.
-func buildWorldSeeded(t *testing.T, n int, base int64) (shardIxs []*rank.Index, mono *rank.Index) {
+func buildWorldSeeded(t testing.TB, n int, base int64) (shardIxs []*rank.Index, mono *rank.Index) {
 	t.Helper()
 	byName := map[string]*rank.Index{}
 	var all []*rank.Index

@@ -42,11 +42,9 @@ func unitFloat(h uint64) float64 {
 	return float64(h>>11) / (1 << 53)
 }
 
-// gauss maps a hash to a standard normal draw via Box-Muller on two derived
-// uniforms: radius sqrt(−2 ln u1) with u1 = radiusUniform(h), angle 2π·u2.
-func gauss(h uint64) float64 { return boxMuller(h, radiusUniform(h)) }
-
-// boxMuller is gauss(h) given its u1, for a caller that tested u1 first.
+// boxMuller maps a hash to a standard normal draw via Box-Muller on two
+// derived uniforms: radius sqrt(−2 ln u1) with u1 = radiusUniform(h), angle
+// 2π·u2. The caller passes u1 so it can test it first.
 func boxMuller(h uint64, u1 float64) float64 {
 	u2 := unitFloat(mix64(h ^ 0x5a5a5a5a5a5a5a5a))
 	if u1 <= 0 {
@@ -55,15 +53,16 @@ func boxMuller(h uint64, u1 float64) float64 {
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
-// radiusUniform is gauss's u1. |gauss(h)| is at most the radius
+// radiusUniform is boxMuller's u1. |boxMuller(h, u1)| is at most the radius
 // sqrt(−2 ln u1), which is below r exactly when u1 > exp(−r²/2).
 func radiusUniform(h uint64) float64 { return unitFloat(mix64(h ^ 0xa5a5a5a5a5a5a5a5)) }
 
-// cutoff decides a clamped-normal score clampScore(mean + std·gauss(h))
-// against a threshold τ without drawing it: when radiusUniform(h) > u1 the
-// draw's radius cannot carry the score across τ, so the score is ≥ τ
-// exactly when above. A u1 of 1 decides nothing, since unitFloat < 1. The
-// zero cutoff is not yet computed (ready is false).
+// cutoff decides a clamped-normal score clampScore(mean + std·g), g =
+// boxMuller(h, radiusUniform(h)), against a threshold τ without drawing
+// it: when radiusUniform(h) > u1 the draw's radius cannot carry the score
+// across τ, so the score is ≥ τ exactly when above. A u1 of 1 decides
+// nothing, since unitFloat < 1. The zero cutoff is not yet computed (ready
+// is false).
 type cutoff struct {
 	u1           float64
 	above, ready bool

@@ -148,6 +148,10 @@ func (r *refCore) truePositive(v TruthVideo, typ string, unit int, extra uint64)
 	return score, true
 }
 
+// gauss maps a hash to a standard normal draw via Box-Muller on two derived
+// uniforms: radius sqrt(−2 ln u1) with u1 = radiusUniform(h), angle 2π·u2.
+func gauss(h uint64) float64 { return boxMuller(h, radiusUniform(h)) }
+
 func refPhantomID(v TruthVideo, typ string, frame int) int {
 	return -1 - int(keyed(hashString(v.ID()), hashString(typ), uint64(frame/30))%1_000_000)
 }

@@ -15,6 +15,7 @@ import (
 	"sync"
 	"time"
 
+	"svqact/internal/httpd"
 	"svqact/internal/rank"
 )
 
@@ -148,30 +149,30 @@ func (s *Server) repoHealth() *RepoHealth {
 
 func (s *Server) handleRepoReload(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST only"})
+		httpd.WriteJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST only"})
 		return
 	}
 	if s.cfg.RepoDir == "" {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "no repository configured (start with -repo)"})
+		httpd.WriteJSON(w, http.StatusNotFound, errorResponse{Error: "no repository configured (start with -repo)"})
 		return
 	}
 	if err := s.Reload(); err != nil {
 		s.log.Warn("repository reload failed", "dir", s.cfg.RepoDir, "error", err.Error())
-		writeJSON(w, http.StatusConflict, errorResponse{Error: err.Error()})
+		httpd.WriteJSON(w, http.StatusConflict, errorResponse{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, s.repoHealth())
+	httpd.WriteJSON(w, http.StatusOK, s.repoHealth())
 }
 
 func (s *Server) handleRepoStatus(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "GET only"})
+		httpd.WriteJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "GET only"})
 		return
 	}
 	rh := s.repoHealth()
 	if rh == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "no repository configured (start with -repo)"})
+		httpd.WriteJSON(w, http.StatusNotFound, errorResponse{Error: "no repository configured (start with -repo)"})
 		return
 	}
-	writeJSON(w, http.StatusOK, rh)
+	httpd.WriteJSON(w, http.StatusOK, rh)
 }

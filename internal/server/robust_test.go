@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"log/slog"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"svqact/internal/detect"
+	"svqact/internal/httpd"
 )
 
 const cheapQuery = `{"sql": "SELECT MERGE(clipID) AS s FROM (PROCESS q2 PRODUCE clipID) WHERE act='blowing_leaves'"}`
@@ -38,7 +40,7 @@ func postQuery(h http.Handler, body string) *httptest.ResponseRecorder {
 // bounded delay instead of hanging.
 func TestSaturationRejectsWithRetryAfter(t *testing.T) {
 	s := New(Config{Scale: 0.05, Seed: 42, MaxConcurrent: 1, QueueDepth: 1, QueueWait: 100 * time.Millisecond})
-	s.sem <- struct{}{} // occupy the only slot
+	occupy(t, s)
 	h := s.Handler()
 
 	start := time.Now()
@@ -58,8 +60,30 @@ func TestSaturationRejectsWithRetryAfter(t *testing.T) {
 	if err := json.Unmarshal(rr.Body.Bytes(), &body); err != nil || body.Error == "" {
 		t.Errorf("429 body not a JSON error: %s", rr.Body)
 	}
-	if got := s.Health(); got.Rejected != 1 || got.Inflight != 0 || got.Waiting != 0 {
+	if got := s.Health(); got.Rejected != 1 || got.Inflight != 1 || got.Waiting != 0 {
 		t.Errorf("health after rejection = %+v", got)
+	}
+}
+
+// occupy takes one of s's execution slots, as an admitted query would.
+func occupy(t *testing.T, s *Server) {
+	t.Helper()
+	if err := s.gate.Acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRetryAfterRoundsUp: a shed request is never told to come back before
+// the queue wait it was shed after — 1.5s rounds up to "2", not down to "1".
+func TestRetryAfterRoundsUp(t *testing.T) {
+	s := New(Config{Scale: 0.05, Seed: 42, MaxConcurrent: 1, QueueDepth: 1, QueueWait: 1500 * time.Millisecond})
+	occupy(t, s)
+	rr := postQuery(s.Handler(), cheapQuery)
+	if rr.Code != http.StatusTooManyRequests {
+		t.Fatalf("status = %d, want 429: %s", rr.Code, rr.Body)
+	}
+	if got := rr.Header().Get("Retry-After"); got != "2" {
+		t.Errorf("Retry-After = %q, want \"2\"", got)
 	}
 }
 
@@ -67,7 +91,7 @@ func TestSaturationRejectsWithRetryAfter(t *testing.T) {
 // waiting, further requests are turned away without waiting at all.
 func TestQueueOverflowRejectsImmediately(t *testing.T) {
 	s := New(Config{Scale: 0.05, Seed: 42, MaxConcurrent: 1, QueueDepth: 1, QueueWait: 5 * time.Second})
-	s.sem <- struct{}{} // occupy the only slot
+	occupy(t, s)
 	h := s.Handler()
 
 	var wg sync.WaitGroup
@@ -76,7 +100,7 @@ func TestQueueOverflowRejectsImmediately(t *testing.T) {
 		defer wg.Done()
 		postQuery(h, `{`)
 	}()
-	for i := 0; s.waiting.Value() == 0; i++ {
+	for i := 0; s.Health().Waiting == 0; i++ {
 		if i > 1000 {
 			t.Fatal("queued request never registered")
 		}
@@ -92,7 +116,7 @@ func TestQueueOverflowRejectsImmediately(t *testing.T) {
 		t.Errorf("overflow rejection took %v, want immediate", elapsed)
 	}
 
-	<-s.sem // free the slot; the queued request proceeds (bad JSON -> 400)
+	s.gate.Release() // free the slot; the queued request proceeds (bad JSON -> 400)
 	wg.Wait()
 	if got := s.Health(); got.Waiting != 0 || got.Inflight != 0 {
 		t.Errorf("health after drain = %+v", got)
@@ -107,12 +131,12 @@ func TestPanicRecoveryReturnsJSON500(t *testing.T) {
 	s := New(Config{Scale: 0.05, Seed: 42,
 		Logger: slog.New(slog.NewTextHandler(&logged, nil))})
 	calls := 0
-	h := s.recover(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := httpd.Recover(s.log, s.panics, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls++
 		if calls == 1 {
 			panic("boom")
 		}
-		writeJSON(w, http.StatusOK, map[string]string{"ok": "yes"})
+		httpd.WriteJSON(w, http.StatusOK, map[string]string{"ok": "yes"})
 	}))
 
 	rr := httptest.NewRecorder()
@@ -146,7 +170,7 @@ func TestPanicRecoveryReturnsJSON500(t *testing.T) {
 func TestPanicRecoveryReraisesAbortHandler(t *testing.T) {
 	s := New(Config{Scale: 0.05, Seed: 42,
 		Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
-	h := s.recover(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+	h := httpd.Recover(s.log, s.panics, http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
 		panic(http.ErrAbortHandler)
 	}))
 	defer func() {

@@ -4,29 +4,26 @@
 // ingestion) according to the statement's plan.
 //
 // The serving path is hardened for unattended operation: every query runs
-// under a deadline and the client's cancellation, admission control bounds
-// the number of concurrent queries (excess requests wait briefly, then get
-// 429 with Retry-After), request bodies are size-limited, and handler panics
-// are contained and reported as JSON 500s instead of tearing down the
-// connection.
+// under a deadline and the client's cancellation, and the internal/httpd
+// front it shares with the cluster coordinator bounds the number of
+// concurrent queries (excess requests wait briefly, then get 429 with
+// Retry-After), limits request bodies, and contains handler panics as JSON
+// 500s instead of tearing down the connection.
 package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
-	"regexp"
-	"runtime/debug"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
 	"svqact/internal/core"
 	"svqact/internal/detect"
+	"svqact/internal/httpd"
 	"svqact/internal/obs"
 	"svqact/internal/plan"
 	"svqact/internal/rank"
@@ -152,15 +149,12 @@ type Server struct {
 	reg    *obs.Registry
 	traces *obs.TraceStore
 
-	// sem holds one token per admitted query. The admission and outcome
+	// gate admits /query and /query/batch requests. It and the outcome
 	// counters live on the registry, so /healthz and /metrics read the same
 	// instruments.
-	sem      chan struct{}
-	waiting  *obs.Gauge
-	inflight *obs.Gauge
-	served   *obs.Counter
-	rejected *obs.Counter
-	panics   *obs.Counter
+	gate   *httpd.Gate
+	served *obs.Counter
+	panics *obs.Counter
 
 	// latency is the end-to-end /query execution histogram; rankSorted and
 	// rankRandom accumulate offline score-table accesses across queries.
@@ -226,21 +220,14 @@ func New(cfg Config) *Server {
 		log:     cfg.Logger,
 		reg:     cfg.Registry,
 		traces:  cfg.Traces,
-		sem:     make(chan struct{}, cfg.MaxConcurrent),
 		streams: map[string]detect.TruthVideo{},
 		indexes: map[string]*rank.Index{},
 	}
 	r := s.reg
-	s.waiting = r.Gauge("svqact_queries_waiting",
-		"Requests queued for an execution slot.")
-	s.inflight = r.Gauge("svqact_queries_inflight",
-		"Queries currently executing.")
+	s.gate = httpd.NewGate(r, "svqact_queries", cfg.MaxConcurrent, cfg.QueueDepth, cfg.QueueWait, nil)
 	s.served = r.Counter("svqact_queries_served_total",
 		"Admitted queries whose handler completed (any status).")
-	s.rejected = r.Counter("svqact_queries_rejected_total",
-		"Requests rejected by admission control with 429.")
-	s.panics = r.Counter("svqact_panics_total",
-		"Handler panics contained by the recovery middleware.")
+	s.panics = httpd.Panics(r)
 	s.latency = r.Histogram("svqact_query_duration_seconds",
 		"End-to-end /query execution latency.", nil)
 	s.rankSorted = r.Counter("svqact_rank_sorted_accesses_total",
@@ -601,16 +588,17 @@ type Health struct {
 // Health reports the server's live admission counters. It reads the same
 // registry-backed instruments /metrics scrapes, so the two views agree.
 func (s *Server) Health() Health {
+	adm := s.gate.Health()
 	return Health{
 		Status:        "ok",
 		Shard:         s.cfg.ShardName,
 		UptimeSeconds: time.Since(s.start).Seconds(),
-		Inflight:      s.inflight.Value(),
-		Waiting:       s.waiting.Value(),
-		Capacity:      s.cfg.MaxConcurrent,
-		QueueDepth:    s.cfg.QueueDepth,
+		Inflight:      adm.Inflight,
+		Waiting:       adm.Waiting,
+		Capacity:      adm.Capacity,
+		QueueDepth:    adm.QueueDepth,
 		Served:        uint64(s.served.Value()),
-		Rejected:      uint64(s.rejected.Value()),
+		Rejected:      uint64(adm.Rejected),
 		Panics:        uint64(s.panics.Value()),
 		Repo:          s.repoHealth(),
 	}
@@ -622,14 +610,14 @@ func (s *Server) Health() Health {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.Health())
+		httpd.WriteJSON(w, http.StatusOK, s.Health())
 	})
 	mux.HandleFunc("/sources", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
-			writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "GET only"})
+			httpd.WriteJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "GET only"})
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string][]string{"sources": s.Sources()})
+		httpd.WriteJSON(w, http.StatusOK, map[string][]string{"sources": s.Sources()})
 	})
 	mux.Handle("/metrics", s.reg.Handler())
 	mux.Handle("/debug/traces", s.traces.Handler())
@@ -642,7 +630,7 @@ func (s *Server) Handler() http.Handler {
 	if s.cfg.ShardName != "" {
 		h = s.shardHeader(h)
 	}
-	return s.recover(h)
+	return httpd.Recover(s.log, s.panics, h)
 }
 
 // shardHeader stamps every response with this process's shard identity.
@@ -653,91 +641,22 @@ func (s *Server) shardHeader(next http.Handler) http.Handler {
 	})
 }
 
-// recover converts handler panics into JSON 500s with a logged stack,
-// keeping one poisoned request from crashing the process. Panics raised by
-// the net/http machinery itself to abort a connection are re-raised.
-func (s *Server) recover(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			rec := recover()
-			if rec == nil {
-				return
-			}
-			if rec == http.ErrAbortHandler {
-				panic(rec)
-			}
-			s.panics.Inc()
-			s.log.Error("panic serving request",
-				"method", r.Method, "path", r.URL.Path,
-				"panic", fmt.Sprint(rec), "stack", string(debug.Stack()))
-			// Best-effort: if the handler already wrote, this is a no-op.
-			writeJSON(w, http.StatusInternalServerError, errorResponse{Error: fmt.Sprintf("internal error: %v", rec)})
-		}()
-		next.ServeHTTP(w, r)
-	})
-}
-
-// admit applies the admission controller: at most MaxConcurrent queries
-// execute, at most QueueDepth more wait up to QueueWait for a slot, and
-// everything beyond that is rejected with 429 + Retry-After.
+// admit runs a query route behind the admission gate: at most
+// MaxConcurrent queries execute, at most QueueDepth more wait up to
+// QueueWait for a slot, and everything beyond that is shed with 429 +
+// Retry-After. An admitted query gets its ID and trace here, so queueing
+// time is excluded but everything the handler does is covered.
 func (s *Server) admit(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if s.waiting.Add(1) > int64(s.cfg.QueueDepth) {
-			s.waiting.Add(-1)
-			s.reject(w, "queue full")
+		if err := s.gate.Acquire(r.Context()); err != nil {
+			httpd.Shed(w, err.(*httpd.OverloadError))
 			return
 		}
-		timer := time.NewTimer(s.cfg.QueueWait)
-		defer timer.Stop()
-		select {
-		case s.sem <- struct{}{}:
-			s.waiting.Add(-1)
-		case <-timer.C:
-			s.waiting.Add(-1)
-			s.reject(w, "saturated")
-			return
-		case <-r.Context().Done():
-			s.waiting.Add(-1)
-			return // client gone; nothing to write
-		}
-		defer func() { <-s.sem }()
-		s.inflight.Add(1)
-		defer s.inflight.Add(-1)
-		// The query is admitted: mint its ID and trace here so queueing
-		// time is excluded but everything the handler does is covered. A
-		// well-formed inbound X-Query-ID (a coordinator fanning out to
-		// this shard) is adopted so the whole scatter shares one ID
-		// across coordinator and shard logs, traces and responses.
-		qid := r.Header.Get("X-Query-ID")
-		if !queryIDRe.MatchString(qid) {
-			qid = obs.NewQueryID()
-		}
-		w.Header().Set("X-Query-ID", qid)
-		trace := obs.NewTrace(qid)
-		// A coordinator attempt names its own span in X-SVQ-Parent-Span;
-		// recording it lets an operator correlate this shard-local trace
-		// with the coordinator span that requested it.
-		if ps := r.Header.Get("X-SVQ-Parent-Span"); obs.ValidSpanRef(ps) {
-			trace.SetRemoteParent(ps)
-		}
-		r = r.WithContext(obs.WithTrace(r.Context(), trace))
-		next.ServeHTTP(w, r)
+		defer s.gate.Release()
+		trace := httpd.Mint(w, r)
+		next.ServeHTTP(w, r.WithContext(obs.WithTrace(r.Context(), trace)))
 		s.served.Inc()
 	})
-}
-
-// queryIDRe is the shape of IDs minted by obs.NewQueryID; only inbound
-// X-Query-ID headers matching it are adopted for cross-tier correlation.
-var queryIDRe = regexp.MustCompile(`^[0-9a-f]{16}$`)
-
-func (s *Server) reject(w http.ResponseWriter, why string) {
-	s.rejected.Inc()
-	retry := s.cfg.QueueWait.Seconds()
-	if retry < 1 {
-		retry = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(int(retry)))
-	writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: "server " + why + "; retry later"})
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -759,8 +678,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	resp.QueryID, resp.ElapsedMS, resp.Trace = trace.ID(), elapsed.Milliseconds(), trace.Snapshot()
 	s.logQuery(resp.QueryID, req.SQL, nil, http.StatusOK, elapsed)
-	s.offerTrace(resp.Trace, req.SQL, "ok")
-	writeJSON(w, http.StatusOK, resp)
+	httpd.OfferTrace(s.traces, s.log, resp.Trace, req.SQL, "ok")
+	httpd.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleBatch executes one online statement over every video of the source
@@ -827,8 +746,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusGatewayTimeout
 	}
 	s.logQuery(resp.QueryID, req.SQL, fleetErr, status, elapsed)
-	s.offerTrace(resp.Trace, req.SQL, queryOutcome(fleetErr, status))
-	writeJSON(w, status, resp)
+	httpd.OfferTrace(s.traces, s.log, resp.Trace, req.SQL, queryOutcome(fleetErr, status))
+	httpd.WriteJSON(w, status, resp)
 }
 
 // decode reads a POSTed request body into req and parses and plans the
@@ -836,19 +755,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // When it returns false it has answered the request: 405, 413, or 400 for a
 // body that is not JSON or a statement that does not parse or plan.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, req any, sql *string) (sqlq.Plan, bool) {
-	qid := obs.TraceFrom(r.Context()).ID()
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST only", QueryID: qid})
-		return sqlq.Plan{}, false
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(req); err != nil {
-		status, msg := http.StatusBadRequest, "invalid JSON: "+err.Error()
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			status, msg = http.StatusRequestEntityTooLarge, err.Error()
-		}
-		writeJSON(w, status, errorResponse{Error: msg, QueryID: qid})
+	if !httpd.DecodeBody(w, r, s.cfg.MaxBodyBytes, req) {
 		return sqlq.Plan{}, false
 	}
 	st, err := sqlq.Parse(*sql)
@@ -857,8 +764,9 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, req any, sql *st
 		plan, err = st.Plan()
 	}
 	if err != nil {
+		qid := obs.TraceFrom(r.Context()).ID()
 		s.logQuery(qid, *sql, err, http.StatusBadRequest, 0)
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error(), QueryID: qid})
+		httpd.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error(), QueryID: qid})
 		return sqlq.Plan{}, false
 	}
 	return plan, true
@@ -879,22 +787,8 @@ func (s *Server) fail(w http.ResponseWriter, trace *obs.Trace, sql string, err e
 	status, body := errorStatus(err)
 	body.QueryID = trace.ID()
 	s.logQuery(body.QueryID, sql, err, status, elapsed)
-	s.offerTrace(trace.Snapshot(), sql, queryOutcome(err, status))
-	writeJSON(w, status, body)
-}
-
-// offerTrace hands a finished query's trace to the retained store and emits
-// the one-line slow/degraded-query log record when it is kept for cause
-// (anything but routine sampling).
-func (s *Server) offerTrace(snap *obs.TraceSnapshot, sql, outcome string) {
-	if snap == nil {
-		return
-	}
-	reason, retained := s.traces.Offer(snap, obs.TraceMeta{SQL: sql, Outcome: outcome})
-	if retained && reason != "sampled" {
-		s.log.Warn("trace retained", "trace_id", snap.QueryID, "reason", reason,
-			"outcome", outcome, "duration_ms", snap.DurationMS, "sql_digest", obs.SQLDigest(sql))
-	}
+	httpd.OfferTrace(s.traces, s.log, trace.Snapshot(), sql, queryOutcome(err, status))
+	httpd.WriteJSON(w, status, body)
 }
 
 // logQuery emits the structured per-query log line: query ID, statement,
@@ -1005,10 +899,4 @@ func (s *Server) execute(ctx context.Context, plan sqlq.Plan, req QueryRequest) 
 	s.rankRandom.Add(ans.RandomAccesses)
 	s.observePlan(ans.Plan)
 	return &QueryResponse{Answer: *ans}, nil
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
 }

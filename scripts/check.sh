@@ -51,7 +51,7 @@ stage "allocation bounds (no race: counts skip under the detector)"
 # The pooled-scratch aliasing tests above ran under -race; the numeric
 # AllocsPerRun bounds skip there (instrumentation inflates counts), so run
 # them again without it to enforce the hot path's allocation budget.
-go test -count=1 -run 'AllocsSteadyState' ./internal/detect/ ./internal/core/ ./internal/rank/
+go test -count=1 -run 'AllocsSteadyState' ./internal/detect/ ./internal/core/ ./internal/rank/ ./internal/httpd/
 
 stage "fuzz smoke (-fuzztime=5s each)"
 # A short native-fuzzing burst over the lexer and parser (EXPLAIN included
@@ -68,9 +68,11 @@ go test -run '^$' -fuzz '^FuzzVerifyTable$' -fuzztime=5s ./internal/store
 go test -run '^$' -fuzz '^FuzzLoadGeneration$' -fuzztime=5s ./internal/rank
 # Request bodies cross it at /query and /query/batch: fuzzed bytes through the
 # whole handler stack must answer a documented status with a JSON body that
-# carries the request's query ID, and never panic.
+# carries the request's query ID, and never panic. The coordinator's two
+# routes take the same front and the same fuzzing.
 go test -run '^$' -fuzz '^FuzzQueryBody$' -fuzztime=5s ./internal/server
 go test -run '^$' -fuzz '^FuzzBatchBody$' -fuzztime=5s ./internal/server
+go test -run '^$' -fuzz '^FuzzCoordinatorBody$' -fuzztime=5s ./internal/cluster
 # The TBClip iterator against the map-based one it replaced (kept in
 # tbclip_ref_test.go as the referee): same yields, rounds and accesses.
 go test -run '^$' -fuzz '^FuzzTBClipMatchesReference$' -fuzztime=5s ./internal/rank
