@@ -13,7 +13,12 @@ package svqact
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
+	"log/slog"
+	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
@@ -26,6 +31,7 @@ import (
 	"svqact/internal/obs"
 	"svqact/internal/rank"
 	"svqact/internal/scanstat"
+	"svqact/internal/server"
 	"svqact/internal/sqlq"
 	"svqact/internal/stmt"
 	"svqact/internal/store"
@@ -464,6 +470,66 @@ func BenchmarkFleetCascade(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric((units()-u0)/float64(b.N), "units/op")
 	b.ReportMetric((escalations(b, reg)-e0)/float64(b.N), "escalations/op")
+}
+
+// BenchmarkBatchBody serves one /query/batch request of the fleet
+// workload's shape end to end through the server's handler: a 13-video
+// YouTube set (q1 at scale 0.95), cascades on, two workers, the action with
+// its first object and person. It times handler to bytes — decode, plan,
+// the fleet run, the response and its encoding — so B/op and allocs/op show
+// what the body costs on top of the run; bytes/op is the body's size.
+func BenchmarkBatchBody(b *testing.B) {
+	s := server.New(server.Config{Scale: 0.95, Seed: 42, Cascade: true, Workers: 2,
+		Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	q := synth.YouTubeQueries()[0]
+	req, err := json.Marshal(server.BatchRequest{SQL: fmt.Sprintf("SELECT MERGE(clipID) AS s FROM (PROCESS %s PRODUCE clipID, obj USING ObjectDetector, act USING ActionRecognizer) WHERE act='%s' AND obj.include('%s', 'person')", q.Name, q.Action, q.Objects[0])})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := s.Handler()
+	var w bodyCounter
+	serve := func() {
+		w.header, w.status = http.Header{}, 0
+		h.ServeHTTP(&w, httptest.NewRequest(http.MethodPost, "/query/batch", bytes.NewReader(req)))
+		if w.status != http.StatusOK {
+			b.Fatalf("status %d", w.status)
+		}
+	}
+	serve() // warm: dataset, critical-value grids, scratch pools
+	var resp server.BatchResponse
+	if err := json.Unmarshal(w.last, &resp); err != nil || resp.NumVideos != 13 {
+		b.Fatalf("warm-up body: %d videos (%v)", resp.NumVideos, err)
+	}
+	w.bytes = 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(w.bytes)/float64(b.N), "bytes/op")
+}
+
+// bodyCounter is a ResponseWriter that counts the body bytes and keeps the
+// last write.
+type bodyCounter struct {
+	header http.Header
+	status int
+	bytes  int
+	last   []byte
+}
+
+func (w *bodyCounter) Header() http.Header { return w.header }
+func (w *bodyCounter) WriteHeader(status int) {
+	if w.status == 0 {
+		w.status = status
+	}
+}
+func (w *bodyCounter) Write(p []byte) (int, error) {
+	w.WriteHeader(http.StatusOK)
+	w.bytes += len(p)
+	w.last = append(w.last[:0], p...)
+	return len(p), nil
 }
 
 // escalations sums a registered meter's escalated units over every cascade

@@ -245,6 +245,7 @@ func New(shards []ShardSpec, cfg Config) (*Coordinator, error) {
 		"Whole scatter-gather latency (all rounds).", latencyBounds)
 	c.admission = httpd.NewGate(reg, "svqact_cluster_admission", cfg.MaxConcurrent, cfg.QueueDepth, cfg.QueueWait, c.pressure)
 	c.panics = httpd.Panics(reg)
+	httpd.EncodeFailures(reg)
 	replicas := 0
 	for _, spec := range shards {
 		if spec.Name == "" || len(spec.Replicas) == 0 {

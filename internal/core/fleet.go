@@ -50,11 +50,14 @@ type VideoResult struct {
 // Outcome classifies the video's run for aggregation and metrics:
 // "ok", "degraded", "interrupted", "skipped" (never dispatched) or "error".
 func (vr *VideoResult) Outcome() string {
+	if vr.Err == nil {
+		// Before the errors.As targets: they escape, so declaring them
+		// costs two allocations.
+		return "ok"
+	}
 	var de *DegradedError
 	var ie *InterruptedError
 	switch {
-	case vr.Err == nil:
-		return "ok"
 	case errors.As(vr.Err, &de):
 		return "degraded"
 	case errors.As(vr.Err, &ie):

@@ -11,6 +11,7 @@ import (
 	"svqact/internal/detect"
 	"svqact/internal/obs"
 	"svqact/internal/synth"
+	"svqact/internal/testenv"
 	"svqact/internal/video"
 )
 
@@ -233,5 +234,29 @@ func TestRunAllValidation(t *testing.T) {
 	fr, err := eng.RunAll(context.Background(), nil, fleetQuery, FleetOptions{})
 	if err != nil || len(fr.Videos) != 0 {
 		t.Errorf("empty fleet: %v, %+v", err, fr)
+	}
+}
+
+// TestOutcomeAllocsSteadyState: classifying a clean run allocates nothing
+// (Outcome runs several times per video on the fleet path), and the error
+// classes still resolve.
+func TestOutcomeAllocsSteadyState(t *testing.T) {
+	for want, vr := range map[string]VideoResult{
+		"ok":          {},
+		"degraded":    {Err: &DegradedError{}, Result: &Result{}},
+		"interrupted": {Err: &InterruptedError{Err: context.Canceled}, Result: &Result{}},
+		"skipped":     {Err: context.Canceled},
+		"error":       {Err: errors.New("boom"), Result: &Result{}},
+	} {
+		if got := vr.Outcome(); got != want {
+			t.Errorf("Outcome() = %q, want %q", got, want)
+		}
+	}
+	if testenv.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	vr := VideoResult{Result: &Result{}}
+	if n := testing.AllocsPerRun(100, func() { _ = vr.Outcome() }); n != 0 {
+		t.Fatalf("Outcome allocates %v times on a clean run, want 0", n)
 	}
 }

@@ -7,6 +7,7 @@
 package httpd
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -18,6 +19,7 @@ import (
 	"regexp"
 	"runtime/debug"
 	"strconv"
+	"sync"
 	"syscall"
 	"time"
 
@@ -30,11 +32,55 @@ type ErrorBody struct {
 	QueryID string `json:"query_id,omitempty"`
 }
 
-// WriteJSON answers with status and v encoded as JSON.
+// WriteJSON answers with status and v encoded as JSON (encoding/json's
+// Encoder output: the document and a newline).
 func WriteJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	WriteAppended(w, status, func(dst []byte) ([]byte, error) {
+		buf := bytes.NewBuffer(dst)
+		err := json.NewEncoder(buf).Encode(v)
+		return buf.Bytes(), err
+	})
+}
+
+// bodies pools response buffers; one larger than maxPooledBody is left to
+// the collector rather than kept.
+var bodies = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledBody = 1 << 20
+
+// encodeFailures counts answers whose body could not be encoded, process
+// wide: every registry the front is registered with exposes the same count.
+var encodeFailures obs.Counter
+
+// EncodeFailures registers the counter of answers WriteJSON and
+// WriteAppended turned into 500s because their body did not encode.
+func EncodeFailures(reg *obs.Registry) {
+	reg.AttachCounter("svqact_response_encode_failures_total",
+		"Answers replaced by a 500 because their JSON body failed to encode.", &encodeFailures)
+}
+
+// WriteAppended answers with status and the JSON body appendBody appends
+// to a pooled buffer, sent in one Write with its Content-Length. The body
+// is complete before anything is committed: when appendBody fails, the
+// answer is a JSON 500 naming the error instead, and is counted.
+func WriteAppended(w http.ResponseWriter, status int, appendBody func(dst []byte) ([]byte, error)) {
+	buf := bodies.Get().(*[]byte)
+	body, err := appendBody((*buf)[:0])
+	if err != nil {
+		encodeFailures.Inc()
+		status = http.StatusInternalServerError
+		body, _ = json.Marshal(ErrorBody{Error: "encoding the response: " + err.Error(), QueryID: w.Header().Get("X-Query-ID")})
+		body = append(body, '\n')
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(body)
+	if err == nil && cap(body) <= maxPooledBody {
+		*buf = body[:0]
+		bodies.Put(buf)
+	}
 }
 
 // queryIDRe is the shape of IDs minted by obs.NewQueryID; only inbound

@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -205,5 +207,56 @@ func TestServeDrainsInFlight(t *testing.T) {
 	}
 	if err := <-served; err != nil {
 		t.Fatalf("Serve = %v, want a clean drain", err)
+	}
+}
+
+// TestWriteJSONEncodeFailure: a body that does not encode (a NaN field)
+// is answered with a counted JSON 500 carrying the query ID, not with the
+// intended status and an empty body.
+func TestWriteJSONEncodeFailure(t *testing.T) {
+	reg := obs.NewRegistry()
+	EncodeFailures(reg)
+	before := encodeFailures.Value()
+	rr := httptest.NewRecorder()
+	rr.Header().Set("X-Query-ID", "00f1e2d3c4b5a697")
+	WriteJSON(rr, http.StatusOK, struct {
+		Score float64 `json:"score"`
+	}{math.NaN()})
+	if rr.Code != http.StatusInternalServerError {
+		t.Fatalf("status = %d, want 500", rr.Code)
+	}
+	var body ErrorBody
+	if err := json.Unmarshal(rr.Body.Bytes(), &body); err != nil {
+		t.Fatalf("500 body not JSON: %q", rr.Body)
+	}
+	if !strings.Contains(body.Error, "NaN") || body.QueryID != "00f1e2d3c4b5a697" {
+		t.Errorf("body = %+v, want the encoding error and the query ID", body)
+	}
+	if got := encodeFailures.Value() - before; got != 1 {
+		t.Errorf("encode failures counted %d times, want 1", got)
+	}
+	var exp strings.Builder
+	if err := reg.WritePrometheus(&exp); err != nil || !strings.Contains(exp.String(), "svqact_response_encode_failures_total") {
+		t.Errorf("registry does not expose the encode failure count (%v):\n%s", err, exp.String())
+	}
+}
+
+// TestWriteJSONMatchesEncoder: the pooled answer is byte for byte what
+// encoding/json's Encoder wrote, with its length declared.
+func TestWriteJSONMatchesEncoder(t *testing.T) {
+	v := map[string]any{"b": []int{1, 2}, "a": "<&>", "c": 1e21}
+	var want strings.Builder
+	if err := json.NewEncoder(&want).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ { // reuse a pooled buffer
+		rr := httptest.NewRecorder()
+		WriteJSON(rr, http.StatusTeapot, v)
+		if rr.Code != http.StatusTeapot || rr.Body.String() != want.String() {
+			t.Fatalf("answer %d %q, want %d %q", rr.Code, rr.Body, http.StatusTeapot, want.String())
+		}
+		if cl := rr.Header().Get("Content-Length"); cl != strconv.Itoa(want.Len()) {
+			t.Errorf("Content-Length = %q, want %d", cl, want.Len())
+		}
 	}
 }

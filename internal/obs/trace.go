@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -57,7 +56,7 @@ type Trace struct {
 
 // NewTrace starts a trace identified by id (typically a NewQueryID).
 func NewTrace(id string) *Trace {
-	return &Trace{id: id, start: time.Now()}
+	return &Trace{id: id, start: now()}
 }
 
 // ID returns the trace's query ID.
@@ -97,9 +96,20 @@ type Span struct {
 	start  time.Time
 	dur    time.Duration
 	ended  bool
-	attrs  map[string]any
+	attrs  []attr
 	grafts []*TraceSnapshot
 }
+
+// attr is one span attribute. A span keeps its attributes in the order
+// they were first set; setting a key again replaces its value in place.
+type attr struct {
+	key   string
+	value any
+}
+
+// now is the trace clock: span starts, live durations and trace durations
+// all read it. Tests pin it.
+var now = time.Now
 
 func (t *Trace) newSpan(parent *Span, name string, start time.Time, dur time.Duration, ended bool) *Span {
 	if parent != nil && parent.trace != t {
@@ -126,7 +136,7 @@ func StartSpan(ctx context.Context, name string) *Span {
 	if t == nil {
 		return nil
 	}
-	return t.newSpan(SpanFrom(ctx), name, time.Now(), 0, false)
+	return t.newSpan(SpanFrom(ctx), name, now(), 0, false)
 }
 
 // AddSpan records a pre-measured root span: a stage that began at start and
@@ -154,7 +164,7 @@ func (s *Span) StartChild(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	return s.trace.newSpan(s, name, time.Now(), 0, false)
+	return s.trace.newSpan(s, name, now(), 0, false)
 }
 
 // End closes a live span, fixing its duration. Ending twice keeps the first
@@ -165,7 +175,7 @@ func (s *Span) End() {
 	}
 	s.mu.Lock()
 	if !s.ended {
-		s.dur = time.Since(s.start)
+		s.dur = now().Sub(s.start)
 		s.ended = true
 	}
 	s.mu.Unlock()
@@ -177,11 +187,17 @@ func (s *Span) SetAttr(key string, value any) *Span {
 		return nil
 	}
 	s.mu.Lock()
-	if s.attrs == nil {
-		s.attrs = map[string]any{}
+	defer s.mu.Unlock()
+	for i := range s.attrs {
+		if s.attrs[i].key == key {
+			s.attrs[i].value = value
+			return s
+		}
 	}
-	s.attrs[key] = value
-	s.mu.Unlock()
+	if s.attrs == nil {
+		s.attrs = make([]attr, 0, 8)
+	}
+	s.attrs = append(s.attrs, attr{key, value})
 	return s
 }
 
@@ -231,145 +247,6 @@ type TraceSnapshot struct {
 	ParentSpan string         `json:"parent_span,omitempty"`
 	DurationMS float64        `json:"duration_ms"`
 	Spans      []SpanSnapshot `json:"spans"`
-}
-
-// spanRec is one flattened span during snapshot assembly.
-type spanRec struct {
-	SpanSnapshot
-	seq int // creation order tiebreak, preserves pre-tree snapshot ordering
-}
-
-// Snapshot renders the trace for the response body. Live spans still open
-// report their duration so far. The span list is depth-first: siblings are
-// ordered by start offset, then name, then creation order; grafted remote
-// subtrees are spliced under their graft point with offsets re-anchored to
-// the parent span's start.
-func (t *Trace) Snapshot() *TraceSnapshot {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	spans := append([]*Span(nil), t.spans...)
-	remoteParent := t.remoteParent
-	t.mu.Unlock()
-
-	snap := &TraceSnapshot{
-		QueryID:    t.id,
-		ParentSpan: remoteParent,
-		DurationMS: float64(time.Since(t.start)) / float64(time.Millisecond),
-	}
-
-	recs := make([]spanRec, 0, len(spans))
-	seq := 0
-	for _, s := range spans {
-		s.mu.Lock()
-		d := s.dur
-		if !s.ended {
-			d = time.Since(s.start)
-		}
-		var attrs map[string]any
-		if len(s.attrs) > 0 {
-			attrs = make(map[string]any, len(s.attrs))
-			for k, v := range s.attrs {
-				attrs[k] = v
-			}
-		}
-		grafts := append([]*TraceSnapshot(nil), s.grafts...)
-		parent := ""
-		if s.parent != nil {
-			parent = s.parent.ID()
-		}
-		rec := spanRec{
-			SpanSnapshot: SpanSnapshot{
-				Name:       s.name,
-				ID:         s.ID(),
-				Parent:     parent,
-				StartMS:    float64(s.start.Sub(t.start)) / float64(time.Millisecond),
-				DurationMS: float64(d) / float64(time.Millisecond),
-				Attrs:      attrs,
-			},
-			seq: seq,
-		}
-		s.mu.Unlock()
-		seq++
-		recs = append(recs, rec)
-		for _, g := range grafts {
-			gen := 0
-			for _, gs := range g.Spans {
-				gid := gs.ID
-				if gid == "" {
-					// Remote process predates span ids; synthesize stable
-					// ones so the subtree still splices.
-					gen++
-					gid = "g" + strconv.Itoa(gen)
-				}
-				child := spanRec{
-					SpanSnapshot: SpanSnapshot{
-						Name: gs.Name,
-						ID:   rec.ID + "/" + gid,
-						// Re-anchor: the remote offset is relative to the
-						// remote trace start; treat it as relative to the
-						// graft-point span instead. No wall clocks cross
-						// the process boundary, so skew cannot reorder.
-						StartMS:    rec.StartMS + gs.StartMS,
-						DurationMS: gs.DurationMS,
-						Attrs:      gs.Attrs,
-					},
-					seq: seq,
-				}
-				if gs.Parent != "" {
-					child.Parent = rec.ID + "/" + gs.Parent
-				} else {
-					child.Parent = rec.ID
-				}
-				seq++
-				recs = append(recs, child)
-			}
-		}
-	}
-
-	// Assemble the tree and emit depth-first.
-	byID := make(map[string]int, len(recs))
-	for i, r := range recs {
-		byID[r.ID] = i
-	}
-	children := make(map[string][]int, len(recs))
-	var roots []int
-	for i, r := range recs {
-		if r.Parent != "" {
-			if pi, ok := byID[r.Parent]; ok && pi != i {
-				children[r.Parent] = append(children[r.Parent], i)
-				continue
-			}
-		}
-		roots = append(roots, i)
-	}
-	less := func(a, b int) bool {
-		ra, rb := &recs[a], &recs[b]
-		if ra.StartMS != rb.StartMS {
-			return ra.StartMS < rb.StartMS
-		}
-		if ra.Name != rb.Name {
-			return ra.Name < rb.Name
-		}
-		return ra.seq < rb.seq
-	}
-	sort.Slice(roots, func(i, j int) bool { return less(roots[i], roots[j]) })
-	for _, c := range children {
-		sort.Slice(c, func(i, j int) bool { return less(c[i], c[j]) })
-	}
-	snap.Spans = make([]SpanSnapshot, 0, len(recs))
-	var emit func(i int)
-	emit = func(i int) {
-		snap.Spans = append(snap.Spans, recs[i].SpanSnapshot)
-		for _, c := range children[recs[i].ID] {
-			emit(c)
-		}
-	}
-	for _, r := range roots {
-		emit(r)
-	}
-	return snap
 }
 
 // SpanNames returns the names of every span recorded so far, in insertion

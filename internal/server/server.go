@@ -228,6 +228,7 @@ func New(cfg Config) *Server {
 	s.served = r.Counter("svqact_queries_served_total",
 		"Admitted queries whose handler completed (any status).")
 	s.panics = httpd.Panics(r)
+	httpd.EncodeFailures(r)
 	s.latency = r.Histogram("svqact_query_duration_seconds",
 		"End-to-end /query execution latency.", nil)
 	s.rankSorted = r.Counter("svqact_rank_sorted_accesses_total",
@@ -527,6 +528,9 @@ type BatchVideo struct {
 	// suffixed with the video ID) — per-entry observability parity with
 	// /query, whose responses always carry their trace.
 	Trace *obs.TraceSnapshot `json:"trace,omitempty"`
+	// live is the served video's trace, written in Trace's place straight
+	// from its span tree instead of through a snapshot.
+	live *obs.Trace
 }
 
 // BatchResponse is the /query/batch response body: per-video results in
@@ -709,32 +713,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.fleetLatency.ObserveDuration(elapsed)
 	s.fleetBatches.Inc()
 
-	resp := &BatchResponse{
-		QueryID: trace.ID(), Source: plan.Source, Mode: mode.String(),
-		Workers: workers, NumVideos: len(fr.Videos),
-		OK: fr.OK, Degraded: fr.Degraded, Interrupted: fr.Interrupted,
-		Skipped: fr.Skipped, Failed: fr.Failed,
-		TotalSequences: fr.TotalSequences, FlaggedClips: fr.FlaggedClips,
-		Plan:      fr.Plan,
-		ElapsedMS: elapsed.Milliseconds(),
-	}
+	resp := newBatchResponse(fr, elapsed)
+	resp.QueryID, resp.Source, resp.Mode, resp.Workers = trace.ID(), plan.Source, mode.String(), workers
 	s.observePlan(fr.Plan)
-	for _, vr := range fr.Videos {
-		outcome := vr.Outcome()
-		if c := s.fleetVideos[outcome]; c != nil {
+	for _, bv := range resp.Videos {
+		if c := s.fleetVideos[bv.Outcome]; c != nil {
 			c.Inc()
 		}
-		bv := BatchVideo{ID: vr.ID, Outcome: outcome, ElapsedMS: vr.Elapsed.Milliseconds(), Trace: vr.Trace.Snapshot()}
-		if vr.Err != nil {
-			bv.Error = vr.Err.Error()
-		}
-		if res := vr.Result; res != nil {
-			bv.NumClips = res.NumClips
-			bv.ProcessedClips = res.Processed
-			bv.FlaggedClips = res.Flagged.TotalLen()
-			bv.Sequences = stmt.ClipSequences(res.Sequences, res.Geometry)
-		}
-		resp.Videos = append(resp.Videos, bv)
 	}
 	resp.Trace = trace.Snapshot()
 
@@ -747,7 +732,34 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.logQuery(resp.QueryID, req.SQL, fleetErr, status, elapsed)
 	httpd.OfferTrace(s.traces, s.log, resp.Trace, req.SQL, queryOutcome(fleetErr, status))
-	httpd.WriteJSON(w, status, resp)
+	httpd.WriteAppended(w, status, resp.appendJSON)
+}
+
+// newBatchResponse lays a fleet's results out as a /query/batch body, each
+// video's trace left live for the body's writer.
+func newBatchResponse(fr *core.FleetResult, elapsed time.Duration) *BatchResponse {
+	resp := &BatchResponse{
+		NumVideos: len(fr.Videos),
+		OK:        fr.OK, Degraded: fr.Degraded, Interrupted: fr.Interrupted,
+		Skipped: fr.Skipped, Failed: fr.Failed,
+		TotalSequences: fr.TotalSequences, FlaggedClips: fr.FlaggedClips,
+		Plan:      fr.Plan,
+		ElapsedMS: elapsed.Milliseconds(),
+	}
+	for _, vr := range fr.Videos {
+		bv := BatchVideo{ID: vr.ID, Outcome: vr.Outcome(), ElapsedMS: vr.Elapsed.Milliseconds(), live: vr.Trace}
+		if vr.Err != nil {
+			bv.Error = vr.Err.Error()
+		}
+		if res := vr.Result; res != nil {
+			bv.NumClips = res.NumClips
+			bv.ProcessedClips = res.Processed
+			bv.FlaggedClips = res.Flagged.TotalLen()
+			bv.Sequences = stmt.ClipSequences(res.Sequences, res.Geometry)
+		}
+		resp.Videos = append(resp.Videos, bv)
+	}
+	return resp
 }
 
 // decode reads a POSTed request body into req and parses and plans the

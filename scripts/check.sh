@@ -51,7 +51,7 @@ stage "allocation bounds (no race: counts skip under the detector)"
 # The pooled-scratch aliasing tests above ran under -race; the numeric
 # AllocsPerRun bounds skip there (instrumentation inflates counts), so run
 # them again without it to enforce the hot path's allocation budget.
-go test -count=1 -run 'AllocsSteadyState' ./internal/detect/ ./internal/core/ ./internal/rank/ ./internal/httpd/
+go test -count=1 -run 'AllocsSteadyState' ./internal/detect/ ./internal/core/ ./internal/rank/ ./internal/httpd/ ./internal/server/ ./internal/obs/
 
 stage "fuzz smoke (-fuzztime=5s each)"
 # A short native-fuzzing burst over the lexer and parser (EXPLAIN included
@@ -73,6 +73,12 @@ go test -run '^$' -fuzz '^FuzzLoadGeneration$' -fuzztime=5s ./internal/rank
 go test -run '^$' -fuzz '^FuzzQueryBody$' -fuzztime=5s ./internal/server
 go test -run '^$' -fuzz '^FuzzBatchBody$' -fuzztime=5s ./internal/server
 go test -run '^$' -fuzz '^FuzzCoordinatorBody$' -fuzztime=5s ./internal/cluster
+# The /query/batch body is appended by hand: a live trace's AppendJSON must
+# write json.Marshal of its Snapshot (fuzzed span trees, attribute values of
+# every kind, grafts, live spans; the index-based assembly also against the
+# map-based one it replaced), and the string escaper encoding/json's.
+go test -run '^$' -fuzz '^FuzzTraceAppendMatchesSnapshot$' -fuzztime=5s ./internal/obs
+go test -run '^$' -fuzz '^FuzzStringMatchesMarshal$' -fuzztime=5s ./internal/jsonw
 # The TBClip iterator against the map-based one it replaced (kept in
 # tbclip_ref_test.go as the referee): same yields, rounds and accesses.
 go test -run '^$' -fuzz '^FuzzTBClipMatchesReference$' -fuzztime=5s ./internal/rank
