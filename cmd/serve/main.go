@@ -71,6 +71,8 @@ func main() {
 	logger := slog.New(slog.NewJSONHandler(os.Stderr, nil))
 	slog.SetDefault(logger)
 
+	retry := detect.DefaultRetryConfig()
+	retry.Attempts = *retries
 	cfg := server.Config{
 		Scale:           *scale,
 		Seed:            *seed,
@@ -78,7 +80,7 @@ func main() {
 		MaxConcurrent:   *conc,
 		QueueDepth:      *queue,
 		QueueWait:       *wait,
-		Retry:           detect.RetryConfig{Attempts: *retries},
+		Retry:           retry,
 		FailureBudget:   *budget,
 		Workers:         *workers,
 		RepoDir:         *repoDir,

@@ -28,12 +28,12 @@ func AblationPredicateOrder(w *Workspace) ([]Table, error) {
 		cfg := core.DefaultConfig()
 		cfg.ActionFirst = actionFirst
 		cfg.DeclaredOrder = !actionFirst
+		var meter detect.Meter
+		cfg.Meter = &meter
 		eng, err := core.NewSVAQD(w.Models(), cfg)
 		if err != nil {
 			return nil, err
 		}
-		var meter detect.Meter
-		eng.SetMeter(&meter)
 		c, _, err := OnlineEval(eng, stream, spec)
 		if err != nil {
 			return nil, err
@@ -62,12 +62,12 @@ func AblationShortCircuit(w *Workspace) ([]Table, error) {
 	for _, noSC := range []bool{false, true} {
 		cfg := core.DefaultConfig()
 		cfg.NoShortCircuit = noSC
+		var meter detect.Meter
+		cfg.Meter = &meter
 		eng, err := core.NewSVAQD(models, cfg)
 		if err != nil {
 			return nil, err
 		}
-		var meter detect.Meter
-		eng.SetMeter(&meter)
 		c, _, err := OnlineEval(eng, stream, spec)
 		if err != nil {
 			return nil, err

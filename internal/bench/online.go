@@ -350,12 +350,13 @@ func RuntimeDecomposition(w *Workspace) ([]Table, error) {
 		return nil, err
 	}
 	models := w.Models()
-	eng, err := core.NewSVAQD(models, core.DefaultConfig())
+	var meter detect.Meter
+	cfg := core.DefaultConfig()
+	cfg.Meter = &meter
+	eng, err := core.NewSVAQD(models, cfg)
 	if err != nil {
 		return nil, err
 	}
-	var meter detect.Meter
-	eng.SetMeter(&meter)
 	q := core.Query{Objects: spec.Objects, Action: spec.Action}
 	start := time.Now()
 	if _, err := eng.Run(context.Background(), stream, q); err != nil {

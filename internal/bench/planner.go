@@ -44,14 +44,14 @@ func AblationPlanner(w *Workspace) ([]Table, error) {
 	truth := stream.TruthClips(spec, 0)
 
 	run := func(a plannerArm) (*core.Result, *detect.Meter, error) {
+		meter := new(detect.Meter)
 		cfg := core.DefaultConfig()
 		a.mut(&cfg)
+		cfg.Meter = meter
 		eng, err := core.NewSVAQD(models, cfg)
 		if err != nil {
 			return nil, nil, err
 		}
-		meter := new(detect.Meter)
-		eng.SetMeter(meter)
 		res, err := eng.Run(context.Background(), stream, a.q)
 		if err != nil {
 			return nil, nil, err

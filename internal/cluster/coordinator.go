@@ -68,10 +68,6 @@ type Config struct {
 	// Breaker configures every replica's circuit breaker.
 	Breaker BreakerConfig
 
-	// MaxRefineRounds bounds the distributed-threshold refinement loop
-	// (re-querying truncated shards with a doubled k); <= 0 means 4.
-	MaxRefineRounds int
-
 	// Logger defaults to a discard logger; Registry to a private one.
 	Logger   *slog.Logger
 	Registry *obs.Registry
@@ -80,6 +76,10 @@ type Config struct {
 	// default-sized one.
 	Traces *obs.TraceStore
 }
+
+// maxRefineRounds bounds the distributed-threshold refinement loop
+// (re-querying truncated shards with a doubled k).
+const maxRefineRounds = 4
 
 func (c Config) withDefaults() Config {
 	if c.QueryTimeout <= 0 {
@@ -108,9 +108,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HedgeQuantile <= 0 || c.HedgeQuantile >= 1 {
 		c.HedgeQuantile = 0.95
-	}
-	if c.MaxRefineRounds <= 0 {
-		c.MaxRefineRounds = 4
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -417,7 +414,7 @@ func (c *Coordinator) TopK(ctx context.Context, sql string) (*TopKResult, error)
 	}
 
 	var firstFailure error
-	for round := 1; round <= c.cfg.MaxRefineRounds && len(need) > 0; round++ {
+	for round := 1; round <= maxRefineRounds && len(need) > 0; round++ {
 		res.Rounds = round
 		if round > 1 {
 			c.mRefines.Inc()

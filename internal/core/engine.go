@@ -41,7 +41,6 @@ type Engine struct {
 	models detect.Models
 	cfg    Config
 	mode   Mode
-	meter  *detect.Meter
 
 	// obj and act describe the two models to the clip loop, resolved once so
 	// per-clip dispatch is a field read rather than an interface assertion.
@@ -83,7 +82,7 @@ func newEngine(models detect.Models, cfg Config, mode Mode) (*Engine, error) {
 	if models.Objects == nil || models.Actions == nil {
 		return nil, fmt.Errorf("core: engine needs both an object detector and an action recogniser")
 	}
-	e := &Engine{models: models, cfg: cfg, mode: mode, meter: cfg.Meter}
+	e := &Engine{models: models, cfg: cfg, mode: mode}
 	e.obj = detector{
 		label: detect.KindObject, unitCost: models.Objects.UnitCost(), threshold: models.ObjThreshold,
 		chain: detect.ScorerOf(models.Objects),
@@ -122,11 +121,6 @@ func TierCosts(infos []detect.TierInfo) []plan.TierCost {
 
 // Mode returns which algorithm the engine runs.
 func (e *Engine) Mode() Mode { return e.mode }
-
-// SetMeter attaches an inference meter; subsequent runs charge their model
-// invocations to it, once per run: from Result, and from the batch entry
-// points' release of a run, whatever its outcome.
-func (e *Engine) SetMeter(m *detect.Meter) { e.meter = m }
 
 // PredicateKind distinguishes object and action predicates in diagnostics.
 type PredicateKind int
@@ -268,7 +262,7 @@ type predState struct {
 	hasBucket  bool
 
 	// recent holds the latest unbiased clip counts; the quantile gate
-	// (Config.NullQuantile) derives an admission threshold from it, keeping
+	// (nullQuantile) derives an admission threshold from it, keeping
 	// the null-rate estimate robust to the events themselves.
 	recent countRing
 
@@ -481,7 +475,7 @@ func (r *Run) start(pl *plan.Planner) {
 			nodes[i] = r.e.planNode(ps.atom, r.geom)
 		}
 		pinned := r.everyClip || r.e.cfg.ActionFirst || r.e.cfg.DeclaredOrder
-		pl = plan.New(nodes, plan.Options{Pinned: pinned, ReplanEvery: r.e.cfg.ReplanEvery})
+		pl = plan.New(nodes, plan.Options{Pinned: pinned})
 	}
 	r.planner = pl
 }
@@ -574,7 +568,7 @@ func (r *Run) initPred(ps *predState, a Atom) error {
 		return nil
 	}
 	// A clip count is the number of positive units among the clip's w.
-	ps.recent.reset(cfg.RobustWindowClips, w)
+	ps.recent.reset(robustWindowClips, w)
 	if ps.est != nil && ps.est.Bandwidth() == bw {
 		if err := ps.est.Reset(p0); err != nil {
 			return err
@@ -687,13 +681,12 @@ func (r *Run) Step() bool {
 		return true
 	}
 
-	// Every EstimatorSampleEvery-th clip all atoms are evaluated
+	// Every estimatorSampleEvery-th clip all atoms are evaluated
 	// unconditionally; only these unbiased evaluations may feed background
 	// estimators and the planner's cost model (evaluations admitted by
 	// short-circuiting see a stream pre-filtered by the atoms that ran
 	// earlier — a biased sample under correlation).
-	sampled := r.everyClip || c < r.e.cfg.BootstrapClips ||
-		c%r.e.cfg.EstimatorSampleEvery == 0
+	sampled := r.everyClip || c < bootstrapClips || c%estimatorSampleEvery == 0
 
 	clear(r.clauseSat)
 	for ci := range r.clauseLeft {
@@ -773,7 +766,7 @@ func (r *Run) Step() bool {
 // estimation machinery: the robust quantile gate plus delayed
 // neighbourhood exclusion.
 //
-// The gate threshold is the NullQuantile-quantile of the recent unbiased
+// The gate threshold is the nullQuantile-quantile of the recent unbiased
 // counts plus a binomial slack of about two standard deviations: the
 // quantile locates the majority (background) behaviour even when the current
 // estimate is badly off, and the slack keeps the admitted sample covering
@@ -815,7 +808,7 @@ func (r *Run) learn(ps *predState, count int) {
 // single event occurrence could dominate the quantile, poisoning the null
 // estimate with event counts that a short stream never forgets.
 func (r *Run) gateThreshold(ps *predState) (thr int, ready bool) {
-	q, ready := ps.recent.quantile(r.e.cfg.NullQuantile)
+	q, ready := ps.recent.quantile(nullQuantile)
 	if !ready {
 		return 0, false
 	}
@@ -973,7 +966,7 @@ func (r *Run) charge(kind PredicateKind, inferences int, acc *detect.Account) {
 	if r.e.evaluated != nil {
 		r.e.evaluated(kind, inferences, acc)
 	}
-	if r.e.meter == nil {
+	if r.e.cfg.Meter == nil {
 		return
 	}
 	s := r.scratch
@@ -990,7 +983,7 @@ func (r *Run) charge(kind PredicateKind, inferences int, acc *detect.Account) {
 // since. Result and release both flush: a batch run charges the meter on
 // every exit, a streaming one at each Result.
 func (r *Run) flush() {
-	m, s := r.e.meter, r.scratch
+	m, s := r.e.cfg.Meter, r.scratch
 	if m == nil {
 		return
 	}
@@ -1015,7 +1008,7 @@ func (r *Run) resetLedger() {
 // recordFlagged charges one skipped-and-flagged clip to the meter,
 // attributed to the detector kind whose retries were exhausted.
 func (r *Run) recordFlagged(clipErr error) {
-	m := r.e.meter
+	m := r.e.cfg.Meter
 	if m == nil || clipErr == nil {
 		return
 	}

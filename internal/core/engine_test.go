@@ -85,10 +85,6 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.BandwidthFrames = 0 },
 		func(c *Config) { c.BandwidthShots = -1 },
 		func(c *Config) { c.CritGrid = 0 },
-		func(c *Config) { c.EstimatorSampleEvery = 0 },
-		func(c *Config) { c.NullQuantile = 0 },
-		func(c *Config) { c.NullQuantile = 1 },
-		func(c *Config) { c.RobustWindowClips = 2 },
 	}
 	for i, m := range mutations {
 		c := DefaultConfig()
@@ -283,9 +279,9 @@ func TestMeterCharging(t *testing.T) {
 	var m detect.Meter
 	cfg := DefaultConfig()
 	cfg.NoShortCircuit = true
+	cfg.Meter = &m
 	models := noisyModels(3)
 	e, _ := NewSVAQD(models, cfg)
-	e.SetMeter(&m)
 	if _, err := e.Run(context.Background(), v, Query{Objects: []string{"car", "human"}, Action: "jumping"}); err != nil {
 		t.Fatal(err)
 	}
@@ -299,9 +295,10 @@ func TestMeterCharging(t *testing.T) {
 	// With short-circuiting, total priced inference must drop, whichever
 	// evaluation order the planner picks.
 	var m2 detect.Meter
+	cfg2 := DefaultConfig()
+	cfg2.Meter = &m2
 	models2 := noisyModels(3)
-	e2, _ := NewSVAQD(models2, DefaultConfig())
-	e2.SetMeter(&m2)
+	e2, _ := NewSVAQD(models2, cfg2)
 	if _, err := e2.Run(context.Background(), v, Query{Objects: []string{"car", "human"}, Action: "jumping"}); err != nil {
 		t.Fatal(err)
 	}

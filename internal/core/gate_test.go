@@ -24,7 +24,7 @@ func refQuantile(ring []int, q float64) int {
 // TestCountRingMatchesSort drives one countRing — reset between streams, as
 // a pooled predState's is — through random count streams over windows of 2
 // to 50 clips and checks, before every push, that it is ready exactly when
-// full and that its quantile equals the sorted ring's at NullQuantile 0,
+// full and that its quantile equals the sorted ring's at quantiles 0,
 // 0.6 and 1 (the idx >= n clamp).
 func TestCountRingMatchesSort(t *testing.T) {
 	r := rand.New(rand.NewPCG(25, 1))
@@ -95,9 +95,9 @@ func TestGateQuantileInPooledRuns(t *testing.T) {
 		r.start(nil)
 		for r.Step() {
 			for _, ps := range r.preds {
-				got, ready := ps.recent.quantile(eng.cfg.NullQuantile)
+				got, ready := ps.recent.quantile(nullQuantile)
 				if ready {
-					if want := refQuantile(ps.recent.ring, eng.cfg.NullQuantile); got != want {
+					if want := refQuantile(ps.recent.ring, nullQuantile); got != want {
 						t.Fatalf("video %d clip %d %s: gate quantile %d, sorted ring says %d", i, r.Processed(), ps.name, got, want)
 					}
 					checked++

@@ -99,33 +99,6 @@ type Config struct {
 	// cache: background estimates within the same bucket reuse k_crit.
 	CritGrid float64
 
-	// EstimatorSampleEvery controls the unbiased sampling schedule: every
-	// n-th clip, all predicates are evaluated even if an earlier predicate
-	// already failed, and only these unconditional evaluations feed the
-	// background estimators (SVAQD) and the planner's cost model. Without
-	// this, short-circuiting would feed the later predicates' statistics
-	// only clips pre-selected by the earlier predicates — a sample heavily
-	// enriched for the (correlated) events whose rates are being estimated.
-	EstimatorSampleEvery int
-
-	// BootstrapClips is the length of the initial bootstrap phase during
-	// which every clip is sampled unconditionally (regardless of
-	// EstimatorSampleEvery), so the background estimators converge within a
-	// fixed prefix of the stream instead of a multiple of the sampling
-	// period.
-	BootstrapClips int
-
-	// NullQuantile makes the background estimation robust to the events
-	// themselves: a clip's count feeds a predicate's estimator only when it
-	// does not exceed the NullQuantile-quantile of the recent counts, so
-	// the minority of clips that actually contain the event cannot inflate
-	// the null rate. Requires event occupancy below roughly this fraction
-	// of clips.
-	NullQuantile float64
-	// RobustWindowClips is how many recent (unbiased) clip counts the
-	// quantile gate considers.
-	RobustWindowClips int
-
 	// NoShortCircuit disables Algorithm 2's early exit, forcing every
 	// predicate to be evaluated on every clip (needed when per-predicate
 	// diagnostics must be complete, e.g. the false-positive-rate study).
@@ -141,11 +114,6 @@ type Config struct {
 	// adaptive planner — the compatibility/ablation opt-out. Ordering
 	// never changes results (clip truth is conjunctive), only cost.
 	DeclaredOrder bool
-
-	// ReplanEvery is the number of unbiased (fully evaluated) clips
-	// between the planner's re-ordering rounds; zero means
-	// plan.DefaultReplanEvery.
-	ReplanEvery int
 
 	// Retry tunes retrying of failed detector invocations (fallible models
 	// only; the simulated models never fail unless fault-injected). The zero
@@ -169,31 +137,52 @@ type Config struct {
 	InferenceBudget time.Duration
 
 	// Meter, when set, receives every engine's inference, retry, fault and
-	// flagged-clip accounting (equivalent to calling SetMeter on each engine
-	// built from this config). The serving path uses a process-lifetime meter
-	// here so ingestion engines created deep inside rank charge the same
-	// scraped counters.
+	// flagged-clip accounting, once per run: from Result, and from the batch
+	// entry points' release of a run, whatever its outcome. The serving path
+	// uses a process-lifetime meter here so ingestion engines created deep
+	// inside rank charge the same scraped counters.
 	Meter *detect.Meter
 }
 
 // DefaultConfig returns the configuration used throughout the evaluation.
 func DefaultConfig() Config {
 	return Config{
-		Alpha:                0.05,
-		HorizonClips:         20,
-		P0Object:             1e-4,
-		P0Action:             1e-4,
-		BandwidthFrames:      1500,
-		BandwidthShots:       250,
-		CritGrid:             0.02,
-		EstimatorSampleEvery: 4,
-		BootstrapClips:       48,
-		NullQuantile:         0.6,
-		RobustWindowClips:    48,
-		Retry:                detect.DefaultRetryConfig(),
-		FailureBudget:        0.25,
+		Alpha:           0.05,
+		HorizonClips:    20,
+		P0Object:        1e-4,
+		P0Action:        1e-4,
+		BandwidthFrames: 1500,
+		BandwidthShots:  250,
+		CritGrid:        0.02,
+		Retry:           detect.DefaultRetryConfig(),
+		FailureBudget:   0.25,
 	}
 }
+
+// The SVAQD background estimation's fixed schedule, which no caller varies.
+const (
+	// estimatorSampleEvery is the unbiased sampling period: every n-th clip,
+	// all predicates are evaluated even if an earlier one already failed,
+	// and only these unconditional evaluations feed the background
+	// estimators (SVAQD) and the planner's cost model. Otherwise
+	// short-circuiting would feed the later predicates' statistics only
+	// clips pre-selected by the earlier ones — a sample heavily enriched for
+	// the (correlated) events whose rates are being estimated.
+	estimatorSampleEvery = 4
+	// bootstrapClips is the initial prefix in which every clip is sampled,
+	// so the estimators converge within a fixed prefix of the stream instead
+	// of a multiple of the sampling period.
+	bootstrapClips = 48
+	// nullQuantile keeps the background estimate robust to the events
+	// themselves: a clip's count feeds a predicate's estimator only when it
+	// does not exceed this quantile of the recent counts, so the minority of
+	// clips that contain the event cannot inflate the null rate. It needs
+	// event occupancy below roughly this fraction of clips.
+	nullQuantile = 0.6
+	// robustWindowClips is how many recent unbiased clip counts the
+	// quantile gate considers.
+	robustWindowClips = 48
+)
 
 // DefaultFailureBudget is the flagged-clip tolerance used when
 // Config.FailureBudget is zero.
@@ -227,21 +216,6 @@ func (c Config) Validate() error {
 	}
 	if c.CritGrid <= 0 {
 		return fmt.Errorf("core: CritGrid must be positive")
-	}
-	if c.EstimatorSampleEvery < 1 {
-		return fmt.Errorf("core: EstimatorSampleEvery = %d must be >= 1", c.EstimatorSampleEvery)
-	}
-	if c.BootstrapClips < 0 {
-		return fmt.Errorf("core: BootstrapClips = %d must be >= 0", c.BootstrapClips)
-	}
-	if c.NullQuantile <= 0 || c.NullQuantile >= 1 {
-		return fmt.Errorf("core: NullQuantile = %v out of (0,1)", c.NullQuantile)
-	}
-	if c.RobustWindowClips < 4 {
-		return fmt.Errorf("core: RobustWindowClips = %d must be >= 4", c.RobustWindowClips)
-	}
-	if c.ReplanEvery < 0 {
-		return fmt.Errorf("core: ReplanEvery = %d must be >= 0", c.ReplanEvery)
 	}
 	if c.FailureBudget < 0 || c.FailureBudget > 1 {
 		return fmt.Errorf("core: FailureBudget = %v out of [0,1]", c.FailureBudget)

@@ -19,11 +19,8 @@ import (
 // decorators included, so a fault-injected run executes the same code as a
 // clean one. ObjectCascade and ActionCascade bind a chain back to that
 // contract: invoked as a model, a cascade walks its tiers at the attempt it
-// is given, with fallthrough and no retry of its own. The deciding (last)
-// tier scores at the chain's threshold. A tier below it whose band is
-// [Lo, above 1), with Lo at or under the threshold, scores at Lo: it learns
-// only which side of its escalation edge a unit falls on. Every other tier
-// scores in full, because its band reads the score (Scorer.tauAt).
+// is given, with fallthrough and no retry of its own. Scorer.tauAt tables
+// the threshold each tier scores at.
 //
 // Soundness. A chain is never less sound than its most accurate tier alone:
 //
@@ -56,9 +53,8 @@ type Band struct {
 func (b Band) Escalates(s float64) bool { return s >= b.Lo && s < b.Hi }
 
 // RecallBand escalates every detection scoring at least Lo; Hi lies above
-// the score ceiling. A simulated detection can score under Lo — clampScore
-// passes samples in (0, scoreFloor) through — and is then decided by the
-// tier that scored it (see the soundness note above).
+// the score ceiling. A simulated detection scoring under Lo is decided by
+// the tier that scored it (see the soundness note above).
 func RecallBand() Band { return Band{Lo: 0.005, Hi: 2} }
 
 // TierInfo describes one tier of a chain to the planner and the EXPLAIN
@@ -235,12 +231,21 @@ func (s *Scorer) Score(ctx context.Context, v TruthVideo, label string, start, f
 	return w.score(min(max(from, 0), len(s.tiers)-1), start, dst)
 }
 
-// tauAt is the threshold tier ti scores at. The last tier decides, at the
-// chain's tau. A tier below it scores at its band's Lo when 0 < Lo ≤ tau and
-// Hi lies above the score ceiling of 1 (as RecallBand's does): its band then
-// reads only whether a score reaches Lo. A unit on the upper side escalates
-// to be rescored, and one below Lo is below tau too, so it keeps its side.
-// Any other tier scores in full (0), because its band reads the score.
+// tauAt is the threshold tier ti scores at. Each role inside a chain gets
+// τ > 0 only where it needs just one side of it, and a simulated score is
+// decided without drawing only on a side decidable allows:
+//
+//	role                   receives                          may decide
+//	the chain's last tier  the chain's τ                     either side
+//	a tier below it        its band's Lo when 0 < Lo ≤ τ     the side of Lo
+//	                       and Hi > 1 (RecallBand), else 0
+//	a proxy's teacher      teacherTau: the proxy's τ, or 0   above only
+//	                       when τ > scoreFloor
+//	a simulated draw       its model's τ                     decidable(τ)
+//
+// Such a band reads only whether a score reaches Lo: a unit above escalates
+// to be rescored, and one below Lo is below τ too. Any other band reads the
+// score, so its tier scores in full.
 func (s *Scorer) tauAt(ti int, tau float64) float64 {
 	if ti == len(s.tiers)-1 {
 		return tau

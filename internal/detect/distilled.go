@@ -11,16 +11,16 @@ import "svqact/internal/video"
 // property cascade.go's soundness argument rests on. It invokes its teacher
 // at its own attempt, so it fails wherever the teacher does.
 
-// teacherTau is the threshold a proxy scoring at tau passes its teacher. A
-// teacher's 0 must keep meaning "detects nothing", so the teacher may decide
-// only the upper side of its threshold: at tau in (0, scoreFloor] the
-// simulated models' radius bound decides nothing below (newCutoff), and
-// above it the teacher scores in full (0).
+// teacherTau is the threshold a proxy scoring at tau passes its teacher
+// (the table at Scorer.tauAt). A teacher's 0 must keep meaning "detects
+// nothing", so the teacher may decide only above: it gets tau where that is
+// the only decidable side, or where tau asks for full scores already, and
+// 0 — full scores — elsewhere.
 func teacherTau(tau float64) float64 {
-	if tau > scoreFloor {
-		return 0
+	if above, below := decidable(tau); above && !below || !(tau > 0) {
+		return tau
 	}
-	return tau
+	return 0
 }
 
 // DistilledObjectDetector is a recall-complete cheap proxy of a teacher

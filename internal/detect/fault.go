@@ -99,7 +99,7 @@ type FaultConfig struct {
 // Validate reports whether the rates are usable probabilities.
 func (c FaultConfig) Validate() error {
 	for _, p := range []float64{c.TransientRate, c.PermanentRate, c.SpikeRate} {
-		if p < 0 || p > 1 {
+		if !(p >= 0 && p <= 1) { // NaN too
 			return fmt.Errorf("detect: fault rate %v out of [0,1]", p)
 		}
 	}

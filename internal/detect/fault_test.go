@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"testing"
@@ -141,6 +142,12 @@ func TestFaultConfigValidate(t *testing.T) {
 	if err := (FaultConfig{PermanentRate: -0.1}).Validate(); err == nil {
 		t.Error("negative rate should be rejected")
 	}
+	nan := math.NaN()
+	for _, c := range []FaultConfig{{TransientRate: nan}, {PermanentRate: nan}, {SpikeRate: 0.1, TransientRate: nan}} {
+		if err := c.Validate(); err == nil {
+			t.Errorf("%+v: a NaN rate should be rejected", c)
+		}
+	}
 }
 
 func TestRetryAbsorbsTransient(t *testing.T) {
@@ -218,12 +225,22 @@ func TestRetryUnknownErrorsAreTransient(t *testing.T) {
 }
 
 func TestBackoffCapsAndJitters(t *testing.T) {
-	cfg := RetryConfig{Attempts: 5, BaseDelay: 10 * time.Millisecond, MaxDelay: 25 * time.Millisecond}
-	for retry := 0; retry < 6; retry++ {
-		for i := 0; i < 20; i++ {
-			d := cfg.backoff(retry)
-			if d < 0 || d >= time.Duration(1.5*float64(25*time.Millisecond)) {
-				t.Fatalf("retry %d: backoff %v outside [0, 1.5*MaxDelay)", retry, d)
+	for _, cfg := range []RetryConfig{
+		{Attempts: 5, BaseDelay: 10 * time.Millisecond, MaxDelay: 25 * time.Millisecond},
+		DefaultRetryConfig(),                           // BaseDelay << 43 wraps negative
+		{Attempts: 3, BaseDelay: 2 * time.Millisecond}, // no MaxDelay: saturates
+	} {
+		ceiling := float64(cfg.MaxDelay)
+		if ceiling <= 0 {
+			ceiling = math.MaxInt64 / 2
+		}
+		for retry := 0; retry <= 100; retry++ {
+			// Jitter scales min(BaseDelay·2^retry, MaxDelay) by [0.5, 1.5).
+			capped := math.Min(float64(cfg.BaseDelay)*math.Pow(2, float64(retry)), ceiling)
+			for i := 0; i < 20; i++ {
+				if d := cfg.backoff(retry); float64(d) < 0.5*capped || float64(d) >= 1.5*capped {
+					t.Fatalf("%+v retry %d: backoff %v outside [0.5, 1.5) x %v", cfg, retry, d, time.Duration(capped))
+				}
 			}
 		}
 	}

@@ -73,19 +73,16 @@ var never = cutoff{u1: 1, ready: true}
 
 // newCutoff is the radius bound of a profile's score distribution at τ,
 // computed at most once per batch. With z = (τ − mean)/std, a draw whose
-// radius is below |z| lies on the side of τ the mean is on. The bound
-// shrinks |z| by a margin — 1e-9 of the distance to τ plus 1e-15 of the
-// operands' scale — that absorbs the rounding of the radius, of std·g, of
-// mean + std·g and of the exp below, so a decided draw's computed score lies
-// strictly on its side. On (scoreFloor, 1] clampScore is monotone across τ,
-// so the bound decides both sides. On (0, scoreFloor] it decides only above:
-// a sample x ≥ τ > 0 clamps to at least τ, but a clamped negative lifts to
-// scoreFloor ≥ τ, so no draw is certain to fall below τ. There is no bound
-// for std ≤ 0, for τ outside (0, 1], or for a radius under 1e-3, where exp's
-// rounding near 1 outgrows the margin and the bound would decide next to
-// nothing.
+// radius is below |z| lies on the side of τ the mean is on; the bound
+// decides it only where that side is decidable at τ. It shrinks |z| by a
+// margin — 1e-9 of the distance to τ plus 1e-15 of the operands' scale —
+// that absorbs the rounding of the radius, of std·g, of mean + std·g and of
+// the exp below, so a decided draw's computed score lies strictly on its
+// side. There is no bound for std ≤ 0, or for a radius under 1e-3, where
+// exp's rounding near 1 outgrows the margin and the bound would decide next
+// to nothing.
 func newCutoff(mean, std, tau float64) cutoff {
-	if !(tau > 0 && tau <= 1 && std > 0) || tau <= scoreFloor && mean <= tau {
+	if above, below := decidable(tau); !(std > 0) || !(mean > tau && above || mean <= tau && below) {
 		return never
 	}
 	r := (math.Abs(tau-mean)*(1-1e-9) - 1e-15*(1+math.Abs(mean))) / std
@@ -108,11 +105,19 @@ func Unit01(h uint64) float64 { return unitFloat(h) }
 // scoreFloor is the score a sample at or below 0 is lifted to.
 const scoreFloor = 0.01
 
+// decidable reports on which sides of τ a simulated score may be decided
+// without drawing it. Above for τ in (0, 1]: a sample x ≥ τ > 0 clamps to
+// at least τ. Below only for τ in (scoreFloor, 1], where clampScore is
+// monotone across τ; under it a clamped negative lifts to scoreFloor ≥ τ,
+// so no draw is certain to fall below τ.
+func decidable(tau float64) (above, below bool) {
+	above = tau > 0 && tau <= 1
+	return above, above && tau > scoreFloor
+}
+
 // clampScore maps a sampled confidence into (0, 1]: a sample at or below 0
 // becomes scoreFloor, one above 1 becomes 1, and any other — including one
-// in (0, scoreFloor) — passes through unchanged. So clampScore(s) ≥ τ
-// exactly when s ≥ τ only for τ in (scoreFloor, 1]; for τ in (0, scoreFloor]
-// only s ≥ τ implies it.
+// in (0, scoreFloor) — passes through unchanged.
 func clampScore(s float64) float64 {
 	if s <= 0 {
 		return scoreFloor

@@ -2,7 +2,6 @@ package detect
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"svqact/internal/obs"
@@ -27,12 +26,11 @@ type Meter struct {
 	kinds [2]kindCounters
 
 	// Cascade tiers are discovered at charge time, so their counters live in
-	// one map per kind, by tier name, and attach lazily to the registry the
-	// meter was registered on. A map is never written once published: a new
-	// tier replaces it with a copy under mu, so a lookup takes no lock.
+	// one map per kind, by tier name, under mu, and attach lazily to the
+	// registry the meter was registered on.
 	mu    sync.Mutex
 	reg   *obs.Registry
-	tiers [2]atomic.Pointer[map[string]*tierCounters]
+	tiers [2]map[string]*tierCounters
 }
 
 // kindNames are the kind label values, indexing Meter.kinds and Meter.tiers.
@@ -126,33 +124,22 @@ func (m *Meter) Faults(kind string, transient bool) int64 {
 // Flagged returns the clips skipped-and-flagged for the kind.
 func (m *Meter) Flagged(kind string) int64 { return m.kind(kind).flagged.Value() }
 
-// tier returns the counter block for a (kind index, tier name) pair: on a
-// hit one atomic load and a map probe; on first use it creates the block
-// and attaches it to the registry when the meter is registered.
+// tier returns the counter block for a (kind index, tier name) pair; on
+// first use it creates the block and attaches it to the registry when the
+// meter is registered.
 func (m *Meter) tier(ki int, name string) *tierCounters {
-	if p := m.tiers[ki].Load(); p != nil {
-		if tc, ok := (*p)[name]; ok {
-			return tc
-		}
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var old map[string]*tierCounters
-	if p := m.tiers[ki].Load(); p != nil {
-		old = *p
-	}
-	if tc, ok := old[name]; ok {
-		return tc
-	}
-	next := make(map[string]*tierCounters, len(old)+1)
-	for n, tc := range old {
-		next[n] = tc
-	}
-	tc := &tierCounters{}
-	next[name] = tc
-	m.tiers[ki].Store(&next)
-	if m.reg != nil {
-		attachTierCounters(m.reg, kindNames[ki], name, tc)
+	tc := m.tiers[ki][name]
+	if tc == nil {
+		if m.tiers[ki] == nil {
+			m.tiers[ki] = make(map[string]*tierCounters)
+		}
+		tc = &tierCounters{}
+		m.tiers[ki][name] = tc
+		if m.reg != nil {
+			attachTierCounters(m.reg, kindNames[ki], name, tc)
+		}
 	}
 	return tc
 }
@@ -187,11 +174,9 @@ func (m *Meter) Cost(models Models) (cost time.Duration) {
 func (m *Meter) Register(r *obs.Registry) {
 	m.mu.Lock()
 	m.reg = r
-	for ki := range m.tiers {
-		if p := m.tiers[ki].Load(); p != nil {
-			for name, tc := range *p {
-				attachTierCounters(r, kindNames[ki], name, tc)
-			}
+	for ki, tiers := range m.tiers {
+		for name, tc := range tiers {
+			attachTierCounters(r, kindNames[ki], name, tc)
 		}
 	}
 	m.mu.Unlock()

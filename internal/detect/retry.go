@@ -2,6 +2,7 @@ package detect
 
 import (
 	"context"
+	"math"
 	"math/rand/v2"
 	"time"
 )
@@ -24,13 +25,20 @@ func DefaultRetryConfig() RetryConfig {
 	return RetryConfig{Attempts: 3, BaseDelay: 2 * time.Millisecond, MaxDelay: 50 * time.Millisecond}
 }
 
-// backoff returns the jittered delay before retry number retry (0-based).
+// backoff returns the jittered delay before retry number retry (0-based):
+// BaseDelay doubled once per retry while below MaxDelay, then capped there.
+// With no MaxDelay it saturates at the longest delay the jitter cannot
+// overflow, instead of wrapping.
 func (c RetryConfig) backoff(retry int) time.Duration {
-	d := c.BaseDelay << uint(retry)
-	if c.MaxDelay > 0 && d > c.MaxDelay {
-		d = c.MaxDelay
+	limit := time.Duration(math.MaxInt64 / 2)
+	if c.MaxDelay > 0 {
+		limit = min(c.MaxDelay, limit)
 	}
-	if d <= 0 {
+	d := c.BaseDelay
+	for ; retry > 0 && d > 0 && d < limit; retry-- {
+		d *= 2
+	}
+	if d = min(d, limit); d <= 0 {
 		return 0
 	}
 	return time.Duration(float64(d) * (0.5 + rand.Float64()))
@@ -41,10 +49,7 @@ func (c RetryConfig) backoff(retry int) time.Duration {
 // an attempt or during the jittered exponential backoff between attempts. It
 // returns op's last error, or ctx.Err() when the context ended first.
 func Retry(ctx context.Context, cfg RetryConfig, op func(attempt int) error) error {
-	attempts := cfg.Attempts
-	if attempts < 1 {
-		attempts = 1
-	}
+	attempts := max(cfg.Attempts, 1)
 	var err error
 	for a := 0; a < attempts; a++ {
 		if cerr := ctx.Err(); cerr != nil {

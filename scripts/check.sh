@@ -98,11 +98,12 @@ go test -run '^$' -fuzz '^FuzzDecidedMatchesReference$' -fuzztime=5s ./internal/
 go test -run '^$' -fuzz '^FuzzFromIndicatorMatchesReference$' -fuzztime=5s ./internal/video
 
 stage "benchmark smoke (-benchtime=1x -benchmem)"
-# One iteration of every benchmark: catches bit-rot in the experiment and
-# microbenchmark harnesses without paying for real measurements. -benchmem
-# keeps allocs/op in the output so hot-path allocation creep is visible in
-# every CI log, not only when the AllocsPerRun bounds trip.
-go test -run '^$' -bench . -benchtime=1x -benchmem .
+# One iteration of every benchmark in every package: catches bit-rot in the
+# experiment and microbenchmark harnesses without paying for real
+# measurements. -benchmem keeps allocs/op in the output so hot-path
+# allocation creep is visible in every CI log, not only when the
+# AllocsPerRun bounds trip.
+go test -run '^$' -bench . -benchtime=1x -benchmem ./...
 
 stage "ingest + svq fsck round trip"
 fscktmp=$(mktemp -d)
