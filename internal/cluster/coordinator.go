@@ -106,7 +106,7 @@ func (c Config) withDefaults() Config {
 	if c.MaxBackoff <= 0 {
 		c.MaxBackoff = time.Second
 	}
-	if c.HedgeQuantile <= 0 || c.HedgeQuantile >= 1 {
+	if !(c.HedgeQuantile > 0 && c.HedgeQuantile < 1) { // NaN too
 		c.HedgeQuantile = 0.95
 	}
 	if c.Logger == nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -473,5 +474,20 @@ func TestBackoffDeterministicJitter(t *testing.T) {
 		if jittered < base/2 || jittered > max+max/2 {
 			t.Fatalf("attempt %d: backoff %v outside [base/2, 1.5*max]", attempt, jittered)
 		}
+	}
+}
+
+// A hedge quantile outside (0, 1) — NaN included, which compares false with
+// both bounds — falls back to the default instead of reaching
+// Histogram.Quantile, where NaN would make the hedge delay the largest
+// latency seen.
+func TestHedgeQuantileDefaults(t *testing.T) {
+	for _, q := range []float64{0, -0.5, 1, 2, math.NaN()} {
+		if got := (Config{HedgeQuantile: q}).withDefaults().HedgeQuantile; got != 0.95 {
+			t.Errorf("HedgeQuantile %v defaults to %v, want 0.95", q, got)
+		}
+	}
+	if got := (Config{HedgeQuantile: 0.5}).withDefaults().HedgeQuantile; got != 0.5 {
+		t.Errorf("HedgeQuantile 0.5 became %v", got)
 	}
 }

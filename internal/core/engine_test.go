@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"svqact/internal/detect"
@@ -85,6 +86,15 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.BandwidthFrames = 0 },
 		func(c *Config) { c.BandwidthShots = -1 },
 		func(c *Config) { c.CritGrid = 0 },
+		// NaN compares false with every bound, so each must be rejected
+		// explicitly.
+		func(c *Config) { c.Alpha = math.NaN() },
+		func(c *Config) { c.HorizonClips = math.NaN() },
+		func(c *Config) { c.P0Object = math.NaN() },
+		func(c *Config) { c.P0Action = math.NaN() },
+		func(c *Config) { c.BandwidthFrames = math.NaN() },
+		func(c *Config) { c.BandwidthShots = math.NaN() },
+		func(c *Config) { c.CritGrid = math.NaN() },
 	}
 	for i, m := range mutations {
 		c := DefaultConfig()

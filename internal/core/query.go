@@ -202,22 +202,24 @@ func (c Config) withDefaults() Config {
 
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
-	if c.Alpha <= 0 || c.Alpha >= 1 {
+	// Each bound is written !(inside) so that NaN, which compares false
+	// with everything, is rejected too.
+	if !(c.Alpha > 0 && c.Alpha < 1) {
 		return fmt.Errorf("core: Alpha = %v out of (0,1)", c.Alpha)
 	}
-	if c.HorizonClips < 1 {
+	if !(c.HorizonClips >= 1) {
 		return fmt.Errorf("core: HorizonClips = %v must be >= 1", c.HorizonClips)
 	}
-	if c.P0Object < 0 || c.P0Object > 1 || c.P0Action < 0 || c.P0Action > 1 {
+	if !(c.P0Object >= 0 && c.P0Object <= 1 && c.P0Action >= 0 && c.P0Action <= 1) {
 		return fmt.Errorf("core: background probabilities out of [0,1]")
 	}
-	if c.BandwidthFrames <= 0 || c.BandwidthShots <= 0 {
+	if !(c.BandwidthFrames > 0 && c.BandwidthShots > 0) {
 		return fmt.Errorf("core: kernel bandwidths must be positive")
 	}
-	if c.CritGrid <= 0 {
+	if !(c.CritGrid > 0) {
 		return fmt.Errorf("core: CritGrid must be positive")
 	}
-	if c.FailureBudget < 0 || c.FailureBudget > 1 {
+	if !(c.FailureBudget >= 0 && c.FailureBudget <= 1) {
 		return fmt.Errorf("core: FailureBudget = %v out of [0,1]", c.FailureBudget)
 	}
 	if c.Retry.Attempts < 0 {

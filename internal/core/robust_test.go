@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -214,6 +215,11 @@ func TestConfigValidatesFailureKnobs(t *testing.T) {
 	cfg.FailureBudget = 1.5
 	if _, err := NewSVAQD(idealModels(), cfg); err == nil {
 		t.Error("failure budget > 1 should be rejected")
+	}
+	cfg = DefaultConfig()
+	cfg.FailureBudget = math.NaN()
+	if _, err := NewSVAQD(idealModels(), cfg); err == nil {
+		t.Error("NaN failure budget should be rejected")
 	}
 	cfg = DefaultConfig()
 	cfg.Retry.Attempts = -2

@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -107,16 +108,22 @@ func Mint(w http.ResponseWriter, r *http.Request) *obs.Trace {
 
 // DecodeBody reads a POSTed JSON request body of at most limit bytes into
 // v. When it returns false it has answered the request: 405 for another
-// method, 413 for a body over the limit, 400 for one that is not JSON of v's
-// shape. The error body carries the query ID of the trace in r's context,
-// when there is one.
+// method, 413 for a body over the limit, 400 for one that is not one JSON
+// document of v's shape (only whitespace may follow it). The error body
+// carries the query ID of the trace in r's context, when there is one.
 func DecodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
 	status, msg := http.StatusMethodNotAllowed, "POST only"
 	if r.Method == http.MethodPost {
 		r.Body = http.MaxBytesReader(w, r.Body, limit)
-		err := json.NewDecoder(r.Body).Decode(v)
+		dec := json.NewDecoder(r.Body)
+		err := dec.Decode(v)
 		if err == nil {
-			return true
+			if _, err = dec.Token(); err == io.EOF {
+				return true
+			}
+			if err == nil {
+				err = errors.New("data after the JSON document")
+			}
 		}
 		status, msg = http.StatusBadRequest, "invalid JSON: "+err.Error()
 		var tooBig *http.MaxBytesError

@@ -130,8 +130,13 @@ func TestDecodeBody(t *testing.T) {
 	for body, want := range map[string]int{
 		`{"sql": "x"}`: http.StatusOK,
 		`{"sql": "` + strings.Repeat("x", 64) + `"}`: http.StatusRequestEntityTooLarge,
-		`{"sql": 7}`: http.StatusBadRequest,
-		`{`:          http.StatusBadRequest,
+		`{"sql": 7}`:                             http.StatusBadRequest,
+		`{`:                                      http.StatusBadRequest,
+		"{\"sql\": \"x\"} \n\t":                  http.StatusOK,
+		`{"sql":"A"}{"sql":"B"}`:                 http.StatusBadRequest,
+		`{"sql":"A"} garbage`:                    http.StatusBadRequest,
+		`{"sql":"A"}}`:                           http.StatusBadRequest,
+		`{"sql":"A"} ` + strings.Repeat(" ", 32): http.StatusRequestEntityTooLarge,
 	} {
 		r := httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(body))
 		r = r.WithContext(obs.WithTrace(r.Context(), obs.NewTrace("0123456789abcdef")))

@@ -163,6 +163,8 @@ func TestRegistryPanicsOnBadNames(t *testing.T) {
 		func() { r.Gauge("", "") },
 		func() { r.Counter("ok_total", "", L("bad-label", "v")) },
 		func() { r.Counter("ok_total", "", L("__reserved", "v")) },
+		func() { r.Counter("no_suffix", "") },
+		func() { r.AttachCounter("no_suffix", "", &Counter{}) },
 	} {
 		func() {
 			defer func() {

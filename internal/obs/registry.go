@@ -133,12 +133,16 @@ func (r *Registry) AttachHistogram(name, help string, h *Histogram, labels ...La
 }
 
 // register finds or creates the series for (name, labels), enforcing the
-// Prometheus naming rules and per-family type consistency. Violations panic:
-// metric registration happens at construction time with literal names, so a
-// bad name is a programming error the smoke test and CI must fail loudly on.
+// Prometheus naming rules (counters end in _total) and per-family type
+// consistency. Violations panic: metric registration happens at construction
+// time with literal names, so a bad name is a programming error every test
+// that builds the instrument fails loudly on.
 func (r *Registry) register(name, help, typ string, labels []Label) *series {
 	if !ValidMetricName(name) {
 		panic(fmt.Sprintf("obs: invalid metric name %q", name))
+	}
+	if typ == "counter" && !strings.HasSuffix(name, "_total") {
+		panic(fmt.Sprintf("obs: counter %q does not end in _total", name))
 	}
 	for _, l := range labels {
 		if !ValidLabelName(l.Name) {

@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
 # Repo-wide verification: gofmt, vet, build, the full test suite under the
 # race detector (including the store/rank crash-injection and corruption tests
-# and the cluster coordinator's deterministic fault-schedule tests), an
-# ingest + `svq fsck` round trip, then the smoke test, which covers
-# durability (ingest -> SIGKILL -> resume -> fsck), observability against a
-# live cmd/serve, and the sharded cluster (svq split -> two shards + a
-# coordinator -> replica kill/failover -> shard loss -> restart recovery).
+# and the cluster coordinator's deterministic fault-schedule tests), then the
+# smoke test over real processes. Its phases, in order: build; durability
+# (ingest -> SIGKILL -> resume -> svq fsck -> a bit-flipped pack fails fsck);
+# observability against a fault-injected cmd/serve; a -cascade server under an
+# inference budget; the sharded cluster (svq split -> three replicas + a
+# coordinator), with failover, tracing, shard loss, recovery, overload
+# shedding and a rolling generation swap; the coordinator's metrics; and a
+# drain in which every child must exit 0 after SIGTERM and none may be left.
 # CI runs exactly this; run it locally before pushing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -104,12 +107,6 @@ stage "benchmark smoke (-benchtime=1x -benchmem)"
 # allocation creep is visible in every CI log, not only when the
 # AllocsPerRun bounds trip.
 go test -run '^$' -bench . -benchtime=1x -benchmem ./...
-
-stage "ingest + svq fsck round trip"
-fscktmp=$(mktemp -d)
-trap 'rm -rf "$fscktmp"' EXIT
-go run ./cmd/ingest -dataset movies -scale 0.02 -out "$fscktmp/repo" >/dev/null
-go run ./cmd/svq fsck "$fscktmp/repo"
 
 stage "go run ./scripts/smoke"
 go run ./scripts/smoke
