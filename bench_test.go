@@ -24,6 +24,7 @@ import (
 	"sync"
 	"testing"
 
+	"svqact/benchmarks/workload"
 	"svqact/internal/bench"
 	"svqact/internal/core"
 	"svqact/internal/detect"
@@ -508,6 +509,50 @@ func BenchmarkBatchBody(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(w.bytes)/float64(b.N), "bytes/op")
+}
+
+// BenchmarkQueryBody serves the online workload's statement pool
+// (workload.OnlinePool: the svaqd, svaq, cnf and movie classes, each class
+// one op) through the server's handler at /query over its scale-1.0 world,
+// the way BenchmarkBatchBody serves a batch. It times handler to bytes —
+// decode, plan, the traced run, the response and its encoding — so B/op and
+// allocs/op show what a served statement costs; bytes/op is the bodies'
+// size.
+func BenchmarkQueryBody(b *testing.B) {
+	s := server.New(server.Config{Scale: workload.Scale, Seed: 42,
+		Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	h := s.Handler()
+	decks := map[string][][]byte{}
+	for _, st := range workload.OnlinePool().Statements {
+		decks[st.Class] = append(decks[st.Class], st.Body)
+	}
+	var w bodyCounter
+	serve := func(b *testing.B, body []byte) {
+		w.header, w.status = http.Header{}, 0
+		h.ServeHTTP(&w, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body)))
+		if w.status != http.StatusOK {
+			b.Fatalf("status %d for %s: %s", w.status, body, w.last)
+		}
+	}
+	for _, class := range []string{"svaqd", "svaq", "cnf", "movie"} {
+		deck := decks[class]
+		b.Run(class, func(b *testing.B) {
+			for _, body := range deck { // warm: datasets, critical-value grids, scratch pools
+				serve(b, body)
+			}
+			w.bytes = 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, body := range deck {
+					serve(b, body)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(w.bytes)/float64(b.N), "bytes/op")
+			b.ReportMetric(float64(len(deck)), "statements/op")
+		})
+	}
 }
 
 // bodyCounter is a ResponseWriter that counts the body bytes and keeps the

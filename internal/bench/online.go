@@ -221,16 +221,17 @@ func Table5(w *Workspace) ([]Table, error) {
 		// Both rates are measured at the clip level against the same truth:
 		// "without SVAQD" declares a clip positive as soon as any occurrence
 		// unit inside it carries a thresholded detection (plain model output
-		// merged to clips); "with SVAQD" uses the engine's clip indicator.
+		// merged to clips, the engine's raw clip indicator); "with SVAQD"
+		// uses the engine's clip indicator.
 		actStats := res.Predicate(fq.spec.Action)
-		actTruthClips := shotsToClips(stream.ActionShots(fq.spec.Action), g, numClips)
-		actRaw := metrics.FalsePositiveRate(shotsToClips(actStats.RawUnits, g, numClips), actTruthClips, numClips)
+		actTruthClips := unitsToClips(stream.ActionShots(fq.spec.Action), g.ShotsPerClip, numClips)
+		actRaw := metrics.FalsePositiveRate(actStats.RawClips, actTruthClips, numClips)
 		actFiltered := metrics.FalsePositiveRate(actStats.Clips, actTruthClips, numClips)
 
 		obj := fq.spec.Objects[0]
 		objStats := res.Predicate(obj)
-		objTruthClips := framesToClips(stream.ObjectFrames(obj), g, numClips)
-		objRaw := metrics.FalsePositiveRate(framesToClips(objStats.RawUnits, g, numClips), objTruthClips, numClips)
+		objTruthClips := unitsToClips(stream.ObjectFrames(obj), g.FramesPerClip(), numClips)
+		objRaw := metrics.FalsePositiveRate(objStats.RawClips, objTruthClips, numClips)
 		objFiltered := metrics.FalsePositiveRate(objStats.Clips, objTruthClips, numClips)
 
 		t.AddRow(fq.label, f2(actRaw), f2(actFiltered), f2(objRaw), f2(objFiltered))
@@ -238,20 +239,12 @@ func Table5(w *Workspace) ([]Table, error) {
 	return []Table{t}, nil
 }
 
-// shotsToClips maps a shot-level truth set to the clips it touches.
-func shotsToClips(shots video.IntervalSet, g video.Geometry, numClips int) video.IntervalSet {
+// unitsToClips maps a truth set of occurrence units (shots or frames),
+// perClip to a clip, to the clips it touches.
+func unitsToClips(units video.IntervalSet, perClip, numClips int) video.IntervalSet {
 	var ivs []video.Interval
-	for _, iv := range shots.Intervals() {
-		ivs = append(ivs, video.Interval{Start: g.ClipOfShot(iv.Start), End: g.ClipOfShot(iv.End)})
-	}
-	return video.NewIntervalSet(ivs...).Clamp(video.Interval{Start: 0, End: numClips - 1})
-}
-
-// framesToClips maps a frame-level truth set to the clips it touches.
-func framesToClips(frames video.IntervalSet, g video.Geometry, numClips int) video.IntervalSet {
-	var ivs []video.Interval
-	for _, iv := range frames.Intervals() {
-		ivs = append(ivs, video.Interval{Start: g.ClipOfFrame(iv.Start), End: g.ClipOfFrame(iv.End)})
+	for _, iv := range units.Intervals() {
+		ivs = append(ivs, video.Interval{Start: iv.Start / perClip, End: iv.End / perClip})
 	}
 	return video.NewIntervalSet(ivs...).Clamp(video.Interval{Start: 0, End: numClips - 1})
 }

@@ -47,9 +47,11 @@ type Engine struct {
 	obj, act detector
 
 	// evaluated, when set, sees every evaluation's charge as a run adds it
-	// to its ledger: the inference units and the account. The tests charge
-	// a meter per evaluation through it, to check the ledger's one flush.
-	evaluated func(kind PredicateKind, inferences int, acc *detect.Account)
+	// to its ledger: the atom and clip evaluated, the inference units and
+	// the account. The tests charge a meter per evaluation through it, to
+	// check the ledger's one flush, and rescore the evaluated clips to
+	// referee the raw clip indicators.
+	evaluated func(a Atom, clip, inferences int, acc *detect.Account)
 }
 
 // detector is what the clip loop needs to know about one model: how to
@@ -143,10 +145,10 @@ type PredicateStats struct {
 	// positive (the offline phase materialises these as the paper's
 	// "individual sequences").
 	Clips video.IntervalSet
-	// RawUnits is the set of occurrence units (frames for objects, shots
-	// for the action) with positive thresholded detections — the
-	// pre-filtering signal.
-	RawUnits video.IntervalSet
+	// RawClips is the set of evaluated clips on which some occurrence unit
+	// (a frame for objects and relations, a shot for the action) reached
+	// the threshold — the pre-filtering signal, merged to clips.
+	RawClips video.IntervalSet
 	// Background is the final background probability in effect (the fixed
 	// p0 for SVAQ, the last estimate for SVAQD).
 	Background float64
@@ -274,12 +276,12 @@ type predState struct {
 	lagSeen      int
 
 	clipInd   []bool // indicator per processed clip
-	rawInd    []bool // indicator per occurrence unit (false when skipped)
+	rawClip   []bool // per clip: some scored unit reached the threshold
 	evaluated int
 
-	// Per-run observability: cumulative time spent evaluating this
-	// predicate's detector calls, occurrence units scored, and critical-value
-	// refreshes applied (Dynamic mode).
+	// Per-run observability: the clip-loop time charged to this predicate
+	// (traced runs only; see Run.tick), occurrence units scored, and
+	// critical-value refreshes applied (Dynamic mode).
 	evalTime   time.Duration
 	units      int
 	recomputes int
@@ -357,11 +359,13 @@ type Run struct {
 
 	// Observability: the trace carried by the run's context (nil when the
 	// caller attached none), the context's current span (the engine span's
-	// parent in the assembled tree), the run's start time, and whether the
-	// run's spans were already emitted (Result may be called repeatedly).
+	// parent in the assembled tree), the run's start time and the loop's
+	// last clock read since then (traced runs only), and whether the run's
+	// spans were already emitted (Result may be called repeatedly).
 	trace        *obs.Trace
 	parent       *obs.Span
 	started      time.Time
+	lastRead     time.Duration
 	spansEmitted bool
 
 	// scratch is the pooled per-run state this Run's slices point into. See
@@ -429,7 +433,9 @@ func (e *Engine) bind(ctx context.Context, v detect.TruthVideo, maxAtoms int) (*
 	r.budget = e.cfg.InferenceBudget
 	r.trace = obs.TraceFrom(ctx)
 	r.parent = obs.SpanFrom(ctx)
-	r.started = time.Now()
+	if r.trace != nil {
+		r.started = time.Now()
+	}
 	r.scratch.ensurePreds(maxAtoms)
 	r.resetLedger()
 	return r, nil
@@ -542,14 +548,14 @@ func (e *Engine) planNode(a Atom, g video.Geometry) plan.Node {
 // seedCrits.
 func (r *Run) initPred(ps *predState, a Atom) error {
 	cfg := r.e.cfg
-	w, units := r.geom.FramesPerClip(), r.v.NumFrames()
+	w := r.geom.FramesPerClip()
 	p0, bw := cfg.P0Object, cfg.BandwidthFrames
 	if a.Kind == ActionPredicate {
-		w, units = r.geom.ShotsPerClip, r.geom.NumShots(r.v.NumFrames())
+		w = r.geom.ShotsPerClip
 		p0, bw = cfg.P0Action, cfg.BandwidthShots
 	}
 	ps.atom, ps.name, ps.window = a, a.String(), w
-	ps.rawInd = zeroed(ps.rawInd, units)
+	ps.rawClip = zeroed(ps.rawClip, r.numClips)
 	ps.clipInd = ps.clipInd[:0]
 	ps.prev2, ps.prev1, ps.lagSeen = 0, 0, 0
 	ps.evaluated = 0
@@ -709,6 +715,7 @@ func (r *Run) Step() bool {
 			continue
 		}
 		count, cost, err := r.evaluate(ps, c, modes[idx], &objectFramesCharged)
+		r.tick(ps)
 		r.budgetSpent += cost
 		if err != nil {
 			// Keep per-atom indicator alignment, then decide whether this
@@ -760,6 +767,26 @@ func (r *Run) Step() bool {
 		}
 	}
 	return true
+}
+
+// since is the clip loop's clock: a traced run reads it once per
+// evaluation (tick) and once more for its engine span; an untraced run
+// never. Tests count its reads.
+var since = time.Since
+
+// tick charges the clip-loop time since the previous evaluation (the first
+// time, since the run was bound) to ps, on traced runs only, with one
+// monotonic read: what the loop does between two evaluations — planning,
+// gating, settling, and a streaming caller's own time between Steps — is
+// counted in the next one, so the predicate spans split the run between
+// them.
+func (r *Run) tick(ps *predState) {
+	if r.trace == nil {
+		return
+	}
+	now := since(r.started)
+	ps.evalTime += now - r.lastRead
+	r.lastRead = now
 }
 
 // learn feeds one unbiased clip count into the predicate's background
@@ -880,16 +907,15 @@ func entryTier(mode plan.TierMode, tiers int) int {
 }
 
 // evaluate runs the detector over the clip's occurrence units for one
-// predicate, records the raw indicators, charges the run's ledger and the
-// predicate's evaluation-time accumulator, and returns the positive count
-// together with the evaluation's priced inference cost: every model is priced
-// per attempt, so retries and the attempts spent on a unit that finally fails
-// are paid for. Cascaded models execute the planner's tier decision (mode). A
-// detector invocation that fails after retries aborts the clip's evaluation
-// with the error (the caller flags the clip); the cost spent up to the
-// failure is still reported so the budget ledger stays honest.
+// predicate, records the clip's raw indicator, charges the run's ledger, and
+// returns the positive count together with the evaluation's priced inference
+// cost: every model is priced per attempt, so retries and the attempts spent
+// on a unit that finally fails are paid for. Cascaded models execute the
+// planner's tier decision (mode). A detector invocation that fails after
+// retries aborts the clip's evaluation with the error (the caller flags the
+// clip); the cost spent up to the failure is still reported so the budget
+// ledger stays honest.
 func (r *Run) evaluate(ps *predState, clip int, mode plan.TierMode, objectFramesCharged *bool) (int, time.Duration, error) {
-	defer func(t0 time.Time) { ps.evalTime += time.Since(t0) }(time.Now())
 	r.lastAcc = nil
 	kind, name := ps.atom.Kind, ps.atom.Name
 	d := r.e.detector(kind)
@@ -912,9 +938,10 @@ func (r *Run) evaluate(ps *predState, clip int, mode plan.TierMode, objectFrames
 		ev := &r.scratch.relEvents
 		acc.Reset(1)
 		count, err := detect.RelationPositives(r.ctx, r.e.models.Objects, r.v, detect.Relation(name), ps.atom.Args[0], ps.atom.Args[1],
-			units, &ev[0], &ev[1], ps.rawInd[units.Start:units.End+1], r.e.cfg.Retry, acc)
+			units, &ev[0], &ev[1], nil, r.e.cfg.Retry, acc)
+		ps.rawClip[clip] = count > 0
 		ps.units += int(acc.Units[0])
-		r.charge(kind, inferences, acc)
+		r.charge(ps.atom, clip, inferences, acc)
 		return count, acc.Cost, err
 	}
 	// One scoring call for every model: a plain model is a one-tier chain,
@@ -937,45 +964,45 @@ func (r *Run) evaluate(ps *predState, clip int, mode plan.TierMode, objectFrames
 		ps.lastMode = mode
 		r.lastAcc = acc
 	}
-	r.charge(kind, inferences, acc)
+	r.charge(ps.atom, clip, inferences, acc)
 	// A failed clip counts nothing, but the units scored before the failure
-	// keep their raw indicators.
-	count := thresholdUnits(ps, scores[:scored], units.Start, d.threshold)
+	// still make its raw indicator.
+	count := thresholdUnits(scores[:scored], d.threshold)
+	ps.rawClip[clip] = count > 0
 	if err != nil {
 		count = 0
 	}
 	return count, acc.Cost, err
 }
 
-// thresholdUnits marks the units from start whose score reaches the
-// threshold in the predicate's raw indicators and returns how many did.
-func thresholdUnits(ps *predState, scores []float64, start int, threshold float64) int {
+// thresholdUnits returns how many scores reach the threshold.
+func thresholdUnits(scores []float64, threshold float64) int {
 	count := 0
-	for i, score := range scores {
+	for _, score := range scores {
 		if score >= threshold {
-			ps.rawInd[start+i] = true
 			count++
 		}
 	}
 	return count
 }
 
-// charge adds one evaluation's inference units (frames for objects and
-// relations, shots for actions) and account to the run's ledger.
-func (r *Run) charge(kind PredicateKind, inferences int, acc *detect.Account) {
+// charge adds the inference units (frames for objects and relations, shots
+// for actions) and account of atom a's evaluation on clip to the run's
+// ledger.
+func (r *Run) charge(a Atom, clip, inferences int, acc *detect.Account) {
 	if r.e.evaluated != nil {
-		r.e.evaluated(kind, inferences, acc)
+		r.e.evaluated(a, clip, inferences, acc)
 	}
 	if r.e.cfg.Meter == nil {
 		return
 	}
 	s := r.scratch
-	if kind == ActionPredicate {
+	if a.Kind == ActionPredicate {
 		s.shots += inferences
 	} else {
 		s.frames += inferences
 	}
-	s.ledger[kind].Add(acc)
+	s.ledger[a.Kind].Add(acc)
 }
 
 // flush hands the run's ledger to the engine's meter — one Record per
@@ -1049,7 +1076,7 @@ func (r *Run) Result() *Result {
 			Name:           ps.name,
 			Kind:           ps.atom.Kind,
 			Clips:          video.FromIndicator(ps.clipInd),
-			RawUnits:       video.FromIndicator(ps.rawInd),
+			RawClips:       video.FromIndicator(ps.rawClip),
 			Background:     r.background(ps),
 			Critical:       ps.crit,
 			EvaluatedClips: ps.evaluated,
@@ -1072,15 +1099,17 @@ func (r *Run) Result() *Result {
 
 // emitSpans surfaces the run's accounting on the context's trace, once: an
 // engine-level span covering the whole run plus one span per predicate whose
-// duration is the predicate's accumulated detector-evaluation time (the
-// paper's per-stage cost decomposition — short-circuit savings and SVAQD
-// recomputation are readable directly off the spans).
+// duration is the predicate's share of the clip loop (tick) — its detector
+// evaluations and the loop work leading up to each (the paper's per-stage
+// cost decomposition — short-circuit savings and SVAQD recomputation are
+// readable directly off the spans). The predicate spans sum to at most the
+// engine span.
 func (r *Run) emitSpans(preds []*predState, rep *plan.Report) {
 	if r.trace == nil || r.spansEmitted {
 		return
 	}
 	r.spansEmitted = true
-	eng := r.trace.AddSpanUnder(r.parent, "engine.run", r.started, time.Since(r.started))
+	eng := r.trace.AddSpanUnder(r.parent, "engine.run", r.started, since(r.started))
 	eng.SetAttr("mode", r.e.mode.String())
 	eng.SetAttr("clauses", len(r.clauseSat))
 	eng.SetAttr("clips_processed", r.nextClip)

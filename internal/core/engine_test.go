@@ -389,8 +389,7 @@ func TestDynamicBackgroundTracksReality(t *testing.T) {
 	v := testVideo(t, 10, 60_000)
 	q := Query{Objects: []string{"car"}, Action: "jumping"}
 	models := noisyModels(6)
-	// Pin the declared order so the object predicate runs on every clip and
-	// its raw indicators cover the whole video.
+	// Pin the declared order so the object predicate runs on every clip.
 	cfg := DefaultConfig()
 	cfg.DeclaredOrder = true
 	e, _ := NewSVAQD(models, cfg)
@@ -399,12 +398,21 @@ func TestDynamicBackgroundTracksReality(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The final background estimate should be near the detector's null
-	// (false-positive) rate — the raw positive rate outside the object's
-	// true presence — not the 1e-4 prior, and not the much higher mixture
-	// rate that includes the events themselves.
+	// (false-positive) rate — the thresholded positive rate of the frames
+	// outside the object's true presence, scored directly over every clip's
+	// frames — not the 1e-4 prior, and not the much higher mixture rate that
+	// includes the events themselves.
 	car := res.Predicate("car")
+	if car.EvaluatedClips != res.NumClips {
+		t.Fatalf("car evaluated on %d of %d clips", car.EvaluatedClips, res.NumClips)
+	}
 	presence := v.ObjectPresence("car")
-	noiseFrames := car.RawUnits.Subtract(presence).TotalLen()
+	noiseFrames := 0
+	for f := 0; f < res.NumClips*v.Geometry().FramesPerClip(); f++ {
+		if !presence.Contains(f) && models.Objects.FrameScore(v, "car", f) >= models.ObjThreshold {
+			noiseFrames++
+		}
+	}
 	nullFrames := v.NumFrames() - presence.TotalLen()
 	rate := float64(noiseFrames) / float64(nullFrames)
 	if car.Background < rate/4 || car.Background > rate*4 {

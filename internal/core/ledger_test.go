@@ -19,7 +19,8 @@ import (
 // chargePerEvaluation makes e's runs also charge ref per evaluation, the way
 // the engine charged its meter before runs kept a ledger.
 func chargePerEvaluation(e *Engine, ref *detect.Meter) {
-	e.evaluated = func(kind PredicateKind, inferences int, acc *detect.Account) {
+	e.evaluated = func(a Atom, _, inferences int, acc *detect.Account) {
+		kind := a.Kind
 		d := e.detector(kind)
 		tiers := d.chain.Tiers()
 		if kind == ActionPredicate {

@@ -9,7 +9,7 @@ import (
 
 // Per-run scratch pooling. A fleet run allocates the same per-video state —
 // the Run itself, one predState per predicate, the clip/flag indicator
-// slices, raw-unit indicators, the quantile gate's ring and histogram, the
+// slices, raw-clip indicators, the quantile gate's ring and histogram, the
 // batch score column — once per video, thousands of times per sweep.
 // runScratch owns all of it; runs acquire a scratch from the pool, point
 // their slices into it, and return it after Result() has materialised
@@ -30,7 +30,7 @@ type runScratch struct {
 
 	// preds is the predState backing array; Run.preds holds pointers into
 	// it, so it is sized up front and never grown mid-run. Each slot keeps
-	// its slice capacities (clipInd, rawInd, recent) and its kernel
+	// its slice capacities (clipInd, rawClip, recent) and its kernel
 	// estimator across reuse.
 	preds    []predState
 	predPtrs []*predState

@@ -51,8 +51,8 @@ func TestPooledRunResultsUnaliased(t *testing.T) {
 		for j := range ps.Clips.Intervals() {
 			ps.Clips.Intervals()[j] = junk
 		}
-		for j := range ps.RawUnits.Intervals() {
-			ps.RawUnits.Intervals()[j] = junk
+		for j := range ps.RawClips.Intervals() {
+			ps.RawClips.Intervals()[j] = junk
 		}
 	}
 	// (Result.Query deliberately shares the caller's own Objects slice — the

@@ -1,0 +1,155 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"svqact/internal/detect"
+	"svqact/internal/video"
+)
+
+// PredicateStats.RawClips replaced RawUnits, the per-unit raw indicators a
+// run kept for the whole video, which Table 5 merged to clips. The referee
+// is that derivation: score every unit of each clip the run evaluated an
+// atom on directly, keep the units that reach the threshold, and merge them
+// to the clips they touch.
+
+// framesToClips maps a frame set to the clips it touches.
+func framesToClips(frames video.IntervalSet, g video.Geometry, numClips int) video.IntervalSet {
+	var ivs []video.Interval
+	for _, iv := range frames.Intervals() {
+		ivs = append(ivs, video.Interval{Start: g.ClipOfFrame(iv.Start), End: g.ClipOfFrame(iv.End)})
+	}
+	return video.NewIntervalSet(ivs...).Clamp(video.Interval{Start: 0, End: numClips - 1})
+}
+
+// shotsToClips maps a shot set to the clips it touches.
+func shotsToClips(shots video.IntervalSet, g video.Geometry, numClips int) video.IntervalSet {
+	var ivs []video.Interval
+	for _, iv := range shots.Intervals() {
+		ivs = append(ivs, video.Interval{Start: g.ClipOfShot(iv.Start), End: g.ClipOfShot(iv.End)})
+	}
+	return video.NewIntervalSet(ivs...).Clamp(video.Interval{Start: 0, End: numClips - 1})
+}
+
+// evaluation is one atom evaluated on one clip, as Engine.evaluated saw it.
+type evaluation struct {
+	atom Atom
+	clip int
+}
+
+// refRawUnits rescores the units of every evaluated clip — an object's
+// frames by FrameScore, an action's shots by their one-unit score, a
+// relation's frames by RelationPositives into a real dst — and returns each
+// atom's units that reached the threshold, by the atom's name.
+func refRawUnits(t *testing.T, models detect.Models, v detect.TruthVideo, evals []evaluation) map[string]video.IntervalSet {
+	t.Helper()
+	g := v.Geometry()
+	raw := map[string][]bool{}
+	for _, ev := range evals {
+		a, name := ev.atom, ev.atom.String()
+		if raw[name] == nil {
+			n := v.NumFrames()
+			if a.Kind == ActionPredicate {
+				n = g.NumShots(n)
+			}
+			raw[name] = make([]bool, n)
+		}
+		ind := raw[name]
+		switch a.Kind {
+		case ObjectPredicate:
+			fr := g.FrameRangeOfClip(ev.clip)
+			for f := fr.Start; f <= fr.End; f++ {
+				ind[f] = ind[f] || models.Objects.FrameScore(v, a.Name, f) >= models.ObjThreshold
+			}
+		case ActionPredicate:
+			sr := g.ShotRangeOfClip(ev.clip)
+			for s := sr.Start; s <= sr.End; s++ {
+				var score [1]float64
+				if _, err := models.Actions.Score(v, a.Name, s, score[:], 0, 0); err != nil {
+					t.Fatal(err)
+				}
+				ind[s] = ind[s] || score[0] >= models.ActThreshold
+			}
+		case RelationPredicate:
+			fr := g.FrameRangeOfClip(ev.clip)
+			var acc detect.Account
+			acc.Reset(1)
+			if _, err := detect.RelationPositives(context.Background(), models.Objects, v, detect.Relation(a.Name), a.Args[0], a.Args[1],
+				fr, new(detect.Events), new(detect.Events), ind[fr.Start:fr.End+1], detect.RetryConfig{}, &acc); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	units := map[string]video.IntervalSet{}
+	for name, ind := range raw {
+		units[name] = video.FromIndicator(ind)
+	}
+	return units
+}
+
+// TestRawClipsMatchReference: on random worlds, under SVAQ and SVAQD, for a
+// basic query, an OR-group and a relation, over the accurate models and
+// their cascades, every atom's RawClips is the referee's raw units merged to
+// clips — exactly the clips on which a unit the run scored reached the
+// threshold, and none the run never evaluated the atom on.
+func TestRawClipsMatchReference(t *testing.T) {
+	shapes := map[string]func(e *Engine, v detect.TruthVideo) (*Result, error){
+		"basic": func(e *Engine, v detect.TruthVideo) (*Result, error) {
+			return e.Run(context.Background(), v, Query{Objects: []string{"human", "car"}, Action: "jumping"})
+		},
+		"cnf": func(e *Engine, v detect.TruthVideo) (*Result, error) {
+			return e.RunCNF(context.Background(), v, invariantCNFs()["or-group"])
+		},
+		"relation": func(e *Engine, v detect.TruthVideo) (*Result, error) {
+			return e.RunCNF(context.Background(), v, invariantCNFs()["relation"])
+		},
+	}
+	r := rand.New(rand.NewSource(38))
+	for world := 0; world < 3; world++ {
+		seed := r.Int63n(1 << 30)
+		v := extTestVideoFrames(t, seed, 12_000)
+		for _, models := range []struct {
+			name string
+			m    detect.Models
+		}{{"accurate", noisyModels(seed)}, {"cascade", cascadeModels(seed)}} {
+			for _, mk := range []struct {
+				name string
+				mk   func(detect.Models, Config) (*Engine, error)
+			}{{"SVAQ", NewSVAQ}, {"SVAQD", NewSVAQD}} {
+				for shape, run := range shapes {
+					t.Run(fmt.Sprintf("seed=%d/%s/%s/%s", seed, models.name, mk.name, shape), func(t *testing.T) {
+						e, err := mk.mk(models.m, DefaultConfig())
+						if err != nil {
+							t.Fatal(err)
+						}
+						var evals []evaluation
+						e.evaluated = func(a Atom, clip, _ int, _ *detect.Account) { evals = append(evals, evaluation{a, clip}) }
+						res, err := run(e, v)
+						if err != nil {
+							t.Fatal(err)
+						}
+						ref := refRawUnits(t, models.m, v, evals)
+						marked := 0
+						for _, ps := range res.Predicates {
+							toClips := framesToClips
+							if ps.Kind == ActionPredicate {
+								toClips = shotsToClips
+							}
+							want := toClips(ref[ps.Name], res.Geometry, res.NumClips)
+							if got := ps.RawClips; got.String() != want.String() {
+								t.Errorf("%s: RawClips %v, referee %v", ps.Name, got, want)
+							}
+							marked += ps.RawClips.TotalLen()
+						}
+						if marked == 0 {
+							t.Fatal("no atom marked a raw clip; the referee would pin nothing")
+						}
+					})
+				}
+			}
+		}
+	}
+}

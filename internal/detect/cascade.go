@@ -109,14 +109,15 @@ type Account struct {
 	Attempts, Retries, Transient, Permanent int64
 }
 
-// Reset zeroes the account for a chain with the given number of tiers.
+// Reset zeroes the account in place for a chain with the given number of
+// tiers, reusing the per-tier slices' capacity.
 func (a *Account) Reset(tiers int) {
-	*a = Account{
-		Units:        zeroCounts(a.Units, tiers),
-		Decided:      zeroCounts(a.Decided, tiers),
-		Escalated:    zeroCounts(a.Escalated, tiers),
-		Fallthroughs: zeroCounts(a.Fallthroughs, tiers),
-	}
+	a.Units = zeroCounts(a.Units, tiers)
+	a.Decided = zeroCounts(a.Decided, tiers)
+	a.Escalated = zeroCounts(a.Escalated, tiers)
+	a.Fallthroughs = zeroCounts(a.Fallthroughs, tiers)
+	a.Cost = 0
+	a.Attempts, a.Retries, a.Transient, a.Permanent = 0, 0, 0, 0
 }
 
 func zeroCounts(s []int64, n int) []int64 {

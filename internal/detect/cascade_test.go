@@ -436,3 +436,55 @@ func TestCascadeBelowRecallBand(t *testing.T) {
 		t.Fatal("the cascade's events differ from the teacher's")
 	}
 }
+
+// TestAccountResetZeroesEveryField: Reset zeroes an account in place. Every
+// field is set non-zero by reflection first, so a field added to Account
+// that Reset misses fails here; the per-tier slices come back at the new
+// length, on their old backing arrays when those are large enough.
+func TestAccountResetZeroesEveryField(t *testing.T) {
+	for _, tiers := range []int{1, 2, 3, 5} {
+		var a Account
+		v := reflect.ValueOf(&a).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			switch f := v.Field(i); f.Kind() {
+			case reflect.Slice:
+				s := reflect.MakeSlice(f.Type(), 3, 3)
+				for j := 0; j < 3; j++ {
+					s.Index(j).SetInt(int64(j + 1))
+				}
+				f.Set(s)
+			case reflect.Int64:
+				f.SetInt(7)
+			default:
+				t.Fatalf("Account.%s has kind %s, which this test does not set", v.Type().Field(i).Name, f.Kind())
+			}
+		}
+		before := make([]uintptr, v.NumField())
+		for i := range before {
+			if f := v.Field(i); f.Kind() == reflect.Slice {
+				before[i] = f.Pointer()
+			}
+		}
+		a.Reset(tiers)
+		for i := 0; i < v.NumField(); i++ {
+			name, f := v.Type().Field(i).Name, v.Field(i)
+			if f.Kind() != reflect.Slice {
+				if !f.IsZero() {
+					t.Errorf("tiers=%d: Reset left %s = %v", tiers, name, f.Interface())
+				}
+				continue
+			}
+			if f.Len() != tiers {
+				t.Errorf("tiers=%d: Reset left %s with length %d", tiers, name, f.Len())
+			}
+			for j := 0; j < f.Len(); j++ {
+				if f.Index(j).Int() != 0 {
+					t.Errorf("tiers=%d: Reset left %s[%d] = %d", tiers, name, j, f.Index(j).Int())
+				}
+			}
+			if reused := f.Pointer() == before[i]; reused != (tiers <= 3) {
+				t.Errorf("tiers=%d: %s reused its backing array: %v, want %v", tiers, name, reused, tiers <= 3)
+			}
+		}
+	}
+}

@@ -98,17 +98,18 @@ func RelationPositive(det ObjectDetector, v TruthVideo, rel Relation, a, b strin
 	var acc Account
 	acc.Reset(1)
 	n, _ := RelationPositives(context.Background(), det, v, rel, a, b, video.Interval{Start: frame, End: frame},
-		new(Events), new(Events), make([]bool, 1), RetryConfig{}, &acc)
+		new(Events), new(Events), nil, RetryConfig{}, &acc)
 	return n > 0
 }
 
-// RelationPositives marks dst[i] when the relation holds on frame
-// frames.Start+i and returns how many frames it marked. Each operand's
+// RelationPositives counts the frames on which the relation holds and, when
+// dst is not nil, marks dst[i] for frame frames.Start+i. Each operand's
 // detections come from one ReadEvents call, so the relation observes det's
-// faults and retries them; a frame that still fails fails the run, marking
-// nothing. evA and evB are the caller's scratch. One object inference covers
-// every type on a frame, so the operand reads share each frame's first
-// attempt: acc is charged one attempt per frame reached plus every retry.
+// faults and retries them; a frame that still fails fails the run, counting
+// and marking nothing. evA and evB are the caller's scratch. One object
+// inference covers every type on a frame, so the operand reads share each
+// frame's first attempt: acc is charged one attempt per frame reached plus
+// every retry.
 func RelationPositives(ctx context.Context, det ObjectDetector, v TruthVideo, rel Relation, a, b string, frames video.Interval, evA, evB *Events, dst []bool, retry RetryConfig, acc *Account) (int, error) {
 	evA.Reset()
 	if _, err := ReadEvents(ctx, det, v, a, frames, evA, retry, acc); err != nil || evA.Len() == 0 {
@@ -136,7 +137,9 @@ func RelationPositives(ctx context.Context, det ObjectDetector, v TruthVideo, re
 		for ; j < evB.Len() && evB.Units[j] == frame; j++ {
 		}
 		if rel.holdsAmong(hv, int(frame), evA.Tracks[i0:i], evB.Tracks[j0:j]) {
-			dst[int(frame)-frames.Start] = true
+			if dst != nil {
+				dst[int(frame)-frames.Start] = true
+			}
 			count++
 		}
 	}

@@ -82,11 +82,11 @@ func (t *Trace) SetRemoteParent(spanID string) {
 
 // Span is one timed stage of a query. Spans are created by StartSpan (live
 // wall-clock spans, ended with End) or AddSpan/AddSpanUnder (pre-measured
-// stages, e.g. a predicate's accumulated evaluation time reported at the
-// end of a run). Each span may carry grafted subtrees: snapshots reported
-// by a remote process (a shard's own trace) that Snapshot splices in as
-// children, re-anchored to this span's start so clock skew between hosts
-// cannot reorder the tree.
+// stages, e.g. a predicate's accumulated share of the clip loop reported
+// at the end of a run). Each span may carry grafted subtrees: snapshots
+// reported by a remote process (a shard's own trace) that Snapshot splices
+// in as children, re-anchored to this span's start so clock skew between
+// hosts cannot reorder the tree.
 type Span struct {
 	mu     sync.Mutex
 	trace  *Trace

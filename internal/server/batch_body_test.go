@@ -44,11 +44,12 @@ func servedBatch(t *testing.T, s *Server, sql string, workers, want int) *httpte
 	return rr
 }
 
-// roundTrips checks a served body against encoding/json: decoded into
-// BatchResponse and encoded again, it must come back byte for byte.
-func roundTrips(t *testing.T, body []byte) {
+// roundTrips checks a served body against encoding/json: decoded into a
+// Resp (BatchResponse or QueryResponse) and encoded again, it must come back
+// byte for byte.
+func roundTrips[Resp any](t *testing.T, body []byte) {
 	t.Helper()
-	var resp BatchResponse
+	var resp Resp
 	if err := json.Unmarshal(body, &resp); err != nil {
 		t.Fatalf("body does not decode: %v: %s", err, body)
 	}
@@ -88,7 +89,7 @@ func TestBatchBodyRoundTrips(t *testing.T) {
 		for _, workers := range []int{1, 2, 4} {
 			for i, sql := range c.sqls {
 				t.Run(fmt.Sprintf("%s/workers=%d/sql=%d", c.name, workers, i), func(t *testing.T) {
-					roundTrips(t, servedBatch(t, s, sql, workers, http.StatusOK).Body.Bytes())
+					roundTrips[BatchResponse](t, servedBatch(t, s, sql, workers, http.StatusOK).Body.Bytes())
 				})
 			}
 		}
@@ -97,7 +98,7 @@ func TestBatchBodyRoundTrips(t *testing.T) {
 		s := New(Config{Scale: 0.05, Seed: 42, Logger: quiet, QueryTimeout: 30 * time.Millisecond,
 			Fault: &detect.FaultConfig{SpikeRate: 1, SpikeDelay: time.Millisecond, Seed: 7}})
 		rr := servedBatch(t, s, batchSQL, 1, http.StatusGatewayTimeout)
-		roundTrips(t, rr.Body.Bytes())
+		roundTrips[BatchResponse](t, rr.Body.Bytes())
 		var resp BatchResponse
 		if err := json.Unmarshal(rr.Body.Bytes(), &resp); err != nil || resp.Error == "" {
 			t.Errorf("a cut-short batch must name its error: %v %s", err, rr.Body)
@@ -213,7 +214,7 @@ func TestBatchEncodeAllocsSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	roundTrips(t, buf)
+	roundTrips[BatchResponse](t, buf)
 	if n := testing.AllocsPerRun(100, func() { buf, _ = resp.appendJSON(buf[:0]) }); n != 0 {
 		t.Fatalf("appending a batch body allocates %v times, want 0", n)
 	}

@@ -17,7 +17,8 @@ import (
 // boundary. Both fuzzers POST arbitrary bytes through the full handler stack
 // of a small server and require a contained answer: no panic, a status from
 // the documented map, a JSON body, and the query ID the request was sent
-// under. Run them with
+// under. Every 200 from /query, whose body is appended by hand, must also be
+// encoding/json's re-encoding of its own decode. Run them with
 //
 //	go test -run '^$' -fuzz '^FuzzQueryBody$' ./internal/server
 //	go test -run '^$' -fuzz '^FuzzBatchBody$' ./internal/server
@@ -52,7 +53,7 @@ func fuzzTarget() (*Server, http.Handler) {
 	return fuzzServer, fuzzH
 }
 
-func checkBody(t *testing.T, path string, body []byte) {
+func checkBody(t *testing.T, path string, body []byte) *httptest.ResponseRecorder {
 	s, h := fuzzTarget()
 	req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
 	req.Header.Set("X-Query-ID", fuzzQueryID)
@@ -74,6 +75,7 @@ func checkBody(t *testing.T, path string, body []byte) {
 	if rr.Code != http.StatusTooManyRequests && resp.QueryID != fuzzQueryID {
 		t.Fatalf("status %d body carries query_id %q, sent %q, for %q", rr.Code, resp.QueryID, fuzzQueryID, body)
 	}
+	return rr
 }
 
 // fuzzSeeds adds each statement as a request body, plus the malformed
@@ -109,7 +111,11 @@ func FuzzQueryBody(f *testing.F) {
 		fuzzORGroup, fuzzMulti, fuzzRel, fuzzRanked,
 	)
 	f.Add([]byte(`{"sql": "SELECT MERGE(c) FROM (PROCESS q2 PRODUCE c) WHERE act='blowing_leaves'", "algo": "rvaq"}`))
-	f.Fuzz(func(t *testing.T, body []byte) { checkBody(t, "/query", body) })
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if rr := checkBody(t, "/query", body); rr.Code == http.StatusOK {
+			roundTrips[QueryResponse](t, rr.Body.Bytes())
+		}
+	})
 }
 
 func FuzzBatchBody(f *testing.F) {

@@ -683,7 +683,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	resp.QueryID, resp.ElapsedMS, resp.Trace = trace.ID(), elapsed.Milliseconds(), trace.Snapshot()
 	s.logQuery(resp.QueryID, req.SQL, nil, http.StatusOK, elapsed)
 	httpd.OfferTrace(s.traces, s.log, resp.Trace, req.SQL, "ok")
-	httpd.WriteJSON(w, http.StatusOK, resp)
+	httpd.WriteAppended(w, http.StatusOK, resp.appendJSON)
 }
 
 // handleBatch executes one online statement over every video of the source

@@ -71,8 +71,10 @@ go test -run '^$' -fuzz '^FuzzVerifyTable$' -fuzztime=5s ./internal/store
 go test -run '^$' -fuzz '^FuzzLoadGeneration$' -fuzztime=5s ./internal/rank
 # Request bodies cross it at /query and /query/batch: fuzzed bytes through the
 # whole handler stack must answer a documented status with a JSON body that
-# carries the request's query ID, and never panic. The coordinator's two
-# routes take the same front and the same fuzzing.
+# carries the request's query ID, and never panic; every 200 from /query,
+# whose body is appended by hand, must also be exactly encoding/json's
+# re-encoding of its own decode. The coordinator's two routes take the same
+# front and the same fuzzing.
 go test -run '^$' -fuzz '^FuzzQueryBody$' -fuzztime=5s ./internal/server
 go test -run '^$' -fuzz '^FuzzBatchBody$' -fuzztime=5s ./internal/server
 go test -run '^$' -fuzz '^FuzzCoordinatorBody$' -fuzztime=5s ./internal/cluster
