@@ -296,7 +296,7 @@ func BenchmarkScoreClip(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				acc.Reset(len(chain.Tiers()))
-				if _, err := chain.Score(context.Background(), v, c.label, i%clips*units, 0, dst, c.tau, retry, &acc); err != nil {
+				if _, err := chain.Score(context.Background(), v, c.label, i%clips*units, 0, dst, c.tau, 0, retry, &acc); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -348,8 +348,9 @@ func BenchmarkSVAQDClip(b *testing.B) {
 // and the pair), svaq (the set's action with all objects and alone, under
 // static critical values), cnf (the two OR-group shapes with person) and
 // movie (a movie's action with its object and with person). units/op is the
-// detector units scored per pass — the paper's cost, a constant of the
-// statements that an optimisation of the engine's CPU must leave in place.
+// detector units scored per pass: the paper's cost, which moves only when
+// what the engine scores moves (stopping an unsampled clip's evaluation at
+// its decision lowered it) and never with an optimisation of CPU alone.
 func BenchmarkOnlineDeck(b *testing.B) {
 	_, movies := onlineDatasets()
 	meter := &detect.Meter{}
@@ -426,8 +427,10 @@ func BenchmarkOnlineDeck(b *testing.B) {
 // first object and person, through stmt.ExecuteFleet over the set's videos
 // with two workers, each model a recall-complete distilled proxy gating the
 // accurate one. units/op is the detector units scored and escalations/op the
-// units the proxies passed up to their teachers — constants of the statement
-// that an optimisation of the walk must leave where they were.
+// units the proxies passed up to their teachers: the paper's cost, which
+// moves only when what the walk scores moves (stopping an unsampled clip's
+// evaluation at its decision lowered both) and never with an optimisation
+// of CPU alone.
 func BenchmarkFleetCascade(b *testing.B) {
 	yt, _ := onlineDatasets()
 	q := synth.YouTubeQueries()[0]

@@ -78,11 +78,11 @@ type cancelAfter struct {
 	cancel context.CancelFunc
 }
 
-func (m *cancelAfter) Score(v detect.TruthVideo, label string, start int, dst []float64, tau float64, attempt int) (int, error) {
+func (m *cancelAfter) Score(v detect.TruthVideo, label string, start int, dst []float64, tau float64, need detect.Need, attempt int) (int, error) {
 	if m.calls.Add(1) == m.n {
 		m.cancel()
 	}
-	return m.Model.Score(v, label, start, dst, tau, attempt)
+	return m.Model.Score(v, label, start, dst, tau, need, attempt)
 }
 
 func isDegraded(err error) bool {

@@ -31,8 +31,8 @@ func sides(dst []float64, tau float64) {
 // wrapped detector's.
 type sideOnlyObjects struct{ detect.ObjectDetector }
 
-func (d sideOnlyObjects) Score(v detect.TruthVideo, typ string, start int, dst []float64, tau float64, attempt int) (int, error) {
-	n, err := d.ObjectDetector.Score(v, typ, start, dst, tau, attempt)
+func (d sideOnlyObjects) Score(v detect.TruthVideo, typ string, start int, dst []float64, tau float64, need detect.Need, attempt int) (int, error) {
+	n, err := d.ObjectDetector.Score(v, typ, start, dst, tau, need, attempt)
 	sides(dst[:n], tau)
 	return n, err
 }
@@ -40,8 +40,8 @@ func (d sideOnlyObjects) Score(v detect.TruthVideo, typ string, start int, dst [
 // sideOnlyActions is sideOnlyObjects for an action recogniser.
 type sideOnlyActions struct{ detect.ActionRecognizer }
 
-func (r sideOnlyActions) Score(v detect.TruthVideo, act string, start int, dst []float64, tau float64, attempt int) (int, error) {
-	n, err := r.ActionRecognizer.Score(v, act, start, dst, tau, attempt)
+func (r sideOnlyActions) Score(v detect.TruthVideo, act string, start int, dst []float64, tau float64, need detect.Need, attempt int) (int, error) {
+	n, err := r.ActionRecognizer.Score(v, act, start, dst, tau, need, attempt)
 	sides(dst[:n], tau)
 	return n, err
 }

@@ -103,7 +103,7 @@ func TestFrameScoreCascadeAccounting(t *testing.T) {
 	acc.Reset(2)
 	n := 2000
 	dst := make([]float64, n)
-	if _, err := ScorerOf(casc).Score(ctx, v, "car", 0, 0, dst, 0, DefaultRetryConfig(), &acc); err != nil {
+	if _, err := ScorerOf(casc).Score(ctx, v, "car", 0, 0, dst, 0, 0, DefaultRetryConfig(), &acc); err != nil {
 		t.Fatal(err)
 	}
 	for i, s := range dst {
@@ -134,7 +134,7 @@ func TestFrameScoreCascadeAccounting(t *testing.T) {
 
 	// Entering at the accurate tier skips tier 0 entirely.
 	acc.Reset(2)
-	if _, err := ScorerOf(casc).Score(ctx, v, "car", 0, 1, dst, 0, DefaultRetryConfig(), &acc); err != nil {
+	if _, err := ScorerOf(casc).Score(ctx, v, "car", 0, 1, dst, 0, 0, DefaultRetryConfig(), &acc); err != nil {
 		t.Fatal(err)
 	}
 	if acc.Units[0] != 0 || acc.Units[1] != int64(n) {
@@ -157,7 +157,7 @@ type failingObjectDetector struct {
 func (d failingObjectDetector) Name() string                               { return d.name }
 func (d failingObjectDetector) UnitCost() time.Duration                    { return time.Millisecond }
 func (d failingObjectDetector) FrameScore(TruthVideo, string, int) float64 { return 0 }
-func (d failingObjectDetector) Score(_ TruthVideo, _ string, start int, _ []float64, _ float64, _ int) (int, error) {
+func (d failingObjectDetector) Score(_ TruthVideo, _ string, start int, _ []float64, _ float64, _ Need, _ int) (int, error) {
 	return 0, &DetectionError{Model: d.name, Unit: start, Transient: d.transient}
 }
 func (d failingObjectDetector) Events(_ TruthVideo, _ string, frames video.Interval, _ *Events, _ int) (int, error) {
@@ -180,7 +180,7 @@ func TestCascadeFallthroughOnTierFailure(t *testing.T) {
 	n := 64
 	dst := make([]float64, n)
 	retry := RetryConfig{Attempts: 2}
-	if _, err := ScorerOf(casc).Score(ctx, v, "car", 0, 0, dst, 0, retry, &acc); err != nil {
+	if _, err := ScorerOf(casc).Score(ctx, v, "car", 0, 0, dst, 0, 0, retry, &acc); err != nil {
 		t.Fatalf("dead entry tier must fall through, got error: %v", err)
 	}
 	for i, s := range dst {
@@ -206,7 +206,7 @@ func TestCascadeFallthroughOnTierFailure(t *testing.T) {
 		ObjectTier{Detector: failingObjectDetector{name: "dead-teacher"}},
 	)
 	acc.Reset(2)
-	_, err := ScorerOf(bad).Score(ctx, v, "car", 0, 0, dst, 0, retry, &acc)
+	_, err := ScorerOf(bad).Score(ctx, v, "car", 0, 0, dst, 0, 0, retry, &acc)
 	var de *DetectionError
 	if !errors.As(err, &de) || de.Model != "dead-teacher" {
 		t.Fatalf("want dead-teacher DetectionError from last tier, got %v", err)
@@ -215,7 +215,7 @@ func TestCascadeFallthroughOnTierFailure(t *testing.T) {
 	// Context cancellation aborts instead of falling through.
 	cctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ScorerOf(casc).Score(cctx, v, "car", 0, 0, dst, 0, retry, &acc); !errors.Is(err, context.Canceled) {
+	if _, err := ScorerOf(casc).Score(cctx, v, "car", 0, 0, dst, 0, 0, retry, &acc); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled ctx: want context.Canceled, got %v", err)
 	}
 }
@@ -237,7 +237,7 @@ func TestCascadePerTierFaults(t *testing.T) {
 	n := 1000
 	dst := make([]float64, n)
 	retry := RetryConfig{Attempts: 8}
-	if _, err := ScorerOf(casc).Score(context.Background(), v, "car", 0, 0, dst, 0, retry, &acc); err != nil {
+	if _, err := ScorerOf(casc).Score(context.Background(), v, "car", 0, 0, dst, 0, 0, retry, &acc); err != nil {
 		t.Fatal(err)
 	}
 	for i, s := range dst {
@@ -380,7 +380,7 @@ func TestDistilledDeterminism(t *testing.T) {
 	// The batch path must agree bit-for-bit with the scalar path.
 	n := 4096
 	dst := make([]float64, n)
-	a.Score(v, "car", 0, dst, 0, 0)
+	a.Score(v, "car", 0, dst, 0, Need{}, 0)
 	for i, s := range dst {
 		if want := b.FrameScore(v, "car", i); s != want {
 			t.Fatalf("frame %d: batch %v != scalar %v", i, s, want)
@@ -402,10 +402,10 @@ func TestCascadeBelowRecallBand(t *testing.T) {
 	casc := NewDistilledObjectCascade(teacher, DistilledRCNN, 3)
 	n := v.NumFrames()
 	want, got := make([]float64, n), make([]float64, n)
-	teacher.Score(v, "car", 0, want, 0, 0)
+	teacher.Score(v, "car", 0, want, 0, Need{}, 0)
 	var acc Account
 	acc.Reset(2)
-	if _, err := ScorerOf(casc).Score(context.Background(), v, "car", 0, 0, got, 0, RetryConfig{}, &acc); err != nil {
+	if _, err := ScorerOf(casc).Score(context.Background(), v, "car", 0, 0, got, 0, 0, RetryConfig{}, &acc); err != nil {
 		t.Fatal(err)
 	}
 	below, detected := 0, int64(0)
@@ -423,7 +423,7 @@ func TestCascadeBelowRecallBand(t *testing.T) {
 	if below == 0 || acc.Units[1] >= detected {
 		t.Fatalf("%d teacher detections under Lo, %d of %d detections escalated: the corner is not exercised", below, acc.Units[1], detected)
 	}
-	casc.Score(v, "car", 0, got, 0, 0)
+	casc.Score(v, "car", 0, got, 0, Need{}, 0)
 	for i := range want {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("frame %d: cascade as a model %v, teacher %v", i, got[i], want[i])

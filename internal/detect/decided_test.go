@@ -62,7 +62,7 @@ func checkDecided(t testing.TB, where string, m Model, label string, v TruthVide
 	t.Helper()
 	dst := make([]float64, run.Len())
 	for _, tau := range taus {
-		if n, err := m.Score(v, label, run.Start, dst, tau, 0); n != len(dst) || err != nil {
+		if n, err := m.Score(v, label, run.Start, dst, tau, Need{}, 0); n != len(dst) || err != nil {
 			t.Fatalf("%s at τ=%v: Score scored %d (%v)", where, tau, n, err)
 		}
 		for i := range dst {
@@ -86,7 +86,7 @@ func checkDecidedChain(t testing.TB, where string, chain *Scorer, tiers []refTie
 			var got, ref Account
 			got.Reset(len(tiers))
 			ref.Reset(len(tiers))
-			gotN, gotErr := chain.Score(ctx, v, label, run.Start, from, dst, tau, retry, &got)
+			gotN, gotErr := chain.Score(ctx, v, label, run.Start, from, dst, tau, 0, retry, &got)
 			wantN, wantErr := refScore(ctx, tiers, run.Start, from, wantDst, retry.Attempts, &ref)
 			if gotN != wantN || !reflect.DeepEqual(gotErr, wantErr) {
 				t.Fatalf("%s at τ=%v from tier %d: scored %d (%v), reference %d (%v)", where, tau, from, gotN, gotErr, wantN, wantErr)
@@ -337,7 +337,7 @@ func checkProxyDecidedInFull(t *testing.T, where string, m Model, v TruthVideo, 
 	var acc Account
 	acc.Reset(len(chain.Tiers()))
 	dst := make([]float64, run.Len())
-	if _, err := chain.Score(context.Background(), v, label, run.Start, 0, dst, tau, RetryConfig{Attempts: 1}, &acc); err != nil {
+	if _, err := chain.Score(context.Background(), v, label, run.Start, 0, dst, tau, 0, RetryConfig{Attempts: 1}, &acc); err != nil {
 		t.Fatal(err)
 	}
 	for i, s := range dst {

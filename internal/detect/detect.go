@@ -54,7 +54,55 @@ type Model interface {
 	// promised: dst[i] ≥ tau exactly when the full score is, and dst[i] is
 	// that score when the model drew it, any value on the same side when
 	// it decided the side without drawing.
-	Score(v TruthVideo, label string, start int, dst []float64, tau float64, attempt int) (scored int, err error)
+	//
+	// need is the decision the scores serve: the model stops at the first
+	// unit before which need is decided and returns how many units came
+	// before it with no error, also when that unit would have failed. The
+	// zero Need decides nothing, so every unit is scored.
+	Score(v TruthVideo, label string, start int, dst []float64, tau float64, need Need, attempt int) (scored int, err error)
+}
+
+// Need is the decision a batch of scores serves — whether Count of its units
+// score at least tau: true once Count of them have, false once they no
+// longer can with the units the batch has left plus Beyond more after it.
+// A Count ≤ 0 decides nothing.
+type Need struct {
+	Count, Beyond int
+}
+
+// decided reports whether the decision is fixed once pos of the batch's
+// scores so far reach tau and left of its units remain.
+func (n Need) decided(pos, left int) bool {
+	return n.Count > 0 && (pos >= n.Count || pos+left+n.Beyond < n.Count)
+}
+
+// after is n for a batch cut short by extra units, which still count as
+// left.
+func (n Need) after(extra int) Need {
+	n.Beyond += extra
+	return n
+}
+
+// stop is where a batch given n ends that scored the first k of its scores
+// into dst, the unit after them failing with err (nil: none did): at the
+// first unit before which n is decided, with no error, else at k with err.
+func (n Need) stop(dst []float64, k int, tau float64, err error) (int, error) {
+	if n.Count <= 0 {
+		return k, err
+	}
+	pos := 0
+	for i, s := range dst[:k] {
+		if n.decided(pos, len(dst)-i) {
+			return i, nil
+		}
+		if s >= tau {
+			pos++
+		}
+	}
+	if err != nil && n.decided(pos, len(dst)-k) {
+		return k, nil
+	}
+	return k, err
 }
 
 // ObjectDetector is a Model over frames that also reports its individual
@@ -75,7 +123,7 @@ type ActionRecognizer = Model
 // unitScore is the one-unit full Score at attempt 0, 0 when it fails.
 func unitScore(m Model, v TruthVideo, label string, unit int) float64 {
 	var s [1]float64
-	if _, err := m.Score(v, label, unit, s[:], 0, 0); err != nil {
+	if _, err := m.Score(v, label, unit, s[:], 0, Need{}, 0); err != nil {
 		return 0
 	}
 	return s[0]

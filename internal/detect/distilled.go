@@ -44,11 +44,12 @@ func (d *DistilledObjectDetector) FrameScore(v TruthVideo, typ string, frame int
 
 // Score implements Model: the teacher's score where the teacher detects
 // anything, otherwise — on frames where the type is absent — the proxy's
-// own false-positive draw, decided at tau. The teacher scores at teacherTau.
-func (d *DistilledObjectDetector) Score(v TruthVideo, typ string, start int, dst []float64, tau float64, attempt int) (int, error) {
-	n, err := d.teacher.Score(v, typ, start, dst, teacherTau(tau), attempt)
+// own false-positive draw, decided at tau. The teacher scores at teacherTau,
+// every unit: a proxy that scores higher can decide need sooner.
+func (d *DistilledObjectDetector) Score(v TruthVideo, typ string, start int, dst []float64, tau float64, need Need, attempt int) (int, error) {
+	n, err := d.teacher.Score(v, typ, start, dst, teacherTau(tau), Need{}, attempt)
 	if n == 0 {
-		return 0, err
+		return need.stop(dst, 0, tau, err)
 	}
 	w := window(v, typ, video.Interval{Start: start, End: start + n - 1})
 	defer trackScratch.Put(w)
@@ -60,7 +61,7 @@ func (d *DistilledObjectDetector) Score(v TruthVideo, typ string, start int, dst
 		}
 		dst[i] = dr.falsePositive(start + i)
 	}
-	return n, err
+	return need.stop(dst, n, tau, err)
 }
 
 // Events implements ObjectDetector: frame by frame, the teacher's events,
@@ -101,8 +102,8 @@ func NewDistilledActionRecognizer(teacher ActionRecognizer, prof Profile, seed i
 // Score implements Model: the teacher's score where it predicts the action,
 // otherwise — on shots without the action — the proxy's own false-positive
 // draw, decided at tau; the teacher scores at teacherTau.
-func (r *DistilledActionRecognizer) Score(v TruthVideo, act string, start int, dst []float64, tau float64, attempt int) (int, error) {
-	n, err := r.teacher.Score(v, act, start, dst, teacherTau(tau), attempt)
+func (r *DistilledActionRecognizer) Score(v TruthVideo, act string, start int, dst []float64, tau float64, need Need, attempt int) (int, error) {
+	n, err := r.teacher.Score(v, act, start, dst, teacherTau(tau), Need{}, attempt)
 	var dr draws
 	dr.start(r.simCore, v, act, v.Geometry().NumShots(v.NumFrames()), tau)
 	for i, s := range dst[:n] {
@@ -111,5 +112,5 @@ func (r *DistilledActionRecognizer) Score(v TruthVideo, act string, start int, d
 		}
 		dst[i] = dr.falsePositive(start + i)
 	}
-	return n, err
+	return need.stop(dst, n, tau, err)
 }

@@ -33,7 +33,7 @@ func TestFaultDecoratorsDrawOnEveryPath(t *testing.T) {
 	d := InjectObjectFaults(NewObjectDetector(MaskRCNN, 1), fc)
 	bad := -1
 	for f := 0; f < v.NumFrames() && bad < 0; f++ {
-		if _, err := d.Score(v, "human", f, make([]float64, 1), 0, 0); err != nil {
+		if _, err := d.Score(v, "human", f, make([]float64, 1), 0, Need{}, 0); err != nil {
 			bad = f
 		}
 	}
@@ -45,7 +45,7 @@ func TestFaultDecoratorsDrawOnEveryPath(t *testing.T) {
 		"cascade": NewObjectCascade(ObjectTier{Detector: d, Band: RecallBand()}, ObjectTier{Detector: d}),
 	} {
 		for attempt := 0; attempt < 3; attempt++ {
-			n, err := od.Score(v, "human", 0, make([]float64, bad+5), 0, attempt)
+			n, err := od.Score(v, "human", 0, make([]float64, bad+5), 0, Need{}, attempt)
 			var de *DetectionError
 			if n != bad || !errors.As(err, &de) || de.Transient || de.Unit != bad {
 				t.Errorf("%s attempt %d: Score = (%d, %v), want (%d, permanent failure on %d)", name, attempt, n, err, bad, bad)
@@ -63,7 +63,7 @@ func TestFaultDecoratorsDrawOnEveryPath(t *testing.T) {
 		}
 	}
 	r := InjectActionFaults(NewActionRecognizer(I3D, 1), FaultConfig{PermanentRate: 1})
-	if n, err := r.Score(v, "jumping", 3, make([]float64, 4), 0, 0); n != 0 || err == nil {
+	if n, err := r.Score(v, "jumping", 3, make([]float64, 4), 0, Need{}, 0); n != 0 || err == nil {
 		t.Errorf("action decorator: Score = (%d, %v), want (0, error)", n, err)
 	}
 }
@@ -82,7 +82,7 @@ func TestFrameScoreBatchMatchesScalar(t *testing.T) {
 	for name, d := range dets {
 		for _, start := range []int{0, 137, v.NumFrames() - 64} {
 			dst := make([]float64, 64)
-			if n, err := d.Score(v, "car", start, dst, 0, 0); n != len(dst) || err != nil {
+			if n, err := d.Score(v, "car", start, dst, 0, Need{}, 0); n != len(dst) || err != nil {
 				t.Fatalf("%s: Score = (%d, %v)", name, n, err)
 			}
 			for i, got := range dst {
@@ -105,7 +105,7 @@ func TestShotScoreBatchMatchesScalar(t *testing.T) {
 	}
 	for name, r := range recs {
 		dst := make([]float64, numShots)
-		if n, err := r.Score(v, "jumping", 0, dst, 0, 0); n != numShots || err != nil {
+		if n, err := r.Score(v, "jumping", 0, dst, 0, Need{}, 0); n != numShots || err != nil {
 			t.Fatalf("%s: Score = (%d, %v)", name, n, err)
 		}
 		for i, got := range dst {

@@ -141,13 +141,15 @@ func (c faultCore) draw(v TruthVideo, label string, start, n, attempt int) (ok, 
 	return ok, spikes, err
 }
 
-// score runs inner at tau on the batch's units that precede its first fault.
-func (c faultCore) score(inner Model, v TruthVideo, label string, start int, dst []float64, tau float64, attempt int) (int, error) {
+// score runs inner at tau on the batch's units that precede its first
+// fault; the faulty unit and those after it still count toward need, so a
+// decision fixed before the fault ends the batch without it.
+func (c faultCore) score(inner Model, v TruthVideo, label string, start int, dst []float64, tau float64, need Need, attempt int) (int, error) {
 	ok, _, err := c.draw(v, label, start, len(dst), attempt)
-	if k, ierr := inner.Score(v, label, start, dst[:ok], tau, attempt); ierr != nil {
+	if k, ierr := inner.Score(v, label, start, dst[:ok], tau, need.after(len(dst)-ok), attempt); ierr != nil || k < ok || err == nil {
 		return k, ierr
 	}
-	return ok, err
+	return need.stop(dst, ok, tau, err)
 }
 
 // FaultyObjectDetector decorates an ObjectDetector with injected faults on
@@ -163,8 +165,8 @@ func InjectObjectFaults(d ObjectDetector, cfg FaultConfig) *FaultyObjectDetector
 }
 
 // Score implements Model.
-func (d *FaultyObjectDetector) Score(v TruthVideo, typ string, start int, dst []float64, tau float64, attempt int) (int, error) {
-	return d.core.score(d.ObjectDetector, v, typ, start, dst, tau, attempt)
+func (d *FaultyObjectDetector) Score(v TruthVideo, typ string, start int, dst []float64, tau float64, need Need, attempt int) (int, error) {
+	return d.core.score(d.ObjectDetector, v, typ, start, dst, tau, need, attempt)
 }
 
 // Events implements ObjectDetector.
@@ -193,6 +195,6 @@ func InjectActionFaults(r ActionRecognizer, cfg FaultConfig) *FaultyActionRecogn
 }
 
 // Score implements Model.
-func (r *FaultyActionRecognizer) Score(v TruthVideo, act string, start int, dst []float64, tau float64, attempt int) (int, error) {
-	return r.core.score(r.ActionRecognizer, v, act, start, dst, tau, attempt)
+func (r *FaultyActionRecognizer) Score(v TruthVideo, act string, start int, dst []float64, tau float64, need Need, attempt int) (int, error) {
+	return r.core.score(r.ActionRecognizer, v, act, start, dst, tau, need, attempt)
 }

@@ -21,7 +21,7 @@ type attempter struct{ Model }
 // score is the model's one-unit Score at the attempt.
 func (m attempter) score(v TruthVideo, label string, unit, attempt int) (float64, error) {
 	var s [1]float64
-	_, err := m.Score(v, label, unit, s[:], 0, attempt)
+	_, err := m.Score(v, label, unit, s[:], 0, Need{}, attempt)
 	return s[0], err
 }
 

@@ -76,7 +76,7 @@ type failingActionRecognizer struct{ name string }
 
 func (r failingActionRecognizer) Name() string            { return r.name }
 func (r failingActionRecognizer) UnitCost() time.Duration { return time.Millisecond }
-func (r failingActionRecognizer) Score(_ TruthVideo, _ string, start int, _ []float64, _ float64, _ int) (int, error) {
+func (r failingActionRecognizer) Score(_ TruthVideo, _ string, start int, _ []float64, _ float64, _ Need, _ int) (int, error) {
 	return 0, &DetectionError{Model: r.name, Unit: start, Transient: true}
 }
 
@@ -86,7 +86,7 @@ func (r failingActionRecognizer) Score(_ TruthVideo, _ string, start int, _ []fl
 func refTierOf(m Model, band Band, v TruthVideo, label string) refTier {
 	return refTier{cost: m.UnitCost(), band: band, fallible: true, try: func(unit, attempt int) (float64, error) {
 		var s [1]float64
-		_, err := m.Score(v, label, unit, s[:], 0, attempt)
+		_, err := m.Score(v, label, unit, s[:], 0, Need{}, attempt)
 		return s[0], err
 	}}
 }
@@ -219,7 +219,7 @@ func TestScorerMatchesReference(t *testing.T) {
 					got.Reset(len(sh.ref))
 					want.Reset(len(sh.ref))
 					gotDst, wantDst := make([]float64, run), make([]float64, run)
-					gotN, gotErr := sh.chain.Score(ctx, v, c.label, start, sh.from, gotDst, tau, retry, &got)
+					gotN, gotErr := sh.chain.Score(ctx, v, c.label, start, sh.from, gotDst, tau, 0, retry, &got)
 					wantN, wantErr := refScore(ctx, sh.ref, start, sh.from, wantDst, attempts, &want)
 					if gotN != wantN || !reflect.DeepEqual(gotErr, wantErr) {
 						t.Fatalf("%s at τ=%v: scored %d err %v, reference %d err %v", name, tau, gotN, gotErr, wantN, wantErr)
@@ -268,7 +268,7 @@ func TestScorerCancelledContextChargesNothing(t *testing.T) {
 			var got, zero Account
 			got.Reset(len(chain.Tiers()))
 			zero.Reset(len(chain.Tiers()))
-			n, err := chain.Score(ctx, v, c.label, 0, 0, make([]float64, 8), 0, RetryConfig{Attempts: 3}, &got)
+			n, err := chain.Score(ctx, v, c.label, 0, 0, make([]float64, 8), 0, 0, RetryConfig{Attempts: 3}, &got)
 			if n != 0 || !errors.Is(err, context.Canceled) {
 				t.Fatalf("%s: scored %d err %v, want 0 and context.Canceled", c.name, n, err)
 			}
@@ -307,7 +307,7 @@ func TestScoreAllocsSteadyState(t *testing.T) {
 		dst := make([]float64, 500)
 		score := func() {
 			acc.Reset(len(c.chain.Tiers()))
-			if _, err := c.chain.Score(context.Background(), v, "ghost", 0, 0, dst, c.tau, RetryConfig{}, &acc); err != nil {
+			if _, err := c.chain.Score(context.Background(), v, "ghost", 0, 0, dst, c.tau, 0, RetryConfig{}, &acc); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -362,7 +362,7 @@ func FuzzScorerMatchesReference(f *testing.F) {
 		got.Reset(len(ref))
 		want.Reset(len(ref))
 		gotDst, wantDst := make([]float64, n), make([]float64, n)
-		gotN, gotErr := chain.Score(context.Background(), v, c.label, s, entry, gotDst, tau, RetryConfig{Attempts: tries}, &got)
+		gotN, gotErr := chain.Score(context.Background(), v, c.label, s, entry, gotDst, tau, 0, RetryConfig{Attempts: tries}, &got)
 		wantN, wantErr := refScore(context.Background(), ref, s, entry, wantDst, tries, &want)
 		if gotN != wantN || !reflect.DeepEqual(gotErr, wantErr) {
 			t.Fatalf("scored %d err %v, reference %d err %v", gotN, gotErr, wantN, wantErr)
@@ -384,7 +384,7 @@ type scriptModel struct {
 
 func (m scriptModel) Name() string            { return m.name }
 func (m scriptModel) UnitCost() time.Duration { return time.Millisecond }
-func (m scriptModel) Score(_ TruthVideo, _ string, start int, dst []float64, _ float64, _ int) (int, error) {
+func (m scriptModel) Score(_ TruthVideo, _ string, start int, dst []float64, _ float64, _ Need, _ int) (int, error) {
 	for i := range dst {
 		if m.fail(start + i) {
 			return i, &DetectionError{Model: m.name, Unit: start + i}
@@ -430,7 +430,7 @@ func TestScorerStopsMidRun(t *testing.T) {
 		got.Reset(len(tiers))
 		want.Reset(len(tiers))
 		gotDst, wantDst := make([]float64, 40), make([]float64, 40)
-		gotN, gotErr := chain.Score(context.Background(), v, "car", 0, 0, gotDst, 0, RetryConfig{Attempts: 3}, &got)
+		gotN, gotErr := chain.Score(context.Background(), v, "car", 0, 0, gotDst, 0, 0, RetryConfig{Attempts: 3}, &got)
 		wantN, wantErr := refScore(context.Background(), ref, 0, 0, wantDst, 3, &want)
 		if gotN != failAt || wantN != failAt || !reflect.DeepEqual(gotErr, wantErr) {
 			t.Fatalf("%s: scored %d (%v), reference %d (%v), want %d", c.name, gotN, gotErr, wantN, wantErr, failAt)
@@ -453,9 +453,9 @@ type countingModel struct {
 	calls int
 }
 
-func (m *countingModel) Score(v TruthVideo, label string, start int, dst []float64, tau float64, attempt int) (int, error) {
+func (m *countingModel) Score(v TruthVideo, label string, start int, dst []float64, tau float64, need Need, attempt int) (int, error) {
 	m.calls++
-	return m.Model.Score(v, label, start, dst, tau, attempt)
+	return m.Model.Score(v, label, start, dst, tau, need, attempt)
 }
 
 // tauRecorder records every threshold its model is scored at.
@@ -464,9 +464,9 @@ type tauRecorder struct {
 	taus []float64
 }
 
-func (m *tauRecorder) Score(v TruthVideo, label string, start int, dst []float64, tau float64, attempt int) (int, error) {
+func (m *tauRecorder) Score(v TruthVideo, label string, start int, dst []float64, tau float64, need Need, attempt int) (int, error) {
 	m.taus = append(m.taus, tau)
-	return m.Model.Score(v, label, start, dst, tau, attempt)
+	return m.Model.Score(v, label, start, dst, tau, need, attempt)
 }
 
 // TestTierThresholds pins the threshold each tier of a chain is scored at,
@@ -523,11 +523,11 @@ func TestTierThresholds(t *testing.T) {
 		}
 		var acc Account
 		acc.Reset(len(tiers))
-		if _, err := chain.Score(context.Background(), v, "car", 0, 0, make([]float64, 8), c.tau, RetryConfig{}, &acc); err != nil {
+		if _, err := chain.Score(context.Background(), v, "car", 0, 0, make([]float64, 8), c.tau, 0, RetryConfig{}, &acc); err != nil {
 			t.Fatal(err)
 		}
 		check("the walker")
-		if _, err := (cascade{chain}).Score(v, "car", 0, make([]float64, 8), c.tau, 0); err != nil {
+		if _, err := (cascade{chain}).Score(v, "car", 0, make([]float64, 8), c.tau, Need{}, 0); err != nil {
 			t.Fatal(err)
 		}
 		check("decide")
@@ -553,7 +553,7 @@ func TestCascadeEscalatesRuns(t *testing.T) {
 		acc.Reset(2)
 		dst := make([]float64, 50)
 		counted.calls = 0
-		if _, err := chain.Score(context.Background(), v, "car", app.Frames.Start, 0, dst, DefaultThreshold, RetryConfig{}, &acc); err != nil {
+		if _, err := chain.Score(context.Background(), v, "car", app.Frames.Start, 0, dst, DefaultThreshold, 0, RetryConfig{}, &acc); err != nil {
 			t.Fatal(err)
 		}
 		if acc.Escalated[0] < 10 {

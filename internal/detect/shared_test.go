@@ -60,7 +60,7 @@ func TestOverlayCacheExactUnderCollisions(t *testing.T) {
 			t.Fatalf("round %d: the slot does not hold %q's overlay", round, label)
 		}
 		start := round * 1000
-		d.Score(v, label, start, dst, 0, 0)
+		d.Score(v, label, start, dst, 0, Need{}, 0)
 		for i, s := range dst {
 			if want := ref.FrameScore(v, label, start+i); s != want {
 				t.Fatalf("round %d, %q frame %d: scored %v, reference %v", round, label, start+i, s, want)

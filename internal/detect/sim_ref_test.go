@@ -484,7 +484,7 @@ func checkObjectRun(t testing.TB, name string, d ObjectDetector, ref refObject, 
 	t.Helper()
 	where := fmt.Sprintf("%s on %s %q frames %v", name, v.ID(), typ, run)
 	dst := make([]float64, run.Len())
-	d.Score(v, typ, run.Start, dst, 0, 0)
+	d.Score(v, typ, run.Start, dst, 0, Need{}, 0)
 	var ev Events
 	d.Events(v, typ, run, &ev, 0)
 	k := 0
@@ -531,7 +531,7 @@ func checkChain(t testing.TB, where string, chain *Scorer, tiers []refTier, v Tr
 	got.Reset(len(tiers))
 	want.Reset(len(tiers))
 	gotDst, wantDst := make([]float64, run.Len()), make([]float64, run.Len())
-	gotN, gotErr := chain.Score(context.Background(), v, label, run.Start, 0, gotDst, 0, RetryConfig{Attempts: 1}, &got)
+	gotN, gotErr := chain.Score(context.Background(), v, label, run.Start, 0, gotDst, 0, 0, RetryConfig{Attempts: 1}, &got)
 	wantN, wantErr := refScore(context.Background(), tiers, run.Start, 0, wantDst, 1, &want)
 	if gotN != wantN || gotErr != nil || wantErr != nil {
 		t.Fatalf("%s: Score scored %d (%v), reference %d (%v)", where, gotN, gotErr, wantN, wantErr)
@@ -671,7 +671,7 @@ func checkActionRun(t testing.TB, name string, a ActionRecognizer, ref refAction
 	t.Helper()
 	where := fmt.Sprintf("%s on %s shots %v", name, v.ID(), run)
 	dst := make([]float64, run.Len())
-	a.Score(v, "jumping", run.Start, dst, 0, 0)
+	a.Score(v, "jumping", run.Start, dst, 0, Need{}, 0)
 	for i := range dst {
 		if want := ref.ShotScore(v, "jumping", run.Start+i); math.Float64bits(dst[i]) != math.Float64bits(want) {
 			t.Fatalf("%s: batch score of shot %d = %v, reference %v", where, run.Start+i, dst[i], want)

@@ -47,9 +47,9 @@ type teacherRecorder struct {
 	taus []float64
 }
 
-func (m *teacherRecorder) Score(v TruthVideo, label string, start int, dst []float64, tau float64, attempt int) (int, error) {
+func (m *teacherRecorder) Score(v TruthVideo, label string, start int, dst []float64, tau float64, need Need, attempt int) (int, error) {
 	m.taus = append(m.taus, tau)
-	return m.ObjectDetector.Score(v, label, start, dst, tau, attempt)
+	return m.ObjectDetector.Score(v, label, start, dst, tau, need, attempt)
 }
 
 // sameFloat compares bit patterns, so NaN matches NaN and 0 does not
@@ -118,10 +118,10 @@ func TestThresholdRuleMatchesReference(t *testing.T) {
 			chain := newScorer(tiers...)
 			var acc Account
 			acc.Reset(len(tiers))
-			if _, err := chain.Score(context.Background(), v, "car", 0, 0, make([]float64, 4), tau, RetryConfig{}, &acc); err != nil {
+			if _, err := chain.Score(context.Background(), v, "car", 0, 0, make([]float64, 4), tau, 0, RetryConfig{}, &acc); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := (cascade{chain}).Score(v, "car", 0, make([]float64, 4), tau, 0); err != nil {
+			if _, err := (cascade{chain}).Score(v, "car", 0, make([]float64, 4), tau, Need{}, 0); err != nil {
 				t.Fatal(err)
 			}
 			for i, rec := range recs {
@@ -137,10 +137,10 @@ func TestThresholdRuleMatchesReference(t *testing.T) {
 				objTeacher := &teacherRecorder{ObjectDetector: NewObjectDetector(MaskRCNN, 1)}
 				actTeacher := &tauRecorder{Model: NewActionRecognizer(I3D, 1)}
 				dst := make([]float64, 4)
-				if _, err := NewDistilledObjectDetector(objTeacher, DistilledRCNN, 1).Score(v, "car", 0, dst, want, 0); err != nil {
+				if _, err := NewDistilledObjectDetector(objTeacher, DistilledRCNN, 1).Score(v, "car", 0, dst, want, Need{}, 0); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := NewDistilledActionRecognizer(actTeacher, DistilledI3D, 1).Score(v, "jumping", 0, dst, want, 0); err != nil {
+				if _, err := NewDistilledActionRecognizer(actTeacher, DistilledI3D, 1).Score(v, "jumping", 0, dst, want, Need{}, 0); err != nil {
 					t.Fatal(err)
 				}
 				wantTeacher := refTeacherTau(want)

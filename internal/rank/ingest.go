@@ -161,7 +161,7 @@ func Ingest(ctx context.Context, v detect.TruthVideo, models detect.Models, scor
 	for _, typ := range actTypes {
 		ti, err := table(typ, g.ShotRangeOfClip, func(r video.Interval, sum float64) (float64, int, error) {
 			shotScores = resized(shotScores, r.Len())
-			n, err := chain.Score(ctx, v, typ, r.Start, from, shotScores, 0, retry, &acc)
+			n, err := chain.Score(ctx, v, typ, r.Start, from, shotScores, 0, 0, retry, &acc)
 			for _, s := range shotScores[:n] {
 				sum += s
 			}

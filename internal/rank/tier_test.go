@@ -116,7 +116,7 @@ func TestIngestActionTableUnderFaults(t *testing.T) {
 		for s := sr.Start; s <= sr.End; s++ {
 			for a := 0; a < attempts; a++ {
 				score := make([]float64, 1)
-				_, err := act.Score(v, "jumping", s, score, 0, a)
+				_, err := act.Score(v, "jumping", s, score, 0, detect.Need{}, a)
 				if err == nil {
 					want[c] += score[0]
 					continue shots

@@ -95,6 +95,11 @@ go test -run '^$' -fuzz '^FuzzFrameScoreBatchMatchesReference$' -fuzztime=5s ./i
 # (refScore): same scores, scored count, error and account under fuzzed
 # faults, runs, retry budgets, entry tiers and chains.
 go test -run '^$' -fuzz '^FuzzScorerMatchesReference$' -fuzztime=5s ./internal/detect
+# Stopping at the decision: a Score call given a need must return the full
+# scan's scores on exactly the prefix before the unit at which the decision
+# is fixed, charged as that prefix unit by unit, over fuzzed chains, entry
+# tiers, thresholds, needs and faults.
+go test -run '^$' -fuzz '^FuzzDecisionStopMatchesFullScan$' -fuzztime=5s ./internal/detect
 # Deciding at a threshold: a Score call at τ > 0 returns only the side of τ
 # each score falls on, which must be the per-unit referee's side (and its
 # bits at τ ≤ 0), over fuzzed worlds, runs, thresholds and edge profiles.
