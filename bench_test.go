@@ -350,7 +350,8 @@ func BenchmarkSVAQDClip(b *testing.B) {
 // movie (a movie's action with its object and with person). units/op is the
 // detector units scored per pass: the paper's cost, which moves only when
 // what the engine scores moves (stopping an unsampled clip's evaluation at
-// its decision lowered it) and never with an optimisation of CPU alone.
+// its decision lowered it, and so did leaving SVAQ's bootstrap unsampled)
+// and never with an optimisation of CPU alone.
 func BenchmarkOnlineDeck(b *testing.B) {
 	_, movies := onlineDatasets()
 	meter := &detect.Meter{}
@@ -429,8 +430,9 @@ func BenchmarkOnlineDeck(b *testing.B) {
 // accurate one. units/op is the detector units scored and escalations/op the
 // units the proxies passed up to their teachers: the paper's cost, which
 // moves only when what the walk scores moves (stopping an unsampled clip's
-// evaluation at its decision lowered both) and never with an optimisation
-// of CPU alone.
+// evaluation at its decision lowered both, and so did leaving the
+// bootstrap of runs too short for the estimator unsampled) and never with
+// an optimisation of CPU alone.
 func BenchmarkFleetCascade(b *testing.B) {
 	yt, _ := onlineDatasets()
 	q := synth.YouTubeQueries()[0]

@@ -92,7 +92,12 @@ type FleetResult struct {
 	Elapsed time.Duration
 
 	// Plan is the fleet-cumulative report of the shared predicate planner
-	// every run warm-started from (nil without a first video to bind).
+	// every run warm-started from (nil without a first video to bind). Its
+	// observed_clips counts the sampled clips of every video: each
+	// estimatorSampleEvery-th clip, plus the bootstrap prefix of an SVAQD
+	// video longer than robustWindowClips clips. Workers share the planner,
+	// so the order it sets on a video's unsampled clips, and what they cost,
+	// depends on which videos finished first; the answers do not.
 	Plan *plan.Report
 }
 
