@@ -276,6 +276,23 @@ func TestIndexOwnsOneMapping(t *testing.T) {
 	}
 }
 
+// TestCloseClosesInMemoryTables: an index that never touched disk holds
+// tables whose images are on the heap; Close closes them too, so a read
+// after it errors as it does on a loaded index.
+func TestCloseClosesInMemoryTables(t *testing.T) {
+	ix := buildIndex(t, 60, 7, []int{3, 4})
+	tbl := ix.Objects["car"].Table
+	if _, err := tbl.SortedAt(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if _, err := tbl.SortedAt(0); err == nil {
+		t.Error("SortedAt succeeded on a closed in-memory index")
+	}
+}
+
 // FuzzLoadGeneration feeds Load the three files of a saved index as
 // arbitrary bytes — the commit record, the manifest (whose offsets and
 // lengths it must not trust) and the pack. Load must never panic, must

@@ -114,7 +114,7 @@ func TestPqIntersection(t *testing.T) {
 	}
 }
 
-func mustMem(t *testing.T, name string, entries []store.Entry) *store.MemTable {
+func mustMem(t *testing.T, name string, entries []store.Entry) *store.DiskTable {
 	t.Helper()
 	tbl, err := store.NewMemTable(name, entries)
 	if err != nil {

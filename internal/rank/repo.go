@@ -107,24 +107,22 @@ func SaveFS(fsys store.FS, dir string, ix *Index) error {
 	for _, s := range ix.spans {
 		m.Spans = append(m.Spans, manifestSpan{VideoID: s.videoID, Start: s.start, Clips: s.clips})
 	}
+	// Every table Ingest, Merge and Load build is an image (store.DiskTable):
+	// the pack is those images copied back to back, never re-encoded.
 	var pack []byte
 	dump := func(types []string, src map[string]*TypeIndex) ([]manifestType, error) {
 		var out []manifestType
 		for _, typ := range types {
 			ti := src[typ]
-			entries := make([]store.Entry, 0, ti.Table.Len())
-			for j := 0; j < ti.Table.Len(); j++ {
-				e, err := ti.Table.SortedAt(j)
-				if err != nil {
-					return nil, err
-				}
-				entries = append(entries, e)
+			tbl, ok := ti.Table.(*store.DiskTable)
+			if !ok || tbl.Image() == nil {
+				return nil, fmt.Errorf("rank: table of type %q is not an open table image", typ)
+			}
+			if tbl.Name() != typ {
+				return nil, fmt.Errorf("rank: table of type %q is named %q", typ, tbl.Name())
 			}
 			off := len(pack)
-			var err error
-			if pack, err = store.AppendTable(pack, typ, entries); err != nil {
-				return nil, err
-			}
+			pack = append(pack, tbl.Image()...)
 			mt := manifestType{Type: typ, Off: int64(off), Len: int64(len(pack) - off)}
 			for _, iv := range ti.Seqs.Intervals() {
 				mt.Seqs = append(mt.Seqs, [2]int{iv.Start, iv.End})
@@ -428,8 +426,8 @@ func validateManifest(manifestPath string, m *manifest, packSize int64) error {
 }
 
 // Close releases the index's tables and the one pack mapping under them;
-// the tables must not be used afterwards. It is a no-op for purely in-memory
-// indexes and when repeated.
+// the tables, in-memory ones included, must not be used afterwards (a read
+// returns an error). A second Close is a no-op.
 func (ix *Index) Close() error {
 	var first error
 	for _, m := range []map[string]*TypeIndex{ix.Objects, ix.Actions} {

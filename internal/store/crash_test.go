@@ -85,15 +85,11 @@ func TestWriteTableCrashAtEveryStep(t *testing.T) {
 // rankOrder returns entries in the on-disk rank order (score descending,
 // clip ascending on ties).
 func rankOrder(entries []Entry) []Entry {
-	tbl, err := NewMemTable("x", entries)
+	ref, err := newRefTable("x", entries)
 	if err != nil {
 		panic(err)
 	}
-	out := make([]Entry, tbl.Len())
-	for i := range out {
-		out[i], _ = tbl.SortedAt(i)
-	}
-	return out
+	return ref.byRank
 }
 
 // TestWriteTableDiskFull exhausts an injected byte budget: the write must

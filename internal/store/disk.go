@@ -1,12 +1,13 @@
 package store
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
-	"sort"
+	"slices"
 )
 
 // Byte layout of a clip score table image (format 2, checksummed):
@@ -25,22 +26,24 @@ import (
 // binary search. Rows are written twice to trade disk (24 bytes per clip and
 // type, negligible) for strictly sequential reads on both access paths.
 //
-// An image lives in one of two places, and the bytes are the same in both:
-// alone in a file (WriteTable / OpenDiskTable), or as one section of a pack —
-// the concatenation of a saved generation's images in one file (rank.SaveFS
-// appends them, OpenPack maps the file once and Pack.Table cuts a section
-// out). AppendTable is the only encoder and verifyView the only verifier:
-// magic, header checksum, exact size, both region checksums, the sort
-// invariant of each region, and that the regions hold the same rows; any
-// violation is a *CorruptError.
+// An image lives in one of three places, and the bytes are the same in all:
+// on the heap, for a table built in memory (NewMemTable); alone in a file
+// (WriteTable / OpenDiskTable); or as one section of a pack — the
+// concatenation of a saved generation's images in one file (rank.SaveFS
+// copies each table's image into it, OpenPack maps the file once and
+// Pack.Table cuts a section out). AppendTable is the only encoder and
+// verifyView the only verifier: magic, header checksum, exact size, both
+// region checksums, the sort invariant of each region, and that the regions
+// hold the same rows; any violation is a *CorruptError. Bytes read back are
+// verified once; bytes this process encoded are not.
 //
 // Durability: WriteTable builds the image in memory and hands it to
 // WriteFileAtomic (temp file + fsync + rename + directory sync), so the
 // file at path is always complete. A pack is written by its owner under
 // that owner's commit protocol (see rank/repo.go).
 //
-// Access: a DiskTable decodes rows in place from a read-only view of the
-// verified bytes (mmap on unix, one heap buffer elsewhere — see mapFile), so
+// Access: a DiskTable decodes rows in place from a read-only view of its
+// image (mmap on unix, one heap buffer elsewhere — see mapFile), so
 // SortedAt and ScoreOf are zero-copy, zero-syscall, and allocation-free:
 // rank's offline algorithms walk the sorted region without ever
 // materialising []Entry. The view is taken before verification, so what was
@@ -70,30 +73,34 @@ func AppendTable(dst []byte, name string, entries []Entry) ([]byte, error) {
 	if len(name) > math.MaxUint16 {
 		return dst, fmt.Errorf("store: table name too long (%d bytes)", len(name))
 	}
-	byRank := append([]Entry(nil), entries...)
-	seen := make(map[int]bool, len(byRank))
-	for _, e := range byRank {
+	for _, e := range entries {
 		if e.Clip < 0 || e.Clip > math.MaxUint32 {
 			return dst, fmt.Errorf("store: clip id %d out of range", e.Clip)
 		}
 		if math.IsNaN(e.Score) {
 			return dst, fmt.Errorf("store: NaN score for clip %d in table %q", e.Clip, name)
 		}
-		if seen[e.Clip] {
-			return dst, fmt.Errorf("store: duplicate clip %d in table %q", e.Clip, name)
-		}
-		seen[e.Clip] = true
 	}
-	sort.Slice(byRank, func(i, j int) bool {
-		if byRank[i].Score != byRank[j].Score {
-			return byRank[i].Score > byRank[j].Score
+	// Sorted by clip, a duplicate sits next to its twin. Clip ids are then
+	// unique, so the rank order (score descending, clip ascending) is total
+	// and every sort yields the same rows.
+	byClip := slices.Clone(entries)
+	slices.SortFunc(byClip, func(a, b Entry) int { return cmp.Compare(a.Clip, b.Clip) })
+	for i := 1; i < len(byClip); i++ {
+		if byClip[i].Clip == byClip[i-1].Clip {
+			return dst, fmt.Errorf("store: duplicate clip %d in table %q", byClip[i].Clip, name)
 		}
-		return byRank[i].Clip < byRank[j].Clip
+	}
+	byRank := slices.Clone(byClip)
+	slices.SortFunc(byRank, func(a, b Entry) int {
+		if a.Score != b.Score {
+			return -cmp.Compare(a.Score, b.Score)
+		}
+		return cmp.Compare(a.Clip, b.Clip)
 	})
-	byClip := append([]Entry(nil), byRank...)
-	sort.Slice(byClip, func(i, j int) bool { return byClip[i].Clip < byClip[j].Clip })
 
 	start := len(dst)
+	dst = slices.Grow(dst, fixedHdrSize+len(name)+crcSize+2*(len(byRank)*rowSize+crcSize))
 	dst = append(dst, diskMagic[:]...)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(byRank)))
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(name)))
@@ -108,6 +115,18 @@ func AppendTable(dst []byte, name string, entries []Entry) ([]byte, error) {
 		dst = binary.LittleEndian.AppendUint32(dst, Checksum(dst[region:]))
 	}
 	return dst, nil
+}
+
+// NewMemTable builds an in-memory table: it encodes entries (any order,
+// checked as AppendTable checks them) into one image on the heap and serves
+// it with the same reader as a mapped table. The image was just encoded, so
+// it is not verified again.
+func NewMemTable(name string, entries []Entry) (*DiskTable, error) {
+	image, err := AppendTable(nil, name, entries)
+	if err != nil {
+		return nil, err
+	}
+	return newTable(image), nil
 }
 
 // WriteTable writes a clip score table to path as one image, atomically
@@ -126,11 +145,12 @@ func WriteTableFS(fsys FS, path, name string, entries []Entry) error {
 }
 
 // DiskTable is a clip score table served from a read-only zero-copy view of
-// a verified image. The whole image is verified once at open; after that,
-// row access decodes in place with no syscalls and no allocation.
+// its image: one this process encoded (NewMemTable), or one read back and
+// verified once at open. Row access decodes in place with no syscalls and no
+// allocation.
 type DiskTable struct {
 	view      []byte
-	closeView func() error // nil when the view is borrowed from a Pack
+	closeView func() error // nil when the view is on the heap or borrowed from a Pack
 	name      string
 	count     int
 	rankOff   int
@@ -257,13 +277,7 @@ func verifyView(view []byte, path string) (*DiskTable, error) {
 		return corrupt("image is %d bytes, want %d for %d rows", len(view), wantSize, count)
 	}
 
-	t := &DiskTable{
-		view:    view,
-		name:    string(view[fixedHdrSize : fixedHdrSize+nameLen]),
-		count:   count,
-		rankOff: headerLen,
-		clipOff: headerLen + count*rowSize + crcSize,
-	}
+	t := newTable(view)
 
 	// checkRegion verifies one region's CRC (a single pass over its bytes)
 	// and per-row invariant.
@@ -295,10 +309,6 @@ func verifyView(view []byte, path string) (*DiskTable, error) {
 			return &CorruptError{Path: path, Detail: fmt.Sprintf("clip region order violated at row %d", i)}
 		}
 		prevClip = clip
-		if i == 0 {
-			t.minClip = clip
-		}
-		t.maxClip = clip
 		return nil
 	})
 	if err != nil {
@@ -323,6 +333,33 @@ func verifyView(view []byte, path string) (*DiskTable, error) {
 	}
 	return t, nil
 }
+
+// newTable builds the table served from view, an image whose header and
+// size are known good: just encoded, or checked by verifyView. The clip
+// bounds are the first and last rows of the clip region; verifyView proves
+// that region sorted before anything reads them.
+func newTable(view []byte) *DiskTable {
+	count := int(binary.LittleEndian.Uint64(view[8:16]))
+	nameLen := int(binary.LittleEndian.Uint16(view[16:18]))
+	headerLen := fixedHdrSize + nameLen + crcSize
+	t := &DiskTable{
+		view:    view,
+		name:    string(view[fixedHdrSize : fixedHdrSize+nameLen]),
+		count:   count,
+		rankOff: headerLen,
+		clipOff: headerLen + count*rowSize + crcSize,
+	}
+	if count > 0 {
+		t.minClip = t.rowAt(t.clipOff).Clip
+		t.maxClip = t.rowAt(t.clipOff + (count-1)*rowSize).Clip
+	}
+	return t
+}
+
+// Image returns the bytes the table serves: its image exactly as AppendTable
+// encoded it, for a caller to copy (rank.SaveFS appends it to a pack). The
+// bytes are read-only and valid until Close, after which Image is nil.
+func (t *DiskTable) Image() []byte { return t.view }
 
 // Close drops the view, and releases it when the table owns it. The table
 // must not be used afterwards; a second Close is a no-op.

@@ -1,11 +1,14 @@
 package store
 
 import (
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
 	"testing"
+
+	"svqact/internal/testenv"
 )
 
 // at reads a sorted row, failing the test on error.
@@ -38,42 +41,47 @@ func sampleEntries(n int, seed int64) []Entry {
 	return entries
 }
 
+// TestMemTableOrdering: a table built in memory serves exactly the
+// referee's rows, in rank order with ties by clip id, and its scores.
 func TestMemTableOrdering(t *testing.T) {
 	entries := sampleEntries(500, 1)
 	tbl, err := NewMemTable("car", entries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tbl.Name() != "car" || tbl.Len() != 500 {
-		t.Fatalf("name/len wrong: %s %d", tbl.Name(), tbl.Len())
-	}
-	for i := 1; i < tbl.Len(); i++ {
-		if at(t, tbl, i).Score > at(t, tbl, i-1).Score {
-			t.Fatalf("rank order violated at %d", i)
-		}
-	}
-	for _, e := range entries {
-		s, ok := score(t, tbl, e.Clip)
-		if !ok || s != e.Score {
-			t.Fatalf("ScoreOf(%d) = %v,%v want %v", e.Clip, s, ok, e.Score)
-		}
-	}
-	if _, ok := score(t, tbl, -1); ok {
-		t.Error("absent clip should not be found")
+	if d := diffRef(tbl, mustRef(t, "car", entries), -1, 1500, math.MaxInt); d != "" {
+		t.Fatal(d)
 	}
 }
 
+// TestMemTableRejectsDuplicates: a table built in memory is an encoded
+// image, so NewMemTable refuses every entry set the encoder refuses —
+// duplicate clips, and NaN scores and clip ids outside [0, MaxUint32],
+// which once failed only when the table was saved.
 func TestMemTableRejectsDuplicates(t *testing.T) {
-	_, err := NewMemTable("x", []Entry{{Clip: 1, Score: 2}, {Clip: 1, Score: 3}})
-	if err == nil {
-		t.Fatal("duplicate clip should be rejected")
+	for name, entries := range map[string][]Entry{
+		"dup":      {{Clip: 1, Score: 2}, {Clip: 1, Score: 3}},
+		"nan":      {{Clip: 1, Score: math.NaN()}},
+		"negative": {{Clip: -1, Score: 2}},
+		"wide":     {{Clip: math.MaxUint32 + 1, Score: 2}},
+	} {
+		if tbl, err := NewMemTable("x", entries); err == nil {
+			t.Errorf("%s: NewMemTable accepted %v (%d rows)", name, entries, tbl.Len())
+		}
+	}
+	if _, err := NewMemTable("x", []Entry{{Clip: math.MaxUint32, Score: 2}}); err != nil {
+		t.Errorf("largest clip id rejected: %v", err)
 	}
 }
 
 func TestMemTableTieBreakDeterministic(t *testing.T) {
-	a, _ := NewMemTable("x", []Entry{{Clip: 5, Score: 1}, {Clip: 2, Score: 1}, {Clip: 9, Score: 1}})
+	entries := []Entry{{Clip: 5, Score: 1}, {Clip: 2, Score: 1}, {Clip: 9, Score: 1}}
+	a, _ := NewMemTable("x", entries)
 	if at(t, a, 0).Clip != 2 || at(t, a, 1).Clip != 5 || at(t, a, 2).Clip != 9 {
 		t.Errorf("equal scores must order by clip id: %v %v %v", at(t, a, 0), at(t, a, 1), at(t, a, 2))
+	}
+	if d := diffRef(a, mustRef(t, "x", entries)); d != "" {
+		t.Error(d)
 	}
 }
 
@@ -89,23 +97,8 @@ func TestDiskTableRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dt.Close()
-	mem, _ := NewMemTable("car", entries)
-	if dt.Name() != "car" || dt.Len() != mem.Len() {
-		t.Fatalf("header mismatch: %s %d", dt.Name(), dt.Len())
-	}
-	for i := 0; i < mem.Len(); i++ {
-		if at(t, dt, i) != at(t, mem, i) {
-			t.Fatalf("row %d: disk %v mem %v", i, at(t, dt, i), at(t, mem, i))
-		}
-	}
-	for _, e := range entries {
-		s, ok := score(t, dt, e.Clip)
-		if !ok || s != e.Score {
-			t.Fatalf("disk ScoreOf(%d) = %v,%v", e.Clip, s, ok)
-		}
-	}
-	if _, ok := score(t, dt, 999_999); ok {
-		t.Error("absent clip found on disk")
+	if d := diffRef(dt, mustRef(t, "car", entries), 999_999); d != "" {
+		t.Fatal(d)
 	}
 }
 
@@ -246,8 +239,8 @@ func TestStatsCounting(t *testing.T) {
 	}
 }
 
-// TestDiskMatchesMemProperty exercises both implementations with identical
-// random workloads.
+// TestDiskMatchesMemProperty exercises a table read back from a file and one
+// built in memory with identical random workloads, each against the referee.
 func TestDiskMatchesMemProperty(t *testing.T) {
 	for seed := int64(10); seed < 14; seed++ {
 		entries := sampleEntries(257, seed)
@@ -259,20 +252,26 @@ func TestDiskMatchesMemProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mem, _ := NewMemTable("t", entries)
+		mem, err := NewMemTable("t", entries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := mustRef(t, "t", entries)
 		r := rand.New(rand.NewSource(seed))
 		for trial := 0; trial < 500; trial++ {
 			if r.Intn(2) == 0 {
-				i := r.Intn(mem.Len())
-				if at(t, dt, i) != at(t, mem, i) {
-					t.Fatalf("SortedAt(%d) differs", i)
+				i := r.Intn(ref.Len())
+				want := at(t, ref, i)
+				if at(t, dt, i) != want || at(t, mem, i) != want {
+					t.Fatalf("SortedAt(%d): disk %v mem %v referee %v", i, at(t, dt, i), at(t, mem, i), want)
 				}
 			} else {
 				clip := r.Intn(800)
 				ds, dok := score(t, dt, clip)
 				ms, mok := score(t, mem, clip)
-				if ds != ms || dok != mok {
-					t.Fatalf("ScoreOf(%d): disk %v,%v mem %v,%v", clip, ds, dok, ms, mok)
+				rs, rok := score(t, ref, clip)
+				if ds != rs || dok != rok || ms != rs || mok != rok {
+					t.Fatalf("ScoreOf(%d): disk %v,%v mem %v,%v referee %v,%v", clip, ds, dok, ms, mok, rs, rok)
 				}
 			}
 		}
@@ -303,6 +302,51 @@ func TestScoresSortedByClipRegion(t *testing.T) {
 	for _, c := range clips {
 		if _, ok := score(t, dt, c); !ok {
 			t.Fatalf("clip %d not found", c)
+		}
+	}
+}
+
+// TestTableAllocsSteadyState pins the reader's allocation contract: SortedAt
+// and ScoreOf decode in place and allocate nothing, on a table built in
+// memory and on one cut from a pack alike.
+func TestTableAllocsSteadyState(t *testing.T) {
+	if testenv.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	entries := sampleEntries(300, 7)
+	mem, err := NewMemTable("car", entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "tables.pack")
+	if err := os.WriteFile(path, mem.Image(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	p, err := OpenPack(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	cut, err := p.Table(0, p.Size())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cut.Close()
+	for name, tbl := range map[string]*DiskTable{"mem": mem, "pack": cut} {
+		sink := 0.0
+		allocs := testing.AllocsPerRun(20, func() {
+			for i := 0; i < tbl.Len(); i++ {
+				e, _ := tbl.SortedAt(i)
+				s, _, _ := tbl.ScoreOf(e.Clip)
+				next, _, _ := tbl.ScoreOf(e.Clip + 1)
+				sink += s + next
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %v allocations per pass over %d rows, want 0", name, allocs, tbl.Len())
+		}
+		if sink == 0 {
+			t.Errorf("%s: read nothing", name)
 		}
 	}
 }

@@ -9,15 +9,12 @@
 // Table interface exposes precisely those, and the Stats wrapper counts them
 // (the unit the paper's Tables 6 and 7 report).
 //
-// Two implementations are provided: an in-memory table and a file-backed
-// table with a fixed-record binary layout (one region ordered by score for
-// sorted scans, one ordered by clip id for random lookups by binary search).
+// One implementation is provided, DiskTable: a table served from its encoded
+// image, a fixed-record binary layout (one region ordered by score for sorted
+// scans, one ordered by clip id for random lookups by binary search). The
+// image lives in a mapped file or pack, or on the heap for a table built in
+// memory (NewMemTable); the reader is the same.
 package store
-
-import (
-	"fmt"
-	"sort"
-)
 
 // Entry is one row of a clip score table.
 type Entry struct {
@@ -79,54 +76,4 @@ func (c *counted) SortedAt(i int) (Entry, error) {
 func (c *counted) ScoreOf(clip int) (float64, bool, error) {
 	c.st.Random++
 	return c.t.ScoreOf(clip)
-}
-
-// MemTable is an in-memory clip score table.
-type MemTable struct {
-	name   string
-	byRank []Entry // non-increasing score
-	byClip map[int]float64
-}
-
-// NewMemTable builds an in-memory table from arbitrary-order entries. Clips
-// must be unique.
-func NewMemTable(name string, entries []Entry) (*MemTable, error) {
-	t := &MemTable{
-		name:   name,
-		byRank: append([]Entry(nil), entries...),
-		byClip: make(map[int]float64, len(entries)),
-	}
-	for _, e := range entries {
-		if _, dup := t.byClip[e.Clip]; dup {
-			return nil, fmt.Errorf("store: duplicate clip %d in table %q", e.Clip, name)
-		}
-		t.byClip[e.Clip] = e.Score
-	}
-	sort.Slice(t.byRank, func(i, j int) bool {
-		if t.byRank[i].Score != t.byRank[j].Score {
-			return t.byRank[i].Score > t.byRank[j].Score
-		}
-		return t.byRank[i].Clip < t.byRank[j].Clip // deterministic tie-break
-	})
-	return t, nil
-}
-
-// Name implements Table.
-func (t *MemTable) Name() string { return t.name }
-
-// Len implements Table.
-func (t *MemTable) Len() int { return len(t.byRank) }
-
-// SortedAt implements Table.
-func (t *MemTable) SortedAt(i int) (Entry, error) {
-	if i < 0 || i >= len(t.byRank) {
-		return Entry{}, fmt.Errorf("store: SortedAt(%d) out of range [0,%d) in table %q", i, len(t.byRank), t.name)
-	}
-	return t.byRank[i], nil
-}
-
-// ScoreOf implements Table.
-func (t *MemTable) ScoreOf(clip int) (float64, bool, error) {
-	s, ok := t.byClip[clip]
-	return s, ok, nil
 }

@@ -53,8 +53,9 @@ go test -race -shuffle=on -count=1 ./...
 stage "allocation bounds (no race: counts skip under the detector)"
 # The pooled-scratch aliasing tests above ran under -race; the numeric
 # AllocsPerRun bounds skip there (instrumentation inflates counts), so run
-# them again without it to enforce the hot path's allocation budget.
-go test -count=1 -run 'AllocsSteadyState' ./internal/detect/ ./internal/core/ ./internal/rank/ ./internal/httpd/ ./internal/server/ ./internal/obs/
+# them again without it to enforce the hot path's allocation budget; the
+# clip score table reader's is zero.
+go test -count=1 -run 'AllocsSteadyState' ./internal/detect/ ./internal/core/ ./internal/rank/ ./internal/store/ ./internal/httpd/ ./internal/server/ ./internal/obs/
 
 stage "fuzz smoke (-fuzztime=5s each)"
 # A short native-fuzzing burst over the lexer and parser (EXPLAIN included
