@@ -309,15 +309,6 @@ func (c *Coordinator) pressure() time.Duration {
 	return 0
 }
 
-// ShardNames lists the configured shards in declaration order.
-func (c *Coordinator) ShardNames() []string {
-	names := make([]string, len(c.shards))
-	for i, sh := range c.shards {
-		names[i] = sh.name
-	}
-	return names
-}
-
 // ShardOutcome is one shard's outcome within one coordinator query.
 type ShardOutcome struct {
 	Shard string `json:"shard"`

@@ -120,12 +120,6 @@ func (r *Registry) AttachCounter(name, help string, c *Counter, labels ...Label)
 	s.c = c
 }
 
-// AttachGauge exposes an externally owned gauge.
-func (r *Registry) AttachGauge(name, help string, g *Gauge, labels ...Label) {
-	s := r.register(name, help, "gauge", labels)
-	s.g = g
-}
-
 // AttachHistogram exposes an externally owned histogram.
 func (r *Registry) AttachHistogram(name, help string, h *Histogram, labels ...Label) {
 	s := r.register(name, help, "histogram", labels)

@@ -34,6 +34,21 @@ func repoModels(seed int64) detect.Models {
 
 var repoQuery = core.Query{Objects: []string{"car"}, Action: "jumping"}
 
+// topK answers repoQuery (k = 3) over the repository's merged index, the
+// path every server and shard takes, and returns the index with the result.
+func topK(t *testing.T, repo *Repository) (*Result, *Index) {
+	t.Helper()
+	merged, err := repo.Merged()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RVAQ(context.Background(), merged, repoQuery, 3, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, merged
+}
+
 func TestRepositoryLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	repo, err := OpenRepository(dir)
@@ -70,18 +85,12 @@ func TestRepositoryLifecycle(t *testing.T) {
 		t.Error("duplicate member should be rejected")
 	}
 
-	res, err := repo.TopK(context.Background(), repoQuery, 3, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, merged := topK(t, repo)
 	if res.Candidates == 0 {
 		t.Fatal("merged query found no candidates")
 	}
 	// Resolution maps merged clips back to member videos.
-	vid, local, err := repo.Resolve(res.Sequences[0].Seq.Start)
-	if err != nil {
-		t.Fatal(err)
-	}
+	vid, local := merged.Resolve(res.Sequences[0].Seq.Start)
 	if (vid != "vid-a" && vid != "vid-b") || local < 0 {
 		t.Errorf("Resolve = %s, %d", vid, local)
 	}
@@ -94,10 +103,7 @@ func TestRepositoryLifecycle(t *testing.T) {
 	if err := repo.Remove("vid-b"); err == nil {
 		t.Error("double remove should fail")
 	}
-	res2, err := repo.TopK(context.Background(), repoQuery, 3, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res2, _ := topK(t, repo)
 	if res2.Candidates >= before {
 		t.Errorf("candidates after removal %d, want < %d", res2.Candidates, before)
 	}
@@ -117,10 +123,7 @@ func TestRepositoryLifecycle(t *testing.T) {
 	if got := repo2.Videos(); len(got) != 1 || got[0] != "vid-a" {
 		t.Fatalf("reopened Videos = %v", got)
 	}
-	res3, err := repo2.TopK(context.Background(), repoQuery, 3, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res3, _ := topK(t, repo2)
 	if len(res3.Sequences) != len(res2.Sequences) {
 		t.Fatalf("reopened result count differs")
 	}
