@@ -78,6 +78,12 @@ func TestBackoffHonorsRetryAfterHint(t *testing.T) {
 	if got := c.backoff(req, "s0", 1, 5*time.Second); got != cfg.MaxBackoff {
 		t.Fatalf("backoff with 5s hint = %v, want the %v ceiling", got, cfg.MaxBackoff)
 	}
+	// So is a header whose seconds overflow a Duration.
+	for _, header := range []string{"9223372037", "18446744074"} {
+		if got := c.backoff(req, "s0", 1, parseRetryAfter(header)); got != cfg.MaxBackoff {
+			t.Fatalf("backoff with Retry-After %s = %v, want the %v ceiling", header, got, cfg.MaxBackoff)
+		}
+	}
 	// A hint below the jittered delay changes nothing.
 	if got := c.backoff(req, "s0", 6, time.Nanosecond); got != c.backoff(req, "s0", 6, 0) {
 		t.Fatalf("tiny hint changed the backoff: %v != %v", got, c.backoff(req, "s0", 6, 0))

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -190,14 +192,21 @@ func (b *HTTPBackend) Generation(ctx context.Context) (int, error) {
 }
 
 // parseRetryAfter parses a Retry-After header value: integer seconds, or
-// an HTTP date. 0 means absent or unparsable.
+// an HTTP date. 0 means absent or unparsable. A count of seconds too large
+// for a Duration saturates at the largest one, so backoff's MaxBackoff
+// clamp sees it as huge rather than as a wrapped small or negative value.
 func parseRetryAfter(v string) time.Duration {
 	if v == "" {
 		return 0
 	}
-	if secs, err := strconv.Atoi(strings.TrimSpace(v)); err == nil {
-		if secs <= 0 {
+	// ParseInt reports an out-of-range count as ErrRange with the value
+	// saturated at the int64 limit of its sign.
+	if secs, err := strconv.ParseInt(strings.TrimSpace(v), 10, 64); err == nil || errors.Is(err, strconv.ErrRange) {
+		switch {
+		case secs <= 0:
 			return 0
+		case secs > int64(math.MaxInt64/time.Second):
+			return math.MaxInt64
 		}
 		return time.Duration(secs) * time.Second
 	}

@@ -4,10 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"svqact/internal/rank"
 	"svqact/internal/server"
@@ -290,5 +293,34 @@ ORDER BY RANK(act, obj) LIMIT 8`
 	if _, err := NewHTTPBackend("mono", ts.URL, nil).Query(context.Background(), Request{SQL: sql}); err == nil ||
 		!strings.Contains(err.Error(), "not ingested") {
 		t.Fatalf("monolith over a partial vocabulary: err = %v, want a not-ingested rejection", err)
+	}
+}
+
+// TestParseRetryAfter: a replica's Retry-After is seconds or an HTTP date,
+// and a count of seconds too large for a Duration saturates instead of
+// wrapping into a short or negative wait that would slip under backoff's
+// MaxBackoff clamp.
+func TestParseRetryAfter(t *testing.T) {
+	now := time.Now()
+	for _, tc := range []struct {
+		header   string
+		min, max time.Duration
+	}{
+		{"", 0, 0},
+		{"0", 0, 0},
+		{"-1", 0, 0},
+		{"2", 2 * time.Second, 2 * time.Second},
+		{" 2 ", 2 * time.Second, 2 * time.Second},
+		{"soon", 0, 0},
+		{now.Add(-time.Hour).UTC().Format(http.TimeFormat), 0, 0},
+		{now.Add(time.Hour).UTC().Format(http.TimeFormat), 58 * time.Minute, time.Hour},
+		{"9223372036", 9223372036 * time.Second, 9223372036 * time.Second},
+		{"9223372037", math.MaxInt64, math.MaxInt64},
+		{"18446744074", math.MaxInt64, math.MaxInt64},
+		{"99999999999999999999", math.MaxInt64, math.MaxInt64},
+	} {
+		if got := parseRetryAfter(tc.header); got < tc.min || got > tc.max {
+			t.Errorf("parseRetryAfter(%q) = %v, want within [%v, %v]", tc.header, got, tc.min, tc.max)
+		}
 	}
 }
