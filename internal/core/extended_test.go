@@ -14,7 +14,7 @@ func extTestVideo(t *testing.T, seed int64) *synth.Video {
 	return extTestVideoFrames(t, seed, 60_000)
 }
 
-func extTestVideoFrames(t *testing.T, seed int64, frames int) *synth.Video {
+func extTestVideoFrames(t testing.TB, seed int64, frames int) *synth.Video {
 	t.Helper()
 	v, err := synth.Generate(synth.Script{
 		ID: "ext-test", Frames: frames, FPS: 10, Geometry: video.DefaultGeometry, Seed: seed,

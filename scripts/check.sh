@@ -113,6 +113,13 @@ go test -run '^$' -fuzz '^FuzzFromIndicatorMatchesReference$' -fuzztime=5s ./int
 # query shapes, cascades and transient faults; under permanent faults, a
 # subset of its flags and the fault-free answer on every clip left unflagged.
 go test -run '^$' -fuzz '^FuzzSampleScheduleKeepsAnswers$' -fuzztime=5s ./internal/core
+# Stopping an evaluation at its decision, against the same engine scanning
+# every clip in full (fullScan): same sequences, flags, critical values and
+# backgrounds, over fuzzed worlds, run lengths, modes, query shapes, orders,
+# cascades and transient faults, and no dearer in the declared order with one
+# tier; under permanent faults, a subset of its flags and its answer on every
+# clip it leaves unflagged.
+go test -run '^$' -fuzz '^FuzzDecisionStopKeepsAnswers$' -fuzztime=5s ./internal/core
 
 stage "benchmark smoke (-benchtime=1x -benchmem)"
 # One iteration of every benchmark in every package: catches bit-rot in the
