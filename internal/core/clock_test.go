@@ -59,7 +59,7 @@ func TestTracedRunReadsOncePerEvaluation(t *testing.T) {
 			t.Fatal(err)
 		}
 		evaluations := 0
-		e.evaluated = func(Atom, int, int, *detect.Account) { evaluations++ }
+		e.hooks = &testHooks{evaluated: func(Atom, int, int, *detect.Account) { evaluations++ }}
 		v := extTestVideoFrames(t, 5, 8_000)
 		trace := obs.NewTrace(obs.NewQueryID())
 		run, err := e.NewRun(obs.WithTrace(context.Background(), trace), v, Query{Objects: []string{"human", "car"}, Action: "jumping"})

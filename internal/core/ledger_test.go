@@ -19,7 +19,7 @@ import (
 // chargePerEvaluation makes e's runs also charge ref per evaluation, the way
 // the engine charged its meter before runs kept a ledger.
 func chargePerEvaluation(e *Engine, ref *detect.Meter) {
-	e.evaluated = func(a Atom, _, inferences int, acc *detect.Account) {
+	e.hooks = &testHooks{evaluated: func(a Atom, _, inferences int, acc *detect.Account) {
 		kind := a.Kind
 		d := e.detector(kind)
 		tiers := d.chain.Tiers()
@@ -32,7 +32,7 @@ func chargePerEvaluation(e *Engine, ref *detect.Meter) {
 			tiers = nil
 		}
 		ref.Record(d.label, tiers, acc)
-	}
+	}}
 }
 
 // meterExposition renders a meter's svqact_detect_* series, without the

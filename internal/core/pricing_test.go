@@ -40,7 +40,7 @@ func faultyEngine(t *testing.T, faulty bool, attempts int) *Engine {
 
 // TestMeterParityWithPerUnitCharging pins the run's one flush (Meter.Record
 // of its ledger) to counts derived apart from it: the same run charging a
-// second meter per evaluation through the Engine.evaluated seam, as the
+// second meter per evaluation through the evaluated hook, as the
 // engine charged before runs kept a ledger, gave these, with unsampled
 // clips scored up to their decision.
 func TestMeterParityWithPerUnitCharging(t *testing.T) {

@@ -11,7 +11,7 @@ import (
 
 // A run samples its bootstrap prefix only when an estimator can read it:
 // an SVAQD run longer than robustWindowClips clips. The referee is the same
-// engine with Engine.alwaysBootstrap set, which samples on the schedule
+// engine with the alwaysBootstrap hook set, which samples on the schedule
 // below, as every run did before the rule.
 
 // refSampledClip is the sample schedule every run kept before the rule:
@@ -35,7 +35,7 @@ func scheduleRun(t *testing.T, mk func(detect.Models, Config) (*Engine, error), 
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.alwaysBootstrap = alwaysBootstrap
+	e.hooks = &testHooks{alwaysBootstrap: alwaysBootstrap}
 	res, err := decisionShapes[shape](e, v)
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +166,7 @@ func TestBootstrapPremise(t *testing.T) {
 					t.Fatal(err)
 				}
 				ticks := 0
-				e.ticked = func(clip int) {
+				e.hooks = &testHooks{ticked: func(clip int) {
 					ticks++
 					if clip < robustWindowClips {
 						t.Errorf("seed=%d/%s/noShortCircuit=%v: an estimator update on clip %d, before clip %d", seed, shape, all, clip, robustWindowClips)
@@ -174,7 +174,7 @@ func TestBootstrapPremise(t *testing.T) {
 					if first < 0 || clip < first {
 						first = clip
 					}
-				}
+				}}
 				if _, err := decisionShapes[shape](e, v); err != nil {
 					t.Fatal(err)
 				}
