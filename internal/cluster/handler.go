@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -251,12 +253,17 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	httpd.WriteJSON(w, status, body)
 }
 
+// maxDrainWaitMS is the largest drain_wait_ms a time.Duration holds.
+const maxDrainWaitMS = math.MaxInt64 / int64(time.Millisecond)
+
 // handleRollout serves the rolling generation swap: GET reports progress,
 // POST starts one (409 while another is running). The POST body tunes the
 // swap:
 //
 //	{"canary_sql": "...", "canary_k": 1, "drain_wait_ms": 500,
 //	 "require_advance": false}
+//
+// A drain_wait_ms outside [0, maxDrainWaitMS] is a 400.
 //
 // The rollout runs in the background; clients poll GET /rollout until
 // state is "done" or "failed" (which is what `svq rollout` does).
@@ -274,6 +281,15 @@ func (c *Coordinator) handleRollout(w http.ResponseWriter, r *http.Request) {
 		// An empty body is a default rollout, not an error.
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
 			httpd.WriteJSON(w, http.StatusBadRequest, httpd.ErrorBody{Error: "malformed rollout body: " + err.Error()})
+			return
+		}
+		// The wait is whole milliseconds of a Duration: a negative one, or
+		// one the Duration cannot hold (it would wrap to a negative wait
+		// that skips the drain), is refused.
+		if req.DrainWaitMS < 0 || int64(req.DrainWaitMS) > maxDrainWaitMS {
+			httpd.WriteJSON(w, http.StatusBadRequest, httpd.ErrorBody{
+				Error: fmt.Sprintf("drain_wait_ms must be in [0, %d], got %d", maxDrainWaitMS, req.DrainWaitMS),
+			})
 			return
 		}
 		cfg := RolloutConfig{

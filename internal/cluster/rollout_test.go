@@ -412,3 +412,85 @@ func TestMixedGenerationGuard(t *testing.T) {
 		t.Fatal("generation-0 (unknown) answer tripped the guard")
 	}
 }
+
+// TestRolloutDrainWaitBounds: POST /rollout takes drain_wait_ms as whole
+// milliseconds of a time.Duration. Absent or 0 means no wait; a value up to
+// the largest whole-millisecond Duration is honoured; a negative value, or
+// one whose Duration would overflow (and wrap to a negative wait that skips
+// the drain), is a 400 with an ErrorBody.
+func TestRolloutDrainWaitBounds(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		body string
+		want int
+	}{
+		{"absent", `{}`, http.StatusAccepted},
+		{"zero", `{"drain_wait_ms": 0}`, http.StatusAccepted},
+		{"500ms", `{"drain_wait_ms": 500}`, http.StatusAccepted},
+		{"negative", `{"drain_wait_ms": -1}`, http.StatusBadRequest},
+		{"largest", `{"drain_wait_ms": 9223372036854}`, http.StatusAccepted},
+		{"overflow", `{"drain_wait_ms": 9223372036855}`, http.StatusBadRequest},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			specs, _, _, _ := twoGenWorld(t, 1, 1)
+			c, err := New(specs, fastConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := httptest.NewServer(c.Handler())
+			defer srv.Close()
+			start := time.Now()
+			resp, err := http.Post(srv.URL+"/rollout", "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var eb struct {
+				Error string `json:"error"`
+			}
+			err = json.NewDecoder(resp.Body).Decode(&eb)
+			resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Fatalf("POST /rollout %s: status %d, want %d", tc.body, resp.StatusCode, tc.want)
+			}
+			if tc.want != http.StatusAccepted {
+				if err != nil || !strings.Contains(eb.Error, "drain_wait_ms") {
+					t.Fatalf("POST /rollout %s: error body %+v (%v), want one naming drain_wait_ms", tc.body, eb, err)
+				}
+				if st := c.RolloutStatus(); st.State != "idle" {
+					t.Fatalf("a refused rollout started: state %q", st.State)
+				}
+				return
+			}
+			rep := func() ReplicaRollout { return c.RolloutStatus().Shards[0].Replicas[0] }
+			deadline := time.Now().Add(10 * time.Second)
+			if tc.name == "largest" {
+				// The drain is honoured, not wrapped away: the replica is
+				// still draining well after it began. The rollout sits there
+				// for the life of the test binary.
+				for rep().State != "draining" {
+					if time.Now().After(deadline) {
+						t.Fatalf("rollout never reached the drain: %+v", c.RolloutStatus())
+					}
+					time.Sleep(time.Millisecond)
+				}
+				time.Sleep(100 * time.Millisecond)
+				if st := rep().State; st != "draining" {
+					t.Fatalf("replica state %q 100ms into a drain of 292 years", st)
+				}
+				return
+			}
+			for c.RolloutStatus().State == "running" {
+				if time.Now().After(deadline) {
+					t.Fatal("rollout never finished")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if st := c.RolloutStatus(); st.State != "done" {
+				t.Fatalf("rollout state %q, want done (%+v)", st.State, st)
+			}
+			if tc.name == "500ms" && time.Since(start) < 500*time.Millisecond {
+				t.Fatalf("rollout done after %v, inside its 500ms drain", time.Since(start))
+			}
+		})
+	}
+}
