@@ -95,9 +95,12 @@ type FleetResult struct {
 	// every run warm-started from (nil without a first video to bind). Its
 	// observed_clips counts the sampled clips of every video: each
 	// estimatorSampleEvery-th clip, plus the bootstrap prefix of an SVAQD
-	// video longer than robustWindowClips clips. Workers share the planner,
-	// so the order it sets on a video's unsampled clips, and what they cost,
-	// depends on which videos finished first; the answers do not.
+	// video longer than robustWindowClips clips. Its observed costs are
+	// what those evaluations charged: a full scan in such an SVAQD video,
+	// whose estimators read the counts, and the scan up to the decision in
+	// every other video. Workers share the planner, so the order it sets on
+	// a video's unsampled clips, and what they cost, depends on which
+	// videos finished first; the answers do not.
 	Plan *plan.Report
 }
 

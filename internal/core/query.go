@@ -13,11 +13,13 @@
 //
 // Predicate statistics — the SVAQD background estimates and the planner's
 // cost model — learn only from sampled clips, on which every atom is
-// evaluated in full whatever the others answered. Which clips are sampled
-// is fixed when a run is bound, from its mode and length alone (every
+// evaluated whatever the others answered. Which clips are sampled is fixed
+// when a run is bound, from its mode and length alone (every
 // estimatorSampleEvery-th clip, plus a bootstrap prefix where an estimator
 // can read it), so the sample never depends on what the clips hold: it is
-// unbiased however the atoms correlate.
+// unbiased however the atoms correlate. A sampled clip's count is read in
+// full only where an estimator reads it (and under NoShortCircuit); every
+// other evaluation stops once its indicator is decided.
 package core
 
 import (
