@@ -350,8 +350,9 @@ func BenchmarkSVAQDClip(b *testing.B) {
 // movie (a movie's action with its object and with person). units/op is the
 // detector units scored per pass: the paper's cost, which moves only when
 // what the engine scores moves (stopping an unsampled clip's evaluation at
-// its decision lowered it, and so did leaving SVAQ's bootstrap unsampled)
-// and never with an optimisation of CPU alone.
+// its decision lowered it, and so did leaving SVAQ's bootstrap unsampled and
+// stopping SVAQ's sampled evaluations at their decision too) and never with
+// an optimisation of CPU alone.
 func BenchmarkOnlineDeck(b *testing.B) {
 	_, movies := onlineDatasets()
 	meter := &detect.Meter{}
@@ -431,8 +432,9 @@ func BenchmarkOnlineDeck(b *testing.B) {
 // units the proxies passed up to their teachers: the paper's cost, which
 // moves only when what the walk scores moves (stopping an unsampled clip's
 // evaluation at its decision lowered both, and so did leaving the
-// bootstrap of runs too short for the estimator unsampled) and never with
-// an optimisation of CPU alone.
+// bootstrap of runs too short for the estimator unsampled, and stopping
+// those runs' sampled evaluations at their decision) and never with an
+// optimisation of CPU alone.
 func BenchmarkFleetCascade(b *testing.B) {
 	yt, _ := onlineDatasets()
 	q := synth.YouTubeQueries()[0]
