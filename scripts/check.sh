@@ -65,6 +65,10 @@ stage "fuzz smoke (-fuzztime=5s each)"
 go test -fuzz '^FuzzParse$' -fuzztime=5s ./internal/sqlq
 go test -fuzz '^FuzzLex$' -fuzztime=5s ./internal/sqlq
 go test -run '^$' -fuzz '^FuzzQ3ClosedMatchesDP$' -fuzztime=5s ./internal/scanstat
+# The shared critical values against CriticalValue's own search at the
+# probability of the grid bucket a fuzzed p falls in, over fuzzed windows,
+# horizons and levels.
+go test -run '^$' -fuzz '^FuzzCriticalTableMatchesSearch$' -fuzztime=5s ./internal/scanstat
 # Saved bytes cross the trust boundary in two places: the one table verifier
 # (an accepted image must re-encode to itself) and rank.Load over a fuzzed
 # commit record, manifest (untrusted pack offsets) and pack.
