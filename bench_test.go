@@ -106,50 +106,6 @@ func BenchmarkScanStatCriticalValue(b *testing.B) {
 	}
 }
 
-func BenchmarkScanStatTail(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		scanstat.Tail(4+i%4, 50, 0.02, 20)
-	}
-}
-
-// BenchmarkScanStatGridCold is the work behind svqbench's
-// scanstat.grid_cold_s: fresh default grids for the frame (w = 50) and shot
-// (w = 5) geometries, every bucket from p = 1e-7 to 1. The grid quantum
-// differs by a hair per iteration (counted across the testing package's
-// calibration runs, which each restart b.N's loop at 0), so bucket
-// probabilities never repeat, CriticalValue's process-wide memo never serves
-// one, and each iteration pays all 700 searches.
-func BenchmarkScanStatGridCold(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		gridColdIters++
-		for _, w := range []int{50, 5} {
-			grid := scanstat.NewCriticalValues(w, 20, 0.05, 0.02*(1+gridColdIters*1e-9))
-			for bucket := -350; bucket <= -1; bucket++ {
-				grid.AtBucket(bucket)
-			}
-		}
-	}
-}
-
-func BenchmarkScanStatQ3(b *testing.B) {
-	for _, k := range []int{5, 13, 21} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sinkFloat = scanstat.Q3(k, 50, 0.05)
-			}
-		})
-	}
-}
-
-var (
-	gridColdIters float64
-	// sinkFloat keeps the compiler from eliding a benchmarked pure call.
-	sinkFloat float64
-)
-
 func BenchmarkKernelTick(b *testing.B) {
 	est, err := kernel.NewEstimator(2500, 1e-4)
 	if err != nil {

@@ -43,11 +43,8 @@ type runScratch struct {
 	clipInd []bool
 	flagged []bool
 
-	// scores is the batch score column evaluate fills per clip; ks is the
-	// critical-value column for batched grid lookups. Both are also reused
-	// by seedCrits before stepping begins.
+	// scores is the batch score column evaluate fills per clip.
 	scores []float64
-	ks     []int
 
 	// relEvents are the two operand types' detection batches of a relation
 	// predicate's clip.
@@ -121,12 +118,6 @@ func (r *Run) release() {
 func (r *Run) scoreBuf(n int) []float64 {
 	r.scratch.scores = grow(r.scratch.scores, n)
 	return r.scratch.scores
-}
-
-// critBuf returns the scratch critical-value column resized to n.
-func (r *Run) critBuf(n int) []int {
-	r.scratch.ks = grow(r.scratch.ks, n)
-	return r.scratch.ks
 }
 
 // orderBuf returns the empty scratch buffer the planner's per-clip order is

@@ -17,7 +17,7 @@
 // which is exact (derived by a reflection argument on the window-count walk
 // and verified against enumeration in the tests). Q3 = P(S_w(3w) < k) is
 // Naus's (1982) exact closed form, O(k) from the pmf and cdf tables of
-// Binomial(w, p), Binomial(w-1, p) and Binomial(w-2, p) (see Q3). That makes
+// Binomial(w, p), Binomial(w-1, p) and Binomial(w-2, p) (see q3). That makes
 // the L<=3 cases exact and the extrapolation to larger L the only
 // approximation. The closed form is easy to mis-transcribe, so the tests
 // referee it with an independent O(w k^4) dynamic program over the three

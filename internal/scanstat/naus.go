@@ -3,6 +3,7 @@ package scanstat
 import (
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 )
 
@@ -22,8 +23,18 @@ func newTables(w int, p float64) tables {
 	return tables{NewBinom(w, p), NewBinom(max(w-1, 0), p), NewBinom(max(w-2, 0), p)}
 }
 
-// q2 evaluates Q2 (see the exported function) for 0 <= k <= w from the
-// Binomial(w, p) table.
+// q2 returns, for 0 <= k <= w, the exact probability Q2 that no window of w
+// consecutive trials among 2w Bernoulli(p) trials contains k or more
+// successes:
+//
+//	Q2 = F(k-1)^2 - b(k) * sum_{r=0}^{k-2} F(r)
+//
+// where b and F are the pmf and cdf of the Binomial(w, p) table. The identity
+// follows from a reflection argument on the window-count walk: every
+// length-w window inside 2w trials crosses the half boundary, so the maximum
+// window count is N1 + max(0, max_y (V_y - U_y)) for the two half
+// prefix-count processes, whose maximum obeys an exact reflection identity
+// because the paired step distribution is symmetric.
 func q2(b *Binom, k int) float64 {
 	g := 0.0
 	for r := 0; r <= k-2; r++ {
@@ -33,8 +44,22 @@ func q2(b *Binom, k int) float64 {
 	return clampProb(f*f - b.PMF(k)*g)
 }
 
-// q3 evaluates Q3 (see the exported function) for 0 <= k <= w. It is capped
-// at s2 = q2(t.b0, k): three w-blocks cannot survive more often than two.
+// q3 returns, for 0 <= k <= w, the exact probability Q3 that no window of w
+// consecutive trials among 3w Bernoulli(p) trials contains k or more
+// successes, by Naus's (1982) closed form, O(k) from the three binomial
+// tables:
+//
+//	Q3 = F(k-1)^3 - A1 + A2 + A3 - A4
+//	A1 = 2 b(k) F(k-1) [(k-1) F(k-2) - w p F1(k-3)]
+//	A2 = 1/2 b(k)^2 [(k-1)(k-2) F(k-3) - 2(k-2) w p F1(k-4) + w(w-1) p^2 F2(k-5)]
+//	A3 = sum_{r=1}^{k-1} b(2k-r) F(r-1)^2
+//	A4 = sum_{r=2}^{k-1} b(2k-r) b(r) [(r-1) F(r-2) - w p F1(r-3)]
+//
+// with b, F the Binomial(w, p) pmf and cdf and F1, F2 the cdfs of
+// Binomial(w-1, p) and Binomial(w-2, p); a cdf of a negative argument is 0
+// and a pmf above its trial count is 0. The result is clamped to [0, s2],
+// s2 = q2(t.b0, k): three w-blocks cannot survive more often than two. The
+// tests hold it to a three-block dynamic program and to enumeration.
 func (t tables) q3(k int, s2 float64) float64 {
 	b, F, F1, F2 := t.b0.PMF, t.b0.CDF, t.b1.CDF, t.b2.CDF
 	w, kf, p := float64(t.b0.N()), float64(k), t.b0.P()
@@ -52,7 +77,12 @@ func (t tables) q3(k int, s2 float64) float64 {
 	return min(clampProb(f*f*f-a1+a2+a3-a4), s2)
 }
 
-// tail evaluates Tail (see the exported function) for 1 <= k <= w.
+// tail returns, for 1 <= k <= w, P(S_w(N) >= k | p, w, L) with N = L*w, the
+// probability that some window of w consecutive trials among N contains at
+// least k successes; L may be fractional and must be >= 1. For L <= 2 it
+// interpolates the exact single- and double-window survival probabilities;
+// for L > 2 it uses the Naus product-type extrapolation
+// 1 - Q2 (Q3/Q2)^(L-2) with the exact Q2 and Q3 above.
 func (t tables) tail(k int, L float64) float64 {
 	s2 := q2(t.b0, k)
 	if L <= 2 {
@@ -60,75 +90,6 @@ func (t tables) tail(k int, L float64) float64 {
 		return clampProb(1 - extrapolate(s1, s2, L-1))
 	}
 	return clampProb(1 - extrapolate(s2, t.q3(k, s2), L-2))
-}
-
-// Q2 returns the exact probability that no window of w consecutive trials
-// among 2w Bernoulli(p) trials contains k or more successes:
-//
-//	Q2 = F(k-1)^2 - b(k) * sum_{r=0}^{k-2} F(r)
-//
-// where b and F are the Binomial(w, p) pmf and cdf. The identity follows
-// from a reflection argument on the window-count walk: every length-w window
-// inside 2w trials crosses the half boundary, so the maximum window count is
-// N1 + max(0, max_y (V_y - U_y)) for the two half prefix-count processes,
-// whose maximum obeys an exact reflection identity because the paired step
-// distribution is symmetric.
-func Q2(k, w int, p float64) float64 {
-	if err := checkArgs(k, w, p); err != nil {
-		panic(err)
-	}
-	if k > w {
-		return 1 // a w-window cannot hold more than w successes
-	}
-	return q2(NewBinom(w, p), k)
-}
-
-// Q3 returns the exact probability that no window of w consecutive trials
-// among 3w Bernoulli(p) trials contains k or more successes, by Naus's
-// (1982) closed form, O(k) from the three binomial tables:
-//
-//	Q3 = F(k-1)^3 - A1 + A2 + A3 - A4
-//	A1 = 2 b(k) F(k-1) [(k-1) F(k-2) - w p F1(k-3)]
-//	A2 = 1/2 b(k)^2 [(k-1)(k-2) F(k-3) - 2(k-2) w p F1(k-4) + w(w-1) p^2 F2(k-5)]
-//	A3 = sum_{r=1}^{k-1} b(2k-r) F(r-1)^2
-//	A4 = sum_{r=2}^{k-1} b(2k-r) b(r) [(r-1) F(r-2) - w p F1(r-3)]
-//
-// with b, F the Binomial(w, p) pmf and cdf and F1, F2 the cdfs of
-// Binomial(w-1, p) and Binomial(w-2, p); a cdf of a negative argument is 0
-// and a pmf above its trial count is 0. The result is clamped to [0, Q2].
-// The tests hold it to a three-block dynamic program and to enumeration.
-func Q3(k, w int, p float64) float64 {
-	if err := checkArgs(k, w, p); err != nil {
-		panic(err)
-	}
-	if k > w {
-		return 1
-	}
-	t := newTables(w, p)
-	return t.q3(k, q2(t.b0, k))
-}
-
-// Tail returns P(S_w(N) >= k | p, w, L) with N = L*w, the probability that
-// some window of w consecutive trials among N contains at least k successes.
-// L may be fractional and must be >= 1.
-//
-// For L <= 2 it interpolates the exact single- and double-window survival
-// probabilities; for L > 2 it uses the Naus product-type extrapolation
-// 1 - Q2 (Q3/Q2)^(L-2) with the exact Q2 and Q3 above.
-func Tail(k, w int, p, L float64) float64 {
-	if err := checkArgs(k, w, p); err != nil {
-		panic(err)
-	}
-	if L < 1 {
-		panic(fmt.Sprintf("scanstat: L = %v < 1", L))
-	}
-	if k > w {
-		return 0
-	}
-	if k <= 0 {
-		return 1
-	}
-	return newTables(w, p).tail(k, L)
 }
 
 // extrapolate computes qa * (qb/qa)^t in log space, treating a zero survival
@@ -140,9 +101,9 @@ func extrapolate(qa, qb float64, t float64) float64 {
 	return math.Exp(math.Log(qa) + t*(math.Log(qb)-math.Log(qa)))
 }
 
-// critCache memoises CriticalValue process-wide: the function is pure and
-// the adaptive engine queries the same (w, p-bucket, L, alpha) points over
-// and over across runs.
+// critCache memoises CriticalValue process-wide: the function is pure, and
+// every static (SVAQ) run at a configuration asks it for the same exact,
+// off-grid p0.
 var critCache sync.Map
 
 type critKey struct {
@@ -158,28 +119,24 @@ type critKey struct {
 // for any in-window count to be surprising) it returns w+1, a sentinel the
 // indicator logic treats as "never positive".
 func CriticalValue(w int, p, L, alpha float64) int {
-	if w <= 0 {
-		panic("scanstat: window must be positive")
+	checkLevel(w, alpha)
+	key := critKey{w: w, p: p, l: L, al: alpha}
+	if k, ok := critCache.Load(key); ok {
+		return k.(int)
 	}
-	if alpha <= 0 || alpha >= 1 {
-		panic(fmt.Sprintf("scanstat: alpha = %v out of (0,1)", alpha))
-	}
+	k := criticalValue(w, p, L, alpha)
+	critCache.Store(key, k)
+	return k
+}
+
+// criticalValue is CriticalValue without the memo.
+func criticalValue(w int, p, L, alpha float64) int {
 	if p <= 0 {
 		return 1 // any success at all is significant against p = 0
 	}
 	if p >= 1 {
 		return w + 1
 	}
-	key := critKey{w: w, p: p, l: L, al: alpha}
-	if k, ok := critCache.Load(key); ok {
-		return k.(int)
-	}
-	k := criticalValueSearch(w, p, L, alpha)
-	critCache.Store(key, k)
-	return k
-}
-
-func criticalValueSearch(w int, p, L, alpha float64) int {
 	// Binary search over [1, w+1]; the virtual k = w+1 has tail 0 <= alpha,
 	// so the invariant Tail(hi) <= alpha < Tail(lo-1) always holds.
 	t := newTables(w, p)
@@ -195,180 +152,127 @@ func criticalValueSearch(w int, p, L, alpha float64) int {
 	return lo
 }
 
-// CriticalValues is a memoizing wrapper around CriticalValue for callers that
-// recompute k_crit as an estimated background probability drifts (SVAQD). The
-// probability is quantized on a logarithmic grid before lookup, trading an at
-// most quantum-sized relative perturbation of p for a high hit rate.
-//
-// Quantization rounds log10(p) up, never down: the bucket probability is
-// always >= p, and the critical value is non-decreasing in p, so a cached
-// value is never less conservative than a direct CriticalValue call — the
-// property that makes one grid safe to share across concurrent runs whose
-// estimates straddle bucket boundaries.
-//
-// A CriticalValues is safe for concurrent use; Shared returns a process-wide
-// instance per (w, L, alpha, grid) so every run of a fleet, and every
-// concurrent server query at the same configuration, reuses one memoized
-// Naus search instead of owning a private cache.
-type CriticalValues struct {
-	w     int
-	l     float64
-	alpha float64
-	grid  float64 // log10 quantum, e.g. 0.01 for 100 buckets per decade
-
-	mu    sync.RWMutex
-	cache map[int]int
-}
-
-// NewCriticalValues builds a private cache for window w, horizon ratio L and
-// significance level alpha, quantizing log10(p) to multiples of grid. Most
-// callers want Shared instead.
-func NewCriticalValues(w int, L, alpha, grid float64) *CriticalValues {
-	if grid <= 0 {
-		panic("scanstat: grid must be positive")
+func checkLevel(w int, alpha float64) {
+	if w <= 0 {
+		panic("scanstat: window must be positive")
 	}
-	return &CriticalValues{w: w, l: L, alpha: alpha, grid: grid, cache: make(map[int]int)}
+	if alpha <= 0 || alpha >= 1 {
+		panic(fmt.Sprintf("scanstat: alpha = %v out of (0,1)", alpha))
+	}
 }
 
-// sharedGrids holds the process-wide CriticalValues instances, keyed by the
-// full parameterization so differently configured engines never alias.
-var sharedGrids sync.Map
+// CriticalValues is k_crit for one (w, L, alpha) as a function of a
+// background probability that drifts (SVAQD). The probability is quantized
+// on a logarithmic grid: log10(p) is rounded up, never down, to a multiple of
+// grid, so the bucket probability is always >= p, and the critical value is
+// non-decreasing in p, so a bucket's value is never less conservative than
+// CriticalValue(p) itself — the property that makes one table safe to share
+// across concurrent runs whose estimates straddle bucket boundaries.
+//
+// Over the buckets, k_crit is a non-decreasing step function with at most w
+// steps. A CriticalValues holds the buckets at which it steps up, found once
+// when it is built; At is a binary search over them. It is immutable, so it
+// is safe for concurrent use without a lock; Shared returns one per (w, L,
+// alpha, grid) for the whole process.
+type CriticalValues struct {
+	grid float64 // log10 quantum, e.g. 0.02 for 50 buckets per decade
+	// steps[j] is the lowest bucket whose critical value exceeds j+1, so the
+	// critical value at bucket b is 1 plus the number of steps at or below b.
+	steps []int
+}
+
+// newCriticalValues builds the table for window w, horizon ratio L and
+// significance level alpha over log10 buckets of width grid. It bisects the
+// buckets from the smallest positive float64's to p = 1's, running
+// CriticalValue's search at each bucket probability it probes, until every
+// step is pinned to its bucket: a span whose ends share a critical value
+// holds no step, since the value is monotone in p. The table therefore
+// answers what CriticalValue answers at each bucket probability, at a cost of
+// a few hundred searches (milliseconds at w = 50) once per configuration.
+func newCriticalValues(w int, L, alpha, grid float64) *CriticalValues {
+	c := &CriticalValues{grid: grid, steps: make([]int, w)}
+	at := func(b int) int { return criticalValue(w, math.Pow(10, float64(b)*grid), L, alpha) }
+	floor := c.bucketOf(math.SmallestNonzeroFloat64)
+	kFloor := at(floor)
+	for j := 0; j < kFloor-1; j++ {
+		c.steps[j] = floor
+	}
+	c.bisect(at, floor, 0, kFloor, w+1)
+	return c
+}
+
+// bisect records the steps between buckets lo < hi, whose critical values
+// are klo <= khi.
+func (c *CriticalValues) bisect(at func(int) int, lo, hi, klo, khi int) {
+	switch {
+	case klo == khi:
+		return
+	case hi-lo == 1:
+		for j := klo - 1; j < khi-1; j++ {
+			c.steps[j] = hi
+		}
+		return
+	}
+	mid := lo + (hi-lo)/2
+	kmid := at(mid)
+	c.bisect(at, lo, mid, klo, kmid)
+	c.bisect(at, mid, hi, kmid, khi)
+}
+
+// sharedTables holds the process-wide tables, keyed by the full
+// parameterization so differently configured engines never alias.
+var sharedTables sync.Map // sharedKey -> *sharedTable
 
 type sharedKey struct {
 	w              int
 	l, alpha, grid float64
 }
 
-// Shared returns the process-wide CriticalValues for (w, L, alpha, grid),
-// creating it on first use. All callers with equal parameters receive the
-// same instance and therefore share its memoized grid.
-func Shared(w int, L, alpha, grid float64) *CriticalValues {
-	key := sharedKey{w: w, l: L, alpha: alpha, grid: grid}
-	if c, ok := sharedGrids.Load(key); ok {
-		return c.(*CriticalValues)
-	}
-	c, _ := sharedGrids.LoadOrStore(key, NewCriticalValues(w, L, alpha, grid))
-	return c.(*CriticalValues)
+type sharedTable struct {
+	once sync.Once
+	c    *CriticalValues
 }
 
-// Sentinel buckets for the degenerate probabilities the grid does not
-// cover: p <= 0 always yields k = 1, p >= 1 the never-positive w+1.
-const (
-	bucketZero = math.MinInt // p <= 0
-	bucketOne  = math.MaxInt // p >= 1
-)
+// Shared returns the process-wide CriticalValues for (w, L, alpha, grid),
+// building its table on first use, exactly once: all callers with equal
+// parameters, however many race on the first, receive the same instance.
+func Shared(w int, L, alpha, grid float64) *CriticalValues {
+	key := sharedKey{w: w, l: L, alpha: alpha, grid: grid}
+	e, ok := sharedTables.Load(key)
+	if !ok {
+		// Refuse bad parameters before any entry holds them.
+		checkLevel(w, alpha)
+		if grid <= 0 {
+			panic("scanstat: grid must be positive")
+		}
+		e, _ = sharedTables.LoadOrStore(key, new(sharedTable))
+	}
+	s := e.(*sharedTable)
+	s.once.Do(func() { s.c = newCriticalValues(w, L, alpha, grid) })
+	return s.c
+}
 
-// BucketOf returns the grid bucket p quantizes to. The critical value is a
-// pure function of the bucket, so a caller that tracks the bucket of its
-// last lookup can skip the shared cache entirely while its estimate stays
-// inside one bucket — the per-clip refresh of a drifting background
-// estimate touches the shared grid once per bucket crossing, not once per
-// clip.
-func (c *CriticalValues) BucketOf(p float64) int {
-	if p <= 0 {
-		return bucketZero
+// bucketOf returns the grid bucket p quantizes to. For 0 < p < 1 that is
+// log10(p)/grid rounded up, <= 0, whose probability 10^(bucket*grid) is in
+// [p, 1] (up to a 1e-9 log10 slop that keeps floating-point representations
+// of on-grid probabilities, e.g. log10(1e-4)/grid = -399.99999999999994, in
+// their own bucket). p <= 0 lies below every step (k = 1) and p >= 1 in
+// p = 1's bucket 0, at or above every step (k = w+1).
+func (c *CriticalValues) bucketOf(p float64) int {
+	switch {
+	case p <= 0:
+		return math.MinInt
+	case p >= 1:
+		return 0
 	}
-	if p >= 1 {
-		return bucketOne
-	}
-	// log10(p) < 0 here, so the ceil bucket is <= 0 and its probability
-	// 10^(bucket*grid) is in [p, 1] (up to a 1e-9 log10 slop that keeps
-	// floating-point representations of on-grid probabilities, e.g.
-	// log10(1e-4)/grid = -399.99999999999994, in their own bucket).
 	return int(math.Ceil(math.Log10(p)/c.grid - 1e-9))
 }
 
-// AtBucket returns the critical value for a bucket previously obtained from
-// BucketOf.
-func (c *CriticalValues) AtBucket(bucket int) int {
-	switch bucket {
-	case bucketZero:
-		return 1
-	case bucketOne:
-		return c.w + 1
-	}
-	c.mu.RLock()
-	k, ok := c.cache[bucket]
-	c.mu.RUnlock()
-	if ok {
-		return k
-	}
-	// Compute outside the lock. Two goroutines missing the same cold bucket
-	// both run the search: CriticalValue's process-wide memo is stored only
-	// after computing, so it does not single-flight them. The search is pure
-	// and costs tens of microseconds, so the duplicate stores the same value
-	// and is cheaper than holding the lock across it.
-	k = CriticalValue(c.w, math.Pow(10, float64(bucket)*c.grid), c.l, c.alpha)
-	c.mu.Lock()
-	c.cache[bucket] = k
-	c.mu.Unlock()
-	return k
-}
-
-// At returns the (possibly cached) critical value for background
-// probability p. It is safe to call from concurrent runs sharing the cache.
+// At returns the critical value for background probability p: the one
+// CriticalValue returns at the probability of p's bucket. It neither locks
+// nor allocates.
 func (c *CriticalValues) At(p float64) int {
-	return c.AtBucket(c.BucketOf(p))
-}
-
-// AtBatch fills ks[i] with the critical value for ps[i], acquiring the
-// shared lock once for the whole batch instead of once per probability.
-// Misses are computed outside the lock and inserted in a single write
-// round. ks must have len(ps) space; the filled prefix is returned.
-func (c *CriticalValues) AtBatch(ps []float64, ks []int) []int {
-	ks = ks[:len(ps)]
-	miss := false
-	c.mu.RLock()
-	for i, p := range ps {
-		switch b := c.BucketOf(p); b {
-		case bucketZero:
-			ks[i] = 1
-		case bucketOne:
-			ks[i] = c.w + 1
-		default:
-			if k, ok := c.cache[b]; ok {
-				ks[i] = k
-			} else {
-				ks[i] = -1
-				miss = true
-			}
-		}
-	}
-	c.mu.RUnlock()
-	if !miss {
-		return ks
-	}
-	for i, p := range ps {
-		if ks[i] < 0 {
-			ks[i] = CriticalValue(c.w, math.Pow(10, float64(c.BucketOf(p))*c.grid), c.l, c.alpha)
-		}
-	}
-	c.mu.Lock()
-	for i, p := range ps {
-		c.cache[c.BucketOf(p)] = ks[i]
-	}
-	c.mu.Unlock()
-	return ks
-}
-
-// Size reports how many buckets the cache currently holds (diagnostics).
-func (c *CriticalValues) Size() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.cache)
-}
-
-func checkArgs(k, w int, p float64) error {
-	if w <= 0 {
-		return fmt.Errorf("scanstat: window w = %d must be positive", w)
-	}
-	if k < 0 {
-		return fmt.Errorf("scanstat: k = %d must be non-negative", k)
-	}
-	if p < 0 || p > 1 {
-		return fmt.Errorf("scanstat: p = %v out of [0,1]", p)
-	}
-	return nil
+	return 1 + sort.SearchInts(c.steps, c.bucketOf(p)+1)
 }
 
 func clampProb(x float64) float64 {

@@ -3,6 +3,7 @@ package scanstat
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -525,8 +526,29 @@ func TestSharedCriticalValues(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n := a.Size(); n < len(ps) {
-		t.Errorf("shared grid holds %d buckets, want >= %d", n, len(ps))
+}
+
+// TestSharedBuildsOnce races first uses of one configuration: every caller
+// must receive the same instance, holding the table a private build finds.
+func TestSharedBuildsOnce(t *testing.T) {
+	const w, L, alpha, grid = 37, 45.0, 0.03, 0.02
+	got := make([]*CriticalValues, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = Shared(w, L, alpha, grid)
+		}()
+	}
+	wg.Wait()
+	for _, c := range got[1:] {
+		if c != got[0] {
+			t.Fatal("concurrent first uses returned distinct shared tables")
+		}
+	}
+	if want := NewCriticalValues(w, L, alpha, grid).steps; !slices.Equal(got[0].steps, want) {
+		t.Errorf("shared steps %v, private build %v", got[0].steps, want)
 	}
 }
 
@@ -551,48 +573,25 @@ func assertPanics(t *testing.T, name string, f func()) {
 	f()
 }
 
-// TestAtBatchMatchesAt pins the batch API to the scalar one: for any mix of
-// degenerate, on-grid, and off-grid probabilities — cold cache and warm —
-// AtBatch must return exactly what element-wise At would.
-func TestAtBatchMatchesAt(t *testing.T) {
-	ps := []float64{0, -1, 1, 2, 1e-4, 1.001e-4, 3e-3, 0.7, 1e-9, 0.02}
-	cold := NewCriticalValues(40, 60, 0.05, 0.02)
-	ks := cold.AtBatch(ps, make([]int, len(ps)))
-	ref := NewCriticalValues(40, 60, 0.05, 0.02)
-	for i, p := range ps {
-		if want := ref.At(p); ks[i] != want {
-			t.Errorf("cold AtBatch[%d] (p=%g) = %d, want %d", i, p, ks[i], want)
-		}
-	}
-	// Warm: every bucket is now cached; a second batch must agree and take
-	// the all-hit path.
-	again := cold.AtBatch(ps, make([]int, len(ps)))
-	for i := range ps {
-		if again[i] != ks[i] {
-			t.Errorf("warm AtBatch[%d] = %d, want %d", i, again[i], ks[i])
-		}
-	}
-}
-
-// TestBucketOfContract checks the bucket quantization AtBucket relies on:
-// degenerate sentinels, same-bucket equality for nearby probabilities, and
-// that AtBucket(BucketOf(p)) == At(p).
+// TestBucketOfContract checks the bucket quantization At relies on:
+// degenerate probabilities, same-bucket equality for nearby probabilities,
+// and that At(p) is the critical value at the probability of p's bucket.
 func TestBucketOfContract(t *testing.T) {
 	c := NewCriticalValues(50, 100, 0.05, 0.01)
-	if b := c.BucketOf(0); b != c.BucketOf(-3) {
-		t.Error("all p<=0 should share the zero sentinel bucket")
+	if c.At(0) != 1 || c.At(-3) != 1 {
+		t.Error("every p <= 0 should get k = 1")
 	}
-	if b := c.BucketOf(1); b != c.BucketOf(7) {
-		t.Error("all p>=1 should share the one sentinel bucket")
+	if c.At(1) != 51 || c.At(7) != 51 {
+		t.Error("every p >= 1 should get k = w+1")
 	}
 	// 1.01e-4 and 1.02e-4 both sit strictly inside the (10^-4.00, 10^-3.99]
 	// bucket; 1e-4 itself is the on-grid lower edge and gets its own.
-	if c.BucketOf(1.01e-4) != c.BucketOf(1.02e-4) {
-		t.Error("near-identical probabilities should quantize to one bucket")
-	}
-	for _, p := range []float64{0, 1, 1e-4, 0.37, 1e-8} {
-		if got, want := c.AtBucket(c.BucketOf(p)), c.At(p); got != want {
-			t.Errorf("AtBucket(BucketOf(%g)) = %d, want At = %d", p, got, want)
+	for _, tc := range []struct {
+		p      float64
+		bucket int
+	}{{1.01e-4, -399}, {1.02e-4, -399}, {1e-4, -400}, {0.37, -43}, {1e-8, -800}} {
+		if got, want := c.At(tc.p), CriticalValue(50, math.Pow(10, float64(tc.bucket)*0.01), 100, 0.05); got != want {
+			t.Errorf("At(%g) = %d, want CriticalValue at bucket %d = %d", tc.p, got, tc.bucket, want)
 		}
 	}
 }
