@@ -121,7 +121,7 @@ func (st *TraceStore) Offer(snap *TraceSnapshot, meta TraceMeta) (reason string,
 		reason = meta.Outcome
 	case st.lat.Count() >= st.cfg.MinTailCount && durSec >= st.lat.Quantile(st.cfg.TailQuantile):
 		reason = "tail"
-	case st.cfg.SampleEvery > 0 && n%int64(st.cfg.SampleEvery) == 1:
+	case st.cfg.SampleEvery > 0 && (n-1)%int64(st.cfg.SampleEvery) == 0:
 		reason = "sampled"
 	}
 	// The gate compares against the distribution *before* this observation,

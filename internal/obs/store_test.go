@@ -63,6 +63,27 @@ func TestTraceStoreRetention(t *testing.T) {
 	}
 }
 
+// TestTraceStoreSamplesOneInN offers 64 healthy traces, with the tail gate
+// held off, and expects exactly one in every N kept — N = 1 keeps them all.
+func TestTraceStoreSamplesOneInN(t *testing.T) {
+	for _, tc := range []struct{ every, want int }{{1, 64}, {2, 32}, {16, 4}} {
+		st := NewTraceStore(TraceStoreConfig{Capacity: 64, SampleEvery: tc.every, MinTailCount: 1 << 20})
+		kept := 0
+		for i := 0; i < 64; i++ {
+			reason, ok := st.Offer(mkSnap(fmt.Sprintf("q%02d", i), 1), TraceMeta{Outcome: "ok"})
+			if ok {
+				kept++
+				if reason != "sampled" {
+					t.Errorf("N=%d: offer %d kept for %q, want sampled", tc.every, i, reason)
+				}
+			}
+		}
+		if kept != tc.want || st.Len() != tc.want {
+			t.Errorf("N=%d: kept %d of 64 (store holds %d), want %d", tc.every, kept, st.Len(), tc.want)
+		}
+	}
+}
+
 func TestTraceStoreEvictionAndIndexOrder(t *testing.T) {
 	st := NewTraceStore(TraceStoreConfig{Capacity: 4, SampleEvery: -1})
 	for i := 0; i < 10; i++ {
