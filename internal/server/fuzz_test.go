@@ -111,11 +111,33 @@ func FuzzQueryBody(f *testing.F) {
 		fuzzORGroup, fuzzMulti, fuzzRel, fuzzRanked,
 	)
 	f.Add([]byte(`{"sql": "SELECT MERGE(c) FROM (PROCESS q2 PRODUCE c) WHERE act='blowing_leaves'", "algo": "rvaq"}`))
+	// A budget too large for a time.Duration, and one too small for a
+	// nanosecond.
+	f.Add([]byte(strings.TrimSuffix(cheapQuery, "}") + `, "budget_ms": 1e13}`))
+	f.Add([]byte(strings.TrimSuffix(cheapQuery, "}") + `, "budget_ms": 1e-7}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		if rr := checkBody(t, "/query", body); rr.Code == http.StatusOK {
 			roundTrips[QueryResponse](t, rr.Body.Bytes())
+			checkBudgetHonoured(t, body, rr.Body.Bytes())
 		}
 	})
+}
+
+// checkBudgetHonoured requires an online 200 to a positive budget_ms to
+// report that budget: a budget the server accepts is never dropped.
+func checkBudgetHonoured(t *testing.T, body, resp []byte) {
+	t.Helper()
+	var req QueryRequest
+	var qr QueryResponse
+	if json.Unmarshal(body, &req) != nil || req.BudgetMS <= 0 || json.Unmarshal(resp, &qr) != nil {
+		return
+	}
+	if qr.Mode != "SVAQ" && qr.Mode != "SVAQD" {
+		return // a ranked statement spends no inference at query time
+	}
+	if qr.Plan == nil || qr.Plan.Budget == nil {
+		t.Fatalf("online 200 to budget_ms %g reports no budget: %s", req.BudgetMS, resp)
+	}
 }
 
 func FuzzBatchBody(f *testing.F) {

@@ -261,3 +261,32 @@ func metricsText(t *testing.T, srv *httptest.Server) string {
 	}
 	return buf.String()
 }
+
+// TestBudgetBounds: budget_ms takes a positive value from one nanosecond to
+// the largest whole millisecond a time.Duration holds; outside that range it
+// is a 400 naming the field and its range, never a 500 or an unlimited run.
+func TestBudgetBounds(t *testing.T) {
+	h := New(Config{Scale: 0.05, Seed: 42}).Handler()
+	for _, tc := range []struct {
+		budget string
+		status int
+	}{
+		{"0", http.StatusOK},
+		{"1e-6", http.StatusOK},
+		{"9223372036854", http.StatusOK},
+		{"1e-7", http.StatusBadRequest},
+		{"9223372036855", http.StatusBadRequest},
+		{"1e13", http.StatusBadRequest},
+	} {
+		rr := postQuery(h, strings.TrimSuffix(cheapQuery, "}")+`, "budget_ms": `+tc.budget+`}`)
+		if rr.Code != tc.status {
+			t.Fatalf("budget_ms %s: status %d, want %d: %s", tc.budget, rr.Code, tc.status, rr.Body)
+		}
+		if tc.status == http.StatusBadRequest {
+			var eb errorResponse
+			if err := json.Unmarshal(rr.Body.Bytes(), &eb); err != nil || !strings.Contains(eb.Error, "budget_ms must be in [1e-06, 9223372036854]") {
+				t.Errorf("budget_ms %s: error body %s, want one naming budget_ms and its range", tc.budget, rr.Body)
+			}
+		}
+	}
+}
