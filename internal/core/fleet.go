@@ -138,9 +138,9 @@ func (fr *FleetResult) add(vr VideoResult) {
 // Results stream through FleetOptions.OnResult as they complete; the
 // returned FleetResult.Videos is always in input order.
 //
-// All Dynamic-mode runs of the fleet share one process-wide critical-value
-// grid per predicate configuration (scanstat.Shared), so the Naus search for
-// a background bucket runs once for the whole fleet, not once per video.
+// All Dynamic-mode runs of the fleet read one process-wide, immutable
+// critical-value table per predicate configuration (scanstat.Shared), built
+// on the process's first use of that configuration.
 //
 // All runs of the fleet also share one predicate planner, so the cost model
 // a video warms up (observed rejection rates, measured evaluation cost)
@@ -153,7 +153,7 @@ func (e *Engine) RunAll(ctx context.Context, videos []detect.TruthVideo, q Query
 }
 
 // RunAllCNF is RunAll for an extended query: every video runs RunCNF's
-// clause loop, and the shared planner, the shared grid and the inference
+// clause loop, and the shared planner, the shared table and the inference
 // budget apply as they do to a basic query.
 func (e *Engine) RunAllCNF(ctx context.Context, videos []detect.TruthVideo, q CNF, opts FleetOptions) (*FleetResult, error) {
 	return e.runAll(ctx, videos, opts, q.Validate(), func(ctx context.Context, v detect.TruthVideo, pl *plan.Planner) (*Run, error) {

@@ -105,8 +105,8 @@ type Config struct {
 	BandwidthFrames float64
 	BandwidthShots  float64
 
-	// CritGrid is the log10 quantisation step of the dynamic critical-value
-	// cache: background estimates within the same bucket reuse k_crit.
+	// CritGrid is the log10 quantisation step of the dynamic critical
+	// values: background estimates within the same bucket share k_crit.
 	CritGrid float64
 
 	// NoShortCircuit disables Algorithm 2's early exit, forcing every
