@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -253,9 +252,6 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	httpd.WriteJSON(w, status, body)
 }
 
-// maxDrainWaitMS is the largest drain_wait_ms a time.Duration holds.
-const maxDrainWaitMS = math.MaxInt64 / int64(time.Millisecond)
-
 // handleRollout serves the rolling generation swap: GET reports progress,
 // POST starts one (409 while another is running). The POST body tunes the
 // swap:
@@ -263,7 +259,7 @@ const maxDrainWaitMS = math.MaxInt64 / int64(time.Millisecond)
 //	{"canary_sql": "...", "canary_k": 1, "drain_wait_ms": 500,
 //	 "require_advance": false}
 //
-// A drain_wait_ms outside [0, maxDrainWaitMS] is a 400.
+// A drain_wait_ms outside [0, httpd.MaxCount(time.Millisecond)] is a 400.
 //
 // The rollout runs in the background; clients poll GET /rollout until
 // state is "done" or "failed" (which is what `svq rollout` does).
@@ -286,16 +282,17 @@ func (c *Coordinator) handleRollout(w http.ResponseWriter, r *http.Request) {
 		// The wait is whole milliseconds of a Duration: a negative one, or
 		// one the Duration cannot hold (it would wrap to a negative wait
 		// that skips the drain), is refused.
-		if req.DrainWaitMS < 0 || int64(req.DrainWaitMS) > maxDrainWaitMS {
+		drainWait, ok := httpd.ToDuration(req.DrainWaitMS, time.Millisecond)
+		if !ok {
 			httpd.WriteJSON(w, http.StatusBadRequest, httpd.ErrorBody{
-				Error: fmt.Sprintf("drain_wait_ms must be in [0, %d], got %d", maxDrainWaitMS, req.DrainWaitMS),
+				Error: fmt.Sprintf("drain_wait_ms must be in [0, %d], got %d", httpd.MaxCount(time.Millisecond), req.DrainWaitMS),
 			})
 			return
 		}
 		cfg := RolloutConfig{
 			CanarySQL:      req.CanarySQL,
 			CanaryK:        req.CanaryK,
-			DrainWait:      time.Duration(req.DrainWaitMS) * time.Millisecond,
+			DrainWait:      drainWait,
 			RequireAdvance: req.RequireAdvance,
 		}
 		// The rollout outlives this request: it runs on the background

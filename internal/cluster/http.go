@@ -13,6 +13,7 @@ import (
 	"strings"
 	"time"
 
+	"svqact/internal/httpd"
 	"svqact/internal/obs"
 )
 
@@ -202,13 +203,14 @@ func parseRetryAfter(v string) time.Duration {
 	// ParseInt reports an out-of-range count as ErrRange with the value
 	// saturated at the int64 limit of its sign.
 	if secs, err := strconv.ParseInt(strings.TrimSpace(v), 10, 64); err == nil || errors.Is(err, strconv.ErrRange) {
+		d, ok := httpd.ToDuration(secs, time.Second)
 		switch {
-		case secs <= 0:
-			return 0
-		case secs > int64(math.MaxInt64/time.Second):
+		case ok:
+			return d
+		case secs > 0:
 			return math.MaxInt64
 		}
-		return time.Duration(secs) * time.Second
+		return 0
 	}
 	if t, err := http.ParseTime(v); err == nil {
 		if d := time.Until(t); d > 0 {

@@ -40,18 +40,12 @@ func (s SeqResult) Bounds() Bounds {
 // possible upper bound falls below it can never reach the top-k. With fewer
 // than k bounds every candidate may still win, so the threshold is -Inf.
 func TopKLowerBound(bs []Bounds, k int) float64 {
-	return topKLowerBoundInto(bs, k, nil)
-}
-
-// topKLowerBoundInto is TopKLowerBound with a caller-owned selection column,
-// so the per-round pruning check of a long traversal reuses one buffer.
-func topKLowerBoundInto(bs []Bounds, k int, los []float64) float64 {
 	if k <= 0 || len(bs) < k {
 		return math.Inf(-1)
 	}
-	los = los[:0]
-	for _, b := range bs {
-		los = append(los, b.Lo)
+	los := make([]float64, len(bs))
+	for i, b := range bs {
+		los[i] = b.Lo
 	}
 	return kthLargest(los, k)
 }

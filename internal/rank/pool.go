@@ -5,22 +5,29 @@ import "sync"
 // Per-query round-state pooling. A top-k traversal needs the same scratch
 // for every query and re-derives part of it after every returned clip — the
 // TBClip iterator's per-clip state and heaps, the candidate sequences'
-// bound bookkeeping, the Bounds vector over them, the lower-bound selection
-// column, the winner-order permutation. topkScratch owns all of it; a
-// traversal acquires one scratch up front and returns it when the query
-// finishes, so a warm query allocates none of it.
+// bound bookkeeping, the live set, the bound columns over it, the
+// lower-bound selection column, the winner-order permutation. topkScratch
+// owns all of it; a traversal acquires one scratch up front and returns it
+// when the query finishes, so a warm query allocates none of it.
 //
 // The scratch holds no pointers into query results: winners are copied into
-// fresh values before the traversal returns, and Bounds are plain values
-// recomputed every round.
+// fresh values before the traversal returns, and the columns are plain
+// values recomputed every round.
 type topkScratch struct {
 	iter tbClip
 	// seqs is the bound bookkeeping of every candidate sequence.
 	seqs []seqState
-	// bounds is the per-round Bounds vector over every candidate sequence.
+	// live holds, in ascending order, the indexes into seqs of the
+	// sequences not yet excluded: what a round's bookkeeping visits.
+	live []int
+	// lo and up are a round's bound columns: lo[j] and up[j] bracket
+	// sequence live[j].
+	lo, up []float64
+	// sel is the copy of lo that kthLargest reorders to select Blo_K.
+	sel []float64
+	// bounds is the Bounds vector separatedInto reads, built from the
+	// columns only in a round that may separate.
 	bounds []Bounds
-	// los is the lower-bound column topKLowerBoundInto selects from.
-	los []float64
 	// order is the index permutation separatedInto sorts.
 	order []int
 }

@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math"
 	"net/http"
 	"sort"
 	"sync"
@@ -482,17 +481,14 @@ type QueryRequest struct {
 	// budget the query degrades gracefully — remaining clips are
 	// skipped-and-flagged and the plan report carries the budget block —
 	// instead of erroring. A positive value a time.Duration cannot hold,
-	// outside [minBudgetMS, maxBudgetMS], is refused with a 400 rather
-	// than rounded.
+	// outside [minBudgetMS, httpd.MaxCount(time.Millisecond)], is refused
+	// with a 400 rather than rounded.
 	BudgetMS float64 `json:"budget_ms,omitempty"`
 }
 
-// The positive budget_ms range a time.Duration holds: one nanosecond up to
-// the largest whole millisecond.
-const (
-	minBudgetMS = 1e-6
-	maxBudgetMS = float64(math.MaxInt64 / int64(time.Millisecond))
-)
+// minBudgetMS is one nanosecond in milliseconds: the smallest positive
+// budget_ms httpd.ToDuration accepts.
+const minBudgetMS = float64(time.Nanosecond) / float64(time.Millisecond)
 
 // Sequence is one result sequence of a response.
 type Sequence = stmt.Sequence
@@ -895,10 +891,11 @@ func (s *Server) execute(ctx context.Context, plan sqlq.Plan, req QueryRequest) 
 	}
 	env := s.env()
 	if req.BudgetMS > 0 {
-		if req.BudgetMS < minBudgetMS || req.BudgetMS > maxBudgetMS {
-			return nil, badRequestError{fmt.Errorf("budget_ms must be in [%g, %.0f], got %g", minBudgetMS, maxBudgetMS, req.BudgetMS)}
+		budget, ok := httpd.ToDuration(req.BudgetMS, time.Millisecond)
+		if !ok {
+			return nil, badRequestError{fmt.Errorf("budget_ms must be in [%g, %d], got %g", minBudgetMS, httpd.MaxCount(time.Millisecond), req.BudgetMS)}
 		}
-		env.Engine.InferenceBudget = time.Duration(req.BudgetMS * float64(time.Millisecond))
+		env.Engine.InferenceBudget = budget
 	}
 	if !plan.Online && s.cfg.RepoDir != "" {
 		// Repository-backed: rank over the whole saved repository (the

@@ -69,7 +69,6 @@ type IntervalSet struct {
 // NewIntervalSet builds a canonical set from arbitrary intervals: they are
 // sorted, merged when overlapping or adjacent, and empty ones dropped.
 func NewIntervalSet(ivs ...Interval) IntervalSet {
-	var s IntervalSet
 	work := make([]Interval, 0, len(ivs))
 	for _, iv := range ivs {
 		if iv.Len() > 0 {
@@ -82,17 +81,23 @@ func NewIntervalSet(ivs ...Interval) IntervalSet {
 		}
 		return work[i].End < work[j].End
 	})
+	if len(work) == 0 {
+		return IntervalSet{}
+	}
+	// Merge in place: the merged runs never outnumber the runs read, so
+	// the set keeps the one allocation, however many runs it has.
+	out := work[:0]
 	for _, iv := range work {
-		n := len(s.ivs)
-		if n > 0 && (s.ivs[n-1].Overlaps(iv) || s.ivs[n-1].Adjacent(iv)) {
-			if iv.End > s.ivs[n-1].End {
-				s.ivs[n-1].End = iv.End
+		n := len(out)
+		if n > 0 && (out[n-1].Overlaps(iv) || out[n-1].Adjacent(iv)) {
+			if iv.End > out[n-1].End {
+				out[n-1].End = iv.End
 			}
 			continue
 		}
-		s.ivs = append(s.ivs, iv)
+		out = append(out, iv)
 	}
-	return s
+	return IntervalSet{ivs: out}
 }
 
 // Intervals returns the canonical intervals in increasing order. The caller
@@ -140,7 +145,9 @@ func (s IntervalSet) Union(o IntervalSet) IntervalSet {
 // belonging to both sets. It is a single linear sweep over the two sorted
 // interval lists.
 func (s IntervalSet) IntersectSet(o IntervalSet) IntervalSet {
-	var out []Interval
+	// Every step of the sweep advances one list and yields at most one
+	// run, so this capacity is never outgrown.
+	out := make([]Interval, 0, len(s.ivs)+len(o.ivs))
 	i, j := 0, 0
 	for i < len(s.ivs) && j < len(o.ivs) {
 		if iv, ok := s.ivs[i].Intersect(o.ivs[j]); ok {

@@ -92,6 +92,12 @@ go test -run '^$' -fuzz '^FuzzStringMatchesMarshal$' -fuzztime=5s ./internal/jso
 # The TBClip iterator against the map-based one it replaced (kept in
 # tbclip_ref_test.go as the referee): same yields, rounds and accesses.
 go test -run '^$' -fuzz '^FuzzTBClipMatchesReference$' -fuzztime=5s ./internal/rank
+# The top-k traversal, whose rounds visit only the sequences not yet
+# excluded, against the all-sequences traversal it replaced
+# (rvaq_ref_test.go): equal Sequences, Stats, Rounds, ClipsScored,
+# Truncated and ResidualUpper at every k, basic and CNF, with and without
+# NoSkip and ApproxScores.
+go test -run '^$' -fuzz '^FuzzTopkMatchesReference$' -fuzztime=5s ./internal/rank
 # The simulated models' batch draws (one draw key, one track window per
 # batch) against the per-unit draws they replaced (sim_ref_test.go): same
 # scores, events and accounts on fuzzed worlds and runs, seams included.
