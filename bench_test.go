@@ -659,8 +659,8 @@ func rankedDeckIndex(b *testing.B) *rank.Index {
 
 // BenchmarkRankedDeck runs the statement shapes of the served benchmark's
 // ranked pool over a merged multi-video repository, where BenchmarkRVAQTopK's
-// single movie (21 candidates) cannot show the traversal's bookkeeping cost:
-// selective pairs an action with its own rare object, broad pairs it with the
+// single movie (21 candidates) cannot show what the per-round bookkeeping
+// over the live candidate sequences costs: selective pairs an action with its own rare object, broad pairs it with the
 // ubiquitous person, cnf asks for either of two actions with a person. One
 // op is one pass over the class's statements, so rounds/op and accesses/op
 // (the paper's cost, sorted plus random) are constants of the algorithm: an
